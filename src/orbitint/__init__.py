@@ -14,9 +14,9 @@ from .ratmap import (RatMap, MapSystem, MapError, make_map, parse_map, compose,
 from .words import Word, WordMode, enumerate_words
 from .heights import (HeightEstimate, HeightDifferenceBound, c_bound,
                       canonical_height_word, canonical_height_system,
-                      hmin_estimate)
+                      hmin_estimate, preperiodicity_check)
 from .orbits import (OrbitRecord, WorkLimits, iterate_word, enumerate_tree,
-                     hypothesis_check, preperiodicity_check)
+                     hypothesis_check)
 from .integrality import (quasi_integral_test, gamma_set, s_integral_census,
                           ratio_series, averaged_ratio, GammaVerdict)
 from .bounds import (BoundParameters, RamificationMode, kappa_constants,

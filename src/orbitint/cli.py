@@ -20,15 +20,14 @@ from . import __version__
 from .bounds import (BoundParameters, RamificationMode, census_count_bounds,
                      choose_m, gamma_count_bound, kappa_constants,
                      prop_composition_height_bound)
-from .config import ExperimentConfig, load_config
-from .errors import ConfigError, WorkLimitExceeded
+from .config import ExperimentConfig, load_config, parse_config
+from .errors import WorkLimitExceeded
 from .heights import (canonical_height_system, canonical_height_word,
                       hmin_estimate, system_bounds)
 from .integrality import (averaged_ratio, gamma_set, ratio_series,
                           s_integral_census)
 from .orbits import enumerate_tree, hypothesis_check, orbit_csv_rows
-from .places import FactorizationError
-from .ratmap import MapError, system_height
+from .ratmap import system_height
 from .verify import run_all
 
 
@@ -54,95 +53,75 @@ def _write_csv(path: Path, header: tuple, rows) -> None:
         writer.writerows(rows)
 
 
-def _cmd_orbit(config: ExperimentConfig, out: Path, seed: int, workers: int) -> dict:
-    prec = config.precision_bits
+# Each handler returns (report payload, CSV as (header, rows) or None, summary
+# line); main adds the metadata, writes the files and prints the summary.
+
+
+def _cmd_orbit(config: ExperimentConfig, workers: int):
     records = enumerate_tree(config.system, config.point, config.depth,
                              dedupe=config.dedupe, limits=config.limits,
                              workers=workers)
-    stem = f"orbit_{config.canonical_hash()}"
-    _write_csv(out / f"{stem}.csv", ("word", "n", "x", "y", "height_nats"),
-               orbit_csv_rows(records, prec))
+    table = (("word", "n", "x", "y", "height_nats"),
+             orbit_csv_rows(records, config.precision_bits))
     hypotheses = hypothesis_check(config.system, config.point_a, config.depth,
                                   limits=config.limits)
-    report = {
-        "meta": _report_meta("orbit", config, seed, prec),
+    payload = {
         "recordCount": len(records),
         "dedupe": config.dedupe,
         "depth": config.depth,
         "hypotheses": hypotheses.to_json(),
-        "csv": f"{stem}.csv",
     }
-    _write_json(out / f"{stem}.json", report)
-    print(f"orbit: {len(records)} records to depth {config.depth} "
-          f"(hypotheses verified to depth {hypotheses.depth_checked}, "
-          f"not a proof) -> {out / (stem + '.json')}")
-    return report
+    return payload, table, (f"orbit: {len(records)} records to depth {config.depth} "
+                            f"(hypotheses verified to depth {hypotheses.depth_checked}, "
+                            f"not a proof)")
 
 
-def _cmd_canonical(config: ExperimentConfig, out: Path, seed: int, workers: int) -> dict:
+def _height_report(sub: str, config: ExperimentConfig, est, **extra):
     prec = config.precision_bits
-    bounds = system_bounds(config.system, config.c_mode)
+    payload = {"point": config.point.to_json(), "cMode": config.c_mode,
+               "estimate": est.to_json(prec), **extra}
+    return payload, None, (f"{sub}: [{est.lo(prec):.12g}, {est.hi(prec):.12g}] "
+                           f"at depth {est.depth}")
+
+
+def _cmd_canonical(config: ExperimentConfig, workers: int):
     est = canonical_height_word(config.system, config.word, config.point,
-                                depth=config.height_depth, bounds=bounds,
-                                prec=prec, bit_cap=config.limits.bit_cap)
-    stem = f"canonical_{config.canonical_hash()}"
-    report = {
-        "meta": _report_meta("canonical", config, seed, prec),
-        "word": config.word.to_json(),
-        "point": config.point.to_json(),
-        "cMode": config.c_mode,
-        "estimate": est.to_json(prec),
-        "degreeProduct": str(est.degree_product),
-    }
-    _write_json(out / f"{stem}.json", report)
-    print(f"canonical: [{est.lo(prec):.12g}, {est.hi(prec):.12g}] at depth "
-          f"{est.depth} -> {out / (stem + '.json')}")
-    return report
+                                depth=config.height_depth,
+                                bounds=system_bounds(config.system, config.c_mode),
+                                prec=config.precision_bits,
+                                bit_cap=config.limits.bit_cap)
+    return _height_report("canonical", config, est, word=config.word.to_json(),
+                          degreeProduct=str(est.degree_product))
 
 
-def _cmd_system_height(config: ExperimentConfig, out: Path, seed: int, workers: int) -> dict:
-    prec = config.precision_bits
-    bounds = system_bounds(config.system, config.c_mode)
+def _cmd_system_height(config: ExperimentConfig, workers: int):
     est = canonical_height_system(config.system, config.point, config.depth,
-                                  bounds=bounds, node_cap=config.limits.node_cap,
-                                  bit_cap=config.limits.bit_cap, prec=prec,
-                                  workers=workers)
-    stem = f"system-height_{config.canonical_hash()}"
-    report = {
-        "meta": _report_meta("system-height", config, seed, prec),
-        "point": config.point.to_json(),
-        "cMode": config.c_mode,
-        "estimate": est.to_json(prec),
-    }
-    _write_json(out / f"{stem}.json", report)
-    print(f"system-height: [{est.lo(prec):.12g}, {est.hi(prec):.12g}] at depth "
-          f"{est.depth} -> {out / (stem + '.json')}")
-    return report
+                                  bounds=system_bounds(config.system, config.c_mode),
+                                  node_cap=config.limits.node_cap,
+                                  bit_cap=config.limits.bit_cap,
+                                  prec=config.precision_bits, workers=workers)
+    return _height_report("system-height", config, est)
 
 
-def _cmd_gamma(config: ExperimentConfig, out: Path, seed: int, workers: int) -> dict:
+def _cmd_gamma(config: ExperimentConfig, workers: int):
     prec = config.precision_bits
     bounds = system_bounds(config.system, config.c_mode)
     record = gamma_set(config.system, config.word, config.places,
                        config.point_a, config.point, config.epsilon,
                        config.depth, bounds=bounds, prec=prec,
                        limits=config.limits)
-    stem = f"gamma_{config.canonical_hash()}"
-    report = {"meta": _report_meta("gamma", config, seed, prec),
-              **record.to_json(prec)}
-    _write_json(out / f"{stem}.json", report)
     verdicts = "".join({"in": "I", "out": "O", "ambiguous": "?"}[v.value]
                        for _, v in record.members)
-    print(f"gamma: verdicts {verdicts} (n=0..{record.depth}) -> {out / (stem + '.json')}")
-    return report
+    return (record.to_json(prec), None,
+            f"gamma: verdicts {verdicts} (n=0..{record.depth})")
 
 
-def _cmd_census(config: ExperimentConfig, out: Path, seed: int, workers: int) -> dict:
+def _cmd_census(config: ExperimentConfig, workers: int):
     prec = config.precision_bits
     census = s_integral_census(config.system, config.point, config.places,
                                config.depth, limits=config.limits,
                                workers=workers)
-    bound_detail = None
+    bound_detail = {}
     if config.bound_parameters is not None:
         hmin = hmin_estimate(config.system, config.point,
                              config.hmin_period_bound, config.height_depth,
@@ -153,43 +132,30 @@ def _cmd_census(config: ExperimentConfig, out: Path, seed: int, workers: int) ->
             cors = census_count_bounds(config.system, len(config.places), h_f, lo,
                                     config.bound_parameters)
             census = replace(census, bound_value=cors.tree_count)
-            bound_detail = cors.to_json()
-    payload = census.to_json(prec)
-    if bound_detail is not None:
-        payload["boundDetail"] = bound_detail
-    stem = f"census_{config.canonical_hash()}"
-    report = {"meta": _report_meta("census", config, seed, prec), **payload}
-    _write_json(out / f"{stem}.json", report)
-    print(f"census: {census.count} S-integral points to depth {config.depth} "
-          f"-> {out / (stem + '.json')}")
-    return report
+            bound_detail = {"boundDetail": cors.to_json()}
+    return ({**census.to_json(prec), **bound_detail}, None,
+            f"census: {census.count} S-integral points to depth {config.depth}")
 
 
-def _cmd_ratios(config: ExperimentConfig, out: Path, seed: int, workers: int) -> dict:
+def _cmd_ratios(config: ExperimentConfig, workers: int):
     prec = config.precision_bits
     terms = ratio_series(config.system, config.word, config.point,
                          config.depth, prec=prec, limits=config.limits)
-    stem = f"ratios_{config.canonical_hash()}"
-    _write_csv(out / f"{stem}.csv", ("n", "a_bits", "b_bits", "ratio", "verdict"),
-               [t.to_csv_row() for t in terms])
+    table = (("n", "a_bits", "b_bits", "ratio", "verdict"),
+             [t.to_csv_row() for t in terms])
     payload = {
-        "meta": _report_meta("ratios", config, seed, prec),
         "terms": [{"n": t.n, "ratio": t.ratio, "verdict": t.verdict} for t in terms],
-        "csv": f"{stem}.csv",
     }
     if config.averaged_level is not None:
         avg = averaged_ratio(config.system, config.point, config.averaged_level,
                              prec=prec, limits=config.limits)
         payload["averaged"] = avg.to_json()
-    _write_json(out / f"{stem}.json", payload)
     defined = [t.ratio for t in terms if t.ratio is not None]
     last = f"{defined[-1]:.6g}" if defined else "none"
-    print(f"ratios: {len(terms)} terms, last defined ratio {last} "
-          f"-> {out / (stem + '.json')}")
-    return payload
+    return payload, table, f"ratios: {len(terms)} terms, last defined ratio {last}"
 
 
-def _cmd_bounds(config: ExperimentConfig, out: Path, seed: int, workers: int) -> dict:
+def _cmd_bounds(config: ExperimentConfig, workers: int):
     prec = config.precision_bits
     params = config.bound_parameters or BoundParameters()
     system = config.system
@@ -211,7 +177,6 @@ def _cmd_bounds(config: ExperimentConfig, out: Path, seed: int, workers: int) ->
     kappa_do = kappa_constants(system, RamificationMode.DISTINCT_ORBIT)
     chosen = choose_m(config.epsilon, kappa_nt)
     payload = {
-        "meta": _report_meta("bounds", config, seed, prec),
         "systemHeight": h_f,
         "kappa": {"notTotallyRamified": kappa_nt.to_json(),
                   "distinctOrbit": kappa_do.to_json()},
@@ -238,22 +203,15 @@ def _cmd_bounds(config: ExperimentConfig, out: Path, seed: int, workers: int) ->
         cors = census_count_bounds(system, len(config.places), h_f,
                                 hmin.estimate.lo(prec), params)
         payload["censusBounds"] = cors.to_json()
-    stem = f"bounds_{config.canonical_hash()}"
-    _write_json(out / f"{stem}.json", payload)
-    print(f"bounds: m={chosen.m}, hmin lo={payload['hmin']['lo']:.6g} "
-          f"-> {out / (stem + '.json')}")
-    return payload
+    return payload, None, f"bounds: m={chosen.m}, hmin lo={payload['hmin']['lo']:.6g}"
 
 
 def _cmd_verify(out: Path, seed: int, prec: int) -> int:
     results = run_all(seed=seed, prec=prec)
     width = max(len(name) for name, _, _ in results)
-    failures = 0
     for name, ok, detail in results:
-        status = "pass" if ok else "FAIL"
-        print(f"{name:<{width}}  {status}  {detail}")
-        if not ok:
-            failures += 1
+        print(f"{name:<{width}}  {'pass' if ok else 'FAIL'}  {detail}")
+    failures = sum(not ok for _, ok, _ in results)
     payload = {
         "meta": _report_meta("verify", None, seed, prec),
         "results": [{"suite": name, "passed": ok, "detail": detail}
@@ -311,18 +269,23 @@ def main(argv=None) -> int:
             prec = args.precision or 128
             return _cmd_verify(out, args.seed, prec)
         config = load_config(args.config)
-        if args.depth is not None or args.precision is not None:
-            raw = dict(config.raw)
-            if args.depth is not None:
-                raw["depth"] = args.depth
-            if args.precision is not None:
-                raw["precisionBits"] = args.precision
-            from .config import parse_config
-            config = parse_config(raw)
-        handler = _SUBCOMMANDS[args.subcommand]
-        handler(config, out, args.seed, max(1, args.workers))
+        overrides = {key: value for key, value in
+                     (("depth", args.depth), ("precisionBits", args.precision))
+                     if value is not None}
+        if overrides:
+            config = parse_config({**config.raw, **overrides})
+        payload, table, summary = _SUBCOMMANDS[args.subcommand](
+            config, max(1, args.workers))
+        stem = f"{args.subcommand}_{config.canonical_hash()}"
+        if table is not None:
+            _write_csv(out / f"{stem}.csv", *table)
+            payload["csv"] = f"{stem}.csv"
+        payload["meta"] = _report_meta(args.subcommand, config, args.seed,
+                                       config.precision_bits)
+        _write_json(out / f"{stem}.json", payload)
+        print(f"{summary} -> {out / (stem + '.json')}")
         return 0
-    except (ConfigError, MapError, FactorizationError, ValueError) as exc:
+    except ValueError as exc:
         print(_error_json("validation", exc), file=sys.stderr)
         return 2
     except WorkLimitExceeded as exc:

@@ -24,8 +24,8 @@ DEFAULTS = {
     "epsilon": "1/2",
     "depth": 6,
     "precisionBits": 128,
-    "nodeCap": 1_000_000,
-    "bitCap": 1_000_000,
+    "nodeCap": WorkLimits.node_cap,
+    "bitCap": WorkLimits.bit_cap,
     "dedupe": True,
     "hminPeriodBound": 2,
     "heightDepth": 12,

@@ -12,18 +12,21 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from functools import partial
+from itertools import islice
+from typing import Iterable, Optional, Sequence
 
 from . import polys
 from .errors import WorkLimitExceeded
 from .logvals import DEFAULT_PRECISION, LogExpr
+from .orbits import DEFAULT_LIMITS, WorkLimits, fold_tree, walk_word
 from .proj1 import ProjPoint, normalize
 from .ratmap import MapSystem, RatMap, eval_point
 from .words import Word, degree_product, iter_periodic_words
 
 DEFAULT_DEPTH = 12
-DEFAULT_BIT_CAP = 1_000_000
-DEFAULT_NODE_CAP = 1_000_000
+DEFAULT_BIT_CAP = WorkLimits.bit_cap
+DEFAULT_NODE_CAP = WorkLimits.node_cap
 
 
 @dataclass(frozen=True)
@@ -191,14 +194,16 @@ def canonical_height_word(system: MapSystem, word: Word, point: ProjPoint,
                           target: Optional[float] = None,
                           bounds: Optional[Sequence[HeightDifferenceBound]] = None,
                           prec: int = DEFAULT_PRECISION,
-                          bit_cap: int = DEFAULT_BIT_CAP) -> HeightEstimate:
+                          bit_cap: int = DEFAULT_BIT_CAP,
+                          memo: Optional[list] = None) -> HeightEstimate:
     """Canonical height of a point along a word, as a certified interval.
 
     Iterates h(Phi^n(P))/D_n pointwise (never composing maps); the intervals
     at successive depths nest, so the deepest one is returned.  With a target,
     iteration stops once the materialized width is small enough; running out
     of word or hitting the bit cap returns a partial result flagged by
-    target_met=False.
+    target_met=False.  memo is an orbit point list shared with other passes
+    over the same orbit (see walk_word).
     """
     for letter in word.letters:
         if letter > system.k:
@@ -208,6 +213,7 @@ def canonical_height_word(system: MapSystem, word: Word, point: ProjPoint,
     if depth is None:
         depth = DEFAULT_DEPTH if target is None else 4 * DEFAULT_DEPTH
     degrees = system.degrees
+    steps = walk_word(system, word, point, memo)
     current = point
     d_n = 1
     n = 0
@@ -217,11 +223,10 @@ def canonical_height_word(system: MapSystem, word: Word, point: ProjPoint,
             up, down = _upcoming_tails(system, bounds, word, n)
             if ((up + down) * Fraction(1, d_n)).float_bounds(prec)[1] <= target:
                 break
-        letter = word.letter_at(n)
-        current = eval_point(system.map_for_letter(letter), current)
-        d_n *= degrees[letter - 1]
+        current = next(steps)
+        d_n *= degrees[word.letter_at(n) - 1]
         n += 1
-        if max(abs(current.x), abs(current.y)).bit_length() > bit_cap:
+        if WorkLimits.bits_of(current) > bit_cap:
             truncated = True
             break
     up, down = _upcoming_tails(system, bounds, word, n)
@@ -242,46 +247,9 @@ def _clip_nonnegative(lo: LogExpr, prec: int) -> LogExpr:
     return LogExpr.zero()
 
 
-def _leaf_height_terms(args) -> tuple[list, int]:
-    """Sum of leaf heights over the full word tree, as raw LogExpr terms."""
-    system, point, depth, bit_cap = args
-    terms: list = []
-    count = 0
-    stack = [(point, 0)]
-    while stack:
-        p, level = stack.pop()
-        if level == depth:
-            terms.append((max(abs(p.x), abs(p.y)), Fraction(1)))
-            count += 1
-            continue
-        if max(abs(p.x), abs(p.y)).bit_length() > bit_cap:
-            raise WorkLimitExceeded(
-                f"orbit coordinates exceeded {bit_cap} bits", bits=bit_cap)
-        for m in reversed(system.maps):
-            stack.append((eval_point(m, p), level + 1))
-    return terms, count
-
-
-def _gather_leaf_terms(system: MapSystem, point: ProjPoint, depth: int,
-                       bit_cap: int, workers: int) -> tuple[list, int]:
-    """Leaf-height terms, optionally partitioned by first letter.
-
-    Summation commutes and term merging is canonical, so the result is
-    independent of the worker count.
-    """
-    if workers <= 1 or depth == 0:
-        return _leaf_height_terms((system, point, depth, bit_cap))
-    from concurrent.futures import ProcessPoolExecutor
-
-    tasks = [(system, eval_point(m, point), depth - 1, bit_cap)
-             for m in system.maps]
-    terms: list = []
-    count = 0
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        for sub_terms, sub_count in pool.map(_leaf_height_terms, tasks):
-            terms.extend(sub_terms)
-            count += sub_count
-    return terms, count
+def _leaf_terms(depth: int, nodes: Iterable[tuple[tuple, ProjPoint]]) -> list:
+    """Raw LogExpr terms of the leaf heights among the walked nodes."""
+    return [term for word, p in nodes if len(word) == depth for term in p.height().terms]
 
 
 def canonical_height_system(system: MapSystem, point: ProjPoint, depth: int = 6,
@@ -305,8 +273,10 @@ def canonical_height_system(system: MapSystem, point: ProjPoint, depth: int = 6,
             nodes=k ** depth)
     if bounds is None:
         bounds = system_bounds(system)
-    terms, count = _gather_leaf_terms(system, point, depth, bit_cap, workers)
-    assert count == k ** depth
+    # Summation commutes and term merging is canonical, so the sum does not
+    # depend on how the worker count splits the tree.
+    terms = fold_tree(system, point, depth, partial(_leaf_terms, depth),
+                      WorkLimits(node_cap, bit_cap), workers)
     mid = LogExpr(terms) * Fraction(1, big_d ** depth)
     sum_up = LogExpr.zero()
     sum_down = LogExpr.zero()
@@ -348,44 +318,86 @@ def hmin_estimate(system: MapSystem, point: ProjPoint, period_bound: int = 2,
     if bounds is None:
         bounds = system_bounds(system)
     best: Optional[HeightEstimate] = None
-    best_word: Optional[Word] = None
     lo_min: Optional[LogExpr] = None
     scanned = 0
     for word in iter_periodic_words(system.k, period_bound):
         scanned += 1
-        cycle = _detect_cycle(system, word, point, depth)
-        if cycle:
+        points = [point]
+        if find_cycle(system, word, points, depth, bit_cap=1 << 16) is not None:
             zero = LogExpr.zero()
             est = HeightEstimate(zero, zero, depth, degree_product(system.degrees, word, depth),
                                  True, True, word)
             return HminResult(est, word, word, scanned)
         est = canonical_height_word(system, word, point, depth=depth,
-                                    bounds=bounds, prec=prec)
+                                    bounds=bounds, prec=prec, memo=points)
         if best is None or est.hi(prec) < best.hi(prec):
-            best, best_word = est, word
+            best = est
         if lo_min is None or (est.lo_expr - lo_min).sign(prec) == -1:
             lo_min = est.lo_expr
-    assert best is not None and best_word is not None and lo_min is not None
+    assert best is not None and lo_min is not None
     merged = HeightEstimate(lo_min, best.hi_expr, best.depth, best.degree_product,
-                            best.certified, best.target_met, best_word)
-    return HminResult(merged, best_word, None, scanned)
+                            best.certified, best.target_met, best.word)
+    return HminResult(merged, best.word, None, scanned)
 
 
-def _detect_cycle(system: MapSystem, word: Word, point: ProjPoint, depth: int,
-                  bit_cap: int = 1 << 16) -> bool:
-    """Exact repetition of (point, word phase) proves a finite orbit."""
-    period = len(word.letters) if word.is_periodic else 0
-    seen = {(point, 0)}
-    current = point
-    for i in range(depth):
-        if not word.supports_depth(i + 1):
-            return False
-        current = eval_point(system.map_for_letter(word.letter_at(i)), current)
-        if max(abs(current.x), abs(current.y)).bit_length() > bit_cap:
-            return False  # give up; a missed cycle only widens the interval
-        phase = (i + 1) % period if period else i + 1
-        state = (current, phase)
-        if state in seen:
-            return True
-        seen.add(state)
-    return False
+def find_cycle(system: MapSystem, word: Word, memo: list, steps: int,
+               bit_cap: int) -> Optional[tuple[int, int]]:
+    """(tail length, cycle length) of the first exact repeat of (point, word
+    phase) within steps steps along a periodic word, or None.
+
+    A repeat proves a finite orbit.  Cycles have small coordinates, so the
+    scan gives up at the first point over bit_cap.  memo holds the orbit from
+    Phi^0 on (see walk_word).
+    """
+    period = len(word.letters)
+    seen = {(memo[0], 0): 0}
+    walk = walk_word(system, word, memo[0], memo)
+    for n, current in enumerate(islice(walk, steps), start=1):
+        if WorkLimits.bits_of(current) > bit_cap:
+            return None
+        start = seen.setdefault((current, n % period), n)
+        if start != n:
+            return start, n - start
+    return None
+
+
+@dataclass(frozen=True)
+class PreperiodicityVerdict:
+    kind: str  # "preperiodic" | "wandering" | "unknown"
+    tail_length: Optional[int] = None
+    cycle_length: Optional[int] = None
+    cycle_points: Optional[tuple] = None
+    estimate: Optional[HeightEstimate] = None
+
+    @property
+    def is_preperiodic(self) -> bool:
+        return self.kind == "preperiodic"
+
+
+def preperiodicity_check(system: MapSystem, word: Word, point: ProjPoint,
+                         depth: int = 64, prec: int = DEFAULT_PRECISION,
+                         bounds=None,
+                         limits: WorkLimits = DEFAULT_LIMITS) -> PreperiodicityVerdict:
+    """Decide the orbit type along a periodic word, within a depth budget.
+
+    Exact repetition of (point, word phase) proves a finite orbit; a positive
+    certified lower bound on the canonical height proves wandering; otherwise
+    the verdict is unknown.
+    """
+    if not word.is_periodic:
+        raise ValueError("preperiodicity checks need a periodic word")
+    points = [point]
+    cycle = find_cycle(system, word, points, depth, limits.bit_cap)
+    if cycle is not None:
+        start, length = cycle
+        return PreperiodicityVerdict(kind="preperiodic", tail_length=start,
+                                     cycle_length=length,
+                                     cycle_points=tuple(points[start:start + length]))
+    if bounds is None:
+        bounds = system_bounds(system)
+    est = canonical_height_word(system, word, point, depth=min(depth, 16),
+                                bounds=bounds, prec=prec,
+                                bit_cap=limits.bit_cap, memo=points)
+    if est.positive_lower(prec):
+        return PreperiodicityVerdict(kind="wandering", estimate=est)
+    return PreperiodicityVerdict(kind="unknown", estimate=est)

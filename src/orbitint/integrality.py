@@ -12,10 +12,9 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
 
-from .heights import HeightEstimate, canonical_height_word, system_bounds
+from .heights import HeightEstimate, canonical_height_word, find_cycle, system_bounds
 from .logvals import DEFAULT_PRECISION, LogExpr, _Infinite
-from .orbits import (DEFAULT_LIMITS, WorkLimits, enumerate_tree, iterate_word,
-                     preperiodicity_check)
+from .orbits import DEFAULT_LIMITS, WorkLimits, enumerate_tree, iterate_word
 from .places import PlaceSet, is_s_integer, log_plus_abs
 from .proj1 import ProjPoint, chordal_sum
 from .ratmap import MapSystem
@@ -102,18 +101,16 @@ def gamma_set(system: MapSystem, word: Word, s: PlaceSet, base: ProjPoint,
         raise ValueError("epsilon must lie in (0, 1]")
     if bounds is None:
         bounds = system_bounds(system)
-    preperiodic = False
-    if word.is_periodic:
-        # Cycles have small coordinates; a tight bit budget keeps the scan cheap.
-        scan_limits = WorkLimits(limits.node_cap, min(limits.bit_cap, 1 << 14))
-        verdict = preperiodicity_check(system, word, point, depth=max(depth, 16),
-                                       prec=prec, bounds=bounds,
-                                       limits=scan_limits)
-        preperiodic = verdict.is_preperiodic
+    # One walk: the cycle scan, the height lookahead and the membership scan
+    # all read one lazily extended point list.  Cycles have small coordinates,
+    # so a tight bit budget keeps the cycle scan cheap.
+    points = [point]
+    preperiodic = word.is_periodic and find_cycle(
+        system, word, points, max(depth, 16), min(limits.bit_cap, 1 << 14)) is not None
     est = canonical_height_word(system, word, point, depth=depth + 4,
                                 bounds=bounds, prec=prec,
-                                bit_cap=limits.bit_cap)
-    records = iterate_word(system, word, point, depth, limits=limits)
+                                bit_cap=limits.bit_cap, memo=points)
+    records = iterate_word(system, word, point, depth, limits=limits, memo=points)
     d_series = degree_products(system.degrees, word, depth)
     members = []
     for n, rec in enumerate(records):
@@ -208,29 +205,24 @@ def ratio_series(system: MapSystem, word: Word, point: ProjPoint, depth: int,
     if point.is_infinite:
         raise ValueError("the starting point must be affine")
     terms = []
-    records = iterate_word(system, word, point, depth, limits=limits)
-    for rec in records:
+    for rec in iterate_word(system, word, point, depth, limits=limits):
+        terms.append(_ratio_term(rec.depth, rec.point, prec))
         if rec.point.is_infinite:
-            terms.append(RatioTerm(rec.depth, 0, 0, None, "infinity"))
             break
-        a, b = rec.point.x, rec.point.y
-        if abs(a) <= 1:
-            terms.append(RatioTerm(rec.depth, abs(a).bit_length(), b.bit_length(),
-                                   None, "small-numerator"))
-            continue
-        if b <= 1:
-            terms.append(RatioTerm(rec.depth, abs(a).bit_length(), b.bit_length(),
-                                   None, "small-denominator"))
-            continue
-        ratio = _log_ratio(abs(a), b, prec)
-        terms.append(RatioTerm(rec.depth, abs(a).bit_length(), b.bit_length(),
-                               ratio, "defined"))
     return terms
 
 
-def _log_ratio(num: int, den: int, prec: int) -> float:
-    box = LogExpr.log_int(num).interval(prec) / LogExpr.log_int(den).interval(prec)
-    return (float(box.a) + float(box.b)) / 2
+def _ratio_term(n: int, p: ProjPoint, prec: int) -> RatioTerm:
+    """The term for one orbit point; only a "defined" term carries a ratio."""
+    if p.is_infinite:
+        return RatioTerm(n, 0, 0, None, "infinity")
+    a, b = abs(p.x), p.y
+    if a <= 1 or b <= 1:
+        return RatioTerm(n, a.bit_length(), b.bit_length(), None,
+                         "small-numerator" if a <= 1 else "small-denominator")
+    box = LogExpr.log_int(a).interval(prec) / LogExpr.log_int(b).interval(prec)
+    return RatioTerm(n, a.bit_length(), b.bit_length(),
+                     (float(box.a) + float(box.b)) / 2, "defined")
 
 
 @dataclass(frozen=True)
@@ -262,14 +254,11 @@ def averaged_ratio(system: MapSystem, point: ProjPoint, level: int,
     for rec in enumerate_tree(system, point, level, dedupe=False, limits=limits):
         if rec.depth != level:
             continue
-        if rec.point.is_infinite:
+        ratio = _ratio_term(level, rec.point, prec).ratio
+        if ratio is None:
             excluded.append(rec.word)
-            continue
-        a, b = abs(rec.point.x), rec.point.y
-        if a <= 1 or b <= 1:
-            excluded.append(rec.word)
-            continue
-        ratios.append(_log_ratio(a, b, prec))
+        else:
+            ratios.append(ratio)
     mean = sum(ratios) / len(ratios) if ratios else None
     return AveragedRatio(level, mean, system.k ** level, len(excluded),
                          tuple(excluded))

@@ -254,19 +254,3 @@ def compare(a: LogExpr, b: LogExpr, prec: int = DEFAULT_PRECISION) -> Optional[i
     """Certified comparison of two exact log expressions; None if undecidable."""
     return (a - b).sign(prec)
 
-
-def is_nonnegative(a: LogExpr, prec: int = DEFAULT_PRECISION) -> Optional[bool]:
-    s = a.sign(prec)
-    return None if s is None else s >= 0
-
-
-def float_of_log_ratio(num_log: LogExpr, den_log: LogExpr,
-                       prec: int = DEFAULT_PRECISION) -> float:
-    """num_log / den_log evaluated at precision, as a float."""
-    old = iv.prec
-    iv.prec = prec
-    try:
-        ratio = num_log.interval(prec) / den_log.interval(prec)
-        return (float(ratio.a) + float(ratio.b)) / 2
-    finally:
-        iv.prec = old

@@ -1,17 +1,21 @@
-"""Orbit iteration, semigroup-tree enumeration, and hypothesis checks.
+"""The orbit engine: every walk along a word or over the semigroup tree.
 
-Tree traversal is preorder over words (prefixes first, letters ascending), so
-output order is deterministic and parallel subtree workers can be merged by
-concatenation.  Point equality is exact equality of normalized coordinates.
+Two generators do all map evaluation.  `walk_word` yields Phi^1(P), Phi^2(P),
+... along a word and can share one lazily extended point list between several
+passes over the same orbit.  `walk_tree` yields (word, point) in preorder
+(prefixes first, letters ascending), so output order is deterministic, and
+`fold_tree` fans the tree out by first letter for parallel workers and merges
+the parts by concatenation.  `WorkLimits.bits_of` is the one coordinate-size
+measure.  Point equality is exact equality of normalized coordinates.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Optional, Sequence
+from itertools import islice
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .errors import WorkLimitExceeded
-from .heights import HeightEstimate, canonical_height_word, system_bounds
 from .logvals import DEFAULT_PRECISION, LogExpr
 from .proj1 import ProjPoint
 from .ratmap import MapSystem, is_totally_ramified, eval_point
@@ -23,7 +27,8 @@ class WorkLimits:
     node_cap: int = 1_000_000
     bit_cap: int = 1_000_000
 
-    def bits_of(self, p: ProjPoint) -> int:
+    @staticmethod
+    def bits_of(p: ProjPoint) -> int:
         return max(abs(p.x), abs(p.y)).bit_length()
 
     def check_bits(self, p: ProjPoint):
@@ -52,66 +57,88 @@ class OrbitRecord:
         return {"word": list(self.word), "n": self.depth, **self.point.to_json()}
 
 
-def iterate_word(system: MapSystem, word: Word, point: ProjPoint, n: int,
-                 limits: WorkLimits = DEFAULT_LIMITS) -> list[OrbitRecord]:
-    """Points Phi^0(P)..Phi^n(P) along a word, evaluated pointwise."""
-    if not word.supports_depth(n):
-        raise ValueError(f"word {word} is too short for depth {n}")
-    records = [OrbitRecord((), 0, point)]
-    current = point
-    prefix: tuple = ()
-    for i in range(n):
-        letter = word.letter_at(i)
-        current = eval_point(system.map_for_letter(letter), current)
-        limits.check_bits(current)
-        prefix = prefix + (letter,)
-        records.append(OrbitRecord(prefix, i + 1, current))
-    return records
+def walk_word(system: MapSystem, word: Word, point: ProjPoint,
+              memo: Optional[list] = None) -> Iterator[ProjPoint]:
+    """Yield Phi^1(P), Phi^2(P), ... along the word until it runs out.
+
+    memo, when given, is the list [P, Phi^1(P), ..., Phi^m(P)] of points
+    already known: they are replayed and new points are appended to it, so
+    every pass over one orbit evaluates each point once.
+    """
+    points = [point] if memo is None else memo
+    n = 1
+    while True:
+        if n == len(points):
+            if not word.supports_depth(n):
+                return
+            points.append(eval_point(system.map_for_letter(word.letter_at(n - 1)),
+                                     points[-1]))
+        yield points[n]
+        n += 1
 
 
-def _walk(system: MapSystem, point: ProjPoint, prefix: tuple, depth: int,
-          limits: WorkLimits, counter: list) -> Iterator[OrbitRecord]:
-    counter[0] += 1
-    if counter[0] > limits.node_cap:
-        raise WorkLimitExceeded(
-            f"tree enumeration exceeded {limits.node_cap} nodes",
-            nodes=counter[0])
-    yield OrbitRecord(prefix, len(prefix), point)
+def walk_tree(system: MapSystem, point: ProjPoint, depth: int,
+              limits: WorkLimits = DEFAULT_LIMITS,
+              prefix: tuple = ()) -> Iterator[tuple[tuple, ProjPoint]]:
+    """Yield (word, point) for the subtree under prefix, in preorder, down to
+    words of the given length.  A node's bits are checked before its children
+    are evaluated."""
+    yield prefix, point
     if len(prefix) == depth:
         return
     limits.check_bits(point)
     for letter in range(1, system.k + 1):
         child = eval_point(system.map_for_letter(letter), point)
-        yield from _walk(system, child, prefix + (letter,), depth, limits, counter)
+        yield from walk_tree(system, child, depth, limits, prefix + (letter,))
 
 
-def _enumerate_serial(system: MapSystem, point: ProjPoint, depth: int,
-                      limits: WorkLimits) -> list[OrbitRecord]:
-    return list(_walk(system, point, (), depth, limits, [0]))
+def _fold_subtree(args) -> list:
+    fold, system, point, prefix, depth, limits = args
+    return fold(walk_tree(system, point, depth, limits, prefix))
 
 
-def _subtree_records(args) -> list[OrbitRecord]:
-    system, point, prefix, depth, limits = args
-    return list(_walk(system, point, prefix, depth, limits, [0]))
+def fold_tree(system: MapSystem, point: ProjPoint, depth: int,
+              fold: Callable[[Iterable], list],
+              limits: WorkLimits = DEFAULT_LIMITS, workers: int = 1) -> list:
+    """fold applied to the preorder walk of the tree, as one list.
 
-
-def iter_tree(system: MapSystem, point: ProjPoint, depth: int,
-              dedupe: bool = False,
-              limits: WorkLimits = DEFAULT_LIMITS) -> Iterator[OrbitRecord]:
-    """Stream orbit records in preorder word order, without materializing.
-
-    The node and bit caps abort loudly partway through; callers that need
-    the whole tree (or parallel enumeration) use enumerate_tree.
+    With workers > 1 the root is checked and expanded here, each first-letter
+    subtree is folded in a worker process, and the parts are concatenated in
+    letter order after the root's.  A fold that maps each node on its own
+    (fold must be picklable) therefore gives the same list for any worker
+    count.
     """
-    if depth < 0:
-        raise ValueError("depth must be nonnegative")
-    seen: set = set()
-    for rec in _walk(system, point, (), depth, limits, [0]):
-        if dedupe:
-            if rec.point in seen:
-                continue
-            seen.add(rec.point)
-        yield rec
+    if workers <= 1 or depth == 0:
+        return fold(walk_tree(system, point, depth, limits))
+    from concurrent.futures import ProcessPoolExecutor
+
+    limits.check_bits(point)
+    tasks = [(fold, system, eval_point(system.map_for_letter(letter), point),
+              (letter,), depth, limits) for letter in range(1, system.k + 1)]
+    out = fold([((), point)])
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        for part in pool.map(_fold_subtree, tasks):
+            out.extend(part)
+    return out
+
+
+def iterate_word(system: MapSystem, word: Word, point: ProjPoint, n: int,
+                 limits: WorkLimits = DEFAULT_LIMITS,
+                 memo: Optional[list] = None) -> list[OrbitRecord]:
+    """Points Phi^0(P)..Phi^n(P) along a word, evaluated pointwise (memo as
+    in walk_word)."""
+    if not word.supports_depth(n):
+        raise ValueError(f"word {word} is too short for depth {n}")
+    letters = tuple(word.letter_at(i) for i in range(n))
+    records = [OrbitRecord((), 0, point)]
+    for i, current in enumerate(islice(walk_word(system, word, point, memo), n), start=1):
+        limits.check_bits(current)
+        records.append(OrbitRecord(letters[:i], i, current))
+    return records
+
+
+def _records(nodes: Iterable[tuple[tuple, ProjPoint]]) -> list[OrbitRecord]:
+    return [OrbitRecord(word, len(word), point) for word, point in nodes]
 
 
 def enumerate_tree(system: MapSystem, point: ProjPoint, depth: int,
@@ -130,29 +157,13 @@ def enumerate_tree(system: MapSystem, point: ProjPoint, depth: int,
         raise WorkLimitExceeded(
             f"tree of {total_nodes} nodes exceeds the node cap {limits.node_cap}",
             nodes=total_nodes)
-    if workers <= 1 or depth == 0:
-        records = _enumerate_serial(system, point, depth, limits)
-    else:
-        from concurrent.futures import ProcessPoolExecutor
-
-        records = [OrbitRecord((), 0, point)]
-        limits.check_bits(point)
-        tasks = []
-        for letter in range(1, system.k + 1):
-            child = eval_point(system.map_for_letter(letter), point)
-            tasks.append((system, child, (letter,), depth, limits))
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            for chunk in pool.map(_subtree_records, tasks):
-                records.extend(chunk)
+    records = fold_tree(system, point, depth, _records, limits, workers)
     if not dedupe:
         return records
-    seen = set()
-    unique = []
+    first: dict[ProjPoint, OrbitRecord] = {}
     for rec in records:
-        if rec.point not in seen:
-            seen.add(rec.point)
-            unique.append(rec)
-    return unique
+        first.setdefault(rec.point, rec)
+    return list(first.values())
 
 
 @dataclass(frozen=True)
@@ -209,60 +220,6 @@ def hypothesis_check(system: MapSystem, base: ProjPoint, depth: int,
         totally_ramified_free=ramified_witness is None,
         ramified_witness=ramified_witness,
         depth_checked=depth)
-
-
-@dataclass(frozen=True)
-class PreperiodicityVerdict:
-    kind: str  # "preperiodic" | "wandering" | "unknown"
-    tail_length: Optional[int] = None
-    cycle_length: Optional[int] = None
-    cycle_points: Optional[tuple] = None
-    estimate: Optional[HeightEstimate] = None
-
-    @property
-    def is_preperiodic(self) -> bool:
-        return self.kind == "preperiodic"
-
-
-def preperiodicity_check(system: MapSystem, word: Word, point: ProjPoint,
-                         depth: int = 64, prec: int = DEFAULT_PRECISION,
-                         bounds=None,
-                         limits: WorkLimits = DEFAULT_LIMITS) -> PreperiodicityVerdict:
-    """Decide the orbit type along a periodic word, within a depth budget.
-
-    Exact repetition of (point, word phase) proves a finite orbit; a positive
-    certified lower bound on the canonical height proves wandering; otherwise
-    the verdict is unknown.
-    """
-    if not word.is_periodic:
-        raise ValueError("preperiodicity checks need a periodic word")
-    period = len(word.letters)
-    seen = {(point, 0): 0}
-    sequence = [point]
-    current = point
-    for i in range(depth):
-        current = eval_point(system.map_for_letter(word.letter_at(i)), current)
-        if limits.bits_of(current) > limits.bit_cap:
-            break  # grown far past any revisit; hand over to the height stage
-        phase = (i + 1) % period
-        state = (current, phase)
-        if state in seen:
-            start = seen[state]
-            return PreperiodicityVerdict(
-                kind="preperiodic",
-                tail_length=start,
-                cycle_length=i + 1 - start,
-                cycle_points=tuple(sequence[start:]))
-        seen[state] = i + 1
-        sequence.append(current)
-    if bounds is None:
-        bounds = system_bounds(system)
-    est = canonical_height_word(system, word, point, depth=min(depth, 16),
-                                bounds=bounds, prec=prec,
-                                bit_cap=limits.bit_cap)
-    if est.positive_lower(prec):
-        return PreperiodicityVerdict(kind="wandering", estimate=est)
-    return PreperiodicityVerdict(kind="unknown", estimate=est)
 
 
 def orbit_csv_rows(records: Sequence[OrbitRecord],

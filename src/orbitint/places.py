@@ -182,10 +182,6 @@ def parse_rational(text: str) -> Fraction:
     return Fraction(text.strip())
 
 
-def format_rational(x: Fraction) -> str:
-    return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
-
-
 def padic_valuation(x: Fraction | int, p: int) -> int:
     """v_p(x) for nonzero rational x."""
     x = Fraction(x)

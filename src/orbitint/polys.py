@@ -58,13 +58,6 @@ def scale(a: Sequence, s) -> tuple:
     return strip([c * s for c in a])
 
 
-def pow_poly(a: Sequence, e: int) -> tuple:
-    out = (1,)
-    for _ in range(e):
-        out = mul(out, a)
-    return out
-
-
 def derivative(a: Sequence) -> tuple:
     return strip([i * a[i] for i in range(1, len(a))])
 

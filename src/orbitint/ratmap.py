@@ -46,12 +46,6 @@ class RatMap:
     def max_abs_coeff(self) -> int:
         return max(abs(c) for c in self.f + self.g)
 
-    @property
-    def term_count(self) -> int:
-        """Larger per-polynomial count of nonzero coefficients."""
-        return max(sum(1 for c in self.f if c),
-                   sum(1 for c in self.g if c))
-
     def __str__(self) -> str:
         num = _poly_str(self.f)
         den = _poly_str(self.g)
@@ -348,10 +342,6 @@ def mobius_inverse(l: RatMap) -> RatMap:
     dd = l.g[0] if len(l.g) > 0 else 0
     c = l.g[1] if len(l.g) > 1 else 0
     return _raw_map((-b, dd), (a, -c))
-
-
-def eval_mobius_inverse(l: RatMap, p: ProjPoint) -> ProjPoint:
-    return eval_point(mobius_inverse(l), p)
 
 
 def ramification_index_chart(phi: RatMap, p: ProjPoint, chart: RatMap) -> int:

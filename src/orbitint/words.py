@@ -84,15 +84,6 @@ class Word:
         return f"[{body}]" + ("~" if self.is_periodic else "")
 
 
-@dataclass(frozen=True)
-class WordPosition:
-    """A word together with a step count and the degree product up to it."""
-
-    word: Word
-    n: int
-    degree_product: int
-
-
 def enumerate_words(k: int, n: int) -> list[tuple]:
     """All k^n words of length n, lexicographically."""
     if k < 1 or n < 0:

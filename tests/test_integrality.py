@@ -4,12 +4,15 @@ from fractions import Fraction
 
 import pytest
 
+from orbitint.errors import WorkLimitExceeded
+from orbitint.heights import canonical_height_word
 from orbitint.integrality import (GammaVerdict, averaged_ratio, gamma_set,
                                   quasi_integral_test, ratio_series,
                                   s_integral_census)
 from orbitint.places import INFINITE_PLACE, Place, PlaceSet, is_s_integer
+from orbitint.orbits import WorkLimits
 from orbitint.proj1 import INFINITY, ZERO, normalize
-from orbitint.ratmap import MapSystem, make_map, parse_map
+from orbitint.ratmap import MapSystem, eval_point, make_map, parse_map
 from orbitint.verify import random_factored_int
 from orbitint.words import Word
 
@@ -60,6 +63,39 @@ def test_gamma_hit_of_base_is_in(z2_minus_1):
     assert record.preperiodic  # 0 -> -1 -> 0 cycle flagged
     verdicts = record.verdicts()
     assert verdicts[1] is GammaVerdict.IN  # point equals A at n = 1
+
+
+def test_gamma_walks_its_orbit_once(pair_system, monkeypatch):
+    import orbitint.orbits as orbits
+
+    calls = []
+
+    def counting_eval_point(phi, p):
+        calls.append(p)
+        return eval_point(phi, p)
+
+    monkeypatch.setattr(orbits, "eval_point", counting_eval_point)
+    depth = 8
+    record = gamma_set(pair_system, Word.periodic([1, 2]), S_INF, INFINITY,
+                       normalize(3, 1), Fraction(1, 2), depth)
+    assert not record.preperiodic and record.height.positive_lower()
+    assert len(calls) <= max(depth + 4, 16)
+    assert len(set(calls)) == len(calls)
+
+
+def test_gamma_bit_cap_in_scan_and_lookahead(z2):
+    system, word, start = MapSystem([z2]), Word.periodic([1]), normalize(3, 1)
+    limits = WorkLimits(bit_cap=100)  # 3^(2^5) has 51 bits, 3^(2^6) has 102
+    with pytest.raises(WorkLimitExceeded):
+        gamma_set(system, word, S_INF, INFINITY, start, Fraction(1, 2), 7,
+                  limits=limits)
+    record = gamma_set(system, word, S_INF, INFINITY, start, Fraction(1, 2), 5,
+                       limits=limits)
+    direct = canonical_height_word(system, word, start, depth=9, bit_cap=100)
+    assert record.height.target_met is False
+    assert (record.height.lo_expr, record.height.hi_expr, record.height.depth) == \
+        (direct.lo_expr, direct.hi_expr, direct.depth)
+    assert len(record.members) == 6
 
 
 def test_gamma_epsilon_monotonicity(pair_system):

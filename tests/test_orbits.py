@@ -3,10 +3,10 @@ import random
 import pytest
 
 from orbitint.errors import WorkLimitExceeded
-from orbitint.heights import system_bounds
+from orbitint.heights import (canonical_height_system, preperiodicity_check,
+                              system_bounds)
 from orbitint.orbits import (OrbitRecord, WorkLimits, enumerate_tree,
-                             hypothesis_check, iterate_word, orbit_csv_rows,
-                             preperiodicity_check)
+                             hypothesis_check, iterate_word, orbit_csv_rows)
 from orbitint.proj1 import INFINITY, ZERO, ProjPoint, normalize
 from orbitint.ratmap import MapSystem, make_map
 from orbitint.verify import random_point, random_system, random_word
@@ -75,6 +75,14 @@ def test_work_limits():
     with pytest.raises(WorkLimitExceeded):
         iterate_word(system, Word.periodic([2]), normalize(2, 1), 10,
                      limits=WorkLimits(bit_cap=64))
+    # A 101-bit root is checked before its children, for every worker count.
+    big = normalize(2 ** 100 + 1, 1)
+    for workers in (1, 2):
+        with pytest.raises(WorkLimitExceeded) as tree_exc:
+            enumerate_tree(system, big, 1, limits=WorkLimits(bit_cap=64), workers=workers)
+        with pytest.raises(WorkLimitExceeded) as height_exc:
+            canonical_height_system(system, big, depth=1, bit_cap=64, workers=workers)
+        assert tree_exc.value.bits == height_exc.value.bits == 101
 
 
 def test_hypothesis_check_examples(z2):
