@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import os
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -274,8 +275,9 @@ def main(argv=None) -> int:
                      if value is not None}
         if overrides:
             config = parse_config({**config.raw, **overrides})
-        payload, table, summary = _SUBCOMMANDS[args.subcommand](
-            config, max(1, args.workers))
+        # The tree fans out by first letter, so more than k workers sit idle.
+        workers = max(1, min(args.workers, config.system.k, os.cpu_count() or 1))
+        payload, table, summary = _SUBCOMMANDS[args.subcommand](config, workers)
         stem = f"{args.subcommand}_{config.canonical_hash()}"
         if table is not None:
             _write_csv(out / f"{stem}.csv", *table)

@@ -51,10 +51,11 @@ class HeightDifferenceBound:
 
 
 def _logexpr_max(a: LogExpr, b: LogExpr, prec: int = DEFAULT_PRECISION) -> LogExpr:
+    """max(a, b) when the comparison is decided, else the certified upper
+    bound a + max(q, 0), with q an exact upper bound on b - a."""
     s = (a - b).sign(prec)
     if s is None:
-        # Undecidable means numerically equal at every budget; either is valid.
-        return a
+        return a + LogExpr.constant(max((b - a).upper_bound(prec), Fraction(0)))
     return a if s >= 0 else b
 
 

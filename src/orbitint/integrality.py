@@ -15,7 +15,7 @@ from typing import Optional
 from .heights import HeightEstimate, canonical_height_word, find_cycle, system_bounds
 from .logvals import DEFAULT_PRECISION, LogExpr, _Infinite
 from .orbits import DEFAULT_LIMITS, WorkLimits, enumerate_tree, iterate_word
-from .places import PlaceSet, is_s_integer, log_plus_abs
+from .places import PlaceSet, is_s_unit, log_plus_abs
 from .proj1 import ProjPoint, chordal_sum
 from .ratmap import MapSystem
 from .words import Word, degree_products
@@ -164,18 +164,16 @@ def s_integral_census(system: MapSystem, point: ProjPoint, s: PlaceSet,
                       depth: int, limits: WorkLimits = DEFAULT_LIMITS,
                       workers: int = 1) -> CensusReport:
     """Distinct orbit points (one or more steps deep) with S-integral affine
-    coordinate; the point at infinity has none and is skipped."""
+    coordinate; the point at infinity has none and is skipped.  Orbit points
+    are canonical, so y is the reduced denominator of the affine coordinate."""
     if not s.contains_infinite:
         raise ValueError("S must contain the archimedean place")
     records = enumerate_tree(system, point, depth, dedupe=True,
                              limits=limits, workers=workers)
-    hits = []
-    for rec in records:
-        if rec.depth == 0 or rec.point.is_infinite:
-            continue
-        if is_s_integer(rec.point.affine(), s):
-            hits.append(rec)
-    return CensusReport(tuple(hits), depth, s)
+    hits = tuple(rec for rec in records
+                 if rec.depth > 0 and not rec.point.is_infinite
+                 and is_s_unit(rec.point.y, s))
+    return CensusReport(hits, depth, s)
 
 
 @dataclass(frozen=True)

@@ -18,6 +18,7 @@ from fractions import Fraction
 from typing import Iterable, Mapping, Optional, Tuple
 
 from mpmath import iv
+from mpmath.libmp import to_rational
 
 DEFAULT_PRECISION = 128
 
@@ -171,6 +172,11 @@ class LogExpr:
             return total
         finally:
             iv.prec = old
+
+    def upper_bound(self, prec: int = DEFAULT_PRECISION) -> Fraction:
+        """The upper endpoint of interval(prec) as an exact rational, so a
+        certified upper bound on the value."""
+        return Fraction(*to_rational(self.interval(prec)._mpi_[1]))
 
     def float_bounds(self, prec: int = DEFAULT_PRECISION) -> Tuple[float, float]:
         """Outward-rounded float enclosure (safe for reporting, not decisions).

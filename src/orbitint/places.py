@@ -228,11 +228,19 @@ def is_s_integer(x: Fraction | int, s: PlaceSet) -> bool:
     """
     if not s.contains_infinite:
         raise ValueError("S must contain the archimedean place for R_S semantics")
-    d = Fraction(x).denominator
+    return is_s_unit(Fraction(x).denominator, s)
+
+
+def is_s_unit(n: int, s: PlaceSet) -> bool:
+    """True iff every prime factor of the positive integer n lies in S.
+
+    A canonical point [x : y] has an S-integral affine coordinate exactly when
+    y is an S-unit, so censuses decide it without building a Fraction.
+    """
     for p in s.finite_primes:
-        while d % p == 0:
-            d //= p
-    return d == 1
+        while n % p == 0:
+            n //= p
+    return n == 1
 
 
 def support_places(x: Fraction | int,

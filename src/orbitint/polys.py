@@ -69,19 +69,25 @@ def eval_at(a: Sequence, x: Fraction) -> Fraction:
     return acc
 
 
-def eval_homogeneous(a: Sequence, d: int, x: int, y: int) -> int:
-    """Evaluate the degree-d homogenization sum a_i X^i Y^(d-i) at (x, y)."""
-    acc = 0
-    ypow = [1] * (d + 1)
-    for i in range(1, d + 1):
-        ypow[i] = ypow[i - 1] * y
-    xpow = 1
-    for i in range(d + 1):
-        c = a[i] if i < len(a) else 0
-        if c:
-            acc += c * xpow * ypow[d - i]
-        xpow *= x
-    return acc
+def eval_homogeneous(f: Sequence, g: Sequence, d: int, x: int,
+                     y: int) -> tuple[int, int]:
+    """(F(x, y), G(x, y)) for the degree-d homogenizations of f and g.
+
+    Horner's rule in x, with F and G sharing one chain of y powers: each step
+    multiplies both accumulators by x and adds a coefficient times y^(d-i).
+    """
+    u = f[d] if d < len(f) else 0
+    v = g[d] if d < len(g) else 0
+    ypow = 1
+    for i in range(d - 1, -1, -1):
+        ypow *= y
+        u *= x
+        v *= x
+        if i < len(f) and f[i]:
+            u += f[i] * ypow
+        if i < len(g) and g[i]:
+            v += g[i] * ypow
+    return u, v
 
 
 def content(a: Sequence[int]) -> int:

@@ -20,7 +20,13 @@ from .places import Place, padic_valuation
 
 @dataclass(frozen=True)
 class ProjPoint:
-    """Point [x : y] of P^1(Q) in canonical coprime form."""
+    """Point [x : y] of P^1(Q) in canonical coprime form.
+
+    The constructor does not check the form: build points from user data with
+    `normalize`.  Code that relies on it (`ratmap.eval_point` reduces by the
+    map's resultant only, and S-integrality reads y as the reduced
+    denominator) needs gcd(x, y) = 1 and y > 0, or [1 : 0].
+    """
 
     x: int
     y: int
@@ -62,7 +68,11 @@ def normalize(x: int | Fraction, y: Optional[int] = None) -> ProjPoint:
     if x == 0 and y == 0:
         raise ValueError("cannot normalize (0, 0)")
     g = math.gcd(x, y)
-    x, y = x // g, y // g
+    return from_coprime(x // g, y // g)
+
+
+def from_coprime(x: int, y: int) -> ProjPoint:
+    """[x : y] for a coprime pair, with the canonical sign: y > 0, or [1 : 0]."""
     if y < 0 or (y == 0 and x < 0):
         x, y = -x, -y
     return ProjPoint(x, y)

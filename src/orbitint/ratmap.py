@@ -4,7 +4,8 @@ map heights, and ramification indices.
 A map is stored as a coprime pair of integer polynomials (f, g), jointly
 primitive, with the leading nonzero coefficient of g positive.  Evaluation
 goes through the degree-d homogenizations, which are total on P^1(Q) because
-the homogeneous resultant is nonzero.
+the homogeneous resultant is nonzero.  At a coprime point the common factor of
+the two values divides that resultant, which bounds the normalizing gcd.
 """
 
 from __future__ import annotations
@@ -12,12 +13,13 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from typing import Sequence
 
 from . import polys
 from .logvals import LogExpr
-from .proj1 import ProjPoint, normalize
+from .proj1 import ProjPoint, from_coprime
 
 
 class MapError(ValueError):
@@ -38,9 +40,13 @@ class RatMap:
 
     def homogeneous(self, x: int, y: int) -> tuple[int, int]:
         """(F(x, y), G(x, y)) for the degree-d homogenizations."""
-        d = self.degree
-        return (polys.eval_homogeneous(self.f, d, x, y),
-                polys.eval_homogeneous(self.g, d, x, y))
+        return polys.eval_homogeneous(self.f, self.g, self.degree, x, y)
+
+    @cached_property
+    def resultant(self) -> int:
+        """|Res(F, G)| of the degree-d homogenizations, computed once per map;
+        nonzero because f and g are coprime."""
+        return abs(polys.homogeneous_resultant(self.f, self.g, self.degree))
 
     @property
     def max_abs_coeff(self) -> int:
@@ -192,8 +198,21 @@ def map_from_json(obj: dict) -> RatMap:
 
 
 def eval_point(phi: RatMap, p: ProjPoint) -> ProjPoint:
+    """phi(p) in canonical form.
+
+    p must be canonical and coprime, as every ProjPoint built by `normalize`
+    or by this function is.  Then gcd(F(p), G(p)) divides R = |Res(F, G)|
+    (from the cofactor identities u*F + v*G = R*X^(2d-1) and its Y twin), so
+    it equals gcd(R, F(p) mod R, G(p) mod R): time linear in the size of the
+    values, where a gcd of the two values themselves is quadratic.
+    """
     u, v = phi.homogeneous(p.x, p.y)
-    return normalize(u, v)
+    r = phi.resultant
+    if r != 1:
+        g = math.gcd(r, u % r, v % r)
+        if g > 1:
+            u, v = u // g, v // g
+    return from_coprime(u, v)
 
 
 def compose(outer: RatMap, inner: RatMap) -> RatMap:

@@ -169,6 +169,40 @@ def test_worker_determinism(tmp_path):
     assert blobs[1] == blobs[2] == blobs[8]
 
 
+def test_workers_clamped_to_generator_count(tmp_path, monkeypatch):
+    import concurrent.futures
+    import os
+
+    payload = dict(CENSUS_CONFIG, system={"maps": ["z^2", "z^3"]})
+    cfg = write_config(tmp_path, payload)
+    pool_sizes = []
+
+    class InlinePool:
+        def __init__(self, max_workers):
+            pool_sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    blobs = {}
+    for workers in (1, 3):
+        out = tmp_path / f"w{workers}"
+        for sub in ("orbit", "system-height", "census"):
+            assert main([sub, "--config", cfg, "--out", str(out),
+                         "--workers", str(workers)]) == 0
+        blobs[workers] = [(f.name, f.read_bytes()) for f in sorted(out.iterdir())]
+    assert blobs[1] == blobs[3]
+    assert pool_sizes and max(pool_sizes) <= 2
+
+
 def test_verify_subcommand(tmp_path, capsys):
     assert main(["verify", "--out", str(tmp_path), "--seed", "1"]) == 0
     out = capsys.readouterr().out

@@ -316,3 +316,14 @@ def test_estimate_serialization(pair_system):
     assert set(payload) == {"lo", "hi", "depth", "certified"}
     assert payload["certified"] is True
     assert payload["lo"] <= math.log(2) <= payload["hi"]
+
+
+def test_logexpr_max_undecided_is_an_upper_bound():
+    from orbitint.heights import _logexpr_max
+
+    a = LogExpr.log_int(3) - LogExpr.constant(1)          # 0.0986122...
+    b = LogExpr.constant(Fraction(987, 10_000))           # a + 8.8e-5
+    assert (a - b).sign(2) is None and (a - b).sign() < 0
+    for top in (_logexpr_max(a, b, prec=2), _logexpr_max(b, a, prec=2)):
+        assert (top - a).sign() >= 0 and (top - b).sign() >= 0
+    assert _logexpr_max(a, b) == b  # decided at the default precision

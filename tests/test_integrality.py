@@ -10,8 +10,8 @@ from orbitint.integrality import (GammaVerdict, averaged_ratio, gamma_set,
                                   quasi_integral_test, ratio_series,
                                   s_integral_census)
 from orbitint.places import INFINITE_PLACE, Place, PlaceSet, is_s_integer
-from orbitint.orbits import WorkLimits
-from orbitint.proj1 import INFINITY, ZERO, normalize
+from orbitint.orbits import WorkLimits, enumerate_tree
+from orbitint.proj1 import INFINITY, ZERO, ProjPoint, normalize
 from orbitint.ratmap import MapSystem, eval_point, make_map, parse_map
 from orbitint.verify import random_factored_int
 from orbitint.words import Word
@@ -128,6 +128,26 @@ def test_census_excludes_start_and_dedupes(pair_system):
     assert Fraction(2) not in values
     assert len(values) == len(set(values))
     assert set(values) == {4, 8, 16, 64, 512}
+
+
+def test_census_reads_denominators_without_fractions(monkeypatch):
+    system = MapSystem([parse_map("(z^2-1)/(z^2+1)"), parse_map("z^3-2")])
+    s = PlaceSet.parse(["inf", "p2"])
+    start = ProjPoint(3, 1)
+    expected = [rec for rec in enumerate_tree(system, start, 5, dedupe=True)
+                if rec.depth > 0 and not rec.point.is_infinite
+                and is_s_integer(rec.point.affine(), s)]
+    calls = []
+    original = ProjPoint.affine
+
+    def counting_affine(self):
+        calls.append(self)
+        return original(self)
+
+    monkeypatch.setattr(ProjPoint, "affine", counting_affine)
+    report = s_integral_census(system, start, s, 5)
+    assert calls == []
+    assert expected and list(report.hits) == expected
 
 
 def test_census_requires_infinite_place(z2):

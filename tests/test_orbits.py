@@ -1,4 +1,5 @@
 import random
+import sys
 
 import pytest
 
@@ -7,8 +8,9 @@ from orbitint.heights import (canonical_height_system, preperiodicity_check,
                               system_bounds)
 from orbitint.orbits import (OrbitRecord, WorkLimits, enumerate_tree,
                              hypothesis_check, iterate_word, orbit_csv_rows)
+from orbitint import proj1
 from orbitint.proj1 import INFINITY, ZERO, ProjPoint, normalize
-from orbitint.ratmap import MapSystem, make_map
+from orbitint.ratmap import MapSystem, make_map, parse_map
 from orbitint.verify import random_point, random_system, random_word
 from orbitint.words import Word
 
@@ -173,3 +175,25 @@ def test_csv_rows(pair_system):
     assert rows[0][:4] == ("", 0, "2", "1")
     assert rows[1][:4] == ("1", 1, "4", "1")
     assert float(rows[1][4]) == pytest.approx(2 * 0.6931471805599453)
+
+
+def test_tree_walk_never_calls_normalize(monkeypatch):
+    # Orbit points are reduced by the map's resultant inside eval_point; the
+    # full gcd of proj1.normalize is for points supplied by users.  Every
+    # binding of normalize in the package is replaced, so a module that
+    # imported it by name is counted too.
+    calls = []
+    original = proj1.normalize
+
+    def counting_normalize(*args):
+        calls.append(args)
+        return original(*args)
+
+    for name, module in list(sys.modules.items()):
+        if name == "orbitint" or name.startswith("orbitint."):
+            for attr, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, attr, counting_normalize)
+    system = MapSystem([parse_map("(z^2-1)/(z^2+1)"), parse_map("z^3-2")])
+    records = enumerate_tree(system, ProjPoint(3, 1), 5)
+    assert len(records) == 63 and calls == []

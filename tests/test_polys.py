@@ -22,10 +22,11 @@ def test_basic_ops():
 def test_eval_forms():
     p = (1, 0, 2)  # 2z^2 + 1
     assert polys.eval_at(p, Fraction(3, 2)) == Fraction(11, 2)
-    # homogeneous: 2x^2 + y^2 at (3, 2)
-    assert polys.eval_homogeneous(p, 2, 3, 2) == 22
-    assert polys.eval_homogeneous(p, 2, 1, 0) == 2
-    assert polys.eval_homogeneous(p, 3, 1, 0) == 0  # inflated degree
+    # homogeneous: 2x^2 + y^2 and x^2 - x y at (3, 2), evaluated together
+    assert polys.eval_homogeneous(p, (0, -1, 1), 2, 3, 2) == (22, 3)
+    assert polys.eval_homogeneous(p, (), 2, 1, 0) == (2, 0)
+    assert polys.eval_homogeneous(p, (1,), 3, 1, 0) == (0, 0)  # inflated degree
+    assert polys.eval_homogeneous((1,), p, 3, 2, -1) == (-1, -9)
 
 
 def test_divmod_and_gcd():

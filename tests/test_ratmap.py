@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -41,6 +42,51 @@ def test_eval_examples(z2):
     m = make_map([1, 0, 1], [0, 1])
     assert eval_point(m, INFINITY) == INFINITY
     assert eval_point(z2, normalize(Fraction(-2, 3))) == ProjPoint(4, 9)
+
+
+def _reference_eval(phi, p):
+    """phi(p) by the definition: the forms summed term by term, then the full
+    gcd of the two values (proj1.normalize)."""
+    d = phi.degree
+
+    def form(cs):
+        return sum(c * p.x ** i * p.y ** (d - i) for i, c in enumerate(cs))
+
+    return normalize(form(phi.f), form(phi.g))
+
+
+def test_eval_point_matches_full_gcd_normalization():
+    rng = random.Random(59)
+    special = [
+        make_map([0, 0, 1], [1]),            # z^2: R = 1
+        make_map([-1, 0, 1], [1, 0, 1]),     # (z^2-1)/(z^2+1): R = 4
+        make_map([-2, 0, 0, 1], [1]),        # polynomial: G = Y^3
+        make_map([1], [0, 0, 1]),            # 1/z^2: F drops degree
+        make_map([1, 2], [3, 4]),            # Moebius, R = 2
+    ]
+    assert [phi.resultant for phi in special] == [1, 4, 1, 1, 2]
+    maps = special + [random_map(rng, 2, 4) for _ in range(15)]
+    assert any(phi.resultant > 1 for phi in maps[len(special):])
+    fixed = [INFINITY, ZERO, ProjPoint(1, 1), ProjPoint(-1, 1), ProjPoint(-7, 3),
+             ProjPoint(3, 5), ProjPoint(-5, 9)]
+    cancelled = 0
+    for phi in maps:
+        points = fixed + [random_point(rng) for _ in range(8)]
+        for bits in (10_000, 20_000):
+            y = rng.getrandbits(bits) | (1 << (bits - 1)) | 1
+            points.append(normalize(-(rng.getrandbits(bits) | 1), y))
+            points.append(normalize(rng.getrandbits(bits) | 1, y))
+        for p in points:
+            expected = _reference_eval(phi, p)
+            assert eval_point(phi, p) == expected
+            u, v = phi.homogeneous(p.x, p.y)
+            cancelled += math.gcd(u, v) > 1
+    assert cancelled > 0
+    # Odd/odd points of (z^2-1)/(z^2+1): x^2 - y^2 and x^2 + y^2 share 2.
+    m = special[1]
+    for p in (ProjPoint(3, 5), ProjPoint(-7, 3), ProjPoint(1, 1)):
+        u, v = m.homogeneous(p.x, p.y)
+        assert (eval_point(m, p).x * 2, eval_point(m, p).y * 2) == (u, v)
 
 
 def test_compose_examples(z2, z3):
