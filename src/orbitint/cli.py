@@ -90,7 +90,7 @@ def _cmd_canonical(config: ExperimentConfig, workers: int):
                                 depth=config.height_depth,
                                 bounds=system_bounds(config.system, config.c_mode),
                                 prec=config.precision_bits,
-                                bit_cap=config.limits.bit_cap)
+                                limits=config.limits)
     return _height_report("canonical", config, est, word=config.word.to_json(),
                           degreeProduct=str(est.degree_product))
 
@@ -98,8 +98,7 @@ def _cmd_canonical(config: ExperimentConfig, workers: int):
 def _cmd_system_height(config: ExperimentConfig, workers: int):
     est = canonical_height_system(config.system, config.point, config.depth,
                                   bounds=system_bounds(config.system, config.c_mode),
-                                  node_cap=config.limits.node_cap,
-                                  bit_cap=config.limits.bit_cap,
+                                  limits=config.limits,
                                   prec=config.precision_bits, workers=workers)
     return _height_report("system-height", config, est)
 
@@ -126,7 +125,7 @@ def _cmd_census(config: ExperimentConfig, workers: int):
     if config.bound_parameters is not None:
         hmin = hmin_estimate(config.system, config.point,
                              config.hmin_period_bound, config.height_depth,
-                             prec=prec)
+                             prec=prec, limits=config.limits)
         lo = hmin.estimate.lo(prec)
         if not hmin.preperiodic and lo > 0:
             h_f = system_height(config.system).to_float(prec)
@@ -165,14 +164,14 @@ def _cmd_bounds(config: ExperimentConfig, workers: int):
 
     est_p = canonical_height_word(system, config.word, config.point,
                                   depth=config.height_depth, bounds=bounds_list,
-                                  prec=prec, bit_cap=config.limits.bit_cap)
+                                  prec=prec, limits=config.limits)
     est_a = canonical_height_system(system, config.point_a,
                                     depth=min(config.depth, 6),
-                                    bounds=bounds_list,
-                                    node_cap=config.limits.node_cap,
-                                    bit_cap=config.limits.bit_cap, prec=prec)
+                                    bounds=bounds_list, limits=config.limits,
+                                    prec=prec)
     hmin = hmin_estimate(system, config.point, config.hmin_period_bound,
-                         config.height_depth, bounds=bounds_list, prec=prec)
+                         config.height_depth, bounds=bounds_list, prec=prec,
+                         limits=config.limits)
 
     kappa_nt = kappa_constants(system, RamificationMode.NOT_TOTALLY_RAMIFIED)
     kappa_do = kappa_constants(system, RamificationMode.DISTINCT_ORBIT)

@@ -36,6 +36,7 @@ _KNOWN_KEYS = {
     "workLimits", "boundParameters", "precisionBits", "dedupe",
     "hminPeriodBound", "averagedLevel", "heightDepth", "cMode", "seed",
 }
+_WORK_LIMIT_KEYS = {"nodeCap", "bitCap"}
 
 
 @dataclass(frozen=True)
@@ -66,6 +67,16 @@ class ExperimentConfig:
 def _require(cond: bool, message: str):
     if not cond:
         raise ConfigError(message)
+
+
+def _integer(obj: dict, key: str, default, minimum: Optional[int] = None) -> int:
+    """obj[key], or the default, checked to be an int (not a bool) >= minimum."""
+    value = obj.get(key, default)
+    rule = {None: "an integer", 0: "a nonnegative integer",
+            1: "a positive integer"}.get(minimum, f"an integer >= {minimum}")
+    _require(type(value) is int and (minimum is None or value >= minimum),
+             f"{key} must be {rule}")
+    return value
 
 
 def parse_config(obj: dict) -> ExperimentConfig:
@@ -126,15 +137,14 @@ def parse_config(obj: dict) -> ExperimentConfig:
     _require(word.max_letter() <= system.k,
              f"word letters exceed the system size {system.k}")
 
-    depth = obj.get("depth", DEFAULTS["depth"])
-    _require(isinstance(depth, int) and depth >= 0, "depth must be a nonnegative integer")
+    depth = _integer(obj, "depth", DEFAULTS["depth"], 0)
 
     wl = obj.get("workLimits", {})
     _require(isinstance(wl, dict), "workLimits must be an object")
-    limits = WorkLimits(node_cap=wl.get("nodeCap", DEFAULTS["nodeCap"]),
-                        bit_cap=wl.get("bitCap", DEFAULTS["bitCap"]))
-    _require(limits.node_cap > 0 and limits.bit_cap > 0,
-             "work limits must be positive")
+    unknown = set(wl) - _WORK_LIMIT_KEYS
+    _require(not unknown, f"unknown workLimits keys: {sorted(unknown)}")
+    limits = WorkLimits(node_cap=_integer(wl, "nodeCap", DEFAULTS["nodeCap"], 1),
+                        bit_cap=_integer(wl, "bitCap", DEFAULTS["bitCap"], 1))
 
     params = None
     if "boundParameters" in obj:
@@ -145,32 +155,24 @@ def parse_config(obj: dict) -> ExperimentConfig:
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"invalid boundParameters: {exc}") from exc
 
-    precision = obj.get("precisionBits", DEFAULTS["precisionBits"])
-    _require(isinstance(precision, int) and precision >= 16,
-             "precisionBits must be an integer >= 16")
+    precision = _integer(obj, "precisionBits", DEFAULTS["precisionBits"], 16)
 
     dedupe = obj.get("dedupe", DEFAULTS["dedupe"])
     _require(isinstance(dedupe, bool), "dedupe must be a boolean")
 
-    hmin_bound = obj.get("hminPeriodBound", DEFAULTS["hminPeriodBound"])
-    _require(isinstance(hmin_bound, int) and hmin_bound >= 1,
-             "hminPeriodBound must be an integer >= 1")
+    hmin_bound = _integer(obj, "hminPeriodBound", DEFAULTS["hminPeriodBound"], 1)
 
-    averaged = obj.get("averagedLevel")
-    if averaged is not None:
-        _require(isinstance(averaged, int) and averaged >= 0,
-                 "averagedLevel must be a nonnegative integer")
+    averaged = None
+    if obj.get("averagedLevel") is not None:
+        averaged = _integer(obj, "averagedLevel", None, 0)
 
-    height_depth = obj.get("heightDepth", DEFAULTS["heightDepth"])
-    _require(isinstance(height_depth, int) and height_depth >= 1,
-             "heightDepth must be a positive integer")
+    height_depth = _integer(obj, "heightDepth", DEFAULTS["heightDepth"], 1)
 
     c_mode = obj.get("cMode", "certified")
     _require(c_mode in ("certified", "empirical"),
              "cMode must be 'certified' or 'empirical'")
 
-    seed = obj.get("seed", 0)
-    _require(isinstance(seed, int), "seed must be an integer")
+    seed = _integer(obj, "seed", 0)
 
     return ExperimentConfig(
         system=system, point=point, point_a=point_a, places=places,

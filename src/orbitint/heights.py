@@ -17,7 +17,6 @@ from itertools import islice
 from typing import Iterable, Optional, Sequence
 
 from . import polys
-from .errors import WorkLimitExceeded
 from .logvals import DEFAULT_PRECISION, LogExpr
 from .orbits import DEFAULT_LIMITS, WorkLimits, fold_tree, walk_word
 from .proj1 import ProjPoint, normalize
@@ -25,8 +24,6 @@ from .ratmap import MapSystem, RatMap, eval_point
 from .words import Word, degree_product, iter_periodic_words
 
 DEFAULT_DEPTH = 12
-DEFAULT_BIT_CAP = WorkLimits.bit_cap
-DEFAULT_NODE_CAP = WorkLimits.node_cap
 
 
 @dataclass(frozen=True)
@@ -195,7 +192,7 @@ def canonical_height_word(system: MapSystem, word: Word, point: ProjPoint,
                           target: Optional[float] = None,
                           bounds: Optional[Sequence[HeightDifferenceBound]] = None,
                           prec: int = DEFAULT_PRECISION,
-                          bit_cap: int = DEFAULT_BIT_CAP,
+                          limits: WorkLimits = DEFAULT_LIMITS,
                           memo: Optional[list] = None) -> HeightEstimate:
     """Canonical height of a point along a word, as a certified interval.
 
@@ -227,7 +224,7 @@ def canonical_height_word(system: MapSystem, word: Word, point: ProjPoint,
         current = next(steps)
         d_n *= degrees[word.letter_at(n) - 1]
         n += 1
-        if WorkLimits.bits_of(current) > bit_cap:
+        if not limits.fits(current):
             truncated = True
             break
     up, down = _upcoming_tails(system, bounds, word, n)
@@ -255,8 +252,7 @@ def _leaf_terms(depth: int, nodes: Iterable[tuple[tuple, ProjPoint]]) -> list:
 
 def canonical_height_system(system: MapSystem, point: ProjPoint, depth: int = 6,
                             bounds: Optional[Sequence[HeightDifferenceBound]] = None,
-                            node_cap: int = DEFAULT_NODE_CAP,
-                            bit_cap: int = DEFAULT_BIT_CAP,
+                            limits: WorkLimits = DEFAULT_LIMITS,
                             prec: int = DEFAULT_PRECISION,
                             workers: int = 1) -> HeightEstimate:
     """Eigensystem (averaged) canonical height via the word-tree operator.
@@ -265,19 +261,13 @@ def canonical_height_system(system: MapSystem, point: ProjPoint, depth: int = 6,
     length n, divided by (d_1+...+d_k)^n) with one evaluation per tree node,
     plus a geometric tail certified by the contraction factor k/D <= 1/2.
     """
-    if depth < 0:
-        raise ValueError("depth must be nonnegative")
     k, big_d = system.k, system.degree_sum
-    if k ** depth > node_cap:
-        raise WorkLimitExceeded(
-            f"word tree of size {k}^{depth} exceeds the node cap {node_cap}",
-            nodes=k ** depth)
     if bounds is None:
         bounds = system_bounds(system)
     # Summation commutes and term merging is canonical, so the sum does not
     # depend on how the worker count splits the tree.
     terms = fold_tree(system, point, depth, partial(_leaf_terms, depth),
-                      WorkLimits(node_cap, bit_cap), workers)
+                      limits, workers)
     mid = LogExpr(terms) * Fraction(1, big_d ** depth)
     sum_up = LogExpr.zero()
     sum_down = LogExpr.zero()
@@ -314,7 +304,8 @@ class HminResult:
 def hmin_estimate(system: MapSystem, point: ProjPoint, period_bound: int = 2,
                   depth: int = 8,
                   bounds: Optional[Sequence[HeightDifferenceBound]] = None,
-                  prec: int = DEFAULT_PRECISION) -> HminResult:
+                  prec: int = DEFAULT_PRECISION,
+                  limits: WorkLimits = DEFAULT_LIMITS) -> HminResult:
     """Scan periodic words of bounded period for the least canonical height."""
     if bounds is None:
         bounds = system_bounds(system)
@@ -324,13 +315,14 @@ def hmin_estimate(system: MapSystem, point: ProjPoint, period_bound: int = 2,
     for word in iter_periodic_words(system.k, period_bound):
         scanned += 1
         points = [point]
-        if find_cycle(system, word, points, depth, bit_cap=1 << 16) is not None:
+        if find_cycle(system, word, points, depth, limits) is not None:
             zero = LogExpr.zero()
             est = HeightEstimate(zero, zero, depth, degree_product(system.degrees, word, depth),
                                  True, True, word)
             return HminResult(est, word, word, scanned)
         est = canonical_height_word(system, word, point, depth=depth,
-                                    bounds=bounds, prec=prec, memo=points)
+                                    bounds=bounds, prec=prec, limits=limits,
+                                    memo=points)
         if best is None or est.hi(prec) < best.hi(prec):
             best = est
         if lo_min is None or (est.lo_expr - lo_min).sign(prec) == -1:
@@ -342,19 +334,20 @@ def hmin_estimate(system: MapSystem, point: ProjPoint, period_bound: int = 2,
 
 
 def find_cycle(system: MapSystem, word: Word, memo: list, steps: int,
-               bit_cap: int) -> Optional[tuple[int, int]]:
+               limits: WorkLimits = DEFAULT_LIMITS) -> Optional[tuple[int, int]]:
     """(tail length, cycle length) of the first exact repeat of (point, word
     phase) within steps steps along a periodic word, or None.
 
-    A repeat proves a finite orbit.  Cycles have small coordinates, so the
-    scan gives up at the first point over bit_cap.  memo holds the orbit from
+    A repeat proves a finite orbit.  The scan gives up at the first point
+    over the cycle budget (limits.cycle_scan).  memo holds the orbit from
     Phi^0 on (see walk_word).
     """
     period = len(word.letters)
     seen = {(memo[0], 0): 0}
+    scan = limits.cycle_scan()
     walk = walk_word(system, word, memo[0], memo)
     for n, current in enumerate(islice(walk, steps), start=1):
-        if WorkLimits.bits_of(current) > bit_cap:
+        if not scan.fits(current):
             return None
         start = seen.setdefault((current, n % period), n)
         if start != n:
@@ -388,7 +381,7 @@ def preperiodicity_check(system: MapSystem, word: Word, point: ProjPoint,
     if not word.is_periodic:
         raise ValueError("preperiodicity checks need a periodic word")
     points = [point]
-    cycle = find_cycle(system, word, points, depth, limits.bit_cap)
+    cycle = find_cycle(system, word, points, depth, limits)
     if cycle is not None:
         start, length = cycle
         return PreperiodicityVerdict(kind="preperiodic", tail_length=start,
@@ -397,8 +390,8 @@ def preperiodicity_check(system: MapSystem, word: Word, point: ProjPoint,
     if bounds is None:
         bounds = system_bounds(system)
     est = canonical_height_word(system, word, point, depth=min(depth, 16),
-                                bounds=bounds, prec=prec,
-                                bit_cap=limits.bit_cap, memo=points)
+                                bounds=bounds, prec=prec, limits=limits,
+                                memo=points)
     if est.positive_lower(prec):
         return PreperiodicityVerdict(kind="wandering", estimate=est)
     return PreperiodicityVerdict(kind="unknown", estimate=est)

@@ -102,14 +102,13 @@ def gamma_set(system: MapSystem, word: Word, s: PlaceSet, base: ProjPoint,
     if bounds is None:
         bounds = system_bounds(system)
     # One walk: the cycle scan, the height lookahead and the membership scan
-    # all read one lazily extended point list.  Cycles have small coordinates,
-    # so a tight bit budget keeps the cycle scan cheap.
+    # all read one lazily extended point list.
     points = [point]
     preperiodic = word.is_periodic and find_cycle(
-        system, word, points, max(depth, 16), min(limits.bit_cap, 1 << 14)) is not None
+        system, word, points, max(depth, 16), limits) is not None
     est = canonical_height_word(system, word, point, depth=depth + 4,
-                                bounds=bounds, prec=prec,
-                                bit_cap=limits.bit_cap, memo=points)
+                                bounds=bounds, prec=prec, limits=limits,
+                                memo=points)
     records = iterate_word(system, word, point, depth, limits=limits, memo=points)
     d_series = degree_products(system.degrees, word, depth)
     members = []

@@ -39,10 +39,6 @@ class _Infinite:
     def __repr__(self):
         return "+inf" if self.sign > 0 else "-inf"
 
-    @property
-    def is_infinite(self) -> bool:
-        return True
-
 
 POS_INF = _Infinite(+1)
 NEG_INF = _Infinite(-1)

@@ -5,13 +5,15 @@ Two generators do all map evaluation.  `walk_word` yields Phi^1(P), Phi^2(P),
 passes over the same orbit.  `walk_tree` yields (word, point) in preorder
 (prefixes first, letters ascending), so output order is deterministic, and
 `fold_tree` fans the tree out by first letter for parallel workers and merges
-the parts by concatenation.  `WorkLimits.bits_of` is the one coordinate-size
-measure.  Point equality is exact equality of normalized coordinates.
+the parts by concatenation.  `WorkLimits` is the one way a cap reaches the
+engine: `bits_of` is the one coordinate-size measure, `fits` the one bit-cap
+test, `check_nodes` the one node-cap test and `cycle_scan` the one cycle
+budget.  Point equality is exact equality of normalized coordinates.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import islice
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
@@ -22,8 +24,18 @@ from .ratmap import MapSystem, is_totally_ramified, eval_point
 from .words import Word
 
 
+# Cycles have small coordinates, so a cycle scan gives up at this size even
+# under a larger bit cap.  A missed cycle only leaves a verdict "unknown" or
+# a height estimate in its place; it never makes a verdict wrong.
+CYCLE_BITS = 1 << 16
+
+
 @dataclass(frozen=True)
 class WorkLimits:
+    """The work caps of one run.  node_cap bounds the nodes of a word tree;
+    bit_cap bounds orbit coordinate sizes (a hard stop in walks, a soft one
+    in height estimates and cycle scans)."""
+
     node_cap: int = 1_000_000
     bit_cap: int = 1_000_000
 
@@ -31,12 +43,31 @@ class WorkLimits:
     def bits_of(p: ProjPoint) -> int:
         return max(abs(p.x), abs(p.y)).bit_length()
 
+    def fits(self, p: ProjPoint) -> bool:
+        """True when p is within the bit cap."""
+        return self.bits_of(p) <= self.bit_cap
+
     def check_bits(self, p: ProjPoint):
-        bits = self.bits_of(p)
-        if bits > self.bit_cap:
+        if not self.fits(p):
+            bits = self.bits_of(p)
             raise WorkLimitExceeded(
                 f"orbit coordinate of {bits} bits exceeded the cap {self.bit_cap}",
                 bits=bits)
+
+    def check_nodes(self, k: int, depth: int):
+        """Reject a k-ary tree of the given depth before it is walked.  Every
+        node is evaluated, so the cap counts all 1 + k + ... + k^depth."""
+        if depth < 0:
+            raise ValueError("depth must be nonnegative")
+        nodes = depth + 1 if k == 1 else (k ** (depth + 1) - 1) // (k - 1)
+        if nodes > self.node_cap:
+            raise WorkLimitExceeded(
+                f"tree of {nodes} nodes exceeds the node cap {self.node_cap}",
+                nodes=nodes)
+
+    def cycle_scan(self) -> "WorkLimits":
+        """These limits with the bit cap lowered to CYCLE_BITS."""
+        return replace(self, bit_cap=min(self.bit_cap, CYCLE_BITS))
 
 
 DEFAULT_LIMITS = WorkLimits()
@@ -106,8 +137,9 @@ def fold_tree(system: MapSystem, point: ProjPoint, depth: int,
     subtree is folded in a worker process, and the parts are concatenated in
     letter order after the root's.  A fold that maps each node on its own
     (fold must be picklable) therefore gives the same list for any worker
-    count.
+    count.  The node cap is checked here, before any evaluation.
     """
+    limits.check_nodes(system.k, depth)
     if workers <= 1 or depth == 0:
         return fold(walk_tree(system, point, depth, limits))
     from concurrent.futures import ProcessPoolExecutor
@@ -150,13 +182,6 @@ def enumerate_tree(system: MapSystem, point: ProjPoint, depth: int,
     witness word is the lexicographically least, by traversal order).  Output
     is independent of the worker count.
     """
-    if depth < 0:
-        raise ValueError("depth must be nonnegative")
-    total_nodes = sum(system.k ** i for i in range(depth + 1))
-    if total_nodes > limits.node_cap:
-        raise WorkLimitExceeded(
-            f"tree of {total_nodes} nodes exceeds the node cap {limits.node_cap}",
-            nodes=total_nodes)
     records = fold_tree(system, point, depth, _records, limits, workers)
     if not dedupe:
         return records

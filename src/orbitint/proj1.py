@@ -3,8 +3,8 @@
 Points are integer coordinate pairs [x : y] with gcd(x, y) = 1 and canonical
 sign (y > 0, or y = 0 and x = 1), so [a/b, 1] = [a : b] and infinity = [1 : 0].
 With that normalization the finite-place chordal distance reduces to the
-p-adic valuation of the 2x2 determinant, and the archimedean one to an exact
-rational under a half-log.
+p-adic valuation of the 2x2 determinant, and the archimedean one to exact
+logs of the determinant and of the two sums of squares.
 """
 
 from __future__ import annotations
@@ -97,51 +97,23 @@ def point_from_json(obj: dict) -> ProjPoint:
     return normalize(int(obj["x"]), int(obj["y"]))
 
 
-@dataclass(frozen=True)
-class LocalDistance:
-    """-log of the chordal distance between two points at one place.
+def log_chordal(p: ProjPoint, q: ProjPoint, v: Place) -> LogExpr | _Infinite:
+    """-log of the chordal distance between normalized points at a place.
 
-    finite_valuation carries v_p(x1*y2 - x2*y1) at a finite place; arch_square
-    carries the exact rational value of the squared archimedean distance.
-    infinite marks distance zero (equal points), i.e. lambda = +infinity.
-    """
-
-    place: Place
-    finite_valuation: Optional[int] = None
-    arch_square: Optional[Fraction] = None
-    infinite: bool = False
-
-    @property
-    def is_infinite(self) -> bool:
-        return self.infinite
-
-    def log_value(self) -> LogExpr | _Infinite:
-        if self.infinite:
-            return POS_INF
-        if self.place.is_archimedean:
-            return LogExpr.log_fraction(self.arch_square, Fraction(-1, 2))
-        return LogExpr.log_int(self.place.prime, self.finite_valuation)
-
-    def to_float(self, prec: int = 128) -> float:
-        value = self.log_value()
-        if isinstance(value, _Infinite):
-            return math.inf
-        return value.to_float(prec)
-
-
-def log_chordal(p: ProjPoint, q: ProjPoint, v: Place) -> LocalDistance:
-    """Logarithmic chordal distance between normalized points at a place.
-
-    Equal points give the distinguished infinite distance, never an error.
+    Equal points give POS_INF (distance zero), never an error.  At the
+    archimedean place the value is
+    -log|det| + (1/2) log(x^2 + y^2) + (1/2) log(x'^2 + y'^2), left unreduced:
+    reducing it as a fraction would take a gcd of orbit-sized integers.
     """
     det = p.x * q.y - q.x * p.y
     if det == 0:
-        return LocalDistance(place=v, infinite=True)
+        return POS_INF
     if v.is_archimedean:
-        rho_sq = Fraction(det * det, (p.x * p.x + p.y * p.y) * (q.x * q.x + q.y * q.y))
-        return LocalDistance(place=v, arch_square=rho_sq)
+        half = Fraction(1, 2)
+        return LogExpr(((abs(det), -1), (p.x * p.x + p.y * p.y, half),
+                        (q.x * q.x + q.y * q.y, half)))
     # gcd(x, y) = 1 makes both max-terms p-adic units.
-    return LocalDistance(place=v, finite_valuation=padic_valuation(det, v.prime))
+    return LogExpr.log_int(v.prime, padic_valuation(det, v.prime))
 
 
 def chordal_sum(p: ProjPoint, q: ProjPoint, places) -> LogExpr | _Infinite:
@@ -149,7 +121,7 @@ def chordal_sum(p: ProjPoint, q: ProjPoint, places) -> LogExpr | _Infinite:
     total = LogExpr.zero()
     for v in places:
         dist = log_chordal(p, q, v)
-        if dist.is_infinite:
+        if isinstance(dist, _Infinite):
             return POS_INF
-        total = total + dist.log_value() * v.local_degree
+        total = total + dist * v.local_degree
     return total

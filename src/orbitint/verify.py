@@ -14,7 +14,7 @@ from typing import Callable
 from .heights import (canonical_height_system, canonical_height_word,
                       system_bounds, system_c)
 from .integrality import GammaVerdict, gamma_set, quasi_integral_test, s_integral_census
-from .logvals import DEFAULT_PRECISION, LogExpr
+from .logvals import DEFAULT_PRECISION, LogExpr, _Infinite
 from .orbits import enumerate_tree, iterate_word
 from .places import INFINITE_PLACE, Place, PlaceSet, abs_log, is_s_integer, log_plus_abs
 from .proj1 import INFINITY, ProjPoint, log_chordal, normalize
@@ -137,19 +137,18 @@ def check_chordal_symmetry(rng: random.Random, prec: int, n: int = 300) -> tuple
         for v in places:
             dpq = log_chordal(p, q, v)
             dqp = log_chordal(q, p, v)
-            if dpq.is_infinite != dqp.is_infinite:
+            if isinstance(dpq, _Infinite) != isinstance(dqp, _Infinite):
                 return False, f"symmetry fails at {p}, {q}, {v}"
-            if dpq.is_infinite:
+            if isinstance(dpq, _Infinite):
                 continue
-            if (dpq.log_value() - dqp.log_value()).exact_sign() != 0:
+            if (dpq - dqp).exact_sign() != 0:
                 return False, f"symmetry fails at {p}, {q}, {v}"
-            if dpq.log_value().exact_sign() == -1:
+            if dpq.exact_sign() == -1:
                 return False, f"negative distance at {p}, {q}, {v}"
     return True, f"{n} pairs x 3 places"
 
 
 def _as_val(value) -> float:
-    from .logvals import _Infinite
     if isinstance(value, _Infinite):
         return math.inf
     return value.to_float()
@@ -164,9 +163,9 @@ def check_ultrametric(rng: random.Random, prec: int, n: int = 200) -> tuple[bool
             continue
         p, q, r = pts
         for v in (Place(2), Place(3), Place(7)):
-            dpr = _as_val(log_chordal(p, r, v).log_value())
-            dpq = _as_val(log_chordal(p, q, v).log_value())
-            dqr = _as_val(log_chordal(q, r, v).log_value())
+            dpr = _as_val(log_chordal(p, r, v))
+            dpq = _as_val(log_chordal(p, q, v))
+            dqr = _as_val(log_chordal(q, r, v))
             if dpr < min(dpq, dqr) - 1e-9:
                 return False, f"ultrametric fails at {p}, {q}, {r}, {v}"
     return True, f"{n} triples x 3 primes"
@@ -197,8 +196,8 @@ def check_metric_comparison(rng: random.Random, prec: int, n: int = 400) -> tupl
             if x == y:
                 continue
             px, py = normalize(x), normalize(y)
-            lam_xy = log_chordal(px, py, v).log_value()
-            lam_yinf = log_chordal(py, INFINITY, v).log_value()
+            lam_xy = log_chordal(px, py, v)
+            lam_yinf = log_chordal(py, INFINITY, v)
             log_lv = v.log_lv()
             if (lam_xy - lam_yinf - log_lv).exact_sign() == 1:
                 hits += 1
@@ -223,7 +222,7 @@ def check_height_distance_defect(rng: random.Random, prec: int, n: int = 300) ->
             continue
         a, b = p.x, p.y
         # The finite places contribute v_p(b) log p, which sums to log b.
-        total = log_chordal(p, INFINITY, INFINITE_PLACE).log_value() + LogExpr.log_int(b)
+        total = log_chordal(p, INFINITY, INFINITE_PLACE) + LogExpr.log_int(b)
         defect = total - p.height()
         lo, hi = min(a * a, b * b), max(a * a, b * b)
         expected = LogExpr.log_fraction(Fraction(lo + hi, hi), Fraction(1, 2))

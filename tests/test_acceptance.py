@@ -88,7 +88,7 @@ def test_criterion_02_height_identities():
         if p.is_infinite:
             continue
         # defect = sum of local distances to infinity minus the height
-        defect = (log_chordal(p, INFINITY, INFINITE_PLACE).log_value()
+        defect = (log_chordal(p, INFINITY, INFINITE_PLACE)
                   + LogExpr.log_int(p.y) - p.height())
         assert defect.exact_sign() >= 0
         assert (defect - half_log2).exact_sign() <= 0
@@ -120,8 +120,8 @@ def test_criterion_03_metric_comparison_property():
         if x == y:
             continue
         px, py = normalize(x), normalize(y)
-        lam_xy = log_chordal(px, py, v).log_value()
-        lam_yinf = log_chordal(py, INFINITY, v).log_value()
+        lam_xy = log_chordal(px, py, v)
+        lam_yinf = log_chordal(py, INFINITY, v)
         log_lv = v.log_lv()
         if (lam_xy - lam_yinf - log_lv).exact_sign() != 1:
             continue

@@ -122,12 +122,22 @@ def test_exit_code_validation_error(tmp_path, capsys):
     payload = json.loads(err.strip().splitlines()[-1])
     assert payload["kind"] == "validation"
     assert "z-1" in payload["error"]
+    # Config integers are ints, never bools, strings or floats.
+    for bad in ({"workLimits": {"nodeCap": "abc"}}, {"workLimits": {"bitCap": 1.5}},
+                {"depth": True}, {"seed": True}):
+        cfg = write_config(tmp_path, {**CENSUS_CONFIG, **bad})
+        assert main(["census", "--config", cfg, "--out", str(tmp_path)]) == 2, bad
+        payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert payload["kind"] == "validation"
 
 
-def test_exit_code_unknown_key(tmp_path):
-    cfg = write_config(tmp_path, {"system": {"maps": ["z^2"]},
-                                  "point": "2", "bogus": 1})
-    assert main(["census", "--config", cfg, "--out", str(tmp_path)]) == 2
+def test_exit_code_unknown_key(tmp_path, capsys):
+    for bad in ({"bogus": 1}, {"workLimits": {"bitcap": 5}}):
+        cfg = write_config(tmp_path, {"system": {"maps": ["z^2"]},
+                                      "point": "2", **bad})
+        assert main(["census", "--config", cfg, "--out", str(tmp_path)]) == 2, bad
+        payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert payload["kind"] == "validation"
 
 
 def test_exit_code_work_limit(tmp_path):

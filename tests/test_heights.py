@@ -8,8 +8,9 @@ from orbitint.heights import (c_bound, canonical_height_system,
                               canonical_height_word, hmin_estimate,
                               system_bounds, system_c)
 from orbitint.logvals import LogExpr
+from orbitint.orbits import WorkLimits
 from orbitint.proj1 import ZERO, ProjPoint, normalize
-from orbitint.ratmap import MapSystem, eval_point, make_map
+from orbitint.ratmap import MapSystem, eval_point, make_map, parse_map
 from orbitint.verify import random_map, random_point, random_system, random_word
 from orbitint.words import Word, enumerate_words, sample_word
 
@@ -307,6 +308,19 @@ def test_hmin_examples(pair_system, z2, z2_minus_1):
 
     hm1 = hmin_estimate(MapSystem([z2_minus_1, z2]), ZERO, period_bound=1, depth=8)
     assert hm1.preperiodic and hm1.preperiodic_witness == Word.periodic([1])
+
+
+def test_hmin_honours_the_bit_cap():
+    # The census_hypothesis_pair system from 2: its orbits pass 200 bits
+    # before depth 8, so a 200-bit cap stops the scan short and says so.
+    system = MapSystem([parse_map("(z^2+1)/z"), parse_map("(z^3+1)/z")])
+    full = hmin_estimate(system, normalize(2, 1), 2, 8)
+    capped = hmin_estimate(system, normalize(2, 1), 2, 8,
+                           limits=WorkLimits(bit_cap=200))
+    assert full.estimate.depth == 8 and full.estimate.target_met
+    assert capped.estimate.depth < 8 and not capped.estimate.target_met
+    assert capped.estimate.lo() <= full.estimate.lo() <= full.estimate.hi() \
+        <= capped.estimate.hi()
 
 
 def test_estimate_serialization(pair_system):

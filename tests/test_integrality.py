@@ -91,7 +91,7 @@ def test_gamma_bit_cap_in_scan_and_lookahead(z2):
                   limits=limits)
     record = gamma_set(system, word, S_INF, INFINITY, start, Fraction(1, 2), 5,
                        limits=limits)
-    direct = canonical_height_word(system, word, start, depth=9, bit_cap=100)
+    direct = canonical_height_word(system, word, start, depth=9, limits=limits)
     assert record.height.target_met is False
     assert (record.height.lo_expr, record.height.hi_expr, record.height.depth) == \
         (direct.lo_expr, direct.hi_expr, direct.depth)

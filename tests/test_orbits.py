@@ -83,8 +83,27 @@ def test_work_limits():
         with pytest.raises(WorkLimitExceeded) as tree_exc:
             enumerate_tree(system, big, 1, limits=WorkLimits(bit_cap=64), workers=workers)
         with pytest.raises(WorkLimitExceeded) as height_exc:
-            canonical_height_system(system, big, depth=1, bit_cap=64, workers=workers)
+            canonical_height_system(system, big, depth=1,
+                                    limits=WorkLimits(bit_cap=64), workers=workers)
         assert tree_exc.value.bits == height_exc.value.bits == 101
+
+
+def test_node_cap_counts_every_node(pair_system):
+    # k = 2, depth 4: 16 leaves fit under a cap of 20, but 31 nodes do not,
+    # and both tree consumers evaluate all 31.
+    limits = WorkLimits(node_cap=20)
+    for workers in (1, 2):
+        with pytest.raises(WorkLimitExceeded) as tree_exc:
+            enumerate_tree(pair_system, normalize(2, 1), 4, limits=limits,
+                           workers=workers)
+        with pytest.raises(WorkLimitExceeded) as height_exc:
+            canonical_height_system(pair_system, normalize(2, 1), depth=4,
+                                    limits=limits, workers=workers)
+        assert str(tree_exc.value) == str(height_exc.value)
+        assert tree_exc.value.nodes == height_exc.value.nodes == 31
+    for consumer in (enumerate_tree, canonical_height_system):
+        with pytest.raises(ValueError, match="nonnegative"):
+            consumer(pair_system, normalize(2, 1), -1)
 
 
 def test_hypothesis_check_examples(z2):

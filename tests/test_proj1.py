@@ -4,11 +4,10 @@ from fractions import Fraction
 
 import pytest
 
-from orbitint.logvals import LogExpr
+from orbitint.logvals import POS_INF, LogExpr, _Infinite
 from orbitint.places import INFINITE_PLACE, Place
-from orbitint.proj1 import (INFINITY, ZERO, LocalDistance, ProjPoint,
-                            chordal_sum, log_chordal, normalize, parse_point,
-                            point_from_json)
+from orbitint.proj1 import (INFINITY, ZERO, ProjPoint, chordal_sum,
+                            log_chordal, normalize, parse_point, point_from_json)
 from orbitint.verify import random_point
 
 
@@ -39,18 +38,22 @@ def test_height_examples():
 
 def test_chordal_examples():
     d = log_chordal(ZERO, INFINITY, INFINITE_PLACE)
-    assert d.log_value().exact_sign() == 0  # rho = 1
+    assert d == LogExpr.zero()  # rho = 1
     d = log_chordal(ProjPoint(1, 1), normalize(3, 1), Place(2))
-    assert d.log_value() == LogExpr.log_int(2)
+    assert d == LogExpr.log_int(2)
     d = log_chordal(ProjPoint(1, 1), ZERO, INFINITE_PLACE)
-    assert d.arch_square == Fraction(1, 2)
-    assert d.log_value().to_float() == pytest.approx(0.5 * math.log(2), rel=1e-12)
+    assert d == LogExpr.log_int(2, Fraction(1, 2))  # rho^2 = 1/2
+    assert d.to_float() == pytest.approx(0.5 * math.log(2), rel=1e-12)
+    # det = 8 and both sums of squares are 10: -log 8 + log 10, the value of
+    # -(1/2) log(rho^2) with rho^2 = 64/100, kept unreduced.
+    d = log_chordal(ProjPoint(3, 1), ProjPoint(1, 3), INFINITE_PLACE)
+    assert d == LogExpr(((8, -1), (10, 1)))
+    assert (d - LogExpr.log_fraction(Fraction(16, 25), Fraction(-1, 2))).exact_sign() == 0
 
 
 def test_chordal_to_self_is_infinite():
-    d = log_chordal(ZERO, ZERO, INFINITE_PLACE)
-    assert d.is_infinite
-    assert math.isinf(d.to_float())
+    assert log_chordal(ZERO, ZERO, INFINITE_PLACE) is POS_INF
+    assert log_chordal(normalize(3, 2), normalize(3, 2), Place(2)) is POS_INF
 
 
 def test_chordal_symmetry_and_nonnegativity():
@@ -60,11 +63,11 @@ def test_chordal_symmetry_and_nonnegativity():
         p, q = random_point(rng, 10 ** 4), random_point(rng, 10 ** 4)
         for v in places:
             dpq, dqp = log_chordal(p, q, v), log_chordal(q, p, v)
-            assert dpq.is_infinite == dqp.is_infinite
-            if dpq.is_infinite:
+            assert isinstance(dpq, _Infinite) == isinstance(dqp, _Infinite)
+            if isinstance(dpq, _Infinite):
                 continue
-            assert (dpq.log_value() - dqp.log_value()).exact_sign() == 0
-            assert dpq.log_value().exact_sign() >= 0
+            assert (dpq - dqp).exact_sign() == 0
+            assert dpq.exact_sign() >= 0
 
 
 def test_finite_place_ultrametric():
@@ -78,7 +81,7 @@ def test_finite_place_ultrametric():
             lam = {}
             for key, (s, t) in {"pr": (p, r), "pq": (p, q), "qr": (q, r)}.items():
                 d = log_chordal(s, t, v)
-                lam[key] = math.inf if d.is_infinite else d.to_float()
+                lam[key] = math.inf if isinstance(d, _Infinite) else d.to_float()
             assert lam["pr"] >= min(lam["pq"], lam["qr"]) - 1e-9
 
 
@@ -92,7 +95,7 @@ def test_height_distance_defect_identity():
         if p.is_infinite:
             continue
         a, b = p.x, p.y
-        total = log_chordal(p, INFINITY, INFINITE_PLACE).log_value() + LogExpr.log_int(b)
+        total = log_chordal(p, INFINITY, INFINITE_PLACE) + LogExpr.log_int(b)
         defect = total - p.height()
         expected = LogExpr.log_fraction(
             Fraction(a * a + b * b, max(a * a, b * b)), Fraction(1, 2))
@@ -102,7 +105,6 @@ def test_height_distance_defect_identity():
 
 
 def test_chordal_sum_infinite_on_collision():
-    from orbitint.logvals import _Infinite
     s = [INFINITE_PLACE, Place(2)]
     assert isinstance(chordal_sum(ZERO, ZERO, s), _Infinite)
     v = chordal_sum(ProjPoint(1, 1), ZERO, s)
@@ -111,7 +113,6 @@ def test_chordal_sum_infinite_on_collision():
 
 def test_local_distance_fields():
     d = log_chordal(normalize(7, 2), normalize(3, 1), Place(2))
-    assert isinstance(d, LocalDistance)
-    assert d.finite_valuation == 0  # det = 7 - 6 = 1
+    assert d == LogExpr.zero()  # det = 7 - 6 = 1
     d = log_chordal(normalize(5, 1), normalize(1, 1), Place(2))
-    assert d.finite_valuation == 2  # det = 4
+    assert d == LogExpr.log_int(2, 2)  # det = 4
