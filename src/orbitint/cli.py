@@ -28,13 +28,15 @@ from .heights import (canonical_height_system, canonical_height_word,
 from .integrality import (averaged_ratio, gamma_set, ratio_series,
                           s_integral_census)
 from .orbits import enumerate_tree, hypothesis_check, orbit_csv_rows
+from .proj1 import int_text
 from .ratmap import system_height
 from .verify import run_all
 
 
 def _report_meta(sub: str, config: ExperimentConfig | None, seed: int, prec: int) -> dict:
+    # Schema 2: integers above proj1.HEX_BITS bits are written as "0x..." hex.
     meta = {"version": __version__, "subcommand": sub, "seed": seed,
-            "precisionBits": prec}
+            "precisionBits": prec, "reportSchema": 2}
     if config is not None:
         meta["configHash"] = config.canonical_hash()
     return meta
@@ -92,7 +94,7 @@ def _cmd_canonical(config: ExperimentConfig, workers: int):
                                 prec=config.precision_bits,
                                 limits=config.limits)
     return _height_report("canonical", config, est, word=config.word.to_json(),
-                          degreeProduct=str(est.degree_product))
+                          degreeProduct=int_text(est.degree_product))
 
 
 def _cmd_system_height(config: ExperimentConfig, workers: int):
@@ -191,7 +193,9 @@ def _cmd_bounds(config: ExperimentConfig, workers: int):
         "hmin": {"lo": hmin.estimate.lo(prec), "hi": hmin.estimate.hi(prec),
                  "witnessWord": hmin.witness_word.to_json(),
                  "preperiodic": hmin.preperiodic,
-                 "wordsScanned": hmin.words_scanned},
+                 "wordsScanned": hmin.words_scanned,
+                 "depth": hmin.estimate.depth,
+                 "targetMet": hmin.estimate.target_met},
         "parameters": params.to_json(),
     }
     if est_p.lo(prec) > 0:
@@ -260,8 +264,6 @@ def _error_json(kind: str, exc: Exception) -> str:
 
 
 def main(argv=None) -> int:
-    if hasattr(sys, "set_int_max_str_digits"):
-        sys.set_int_max_str_digits(2_000_000)  # orbit dumps print big integers
     args = build_parser().parse_args(argv)
     out = Path(args.out)
     try:

@@ -151,7 +151,7 @@ class HeightEstimate:
 
     def to_json(self, prec: int = DEFAULT_PRECISION) -> dict:
         return {"lo": self.lo(prec), "hi": self.hi(prec), "depth": self.depth,
-                "certified": self.certified}
+                "certified": self.certified, "targetMet": self.target_met}
 
 
 def _upcoming_tails(system: MapSystem, bounds: Sequence[HeightDifferenceBound],
@@ -288,7 +288,9 @@ class HminResult:
 
     Upper-estimates the infimum over all infinite words; the lower endpoint is
     certified only relative to the family scanned.  A preperiodic witness
-    makes the infimum zero outright.
+    makes the infimum zero outright.  The estimate's depth is the shallowest
+    depth any scanned word reached, and target_met is False when any word
+    stopped early at the bit cap.
     """
 
     estimate: HeightEstimate
@@ -311,6 +313,7 @@ def hmin_estimate(system: MapSystem, point: ProjPoint, period_bound: int = 2,
         bounds = system_bounds(system)
     best: Optional[HeightEstimate] = None
     lo_min: Optional[LogExpr] = None
+    reached, all_met = depth, True
     scanned = 0
     for word in iter_periodic_words(system.k, period_bound):
         scanned += 1
@@ -323,13 +326,14 @@ def hmin_estimate(system: MapSystem, point: ProjPoint, period_bound: int = 2,
         est = canonical_height_word(system, word, point, depth=depth,
                                     bounds=bounds, prec=prec, limits=limits,
                                     memo=points)
+        reached, all_met = min(reached, est.depth), all_met and est.target_met
         if best is None or est.hi(prec) < best.hi(prec):
             best = est
         if lo_min is None or (est.lo_expr - lo_min).sign(prec) == -1:
             lo_min = est.lo_expr
     assert best is not None and lo_min is not None
-    merged = HeightEstimate(lo_min, best.hi_expr, best.depth, best.degree_product,
-                            best.certified, best.target_met, best.word)
+    merged = HeightEstimate(lo_min, best.hi_expr, reached, best.degree_product,
+                            best.certified, all_met, best.word)
     return HminResult(merged, best.word, None, scanned)
 
 

@@ -15,11 +15,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from itertools import islice
-from typing import Callable, Iterable, Iterator, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional
 
 from .errors import WorkLimitExceeded
 from .logvals import DEFAULT_PRECISION, LogExpr
-from .proj1 import ProjPoint
+from .proj1 import ProjPoint, int_text
 from .ratmap import MapSystem, is_totally_ramified, eval_point
 from .words import Word
 
@@ -62,7 +62,7 @@ class WorkLimits:
         nodes = depth + 1 if k == 1 else (k ** (depth + 1) - 1) // (k - 1)
         if nodes > self.node_cap:
             raise WorkLimitExceeded(
-                f"tree of {nodes} nodes exceeds the node cap {self.node_cap}",
+                f"tree of {int_text(nodes)} nodes exceeds the node cap {self.node_cap}",
                 nodes=nodes)
 
     def cycle_scan(self) -> "WorkLimits":
@@ -247,12 +247,11 @@ def hypothesis_check(system: MapSystem, base: ProjPoint, depth: int,
         depth_checked=depth)
 
 
-def orbit_csv_rows(records: Sequence[OrbitRecord],
-                   prec: int = DEFAULT_PRECISION) -> list[tuple]:
-    """Rows (word, n, x, y, height_nats) for CSV dumps."""
-    rows = []
+def orbit_csv_rows(records: Iterable[OrbitRecord],
+                   prec: int = DEFAULT_PRECISION) -> Iterator[tuple]:
+    """Rows (word, n, x, y, height_nats) for CSV dumps, one at a time, so a
+    writer never holds the formatted dump; coordinates as in int_text."""
     for rec in records:
         word_text = "".join(str(c) for c in rec.word)
-        rows.append((word_text, rec.depth, str(rec.point.x), str(rec.point.y),
-                     repr(rec.height().to_float(prec))))
-    return rows
+        yield (word_text, rec.depth, int_text(rec.point.x), int_text(rec.point.y),
+               repr(rec.height().to_float(prec)))

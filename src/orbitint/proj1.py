@@ -5,6 +5,10 @@ sign (y > 0, or y = 0 and x = 1), so [a/b, 1] = [a : b] and infinity = [1 : 0].
 With that normalization the finite-place chordal distance reduces to the
 p-adic valuation of the 2x2 determinant, and the archimedean one to exact
 logs of the determinant and of the two sums of squares.
+
+Report integers are written by `int_text`: decimal up to HEX_BITS bits, hex
+above, so writing a coordinate of any size takes linear time and never meets
+the interpreter's limit on int-to-decimal conversion.
 """
 
 from __future__ import annotations
@@ -16,6 +20,26 @@ from typing import Optional
 
 from .logvals import POS_INF, LogExpr, _Infinite
 from .places import Place, padic_valuation
+
+# Not a setting: every integer of at most this many bits has fewer than 2,470
+# decimal digits, well under CPython's default conversion limit of 4,300.
+HEX_BITS = 1 << 13
+
+
+def int_text(n: int) -> str:
+    """str(n) up to HEX_BITS bits, hex(n) ("0x..." or "-0x...") above.
+
+    Decimal conversion is quadratic in CPython; hex is linear.
+    """
+    return str(n) if n.bit_length() <= HEX_BITS else hex(n)
+
+
+def _int_from_text(text) -> int:
+    """Inverse of int_text; also accepts a JSON number."""
+    if isinstance(text, int):
+        return text
+    text = text.strip()
+    return int(text, 16) if text.lstrip("+-")[:2].lower() == "0x" else int(text)
 
 
 @dataclass(frozen=True)
@@ -50,10 +74,10 @@ class ProjPoint:
         return LogExpr.log_int(max(abs(self.x), abs(self.y)))
 
     def __str__(self) -> str:
-        return f"[{self.x}:{self.y}]"
+        return f"[{int_text(self.x)}:{int_text(self.y)}]"
 
     def to_json(self) -> dict:
-        return {"x": str(self.x), "y": str(self.y)}
+        return {"x": int_text(self.x), "y": int_text(self.y)}
 
 
 def normalize(x: int | Fraction, y: Optional[int] = None) -> ProjPoint:
@@ -94,7 +118,8 @@ def parse_point(text: str) -> ProjPoint:
 
 
 def point_from_json(obj: dict) -> ProjPoint:
-    return normalize(int(obj["x"]), int(obj["y"]))
+    """Read ProjPoint.to_json output; coordinates may be decimal or hex."""
+    return normalize(_int_from_text(obj["x"]), _int_from_text(obj["y"]))
 
 
 def log_chordal(p: ProjPoint, q: ProjPoint, v: Place) -> LogExpr | _Infinite:

@@ -327,8 +327,8 @@ def test_estimate_serialization(pair_system):
     est = canonical_height_word(pair_system, Word.periodic([1]), normalize(2, 1),
                                 depth=4)
     payload = est.to_json()
-    assert set(payload) == {"lo", "hi", "depth", "certified"}
-    assert payload["certified"] is True
+    assert set(payload) == {"lo", "hi", "depth", "certified", "targetMet"}
+    assert payload["certified"] is True and payload["targetMet"] is True
     assert payload["lo"] <= math.log(2) <= payload["hi"]
 
 

@@ -190,7 +190,7 @@ def test_height_growth_along_orbits():
 
 def test_csv_rows(pair_system):
     records = enumerate_tree(pair_system, normalize(2, 1), 1)
-    rows = orbit_csv_rows(records)
+    rows = list(orbit_csv_rows(records))
     assert rows[0][:4] == ("", 0, "2", "1")
     assert rows[1][:4] == ("1", 1, "4", "1")
     assert float(rows[1][4]) == pytest.approx(2 * 0.6931471805599453)

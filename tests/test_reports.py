@@ -1,0 +1,104 @@
+"""Reports under default interpreter settings: integers of any size are
+written in linear time (decimal up to proj1.HEX_BITS bits, hex above) and
+read back, and a bit cap that cut a height short says so in the report."""
+
+import csv
+import json
+import sys
+from pathlib import Path
+
+import pytest
+
+from orbitint.cli import main
+from orbitint.errors import WorkLimitExceeded
+from orbitint.integrality import s_integral_census
+from orbitint.orbits import WorkLimits
+from orbitint.places import PlaceSet
+from orbitint.proj1 import HEX_BITS, ProjPoint, int_text, point_from_json
+from orbitint.ratmap import MapSystem, make_map
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+
+
+@pytest.fixture(autouse=True)
+def default_int_digits():
+    """The interpreter's default int-to-decimal limit (4,300 digits), restored
+    afterwards, so no earlier test's setting can hide a failure."""
+    if not hasattr(sys, "set_int_max_str_digits"):  # Python < 3.11: no limit
+        yield None
+        return
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(sys.int_info.default_max_str_digits)
+    try:
+        yield sys.int_info.default_max_str_digits
+    finally:
+        sys.set_int_max_str_digits(old)
+
+
+def test_int_text_is_decimal_up_to_hex_bits_and_hex_above():
+    top = (1 << HEX_BITS) - 1
+    assert top.bit_length() == HEX_BITS
+    for n in (0, 7, -7, top, -top):
+        assert int_text(n) == str(n)
+    assert len(int_text(top)) < 2470
+    for n in (top + 1, -(top + 1), 3 ** 100_000):
+        assert int_text(n) == hex(n) and int(int_text(n), 16) == n
+    assert int_text(-(top + 1)).startswith("-0x")
+
+
+def test_point_json_round_trip_at_any_size():
+    big = (1 << 99_999) + 1  # 100,000 bits, prime to 5 and 7
+    assert big.bit_length() == 100_000
+    for p in (ProjPoint(big, 1), ProjPoint(-big, 7), ProjPoint(-5, big),
+              ProjPoint(2, 3), ProjPoint(1, 0)):
+        payload = p.to_json()
+        assert point_from_json(json.loads(json.dumps(payload))) == p
+        assert str(p) == f"[{payload['x']}:{payload['y']}]"
+    assert ProjPoint(-big, 7).to_json()["x"].startswith("-0x")
+    assert point_from_json({"x": "14", "y": "21"}) == ProjPoint(2, 3)
+
+
+def test_census_of_huge_points_serializes():
+    # 3^(2^14) has 7,818 decimal digits, past the default limit.
+    z2 = MapSystem([make_map([0, 0, 1], [1])])
+    census = s_integral_census(z2, ProjPoint(3, 1), PlaceSet.parse(["inf"]), 14)
+    report = json.loads(json.dumps(census.to_json()))
+    last = report["hits"][-1]
+    assert last["n"] == 14 and int(last["x"], 16) == 3 ** (1 << 14)
+
+
+def test_node_cap_message_fits_any_tree():
+    with pytest.raises(WorkLimitExceeded) as info:
+        WorkLimits().check_nodes(2, 10 ** 5)
+    assert info.value.nodes == 2 ** (10 ** 5 + 1) - 1
+    assert "0x" in str(info.value)
+
+
+def test_cli_orbit_with_huge_coordinates(tmp_path, default_int_digits):
+    cfg = tmp_path / "z2.json"
+    cfg.write_text(json.dumps({"system": {"maps": ["z^2"]}, "point": "3",
+                               "depth": 14}), encoding="utf-8")
+    out = tmp_path / "reports"
+    assert main(["orbit", "--config", str(cfg), "--out", str(out)]) == 0
+    if default_int_digits is not None:
+        assert sys.get_int_max_str_digits() == default_int_digits
+    report = json.loads(next(out.glob("orbit_*.json")).read_text(encoding="utf-8"))
+    assert report["meta"]["reportSchema"] == 2
+    with open(out / report["csv"], newline="", encoding="utf-8") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [row["x"].startswith("0x") for row in rows] == [False] * 13 + [True] * 2
+    assert int(rows[-1]["x"], 16) == 3 ** (1 << 14) and rows[-1]["y"] == "1"
+
+
+def test_bounds_report_flags_a_bit_cap_cut(tmp_path):
+    # census_hypothesis_pair's orbits pass 200 bits before hmin's depth 8.
+    raw = json.loads((CONFIGS / "census_hypothesis_pair.json").read_text(encoding="utf-8"))
+    raw["workLimits"] = {"bitCap": 200}
+    cfg = tmp_path / "capped.json"
+    cfg.write_text(json.dumps(raw), encoding="utf-8")
+    out = tmp_path / "reports"
+    assert main(["bounds", "--config", str(cfg), "--out", str(out)]) == 0
+    report = json.loads(next(out.glob("bounds_*.json")).read_text(encoding="utf-8"))
+    assert report["hmin"]["depth"] == 5 and report["hmin"]["targetMet"] is False
+    assert report["heightP"]["targetMet"] is False
+    assert report["heightA"]["targetMet"] is True
