@@ -3,8 +3,8 @@
 Reports are JSON (CSV for series), written under the output directory with
 the subcommand name and a hash of the config in the filename.  Identical
 (config, seed, version) triples produce byte-identical reports regardless of
-the worker count.  Exit codes: 0 success, 2 validation error, 3 work-limit
-abort.
+the worker count.  Exit codes: 0 success, 1 a failed verify suite,
+2 validation error, 3 work-limit abort.
 """
 
 from __future__ import annotations
@@ -14,19 +14,19 @@ import csv
 import json
 import os
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 from . import __version__
 from .bounds import (BoundParameters, RamificationMode, census_count_bounds,
                      choose_m, gamma_count_bound, kappa_constants,
                      prop_composition_height_bound)
-from .config import ExperimentConfig, load_config, parse_config
-from .errors import WorkLimitExceeded
+from .config import MIN_PRECISION, ExperimentConfig, load_config, parse_config
+from .errors import ConfigError, WorkLimitExceeded
 from .heights import (canonical_height_system, canonical_height_word,
                       hmin_estimate, system_bounds)
 from .integrality import (averaged_ratio, gamma_set, ratio_series,
                           s_integral_census)
+from .logvals import DEFAULT_PRECISION
 from .orbits import enumerate_tree, hypothesis_check, orbit_csv_rows
 from .proj1 import int_text
 from .ratmap import system_height
@@ -118,24 +118,33 @@ def _cmd_gamma(config: ExperimentConfig, workers: int):
             f"gamma: verdicts {verdicts} (n=0..{record.depth})")
 
 
-def _cmd_census(config: ExperimentConfig, workers: int):
+def _census_bound(config: ExperimentConfig, params: BoundParameters, bounds):
+    """(hmin scan, census count bounds) under the run's cMode constants
+    `bounds`; the count bounds are None when the scan finds a preperiodic word
+    or a lower endpoint that is not positive."""
     prec = config.precision_bits
+    hmin = hmin_estimate(config.system, config.point, config.hmin_period_bound,
+                         config.height_depth, bounds=bounds, prec=prec,
+                         limits=config.limits)
+    lo = hmin.estimate.lo(prec)
+    if hmin.preperiodic or lo <= 0:
+        return hmin, None
+    h_f = system_height(config.system).to_float(prec)
+    return hmin, census_count_bounds(config.system, len(config.places), h_f, lo,
+                                     params)
+
+
+def _cmd_census(config: ExperimentConfig, workers: int):
     census = s_integral_census(config.system, config.point, config.places,
                                config.depth, limits=config.limits,
                                workers=workers)
-    bound_detail = {}
+    payload = census.to_json(config.precision_bits)
     if config.bound_parameters is not None:
-        hmin = hmin_estimate(config.system, config.point,
-                             config.hmin_period_bound, config.height_depth,
-                             prec=prec, limits=config.limits)
-        lo = hmin.estimate.lo(prec)
-        if not hmin.preperiodic and lo > 0:
-            h_f = system_height(config.system).to_float(prec)
-            cors = census_count_bounds(config.system, len(config.places), h_f, lo,
-                                    config.bound_parameters)
-            census = replace(census, bound_value=cors.tree_count)
-            bound_detail = {"boundDetail": cors.to_json()}
-    return ({**census.to_json(prec), **bound_detail}, None,
+        _, cors = _census_bound(config, config.bound_parameters,
+                                system_bounds(config.system, config.c_mode))
+        if cors is not None:
+            payload.update(bound=cors.tree_count, boundDetail=cors.to_json())
+    return (payload, None,
             f"census: {census.count} S-integral points to depth {config.depth}")
 
 
@@ -171,9 +180,7 @@ def _cmd_bounds(config: ExperimentConfig, workers: int):
                                     depth=min(config.depth, 6),
                                     bounds=bounds_list, limits=config.limits,
                                     prec=prec)
-    hmin = hmin_estimate(system, config.point, config.hmin_period_bound,
-                         config.height_depth, bounds=bounds_list, prec=prec,
-                         limits=config.limits)
+    hmin, cors = _census_bound(config, params, bounds_list)
 
     kappa_nt = kappa_constants(system, RamificationMode.NOT_TOTALLY_RAMIFIED)
     kappa_do = kappa_constants(system, RamificationMode.DISTINCT_ORBIT)
@@ -203,9 +210,7 @@ def _cmd_bounds(config: ExperimentConfig, workers: int):
                                         config.epsilon, est_a.hi(prec), h_f,
                                         est_p.lo(prec), params)
         payload["gammaBound"] = gamma_bound.to_json()
-    if not hmin.preperiodic and hmin.estimate.lo(prec) > 0:
-        cors = census_count_bounds(system, len(config.places), h_f,
-                                hmin.estimate.lo(prec), params)
+    if cors is not None:
         payload["censusBounds"] = cors.to_json()
     return payload, None, f"bounds: m={chosen.m}, hmin lo={payload['hmin']['lo']:.6g}"
 
@@ -246,9 +251,9 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name)
         if name != "verify":
             p.add_argument("--config", required=True, help="JSON experiment config")
-        p.add_argument("--depth", type=int, default=None, help="override config depth")
+            p.add_argument("--depth", type=int, default=None, help="override config depth")
+            p.add_argument("--workers", type=int, default=1)
         p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--workers", type=int, default=1)
         p.add_argument("--precision", type=int, default=None,
                        help="override precision bits")
         p.add_argument("--out", default="reports", help="report directory")
@@ -268,7 +273,9 @@ def main(argv=None) -> int:
     out = Path(args.out)
     try:
         if args.subcommand == "verify":
-            prec = args.precision or 128
+            prec = DEFAULT_PRECISION if args.precision is None else args.precision
+            if prec < MIN_PRECISION:
+                raise ConfigError(f"--precision must be an integer >= {MIN_PRECISION}")
             return _cmd_verify(out, args.seed, prec)
         config = load_config(args.config)
         overrides = {key: value for key, value in

@@ -13,6 +13,7 @@ from typing import Optional
 
 from .bounds import BoundParameters
 from .errors import ConfigError
+from .logvals import DEFAULT_PRECISION
 from .orbits import WorkLimits
 from .places import PlaceSet
 from .proj1 import ProjPoint, parse_point
@@ -23,7 +24,7 @@ DEFAULTS = {
     "pointA": "inf",
     "epsilon": "1/2",
     "depth": 6,
-    "precisionBits": 128,
+    "precisionBits": DEFAULT_PRECISION,
     "nodeCap": WorkLimits.node_cap,
     "bitCap": WorkLimits.bit_cap,
     "dedupe": True,
@@ -34,9 +35,10 @@ DEFAULTS = {
 _KNOWN_KEYS = {
     "system", "point", "pointA", "places", "epsilon", "word", "depth",
     "workLimits", "boundParameters", "precisionBits", "dedupe",
-    "hminPeriodBound", "averagedLevel", "heightDepth", "cMode", "seed",
+    "hminPeriodBound", "averagedLevel", "heightDepth", "cMode",
 }
 _WORK_LIMIT_KEYS = {"nodeCap", "bitCap"}
+MIN_PRECISION = 16
 
 
 @dataclass(frozen=True)
@@ -56,7 +58,6 @@ class ExperimentConfig:
     averaged_level: Optional[int]
     height_depth: int
     c_mode: str
-    seed: int
     raw: dict = field(compare=False, repr=False)
 
     def canonical_hash(self) -> str:
@@ -155,7 +156,8 @@ def parse_config(obj: dict) -> ExperimentConfig:
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"invalid boundParameters: {exc}") from exc
 
-    precision = _integer(obj, "precisionBits", DEFAULTS["precisionBits"], 16)
+    precision = _integer(obj, "precisionBits", DEFAULTS["precisionBits"],
+                         MIN_PRECISION)
 
     dedupe = obj.get("dedupe", DEFAULTS["dedupe"])
     _require(isinstance(dedupe, bool), "dedupe must be a boolean")
@@ -172,14 +174,12 @@ def parse_config(obj: dict) -> ExperimentConfig:
     _require(c_mode in ("certified", "empirical"),
              "cMode must be 'certified' or 'empirical'")
 
-    seed = _integer(obj, "seed", 0)
-
     return ExperimentConfig(
         system=system, point=point, point_a=point_a, places=places,
         epsilon=epsilon, word=word, depth=depth, limits=limits,
         bound_parameters=params, precision_bits=precision, dedupe=dedupe,
         hmin_period_bound=hmin_bound, averaged_level=averaged,
-        height_depth=height_depth, c_mode=c_mode, seed=seed, raw=obj)
+        height_depth=height_depth, c_mode=c_mode, raw=obj)
 
 
 def load_config(path: str) -> ExperimentConfig:

@@ -21,7 +21,7 @@ from .logvals import DEFAULT_PRECISION, LogExpr
 from .orbits import DEFAULT_LIMITS, WorkLimits, fold_tree, walk_word
 from .proj1 import ProjPoint, normalize
 from .ratmap import MapSystem, RatMap, eval_point
-from .words import Word, degree_product, iter_periodic_words
+from .words import Word, degree_products, iter_periodic_words
 
 DEFAULT_DEPTH = 12
 
@@ -320,7 +320,8 @@ def hmin_estimate(system: MapSystem, point: ProjPoint, period_bound: int = 2,
         points = [point]
         if find_cycle(system, word, points, depth, limits) is not None:
             zero = LogExpr.zero()
-            est = HeightEstimate(zero, zero, depth, degree_product(system.degrees, word, depth),
+            est = HeightEstimate(zero, zero, depth,
+                                 degree_products(system.degrees, word, depth)[-1],
                                  True, True, word)
             return HminResult(est, word, word, scanned)
         est = canonical_height_word(system, word, point, depth=depth,

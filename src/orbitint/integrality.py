@@ -138,7 +138,6 @@ class CensusReport:
     hits: tuple
     depth: int
     places: PlaceSet
-    bound_value: Optional[float] = None
 
     @property
     def count(self) -> int:
@@ -148,15 +147,12 @@ class CensusReport:
         return [rec.point.affine() for rec in self.hits]
 
     def to_json(self, prec: int = DEFAULT_PRECISION) -> dict:
-        out = {
+        return {
             "S": self.places.to_json(),
             "depth": self.depth,
             "count": self.count,
             "hits": [rec.to_json() for rec in self.hits],
         }
-        if self.bound_value is not None:
-            out["bound"] = self.bound_value
-        return out
 
 
 def s_integral_census(system: MapSystem, point: ProjPoint, s: PlaceSet,

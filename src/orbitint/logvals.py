@@ -223,9 +223,7 @@ class LogExpr:
     def _sign_exact(self) -> Optional[int]:
         if not self.terms:
             return 0
-        lcm = 1
-        for _, coeff in self.terms:
-            lcm = lcm * coeff.denominator // math.gcd(lcm, coeff.denominator)
+        lcm = math.lcm(*(coeff.denominator for _, coeff in self.terms))
         pos_bits = neg_bits = 0
         exps = []
         for atom, coeff in self.terms:

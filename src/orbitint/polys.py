@@ -1,9 +1,9 @@
 """Dense polynomial arithmetic over Z and Q in ascending coefficient order.
 
 Just enough machinery for normalized rational maps: content and primitive
-parts, gcd over Q with an integer witness, homogeneous resultants by
-fraction-free elimination, and the cofactor identities behind certified
-height-difference constants.
+parts, gcd over Q with an integer witness, and one fraction-free (Bareiss)
+determinant for both the homogeneous resultant and the signed minors that
+give the cofactor identities behind certified height-difference constants.
 """
 
 from __future__ import annotations
@@ -91,18 +91,12 @@ def eval_homogeneous(f: Sequence, g: Sequence, d: int, x: int,
 
 
 def content(a: Sequence[int]) -> int:
-    g = 0
-    for c in a:
-        g = math.gcd(g, c)
-    return g
+    return math.gcd(*a)
 
 
 def clear_denominators(a: Sequence[Fraction]) -> tuple:
     """Smallest positive integer multiple with integer coefficients."""
-    lcm = 1
-    for c in a:
-        c = Fraction(c)
-        lcm = lcm * c.denominator // math.gcd(lcm, c.denominator)
+    lcm = math.lcm(*(Fraction(c).denominator for c in a))
     return tuple(int(Fraction(c) * lcm) for c in a)
 
 
@@ -189,29 +183,6 @@ def homogeneous_resultant(f: Sequence, g: Sequence, d: int) -> int:
     return det_bareiss(sylvester_matrix(f, g, d))
 
 
-def solve_exact(matrix: Sequence[Sequence[int]], rhs: Sequence) -> list[Fraction]:
-    """Solve a nonsingular integer system exactly over Q."""
-    n = len(matrix)
-    m = [[Fraction(v) for v in row] + [Fraction(rhs[i])] for i, row in enumerate(matrix)]
-    for k in range(n):
-        pivot = None
-        for i in range(k, n):
-            if m[i][k] != 0:
-                pivot = i
-                break
-        if pivot is None:
-            raise ZeroDivisionError("singular system")
-        m[k], m[pivot] = m[pivot], m[k]
-        pk = m[k][k]
-        for i in range(n):
-            if i == k or m[i][k] == 0:
-                continue
-            factor = m[i][k] / pk
-            for j in range(k, n + 1):
-                m[i][j] -= factor * m[k][j]
-    return [m[i][n] / m[i][i] for i in range(n)]
-
-
 def cofactor_identities(f: Sequence, g: Sequence, d: int):
     """Integer cofactor forms for the degree-d homogenizations F, G.
 
@@ -225,18 +196,14 @@ def cofactor_identities(f: Sequence, g: Sequence, d: int):
     if res == 0:
         raise ValueError("maps with vanishing resultant have no cofactor identity")
     n = 2 * d
-    # Row vector (u, v) times Sylvester gives the product coefficients, so
-    # the cofactors solve the transposed system.
-    transpose = [[syl[i][j] for i in range(n)] for j in range(n)]
     identities = []
     for column in (0, n - 1):  # X^(2d-1) and Y^(2d-1)
-        rhs = [res if j == column else 0 for j in range(n)]
-        sol = solve_exact(transpose, rhs)
-        ints = []
-        for value in sol:
-            assert value.denominator == 1, "cofactor coefficients must be integral"
-            ints.append(int(value))
-        identities.append((ints[:d], ints[d:], n - 1 - column))
+        # Row vector (u, v) times Sylvester is res * e_column, so (u, v) is
+        # row `column` of the adjugate: the signed minors striking that column.
+        struck = [row[:column] + row[column + 1:] for row in syl]
+        minors = [(-1) ** (i + column) * det_bareiss(struck[:i] + struck[i + 1:])
+                  for i in range(n)]
+        identities.append((minors[:d], minors[d:], n - 1 - column))
     return res, identities
 
 

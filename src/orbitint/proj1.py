@@ -87,7 +87,7 @@ def normalize(x: int | Fraction, y: Optional[int] = None) -> ProjPoint:
         return ProjPoint(q.numerator, q.denominator)
     if isinstance(x, Fraction) or isinstance(y, Fraction):
         qx, qy = Fraction(x), Fraction(y)
-        m = qx.denominator * qy.denominator // math.gcd(qx.denominator, qy.denominator)
+        m = math.lcm(qx.denominator, qy.denominator)
         x, y = int(qx * m), int(qy * m)
     if x == 0 and y == 0:
         raise ValueError("cannot normalize (0, 0)")

@@ -90,14 +90,9 @@ def _poly_str(cs: Sequence[int]) -> str:
 
 def _normalize_pair(f: Sequence, g: Sequence) -> tuple[tuple, tuple]:
     """Joint integer clearing, primitivity, and sign canonicalization."""
-    fq = polys.to_fractions(f)
-    gq = polys.to_fractions(g)
-    lcm = 1
-    for c in fq + gq:
-        lcm = lcm * c.denominator // math.gcd(lcm, c.denominator)
-    fi = polys.strip([int(c * lcm) for c in fq])
-    gi = polys.strip([int(c * lcm) for c in gq])
-    joint = math.gcd(polys.content(fi), polys.content(gi))
+    ints = polys.clear_denominators(tuple(f) + tuple(g))
+    fi, gi = polys.strip(ints[:len(f)]), polys.strip(ints[len(f):])
+    joint = polys.content(fi + gi)
     if joint > 1:
         fi = tuple(c // joint for c in fi)
         gi = tuple(c // joint for c in gi)

@@ -91,14 +91,6 @@ def enumerate_words(k: int, n: int) -> list[tuple]:
     return list(itertools.product(range(1, k + 1), repeat=n))
 
 
-def degree_product(degrees: Sequence[int], word: Word, n: int) -> int:
-    """Product of the degrees applied in the first n steps."""
-    out = 1
-    for i in range(n):
-        out *= degrees[word.letter_at(i) - 1]
-    return out
-
-
 def degree_products(degrees: Sequence[int], word: Word, n: int) -> list[int]:
     """D_0..D_n along the word."""
     out = [1]

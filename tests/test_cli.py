@@ -132,7 +132,8 @@ def test_exit_code_validation_error(tmp_path, capsys):
 
 
 def test_exit_code_unknown_key(tmp_path, capsys):
-    for bad in ({"bogus": 1}, {"workLimits": {"bitcap": 5}}):
+    # seed comes from --seed; a config key would only change the file hash.
+    for bad in ({"bogus": 1}, {"workLimits": {"bitcap": 5}}, {"seed": 0}):
         cfg = write_config(tmp_path, {"system": {"maps": ["z^2"]},
                                       "point": "2", **bad})
         assert main(["census", "--config", cfg, "--out", str(tmp_path)]) == 2, bad
@@ -219,13 +220,51 @@ def test_verify_subcommand(tmp_path, capsys):
     assert "suites passed" in out
     report = json.loads((tmp_path / "verify_seed1.json").read_text())
     assert all(r["passed"] for r in report["results"])
+    assert report["meta"]["precisionBits"] == 128
+
+
+def test_verify_rejects_low_precision(tmp_path, capsys):
+    """verify applies the config rule: precision below 16 bits exits 2."""
+    for prec in ("-3", "0", "8"):
+        assert main(["verify", "--out", str(tmp_path), "--precision", prec]) == 2
+        payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert payload["kind"] == "validation"
+    assert not (tmp_path / "verify_seed0.json").exists()
+
+
+def test_verify_has_no_config_options(tmp_path):
+    for flag in ("--depth", "--workers"):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--out", str(tmp_path), flag, "2"])
+        assert exc.value.code == 2
+
+
+def test_census_bound_follows_cmode(tmp_path):
+    """census and bounds derive the census bound from one hmin scan, under
+    the run's cMode constants."""
+    cfg = write_config(tmp_path, {
+        "system": ["z^2-5"], "point": "3", "places": ["inf", "p2"],
+        "hminPeriodBound": 1, "heightDepth": 8,
+        "boundParameters": {"gamma": 8}, "cMode": "empirical",
+    })
+    out = tmp_path / "reports"
+    assert main(["census", "--config", cfg, "--out", str(out)]) == 0
+    assert main(["bounds", "--config", cfg, "--out", str(out)]) == 0
+    census, bounds = read_report(out, "census"), read_report(out, "bounds")
+    assert census["boundDetail"] == bounds["censusBounds"]
+    assert census["bound"] == bounds["censusBounds"]["treeCount"]
 
 
 def test_shipped_configs_run_everywhere(tmp_path):
+    """Every shipped config under every subcommand writes the reports pinned
+    in report_digests.json (sha256 by file name).  A change that alters
+    reports on purpose re-records that file and lists the changed fields in
+    CHANGES.md."""
+    import hashlib
     from pathlib import Path
 
-    config_dir = Path(__file__).resolve().parent.parent / "configs"
-    configs = sorted(config_dir.glob("*.json"))
+    here = Path(__file__).resolve().parent
+    configs = sorted((here.parent / "configs").glob("*.json"))
     assert len(configs) >= 5
     out = tmp_path / "reports"
     for cfg in configs:
@@ -233,6 +272,10 @@ def test_shipped_configs_run_everywhere(tmp_path):
                     "ratios", "bounds"):
             code = main([sub, "--config", str(cfg), "--out", str(out)])
             assert code == 0, f"{sub} failed on {cfg.name}"
+    digests = {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+               for path in sorted(out.iterdir())}
+    expected = json.loads((here / "report_digests.json").read_text())
+    assert digests == expected
 
 
 def test_verify_deterministic_per_seed(tmp_path):
