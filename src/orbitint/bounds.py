@@ -12,7 +12,6 @@ import enum
 import math
 from dataclasses import dataclass, asdict
 from fractions import Fraction
-from typing import Optional
 
 from .logvals import LogExpr
 from .ratmap import MapSystem
@@ -56,8 +55,9 @@ def kappa_constants(system: MapSystem, mode: RamificationMode) -> RamificationCo
 
 @dataclass(frozen=True)
 class ChosenThreshold:
-    """Minimal m with kappa1 * kappa2^m <= epsilon/5, plus the closed form
-    bound used when every member of the scan set is below m."""
+    """Minimal m with kappa2^m <= epsilon/5 under not-totally-ramified
+    constants (kappa1 = 1), plus the closed form bound used when every member
+    of the scan set is below m."""
 
     m: int
     small_case_bound: float
@@ -67,23 +67,16 @@ def choose_m(epsilon: Fraction, kappa: RamificationConstants) -> ChosenThreshold
     epsilon = Fraction(epsilon)
     if not 0 < epsilon <= 1:
         raise ValueError("epsilon must lie in (0, 1]")
-    if kappa.kappa2 >= 1:
-        raise ValueError("need kappa2 < 1 (not-totally-ramified style constants)")
-    if kappa.kappa1_exponent == 0:
-        target = epsilon / 5
-        m = 1
-        power = kappa.kappa2
-        while power > target:
-            m += 1
-            power *= kappa.kappa2
-    else:
-        # kappa1 = e^E: compare m*log(kappa2) <= log(eps/5) - E numerically.
-        rhs = math.log(float(epsilon) / 5) - kappa.kappa1_exponent
-        step = math.log(float(kappa.kappa2))
-        m = max(1, math.ceil(rhs / step))
-        while kappa.kappa1_exponent + m * step > math.log(float(epsilon) / 5):
-            m += 1
-    small_case = ((math.log(5.0) + kappa.kappa1_exponent + math.log(1 / float(epsilon)))
+    if kappa.kappa1_exponent != 0 or kappa.kappa2 >= 1:
+        raise ValueError("need kappa1 = 1 and kappa2 < 1 "
+                         "(not-totally-ramified constants)")
+    target = epsilon / 5
+    m = 1
+    power = kappa.kappa2
+    while power > target:
+        m += 1
+        power *= kappa.kappa2
+    small_case = ((math.log(5.0) + math.log(1 / float(epsilon)))
                   / math.log(1 / float(kappa.kappa2)) + 1)
     return ChosenThreshold(m, small_case)
 
@@ -158,15 +151,13 @@ class GammaCountBound:
 
 def gamma_count_bound(system: MapSystem, s_size: int, epsilon: Fraction,
                       hhat_a_hi: float, system_h: float, hhat_p_lo: float,
-                      params: Optional[BoundParameters] = None) -> GammaCountBound:
+                      params: BoundParameters) -> GammaCountBound:
     """Count bound for the proximity set from the three-way decomposition.
 
     Needs a certified positive lower bound on the canonical height of the
     moving point (wandering); the target-point height enters through its
     upper interval end, conservatively.
     """
-    if params is None:
-        params = BoundParameters()
     if hhat_p_lo <= 0:
         raise ValueError("the moving point needs a positive certified height "
                          "lower bound (wandering)")
@@ -203,15 +194,13 @@ class CensusBounds:
 
 def census_count_bounds(system: MapSystem, s_size: int, system_h: float,
                         hhat_min_lo: float,
-                        params: Optional[BoundParameters] = None) -> CensusBounds:
+                        params: BoundParameters) -> CensusBounds:
     """Census bounds driven by the minimal positive canonical height.
 
     The single-orbit bound is 4^|S| gamma + log+ base d1 of
     h(F)/hhat_min; the tree bound counts words of length up to
     M = ceil(gamma + log+(...)) + 1, i.e. (k^M - 1)/(k - 1).
     """
-    if params is None:
-        params = BoundParameters()
     if hhat_min_lo <= 0:
         raise ValueError("need a positive lower bound for the minimal "
                          "canonical height")

@@ -80,10 +80,10 @@ def _cmd_orbit(config: ExperimentConfig, workers: int):
 
 
 def _height_report(sub: str, config: ExperimentConfig, est, **extra):
-    prec = config.precision_bits
+    estimate = est.to_json(config.precision_bits)
     payload = {"point": config.point.to_json(), "cMode": config.c_mode,
-               "estimate": est.to_json(prec), **extra}
-    return payload, None, (f"{sub}: [{est.lo(prec):.12g}, {est.hi(prec):.12g}] "
+               "estimate": estimate, **extra}
+    return payload, None, (f"{sub}: [{estimate['lo']:.12g}, {estimate['hi']:.12g}] "
                            f"at depth {est.depth}")
 
 
@@ -138,7 +138,7 @@ def _cmd_census(config: ExperimentConfig, workers: int):
     census = s_integral_census(config.system, config.point, config.places,
                                config.depth, limits=config.limits,
                                workers=workers)
-    payload = census.to_json(config.precision_bits)
+    payload = census.to_json()
     if config.bound_parameters is not None:
         _, cors = _census_bound(config, config.bound_parameters,
                                 system_bounds(config.system, config.c_mode))
@@ -261,11 +261,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _error_json(kind: str, exc: Exception) -> str:
-    payload = {"error": str(exc), "kind": kind}
-    witness = getattr(exc, "witness", None)
-    if witness is not None:
-        payload["witness"] = str(witness)
-    return json.dumps(payload, sort_keys=True)
+    return json.dumps({"error": str(exc), "kind": kind}, sort_keys=True)
 
 
 def main(argv=None) -> int:
@@ -277,6 +273,8 @@ def main(argv=None) -> int:
             if prec < MIN_PRECISION:
                 raise ConfigError(f"--precision must be an integer >= {MIN_PRECISION}")
             return _cmd_verify(out, args.seed, prec)
+        if args.workers < 1:
+            raise ConfigError("--workers must be an integer >= 1")
         config = load_config(args.config)
         overrides = {key: value for key, value in
                      (("depth", args.depth), ("precisionBits", args.precision))
@@ -284,7 +282,7 @@ def main(argv=None) -> int:
         if overrides:
             config = parse_config({**config.raw, **overrides})
         # The tree fans out by first letter, so more than k workers sit idle.
-        workers = max(1, min(args.workers, config.system.k, os.cpu_count() or 1))
+        workers = min(args.workers, config.system.k, os.cpu_count() or 1)
         payload, table, summary = _SUBCOMMANDS[args.subcommand](config, workers)
         stem = f"{args.subcommand}_{config.canonical_hash()}"
         if table is not None:

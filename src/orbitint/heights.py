@@ -13,12 +13,11 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
-from itertools import islice
 from typing import Iterable, Optional, Sequence
 
 from . import polys
 from .logvals import DEFAULT_PRECISION, LogExpr
-from .orbits import DEFAULT_LIMITS, WorkLimits, fold_tree, walk_word
+from .orbits import DEFAULT_LIMITS, WorkLimits, find_cycle, fold_tree, walk_word
 from .proj1 import ProjPoint, normalize
 from .ratmap import MapSystem, RatMap, eval_point
 from .words import Word, degree_products, iter_periodic_words
@@ -35,7 +34,6 @@ class HeightDifferenceBound:
     c is the normalized two-sided constant max(upper, lower)/d.
     """
 
-    map: RatMap
     c: LogExpr
     upper: LogExpr
     lower: LogExpr
@@ -77,7 +75,7 @@ def c_bound(phi: RatMap, mode: str = "certified",
         upper = LogExpr.log_int(max(tf * maxf, tg * maxg))
         lower = LogExpr.log_int(polys.resultant_cofactor_sum(phi.f, phi.g, d))
         c = _logexpr_max(upper, lower) * Fraction(1, d)
-        return HeightDifferenceBound(phi, c, upper, lower, "certified")
+        return HeightDifferenceBound(c, upper, lower, "certified")
     if mode != "empirical":
         raise ValueError(f"unknown c_bound mode {mode!r}")
     rng = random.Random(seed)
@@ -96,7 +94,7 @@ def c_bound(phi: RatMap, mode: str = "certified",
             defect = -defect
         worst = _logexpr_max(worst, defect)
     padded = worst * Fraction(5, 4)
-    return HeightDifferenceBound(phi, padded * Fraction(1, d), padded, padded,
+    return HeightDifferenceBound(padded * Fraction(1, d), padded, padded,
                                  "empirical", sample_size=len(pts))
 
 
@@ -336,28 +334,6 @@ def hmin_estimate(system: MapSystem, point: ProjPoint, period_bound: int = 2,
     merged = HeightEstimate(lo_min, best.hi_expr, reached, best.degree_product,
                             best.certified, all_met, best.word)
     return HminResult(merged, best.word, None, scanned)
-
-
-def find_cycle(system: MapSystem, word: Word, memo: list, steps: int,
-               limits: WorkLimits = DEFAULT_LIMITS) -> Optional[tuple[int, int]]:
-    """(tail length, cycle length) of the first exact repeat of (point, word
-    phase) within steps steps along a periodic word, or None.
-
-    A repeat proves a finite orbit.  The scan gives up at the first point
-    over the cycle budget (limits.cycle_scan).  memo holds the orbit from
-    Phi^0 on (see walk_word).
-    """
-    period = len(word.letters)
-    seen = {(memo[0], 0): 0}
-    scan = limits.cycle_scan()
-    walk = walk_word(system, word, memo[0], memo)
-    for n, current in enumerate(islice(walk, steps), start=1):
-        if not scan.fits(current):
-            return None
-        start = seen.setdefault((current, n % period), n)
-        if start != n:
-            return start, n - start
-    return None
 
 
 @dataclass(frozen=True)

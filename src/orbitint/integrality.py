@@ -12,9 +12,10 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
 
-from .heights import HeightEstimate, canonical_height_word, find_cycle, system_bounds
+from .heights import HeightEstimate, canonical_height_word, system_bounds
 from .logvals import DEFAULT_PRECISION, LogExpr, _Infinite
-from .orbits import DEFAULT_LIMITS, WorkLimits, enumerate_tree, iterate_word
+from .orbits import (DEFAULT_LIMITS, WorkLimits, enumerate_tree, find_cycle,
+                     iterate_word)
 from .places import PlaceSet, is_s_unit, log_plus_abs
 from .proj1 import ProjPoint, chordal_sum
 from .ratmap import MapSystem
@@ -146,7 +147,7 @@ class CensusReport:
     def hit_values(self) -> list[Fraction]:
         return [rec.point.affine() for rec in self.hits]
 
-    def to_json(self, prec: int = DEFAULT_PRECISION) -> dict:
+    def to_json(self) -> dict:
         return {
             "S": self.places.to_json(),
             "depth": self.depth,

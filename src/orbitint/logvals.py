@@ -221,8 +221,6 @@ class LogExpr:
         return self._sign_exact()
 
     def _sign_exact(self) -> Optional[int]:
-        if not self.terms:
-            return 0
         lcm = math.lcm(*(coeff.denominator for _, coeff in self.terms))
         pos_bits = neg_bits = 0
         exps = []

@@ -1,14 +1,15 @@
 """The orbit engine: every walk along a word or over the semigroup tree.
 
-Two generators do all map evaluation.  `walk_word` yields Phi^1(P), Phi^2(P),
-... along a word and can share one lazily extended point list between several
-passes over the same orbit.  `walk_tree` yields (word, point) in preorder
-(prefixes first, letters ascending), so output order is deterministic, and
-`fold_tree` fans the tree out by first letter for parallel workers and merges
-the parts by concatenation.  `WorkLimits` is the one way a cap reaches the
-engine: `bits_of` is the one coordinate-size measure, `fits` the one bit-cap
-test, `check_nodes` the one node-cap test and `cycle_scan` the one cycle
-budget.  Point equality is exact equality of normalized coordinates.
+`children` is the one place a tree node expands: it checks the node's bits
+and evaluates its k children in letter order.  `walk_tree` yields (word,
+point) in preorder (prefixes first, letters ascending) on an explicit stack,
+and `fold_tree` fans the tree out by first letter for parallel workers and
+concatenates the parts.  `walk_word` applies one map per step along a word,
+sharing one lazily extended point list between passes over one orbit, and
+`find_cycle` scans that list for a repeat.  `WorkLimits` is the one way a cap
+reaches the engine: `bits_of` is the one coordinate-size measure, `fits` the
+one bit-cap test, `check_nodes` the one node-cap test and `cycle_scan` the
+one cycle budget.  Point equality is exact equality of normalized coordinates.
 """
 
 from __future__ import annotations
@@ -108,19 +109,48 @@ def walk_word(system: MapSystem, word: Word, point: ProjPoint,
         n += 1
 
 
+def find_cycle(system: MapSystem, word: Word, memo: list, steps: int,
+               limits: WorkLimits = DEFAULT_LIMITS) -> Optional[tuple[int, int]]:
+    """(tail length, cycle length) of the first exact repeat of (point, word
+    phase) within steps steps along a periodic word, or None.
+
+    A repeat proves a finite orbit.  The scan gives up at the first point
+    over the cycle budget (limits.cycle_scan).  memo holds the orbit from
+    Phi^0 on (see walk_word).
+    """
+    period = len(word.letters)
+    seen = {(memo[0], 0): 0}
+    scan = limits.cycle_scan()
+    walk = walk_word(system, word, memo[0], memo)
+    for n, current in enumerate(islice(walk, steps), start=1):
+        if not scan.fits(current):
+            return None
+        start = seen.setdefault((current, n % period), n)
+        if start != n:
+            return start, n - start
+    return None
+
+
+def children(system: MapSystem, point: ProjPoint, limits: WorkLimits) -> list[ProjPoint]:
+    """The k children of a tree node, in letter order, after its bits are
+    checked."""
+    limits.check_bits(point)
+    return [eval_point(phi, point) for phi in system.maps]
+
+
 def walk_tree(system: MapSystem, point: ProjPoint, depth: int,
               limits: WorkLimits = DEFAULT_LIMITS,
               prefix: tuple = ()) -> Iterator[tuple[tuple, ProjPoint]]:
     """Yield (word, point) for the subtree under prefix, in preorder, down to
-    words of the given length.  A node's bits are checked before its children
-    are evaluated."""
-    yield prefix, point
-    if len(prefix) == depth:
-        return
-    limits.check_bits(point)
-    for letter in range(1, system.k + 1):
-        child = eval_point(system.map_for_letter(letter), point)
-        yield from walk_tree(system, child, depth, limits, prefix + (letter,))
+    words of the given length.  Children wait on an explicit stack, last
+    letter at the bottom, so the walk never recurses."""
+    stack = [(prefix, point)]
+    while stack:
+        word, node = stack.pop()
+        yield word, node
+        if len(word) < depth:
+            kids = enumerate(children(system, node, limits), start=1)
+            stack.extend(reversed([(word + (letter,), kid) for letter, kid in kids]))
 
 
 def _fold_subtree(args) -> list:
@@ -133,20 +163,19 @@ def fold_tree(system: MapSystem, point: ProjPoint, depth: int,
               limits: WorkLimits = DEFAULT_LIMITS, workers: int = 1) -> list:
     """fold applied to the preorder walk of the tree, as one list.
 
-    With workers > 1 the root is checked and expanded here, each first-letter
-    subtree is folded in a worker process, and the parts are concatenated in
-    letter order after the root's.  A fold that maps each node on its own
-    (fold must be picklable) therefore gives the same list for any worker
-    count.  The node cap is checked here, before any evaluation.
+    With workers > 1 the root is expanded here, each first-letter subtree is
+    folded in a worker process, and the parts are concatenated in letter
+    order after the root's.  A fold that maps each node on its own (fold
+    must be picklable) therefore gives the same list for any worker count.
+    The node cap is checked here, before any evaluation.
     """
     limits.check_nodes(system.k, depth)
     if workers <= 1 or depth == 0:
         return fold(walk_tree(system, point, depth, limits))
     from concurrent.futures import ProcessPoolExecutor
 
-    limits.check_bits(point)
-    tasks = [(fold, system, eval_point(system.map_for_letter(letter), point),
-              (letter,), depth, limits) for letter in range(1, system.k + 1)]
+    tasks = [(fold, system, child, (letter,), depth, limits)
+             for letter, child in enumerate(children(system, point, limits), start=1)]
     out = fold([((), point)])
     with ProcessPoolExecutor(max_workers=workers) as pool:
         for part in pool.map(_fold_subtree, tasks):

@@ -286,9 +286,6 @@ class MapSystem:
             raise ValueError(f"letter {letter} out of range 1..{self.k}")
         return self.maps[letter - 1]
 
-    def to_json(self) -> dict:
-        return {"maps": [m.to_json() for m in self.maps]}
-
 
 def system_height(system: MapSystem) -> LogExpr:
     """Max member height, exactly (max of coefficient magnitudes)."""

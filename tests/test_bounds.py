@@ -31,7 +31,7 @@ def test_kappa_examples(pair_system):
     assert k.kappa2 * pair_system.min_degree == 1
 
 
-def test_choose_m_examples():
+def test_choose_m_examples(pair_system):
     ntr = RamificationMode.NOT_TOTALLY_RAMIFIED
     half = RamificationConstants(ntr, 0, Fraction(1, 2))
     assert choose_m(Fraction(1, 2), half).m == 4
@@ -42,6 +42,9 @@ def test_choose_m_examples():
         choose_m(Fraction(1, 2), RamificationConstants(ntr, 0, Fraction(3, 2)))
     with pytest.raises(ValueError):
         choose_m(Fraction(2), half)
+    # kappa1 = e^E > 1 (distinct-orbit constants) is not a threshold input.
+    with pytest.raises(ValueError, match="kappa1"):
+        choose_m(Fraction(1, 2), kappa_constants(pair_system, RamificationMode.DISTINCT_ORBIT))
 
 
 def test_choose_m_minimality_and_small_case():

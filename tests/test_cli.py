@@ -129,6 +129,20 @@ def test_exit_code_validation_error(tmp_path, capsys):
         assert main(["census", "--config", cfg, "--out", str(tmp_path)]) == 2, bad
         payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
         assert payload["kind"] == "validation"
+    # --workers is checked up front, as --precision is.
+    cfg = write_config(tmp_path, CENSUS_CONFIG)
+    for workers in ("-5", "0"):
+        out = tmp_path / f"w{workers}"
+        assert main(["census", "--config", cfg, "--out", str(out),
+                     "--workers", workers]) == 2, workers
+        payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert payload["kind"] == "validation" and "--workers" in payload["error"]
+        assert not out.exists()
+    # A map entry is a string or an {"f", "g"} object.
+    cfg = write_config(tmp_path, {"system": ["z^2", 5], "point": "2"})
+    assert main(["census", "--config", cfg, "--out", str(tmp_path)]) == 2
+    payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert payload["kind"] == "validation"
 
 
 def test_exit_code_unknown_key(tmp_path, capsys):
@@ -149,6 +163,35 @@ def test_exit_code_work_limit(tmp_path):
     payload["workLimits"] = {"nodeCap": 50, "bitCap": 1000000}
     cfg = write_config(tmp_path, payload)
     assert main(["orbit", "--config", cfg, "--out", str(tmp_path)]) == 3
+
+
+def test_map_objects_match_map_strings(tmp_path):
+    """The README's map object for z^3 gives the census of the string form."""
+    base = {"point": "2", "places": ["inf", "p2"], "depth": 4}
+    reports = []
+    for maps in (["z^2", {"f": ["0", "0", "0", "1"], "g": ["1"]}], ["z^2", "z^3"]):
+        out = tmp_path / str(len(reports))
+        cfg = write_config(tmp_path, {"system": {"maps": maps}, **base})
+        assert main(["census", "--config", cfg, "--out", str(out)]) == 0
+        report = read_report(out, "census")
+        del report["meta"]
+        reports.append(report)
+    assert reports[0] == reports[1] and reports[0]["count"] > 0
+
+
+def test_deep_one_map_tree(tmp_path):
+    """A one-map tree is as deep as its depth; the walk keeps its nodes on
+    an explicit stack, so depth is not bounded by the recursion limit."""
+    depth = 3000
+    assert depth > sys.getrecursionlimit()
+    cfg = write_config(tmp_path, {"system": {"maps": ["z^2"]}, "point": "1",
+                                  "depth": depth})
+    out = tmp_path / "reports"
+    for sub in ("census", "system-height", "orbit"):
+        assert main([sub, "--config", cfg, "--out", str(out)]) == 0, sub
+    assert read_report(out, "census")["count"] == 0
+    assert read_report(out, "system-height")["estimate"]["depth"] == depth
+    assert read_report(out, "orbit")["hypotheses"]["depthChecked"] == depth
 
 
 def test_depth_and_precision_overrides(tmp_path):
