@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .logvals import LogExpr
@@ -38,10 +38,6 @@ class RamificationConstants:
     @property
     def kappa1(self) -> float:
         return math.exp(self.kappa1_exponent)
-
-    def to_json(self) -> dict:
-        return {"mode": self.mode.value, "kappa1": self.kappa1,
-                "kappa2": float(self.kappa2)}
 
 
 def kappa_constants(system: MapSystem, mode: RamificationMode) -> RamificationConstants:
@@ -118,9 +114,6 @@ class BoundParameters:
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
 
-    def to_json(self) -> dict:
-        return asdict(self)
-
 
 def log_plus_base(value: float, base: int) -> float:
     """max(0, log_base(value)); zero for value <= 1 (and for value <= 0)."""
@@ -141,12 +134,6 @@ class GammaCountBound:
     max_n: float
     total: float
     m: int
-    parameters: BoundParameters
-
-    def to_json(self) -> dict:
-        return {"tailCount": self.tail_count, "maxN": self.max_n,
-                "total": self.total, "m": self.m,
-                "parameters": self.parameters.to_json()}
 
 
 def gamma_count_bound(system: MapSystem, s_size: int, epsilon: Fraction,
@@ -173,7 +160,7 @@ def gamma_count_bound(system: MapSystem, s_size: int, epsilon: Fraction,
         (params.c5 * hhat_a_hi + params.c6 * system_h + params.c7) / hhat_p_lo, d1)
     max_n = max(float(chosen.m), n_t2, n_t3)
     tail = (4.0 ** s_size) * params.roth_r1
-    return GammaCountBound(tail, max_n, max_n + 1 + tail, chosen.m, params)
+    return GammaCountBound(tail, max_n, max_n + 1 + tail, chosen.m)
 
 
 @dataclass(frozen=True)
@@ -183,13 +170,6 @@ class CensusBounds:
     single_orbit: float        # bound on #{n >= 1 : orbit point is S-integral}
     tree_depth_cutoff: int     # word-length cutoff M for the tree count
     tree_count: float          # (k^M - 1)/(k - 1), or M when k = 1
-    parameters: BoundParameters
-
-    def to_json(self) -> dict:
-        return {"singleOrbit": self.single_orbit,
-                "treeDepthCutoff": self.tree_depth_cutoff,
-                "treeCount": self.tree_count,
-                "parameters": self.parameters.to_json()}
 
 
 def census_count_bounds(system: MapSystem, s_size: int, system_h: float,
@@ -210,4 +190,4 @@ def census_count_bounds(system: MapSystem, s_size: int, system_h: float,
     m_cut = math.ceil(params.gamma + log_term) + 1
     k = system.k
     count = float(m_cut) if k == 1 else (k ** m_cut - 1) / (k - 1)
-    return CensusBounds(single, m_cut, count, params)
+    return CensusBounds(single, m_cut, count)

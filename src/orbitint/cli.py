@@ -5,6 +5,10 @@ the subcommand name and a hash of the config in the filename.  Identical
 (config, seed, version) triples produce byte-identical reports regardless of
 the worker count.  Exit codes: 0 success, 1 a failed verify suite,
 2 validation error, 3 work-limit abort.
+
+This is the one module that knows the report schema (meta.reportSchema 2):
+camelCase keys, integers as proj1.int_text writes them, floats as repr; the
+engine modules return plain data.
 """
 
 from __future__ import annotations
@@ -14,6 +18,7 @@ import csv
 import json
 import os
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 from . import __version__
@@ -27,8 +32,8 @@ from .heights import (canonical_height_system, canonical_height_word,
 from .integrality import (averaged_ratio, gamma_set, ratio_series,
                           s_integral_census)
 from .logvals import DEFAULT_PRECISION
-from .orbits import enumerate_tree, hypothesis_check, orbit_csv_rows
-from .proj1 import int_text
+from .orbits import enumerate_tree, hypothesis_check
+from .proj1 import ProjPoint, _int_from_text, int_text, normalize
 from .ratmap import system_height
 from .verify import run_all
 
@@ -56,6 +61,65 @@ def _write_csv(path: Path, header: tuple, rows) -> None:
         writer.writerows(rows)
 
 
+def _point_json(p: ProjPoint) -> dict:
+    return {"x": int_text(p.x), "y": int_text(p.y)}
+
+
+def point_from_json(obj: dict) -> ProjPoint:
+    """Read _point_json output; coordinates may be decimal or hex."""
+    return normalize(_int_from_text(obj["x"]), _int_from_text(obj["y"]))
+
+
+def _word_json(word) -> dict:
+    return {"letters": list(word.letters), "mode": word.mode.value}
+
+
+def _record_json(rec) -> dict:
+    return {"word": list(rec.word), "n": rec.depth, **_point_json(rec.point)}
+
+
+def _interval_json(est, prec: int) -> dict:
+    return {"lo": est.lo(prec), "hi": est.hi(prec), "depth": est.depth,
+            "targetMet": est.target_met}
+
+
+def _estimate_json(est, prec: int) -> dict:
+    return {**_interval_json(est, prec), "certified": est.certified}
+
+
+def _hypotheses_json(report) -> dict:
+    out = {"repeatedPointFree": report.repeated_point_free,
+           "totallyRamifiedFree": report.totally_ramified_free,
+           "depthChecked": report.depth_checked}
+    if report.repeat_witness:
+        w1, w2, pt = report.repeat_witness
+        out["repeatWitness"] = {"word1": list(w1), "word2": list(w2), **_point_json(pt)}
+    if report.ramified_witness:
+        idx, pt, w = report.ramified_witness
+        out["ramifiedWitness"] = {"mapIndex": idx, "word": list(w), **_point_json(pt)}
+    return out
+
+
+def _orbit_rows(records, prec: int):
+    """Rows (word, n, x, y, height_nats), one at a time, so the writer never
+    holds the formatted dump."""
+    for rec in records:
+        yield ("".join(str(c) for c in rec.word), rec.depth,
+               *_point_json(rec.point).values(),
+               repr(rec.point.height().to_float(prec)))
+
+
+def _kappa_json(kappa) -> dict:
+    return {"mode": kappa.mode.value, "kappa1": kappa.kappa1,
+            "kappa2": float(kappa.kappa2)}
+
+
+def _census_bounds_json(cors, parameters: dict) -> dict:
+    return {"singleOrbit": cors.single_orbit,
+            "treeDepthCutoff": cors.tree_depth_cutoff,
+            "treeCount": cors.tree_count, "parameters": parameters}
+
+
 # Each handler returns (report payload, CSV as (header, rows) or None, summary
 # line); main adds the metadata, writes the files and prints the summary.
 
@@ -65,14 +129,14 @@ def _cmd_orbit(config: ExperimentConfig, workers: int):
                              dedupe=config.dedupe, limits=config.limits,
                              workers=workers)
     table = (("word", "n", "x", "y", "height_nats"),
-             orbit_csv_rows(records, config.precision_bits))
+             _orbit_rows(records, config.precision_bits))
     hypotheses = hypothesis_check(config.system, config.point_a, config.depth,
                                   limits=config.limits)
     payload = {
         "recordCount": len(records),
         "dedupe": config.dedupe,
         "depth": config.depth,
-        "hypotheses": hypotheses.to_json(),
+        "hypotheses": _hypotheses_json(hypotheses),
     }
     return payload, table, (f"orbit: {len(records)} records to depth {config.depth} "
                             f"(hypotheses verified to depth {hypotheses.depth_checked}, "
@@ -80,8 +144,8 @@ def _cmd_orbit(config: ExperimentConfig, workers: int):
 
 
 def _height_report(sub: str, config: ExperimentConfig, est, **extra):
-    estimate = est.to_json(config.precision_bits)
-    payload = {"point": config.point.to_json(), "cMode": config.c_mode,
+    estimate = _estimate_json(est, config.precision_bits)
+    payload = {"point": _point_json(config.point), "cMode": config.c_mode,
                "estimate": estimate, **extra}
     return payload, None, (f"{sub}: [{estimate['lo']:.12g}, {estimate['hi']:.12g}] "
                            f"at depth {est.depth}")
@@ -93,7 +157,7 @@ def _cmd_canonical(config: ExperimentConfig, workers: int):
                                 bounds=system_bounds(config.system, config.c_mode),
                                 prec=config.precision_bits,
                                 limits=config.limits)
-    return _height_report("canonical", config, est, word=config.word.to_json(),
+    return _height_report("canonical", config, est, word=_word_json(config.word),
                           degreeProduct=int_text(est.degree_product))
 
 
@@ -112,10 +176,20 @@ def _cmd_gamma(config: ExperimentConfig, workers: int):
                        config.point_a, config.point, config.epsilon,
                        config.depth, bounds=bounds, prec=prec,
                        limits=config.limits)
+    payload = {
+        "word": _word_json(record.word),
+        "A": _point_json(record.base),
+        "P": _point_json(record.point),
+        "S": [str(v) for v in record.places],
+        "epsilon": str(record.epsilon),
+        "depth": record.depth,
+        "preperiodic": record.preperiodic,
+        "height": _estimate_json(record.height, prec),
+        "members": [{"n": n, "verdict": v.value} for n, v in record.members],
+    }
     verdicts = "".join({"in": "I", "out": "O", "ambiguous": "?"}[v.value]
                        for _, v in record.members)
-    return (record.to_json(prec), None,
-            f"gamma: verdicts {verdicts} (n=0..{record.depth})")
+    return payload, None, f"gamma: verdicts {verdicts} (n=0..{record.depth})"
 
 
 def _census_bound(config: ExperimentConfig, params: BoundParameters, bounds):
@@ -138,12 +212,19 @@ def _cmd_census(config: ExperimentConfig, workers: int):
     census = s_integral_census(config.system, config.point, config.places,
                                config.depth, limits=config.limits,
                                workers=workers)
-    payload = census.to_json()
-    if config.bound_parameters is not None:
-        _, cors = _census_bound(config, config.bound_parameters,
+    payload = {
+        "S": [str(v) for v in census.places],
+        "depth": census.depth,
+        "count": census.count,
+        "hits": [_record_json(rec) for rec in census.hits],
+    }
+    params = config.bound_parameters
+    if params is not None:
+        _, cors = _census_bound(config, params,
                                 system_bounds(config.system, config.c_mode))
         if cors is not None:
-            payload.update(bound=cors.tree_count, boundDetail=cors.to_json())
+            payload.update(bound=cors.tree_count,
+                           boundDetail=_census_bounds_json(cors, asdict(params)))
     return (payload, None,
             f"census: {census.count} S-integral points to depth {config.depth}")
 
@@ -153,14 +234,16 @@ def _cmd_ratios(config: ExperimentConfig, workers: int):
     terms = ratio_series(config.system, config.word, config.point,
                          config.depth, prec=prec, limits=config.limits)
     table = (("n", "a_bits", "b_bits", "ratio", "verdict"),
-             [t.to_csv_row() for t in terms])
+             [(t.n, t.num_bits, t.den_bits, "" if t.ratio is None else repr(t.ratio),
+               t.verdict) for t in terms])
     payload = {
         "terms": [{"n": t.n, "ratio": t.ratio, "verdict": t.verdict} for t in terms],
     }
     if config.averaged_level is not None:
         avg = averaged_ratio(config.system, config.point, config.averaged_level,
                              prec=prec, limits=config.limits)
-        payload["averaged"] = avg.to_json()
+        payload["averaged"] = {"level": avg.level, "mean": avg.mean,
+                               "totalWords": avg.total_words, "excluded": avg.excluded}
     defined = [t.ratio for t in terms if t.ratio is not None]
     last = f"{defined[-1]:.6g}" if defined else "none"
     return payload, table, f"ratios: {len(terms)} terms, last defined ratio {last}"
@@ -169,6 +252,7 @@ def _cmd_ratios(config: ExperimentConfig, workers: int):
 def _cmd_bounds(config: ExperimentConfig, workers: int):
     prec = config.precision_bits
     params = config.bound_parameters or BoundParameters()
+    parameters = asdict(params)
     system = config.system
     bounds_list = system_bounds(system, config.c_mode)
     h_f = system_height(system).to_float(prec)
@@ -187,48 +271,43 @@ def _cmd_bounds(config: ExperimentConfig, workers: int):
     chosen = choose_m(config.epsilon, kappa_nt)
     payload = {
         "systemHeight": h_f,
-        "kappa": {"notTotallyRamified": kappa_nt.to_json(),
-                  "distinctOrbit": kappa_do.to_json()},
+        "kappa": {"notTotallyRamified": _kappa_json(kappa_nt),
+                  "distinctOrbit": _kappa_json(kappa_do)},
         "thresholdM": {"m": chosen.m, "smallCaseBound": chosen.small_case_bound},
         "compositionHeightBound": {
             str(n): prop_composition_height_bound(n, system.max_degree,
                                                   system_height(system)).to_float(prec)
             for n in range(1, 5)
         },
-        "heightP": est_p.to_json(prec),
-        "heightA": est_a.to_json(prec),
-        "hmin": {"lo": hmin.estimate.lo(prec), "hi": hmin.estimate.hi(prec),
-                 "witnessWord": hmin.witness_word.to_json(),
+        "heightP": _estimate_json(est_p, prec),
+        "heightA": _estimate_json(est_a, prec),
+        "hmin": {**_interval_json(hmin.estimate, prec),
+                 "witnessWord": _word_json(hmin.witness_word),
                  "preperiodic": hmin.preperiodic,
-                 "wordsScanned": hmin.words_scanned,
-                 "depth": hmin.estimate.depth,
-                 "targetMet": hmin.estimate.target_met},
-        "parameters": params.to_json(),
+                 "wordsScanned": hmin.words_scanned},
+        "parameters": parameters,
     }
     if est_p.lo(prec) > 0:
-        gamma_bound = gamma_count_bound(system, len(config.places),
-                                        config.epsilon, est_a.hi(prec), h_f,
-                                        est_p.lo(prec), params)
-        payload["gammaBound"] = gamma_bound.to_json()
+        gb = gamma_count_bound(system, len(config.places), config.epsilon,
+                               est_a.hi(prec), h_f, est_p.lo(prec), params)
+        payload["gammaBound"] = {"tailCount": gb.tail_count, "maxN": gb.max_n,
+                                 "total": gb.total, "m": gb.m,
+                                 "parameters": parameters}
     if cors is not None:
-        payload["censusBounds"] = cors.to_json()
+        payload["censusBounds"] = _census_bounds_json(cors, parameters)
     return payload, None, f"bounds: m={chosen.m}, hmin lo={payload['hmin']['lo']:.6g}"
 
 
-def _cmd_verify(out: Path, seed: int, prec: int) -> int:
+def _cmd_verify(seed: int, prec: int):
     results = run_all(seed=seed, prec=prec)
     width = max(len(name) for name, _, _ in results)
-    for name, ok, detail in results:
-        print(f"{name:<{width}}  {'pass' if ok else 'FAIL'}  {detail}")
-    failures = sum(not ok for _, ok, _ in results)
-    payload = {
-        "meta": _report_meta("verify", None, seed, prec),
-        "results": [{"suite": name, "passed": ok, "detail": detail}
-                    for name, ok, detail in results],
-    }
-    _write_json(out / f"verify_seed{seed}.json", payload)
-    print(f"verify: {len(results) - failures}/{len(results)} suites passed")
-    return 0 if failures == 0 else 1
+    lines = [f"{name:<{width}}  {'pass' if ok else 'FAIL'}  {detail}"
+             for name, ok, detail in results]
+    passed = sum(ok for _, ok, _ in results)
+    payload = {"results": [{"suite": name, "passed": ok, "detail": detail}
+                           for name, ok, detail in results]}
+    lines.append(f"verify: {passed}/{len(results)} suites passed")
+    return payload, None, "\n".join(lines)
 
 
 _SUBCOMMANDS = {
@@ -269,30 +348,34 @@ def main(argv=None) -> int:
     out = Path(args.out)
     try:
         if args.subcommand == "verify":
+            config = None
             prec = DEFAULT_PRECISION if args.precision is None else args.precision
             if prec < MIN_PRECISION:
                 raise ConfigError(f"--precision must be an integer >= {MIN_PRECISION}")
-            return _cmd_verify(out, args.seed, prec)
-        if args.workers < 1:
-            raise ConfigError("--workers must be an integer >= 1")
-        config = load_config(args.config)
-        overrides = {key: value for key, value in
-                     (("depth", args.depth), ("precisionBits", args.precision))
-                     if value is not None}
-        if overrides:
-            config = parse_config({**config.raw, **overrides})
-        # The tree fans out by first letter, so more than k workers sit idle.
-        workers = min(args.workers, config.system.k, os.cpu_count() or 1)
-        payload, table, summary = _SUBCOMMANDS[args.subcommand](config, workers)
-        stem = f"{args.subcommand}_{config.canonical_hash()}"
+            payload, table, summary = _cmd_verify(args.seed, prec)
+            stem = f"verify_seed{args.seed}"
+        else:
+            if args.workers < 1:
+                raise ConfigError("--workers must be an integer >= 1")
+            config = load_config(args.config)
+            overrides = {key: value for key, value in
+                         (("depth", args.depth), ("precisionBits", args.precision))
+                         if value is not None}
+            if overrides:
+                config = parse_config({**config.raw, **overrides})
+            # The tree fans out by first letter, so more than k workers sit idle.
+            workers = min(args.workers, config.system.k, os.cpu_count() or 1)
+            payload, table, summary = _SUBCOMMANDS[args.subcommand](config, workers)
+            prec = config.precision_bits
+            stem = f"{args.subcommand}_{config.canonical_hash()}"
         if table is not None:
             _write_csv(out / f"{stem}.csv", *table)
             payload["csv"] = f"{stem}.csv"
-        payload["meta"] = _report_meta(args.subcommand, config, args.seed,
-                                       config.precision_bits)
+        payload["meta"] = _report_meta(args.subcommand, config, args.seed, prec)
         _write_json(out / f"{stem}.json", payload)
         print(f"{summary} -> {out / (stem + '.json')}")
-        return 0
+        # Only verify reports carry suite results; a failed suite exits 1.
+        return 0 if all(r["passed"] for r in payload.get("results", ())) else 1
     except ValueError as exc:
         print(_error_json("validation", exc), file=sys.stderr)
         return 2

@@ -113,9 +113,9 @@ def system_c(bounds: Sequence[HeightDifferenceBound]) -> LogExpr:
 class HeightEstimate:
     """Certified interval for a canonical height.
 
-    lo_expr and hi_expr are exact; floats are materialized on demand.  When
-    target_met is False the requested error was not reached before the depth
-    or size cap.
+    lo_expr and hi_expr are exact; floats are materialized on demand, lo never
+    below 0.0 (canonical heights are nonnegative).  When target_met is False
+    the requested error was not reached before the depth or size cap.
     """
 
     lo_expr: LogExpr
@@ -127,7 +127,7 @@ class HeightEstimate:
     word: Optional[Word] = None
 
     def lo(self, prec: int = DEFAULT_PRECISION) -> float:
-        return self.lo_expr.float_bounds(prec)[0]
+        return max(0.0, self.lo_expr.float_bounds(prec)[0])
 
     def hi(self, prec: int = DEFAULT_PRECISION) -> float:
         return self.hi_expr.float_bounds(prec)[1]
@@ -146,10 +146,6 @@ class HeightEstimate:
         lo_ok = (value - self.lo_expr).sign(prec)
         hi_ok = (self.hi_expr - value).sign(prec)
         return (lo_ok is None or lo_ok >= 0) and (hi_ok is None or hi_ok >= 0)
-
-    def to_json(self, prec: int = DEFAULT_PRECISION) -> dict:
-        return {"lo": self.lo(prec), "hi": self.hi(prec), "depth": self.depth,
-                "certified": self.certified, "targetMet": self.target_met}
 
 
 def _upcoming_tails(system: MapSystem, bounds: Sequence[HeightDifferenceBound],
@@ -307,6 +303,7 @@ def hmin_estimate(system: MapSystem, point: ProjPoint, period_bound: int = 2,
                   prec: int = DEFAULT_PRECISION,
                   limits: WorkLimits = DEFAULT_LIMITS) -> HminResult:
     """Scan periodic words of bounded period for the least canonical height."""
+    limits.check_scan(system.k, period_bound, depth)
     if bounds is None:
         bounds = system_bounds(system)
     best: Optional[HeightEstimate] = None

@@ -19,7 +19,7 @@ from .orbits import (DEFAULT_LIMITS, WorkLimits, enumerate_tree, find_cycle,
 from .places import PlaceSet, is_s_unit, log_plus_abs
 from .proj1 import ProjPoint, chordal_sum
 from .ratmap import MapSystem
-from .words import Word, degree_products
+from .words import Word
 
 
 def quasi_integral_test(x: Fraction | int, s: PlaceSet, epsilon: Fraction,
@@ -73,19 +73,6 @@ class GammaRecord:
     def ambiguous(self) -> list[int]:
         return [n for n, v in self.members if v is GammaVerdict.AMBIGUOUS]
 
-    def to_json(self, prec: int = DEFAULT_PRECISION) -> dict:
-        return {
-            "word": self.word.to_json(),
-            "A": self.base.to_json(),
-            "P": self.point.to_json(),
-            "S": self.places.to_json(),
-            "epsilon": str(self.epsilon),
-            "depth": self.depth,
-            "preperiodic": self.preperiodic,
-            "height": self.height.to_json(prec),
-            "members": [{"n": n, "verdict": v.value} for n, v in self.members],
-        }
-
 
 def gamma_set(system: MapSystem, word: Word, s: PlaceSet, base: ProjPoint,
               point: ProjPoint, epsilon: Fraction, depth: int,
@@ -110,15 +97,17 @@ def gamma_set(system: MapSystem, word: Word, s: PlaceSet, base: ProjPoint,
     est = canonical_height_word(system, word, point, depth=depth + 4,
                                 bounds=bounds, prec=prec, limits=limits,
                                 memo=points)
-    records = iterate_word(system, word, point, depth, limits=limits, memo=points)
-    d_series = degree_products(system.degrees, word, depth)
     members = []
-    for n, rec in enumerate(records):
-        lhs = chordal_sum(rec.point, base, s)
+    d_n = 1  # D_n, kept running: the list D_0..D_n is quadratic in bits
+    for n, current in enumerate(iterate_word(system, word, point, depth,
+                                             limits=limits, memo=points)):
+        if n:
+            d_n *= system.degrees[word.letter_at(n - 1) - 1]
+        lhs = chordal_sum(current, base, s)
         if isinstance(lhs, _Infinite):
             members.append((n, GammaVerdict.IN))
             continue
-        scale = epsilon * d_series[n]
+        scale = epsilon * d_n
         in_sign = (lhs - est.hi_expr * scale).sign(prec)
         if in_sign is not None and in_sign >= 0:
             members.append((n, GammaVerdict.IN))
@@ -147,14 +136,6 @@ class CensusReport:
     def hit_values(self) -> list[Fraction]:
         return [rec.point.affine() for rec in self.hits]
 
-    def to_json(self) -> dict:
-        return {
-            "S": self.places.to_json(),
-            "depth": self.depth,
-            "count": self.count,
-            "hits": [rec.to_json() for rec in self.hits],
-        }
-
 
 def s_integral_census(system: MapSystem, point: ProjPoint, s: PlaceSet,
                       depth: int, limits: WorkLimits = DEFAULT_LIMITS,
@@ -182,10 +163,6 @@ class RatioTerm:
     ratio: Optional[float]
     verdict: str  # "defined" | "small-numerator" | "small-denominator" | "infinity"
 
-    def to_csv_row(self) -> tuple:
-        return (self.n, self.num_bits, self.den_bits,
-                "" if self.ratio is None else repr(self.ratio), self.verdict)
-
 
 def ratio_series(system: MapSystem, word: Word, point: ProjPoint, depth: int,
                  prec: int = DEFAULT_PRECISION,
@@ -199,9 +176,9 @@ def ratio_series(system: MapSystem, word: Word, point: ProjPoint, depth: int,
     if point.is_infinite:
         raise ValueError("the starting point must be affine")
     terms = []
-    for rec in iterate_word(system, word, point, depth, limits=limits):
-        terms.append(_ratio_term(rec.depth, rec.point, prec))
-        if rec.point.is_infinite:
+    for n, p in enumerate(iterate_word(system, word, point, depth, limits=limits)):
+        terms.append(_ratio_term(n, p, prec))
+        if p.is_infinite:
             break
     return terms
 
@@ -228,10 +205,6 @@ class AveragedRatio:
     total_words: int
     excluded: int
     excluded_words: tuple = field(default=())
-
-    def to_json(self) -> dict:
-        return {"level": self.level, "mean": self.mean,
-                "totalWords": self.total_words, "excluded": self.excluded}
 
 
 def averaged_ratio(system: MapSystem, point: ProjPoint, level: int,

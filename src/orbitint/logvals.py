@@ -247,8 +247,3 @@ class LogExpr:
 
 _ZERO = LogExpr()
 
-
-def compare(a: LogExpr, b: LogExpr, prec: int = DEFAULT_PRECISION) -> Optional[int]:
-    """Certified comparison of two exact log expressions; None if undecidable."""
-    return (a - b).sign(prec)
-

@@ -8,8 +8,9 @@ concatenates the parts.  `walk_word` applies one map per step along a word,
 sharing one lazily extended point list between passes over one orbit, and
 `find_cycle` scans that list for a repeat.  `WorkLimits` is the one way a cap
 reaches the engine: `bits_of` is the one coordinate-size measure, `fits` the
-one bit-cap test, `check_nodes` the one node-cap test and `cycle_scan` the
-one cycle budget.  Point equality is exact equality of normalized coordinates.
+one bit-cap test, `check_nodes` and `check_scan` the node-cap tests (of a
+tree and of an hmin scan) and `cycle_scan` the one cycle budget.  Point
+equality is exact equality of normalized coordinates.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ from itertools import islice
 from typing import Callable, Iterable, Iterator, Optional
 
 from .errors import WorkLimitExceeded
-from .logvals import DEFAULT_PRECISION, LogExpr
 from .proj1 import ProjPoint, int_text
 from .ratmap import MapSystem, is_totally_ramified, eval_point
 from .words import Word
@@ -29,6 +29,11 @@ from .words import Word
 # under a larger bit cap.  A missed cycle only leaves a verdict "unknown" or
 # a height estimate in its place; it never makes a verdict wrong.
 CYCLE_BITS = 1 << 16
+
+
+def _tree_size(k: int, depth: int) -> int:
+    """1 + k + ... + k^depth, the nodes of a k-ary tree of the given depth."""
+    return depth + 1 if k == 1 else (k ** (depth + 1) - 1) // (k - 1)
 
 
 @dataclass(frozen=True)
@@ -60,10 +65,17 @@ class WorkLimits:
         node is evaluated, so the cap counts all 1 + k + ... + k^depth."""
         if depth < 0:
             raise ValueError("depth must be nonnegative")
-        nodes = depth + 1 if k == 1 else (k ** (depth + 1) - 1) // (k - 1)
+        self._check_count("tree", _tree_size(k, depth))
+
+    def check_scan(self, k: int, period_bound: int, depth: int):
+        """Reject an hmin scan before it starts: the cap counts depth steps for
+        each of the k + ... + k^period_bound candidate words."""
+        self._check_count("hmin scan", (_tree_size(k, period_bound) - 1) * depth)
+
+    def _check_count(self, what: str, nodes: int):
         if nodes > self.node_cap:
             raise WorkLimitExceeded(
-                f"tree of {int_text(nodes)} nodes exceeds the node cap {self.node_cap}",
+                f"{what} of {int_text(nodes)} nodes exceeds the node cap {self.node_cap}",
                 nodes=nodes)
 
     def cycle_scan(self) -> "WorkLimits":
@@ -76,17 +88,11 @@ DEFAULT_LIMITS = WorkLimits()
 
 @dataclass(frozen=True)
 class OrbitRecord:
-    """A reached point, the word prefix that reached it, and its height."""
+    """A reached point and the word prefix that reached it."""
 
     word: tuple
     depth: int
     point: ProjPoint
-
-    def height(self) -> LogExpr:
-        return self.point.height()
-
-    def to_json(self) -> dict:
-        return {"word": list(self.word), "n": self.depth, **self.point.to_json()}
 
 
 def walk_word(system: MapSystem, word: Word, point: ProjPoint,
@@ -185,17 +191,16 @@ def fold_tree(system: MapSystem, point: ProjPoint, depth: int,
 
 def iterate_word(system: MapSystem, word: Word, point: ProjPoint, n: int,
                  limits: WorkLimits = DEFAULT_LIMITS,
-                 memo: Optional[list] = None) -> list[OrbitRecord]:
-    """Points Phi^0(P)..Phi^n(P) along a word, evaluated pointwise (memo as
-    in walk_word)."""
+                 memo: Optional[list] = None) -> list[ProjPoint]:
+    """Points Phi^0(P)..Phi^n(P) along a word, evaluated pointwise, each past
+    P checked against the bit cap (memo as in walk_word)."""
     if not word.supports_depth(n):
         raise ValueError(f"word {word} is too short for depth {n}")
-    letters = tuple(word.letter_at(i) for i in range(n))
-    records = [OrbitRecord((), 0, point)]
-    for i, current in enumerate(islice(walk_word(system, word, point, memo), n), start=1):
+    points = [point]
+    for current in islice(walk_word(system, word, point, memo), n):
         limits.check_bits(current)
-        records.append(OrbitRecord(letters[:i], i, current))
-    return records
+        points.append(current)
+    return points
 
 
 def _records(nodes: Iterable[tuple[tuple, ProjPoint]]) -> list[OrbitRecord]:
@@ -234,19 +239,6 @@ class HypothesisReport:
     ramified_witness: Optional[tuple]  # (map index 1-based, point, word)
     depth_checked: int
 
-    def to_json(self) -> dict:
-        out = {"repeatedPointFree": self.repeated_point_free,
-               "totallyRamifiedFree": self.totally_ramified_free,
-               "depthChecked": self.depth_checked}
-        if self.repeat_witness:
-            w1, w2, pt = self.repeat_witness
-            out["repeatWitness"] = {"word1": list(w1), "word2": list(w2),
-                                    **pt.to_json()}
-        if self.ramified_witness:
-            idx, pt, w = self.ramified_witness
-            out["ramifiedWitness"] = {"mapIndex": idx, "word": list(w), **pt.to_json()}
-        return out
-
 
 def hypothesis_check(system: MapSystem, base: ProjPoint, depth: int,
                      limits: WorkLimits = DEFAULT_LIMITS) -> HypothesisReport:
@@ -274,13 +266,3 @@ def hypothesis_check(system: MapSystem, base: ProjPoint, depth: int,
         totally_ramified_free=ramified_witness is None,
         ramified_witness=ramified_witness,
         depth_checked=depth)
-
-
-def orbit_csv_rows(records: Iterable[OrbitRecord],
-                   prec: int = DEFAULT_PRECISION) -> Iterator[tuple]:
-    """Rows (word, n, x, y, height_nats) for CSV dumps, one at a time, so a
-    writer never holds the formatted dump; coordinates as in int_text."""
-    for rec in records:
-        word_text = "".join(str(c) for c in rec.word)
-        yield (word_text, rec.depth, int_text(rec.point.x), int_text(rec.point.y),
-               repr(rec.height().to_float(prec)))

@@ -108,11 +108,6 @@ class Place:
     def local_degree(self) -> Fraction:
         return Fraction(1)
 
-    @property
-    def lv(self) -> int:
-        """Metric comparison constant: 2 at the archimedean place, else 1."""
-        return 2 if self.is_archimedean else 1
-
     def log_lv(self) -> LogExpr:
         return LogExpr.log_int(2) if self.is_archimedean else LogExpr.zero()
 
@@ -170,16 +165,8 @@ class PlaceSet:
     def __hash__(self):
         return hash(self.places)
 
-    def to_json(self) -> list[str]:
-        return [str(v) for v in self]
-
     def __repr__(self):
         return "PlaceSet({" + ", ".join(str(v) for v in self) + "})"
-
-
-def parse_rational(text: str) -> Fraction:
-    """Parse 'a/b' or 'a' into an exact rational."""
-    return Fraction(text.strip())
 
 
 def padic_valuation(x: Fraction | int, p: int) -> int:

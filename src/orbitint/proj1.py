@@ -76,9 +76,6 @@ class ProjPoint:
     def __str__(self) -> str:
         return f"[{int_text(self.x)}:{int_text(self.y)}]"
 
-    def to_json(self) -> dict:
-        return {"x": int_text(self.x), "y": int_text(self.y)}
-
 
 def normalize(x: int | Fraction, y: Optional[int] = None) -> ProjPoint:
     """Canonical representative of [x : y]; a single rational maps to [a : b]."""
@@ -115,11 +112,6 @@ def parse_point(text: str) -> ProjPoint:
         a, b = text[1:-1].split(":")
         return normalize(int(a.strip()), int(b.strip()))
     return normalize(Fraction(text))
-
-
-def point_from_json(obj: dict) -> ProjPoint:
-    """Read ProjPoint.to_json output; coordinates may be decimal or hex."""
-    return normalize(_int_from_text(obj["x"]), _int_from_text(obj["y"]))
 
 
 def log_chordal(p: ProjPoint, q: ProjPoint, v: Place) -> LogExpr | _Infinite:

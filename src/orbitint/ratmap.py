@@ -63,9 +63,6 @@ class RatMap:
             den = f"({den})"
         return f"{num}/{den}"
 
-    def to_json(self) -> dict:
-        return {"f": [str(c) for c in self.f], "g": [str(c) for c in self.g]}
-
 
 def _poly_str(cs: Sequence[int]) -> str:
     cs = polys.strip(cs)

@@ -322,17 +322,17 @@ def check_ramification_growth(rng: random.Random, prec: int, n: int = 25) -> tup
         system = random_system(rng, 2, 3)
         word = random_word(rng, system.k, 6, periodic=True)
         p = random_point(rng, 20)
-        records = iterate_word(system, word, p, 6)
+        points = iterate_word(system, word, p, 6)
         product = 1
         deg_product = 1
         ok_orbit = True
         dmax = system.max_degree
         for i in range(6):
             phi = system.map_for_letter(word.letter_at(i))
-            if is_totally_ramified(phi, records[i].point):
+            if is_totally_ramified(phi, points[i]):
                 ok_orbit = False
                 break
-            product *= ramification_index(phi, records[i].point)
+            product *= ramification_index(phi, points[i])
             deg_product *= phi.degree
             bound = Fraction(dmax - 1, dmax) ** (i + 1) * deg_product
             if Fraction(product) > bound:

@@ -72,9 +72,6 @@ class Word:
             return Word(self.letters[1:] + self.letters[:1], WordMode.PERIODIC)
         return Word(self.letters[1:], WordMode.FINITE)
 
-    def to_json(self) -> dict:
-        return {"letters": list(self.letters), "mode": self.mode.value}
-
     @classmethod
     def from_json(cls, obj: dict) -> "Word":
         return cls(obj["letters"], WordMode(obj.get("mode", "finite")))

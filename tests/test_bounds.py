@@ -1,5 +1,6 @@
 import math
 import random
+from dataclasses import asdict
 from fractions import Fraction
 
 import pytest
@@ -8,6 +9,7 @@ from orbitint.bounds import (BoundParameters, RamificationConstants,
                              RamificationMode, choose_m, census_count_bounds,
                              gamma_count_bound, kappa_constants, log_plus_base,
                              prop_composition_height_bound)
+from orbitint.cli import _kappa_json
 from orbitint.heights import canonical_height_system, canonical_height_word, hmin_estimate
 from orbitint.integrality import gamma_set, s_integral_census
 from orbitint.logvals import LogExpr
@@ -99,29 +101,28 @@ def test_ramification_growth_bounds():
         system = random_system(rng, 2, 3)
         word = random_word(rng, system.k, 6, periodic=True)
         p = random_point(rng, 20)
-        records = iterate_word(system, word, p, 6)
+        points = iterate_word(system, word, p, 6)
         dmax = system.max_degree
         product = 1
         deg_product = 1
         hypothesis_ok = True
         for i in range(6):
             phi = system.map_for_letter(word.letter_at(i))
-            if is_totally_ramified(phi, records[i].point):
+            if is_totally_ramified(phi, points[i]):
                 hypothesis_ok = False
                 break
-            product *= ramification_index(phi, records[i].point)
+            product *= ramification_index(phi, points[i])
             deg_product *= phi.degree
             assert Fraction(product) <= Fraction(dmax - 1, dmax) ** (i + 1) * deg_product
         if hypothesis_ok:
             clean_orbits += 1
-        points = [r.point for r in records]
         if len(set(points)) == len(points):
             repetition_free += 1
             # constant-form bound for repetition-free orbits
             total = 1
             for i in range(6):
                 phi = system.map_for_letter(word.letter_at(i))
-                total *= ramification_index(phi, records[i].point)
+                total *= ramification_index(phi, points[i])
             assert math.log(total) <= sum(2 * d - 2 for d in system.degrees) + 1e-9
 
 
@@ -212,11 +213,11 @@ def test_parameter_validation():
     with pytest.raises(ValueError):
         BoundParameters(gamma=-1.0)
     params = BoundParameters()
-    assert params.to_json()["roth_mu"] == 2.5
+    assert asdict(params)["roth_mu"] == 2.5
 
 
 def test_kappa_serialization(pair_system):
     k = kappa_constants(pair_system, RamificationMode.NOT_TOTALLY_RAMIFIED)
-    payload = k.to_json()
+    payload = _kappa_json(k)
     assert payload == {"mode": "not-totally-ramified", "kappa1": 1.0,
                        "kappa2": pytest.approx(2 / 3)}

@@ -165,6 +165,20 @@ def test_exit_code_work_limit(tmp_path):
     assert main(["orbit", "--config", cfg, "--out", str(tmp_path)]) == 3
 
 
+def test_hmin_scan_work_limit(tmp_path, capsys):
+    """The hmin scan counts against nodeCap before it starts: 126 words of
+    period <= 6 times heightDepth 8 is over 100, though the trees fit."""
+    cfg = write_config(tmp_path, {
+        "system": ["z^2", "z^3"], "point": "2", "depth": 2, "places": ["inf"],
+        "hminPeriodBound": 6, "heightDepth": 8, "boundParameters": {},
+        "workLimits": {"nodeCap": 100},
+    })
+    for sub in ("census", "bounds"):
+        assert main([sub, "--config", cfg, "--out", str(tmp_path)]) == 3, sub
+        payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert payload["kind"] == "work-limit" and "hmin scan" in payload["error"]
+
+
 def test_map_objects_match_map_strings(tmp_path):
     """The README's map object for z^3 gives the census of the string form."""
     base = {"point": "2", "places": ["inf", "p2"], "depth": 4}
@@ -260,10 +274,25 @@ def test_workers_clamped_to_generator_count(tmp_path, monkeypatch):
 def test_verify_subcommand(tmp_path, capsys):
     assert main(["verify", "--out", str(tmp_path), "--seed", "1"]) == 0
     out = capsys.readouterr().out
-    assert "suites passed" in out
+    assert out.splitlines()[-1] == (f"verify: 17/17 suites passed -> "
+                                    f"{tmp_path / 'verify_seed1.json'}")
     report = json.loads((tmp_path / "verify_seed1.json").read_text())
     assert all(r["passed"] for r in report["results"])
     assert report["meta"]["precisionBits"] == 128
+
+
+def test_verify_failed_suite_exits_1(tmp_path, capsys, monkeypatch):
+    """A failed suite still writes its report; the run exits 1."""
+    import orbitint.cli
+
+    monkeypatch.setattr(orbitint.cli, "run_all", lambda seed, prec: [
+        ("good", True, "fine"), ("bad", False, "broken")])
+    assert main(["verify", "--out", str(tmp_path)]) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        "good  pass  fine", "bad   FAIL  broken",
+        f"verify: 1/2 suites passed -> {tmp_path / 'verify_seed0.json'}"]
+    report = json.loads((tmp_path / "verify_seed0.json").read_text())
+    assert [r["passed"] for r in report["results"]] == [True, False]
 
 
 def test_verify_rejects_low_precision(tmp_path, capsys):

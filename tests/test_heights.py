@@ -4,10 +4,12 @@ from fractions import Fraction
 
 import pytest
 
+from orbitint.cli import _estimate_json
+from orbitint.errors import WorkLimitExceeded
 from orbitint.heights import (c_bound, canonical_height_system,
                               canonical_height_word, hmin_estimate,
                               system_bounds, system_c)
-from orbitint.logvals import LogExpr
+from orbitint.logvals import DEFAULT_PRECISION, LogExpr
 from orbitint.orbits import WorkLimits
 from orbitint.proj1 import ZERO, ProjPoint, normalize
 from orbitint.ratmap import MapSystem, eval_point, make_map, parse_map
@@ -310,6 +312,14 @@ def test_hmin_examples(pair_system, z2, z2_minus_1):
     assert hm1.preperiodic and hm1.preperiodic_witness == Word.periodic([1])
 
 
+def test_hmin_scan_obeys_the_node_cap(pair_system):
+    # 2 + 4 + ... + 64 = 126 candidate words, 8 steps each.
+    with pytest.raises(WorkLimitExceeded, match="hmin scan") as info:
+        hmin_estimate(pair_system, normalize(2, 1), 6, 8,
+                      limits=WorkLimits(node_cap=100))
+    assert info.value.nodes == 126 * 8
+
+
 def test_hmin_honours_the_bit_cap():
     # The census_hypothesis_pair system from 2: its orbits pass 200 bits
     # before depth 8, so a 200-bit cap stops the scan short and says so.
@@ -326,7 +336,7 @@ def test_hmin_honours_the_bit_cap():
 def test_estimate_serialization(pair_system):
     est = canonical_height_word(pair_system, Word.periodic([1]), normalize(2, 1),
                                 depth=4)
-    payload = est.to_json()
+    payload = _estimate_json(est, DEFAULT_PRECISION)
     assert set(payload) == {"lo", "hi", "depth", "certified", "targetMet"}
     assert payload["certified"] is True and payload["targetMet"] is True
     assert payload["lo"] <= math.log(2) <= payload["hi"]

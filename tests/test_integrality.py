@@ -1,5 +1,6 @@
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -168,7 +169,7 @@ def test_census_gamma_consistency(recip_square):
     verdicts = record.verdicts()
     gap = (system_c(system_bounds(system)) * 4).to_float()
     for rec in census.hits:
-        if rec.height().to_float() >= gap:
+        if rec.point.height().to_float() >= gap:
             assert verdicts[rec.depth] is GammaVerdict.IN
 
 
@@ -179,6 +180,18 @@ def test_ratio_series_example():
     assert terms[1].ratio == pytest.approx(math.log(3) / math.log(5), rel=1e-12)
     assert terms[2].ratio == pytest.approx(math.log(8) / math.log(17), rel=1e-12)
     assert terms[3].ratio == pytest.approx(math.log(225) / math.log(353), rel=1e-12)
+
+
+def test_ratio_series_memory_is_linear_in_depth(z2_minus_1):
+    # z^2 - 1 from 0 cycles through 0 and -1, so the points stay small and
+    # the peak measures what the walk keeps per step.
+    tracemalloc.start()
+    try:
+        terms = ratio_series(MapSystem([z2_minus_1]), Word.periodic([1]), ZERO, 3000)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(terms) == 3001 and peak < 8 * 2 ** 20
 
 
 def test_ratio_series_markers(z2):
@@ -263,12 +276,12 @@ def test_local_decay_surrogate():
         assert report.totally_ramified_free
         p = normalize(2, 1)
         depth = 8 if system.k == 1 else 6
-        records = iterate_word(system, word, p, depth)
+        points = iterate_word(system, word, p, depth)
         d_series = degree_products(system.degrees, word, depth)
         for v in (INFINITE_PLACE, Place(2), Place(5)):
             values = []
-            for rec, dn in zip(records, d_series):
-                dist = chordal_sum(rec.point, INFINITY, [v])
+            for point, dn in zip(points, d_series):
+                dist = chordal_sum(point, INFINITY, [v])
                 values.append(dist.to_float() / dn)
             assert values[-1] <= 0.05
             assert values[-1] <= max(values[0], 0.05)

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from orbitint.logvals import LogExpr, compare
+from orbitint.logvals import LogExpr
 
 
 def test_canonical_form_merges_atoms():
@@ -60,12 +60,6 @@ def test_interval_encloses_value():
 def test_float_bounds_outward():
     lo, hi = LogExpr.log_int(3).float_bounds()
     assert lo < math.log(3) < hi
-
-
-def test_compare():
-    assert compare(LogExpr.log_int(9), LogExpr.log_int(3) * 2) == 0
-    assert compare(LogExpr.log_int(10), LogExpr.log_int(3) * 2) == 1
-    assert compare(LogExpr.log_int(8), LogExpr.log_int(3) * 2) == -1
 
 
 def test_multiplicative_identity_random():

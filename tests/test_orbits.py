@@ -6,9 +6,11 @@ import pytest
 from orbitint.errors import WorkLimitExceeded
 from orbitint.heights import (canonical_height_system, preperiodicity_check,
                               system_bounds)
-from orbitint.orbits import (OrbitRecord, WorkLimits, enumerate_tree,
-                             hypothesis_check, iterate_word, orbit_csv_rows)
+from orbitint.cli import _orbit_rows
+from orbitint.orbits import (WorkLimits, enumerate_tree, hypothesis_check,
+                             iterate_word)
 from orbitint import proj1
+from orbitint.logvals import DEFAULT_PRECISION
 from orbitint.proj1 import INFINITY, ZERO, ProjPoint, normalize
 from orbitint.ratmap import MapSystem, make_map, parse_map
 from orbitint.verify import random_point, random_system, random_word
@@ -19,16 +21,15 @@ def test_iterate_word_examples(pair_system, z2):
     plus = make_map([1, 0, 1], [1])
     minus = make_map([-1, 0, 1], [1])
     system = MapSystem([plus, minus])
-    records = iterate_word(system, Word.finite([1, 2]), ZERO, 2)
-    assert [r.point for r in records] == [ZERO, ProjPoint(1, 1), ZERO]
+    points = iterate_word(system, Word.finite([1, 2]), ZERO, 2)
+    assert points == [ZERO, ProjPoint(1, 1), ZERO]
 
     assert iterate_word(pair_system, Word.finite([]), normalize(2, 1), 0) \
-        == [OrbitRecord((), 0, normalize(2, 1))]
+        == [normalize(2, 1)]
 
     sq = MapSystem([z2])
-    records = iterate_word(sq, Word.finite([1, 1, 1]), normalize(2, 1), 3)
-    assert [r.point.x for r in records] == [2, 4, 16, 256]
-    assert records[3].word == (1, 1, 1)
+    points = iterate_word(sq, Word.finite([1, 1, 1]), normalize(2, 1), 3)
+    assert [p.x for p in points] == [2, 4, 16, 256]
 
 
 def test_enumerate_tree_examples(pair_system):
@@ -162,10 +163,9 @@ def test_phase_matters_for_cycles():
     cube = make_map([0, 0, 0, 1], [1])
     system = MapSystem([quad, cube])
     word = Word.periodic([1, 2])
-    records = iterate_word(system, word, ProjPoint(1, 1), 4)
-    assert [r.point for r in records[:3]] == [ProjPoint(1, 1), ProjPoint(-1, 1),
-                                              ProjPoint(-1, 1)]
-    assert records[3].point != ProjPoint(-1, 1)
+    points = iterate_word(system, word, ProjPoint(1, 1), 4)
+    assert points[:3] == [ProjPoint(1, 1), ProjPoint(-1, 1), ProjPoint(-1, 1)]
+    assert points[3] != ProjPoint(-1, 1)
     verdict = preperiodicity_check(system, word, ProjPoint(1, 1), 16)
     assert verdict.kind == "wandering"
 
@@ -177,11 +177,11 @@ def test_height_growth_along_orbits():
         word = random_word(rng, system.k, 3, periodic=True)
         p = random_point(rng, 30)
         bounds = system_bounds(system)
-        records = iterate_word(system, word, p, 5)
+        points = iterate_word(system, word, p, 5)
         for i in range(5):
             phi = system.map_for_letter(word.letter_at(i))
             b = bounds[word.letter_at(i) - 1]
-            defect = records[i + 1].height() - records[i].height() * phi.degree
+            defect = points[i + 1].height() - points[i].height() * phi.degree
             # |h(phi P) - d h(P)| <= d * c(phi)
             cap = b.c * phi.degree
             assert (defect - cap).sign() <= 0
@@ -190,7 +190,7 @@ def test_height_growth_along_orbits():
 
 def test_csv_rows(pair_system):
     records = enumerate_tree(pair_system, normalize(2, 1), 1)
-    rows = list(orbit_csv_rows(records))
+    rows = list(_orbit_rows(records, DEFAULT_PRECISION))
     assert rows[0][:4] == ("", 0, "2", "1")
     assert rows[1][:4] == ("1", 1, "4", "1")
     assert float(rows[1][4]) == pytest.approx(2 * 0.6931471805599453)

@@ -4,10 +4,11 @@ from fractions import Fraction
 
 import pytest
 
+from orbitint.cli import _point_json, point_from_json
 from orbitint.logvals import POS_INF, LogExpr, _Infinite
 from orbitint.places import INFINITE_PLACE, Place
 from orbitint.proj1 import (INFINITY, ZERO, ProjPoint, chordal_sum,
-                            log_chordal, normalize, parse_point, point_from_json)
+                            log_chordal, normalize, parse_point)
 from orbitint.verify import random_point
 
 
@@ -26,7 +27,7 @@ def test_parse_and_json():
     assert parse_point("[2:4]") == ProjPoint(1, 2)
     assert parse_point("-5") == ProjPoint(-5, 1)
     p = normalize(7, 9)
-    assert point_from_json(p.to_json()) == p
+    assert point_from_json(_point_json(p)) == p
     assert str(p) == "[7:9]"
 
 

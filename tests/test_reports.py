@@ -1,6 +1,7 @@
 """Reports under default interpreter settings: integers of any size are
 written in linear time (decimal up to proj1.HEX_BITS bits, hex above) and
-read back, and a bit cap that cut a height short says so in the report."""
+read back, a bit cap that cut a height short says so in the report, and a
+certified zero height has lower end 0.0."""
 
 import csv
 import json
@@ -9,12 +10,12 @@ from pathlib import Path
 
 import pytest
 
-from orbitint.cli import main
+from orbitint.cli import _point_json, _record_json, main, point_from_json
 from orbitint.errors import WorkLimitExceeded
 from orbitint.integrality import s_integral_census
 from orbitint.orbits import WorkLimits
 from orbitint.places import PlaceSet
-from orbitint.proj1 import HEX_BITS, ProjPoint, int_text, point_from_json
+from orbitint.proj1 import HEX_BITS, ProjPoint, int_text
 from orbitint.ratmap import MapSystem, make_map
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -51,10 +52,10 @@ def test_point_json_round_trip_at_any_size():
     assert big.bit_length() == 100_000
     for p in (ProjPoint(big, 1), ProjPoint(-big, 7), ProjPoint(-5, big),
               ProjPoint(2, 3), ProjPoint(1, 0)):
-        payload = p.to_json()
+        payload = _point_json(p)
         assert point_from_json(json.loads(json.dumps(payload))) == p
         assert str(p) == f"[{payload['x']}:{payload['y']}]"
-    assert ProjPoint(-big, 7).to_json()["x"].startswith("-0x")
+    assert _point_json(ProjPoint(-big, 7))["x"].startswith("-0x")
     assert point_from_json({"x": "14", "y": "21"}) == ProjPoint(2, 3)
 
 
@@ -62,8 +63,8 @@ def test_census_of_huge_points_serializes():
     # 3^(2^14) has 7,818 decimal digits, past the default limit.
     z2 = MapSystem([make_map([0, 0, 1], [1])])
     census = s_integral_census(z2, ProjPoint(3, 1), PlaceSet.parse(["inf"]), 14)
-    report = json.loads(json.dumps(census.to_json()))
-    last = report["hits"][-1]
+    hits = json.loads(json.dumps([_record_json(rec) for rec in census.hits]))
+    last = hits[-1]
     assert last["n"] == 14 and int(last["x"], 16) == 3 ** (1 << 14)
 
 
@@ -102,3 +103,16 @@ def test_bounds_report_flags_a_bit_cap_cut(tmp_path):
     assert report["hmin"]["depth"] == 5 and report["hmin"]["targetMet"] is False
     assert report["heightP"]["targetMet"] is False
     assert report["heightA"]["targetMet"] is True
+
+
+def test_certified_zero_height_reports_zero_lo(tmp_path):
+    # 1 is fixed by z^2: its canonical height is exactly 0, and the lower
+    # end is written as 0.0, never as a negative float.
+    cfg = tmp_path / "fixed.json"
+    cfg.write_text(json.dumps({"system": ["z^2"], "point": "1",
+                               "word": {"letters": [1], "mode": "periodic"}}),
+                   encoding="utf-8")
+    out = tmp_path / "reports"
+    assert main(["canonical", "--config", str(cfg), "--out", str(out)]) == 0
+    report = json.loads(next(out.glob("canonical_*.json")).read_text(encoding="utf-8"))
+    assert report["estimate"]["lo"] == 0.0 and report["estimate"]["hi"] >= 0.0
