@@ -209,6 +209,13 @@ def _census_bound(config: ExperimentConfig, params: BoundParameters, bounds):
 
 
 def _cmd_census(config: ExperimentConfig, workers: int):
+    params = config.bound_parameters
+    if params is not None:
+        # The tree cap and then the hmin scan's cap, both before the walk, so
+        # a bound over the cap costs no tree work.
+        config.limits.check_nodes(config.system.k, config.depth)
+        config.limits.check_scan(config.system.k, config.hmin_period_bound,
+                                 config.height_depth)
     census = s_integral_census(config.system, config.point, config.places,
                                config.depth, limits=config.limits,
                                workers=workers)
@@ -218,7 +225,6 @@ def _cmd_census(config: ExperimentConfig, workers: int):
         "count": census.count,
         "hits": [_record_json(rec) for rec in census.hits],
     }
-    params = config.bound_parameters
     if params is not None:
         _, cors = _census_bound(config, params,
                                 system_bounds(config.system, config.c_mode))

@@ -1,16 +1,17 @@
 """The orbit engine: every walk along a word or over the semigroup tree.
 
 `children` is the one place a tree node expands: it checks the node's bits
-and evaluates its k children in letter order.  `walk_tree` yields (word,
-point) in preorder (prefixes first, letters ascending) on an explicit stack,
-and `fold_tree` fans the tree out by first letter for parallel workers and
-concatenates the parts.  `walk_word` applies one map per step along a word,
-sharing one lazily extended point list between passes over one orbit, and
-`find_cycle` scans that list for a repeat.  `WorkLimits` is the one way a cap
-reaches the engine: `bits_of` is the one coordinate-size measure, `fits` the
-one bit-cap test, `check_nodes` and `check_scan` the node-cap tests (of a
-tree and of an hmin scan) and `cycle_scan` the one cycle budget.  Point
-equality is exact equality of normalized coordinates.
+and evaluates its k children in letter order from one shared monomial table
+of the node's point.  `walk_tree` yields (word, point) in preorder (prefixes
+first, letters ascending) on an explicit stack, and `fold_tree` fans the
+tree out by first letter for parallel workers and concatenates the parts.
+`walk_word` applies one map per step along a word, sharing one lazily
+extended point list between passes over one orbit, and `find_cycle` scans
+that list for a repeat.  `WorkLimits` is the one way a cap reaches the
+engine: `bits_of` is the one coordinate-size measure, `fits` the one
+bit-cap test, `check_nodes` and `check_scan` the node-cap tests (of a tree
+and of an hmin scan) and `cycle_scan` the one cycle budget.  Point equality
+is exact equality of normalized coordinates.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from dataclasses import dataclass, replace
 from itertools import islice
 from typing import Callable, Iterable, Iterator, Optional
 
+from . import polys
 from .errors import WorkLimitExceeded
 from .proj1 import ProjPoint, int_text
 from .ratmap import MapSystem, is_totally_ramified, eval_point
@@ -47,7 +49,7 @@ class WorkLimits:
 
     @staticmethod
     def bits_of(p: ProjPoint) -> int:
-        return max(abs(p.x), abs(p.y)).bit_length()
+        return max(p.x.bit_length(), p.y.bit_length())
 
     def fits(self, p: ProjPoint) -> bool:
         """True when p is within the bit cap."""
@@ -139,9 +141,10 @@ def find_cycle(system: MapSystem, word: Word, memo: list, steps: int,
 
 def children(system: MapSystem, point: ProjPoint, limits: WorkLimits) -> list[ProjPoint]:
     """The k children of a tree node, in letter order, after its bits are
-    checked."""
+    checked.  The k maps read one monomial table of the node's point."""
     limits.check_bits(point)
-    return [eval_point(phi, point) for phi in system.maps]
+    table = polys.Monomials(point.x, point.y)
+    return [eval_point(phi, point, table) for phi in system.maps]
 
 
 def walk_tree(system: MapSystem, point: ProjPoint, depth: int,

@@ -1,16 +1,20 @@
 """Dense polynomial arithmetic over Z and Q in ascending coefficient order.
 
 Just enough machinery for normalized rational maps: content and primitive
-parts, gcd over Q with an integer witness, and one fraction-free (Bareiss)
+parts, gcd over Q with an integer witness, one fraction-free (Bareiss)
 determinant for both the homogeneous resultant and the signed minors that
-give the cofactor identities behind certified height-difference constants.
+give the cofactor identities behind certified height-difference constants,
+and one homogeneous evaluator.  The evaluator reads a per-point table of
+monomials x^i * y^j (`Monomials`) that several forms at one point can share,
+so binary forms cost one product per distinct monomial plus linear-time
+small-coefficient sums.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Sequence
+from typing import Optional, Sequence
 
 Coeffs = tuple
 
@@ -69,24 +73,73 @@ def eval_at(a: Sequence, x: Fraction) -> Fraction:
     return acc
 
 
-def eval_homogeneous(f: Sequence, g: Sequence, d: int, x: int,
-                     y: int) -> tuple[int, int]:
+class Monomials:
+    """The monomials x^i * y^j of one point, each built once, on first use.
+
+    Every entry costs one product: a pure power is a squaring of the power at
+    half the exponent (x^2, x^4, ...) or the power one below times x (x^3 =
+    x^2 * x), and a mixed term is x^i * y^j.  All forms evaluated at the
+    point read the same table, so the k maps at a tree node share their
+    powers of x and y.
+    """
+
+    __slots__ = ("_powers", "_mixed")
+
+    def __init__(self, x: int, y: int):
+        self._powers = ({0: 1, 1: x}, {0: 1, 1: y})
+        self._mixed: dict[tuple[int, int], int] = {}
+
+    def _power(self, axis: int, n: int) -> int:
+        """x^n (axis 0) or y^n (axis 1), with the missing powers on its
+        halving chain built bottom up."""
+        powers = self._powers[axis]
+        chain = []
+        m = n
+        while m not in powers:
+            chain.append(m)
+            m = m - 1 if m % 2 else m // 2
+        for m in reversed(chain):
+            if m % 2:
+                powers[m] = powers[m - 1] * powers[1]
+            else:
+                half = powers[m // 2]
+                powers[m] = half * half  # one operand twice: CPython squares
+        return powers[n]
+
+    def __getitem__(self, ij: tuple[int, int]) -> int:
+        """x^i * y^j."""
+        i, j = ij
+        if not (i and j):
+            return self._power(1, j) if j else self._power(0, i)
+        value = self._mixed.get(ij)
+        if value is None:
+            value = self._mixed[ij] = self._power(0, i) * self._power(1, j)
+        return value
+
+
+def eval_homogeneous(f: Sequence, g: Sequence, d: int, x: int, y: int,
+                     table: Optional[Monomials] = None) -> tuple[int, int]:
     """(F(x, y), G(x, y)) for the degree-d homogenizations of f and g.
 
-    Horner's rule in x, with F and G sharing one chain of y powers: each step
-    multiplies both accumulators by x and adds a coefficient times y^(d-i).
+    Both are small-coefficient sums of the monomials x^i * y^(d-i) read from
+    table, the Monomials of (x, y); a table of its own is built when none is
+    given.  A coefficient 1 takes the entry itself and a first term starts
+    the sum, since either operation would copy a full-size integer.
     """
-    u = f[d] if d < len(f) else 0
-    v = g[d] if d < len(g) else 0
-    ypow = 1
-    for i in range(d - 1, -1, -1):
-        ypow *= y
-        u *= x
-        v *= x
-        if i < len(f) and f[i]:
-            u += f[i] * ypow
-        if i < len(g) and g[i]:
-            v += g[i] * ypow
+    if table is None:
+        table = Monomials(x, y)
+    u = v = 0
+    for i in range(d + 1):
+        a = f[i] if i < len(f) else 0
+        b = g[i] if i < len(g) else 0
+        if a or b:
+            term = table[i, d - i]
+            if a:
+                scaled = term if a == 1 else a * term
+                u = u + scaled if u else scaled
+            if b:
+                scaled = term if b == 1 else b * term
+                v = v + scaled if v else scaled
     return u, v
 
 

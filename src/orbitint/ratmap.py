@@ -15,7 +15,7 @@ import re
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
-from typing import Sequence
+from typing import Optional, Sequence
 
 from . import polys
 from .logvals import LogExpr
@@ -38,9 +38,11 @@ class RatMap:
     g: tuple
     degree: int
 
-    def homogeneous(self, x: int, y: int) -> tuple[int, int]:
-        """(F(x, y), G(x, y)) for the degree-d homogenizations."""
-        return polys.eval_homogeneous(self.f, self.g, self.degree, x, y)
+    def homogeneous(self, x: int, y: int,
+                    table: Optional[polys.Monomials] = None) -> tuple[int, int]:
+        """(F(x, y), G(x, y)) for the degree-d homogenizations, read from
+        table, the Monomials of (x, y), when one is given."""
+        return polys.eval_homogeneous(self.f, self.g, self.degree, x, y, table)
 
     @cached_property
     def resultant(self) -> int:
@@ -189,8 +191,10 @@ def map_from_json(obj: dict) -> RatMap:
     return make_map(obj["f"], obj["g"])
 
 
-def eval_point(phi: RatMap, p: ProjPoint) -> ProjPoint:
-    """phi(p) in canonical form.
+def eval_point(phi: RatMap, p: ProjPoint,
+               table: Optional[polys.Monomials] = None) -> ProjPoint:
+    """phi(p) in canonical form; table, when given, is the Monomials of p,
+    shared by every map evaluated at p.
 
     p must be canonical and coprime, as every ProjPoint built by `normalize`
     or by this function is.  Then gcd(F(p), G(p)) divides R = |Res(F, G)|
@@ -198,7 +202,7 @@ def eval_point(phi: RatMap, p: ProjPoint) -> ProjPoint:
     it equals gcd(R, F(p) mod R, G(p) mod R): time linear in the size of the
     values, where a gcd of the two values themselves is quadratic.
     """
-    u, v = phi.homogeneous(p.x, p.y)
+    u, v = phi.homogeneous(p.x, p.y, table)
     r = phi.resultant
     if r != 1:
         g = math.gcd(r, u % r, v % r)

@@ -179,6 +179,29 @@ def test_hmin_scan_work_limit(tmp_path, capsys):
         assert payload["kind"] == "work-limit" and "hmin scan" in payload["error"]
 
 
+def test_census_checks_both_caps_before_the_tree(tmp_path, capsys, monkeypatch):
+    """census rejects an hmin scan over nodeCap without walking the tree, and a
+    config over both caps still reports the tree cap first."""
+    from pathlib import Path
+
+    from orbitint import cli
+
+    def no_walk(*args, **kwargs):
+        raise AssertionError("the census tree was walked")
+
+    monkeypatch.setattr(cli, "s_integral_census", no_walk)
+    raw = json.loads((Path(__file__).resolve().parents[1] / "configs"
+                      / "bounds_mixed.json").read_text(encoding="utf-8"))
+    cfg = write_config(tmp_path, dict(raw, hminPeriodBound=20))
+    for depth, error in (
+            (11, "hmin scan of 16777200 nodes exceeds the node cap 1000000"),
+            (20, "tree of 2097151 nodes exceeds the node cap 1000000")):
+        assert main(["census", "--config", cfg, "--depth", str(depth),
+                     "--out", str(tmp_path)]) == 3
+        payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert payload == {"error": error, "kind": "work-limit"}
+
+
 def test_map_objects_match_map_strings(tmp_path):
     """The README's map object for z^3 gives the census of the string form."""
     base = {"point": "2", "places": ["inf", "p2"], "depth": 4}
