@@ -155,7 +155,6 @@ def _cmd_canonical(config: ExperimentConfig, workers: int):
     est = canonical_height_word(config.system, config.word, config.point,
                                 depth=config.height_depth,
                                 bounds=system_bounds(config.system, config.c_mode),
-                                prec=config.precision_bits,
                                 limits=config.limits)
     return _height_report("canonical", config, est, word=_word_json(config.word),
                           degreeProduct=int_text(est.degree_product))
@@ -265,7 +264,7 @@ def _cmd_bounds(config: ExperimentConfig, workers: int):
 
     est_p = canonical_height_word(system, config.word, config.point,
                                   depth=config.height_depth, bounds=bounds_list,
-                                  prec=prec, limits=config.limits)
+                                  limits=config.limits)
     est_a = canonical_height_system(system, config.point_a,
                                     depth=min(config.depth, 6),
                                     bounds=bounds_list, limits=config.limits,

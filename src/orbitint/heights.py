@@ -55,7 +55,7 @@ def _logexpr_max(a: LogExpr, b: LogExpr, prec: int = DEFAULT_PRECISION) -> LogEx
 
 
 def c_bound(phi: RatMap, mode: str = "certified",
-            samples: int = 400, seed: int = 0) -> HeightDifferenceBound:
+            samples: int = 400) -> HeightDifferenceBound:
     """Height-difference constant for a single map of degree >= 2.
 
     Certified mode: the upper side multiplies the largest coefficient by the
@@ -78,7 +78,7 @@ def c_bound(phi: RatMap, mode: str = "certified",
         return HeightDifferenceBound(c, upper, lower, "certified")
     if mode != "empirical":
         raise ValueError(f"unknown c_bound mode {mode!r}")
-    rng = random.Random(seed)
+    rng = random.Random(0)
     worst = LogExpr.zero()
     pts = [normalize(a, b) for a in range(-12, 13) for b in range(1, 13)
            if math.gcd(a, b) == 1]
@@ -113,9 +113,9 @@ def system_c(bounds: Sequence[HeightDifferenceBound]) -> LogExpr:
 class HeightEstimate:
     """Certified interval for a canonical height.
 
-    lo_expr and hi_expr are exact; floats are materialized on demand, lo never
-    below 0.0 (canonical heights are nonnegative).  When target_met is False
-    the requested error was not reached before the depth or size cap.
+    lo_expr and hi_expr are exact; floats are materialized on demand.  lo_expr
+    may be negative; lo() is the one floor at 0.0 (canonical heights are
+    nonnegative).  target_met is False only when the bit cap stopped the walk.
     """
 
     lo_expr: LogExpr
@@ -182,19 +182,17 @@ def _upcoming_tails(system: MapSystem, bounds: Sequence[HeightDifferenceBound],
 
 
 def canonical_height_word(system: MapSystem, word: Word, point: ProjPoint,
-                          depth: Optional[int] = None,
-                          target: Optional[float] = None,
+                          depth: int = DEFAULT_DEPTH,
                           bounds: Optional[Sequence[HeightDifferenceBound]] = None,
-                          prec: int = DEFAULT_PRECISION,
                           limits: WorkLimits = DEFAULT_LIMITS,
                           memo: Optional[list] = None) -> HeightEstimate:
     """Canonical height of a point along a word, as a certified interval.
 
     Iterates h(Phi^n(P))/D_n pointwise (never composing maps); the intervals
-    at successive depths nest, so the deepest one is returned.  With a target,
-    iteration stops once the materialized width is small enough; running out
-    of word or hitting the bit cap returns a partial result flagged by
-    target_met=False.  memo is an orbit point list shared with other passes
+    at successive depths nest, so the deepest one is returned.  The walk stops
+    at depth, at the end of a finite word, or at the first point over the bit
+    cap; only the last sets target_met=False.  lo_expr is not floored (see
+    HeightEstimate).  memo is an orbit point list shared with other passes
     over the same orbit (see walk_word).
     """
     for letter in word.letters:
@@ -202,8 +200,6 @@ def canonical_height_word(system: MapSystem, word: Word, point: ProjPoint,
             raise ValueError(f"letter {letter} outside system of size {system.k}")
     if bounds is None:
         bounds = system_bounds(system)
-    if depth is None:
-        depth = DEFAULT_DEPTH if target is None else 4 * DEFAULT_DEPTH
     degrees = system.degrees
     steps = walk_word(system, word, point, memo)
     current = point
@@ -211,10 +207,6 @@ def canonical_height_word(system: MapSystem, word: Word, point: ProjPoint,
     n = 0
     truncated = False
     while n < depth and word.supports_depth(n + 1):
-        if target is not None:
-            up, down = _upcoming_tails(system, bounds, word, n)
-            if ((up + down) * Fraction(1, d_n)).float_bounds(prec)[1] <= target:
-                break
         current = next(steps)
         d_n *= degrees[word.letter_at(n) - 1]
         n += 1
@@ -224,19 +216,9 @@ def canonical_height_word(system: MapSystem, word: Word, point: ProjPoint,
     up, down = _upcoming_tails(system, bounds, word, n)
     inv = Fraction(1, d_n)
     mid = current.height() * inv
-    lo_expr = _clip_nonnegative(mid - down * inv, prec)
-    hi_expr = mid + up * inv
     certified = all(b.certified for b in bounds)
-    target_met = not truncated and (
-        target is None or ((up + down) * inv).float_bounds(prec)[1] <= target)
-    return HeightEstimate(lo_expr, hi_expr, n, d_n, certified, target_met, word)
-
-
-def _clip_nonnegative(lo: LogExpr, prec: int) -> LogExpr:
-    # Canonical heights are nonnegative, so zero is always a valid floor.
-    if lo.sign(prec) == 1:
-        return lo
-    return LogExpr.zero()
+    return HeightEstimate(mid - down * inv, mid + up * inv, n, d_n, certified,
+                          not truncated, word)
 
 
 def _leaf_terms(depth: int, nodes: Iterable[tuple[tuple, ProjPoint]]) -> list:
@@ -270,10 +252,9 @@ def canonical_height_system(system: MapSystem, point: ProjPoint, depth: int = 6,
         sum_down = sum_down + b.lower
     # sup |T h - h| <= sum(upper)/D on the + side; tail is geometric in k/D.
     tail_coeff = Fraction(k ** depth, big_d ** depth) * Fraction(big_d, big_d - k) * Fraction(1, big_d)
-    lo_expr = _clip_nonnegative(mid - sum_down * tail_coeff, prec)
-    hi_expr = mid + sum_up * tail_coeff
     certified = all(b.certified for b in bounds)
-    return HeightEstimate(lo_expr, hi_expr, depth, big_d ** depth, certified, True, None)
+    return HeightEstimate(mid - sum_down * tail_coeff, mid + sum_up * tail_coeff,
+                          depth, big_d ** depth, certified, True, None)
 
 
 @dataclass(frozen=True)
@@ -320,8 +301,7 @@ def hmin_estimate(system: MapSystem, point: ProjPoint, period_bound: int = 2,
                                  True, True, word)
             return HminResult(est, word, word, scanned)
         est = canonical_height_word(system, word, point, depth=depth,
-                                    bounds=bounds, prec=prec, limits=limits,
-                                    memo=points)
+                                    bounds=bounds, limits=limits, memo=points)
         reached, all_met = min(reached, est.depth), all_met and est.target_met
         if best is None or est.hi(prec) < best.hi(prec):
             best = est
@@ -368,8 +348,7 @@ def preperiodicity_check(system: MapSystem, word: Word, point: ProjPoint,
     if bounds is None:
         bounds = system_bounds(system)
     est = canonical_height_word(system, word, point, depth=min(depth, 16),
-                                bounds=bounds, prec=prec, limits=limits,
-                                memo=points)
+                                bounds=bounds, limits=limits, memo=points)
     if est.positive_lower(prec):
         return PreperiodicityVerdict(kind="wandering", estimate=est)
     return PreperiodicityVerdict(kind="unknown", estimate=est)

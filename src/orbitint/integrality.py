@@ -8,7 +8,7 @@ an interval straddles the cut; nothing is ever silently rounded across it.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
@@ -95,8 +95,7 @@ def gamma_set(system: MapSystem, word: Word, s: PlaceSet, base: ProjPoint,
     preperiodic = word.is_periodic and find_cycle(
         system, word, points, max(depth, 16), limits) is not None
     est = canonical_height_word(system, word, point, depth=depth + 4,
-                                bounds=bounds, prec=prec, limits=limits,
-                                memo=points)
+                                bounds=bounds, limits=limits, memo=points)
     members = []
     d_n = 1  # D_n, kept running: the list D_0..D_n is quadratic in bits
     for n, current in enumerate(iterate_word(system, word, point, depth,
@@ -204,7 +203,6 @@ class AveragedRatio:
     mean: Optional[float]
     total_words: int
     excluded: int
-    excluded_words: tuple = field(default=())
 
 
 def averaged_ratio(system: MapSystem, point: ProjPoint, level: int,
@@ -215,7 +213,7 @@ def averaged_ratio(system: MapSystem, point: ProjPoint, level: int,
     if point.is_infinite:
         raise ValueError("the starting point must be affine")
     ratios = []
-    excluded = []
+    excluded = 0
     # Leaves of the preorder tree arrive in lexicographic word order, and the
     # shared-prefix walk costs one evaluation per node.
     for rec in enumerate_tree(system, point, level, dedupe=False, limits=limits):
@@ -223,9 +221,8 @@ def averaged_ratio(system: MapSystem, point: ProjPoint, level: int,
             continue
         ratio = _ratio_term(level, rec.point, prec).ratio
         if ratio is None:
-            excluded.append(rec.word)
+            excluded += 1
         else:
             ratios.append(ratio)
     mean = sum(ratios) / len(ratios) if ratios else None
-    return AveragedRatio(level, mean, system.k ** level, len(excluded),
-                         tuple(excluded))
+    return AveragedRatio(level, mean, system.k ** level, excluded)

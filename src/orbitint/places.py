@@ -40,11 +40,7 @@ def is_probable_prime(n: int) -> bool:
     for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
         if n % p == 0:
             return n == p
-    d = n - 1
-    r = 0
-    while d % 2 == 0:
-        d //= 2
-        r += 1
+    r, d = strip_prime(n - 1, 2)
     for a in _MR_WITNESSES:
         x = pow(a, d, n)
         if x == 1 or x == n - 1:
@@ -58,6 +54,21 @@ def is_probable_prime(n: int) -> bool:
     return True
 
 
+def strip_prime(n: int, p: int) -> tuple[int, int]:
+    """(v, rest) with n = p**v * rest and p not dividing rest, for n != 0.
+
+    The one place that divides out a factor: valuations, S-unit tests, trial
+    division and Miller-Rabin all go through it.  p may be any integer >= 2.
+    """
+    if n == 0:
+        raise ValueError(f"cannot strip {p} from 0")
+    v = 0
+    while n % p == 0:
+        n //= p
+        v += 1
+    return v, n
+
+
 def factorize(n: int, trial_bound: int = DEFAULT_TRIAL_BOUND) -> dict[int, int]:
     """Factor |n| by trial division, Miller-Rabin deciding the cofactor.
 
@@ -68,16 +79,13 @@ def factorize(n: int, trial_bound: int = DEFAULT_TRIAL_BOUND) -> dict[int, int]:
         raise ValueError("cannot factor 0")
     n = abs(n)
     factors: dict[int, int] = {}
-    for p in (2, 3):
-        while n % p == 0:
-            factors[p] = factors.get(p, 0) + 1
-            n //= p
-    q = 5
-    while q <= trial_bound and q * q <= n:
-        for p in (q, q + 2):
-            while n % p == 0:
-                factors[p] = factors.get(p, 0) + 1
-                n //= p
+    divisors, q = (2, 3), 5
+    while divisors:
+        for p in divisors:
+            v, n = strip_prime(n, p)
+            if v:
+                factors[p] = v
+        divisors = (q, q + 2) if q <= trial_bound and q * q <= n else ()
         q += 6
     if n > 1:
         if is_probable_prime(n):
@@ -174,16 +182,7 @@ def padic_valuation(x: Fraction | int, p: int) -> int:
     x = Fraction(x)
     if x == 0:
         raise ValueError("v_p(0) is undefined (plus infinity)")
-    v = 0
-    n = abs(x.numerator)
-    while n % p == 0:
-        n //= p
-        v += 1
-    d = x.denominator
-    while d % p == 0:
-        d //= p
-        v -= 1
-    return v
+    return strip_prime(x.numerator, p)[0] - strip_prime(x.denominator, p)[0]
 
 
 def abs_log(x: Fraction | int, v: Place) -> LogExpr | _Infinite:
@@ -224,9 +223,10 @@ def is_s_unit(n: int, s: PlaceSet) -> bool:
     A canonical point [x : y] has an S-integral affine coordinate exactly when
     y is an S-unit, so censuses decide it without building a Fraction.
     """
+    if n < 1:
+        raise ValueError(f"S-unit tests need a positive integer, got {n}")
     for p in s.finite_primes:
-        while n % p == 0:
-            n //= p
+        n = strip_prime(n, p)[1]
     return n == 1
 
 

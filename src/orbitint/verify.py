@@ -271,10 +271,10 @@ def check_shift_identity(rng: random.Random, prec: int, n: int = 25) -> tuple[bo
         word = random_word(rng, system.k, rng.randrange(1, 4), periodic=True)
         p = random_point(rng, 50)
         bounds = system_bounds(system)
-        est = canonical_height_word(system, word, p, depth=5, bounds=bounds, prec=prec)
+        est = canonical_height_word(system, word, p, depth=5, bounds=bounds)
         first = system.map_for_letter(word.letter_at(0))
         shifted = canonical_height_word(system, word.shift(), eval_point(first, p),
-                                        depth=5, bounds=bounds, prec=prec)
+                                        depth=5, bounds=bounds)
         d1 = first.degree
         lo = est.lo(prec) * d1 - shifted.hi(prec)
         hi = est.hi(prec) * d1 - shifted.lo(prec)
@@ -306,7 +306,7 @@ def check_canonical_nonnegative(rng: random.Random, prec: int, n: int = 25) -> t
         system = random_system(rng, 2, 3)
         word = random_word(rng, system.k, rng.randrange(1, 3), periodic=True)
         p = random_point(rng, 60)
-        est = canonical_height_word(system, word, p, depth=5, prec=prec)
+        est = canonical_height_word(system, word, p, depth=5)
         if est.hi(prec) < 0:
             return False, f"upper endpoint negative at {p}"
     return True, f"{n} configurations"

@@ -351,26 +351,36 @@ def test_census_bound_follows_cmode(tmp_path):
 
 
 def test_shipped_configs_run_everywhere(tmp_path):
-    """Every shipped config under every subcommand writes the reports pinned
-    in report_digests.json (sha256 by file name).  A change that alters
-    reports on purpose re-records that file and lists the changed fields in
-    CHANGES.md."""
+    """Every shipped config under every subcommand, and `verify --seed 0`,
+    write the reports pinned in report_digests.json (sha256 by file name);
+    the tree walkers write the same reports under --workers 2.  A change that
+    alters reports on purpose re-records that file and lists the changed
+    fields in CHANGES.md."""
     import hashlib
     from pathlib import Path
+
+    def digests(out):
+        return {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+                for path in sorted(out.iterdir())}
 
     here = Path(__file__).resolve().parent
     configs = sorted((here.parent / "configs").glob("*.json"))
     assert len(configs) >= 5
-    out = tmp_path / "reports"
+    out, out2 = tmp_path / "reports", tmp_path / "reports2"
     for cfg in configs:
         for sub in ("orbit", "canonical", "system-height", "gamma", "census",
                     "ratios", "bounds"):
             code = main([sub, "--config", str(cfg), "--out", str(out)])
             assert code == 0, f"{sub} failed on {cfg.name}"
-    digests = {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
-               for path in sorted(out.iterdir())}
+        for sub in ("orbit", "system-height", "census"):
+            code = main([sub, "--config", str(cfg), "--out", str(out2), "--workers", "2"])
+            assert code == 0, f"{sub} --workers 2 failed on {cfg.name}"
+    assert main(["verify", "--out", str(out), "--seed", "0"]) == 0
     expected = json.loads((here / "report_digests.json").read_text())
-    assert digests == expected
+    assert digests(out) == expected
+    parallel = digests(out2)
+    assert len(parallel) == 4 * len(configs)
+    assert parallel == {name: expected[name] for name in parallel}
 
 
 def test_verify_deterministic_per_seed(tmp_path):

@@ -10,6 +10,7 @@ from orbitint.heights import canonical_height_word
 from orbitint.integrality import (GammaVerdict, averaged_ratio, gamma_set,
                                   quasi_integral_test, ratio_series,
                                   s_integral_census)
+from orbitint.logvals import LogExpr
 from orbitint.places import INFINITE_PLACE, Place, PlaceSet, is_s_integer
 from orbitint.orbits import WorkLimits, enumerate_tree
 from orbitint.proj1 import INFINITY, ZERO, ProjPoint, normalize
@@ -64,6 +65,18 @@ def test_gamma_hit_of_base_is_in(z2_minus_1):
     assert record.preperiodic  # 0 -> -1 -> 0 cycle flagged
     verdicts = record.verdicts()
     assert verdicts[1] is GammaVerdict.IN  # point equals A at n = 1
+
+
+def test_gamma_on_a_zero_height_cycle(z2_minus_1):
+    # 0 -> -1 -> 0 has canonical height 0: the certified lower end is
+    # -log(2)/4096, unfloored, and the verdicts are those of a floor at 0.
+    system = MapSystem([z2_minus_1])
+    record = gamma_set(system, Word.periodic([1]), PlaceSet.parse(["inf", "p2"]),
+                       INFINITY, ZERO, Fraction(1, 2), 8)
+    assert record.height.lo_expr == LogExpr.log_int(2, Fraction(-1, 4096))
+    assert record.height.lo() == 0.0
+    ambiguous, member = GammaVerdict.AMBIGUOUS, GammaVerdict.IN
+    assert [v for _, v in record.members] == [ambiguous, member] * 4 + [ambiguous]
 
 
 def test_gamma_walks_its_orbit_once(pair_system, monkeypatch):

@@ -7,8 +7,8 @@ import pytest
 from orbitint.logvals import LogExpr, NEG_INF
 from orbitint.places import (FactorizationError, INFINITE_PLACE, Place,
                              PlaceSet, abs_log, factorize, is_probable_prime,
-                             is_s_integer, log_plus_abs, padic_valuation,
-                             support_places)
+                             is_s_integer, is_s_unit, log_plus_abs,
+                             padic_valuation, strip_prime, support_places)
 from orbitint.verify import random_factored_int
 
 
@@ -27,6 +27,40 @@ def test_padic_valuation_examples():
     assert padic_valuation(7, 5) == 0
     with pytest.raises(ValueError):
         padic_valuation(0, 2)
+
+
+def _strip_by_definition(n, p):
+    """v is the largest exponent with p**v dividing n, rest = n / p**v."""
+    v = 0
+    while n % p ** (v + 1) == 0:
+        v += 1
+    return v, n // p ** v
+
+
+def test_strip_prime_matches_definition():
+    rng = random.Random(10)
+    for p in (2, 3, 5, 101, 65537):
+        for v in (0, 1, 7, rng.randrange(100, 400)):
+            rest = 1 << 10_000 | rng.getrandbits(10_000) | 1
+            while rest % p == 0:
+                rest += 2
+            for sign in (1, -1):
+                n = sign * p ** v * rest
+                assert n.bit_length() >= 10_000
+                assert strip_prime(n, p) == (v, sign * rest) == _strip_by_definition(n, p)
+    _, rest = strip_prime(5 ** 300 * 7 ** 3, 5)
+    assert strip_prime(rest, 25) == (0, 7 ** 3)  # composite trial divisor after 5
+    assert strip_prime(5 ** 7 * 3, 25) == (3, 15)
+    with pytest.raises(ValueError):
+        strip_prime(0, 2)
+
+
+def test_is_s_unit_rejects_nonpositive():
+    s = PlaceSet.parse(["inf", "p2"])
+    assert is_s_unit(2 ** 500, s) and not is_s_unit(3 * 2 ** 500, s)
+    for n in (0, -4):
+        with pytest.raises(ValueError):
+            is_s_unit(n, s)
 
 
 def test_is_s_integer_examples():
