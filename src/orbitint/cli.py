@@ -14,7 +14,6 @@ engine modules return plain data.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import os
 import sys
@@ -53,12 +52,27 @@ def _write_json(path: Path, payload: dict) -> None:
     path.write_text(blob, encoding="utf-8")
 
 
+def _csv_line(row, width: int) -> str:
+    """One CSV line of fields that never need quoting, so it is the line
+    csv.writer(lineterminator="\n") would write.  Fields are str, int or
+    float (str of a float is its repr); a field that csv would quote or
+    write differently is refused, never written."""
+    if len(row) != width:
+        raise RuntimeError(f"CSV row of {len(row)} fields under a {width}-column header")
+    line = ",".join(map(str, row))
+    if (line.count(",") != width - 1 or not line or '"' in line or "\n" in line
+            or "\r" in line or None in row):
+        raise RuntimeError("CSV field that csv.writer would quote or write as empty")
+    return line + "\n"
+
+
 def _write_csv(path: Path, header: tuple, rows) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
+    width = len(header)
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
+        fh.write(_csv_line(header, width))
+        for row in rows:
+            fh.write(_csv_line(row, width))
 
 
 def _point_json(p: ProjPoint) -> dict:

@@ -157,15 +157,22 @@ class LogExpr:
     # -- evaluation --------------------------------------------------------
 
     def interval(self, prec: int = DEFAULT_PRECISION):
-        """Enclosing mpmath interval at the given binary precision."""
+        """Enclosing mpmath interval at the given binary precision.
+
+        A zero constant is not added and a unit coefficient not multiplied:
+        both steps are exact, so the endpoints are those of the full sum.
+        """
         old = iv.prec
         iv.prec = prec
         try:
-            total = iv.mpf(self.const.numerator) / iv.mpf(self.const.denominator)
+            const = self.const
+            total = iv.mpf(const.numerator) / iv.mpf(const.denominator) if const else None
             for atom, coeff in self.terms:
-                c = iv.mpf(coeff.numerator) / iv.mpf(coeff.denominator)
-                total += c * iv.log(iv.mpf(atom))
-            return total
+                term = iv.log(iv.mpf(atom))
+                if coeff != 1:
+                    term = iv.mpf(coeff.numerator) / iv.mpf(coeff.denominator) * term
+                total = term if total is None else total + term
+            return iv.mpf(0) if total is None else total
         finally:
             iv.prec = old
 

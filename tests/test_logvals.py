@@ -3,6 +3,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from mpmath import iv
 
 from orbitint.logvals import LogExpr
 
@@ -75,3 +76,40 @@ def test_immutability():
     e = LogExpr.log_int(2)
     with pytest.raises(AttributeError):
         e.const = Fraction(1)
+
+
+def _interval_full_sum(expr, prec):
+    """The oracle: the constant plus every coefficient times its log, each
+    step taken in interval arithmetic, zero constants and unit
+    coefficients included."""
+    old = iv.prec
+    iv.prec = prec
+    try:
+        total = iv.mpf(expr.const.numerator) / iv.mpf(expr.const.denominator)
+        for atom, coeff in expr.terms:
+            c = iv.mpf(coeff.numerator) / iv.mpf(coeff.denominator)
+            total += c * iv.log(iv.mpf(atom))
+        return total
+    finally:
+        iv.prec = old
+
+
+@pytest.mark.parametrize("prec", [53, 128, 512])
+def test_interval_endpoints_match_the_full_sum(prec):
+    big = (1 << 99_999) + 12_345  # a 10^5-bit atom
+    assert big.bit_length() == 100_000
+    exprs = [
+        LogExpr.log_int(big),
+        LogExpr.log_int(big) + LogExpr.constant(Fraction(-7, 3)),
+        LogExpr.constant(Fraction(1, 3)),
+        LogExpr.constant(5),
+        LogExpr.log_int(7, -1),
+        LogExpr.log_int(7, Fraction(1, 2)),
+        LogExpr.log_int(big, -1) + LogExpr.log_int(3, Fraction(1, 2))
+        + LogExpr.log_int(10 ** 40 + 1),
+        LogExpr.log_fraction(Fraction(8, 3)) + LogExpr.constant(Fraction(2, 7)),
+        LogExpr.zero(),
+    ]
+    for expr in exprs:
+        box, oracle = expr.interval(prec), _interval_full_sum(expr, prec)
+        assert box._mpi_ == oracle._mpi_, expr  # the raw endpoint pair

@@ -1,22 +1,29 @@
 """Reports under default interpreter settings: integers of any size are
 written in linear time (decimal up to proj1.HEX_BITS bits, hex above) and
-read back, a bit cap that cut a height short says so in the report, and a
-certified zero height has lower end 0.0."""
+read back, CSV lines are the bytes csv.writer would write, a bit cap that
+cut a height short says so in the report, and a certified zero height has
+lower end 0.0."""
 
 import csv
 import json
+import random
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from orbitint.cli import _point_json, _record_json, main, point_from_json
+from orbitint.cli import (_cmd_ratios, _orbit_rows, _point_json, _record_json,
+                          _write_csv, main, point_from_json)
+from orbitint.config import load_config
 from orbitint.errors import WorkLimitExceeded
 from orbitint.integrality import s_integral_census
-from orbitint.orbits import WorkLimits
+from orbitint.logvals import DEFAULT_PRECISION
+from orbitint.orbits import WorkLimits, enumerate_tree
 from orbitint.places import PlaceSet
-from orbitint.proj1 import HEX_BITS, ProjPoint, int_text
+from orbitint.proj1 import HEX_BITS, ProjPoint, int_text, normalize
 from orbitint.ratmap import MapSystem, make_map
+from orbitint.verify import random_system
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -42,8 +49,12 @@ def test_int_text_is_decimal_up_to_hex_bits_and_hex_above():
     for n in (0, 7, -7, top, -top):
         assert int_text(n) == str(n)
     assert len(int_text(top)) < 2470
-    for n in (top + 1, -(top + 1), 3 ** 100_000):
-        assert int_text(n) == hex(n) and int(int_text(n), 16) == n
+    # Every top-nibble width past HEX_BITS, so the digits start with and
+    # without a leading zero of the byte form.
+    wide = [(1 << bits) - 1 for bits in range(HEX_BITS + 1, HEX_BITS + 9)]
+    for n in [top + 1, 3 ** 100_000, *wide]:
+        for signed in (n, -n):
+            assert int_text(signed) == hex(signed) and int(int_text(signed), 16) == signed
     assert int_text(-(top + 1)).startswith("-0x")
 
 
@@ -116,3 +127,45 @@ def test_certified_zero_height_reports_zero_lo(tmp_path):
     assert main(["canonical", "--config", str(cfg), "--out", str(out)]) == 0
     report = json.loads(next(out.glob("canonical_*.json")).read_text(encoding="utf-8"))
     assert report["estimate"]["lo"] == 0.0 and report["estimate"]["hi"] >= 0.0
+
+
+def _csv_module_bytes(path: Path, header: tuple, rows) -> bytes:
+    """The reference: the same table through csv.writer."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
+    return path.read_bytes()
+
+
+def test_orbit_csv_bytes_match_the_csv_module(tmp_path):
+    # Two cubic maps from -3/2: negative coordinates, and leaves past
+    # HEX_BITS written as "0x..." and "-0x...".
+    system = random_system(random.Random(5), k_max=2, max_degree=3)
+    records = enumerate_tree(system, normalize(Fraction(-3, 2)), 8)
+    header = ("word", "n", "x", "y", "height_nats")
+    rows = list(_orbit_rows(records, DEFAULT_PRECISION))
+    xs = [row[2] for row in rows]
+    assert any(x.startswith("-0x") for x in xs)
+    assert any(x.startswith("0x") for x in xs)
+    assert any(x.startswith("-") and "0x" not in x for x in xs)
+    _write_csv(tmp_path / "fast.csv", header, iter(rows))
+    assert ((tmp_path / "fast.csv").read_bytes()
+            == _csv_module_bytes(tmp_path / "ref.csv", header, rows))
+
+
+def test_ratios_csv_bytes_match_the_csv_module(tmp_path):
+    # The orbit of 2 starts at 2/1, whose ratio field is empty.
+    _, (header, rows), _ = _cmd_ratios(load_config(CONFIGS / "ratios_quadratic.json"), 1)
+    assert any(row[3] == "" for row in rows) and any(row[3] != "" for row in rows)
+    _write_csv(tmp_path / "fast.csv", header, rows)
+    assert ((tmp_path / "fast.csv").read_bytes()
+            == _csv_module_bytes(tmp_path / "ref.csv", header, rows))
+
+
+@pytest.mark.parametrize("row", [
+    ("1", 1, "2,3"), ("1", 1, 'say "x"'), ("1", 1, "a\nb"), ("1", 1, "a\rb"),
+    ("1", 1), ("1", 1, 2, 3), ("1", 1, None)])
+def test_csv_writer_refuses_a_field_csv_would_change(tmp_path, row):
+    with pytest.raises(RuntimeError):
+        _write_csv(tmp_path / "bad.csv", ("a", "b", "c"), [("0", 0, "ok"), row])
