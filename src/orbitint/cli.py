@@ -4,7 +4,10 @@ Reports are JSON (CSV for series), written under the output directory with
 the subcommand name and a hash of the config in the filename.  Identical
 (config, seed, version) triples produce byte-identical reports regardless of
 the worker count.  Exit codes: 0 success, 1 a failed verify suite,
-2 validation error, 3 work-limit abort.
+2 validation error, 3 work-limit abort, 4 internal fault (any other
+exception, such as a CSV row the writer refuses).  Every error ends stderr
+with one JSON line {"error", "kind"}, kind "validation", "work-limit" or
+"internal"; an internal fault prints its traceback above that line.
 
 This is the one module that knows the report schema (meta.reportSchema 2):
 camelCase keys, integers as proj1.int_text writes them, floats as repr; the
@@ -401,6 +404,12 @@ def main(argv=None) -> int:
     except WorkLimitExceeded as exc:
         print(_error_json("work-limit", exc), file=sys.stderr)
         return 3
+    except Exception as exc:  # a fault of the program, not of the input
+        import traceback  # only here: the import would add to every start-up
+
+        traceback.print_exc(file=sys.stderr)
+        print(_error_json("internal", exc), file=sys.stderr)
+        return 4
 
 
 if __name__ == "__main__":

@@ -12,13 +12,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
+from . import polys
 from .heights import HeightEstimate, canonical_height_word, system_bounds
 from .logvals import DEFAULT_PRECISION, LogExpr, _Infinite
 from .orbits import (DEFAULT_LIMITS, WorkLimits, enumerate_tree, find_cycle,
                      iterate_word)
-from .places import PlaceSet, is_s_unit, log_plus_abs
+from .places import PlaceSet, is_s_unit, log_plus_abs, strip_prime
 from .proj1 import ProjPoint, chordal_sum
-from .ratmap import MapSystem
+from .ratmap import MapSystem, RatMap
 from .words import Word
 
 
@@ -136,16 +137,94 @@ class CensusReport:
         return [rec.point.affine() for rec in self.hits]
 
 
+# The census screens the leaves of a node of at least SCREEN_BITS bits: the
+# exact children of a smaller node cost less than the screen.  The screen's
+# box keeps TOP_BITS bits of the smaller coordinate, and at most BOX_BITS of
+# the larger; it reads v_p modulo p^RESIDUE_DIGITS first.
+SCREEN_BITS = 1024
+TOP_BITS = 64
+BOX_BITS = 2048
+RESIDUE_DIGITS = 64
+
+
+class NonUnitLeaves:
+    """The census's leaf test: the letters of a last-level node [x : y]
+    whose leaf is certainly not an S-unit point, decided without building
+    the leaf.  Picklable, so census workers share it.
+
+    The leaf of phi = F/G is [F(x, y) : G(x, y)] divided by a common factor
+    g of R = |Res(F, G)|, so its denominator |G(x, y)|/g can be an S-unit
+    only if G(x, y) != 0 and |G(x, y)| <= R * prod_{p in S} p^v_p(G(x, y)).
+    A letter is ruled out when both sides are bounded and this fails:
+    - |G(x, y)| >= 2^floor_bits, from exact integer bounds on G over the box
+      of the top bits of x and y at one shared exponent 2^shift (an
+      enclosure that contains 0 rules out nothing);
+    - v_p(G(x, y)) exactly, as v_p of G(x mod p^K, y mod p^K) mod p^K once
+      that residue is not 0; K doubles while it is, as long as p^K fits
+      the bound;
+    - R * prod p^v < 2^floor_bits, compared as bit lengths.
+    """
+
+    def __init__(self, s: PlaceSet):
+        self.primes = s.finite_primes
+
+    def __call__(self, system: MapSystem, node: ProjPoint) -> set[int]:
+        low, bits = sorted((node.x.bit_length(), node.y.bit_length()))
+        if bits < SCREEN_BITS:
+            return set()
+        shift = max(0, low - TOP_BITS, bits - BOX_BITS)
+        width = 1 if shift else 0   # the box is the point itself when exact
+        xs = (node.x >> shift, (node.x >> shift) + width)
+        ys = (node.y >> shift, (node.y >> shift) + width)
+        residues: dict[int, tuple] = {}   # p^K -> (x mod p^K, y mod p^K, table)
+        return {letter for letter, phi in enumerate(system.maps, start=1)
+                if self._rules_out(phi, node, shift, xs, ys, residues)}
+
+    def _rules_out(self, phi: RatMap, node: ProjPoint, shift: int, xs, ys,
+                   residues: dict) -> bool:
+        lo, hi = polys.form_bounds(phi.g, phi.degree, xs, ys)
+        if lo <= 0 <= hi:
+            return False
+        floor_bits = min(abs(lo), abs(hi)).bit_length() - 1 + shift * phi.degree
+        # R * part < 2^floor_bits once part, the S-part of G(x, y), has at
+        # most budget bits.
+        budget = floor_bits - phi.resultant.bit_length()
+        part = 1
+        for p in self.primes:
+            digits = RESIDUE_DIGITS
+            while not (value := _residue(phi, node, p ** digits, residues)):
+                # p^digits divides G(x, y): more digits help only while it fits.
+                if (part * p ** digits).bit_length() > budget:
+                    return False
+                digits *= 2
+            part *= p ** strip_prime(value, p)[0]
+        return part.bit_length() <= budget
+
+
+def _residue(phi: RatMap, node: ProjPoint, modulus: int, residues: dict) -> int:
+    """G(x, y) mod modulus from x and y mod modulus; the maps at one node
+    share one residue table per modulus."""
+    if modulus not in residues:
+        xm, ym = node.x % modulus, node.y % modulus
+        residues[modulus] = (xm, ym, polys.Monomials(xm, ym))
+    return polys.eval_homogeneous((), phi.g, phi.degree, *residues[modulus])[1] % modulus
+
+
 def s_integral_census(system: MapSystem, point: ProjPoint, s: PlaceSet,
                       depth: int, limits: WorkLimits = DEFAULT_LIMITS,
                       workers: int = 1) -> CensusReport:
     """Distinct orbit points (one or more steps deep) with S-integral affine
     coordinate; the point at infinity has none and is skipped.  Orbit points
-    are canonical, so y is the reduced denominator of the affine coordinate."""
+    are canonical, so y is the reduced denominator of the affine coordinate.
+
+    Leaves that NonUnitLeaves rules out are never built.  Such a leaf is not
+    an S-unit point, and neither is any other record of its point, so
+    dropping it removes no hit and changes no hit's first record.
+    """
     if not s.contains_infinite:
         raise ValueError("S must contain the archimedean place")
-    records = enumerate_tree(system, point, depth, dedupe=True,
-                             limits=limits, workers=workers)
+    records = enumerate_tree(system, point, depth, dedupe=True, limits=limits,
+                             workers=workers, skip=NonUnitLeaves(s))
     hits = tuple(rec for rec in records
                  if rec.depth > 0 and not rec.point.is_infinite
                  and is_s_unit(rec.point.y, s))

@@ -2,9 +2,13 @@
 
 `children` is the one place a tree node expands: it checks the node's bits
 and evaluates its k children in letter order from one shared monomial table
-of the node's point.  `walk_tree` yields (word, point) in preorder (prefixes
-first, letters ascending) on an explicit stack, and `fold_tree` fans the
-tree out by first letter for parallel workers and concatenates the parts.
+of the node's point, less the letters a consumer's test (`LeafTest`) rules
+out.  `walk_tree` yields (word, point) in preorder (prefixes first, letters
+ascending) on an explicit stack, and `fold_tree` fans the tree out by first
+letter for parallel workers and concatenates the parts.  Both apply a
+consumer's test at the last level only, so a consumer that needs only some
+leaves (the census needs the possible S-unit points) never builds the
+others; every other consumer gets all leaves.
 `walk_word` applies one map per step along a word, sharing one lazily
 extended point list between passes over one orbit, and `find_cycle` scans
 that list for a repeat.  `WorkLimits` is the one way a cap reaches the
@@ -18,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from itertools import islice
-from typing import Callable, Iterable, Iterator, Optional
+from typing import Callable, Container, Iterable, Iterator, Optional
 
 from . import polys
 from .errors import WorkLimitExceeded
@@ -63,8 +67,9 @@ class WorkLimits:
                 bits=bits)
 
     def check_nodes(self, k: int, depth: int):
-        """Reject a k-ary tree of the given depth before it is walked.  Every
-        node is evaluated, so the cap counts all 1 + k + ... + k^depth."""
+        """Reject a k-ary tree of the given depth before it is walked.  The
+        cap counts all 1 + k + ... + k^depth nodes, leaves that a consumer's
+        test rules out without building them included."""
         if depth < 0:
             raise ValueError("depth must be nonnegative")
         self._check_count("tree", _tree_size(k, depth))
@@ -86,6 +91,10 @@ class WorkLimits:
 
 
 DEFAULT_LIMITS = WorkLimits()
+
+# A consumer's test at the last level of a tree: given the system and a node
+# whose children are leaves, the letters whose leaf it does not need.
+LeafTest = Callable[[MapSystem, ProjPoint], Container[int]]
 
 
 @dataclass(frozen=True)
@@ -139,52 +148,65 @@ def find_cycle(system: MapSystem, word: Word, memo: list, steps: int,
     return None
 
 
-def children(system: MapSystem, point: ProjPoint, limits: WorkLimits) -> list[ProjPoint]:
+def children(system: MapSystem, point: ProjPoint, limits: WorkLimits,
+             skip: Optional[LeafTest] = None) -> list[Optional[ProjPoint]]:
     """The k children of a tree node, in letter order, after its bits are
-    checked.  The k maps read one monomial table of the node's point."""
+    checked.  skip, when given, names the letters whose child is not built
+    (it stands as None in the list).  The maps read one lazily built
+    monomial table of the node's point."""
     limits.check_bits(point)
+    skipped = skip(system, point) if skip is not None else ()
     table = polys.Monomials(point.x, point.y)
-    return [eval_point(phi, point, table) for phi in system.maps]
+    return [None if letter in skipped else eval_point(phi, point, table)
+            for letter, phi in enumerate(system.maps, start=1)]
 
 
 def walk_tree(system: MapSystem, point: ProjPoint, depth: int,
-              limits: WorkLimits = DEFAULT_LIMITS,
-              prefix: tuple = ()) -> Iterator[tuple[tuple, ProjPoint]]:
+              limits: WorkLimits = DEFAULT_LIMITS, prefix: tuple = (),
+              skip: Optional[LeafTest] = None) -> Iterator[tuple[tuple, ProjPoint]]:
     """Yield (word, point) for the subtree under prefix, in preorder, down to
     words of the given length.  Children wait on an explicit stack, last
-    letter at the bottom, so the walk never recurses."""
+    letter at the bottom, so the walk never recurses.  skip, when given, is
+    the consumer's test at the last level only: the leaves it names are
+    neither built nor yielded."""
     stack = [(prefix, point)]
     while stack:
         word, node = stack.pop()
         yield word, node
         if len(word) < depth:
-            kids = enumerate(children(system, node, limits), start=1)
-            stack.extend(reversed([(word + (letter,), kid) for letter, kid in kids]))
+            kids = children(system, node, limits,
+                            skip if len(word) == depth - 1 else None)
+            stack.extend(reversed([(word + (letter,), kid)
+                                   for letter, kid in enumerate(kids, start=1)
+                                   if kid is not None]))
 
 
 def _fold_subtree(args) -> list:
-    fold, system, point, prefix, depth, limits = args
-    return fold(walk_tree(system, point, depth, limits, prefix))
+    fold, system, point, prefix, depth, limits, skip = args
+    return fold(walk_tree(system, point, depth, limits, prefix, skip))
 
 
 def fold_tree(system: MapSystem, point: ProjPoint, depth: int,
               fold: Callable[[Iterable], list],
-              limits: WorkLimits = DEFAULT_LIMITS, workers: int = 1) -> list:
+              limits: WorkLimits = DEFAULT_LIMITS, workers: int = 1,
+              skip: Optional[LeafTest] = None) -> list:
     """fold applied to the preorder walk of the tree, as one list.
 
     With workers > 1 the root is expanded here, each first-letter subtree is
     folded in a worker process, and the parts are concatenated in letter
     order after the root's.  A fold that maps each node on its own (fold
-    must be picklable) therefore gives the same list for any worker count.
-    The node cap is checked here, before any evaluation.
+    and skip must be picklable) therefore gives the same list for any worker
+    count.  skip is the last-level test of walk_tree.  The node cap is
+    checked here, before any evaluation.
     """
     limits.check_nodes(system.k, depth)
     if workers <= 1 or depth == 0:
-        return fold(walk_tree(system, point, depth, limits))
+        return fold(walk_tree(system, point, depth, limits, skip=skip))
     from concurrent.futures import ProcessPoolExecutor
 
-    tasks = [(fold, system, child, (letter,), depth, limits)
-             for letter, child in enumerate(children(system, point, limits), start=1)]
+    kids = children(system, point, limits, skip if depth == 1 else None)
+    tasks = [(fold, system, child, (letter,), depth, limits, skip)
+             for letter, child in enumerate(kids, start=1) if child is not None]
     out = fold([((), point)])
     with ProcessPoolExecutor(max_workers=workers) as pool:
         for part in pool.map(_fold_subtree, tasks):
@@ -212,14 +234,16 @@ def _records(nodes: Iterable[tuple[tuple, ProjPoint]]) -> list[OrbitRecord]:
 
 def enumerate_tree(system: MapSystem, point: ProjPoint, depth: int,
                    dedupe: bool = False, limits: WorkLimits = DEFAULT_LIMITS,
-                   workers: int = 1) -> list[OrbitRecord]:
-    """All orbit records to the given depth, in preorder word order.
+                   workers: int = 1,
+                   skip: Optional[LeafTest] = None) -> list[OrbitRecord]:
+    """All orbit records to the given depth, in preorder word order, less
+    the leaves that the last-level test skip rules out (see walk_tree).
 
     With dedupe=True only the first record per distinct point is kept (the
     witness word is the lexicographically least, by traversal order).  Output
     is independent of the worker count.
     """
-    records = fold_tree(system, point, depth, _records, limits, workers)
+    records = fold_tree(system, point, depth, _records, limits, workers, skip)
     if not dedupe:
         return records
     first: dict[ProjPoint, OrbitRecord] = {}

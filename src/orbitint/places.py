@@ -146,6 +146,11 @@ class PlaceSet:
     def __setattr__(self, name, value):
         raise AttributeError("PlaceSet is immutable")
 
+    def __reduce__(self):
+        # Rebuilt through __init__: the unpickler's slot state would go
+        # through __setattr__, which refuses it.
+        return PlaceSet, (tuple(self),)
+
     @classmethod
     def parse(cls, names: Iterable[str]) -> "PlaceSet":
         return cls(Place.parse(s) for s in names)

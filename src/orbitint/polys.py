@@ -7,7 +7,8 @@ give the cofactor identities behind certified height-difference constants,
 and one homogeneous evaluator.  The evaluator reads a per-point table of
 monomials x^i * y^j (`Monomials`) that several forms at one point can share,
 so binary forms cost one product per distinct monomial plus linear-time
-small-coefficient sums.
+small-coefficient sums.  `form_bounds` encloses a form's values over a box
+with integer corners, for tests that need only the size of a value.
 """
 
 from __future__ import annotations
@@ -141,6 +142,35 @@ def eval_homogeneous(f: Sequence, g: Sequence, d: int, x: int, y: int,
                 scaled = term if b == 1 else b * term
                 v = v + scaled if v else scaled
     return u, v
+
+
+def _power_bounds(lo: int, hi: int, n: int) -> tuple[int, int]:
+    """Exact bounds on t^n over the real interval lo <= t <= hi."""
+    if lo >= 0 or n % 2 or n == 0:
+        return lo ** n, hi ** n
+    if hi <= 0:
+        return hi ** n, lo ** n
+    return 0, max(lo ** n, hi ** n)
+
+
+def form_bounds(cs: Sequence, d: int, xs: tuple[int, int],
+                ys: tuple[int, int]) -> tuple[int, int]:
+    """Integer bounds (lo, hi) on the degree-d form sum of cs[i] X^i Y^(d-i)
+    over the box xs[0] <= X <= xs[1], ys[0] <= Y <= ys[1].
+
+    Each monomial is bounded exactly and the bounds are added, so the
+    enclosure is certified; it is as wide as the box makes the terms, and
+    only as tight as their sum does not cancel.
+    """
+    lo = hi = 0
+    for i, c in enumerate(cs):
+        if c:
+            xlo, xhi = _power_bounds(*xs, i)
+            ylo, yhi = _power_bounds(*ys, d - i)
+            ends = (xlo * ylo, xlo * yhi, xhi * ylo, xhi * yhi)
+            a, b = c * min(ends), c * max(ends)
+            lo, hi = (lo + a, hi + b) if c > 0 else (lo + b, hi + a)
+    return lo, hi
 
 
 def content(a: Sequence[int]) -> int:

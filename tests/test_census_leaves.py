@@ -1,0 +1,183 @@
+"""The census's leaf test: a leaf it rules out is never an S-unit point, and
+the census with the test equals its definition, the deduplicated tree
+filtered by is_s_unit, record for record."""
+
+import json
+import random
+from pathlib import Path
+
+import pytest
+
+from orbitint import integrality, orbits
+from orbitint.cli import _record_json, main
+from orbitint.config import parse_config
+from orbitint.integrality import NonUnitLeaves, s_integral_census
+from orbitint.orbits import enumerate_tree
+from orbitint.places import PlaceSet, is_s_unit
+from orbitint.proj1 import INFINITY, ProjPoint, normalize
+from orbitint.ratmap import MapSystem, eval_point, make_map, parse_map
+from orbitint.verify import random_point, random_system
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+PLACE_SETS = [["inf"], ["inf", "p2"], ["inf", "p2", "p3"], ["inf", "p2", "p5"]]
+
+
+def definition(system, point, s, depth):
+    """The census as defined: every record built, deduplicated, filtered."""
+    return [rec for rec in enumerate_tree(system, point, depth, dedupe=True)
+            if rec.depth > 0 and not rec.point.is_infinite
+            and is_s_unit(rec.point.y, s)]
+
+
+def assert_sound(system, node, s):
+    """Every letter the test rules out has a leaf that is not an S-unit
+    point; returns the ruled-out letters."""
+    out = NonUnitLeaves(s)(system, node)
+    for letter in out:
+        leaf = eval_point(system.map_for_letter(letter), node)
+        assert not leaf.is_infinite and not is_s_unit(leaf.y, s), (node, letter)
+    return out
+
+
+def pell(bits):
+    """[x : y] with x^2 - 2y^2 = +-1 and x above the given size."""
+    x, y = 3, 2
+    while x.bit_length() <= bits:
+        x, y = 3 * x + 4 * y, 2 * x + 3 * y
+    return ProjPoint(x, y)
+
+
+def test_census_equals_definition_on_random_systems(monkeypatch):
+    calls = []
+    monkeypatch.setattr(orbits, "eval_point",
+                        lambda *args: calls.append(1) or eval_point(*args))
+    screened = 0
+    for seed in range(8):
+        rng = random.Random(f"census-leaves:{seed}")
+        system = random_system(rng, k_max=2, max_degree=3)
+        point = random_point(rng)
+        depth = {1: 8, 2: 7}[system.k] + rng.randrange(-1, 2)
+        s = PlaceSet.parse(PLACE_SETS[seed % 4])
+        expected = definition(system, point, s, depth)
+        calls.clear()
+        assert s_integral_census(system, point, s, depth).hits == tuple(expected)
+        screened += len(calls) < orbits._tree_size(system.k, depth) - 1
+    # Most trees have leaves the test rules out (an orbit of integers has
+    # none: every leaf is a hit).
+    assert screened >= 6
+
+
+@pytest.mark.parametrize("names", PLACE_SETS)
+def test_census_equals_definition_for_each_place_set(names):
+    s = PlaceSet.parse(names)
+    for text, point in (("bounds_mixed", normalize(-3)),
+                        ("census_hypothesis_pair", normalize(1, 2))):
+        config = parse_config(json.loads((CONFIGS / f"{text}.json").read_text(encoding="utf-8")))
+        assert s_integral_census(config.system, point, s, 8).hits \
+            == tuple(definition(config.system, point, s, 8))
+
+
+def test_every_node_is_screened_when_the_threshold_is_lifted(monkeypatch):
+    """With SCREEN_BITS 0 the test runs at small nodes too, where the box is
+    the point itself: zeros of G, R = 1 and negative x all occur."""
+    monkeypatch.setattr(integrality, "SCREEN_BITS", 0)
+    rng = random.Random(401)
+    for trial in range(12):
+        system = random_system(rng, k_max=2, max_degree=3)
+        point = normalize(rng.randrange(-30, 31), rng.randrange(1, 8))
+        s = PlaceSet.parse(PLACE_SETS[trial % 4])
+        depth = 6 if system.k == 2 else 8
+        assert s_integral_census(system, point, s, depth).hits \
+            == tuple(definition(system, point, s, depth))
+
+
+def test_ruled_out_leaves_are_never_s_units():
+    rng = random.Random(409)
+    for _ in range(30):
+        system = random_system(rng, k_max=3, max_degree=4)
+        s = PlaceSet.parse(rng.choice(PLACE_SETS))
+        for node in (random_point(rng, 1 << 3000), random_point(rng, 1 << 1100)):
+            assert_sound(system, node, s)
+            assert_sound(system, normalize(-node.x, node.y or 1), s)
+
+
+def test_leaf_at_infinity_is_kept():
+    # G = y(y0 x - x0 y) vanishes at the node [x0 : y0], whose child is inf.
+    x0, y0 = (1 << 1500) + 1, (1 << 1499) + 3
+    system = MapSystem([make_map([0, 0, 1], [-x0, y0])])
+    node = normalize(x0, y0)
+    assert eval_point(system.maps[0], node) == INFINITY
+    assert assert_sound(system, node, PlaceSet.parse(["inf"])) == set()
+
+
+def test_resultant_one_and_negative_x():
+    # z^3 - 2 has G = y^3 and R = 1: the leaf is an S-unit exactly when y is.
+    system = MapSystem([parse_map("z^3-2")])
+    assert system.maps[0].resultant == 1
+    s = PlaceSet.parse(["inf", "p2"])
+    odd = (1 << 1200) + 1
+    assert assert_sound(system, ProjPoint(-(3 ** 800), odd), s) == {1}
+    assert assert_sound(system, ProjPoint(-(3 ** 800), 1 << 1200), s) == set()
+    assert assert_sound(system, ProjPoint(3 ** 800 + 2, 1), s) == set()
+
+
+def test_common_factor_of_the_resultant():
+    # (z^2 + 2)/3 has G = 3y^2 and R = 9.  At x = 5^500, y = 2^600, 3 divides
+    # F = x^2 + 2y^2 too, so the leaf's denominator is y^2, a 2-unit, though
+    # |G| exceeds its 2-part: only the factor R keeps the leaf.
+    system = MapSystem([parse_map("(z^2+2)/3")])
+    node = ProjPoint(5 ** 500, 1 << 600)
+    s = PlaceSet.parse(["inf", "p2"])
+    assert system.maps[0].resultant == 9
+    assert eval_point(system.maps[0], node).y == 1 << 1200
+    assert assert_sound(system, node, s) == set()
+    assert assert_sound(system, ProjPoint(5 ** 500, 3 ** 20 << 600), s) == {1}
+
+
+def test_two_adic_valuation_past_the_first_residue():
+    # (z^2 + 1)/z has G = xy and R = 1; y = 2^1200 puts G in 2^64 Z, so the
+    # residue test doubles its digits until it reads v_2(G) = 1200.
+    system = MapSystem([parse_map("(z^2+1)/z")])
+    node = ProjPoint(5 ** 500, 1 << 1200)
+    assert assert_sound(system, node, PlaceSet.parse(["inf", "p2", "p5"])) == set()
+    assert assert_sound(system, node, PlaceSet.parse(["inf", "p2"])) == {1}
+    assert assert_sound(system, ProjPoint(1001 * 5 ** 500, 1 << 1200),
+                        PlaceSet.parse(["inf", "p2", "p5"])) == {1}
+
+
+def test_enclosure_straddling_zero_keeps_the_leaf():
+    # G = x^2 - 2y^2 is +-1 at a Pell point: the top-bit box contains 0, and
+    # the leaf, with denominator 1, is a hit.
+    system = MapSystem([parse_map("(z^2+1)/(z^2-2)")])
+    node = pell(1100)
+    s = PlaceSet.parse(["inf"])
+    assert assert_sound(system, node, s) == set()
+    assert is_s_unit(eval_point(system.maps[0], node).y, s)
+
+
+def test_bounds_mixed_census_builds_few_leaves(monkeypatch):
+    config = parse_config(json.loads((CONFIGS / "bounds_mixed.json").read_text(encoding="utf-8")))
+    expected = definition(config.system, normalize(3), config.places, 11)
+    calls = []
+    monkeypatch.setattr(orbits, "eval_point",
+                        lambda *args: calls.append(1) or eval_point(*args))
+    census = s_integral_census(config.system, normalize(3), config.places, 11)
+    assert census.count == 11 and census.hits == tuple(expected)
+    assert len(calls) <= 2_100  # 4,094 with every leaf built
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("path", sorted(CONFIGS.glob("*.json")), ids=lambda p: p.stem)
+def test_census_at_depth_9_on_shipped_configs(path, workers, tmp_path):
+    raw = json.loads(path.read_text(encoding="utf-8"))
+    raw.pop("boundParameters", None)  # the hits alone, without the hmin scan
+    config = parse_config({**raw, "depth": 9})
+    cfg = tmp_path / path.name
+    cfg.write_text(json.dumps(config.raw), encoding="utf-8")
+    out = tmp_path / "reports"
+    assert main(["census", "--config", str(cfg), "--out", str(out),
+                 "--workers", str(workers)]) == 0
+    report = json.loads(next(out.glob("census_*.json")).read_text(encoding="utf-8"))
+    expected = definition(config.system, config.point, config.places, 9)
+    assert report["hits"] == [_record_json(rec) for rec in expected]
+    assert report["count"] == len(expected)

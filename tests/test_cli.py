@@ -145,6 +145,21 @@ def test_exit_code_validation_error(tmp_path, capsys):
     assert payload["kind"] == "validation"
 
 
+def test_exit_code_internal_fault(tmp_path, capsys, monkeypatch):
+    # A fault of the program, here a CSV row the writer refuses, is neither a
+    # validation error (2) nor a failed verify suite (1).
+    import orbitint.cli as cli
+
+    monkeypatch.setattr(cli, "_orbit_rows",
+                        lambda records, prec: iter([("1,2", 0, "1", "1", "0.0")]))
+    cfg = write_config(tmp_path, GAMMA_CONFIG)
+    assert main(["orbit", "--config", cfg, "--out", str(tmp_path)]) == 4
+    err = capsys.readouterr().err.strip().splitlines()
+    payload = json.loads(err[-1])
+    assert payload["kind"] == "internal" and "csv" in payload["error"].lower()
+    assert err[0].startswith("Traceback") and "RuntimeError" in err[-2]
+
+
 def test_exit_code_unknown_key(tmp_path, capsys):
     # seed comes from --seed; a config key would only change the file hash.
     for bad in ({"bogus": 1}, {"workLimits": {"bitcap": 5}}, {"seed": 0}):

@@ -107,6 +107,44 @@ def test_node_cap_counts_every_node(pair_system):
             consumer(pair_system, normalize(2, 1), -1)
 
 
+class SkipLetters:
+    """A picklable last-level test that rules out the same letters at every
+    node; it refuses to see a node over its bit limit."""
+
+    def __init__(self, letters, max_bits=None):
+        self.letters = frozenset(letters)
+        self.max_bits = max_bits
+
+    def __call__(self, system, node):
+        assert self.max_bits is None or WorkLimits.bits_of(node) <= self.max_bits
+        return self.letters
+
+
+def test_skip_applies_at_the_last_level_only(pair_system):
+    for depth in (1, 2, 4):
+        full = enumerate_tree(pair_system, normalize(2, 1), depth)
+        expected = [r for r in full if not (r.depth == depth and r.word[-1] == 1)]
+        assert len(expected) == len(full) - 2 ** (depth - 1)
+        for workers in (1, 2):
+            assert enumerate_tree(pair_system, normalize(2, 1), depth, workers=workers,
+                                  skip=SkipLetters({1})) == expected
+
+
+def test_caps_count_and_check_skipped_leaves(pair_system):
+    # The node cap counts leaves that are never built, and a last-level node
+    # is bit-checked before the consumer's test sees it.
+    big = normalize(2 ** 100 + 1, 1)
+    for workers in (1, 2):
+        with pytest.raises(WorkLimitExceeded) as exc:
+            enumerate_tree(pair_system, normalize(2, 1), 4, workers=workers,
+                           limits=WorkLimits(node_cap=20), skip=SkipLetters({1, 2}))
+        assert exc.value.nodes == 31
+        with pytest.raises(WorkLimitExceeded) as exc:
+            enumerate_tree(pair_system, big, 1, workers=workers,
+                           limits=WorkLimits(bit_cap=64), skip=SkipLetters({1, 2}, 64))
+        assert exc.value.bits == 101
+
+
 def test_hypothesis_check_examples(z2):
     report = hypothesis_check(MapSystem([z2]), INFINITY, 3)
     assert not report.repeated_point_free and not report.totally_ramified_free

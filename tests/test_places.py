@@ -1,4 +1,5 @@
 import math
+import pickle
 import random
 from fractions import Fraction
 
@@ -9,6 +10,7 @@ from orbitint.places import (FactorizationError, INFINITE_PLACE, Place,
                              PlaceSet, abs_log, factorize, is_probable_prime,
                              is_s_integer, is_s_unit, log_plus_abs,
                              padic_valuation, strip_prime, support_places)
+from orbitint.orbits import WorkLimits
 from orbitint.verify import random_factored_int
 
 
@@ -86,6 +88,19 @@ def test_place_set_order_and_json():
     assert [str(v) for v in s] == ["inf", "p2", "p5"]
     assert s.contains_infinite and s.finite_primes == (2, 5)
     assert len(s) == 3
+
+
+def test_places_and_limits_survive_pickling():
+    # Census workers receive the place set and the limits by pickle.
+    s = PlaceSet.parse(["inf", "p2"])
+    for value in (Place(7), INFINITE_PLACE, s, PlaceSet([]),
+                  WorkLimits(node_cap=31, bit_cap=1 << 20)):
+        copy = pickle.loads(pickle.dumps(value))
+        assert copy == value and hash(copy) == hash(value)
+    copy = pickle.loads(pickle.dumps(s))
+    assert list(copy) == list(s) and copy.finite_primes == (2,)
+    with pytest.raises(AttributeError):
+        copy.places = frozenset()
 
 
 def test_product_formula_random():
