@@ -1,9 +1,13 @@
 """Certified canonical heights along words and for whole map systems.
 
-Every estimate is an interval whose endpoints are exact log expressions; the
-radius comes from per-map height-difference constants summed along the word.
-One-sided constants are tracked separately, so monomial-like maps (whose
-height transforms exactly) get zero-width intervals up to rounding.
+Every estimate is a certified interval; the radius comes from per-map
+height-difference constants summed along the word.  One-sided constants are
+tracked separately, so monomial-like maps (whose height transforms exactly)
+get zero-width intervals up to rounding.  A word estimate keeps its endpoints
+as exact log expressions.  A system estimate carries exact rational
+endpoints: the enclosures of its two log expressions at the precision it was
+computed at, whose leaf atoms it may know only by their boxes at that
+precision (see canonical_height_system).
 """
 
 from __future__ import annotations
@@ -15,9 +19,13 @@ from fractions import Fraction
 from functools import partial
 from typing import Iterable, Optional, Sequence
 
+from mpmath.libmp import (from_int, from_man_exp, round_ceiling, round_floor,
+                          to_rational)
+
 from . import polys
-from .logvals import DEFAULT_PRECISION, LogExpr
-from .orbits import DEFAULT_LIMITS, WorkLimits, find_cycle, fold_tree, walk_word
+from .logvals import DEFAULT_PRECISION, LogExpr, interval_sum
+from .orbits import (DEFAULT_LIMITS, WorkLimits, children, find_cycle, fold_tree,
+                     walk_word)
 from .proj1 import ProjPoint, normalize
 from .ratmap import MapSystem, RatMap, eval_point
 from .words import Word, degree_products, iter_periodic_words
@@ -113,9 +121,13 @@ def system_c(bounds: Sequence[HeightDifferenceBound]) -> LogExpr:
 class HeightEstimate:
     """Certified interval for a canonical height.
 
-    lo_expr and hi_expr are exact; floats are materialized on demand.  lo_expr
-    may be negative; lo() is the one floor at 0.0 (canonical heights are
-    nonnegative).  target_met is False only when the bit cap stopped the walk.
+    lo_expr and hi_expr are exact: log expressions for a word estimate, and
+    rational constants for a system estimate (the endpoints of its sums at
+    the prec it was computed at, so lo() and hi() at that prec give the
+    floats of the full expressions).  Floats are materialized on demand.
+    lo_expr may be negative; lo() is the one floor at 0.0 (canonical heights
+    are nonnegative).  target_met is False only when the bit cap stopped the
+    walk.
     """
 
     lo_expr: LogExpr
@@ -221,9 +233,136 @@ def canonical_height_word(system: MapSystem, word: Word, point: ProjPoint,
                           not truncated, word)
 
 
-def _leaf_terms(depth: int, nodes: Iterable[tuple[tuple, ProjPoint]]) -> list:
-    """Raw LogExpr terms of the leaf heights among the walked nodes."""
-    return [term for word, p in nodes if len(word) == depth for term in p.height().terms]
+# canonical_height_system encloses the leaves of a last-level node of at
+# least LEAF_BITS bits instead of building them: below that the k exact
+# children cost less than the enclosure.  The box keeps BOX_PER_PREC bits of
+# the larger coordinate per bit of the estimate's precision.
+LEAF_BITS = 1024
+BOX_PER_PREC = 4
+
+
+def _abs_bounds(lo: int, hi: int) -> tuple[int, int]:
+    """Bounds on |t| over lo <= t <= hi."""
+    if lo > 0:
+        return lo, hi
+    if hi < 0:
+        return -hi, -lo
+    return 0, max(-lo, hi)
+
+
+def _leaf_boxes(system: MapSystem, node: ProjPoint, prec: int) -> dict[int, tuple]:
+    """letter -> iv.mpf(N) at prec, as raw mpf endpoints, for each leaf of the
+    node whose atom N = max(|F(x, y)|, |G(x, y)|)/g this certifies without
+    building the leaf.
+
+    g = gcd(F(x, y), G(x, y)) divides R = |Res(F, G)| (see eval_point), so it
+    is gcd(R, F mod R, G mod R), read from x and y mod R.  polys.form_bounds
+    over the top-bits box of (x, y) bounds the larger of |F| and |G|, so
+    m_lo * 2^e <= N <= m_hi * 2^e.  A letter is kept only when N >= 2 (so N
+    is an atom) and both ends round to the same endpoints at prec: directed
+    rounding is monotone, so that box is exactly iv.mpf(N).
+    """
+    bits = BOX_PER_PREC * prec
+    shift, xs, ys = polys.top_bits_box(node.x, node.y, bits, bits)
+    boxes = {}
+    for letter, phi in enumerate(system.maps, start=1):
+        d, r = phi.degree, phi.resultant
+        f_lo, f_hi = _abs_bounds(*polys.form_bounds(phi.f, d, xs, ys))
+        g_lo, g_hi = _abs_bounds(*polys.form_bounds(phi.g, d, xs, ys))
+        u, v = polys.eval_homogeneous(phi.f, phi.g, d, node.x % r, node.y % r)
+        g = math.gcd(r, u % r, v % r)
+        m_lo, m_hi, e = max(f_lo, g_lo) // g, -(-max(f_hi, g_hi) // g), shift * d
+        if not m_lo or m_lo.bit_length() + e < 2:
+            continue
+        box = (from_man_exp(m_lo, e, prec, round_floor),
+               from_man_exp(m_lo, e, prec, round_ceiling))
+        if box == (from_man_exp(m_hi, e, prec, round_floor),
+                   from_man_exp(m_hi, e, prec, round_ceiling)):
+            boxes[letter] = box
+    return boxes
+
+
+def _leaf_atom(p: ProjPoint) -> int:
+    """max(|x|, |y|), the atom of h(p) (none when it is 1)."""
+    return max(abs(p.x), abs(p.y))
+
+
+def _last_level(system: MapSystem, depth: int, limits: WorkLimits, prec: int,
+                nodes: Iterable[tuple[tuple, ProjPoint]]) -> list:
+    """The leaves under the last-level nodes of a walk to depth - 1: the atom
+    of each built leaf, and (node, boxes) for a node whose leaves _leaf_boxes
+    enclosed.  The node is kept so that a leaf can still be built exactly."""
+    out: list = []
+    for word, node in nodes:
+        if len(word) < depth - 1:
+            continue
+        limits.check_bits(node)   # before the boxes, as children would
+        boxes = _leaf_boxes(system, node, prec) if limits.bits_of(node) >= LEAF_BITS else {}
+        out += [_leaf_atom(kid) for kid in children(system, node, limits, lambda *_: boxes)
+                if kid is not None]
+        if boxes:
+            out.append((node, boxes))
+    return out
+
+
+def _split_leaves(items: list) -> tuple[list, list, list]:
+    """(atoms, nodes, boxed) from _last_level's items: the built leaves'
+    atoms, the nodes with enclosed leaves, and (node index, letter, box)
+    for each enclosed leaf."""
+    atoms, nodes, boxed = [], [], []
+    for item in items:
+        if isinstance(item, int):
+            atoms.append(item)
+        else:
+            node, boxes = item
+            boxed += [(len(nodes), letter, box) for letter, box in boxes.items()]
+            nodes.append(node)
+    return atoms, nodes, boxed
+
+
+def _box_key(endpoint: tuple, prec: int) -> tuple[int, int]:
+    """Sort key of a positive raw mpf of at most prec bits: keys compare as
+    the values do."""
+    _sign, man, exp, bc = endpoint
+    return exp + bc, man << (prec - bc)
+
+
+def _atom_key(atom: int, prec: int) -> tuple[int, int]:
+    """_box_key of the lower end of iv.mpf(atom) at prec."""
+    return _box_key(from_int(atom, prec, round_floor), prec)
+
+
+def _overlapping(boxes: Sequence[tuple], exact: Iterable[int], prec: int) -> set[int]:
+    """Indices of the boxes that meet another box or the box of an exact
+    atom.  The others are disjoint from every atom, so their atoms neither
+    merge nor change places with any other atom in a sorted LogExpr."""
+    items = [(_atom_key(atom, prec), _box_key(from_int(atom, prec, round_ceiling), prec), None)
+             for atom in set(exact)]
+    items += [(_box_key(a, prec), _box_key(b, prec), i) for i, (a, b) in enumerate(boxes)]
+    items.sort(key=lambda item: item[0])
+    # Boxes sorted by lower end chain into clusters of boxes that meet; a box
+    # meets another exactly when its cluster has more than one member.
+    clusters: list[list] = []
+    reach = None
+    for lo, hi, index in items:
+        if reach is None or lo > reach:
+            clusters.append([])
+            reach = hi
+        clusters[-1].append(index)
+        reach = max(reach, hi)
+    return {i for cluster in clusters if len(cluster) > 1 for i in cluster if i is not None}
+
+
+def _with_boxes(expr: LogExpr, boxes: Sequence[tuple], coeff: Fraction,
+                prec: int) -> list:
+    """expr's terms and coeff * log of each boxed atom, in atom order; the
+    boxes are disjoint from every atom of expr (see _overlapping)."""
+    if not boxes:
+        return list(expr.terms)
+    keyed = [(_atom_key(atom, prec), atom, c) for atom, c in expr.terms]
+    keyed += [(_box_key(box[0], prec), box, coeff) for box in boxes]
+    keyed.sort(key=lambda item: item[0])
+    return [(atom, c) for _key, atom, c in keyed]
 
 
 def canonical_height_system(system: MapSystem, point: ProjPoint, depth: int = 6,
@@ -236,15 +375,26 @@ def canonical_height_system(system: MapSystem, point: ProjPoint, depth: int = 6,
     Evaluates the depth-n averaging operator (sum of h over all words of
     length n, divided by (d_1+...+d_k)^n) with one evaluation per tree node,
     plus a geometric tail certified by the contraction factor k/D <= 1/2.
+
+    prec is the binary precision of the result: the endpoints are the
+    prec-bit enclosures of the two exact log expressions, carried as exact
+    rationals, and the leaf boxes are taken at prec too.  A leaf under a
+    node of at least LEAF_BITS bits is not built when its atom is known by
+    its prec-bit box (_leaf_boxes) and that box meets no other atom of the
+    estimate; each other leaf is built once.  The sums then have the terms,
+    the order and the interval steps of the full expressions, so the
+    endpoints are theirs.
     """
     k, big_d = system.k, system.degree_sum
     if bounds is None:
         bounds = system_bounds(system)
+    limits.check_nodes(k, depth)
     # Summation commutes and term merging is canonical, so the sum does not
     # depend on how the worker count splits the tree.
-    terms = fold_tree(system, point, depth, partial(_leaf_terms, depth),
-                      limits, workers)
-    mid = LogExpr(terms) * Fraction(1, big_d ** depth)
+    atoms, nodes, boxed = _split_leaves(
+        [_leaf_atom(point)] if depth == 0 else
+        fold_tree(system, point, depth - 1, partial(_last_level, system, depth, limits, prec),
+                  limits, workers))
     sum_up = LogExpr.zero()
     sum_down = LogExpr.zero()
     for b in bounds:
@@ -252,8 +402,29 @@ def canonical_height_system(system: MapSystem, point: ProjPoint, depth: int = 6,
         sum_down = sum_down + b.lower
     # sup |T h - h| <= sum(upper)/D on the + side; tail is geometric in k/D.
     tail_coeff = Fraction(k ** depth, big_d ** depth) * Fraction(big_d, big_d - k) * Fraction(1, big_d)
+    up, down = sum_up * tail_coeff, sum_down * tail_coeff
+    exact = atoms + [atom for atom, _ in up.terms + down.terms]
+    rebuild: dict[int, set[int]] = {}
+    for j in _overlapping([box for _, _, box in boxed], exact, prec) if boxed else ():
+        rebuild.setdefault(boxed[j][0], set()).add(boxed[j][1])
+    # A node whose enclosed leaves meet another atom expands once more, for
+    # those leaves only; the other nodes are let go first.
+    nodes = [node if i in rebuild else None for i, node in enumerate(nodes)]
+    for i, letters in sorted(rebuild.items()):
+        node, nodes[i] = nodes[i], None
+        atoms += [_leaf_atom(kid) for kid in children(
+            system, node, limits, lambda *_: {j for j in range(1, k + 1) if j not in letters})
+            if kid is not None]
+    inv = Fraction(1, big_d ** depth)
+    mid = LogExpr((atom, 1) for atom in atoms) * inv
+    boxes = [box for i, letter, box in boxed if letter not in rebuild.get(i, ())]
+    logs: dict = {}   # lo and hi share every leaf's log box
+    lo_expr, hi_expr = mid - down, mid + up
+    lo = interval_sum(lo_expr.const, _with_boxes(lo_expr, boxes, inv, prec), prec, logs)
+    hi = interval_sum(hi_expr.const, _with_boxes(hi_expr, boxes, inv, prec), prec, logs)
     certified = all(b.certified for b in bounds)
-    return HeightEstimate(mid - sum_down * tail_coeff, mid + sum_up * tail_coeff,
+    return HeightEstimate(LogExpr.constant(Fraction(*to_rational(lo._mpi_[0]))),
+                          LogExpr.constant(Fraction(*to_rational(hi._mpi_[1]))),
                           depth, big_d ** depth, certified, True, None)
 
 

@@ -169,13 +169,9 @@ class NonUnitLeaves:
         self.primes = s.finite_primes
 
     def __call__(self, system: MapSystem, node: ProjPoint) -> set[int]:
-        low, bits = sorted((node.x.bit_length(), node.y.bit_length()))
-        if bits < SCREEN_BITS:
+        if WorkLimits.bits_of(node) < SCREEN_BITS:
             return set()
-        shift = max(0, low - TOP_BITS, bits - BOX_BITS)
-        width = 1 if shift else 0   # the box is the point itself when exact
-        xs = (node.x >> shift, (node.x >> shift) + width)
-        ys = (node.y >> shift, (node.y >> shift) + width)
+        shift, xs, ys = polys.top_bits_box(node.x, node.y, TOP_BITS, BOX_BITS)
         residues: dict[int, tuple] = {}   # p^K -> (x mod p^K, y mod p^K, table)
         return {letter for letter, phi in enumerate(system.maps, start=1)
                 if self._rules_out(phi, node, shift, xs, ys, residues)}

@@ -157,24 +157,8 @@ class LogExpr:
     # -- evaluation --------------------------------------------------------
 
     def interval(self, prec: int = DEFAULT_PRECISION):
-        """Enclosing mpmath interval at the given binary precision.
-
-        A zero constant is not added and a unit coefficient not multiplied:
-        both steps are exact, so the endpoints are those of the full sum.
-        """
-        old = iv.prec
-        iv.prec = prec
-        try:
-            const = self.const
-            total = iv.mpf(const.numerator) / iv.mpf(const.denominator) if const else None
-            for atom, coeff in self.terms:
-                term = iv.log(iv.mpf(atom))
-                if coeff != 1:
-                    term = iv.mpf(coeff.numerator) / iv.mpf(coeff.denominator) * term
-                total = term if total is None else total + term
-            return iv.mpf(0) if total is None else total
-        finally:
-            iv.prec = old
+        """Enclosing mpmath interval at the given binary precision."""
+        return interval_sum(self.const, self.terms, prec)
 
     def upper_bound(self, prec: int = DEFAULT_PRECISION) -> Fraction:
         """The upper endpoint of interval(prec) as an exact rational, so a
@@ -250,6 +234,41 @@ class LogExpr:
         if pos == neg:
             return 0
         return 1 if pos > neg else -1
+
+
+def interval_sum(const: Fraction, terms: Iterable[tuple], prec: int = DEFAULT_PRECISION,
+                 logs: Optional[dict] = None):
+    """const + sum of coeff*log(atom) over (atom, coeff) terms, as an mpmath
+    interval at prec bits, the terms added in the order given.
+
+    An atom is an integer >= 2, or an (a, b) pair of raw mpf endpoints equal
+    to iv.mpf of such an integer at prec (an atom known only by its box).
+    logs, when given, maps each atom to its log box at prec and is extended,
+    so sums that share atoms take each log once.  A zero constant is not
+    added and a unit coefficient not multiplied: both steps are exact, so
+    the endpoints are those of the full sum.  This is the one place a log
+    is taken.
+    """
+    old = iv.prec
+    iv.prec = prec
+    try:
+        total = iv.mpf(const.numerator) / iv.mpf(const.denominator) if const else None
+        scales: dict[Fraction, object] = {}
+        for atom, coeff in terms:
+            term = None if logs is None else logs.get(atom)
+            if term is None:
+                term = iv.log(iv.mpf(atom) if isinstance(atom, int) else iv.make_mpf(atom))
+                if logs is not None:
+                    logs[atom] = term
+            if coeff != 1:
+                scale = scales.get(coeff)
+                if scale is None:
+                    scale = scales[coeff] = iv.mpf(coeff.numerator) / iv.mpf(coeff.denominator)
+                term = scale * term
+            total = term if total is None else total + term
+        return iv.mpf(0) if total is None else total
+    finally:
+        iv.prec = old
 
 
 _ZERO = LogExpr()

@@ -8,7 +8,8 @@ and one homogeneous evaluator.  The evaluator reads a per-point table of
 monomials x^i * y^j (`Monomials`) that several forms at one point can share,
 so binary forms cost one product per distinct monomial plus linear-time
 small-coefficient sums.  `form_bounds` encloses a form's values over a box
-with integer corners, for tests that need only the size of a value.
+with integer corners, and `top_bits_box` gives the box of a point's top
+bits, for tests that need only the size of a value.
 """
 
 from __future__ import annotations
@@ -142,6 +143,19 @@ def eval_homogeneous(f: Sequence, g: Sequence, d: int, x: int, y: int,
                 scaled = term if b == 1 else b * term
                 v = v + scaled if v else scaled
     return u, v
+
+
+def top_bits_box(x: int, y: int, small_bits: int,
+                 large_bits: int) -> tuple[int, tuple[int, int], tuple[int, int]]:
+    """(shift, xs, ys): x lies in [xs[0], xs[1]] * 2^shift and y in
+    [ys[0], ys[1]] * 2^shift, keeping at most small_bits of the smaller
+    coordinate and at most large_bits of the larger.  The box is the point
+    itself (width 0) when no bit is dropped."""
+    low, high = sorted((x.bit_length(), y.bit_length()))
+    shift = max(0, low - small_bits, high - large_bits)
+    width = 1 if shift else 0
+    return (shift, (x >> shift, (x >> shift) + width),
+            (y >> shift, (y >> shift) + width))
 
 
 def _power_bounds(lo: int, hi: int, n: int) -> tuple[int, int]:

@@ -398,6 +398,46 @@ def test_shipped_configs_run_everywhere(tmp_path):
     assert parallel == {name: expected[name] for name in parallel}
 
 
+# sha256 of the system-height report on bounds_mixed at --depth 11, by
+# --precision, as written when every leaf was built exactly.
+DEPTH_11_DIGESTS = {
+    53: "3d187ad627dc8336ed3b5d9a135d55794885d8eb15884551fe3871bce3a7737e",
+    128: "2678fd91f370085bb9664ee9e44673c4bfaf8b74bc59b31baa31676de7f4aa52",
+    256: "b795381d3d9e0b5b925c3c470463dd09acb1ca09d4a41a0e8b0c1757f0fd9528",
+}
+
+
+@pytest.mark.parametrize("prec", sorted(DEPTH_11_DIGESTS))
+def test_system_height_depth_11_bytes_at_each_precision(tmp_path, prec):
+    """--precision is the precision of the leaf boxes and of the endpoints;
+    at each one the report keeps its bytes."""
+    import hashlib
+    from pathlib import Path
+
+    cfg = Path(__file__).resolve().parents[1] / "configs" / "bounds_mixed.json"
+    out = tmp_path / "reports"
+    assert main(["system-height", "--config", str(cfg), "--depth", "11",
+                 "--precision", str(prec), "--out", str(out)]) == 0
+    (report,) = out.glob("system-height_*.json")
+    assert hashlib.sha256(report.read_bytes()).hexdigest() == DEPTH_11_DIGESTS[prec]
+
+
+@pytest.mark.parametrize("point, lo, hi", [
+    ("3", 0.9888479494173272, 0.9889117636302506),
+    ("3/2", 0.9985697803315452, 0.9986335945444685),
+])
+def test_system_height_depth_11_on_bounds_mixed(tmp_path, point, lo, hi):
+    from pathlib import Path
+
+    path = Path(__file__).resolve().parents[1] / "configs" / "bounds_mixed.json"
+    raw = {**json.loads(path.read_text(encoding="utf-8")), "point": point}
+    out = tmp_path / "reports"
+    assert main(["system-height", "--config", write_config(tmp_path, raw),
+                 "--depth", "11", "--out", str(out)]) == 0
+    estimate = read_report(out, "system-height")["estimate"]
+    assert (estimate["lo"], estimate["hi"]) == (lo, hi)
+
+
 def test_verify_deterministic_per_seed(tmp_path):
     out1, out2 = tmp_path / "a", tmp_path / "b"
     assert main(["verify", "--out", str(out1), "--seed", "7"]) == 0

@@ -1,0 +1,219 @@
+"""System-height leaves known by their boxes: canonical_height_system equals
+the exact-leaf formula (every leaf built, the two full log expressions
+summed term by term in atom order), endpoint for endpoint, on every path a
+leaf can take: enclosed, built because its rounding is not decided, built
+because its box meets another atom."""
+
+import json
+import math
+import random
+from fractions import Fraction
+from pathlib import Path
+
+import pytest
+from mpmath import iv
+from mpmath.libmp import from_int, round_ceiling, round_floor, to_rational
+
+from orbitint import heights, logvals, orbits
+from orbitint.config import parse_config
+from orbitint.heights import _leaf_boxes, canonical_height_system, system_bounds
+from orbitint.logvals import LogExpr
+from orbitint.orbits import walk_tree
+from orbitint.proj1 import ProjPoint, normalize
+from orbitint.ratmap import MapSystem, eval_point, make_map, parse_map
+from orbitint.verify import random_point, random_system
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+PAIR = MapSystem([parse_map("z^2"), parse_map("z^3")])   # orbit_pair: z^2 z^3 = z^3 z^2
+
+
+def load(name, point=None):
+    raw = json.loads((CONFIGS / f"{name}.json").read_text(encoding="utf-8"))
+    return parse_config(raw if point is None else {**raw, "point": point})
+
+
+def reference_interval(expr, prec):
+    """The enclosure of a LogExpr as summed before the shared routine: the
+    constant, then each term's log box times its coefficient, in atom order."""
+    old = iv.prec
+    iv.prec = prec
+    try:
+        const = expr.const
+        total = iv.mpf(const.numerator) / iv.mpf(const.denominator) if const else None
+        for atom, coeff in expr.terms:
+            term = iv.log(iv.mpf(atom))
+            if coeff != 1:
+                term = iv.mpf(coeff.numerator) / iv.mpf(coeff.denominator) * term
+            total = term if total is None else total + term
+        return iv.mpf(0) if total is None else total
+    finally:
+        iv.prec = old
+
+
+def exact_leaf_exprs(system, point, depth, bounds):
+    """(lo, hi) log expressions of the exact-leaf formula, every leaf built
+    level by level with ratmap.eval_point."""
+    k, big_d = system.k, system.degree_sum
+    leaves = [point]
+    for _ in range(depth):
+        leaves = [eval_point(phi, p) for p in leaves for phi in system.maps]
+    mid = LogExpr([term for p in leaves for term in p.height().terms]) * Fraction(1, big_d ** depth)
+    sum_up = sum_down = LogExpr.zero()
+    for b in bounds:
+        sum_up, sum_down = sum_up + b.upper, sum_down + b.lower
+    tail = Fraction(k ** depth, big_d ** depth) * Fraction(big_d, big_d - k) * Fraction(1, big_d)
+    return mid - sum_down * tail, mid + sum_up * tail
+
+
+def assert_exact_leaf_formula(system, point, depth, prec=128, workers=1, bounds=None):
+    bounds = system_bounds(system) if bounds is None else bounds
+    est = canonical_height_system(system, point, depth, bounds=bounds, prec=prec,
+                                  workers=workers)
+    lo_expr, hi_expr = exact_leaf_exprs(system, point, depth, bounds)
+    lo_box, hi_box = reference_interval(lo_expr, prec), reference_interval(hi_expr, prec)
+    assert est.lo_expr == LogExpr.constant(Fraction(*to_rational(lo_box._mpi_[0])))
+    assert est.hi_expr == LogExpr.constant(Fraction(*to_rational(hi_box._mpi_[1])))
+    lo = math.nextafter(math.nextafter(float(lo_box.a), -math.inf), -math.inf)
+    hi = math.nextafter(math.nextafter(float(hi_box.b), math.inf), math.inf)
+    assert (est.lo(prec), est.hi(prec)) == (max(0.0, lo), hi)
+    return est
+
+
+@pytest.fixture
+def evaluations(monkeypatch):
+    calls = []
+    monkeypatch.setattr(orbits, "eval_point",
+                        lambda *args: calls.append(1) or eval_point(*args))
+    return calls
+
+
+@pytest.fixture
+def overlaps(monkeypatch):
+    """The boxes each estimate found meeting another atom."""
+    found = []
+    real = heights._overlapping
+    monkeypatch.setattr(heights, "_overlapping",
+                        lambda *args: found.append(real(*args)) or found[-1])
+    return found
+
+
+def test_random_trees_with_the_threshold_lifted(monkeypatch, evaluations):
+    """With LEAF_BITS 0 every leaf is enclosed first, at nodes small enough
+    that the box is the point itself and at nodes past 4 * prec bits."""
+    monkeypatch.setattr(heights, "LEAF_BITS", 0)
+    enclosed = 0
+    for seed in range(8):
+        rng = random.Random(f"system-leaves:{seed}")
+        system = random_system(rng, k_max=2, max_degree=3)
+        point = random_point(rng, 50)
+        depth = 6 + seed % 4 if system.k == 1 or seed % 4 < 2 else 6
+        evaluations.clear()
+        assert_exact_leaf_formula(system, point, depth)
+        enclosed += len(evaluations) < orbits._tree_size(system.k, depth) - 1
+    assert enclosed >= 6
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("path", sorted(CONFIGS.glob("*.json")), ids=lambda p: p.stem)
+def test_shipped_configs_at_depth_9(path, workers):
+    config = load(path.stem)
+    assert_exact_leaf_formula(config.system, config.point, 9, config.precision_bits,
+                              workers, system_bounds(config.system, config.c_mode))
+
+
+def test_enclosed_boxes_are_the_leaf_boxes():
+    """Every box _leaf_boxes returns is iv.mpf of the built leaf's atom."""
+    rng = random.Random(613)
+    kept = 0
+    for trial in range(40):
+        system = random_system(rng, k_max=3, max_degree=4)
+        prec = (53, 128, 256)[trial % 3]
+        for node in (random_point(rng, 1 << 3000), random_point(rng, 1 << 1100)):
+            for letter, box in _leaf_boxes(system, node, prec).items():
+                leaf = eval_point(system.map_for_letter(letter), node)
+                atom = max(abs(leaf.x), abs(leaf.y))
+                assert box == (from_int(atom, prec, round_floor),
+                               from_int(atom, prec, round_ceiling))
+                kept += 1
+    assert kept > 100
+
+
+def test_power_of_two_atoms_are_built(evaluations):
+    """A power of 2 is a float: its box is a point that no enclosure of the
+    atom rounds to at both ends, so the leaf is built."""
+    doubling = MapSystem([parse_map("z^2"), make_map([0, 0, 2], [1])])  # no twins
+    for system in (PAIR, doubling):
+        assert _leaf_boxes(system, ProjPoint(1 << 3000, 1), 128) == {}
+        evaluations.clear()
+        assert_exact_leaf_formula(system, normalize(2), 10)
+        assert len(evaluations) == orbits._tree_size(2, 10) - 1
+
+
+def test_twins_across_parents_are_built_once(evaluations, overlaps):
+    """z^2 and z^3 commute, so every leaf whose word mixes both letters has
+    a twin under another parent: their boxes meet and both are built, each
+    node still evaluated at most once."""
+    evaluations.clear()
+    assert_exact_leaf_formula(PAIR, normalize(Fraction(5, 3)), 11)
+    assert len(overlaps[-1]) > 1_000
+    assert len(evaluations) <= orbits._tree_size(2, 11) - 1
+
+
+def test_common_factor_of_the_resultant():
+    """(z^2 - 1)/(z^2 + 1) has R = 4: at x and y both odd, F and G are even
+    and the leaf is [F/2 : G/2]; its box is still the built leaf's."""
+    config = load("bounds_mixed")
+    phi = config.system.maps[0]
+    seen = 0
+    for word, node in walk_tree(config.system, config.point, 8):
+        if node.x % 2 and node.y % 2 and orbits.WorkLimits.bits_of(node) >= 1024:
+            u, v = phi.homogeneous(node.x, node.y)
+            assert math.gcd(u, v) == 2
+            leaf = eval_point(phi, node)
+            box = _leaf_boxes(config.system, node, 128)[1]
+            atom = max(abs(leaf.x), abs(leaf.y))
+            assert box == (from_int(atom, 128, round_floor), from_int(atom, 128, round_ceiling))
+            seen += 1
+    assert seen >= 10
+    for point in ("3", "3/2", "-3"):
+        assert_exact_leaf_formula(config.system, load("bounds_mixed", point).point, 10)
+
+
+def test_leaf_atom_equal_to_a_tail_atom(monkeypatch, overlaps):
+    """z^2 + 1 puts log 2 in the tail (two terms of coefficient 1), and its
+    leaf from 1 is [2 : 1]: the two atoms merge, so the leaf is built."""
+    monkeypatch.setattr(heights, "LEAF_BITS", 0)
+    system = MapSystem([parse_map("z^2+1"), parse_map("z^2-2")])
+    assert 2 in {atom for atom, _ in system_bounds(system)[0].upper.terms}
+    for depth in (1, 2, 3):
+        assert_exact_leaf_formula(system, normalize(1), depth)
+        assert overlaps[-1]
+
+
+@pytest.mark.parametrize("lifted", [False, True])
+@pytest.mark.parametrize("depth", [0, 1])
+def test_depths_0_and_1(monkeypatch, lifted, depth):
+    if lifted:
+        monkeypatch.setattr(heights, "LEAF_BITS", 0)
+    big = normalize((1 << 1500) + 7, (1 << 1499) + 3)
+    for system, point in ((PAIR, normalize(Fraction(5, 3))),
+                          (load("bounds_mixed").system, big),
+                          (load("census_hypothesis_pair").system, normalize(Fraction(1, 2))),
+                          (PAIR, ProjPoint(1, 0))):
+        for workers in (1, 2):
+            assert_exact_leaf_formula(system, point, depth, workers=workers)
+
+
+def test_one_log_per_atom(monkeypatch):
+    """lo and hi share every leaf's log box: iv.log runs once per distinct
+    atom of the two expressions, leaf atoms and tail atoms together."""
+    monkeypatch.setattr(heights, "LEAF_BITS", 0)
+    config = load("bounds_mixed")
+    bounds = system_bounds(config.system)
+    lo_expr, hi_expr = exact_leaf_exprs(config.system, config.point, 6, bounds)
+    atoms = {atom for atom, _ in lo_expr.terms + hi_expr.terms}
+    calls = []
+    real = iv.log
+    monkeypatch.setattr(logvals.iv, "log", lambda box: calls.append(1) or real(box))
+    canonical_height_system(config.system, config.point, 6, bounds=bounds)
+    assert len(calls) == len(atoms) < len(lo_expr.terms) + len(hi_expr.terms)
