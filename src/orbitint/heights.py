@@ -4,7 +4,8 @@ Every estimate is a certified interval; the radius comes from per-map
 height-difference constants summed along the word.  One-sided constants are
 tracked separately, so monomial-like maps (whose height transforms exactly)
 get zero-width intervals up to rounding.  A word estimate keeps its endpoints
-as exact log expressions.  A system estimate carries exact rational
+as exact log expressions, whose last point's atom may be deferred (see
+canonical_height_word).  A system estimate carries exact rational
 endpoints: the enclosures of its two log expressions at the precision it was
 computed at, whose leaf atoms it may know only by their boxes at that
 precision (see canonical_height_system).
@@ -19,11 +20,12 @@ from fractions import Fraction
 from functools import partial
 from typing import Iterable, Optional, Sequence
 
-from mpmath.libmp import (from_int, from_man_exp, round_ceiling, round_floor,
-                          to_rational)
+from mpmath.libmp import to_rational
 
 from . import polys
-from .logvals import DEFAULT_PRECISION, LogExpr, interval_sum
+from .logvals import (DEFAULT_PRECISION, DEFERRED_BITS, LEAF_BITS, Deferred, LogExpr,
+                      _overlapping, encloses_atom, in_atom_order, interval_sum,
+                      rounded_box)
 from .orbits import (DEFAULT_LIMITS, WorkLimits, children, find_cycle, fold_tree,
                      walk_word)
 from .proj1 import ProjPoint, normalize
@@ -206,48 +208,73 @@ def canonical_height_word(system: MapSystem, word: Word, point: ProjPoint,
     cap; only the last sets target_met=False.  lo_expr is not floored (see
     HeightEstimate).  memo is an orbit point list shared with other passes
     over the same orbit (see walk_word).
+
+    When the point before the last step has at least LEAF_BITS bits, the
+    last point is not built: its height atom enters the estimate as a
+    logvals.Deferred, and the cap test reads the atom's enclosure (see
+    _deferred_step).  The estimate's values are those of the built point.
     """
     for letter in word.letters:
         if letter > system.k:
             raise ValueError(f"letter {letter} outside system of size {system.k}")
     if bounds is None:
         bounds = system_bounds(system)
-    degrees = system.degrees
     steps = walk_word(system, word, point, memo)
     current = point
+    height: Optional[LogExpr] = None
     d_n = 1
     n = 0
     truncated = False
     while n < depth and word.supports_depth(n + 1):
-        current = next(steps)
-        d_n *= degrees[word.letter_at(n) - 1]
+        phi = system.map_for_letter(word.letter_at(n))
+        last = n + 1 == depth or not word.supports_depth(n + 2)
+        step = (_deferred_step(phi, current, steps, limits, last)
+                if limits.bits_of(current) >= LEAF_BITS else None)
+        d_n *= phi.degree
         n += 1
+        if step is not None:
+            atom, truncated = step
+            height = LogExpr(((atom, 1),))
+            break
+        current = next(steps)
         if not limits.fits(current):
             truncated = True
             break
     up, down = _upcoming_tails(system, bounds, word, n)
     inv = Fraction(1, d_n)
-    mid = current.height() * inv
+    mid = (current.height() if height is None else height) * inv
     certified = all(b.certified for b in bounds)
     return HeightEstimate(mid - down * inv, mid + up * inv, n, d_n, certified,
                           not truncated, word)
+
+
+def _deferred_step(phi: RatMap, node: ProjPoint, steps, limits: WorkLimits,
+                   last: bool) -> Optional[tuple[Deferred, bool]]:
+    """(atom, over the cap) for the point phi(node) when the enclosure of its
+    atom shows the step is the walk's last: the point is certainly over the
+    bit cap, or it certainly fits and last says the walk ends there.  The
+    atom is built from steps, the walk's own generator, if ever.  None when
+    the step must be built: it may go on, or the enclosure does not decide
+    the cap test or that the atom is at least 2.
+    """
+    lo, hi, e = polys.atom_enclosure(phi.f, phi.g, phi.degree, phi.resultant,
+                                     node.x, node.y, DEFERRED_BITS)
+    if not encloses_atom(lo, e):
+        return None
+    atom = Deferred(lo, hi, e, lambda: _leaf_atom(next(steps)))
+    low, high = atom.bit_range()
+    if not limits.fits_bits(low):
+        return atom, True
+    if last and limits.fits_bits(high):
+        return atom, False
+    return None
 
 
 # canonical_height_system encloses the leaves of a last-level node of at
 # least LEAF_BITS bits instead of building them: below that the k exact
 # children cost less than the enclosure.  The box keeps BOX_PER_PREC bits of
 # the larger coordinate per bit of the estimate's precision.
-LEAF_BITS = 1024
 BOX_PER_PREC = 4
-
-
-def _abs_bounds(lo: int, hi: int) -> tuple[int, int]:
-    """Bounds on |t| over lo <= t <= hi."""
-    if lo > 0:
-        return lo, hi
-    if hi < 0:
-        return -hi, -lo
-    return 0, max(-lo, hi)
 
 
 def _leaf_boxes(system: MapSystem, node: ProjPoint, prec: int) -> dict[int, tuple]:
@@ -255,29 +282,18 @@ def _leaf_boxes(system: MapSystem, node: ProjPoint, prec: int) -> dict[int, tupl
     node whose atom N = max(|F(x, y)|, |G(x, y)|)/g this certifies without
     building the leaf.
 
-    g = gcd(F(x, y), G(x, y)) divides R = |Res(F, G)| (see eval_point), so it
-    is gcd(R, F mod R, G mod R), read from x and y mod R.  polys.form_bounds
-    over the top-bits box of (x, y) bounds the larger of |F| and |G|, so
-    m_lo * 2^e <= N <= m_hi * 2^e.  A letter is kept only when N >= 2 (so N
-    is an atom) and both ends round to the same endpoints at prec: directed
-    rounding is monotone, so that box is exactly iv.mpf(N).
+    polys.atom_enclosure bounds N from the top bits of the node and its
+    residues mod R.  A letter is kept only when N >= 2 (so N is an atom) and
+    logvals.rounded_box finds the enclosure decides iv.mpf(N) at prec.
     """
-    bits = BOX_PER_PREC * prec
-    shift, xs, ys = polys.top_bits_box(node.x, node.y, bits, bits)
     boxes = {}
     for letter, phi in enumerate(system.maps, start=1):
-        d, r = phi.degree, phi.resultant
-        f_lo, f_hi = _abs_bounds(*polys.form_bounds(phi.f, d, xs, ys))
-        g_lo, g_hi = _abs_bounds(*polys.form_bounds(phi.g, d, xs, ys))
-        u, v = polys.eval_homogeneous(phi.f, phi.g, d, node.x % r, node.y % r)
-        g = math.gcd(r, u % r, v % r)
-        m_lo, m_hi, e = max(f_lo, g_lo) // g, -(-max(f_hi, g_hi) // g), shift * d
-        if not m_lo or m_lo.bit_length() + e < 2:
+        lo, hi, e = polys.atom_enclosure(phi.f, phi.g, phi.degree, phi.resultant,
+                                         node.x, node.y, BOX_PER_PREC * prec)
+        if not encloses_atom(lo, e):
             continue
-        box = (from_man_exp(m_lo, e, prec, round_floor),
-               from_man_exp(m_lo, e, prec, round_ceiling))
-        if box == (from_man_exp(m_hi, e, prec, round_floor),
-                   from_man_exp(m_hi, e, prec, round_ceiling)):
+        box = rounded_box(lo, hi, e, prec)
+        if box is not None:
             boxes[letter] = box
     return boxes
 
@@ -318,51 +334,6 @@ def _split_leaves(items: list) -> tuple[list, list, list]:
             boxed += [(len(nodes), letter, box) for letter, box in boxes.items()]
             nodes.append(node)
     return atoms, nodes, boxed
-
-
-def _box_key(endpoint: tuple, prec: int) -> tuple[int, int]:
-    """Sort key of a positive raw mpf of at most prec bits: keys compare as
-    the values do."""
-    _sign, man, exp, bc = endpoint
-    return exp + bc, man << (prec - bc)
-
-
-def _atom_key(atom: int, prec: int) -> tuple[int, int]:
-    """_box_key of the lower end of iv.mpf(atom) at prec."""
-    return _box_key(from_int(atom, prec, round_floor), prec)
-
-
-def _overlapping(boxes: Sequence[tuple], exact: Iterable[int], prec: int) -> set[int]:
-    """Indices of the boxes that meet another box or the box of an exact
-    atom.  The others are disjoint from every atom, so their atoms neither
-    merge nor change places with any other atom in a sorted LogExpr."""
-    items = [(_atom_key(atom, prec), _box_key(from_int(atom, prec, round_ceiling), prec), None)
-             for atom in set(exact)]
-    items += [(_box_key(a, prec), _box_key(b, prec), i) for i, (a, b) in enumerate(boxes)]
-    items.sort(key=lambda item: item[0])
-    # Boxes sorted by lower end chain into clusters of boxes that meet; a box
-    # meets another exactly when its cluster has more than one member.
-    clusters: list[list] = []
-    reach = None
-    for lo, hi, index in items:
-        if reach is None or lo > reach:
-            clusters.append([])
-            reach = hi
-        clusters[-1].append(index)
-        reach = max(reach, hi)
-    return {i for cluster in clusters if len(cluster) > 1 for i in cluster if i is not None}
-
-
-def _with_boxes(expr: LogExpr, boxes: Sequence[tuple], coeff: Fraction,
-                prec: int) -> list:
-    """expr's terms and coeff * log of each boxed atom, in atom order; the
-    boxes are disjoint from every atom of expr (see _overlapping)."""
-    if not boxes:
-        return list(expr.terms)
-    keyed = [(_atom_key(atom, prec), atom, c) for atom, c in expr.terms]
-    keyed += [(_box_key(box[0], prec), box, coeff) for box in boxes]
-    keyed.sort(key=lambda item: item[0])
-    return [(atom, c) for _key, atom, c in keyed]
 
 
 def canonical_height_system(system: MapSystem, point: ProjPoint, depth: int = 6,
@@ -420,8 +391,9 @@ def canonical_height_system(system: MapSystem, point: ProjPoint, depth: int = 6,
     boxes = [box for i, letter, box in boxed if letter not in rebuild.get(i, ())]
     logs: dict = {}   # lo and hi share every leaf's log box
     lo_expr, hi_expr = mid - down, mid + up
-    lo = interval_sum(lo_expr.const, _with_boxes(lo_expr, boxes, inv, prec), prec, logs)
-    hi = interval_sum(hi_expr.const, _with_boxes(hi_expr, boxes, inv, prec), prec, logs)
+    boxed = [(box, inv) for box in boxes]
+    lo = interval_sum(lo_expr.const, in_atom_order(lo_expr.terms, boxed, prec), prec, logs)
+    hi = interval_sum(hi_expr.const, in_atom_order(hi_expr.terms, boxed, prec), prec, logs)
     certified = all(b.certified for b in bounds)
     return HeightEstimate(LogExpr.constant(Fraction(*to_rational(lo._mpi_[0]))),
                           LogExpr.constant(Fraction(*to_rational(hi._mpi_[1]))),

@@ -9,16 +9,25 @@ materialized for a report or compared against a genuinely uncertain interval.
 Sign determination is three-staged: interval arithmetic at the working
 precision, precision escalation, and (for pure-log expressions) an exact
 fallback that clears denominators and compares integer power products.
+
+An atom may be deferred (`Deferred`): an integer known by a certified
+enclosure and built only when the enclosure cannot stand in for it.  Its
+place among the sorted atoms, its box at each precision and its bit length
+come from the enclosure, so every stage decides as it would with the
+integer, from the same endpoints.  `rounded_box` is the one test that an
+enclosure rounds to the integer's box, and `_overlapping` the one test that
+boxes meet no other atom.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Iterable, Mapping, Optional, Tuple
+from typing import Callable, Iterable, Mapping, Optional, Sequence, Tuple
 
 from mpmath import iv
-from mpmath.libmp import to_rational
+from mpmath.libmp import (from_int, from_man_exp, round_ceiling, round_floor,
+                          to_rational)
 
 DEFAULT_PRECISION = 128
 
@@ -26,6 +35,13 @@ DEFAULT_PRECISION = 128
 EXACT_FALLBACK_BIT_CAP = 8_000_000
 
 _ESCALATIONS = (1, 2, 4)
+
+# An atom of a point of at least LEAF_BITS bits may be enclosed instead of
+# built: below that the exact integer costs less than its enclosure.  A
+# deferred atom's enclosure keeps DEFERRED_BITS top bits of the larger
+# coordinate, so it decides the boxes at every precision well below that.
+LEAF_BITS = 1024
+DEFERRED_BITS = 2048
 
 
 class _Infinite:
@@ -52,19 +68,201 @@ def _as_fraction(value) -> Fraction:
     raise TypeError(f"expected int or Fraction, got {type(value).__name__}")
 
 
-class LogExpr:
-    """const + sum of coeff*log(atom) with Fraction coeffs and int atoms >= 2."""
+def rounded_box(lo: int, hi: int, exp: int, prec: int) -> Optional[tuple]:
+    """iv.mpf(N) at prec, as raw mpf endpoints, for an integer N with
+    lo * 2^exp <= N <= hi * 2^exp, when the enclosure decides it; else None.
 
-    __slots__ = ("const", "terms", "_hash")
+    Directed rounding is monotone, so when both ends round down alike and
+    up alike, N rounds to those same endpoints.
+    """
+    box = (from_man_exp(lo, exp, prec, round_floor), from_man_exp(lo, exp, prec, round_ceiling))
+    if box == (from_man_exp(hi, exp, prec, round_floor),
+               from_man_exp(hi, exp, prec, round_ceiling)):
+        return box
+    return None
+
+
+def _box_key(endpoint: tuple, prec: int) -> tuple[int, int]:
+    """Sort key of a positive raw mpf of at most prec bits: keys compare as
+    the values do."""
+    _sign, man, exp, bc = endpoint
+    return exp + bc, man << (prec - bc)
+
+
+def _atom_key(atom: int, prec: int) -> tuple[int, int]:
+    """_box_key of the lower end of iv.mpf(atom) at prec."""
+    return _box_key(from_int(atom, prec, round_floor), prec)
+
+
+def _overlapping(boxes: Sequence[tuple], exact: Iterable[int], prec: int) -> set[int]:
+    """Indices of the boxes (raw mpf endpoint pairs of at most prec bits)
+    that meet another box or the prec-bit box of an exact atom.  The others
+    are disjoint from every atom, so their atoms neither merge nor change
+    places with any other atom in a sorted LogExpr."""
+    items = [(_atom_key(atom, prec), _box_key(from_int(atom, prec, round_ceiling), prec), None)
+             for atom in set(exact)]
+    items += [(_box_key(a, prec), _box_key(b, prec), i) for i, (a, b) in enumerate(boxes)]
+    items.sort(key=lambda item: item[0])
+    # Boxes sorted by lower end chain into clusters of boxes that meet; a box
+    # meets another exactly when its cluster has more than one member.
+    clusters: list[list] = []
+    reach = None
+    for lo, hi, index in items:
+        if reach is None or lo > reach:
+            clusters.append([])
+            reach = hi
+        clusters[-1].append(index)
+        reach = max(reach, hi)
+    return {i for cluster in clusters if len(cluster) > 1 for i in cluster if i is not None}
+
+
+def in_atom_order(terms: Sequence[tuple], boxed: Sequence[tuple], prec: int) -> list:
+    """The sorted exact terms (atom, coeff) and the boxed terms (box, coeff)
+    as one list in atom order, each box being raw mpf endpoints of at most
+    prec bits that meet no other atom (see _overlapping)."""
+    if not boxed:
+        return list(terms)
+    # The sort is stable, so exact atoms with one key keep their exact order;
+    # a box's key is strictly between the keys of the atoms around it.
+    keyed = [(_atom_key(atom, prec), atom, c) for atom, c in terms]
+    keyed += [(_box_key(box[0], prec), box, c) for box, c in boxed]
+    keyed.sort(key=lambda item: item[0])
+    return [(atom, c) for _key, atom, c in keyed]
+
+
+def encloses_atom(lo: int, exp: int) -> bool:
+    """True when lo * 2^exp >= 2, so that an integer N >= lo * 2^exp is a
+    log atom."""
+    return lo > 0 and lo.bit_length() + exp >= 2
+
+
+class Deferred:
+    """A log atom N >= 2 held as a certified enclosure lo * 2^exp <= N <=
+    hi * 2^exp together with build, which returns N.
+
+    N is built at most once, and only when the enclosure cannot stand in for
+    it: the enclosure meets another atom of an expression (equal atoms merge
+    and the sort order is exact), it does not decide the box at the
+    precision asked for, or the exact sign stage needs N (after its cap test,
+    which reads bit_length from the enclosure).  Outside the sign stages,
+    bit_length and equality build N only when the enclosures cannot decide
+    them, and hashing always does.  A built atom is the integer N in every
+    expression made from then on.
+    """
+
+    __slots__ = ("lo", "hi", "exp", "_build", "_value", "_boxes")
+
+    def __init__(self, lo: int, hi: int, exp: int, build: Callable[[], int]):
+        if not encloses_atom(lo, exp):
+            raise ValueError("a deferred atom needs a certified N >= 2")
+        self.lo, self.hi, self.exp = lo, hi, exp
+        self._build: Optional[Callable[[], int]] = build
+        self._value: Optional[int] = None
+        self._boxes: dict[int, tuple] = {}
+
+    def value(self) -> int:
+        """N, built on first use."""
+        if self._value is None:
+            self._value = self._build()
+            self._build = None
+        return self._value
+
+    def bit_range(self) -> tuple[int, int]:
+        """Bounds on N.bit_length() from the enclosure."""
+        return self.lo.bit_length() + self.exp, self.hi.bit_length() + self.exp
+
+    def bit_length(self) -> int:
+        """N.bit_length(), read from the enclosure when that decides it."""
+        low, high = self.bit_range()
+        return low if low == high else self.value().bit_length()
+
+    def enclosure(self) -> tuple:
+        """(lo * 2^exp, hi * 2^exp) as exact raw mpf endpoints."""
+        return from_man_exp(self.lo, self.exp), from_man_exp(self.hi, self.exp)
+
+    def box(self, prec: int):
+        """iv.mpf(N) at prec as raw mpf endpoints when the enclosure decides
+        them, else N itself (built)."""
+        if self._value is not None:
+            return self._value
+        box = self._boxes.get(prec)
+        if box is None:
+            box = rounded_box(self.lo, self.hi, self.exp, prec)
+            if box is None:
+                return self.value()
+            self._boxes[prec] = box
+        return box
+
+    def __eq__(self, other) -> bool:
+        if other is self:
+            return True
+        if isinstance(other, Deferred):
+            low, high = other.bit_range()
+        elif isinstance(other, int):
+            low = high = other.bit_length()
+        else:
+            return NotImplemented
+        mine = self.bit_range()
+        if high < mine[0] or low > mine[1]:
+            return False
+        return self.value() == (other.value() if isinstance(other, Deferred) else other)
+
+    def __hash__(self):
+        return hash(self.value())
+
+    def __repr__(self):
+        if self._value is not None:
+            return repr(self._value)
+        low, high = self.bit_range()
+        return f"<N of {low}..{high} bits>"
+
+
+def _settle(merged: dict, pending: dict) -> tuple:
+    """The sorted terms of merged (int atom -> coeff) and pending (id ->
+    [Deferred, coeff]).  A deferred atom whose enclosure meets another atom
+    is built and merged; the others take their places by their enclosures."""
+    deferred = [(atom, coeff) for atom, coeff in pending.values() if coeff]
+    if not deferred:
+        return tuple(sorted(merged.items()))
+    boxes = [atom.enclosure() for atom, _ in deferred]
+    prec = max(max(atom.lo.bit_length(), atom.hi.bit_length()) for atom, _ in deferred)
+    meeting = _overlapping(boxes, merged, prec)
+    for i in meeting:
+        atom, coeff = deferred[i]
+        n = atom.value()
+        acc = merged.get(n, 0) + coeff
+        if acc:
+            merged[n] = acc
+        else:
+            merged.pop(n, None)
+    # A boxed term carries its (Deferred, coeff) pair in place of a coeff.
+    boxed = [(boxes[i], term) for i, term in enumerate(deferred) if i not in meeting]
+    order = in_atom_order(sorted(merged.items()), boxed, prec)
+    return tuple(c if isinstance(a, tuple) else (a, c) for a, c in order)
+
+
+class LogExpr:
+    """const + sum of coeff*log(atom) with Fraction coeffs and atoms that are
+    ints >= 2 or Deferred, sorted by value."""
+
+    __slots__ = ("const", "terms", "_hash", "_deferred")
 
     def __init__(self, terms: Mapping[int, Fraction] | Iterable[Tuple[int, Fraction]] = (),
                  const: Fraction | int = 0):
         items = terms.items() if isinstance(terms, Mapping) else terms
         merged: dict[int, Fraction] = {}
+        pending: dict[int, list] = {}
         for atom, coeff in items:
+            coeff = _as_fraction(coeff)
+            if type(atom) is Deferred:
+                if atom._value is None:
+                    if coeff:
+                        entry = pending.setdefault(id(atom), [atom, 0])
+                        entry[1] += coeff
+                    continue
+                atom = atom._value
             if atom <= 0:
                 raise ValueError(f"log atom must be positive, got {atom}")
-            coeff = _as_fraction(coeff)
             if atom == 1 or coeff == 0:
                 continue
             acc = merged.get(atom, 0) + coeff
@@ -72,9 +270,12 @@ class LogExpr:
                 merged[atom] = acc
             else:
                 merged.pop(atom, None)
-        object.__setattr__(self, "terms", tuple(sorted(merged.items())))
+        sorted_terms = _settle(merged, pending)
+        object.__setattr__(self, "terms", sorted_terms)
         object.__setattr__(self, "const", _as_fraction(const))
         object.__setattr__(self, "_hash", None)
+        object.__setattr__(self, "_deferred", bool(pending) and any(
+            type(atom) is Deferred for atom, _ in sorted_terms))
 
     def __setattr__(self, name, value):
         raise AttributeError("LogExpr is immutable")
@@ -117,13 +318,22 @@ class LogExpr:
         return self + (-other)
 
     def __neg__(self) -> "LogExpr":
-        return LogExpr(tuple((a, -c) for a, c in self.terms), -self.const)
+        return self._scaled(Fraction(-1))
 
     def __mul__(self, scalar) -> "LogExpr":
         s = _as_fraction(scalar)
         if s == 0:
             return _ZERO
-        return LogExpr(tuple((a, c * s) for a, c in self.terms), self.const * s)
+        return self._scaled(s)
+
+    def _scaled(self, s: Fraction) -> "LogExpr":
+        """s * self for s != 0: the atoms and their order stay as they are."""
+        out = object.__new__(LogExpr)
+        object.__setattr__(out, "terms", tuple((a, c * s) for a, c in self.terms))
+        object.__setattr__(out, "const", self.const * s)
+        object.__setattr__(out, "_hash", None)
+        object.__setattr__(out, "_deferred", self._deferred)
+        return out
 
     __rmul__ = __mul__
 
@@ -157,8 +367,13 @@ class LogExpr:
     # -- evaluation --------------------------------------------------------
 
     def interval(self, prec: int = DEFAULT_PRECISION):
-        """Enclosing mpmath interval at the given binary precision."""
-        return interval_sum(self.const, self.terms, prec)
+        """Enclosing mpmath interval at the given binary precision.  A
+        deferred atom enters as its box at prec, which is iv.mpf of the atom,
+        so the endpoints are those of the same expression over integers."""
+        if not self._deferred:
+            return interval_sum(self.const, self.terms, prec)
+        return interval_sum(self.const, [(atom.box(prec) if type(atom) is Deferred else atom, c)
+                                         for atom, c in self.terms], prec)
 
     def upper_bound(self, prec: int = DEFAULT_PRECISION) -> Fraction:
         """The upper endpoint of interval(prec) as an exact rational, so a
@@ -227,6 +442,8 @@ class LogExpr:
             return None
         pos = neg = 1
         for atom, e in exps:
+            if type(atom) is Deferred:
+                atom = atom.value()
             if e > 0:
                 pos *= atom ** e
             else:

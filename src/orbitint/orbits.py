@@ -12,10 +12,10 @@ others; every other consumer gets all leaves.
 `walk_word` applies one map per step along a word, sharing one lazily
 extended point list between passes over one orbit, and `find_cycle` scans
 that list for a repeat.  `WorkLimits` is the one way a cap reaches the
-engine: `bits_of` is the one coordinate-size measure, `fits` the one
-bit-cap test, `check_nodes` and `check_scan` the node-cap tests (of a tree
-and of an hmin scan) and `cycle_scan` the one cycle budget.  Point equality
-is exact equality of normalized coordinates.
+engine: `bits_of` is the one coordinate-size measure, `fits_bits` the one
+bit-cap test (`fits` applies it to a point), `check_nodes` and `check_scan`
+the node-cap tests (of a tree and of an hmin scan) and `cycle_scan` the one
+cycle budget.  Point equality is exact equality of normalized coordinates.
 """
 
 from __future__ import annotations
@@ -46,7 +46,10 @@ def _tree_size(k: int, depth: int) -> int:
 class WorkLimits:
     """The work caps of one run.  node_cap bounds the nodes of a word tree;
     bit_cap bounds orbit coordinate sizes (a hard stop in walks, a soft one
-    in height estimates and cycle scans)."""
+    in height estimates and cycle scans).  A height estimate never builds a
+    point past the cap: once the point before it is large, it reads only the
+    enclosure of that point's height atom (see
+    heights.canonical_height_word)."""
 
     node_cap: int = 1_000_000
     bit_cap: int = 1_000_000
@@ -57,7 +60,11 @@ class WorkLimits:
 
     def fits(self, p: ProjPoint) -> bool:
         """True when p is within the bit cap."""
-        return self.bits_of(p) <= self.bit_cap
+        return self.fits_bits(self.bits_of(p))
+
+    def fits_bits(self, bits: int) -> bool:
+        """True when a point of the given bits_of is within the bit cap."""
+        return bits <= self.bit_cap
 
     def check_bits(self, p: ProjPoint):
         if not self.fits(p):

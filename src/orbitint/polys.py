@@ -9,7 +9,8 @@ monomials x^i * y^j (`Monomials`) that several forms at one point can share,
 so binary forms cost one product per distinct monomial plus linear-time
 small-coefficient sums.  `form_bounds` encloses a form's values over a box
 with integer corners, and `top_bits_box` gives the box of a point's top
-bits, for tests that need only the size of a value.
+bits, for tests that need only the size of a value; `atom_enclosure` puts
+the two together into an enclosure of an image point's height atom.
 """
 
 from __future__ import annotations
@@ -149,13 +150,17 @@ def top_bits_box(x: int, y: int, small_bits: int,
                  large_bits: int) -> tuple[int, tuple[int, int], tuple[int, int]]:
     """(shift, xs, ys): x lies in [xs[0], xs[1]] * 2^shift and y in
     [ys[0], ys[1]] * 2^shift, keeping at most small_bits of the smaller
-    coordinate and at most large_bits of the larger.  The box is the point
-    itself (width 0) when no bit is dropped."""
+    coordinate and at most large_bits of the larger.  A coordinate whose
+    dropped bits are all 0 (every one when no bit is dropped) has width 0."""
     low, high = sorted((x.bit_length(), y.bit_length()))
     shift = max(0, low - small_bits, high - large_bits)
-    width = 1 if shift else 0
-    return (shift, (x >> shift, (x >> shift) + width),
-            (y >> shift, (y >> shift) + width))
+    return shift, _top_bits(x, shift), _top_bits(y, shift)
+
+
+def _top_bits(t: int, shift: int) -> tuple[int, int]:
+    """Integer bounds on t / 2^shift, equal when the dropped bits are 0."""
+    top = t >> shift
+    return top, top if top << shift == t else top + 1
 
 
 def _power_bounds(lo: int, hi: int, n: int) -> tuple[int, int]:
@@ -185,6 +190,35 @@ def form_bounds(cs: Sequence, d: int, xs: tuple[int, int],
             a, b = c * min(ends), c * max(ends)
             lo, hi = (lo + a, hi + b) if c > 0 else (lo + b, hi + a)
     return lo, hi
+
+
+def _abs_bounds(lo: int, hi: int) -> tuple[int, int]:
+    """Bounds on |t| over lo <= t <= hi."""
+    if lo > 0:
+        return lo, hi
+    if hi < 0:
+        return -hi, -lo
+    return 0, max(-lo, hi)
+
+
+def atom_enclosure(f: Sequence, g: Sequence, d: int, r: int, x: int, y: int,
+                   bits: int) -> tuple[int, int, int]:
+    """(lo, hi, e) with lo * 2^e <= max(|F(x, y)|, |G(x, y)|)/c <= hi * 2^e,
+    for the degree-d forms F and G of f and g and c = gcd(r, F(x, y) mod r,
+    G(x, y) mod r), without computing F(x, y) or G(x, y).
+
+    For a map f/g at a coprime point with r = |Res(F, G)|, c is the common
+    factor of F(x, y) and G(x, y), so the middle is the height atom of the
+    image point (see ratmap.eval_point).  form_bounds over the box of the top
+    bits of (x, y) bounds the larger of |F| and |G|, and c is read exactly
+    from x and y mod r.
+    """
+    shift, xs, ys = top_bits_box(x, y, bits, bits)
+    f_lo, f_hi = _abs_bounds(*form_bounds(f, d, xs, ys))
+    g_lo, g_hi = _abs_bounds(*form_bounds(g, d, xs, ys))
+    u, v = eval_homogeneous(f, g, d, x % r, y % r)
+    c = math.gcd(r, u % r, v % r)
+    return max(f_lo, g_lo) // c, -(-max(f_hi, g_hi) // c), shift * d
 
 
 def content(a: Sequence[int]) -> int:

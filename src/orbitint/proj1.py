@@ -18,8 +18,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .logvals import POS_INF, LogExpr, _Infinite
+from . import polys
+from .logvals import (DEFERRED_BITS, LEAF_BITS, POS_INF, Deferred, LogExpr, _Infinite,
+                      encloses_atom)
 from .places import Place, padic_valuation
+
+# X^2 + Y^2, ascending in X (see polys.form_bounds).
+_SQUARES = (1, 0, 1)
 
 # Not a setting: every integer of at most this many bits has fewer than 2,470
 # decimal digits, well under CPython's default conversion limit of 4,300.
@@ -126,17 +131,27 @@ def log_chordal(p: ProjPoint, q: ProjPoint, v: Place) -> LogExpr | _Infinite:
     Equal points give POS_INF (distance zero), never an error.  At the
     archimedean place the value is
     -log|det| + (1/2) log(x^2 + y^2) + (1/2) log(x'^2 + y'^2), left unreduced:
-    reducing it as a fraction would take a gcd of orbit-sized integers.
+    reducing it as a fraction would take a gcd of orbit-sized integers.  A
+    sum of squares of a point of at least LEAF_BITS bits is a deferred atom.
     """
     det = p.x * q.y - q.x * p.y
     if det == 0:
         return POS_INF
     if v.is_archimedean:
         half = Fraction(1, 2)
-        return LogExpr(((abs(det), -1), (p.x * p.x + p.y * p.y, half),
-                        (q.x * q.x + q.y * q.y, half)))
+        return LogExpr(((abs(det), -1), (_sum_of_squares(p), half),
+                        (_sum_of_squares(q), half)))
     # gcd(x, y) = 1 makes both max-terms p-adic units.
     return LogExpr.log_int(v.prime, padic_valuation(det, v.prime))
+
+
+def _sum_of_squares(p: ProjPoint) -> int | Deferred:
+    """x^2 + y^2, as a deferred atom for a point of at least LEAF_BITS bits."""
+    if max(p.x.bit_length(), p.y.bit_length()) >= LEAF_BITS:
+        lo, hi, e = polys.atom_enclosure(_SQUARES, (), 2, 1, p.x, p.y, DEFERRED_BITS)
+        if encloses_atom(lo, e):
+            return Deferred(lo, hi, e, lambda: p.x * p.x + p.y * p.y)
+    return p.x * p.x + p.y * p.y
 
 
 def chordal_sum(p: ProjPoint, q: ProjPoint, places) -> LogExpr | _Infinite:

@@ -138,15 +138,21 @@ def test_enclosed_boxes_are_the_leaf_boxes():
     assert kept > 100
 
 
-def test_power_of_two_atoms_are_built(evaluations):
-    """A power of 2 is a float: its box is a point that no enclosure of the
-    atom rounds to at both ends, so the leaf is built."""
+def test_power_of_two_atoms_are_enclosed(evaluations, overlaps):
+    """A coordinate whose dropped bits are all 0 keeps a box of width 0, so a
+    power of 2 is enclosed exactly: its leaf is built only when it has a
+    twin.  From 2, every node past depth 9 has more than 1,024 bits."""
     doubling = MapSystem([parse_map("z^2"), make_map([0, 0, 2], [1])])  # no twins
-    for system in (PAIR, doubling):
-        assert _leaf_boxes(system, ProjPoint(1 << 3000, 1), 128) == {}
+    for system, exponents, built in ((PAIR, (6000, 9000), 2 ** 11 - 2),
+                                     (doubling, (6000, 6001), 0)):
+        boxes = _leaf_boxes(system, ProjPoint(1 << 3000, 1), 128)
+        assert boxes == {letter: (from_int(1 << e, 128, round_floor),
+                                  from_int(1 << e, 128, round_ceiling))
+                         for letter, e in enumerate(exponents, start=1)}
         evaluations.clear()
-        assert_exact_leaf_formula(system, normalize(2), 10)
-        assert len(evaluations) == orbits._tree_size(2, 10) - 1
+        assert_exact_leaf_formula(system, normalize(2), 11)
+        assert len(overlaps[-1]) == built
+        assert len(evaluations) == orbits._tree_size(2, 10) - 1 + built
 
 
 def test_twins_across_parents_are_built_once(evaluations, overlaps):
