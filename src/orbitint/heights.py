@@ -7,8 +7,8 @@ get zero-width intervals up to rounding.  A word estimate keeps its endpoints
 as exact log expressions, whose last point's atom may be deferred (see
 canonical_height_word).  A system estimate carries exact rational
 endpoints: the enclosures of its two log expressions at the precision it was
-computed at, whose leaf atoms it may know only by their boxes at that
-precision (see canonical_height_system).
+computed at, in which the leaves under large nodes are deferred atoms (see
+canonical_height_system).
 """
 
 from __future__ import annotations
@@ -23,9 +23,7 @@ from typing import Iterable, Optional, Sequence
 from mpmath.libmp import to_rational
 
 from . import polys
-from .logvals import (DEFAULT_PRECISION, DEFERRED_BITS, LEAF_BITS, Deferred, LogExpr,
-                      _overlapping, encloses_atom, in_atom_order, interval_sum,
-                      rounded_box)
+from .logvals import DEFAULT_PRECISION, DEFERRED_BITS, LEAF_BITS, Deferred, LogExpr, deferred_atom
 from .orbits import (DEFAULT_LIMITS, WorkLimits, children, find_cycle, fold_tree,
                      walk_word)
 from .proj1 import ProjPoint, normalize
@@ -255,13 +253,19 @@ def _deferred_step(phi: RatMap, node: ProjPoint, steps, limits: WorkLimits,
     bit cap, or it certainly fits and last says the walk ends there.  The
     atom is built from steps, the walk's own generator, if ever.  None when
     the step must be built: it may go on, or the enclosure does not decide
-    the cap test or that the atom is at least 2.
+    the cap test or that the atom is at least 2.  A step that is not the
+    last and whose point cannot reach the cap (|F(x, y)| is at most the
+    coefficient sum of F times max(|x|, |y|)^d) is not enclosed.
     """
-    lo, hi, e = polys.atom_enclosure(phi.f, phi.g, phi.degree, phi.resultant,
-                                     node.x, node.y, DEFERRED_BITS)
-    if not encloses_atom(lo, e):
+    if not last:
+        coeffs = max(sum(map(abs, phi.f)), sum(map(abs, phi.g)))
+        if limits.fits_bits(limits.bits_of(node) * phi.degree + coeffs.bit_length()):
+            return None
+    atom = deferred_atom(polys.atom_enclosure(phi.f, phi.g, phi.degree, phi.resultant,
+                                              node.x, node.y, DEFERRED_BITS),
+                         lambda: _leaf_atom(next(steps)))
+    if atom is None:
         return None
-    atom = Deferred(lo, hi, e, lambda: _leaf_atom(next(steps)))
     low, high = atom.bit_range()
     if not limits.fits_bits(low):
         return atom, True
@@ -272,30 +276,52 @@ def _deferred_step(phi: RatMap, node: ProjPoint, steps, limits: WorkLimits,
 
 # canonical_height_system encloses the leaves of a last-level node of at
 # least LEAF_BITS bits instead of building them: below that the k exact
-# children cost less than the enclosure.  The box keeps BOX_PER_PREC bits of
-# the larger coordinate per bit of the estimate's precision.
+# children cost less than the enclosure.  The enclosure keeps BOX_PER_PREC
+# bits of the larger coordinate per bit of the estimate's precision.
 BOX_PER_PREC = 4
 
 
-def _leaf_boxes(system: MapSystem, node: ProjPoint, prec: int) -> dict[int, tuple]:
-    """letter -> iv.mpf(N) at prec, as raw mpf endpoints, for each leaf of the
-    node whose atom N = max(|F(x, y)|, |G(x, y)|)/g this certifies without
-    building the leaf.
+def _leaf_boxes(system: MapSystem, node: ProjPoint, prec: int,
+                limits: WorkLimits = DEFAULT_LIMITS) -> dict[int, Deferred]:
+    """letter -> the atom N = max(|F(x, y)|, |G(x, y)|)/g of the node's leaf,
+    as a Deferred, for each letter whose enclosure shows N >= 2.
 
     polys.atom_enclosure bounds N from the top bits of the node and its
-    residues mod R.  A letter is kept only when N >= 2 (so N is an atom) and
-    logvals.rounded_box finds the enclosure decides iv.mpf(N) at prec.
+    residues mod R.  The build expands the node for that letter only.
     """
-    boxes = {}
+    leaves, atoms = _Leaves(system, node, limits), {}
     for letter, phi in enumerate(system.maps, start=1):
-        lo, hi, e = polys.atom_enclosure(phi.f, phi.g, phi.degree, phi.resultant,
-                                         node.x, node.y, BOX_PER_PREC * prec)
-        if not encloses_atom(lo, e):
-            continue
-        box = rounded_box(lo, hi, e, prec)
-        if box is not None:
-            boxes[letter] = box
-    return boxes
+        atom = deferred_atom(polys.atom_enclosure(phi.f, phi.g, phi.degree, phi.resultant,
+                                                  node.x, node.y, BOX_PER_PREC * prec),
+                             partial(leaves.build, letter))
+        if atom is not None:
+            atoms[letter] = atom
+    leaves.left = len(atoms)
+    return atoms
+
+
+class _Leaves:
+    """The enclosed leaves of one last-level node, built a letter at a time.
+    The builds share the node's monomial table, which is let go with the
+    node once every enclosed leaf is built."""
+
+    __slots__ = ("system", "node", "limits", "left", "table")
+
+    def __init__(self, system: MapSystem, node: ProjPoint, limits: WorkLimits):
+        self.system, self.node, self.limits = system, node, limits
+        self.left, self.table = 0, None
+
+    def build(self, letter: int) -> int:
+        """The atom of the leaf for letter; no other leaf is built."""
+        node, k = self.node, self.system.k
+        if self.table is None:
+            self.table = polys.Monomials(node.x, node.y)
+        kids = children(self.system, node, self.limits,
+                        lambda *_: {j for j in range(1, k + 1) if j != letter}, self.table)
+        self.left -= 1
+        if not self.left:
+            self.node = self.table = None
+        return _leaf_atom(kids[letter - 1])
 
 
 def _leaf_atom(p: ProjPoint) -> int:
@@ -305,35 +331,20 @@ def _leaf_atom(p: ProjPoint) -> int:
 
 def _last_level(system: MapSystem, depth: int, limits: WorkLimits, prec: int,
                 nodes: Iterable[tuple[tuple, ProjPoint]]) -> list:
-    """The leaves under the last-level nodes of a walk to depth - 1: the atom
-    of each built leaf, and (node, boxes) for a node whose leaves _leaf_boxes
-    enclosed.  The node is kept so that a leaf can still be built exactly."""
+    """The atoms of the leaves under the last-level nodes of a walk to
+    depth - 1: an int for each built leaf, and a Deferred for each leaf
+    _leaf_boxes encloses."""
     out: list = []
     for word, node in nodes:
         if len(word) < depth - 1:
             continue
-        limits.check_bits(node)   # before the boxes, as children would
-        boxes = _leaf_boxes(system, node, prec) if limits.bits_of(node) >= LEAF_BITS else {}
-        out += [_leaf_atom(kid) for kid in children(system, node, limits, lambda *_: boxes)
+        limits.check_bits(node)   # before the enclosures, as children would
+        atoms = (_leaf_boxes(system, node, prec, limits)
+                 if limits.bits_of(node) >= LEAF_BITS else {})
+        out += [_leaf_atom(kid) for kid in children(system, node, limits, lambda *_: atoms)
                 if kid is not None]
-        if boxes:
-            out.append((node, boxes))
+        out += atoms.values()
     return out
-
-
-def _split_leaves(items: list) -> tuple[list, list, list]:
-    """(atoms, nodes, boxed) from _last_level's items: the built leaves'
-    atoms, the nodes with enclosed leaves, and (node index, letter, box)
-    for each enclosed leaf."""
-    atoms, nodes, boxed = [], [], []
-    for item in items:
-        if isinstance(item, int):
-            atoms.append(item)
-        else:
-            node, boxes = item
-            boxed += [(len(nodes), letter, box) for letter, box in boxes.items()]
-            nodes.append(node)
-    return atoms, nodes, boxed
 
 
 def canonical_height_system(system: MapSystem, point: ProjPoint, depth: int = 6,
@@ -349,12 +360,11 @@ def canonical_height_system(system: MapSystem, point: ProjPoint, depth: int = 6,
 
     prec is the binary precision of the result: the endpoints are the
     prec-bit enclosures of the two exact log expressions, carried as exact
-    rationals, and the leaf boxes are taken at prec too.  A leaf under a
-    node of at least LEAF_BITS bits is not built when its atom is known by
-    its prec-bit box (_leaf_boxes) and that box meets no other atom of the
-    estimate; each other leaf is built once.  The sums then have the terms,
-    the order and the interval steps of the full expressions, so the
-    endpoints are theirs.
+    rationals.  A leaf under a node of at least LEAF_BITS bits enters them
+    as a logvals.Deferred (_leaf_boxes), built only when its enclosure meets
+    another atom of its expression or does not decide its prec-bit box; each
+    other leaf is built once.  The sums then have the terms, the order and
+    the interval steps of the full expressions, so the endpoints are theirs.
     """
     k, big_d = system.k, system.degree_sum
     if bounds is None:
@@ -362,10 +372,9 @@ def canonical_height_system(system: MapSystem, point: ProjPoint, depth: int = 6,
     limits.check_nodes(k, depth)
     # Summation commutes and term merging is canonical, so the sum does not
     # depend on how the worker count splits the tree.
-    atoms, nodes, boxed = _split_leaves(
-        [_leaf_atom(point)] if depth == 0 else
-        fold_tree(system, point, depth - 1, partial(_last_level, system, depth, limits, prec),
-                  limits, workers))
+    atoms = ([_leaf_atom(point)] if depth == 0 else
+             fold_tree(system, point, depth - 1, partial(_last_level, system, depth, limits, prec),
+                       limits, workers))
     sum_up = LogExpr.zero()
     sum_down = LogExpr.zero()
     for b in bounds:
@@ -373,27 +382,13 @@ def canonical_height_system(system: MapSystem, point: ProjPoint, depth: int = 6,
         sum_down = sum_down + b.lower
     # sup |T h - h| <= sum(upper)/D on the + side; tail is geometric in k/D.
     tail_coeff = Fraction(k ** depth, big_d ** depth) * Fraction(big_d, big_d - k) * Fraction(1, big_d)
-    up, down = sum_up * tail_coeff, sum_down * tail_coeff
-    exact = atoms + [atom for atom, _ in up.terms + down.terms]
-    rebuild: dict[int, set[int]] = {}
-    for j in _overlapping([box for _, _, box in boxed], exact, prec) if boxed else ():
-        rebuild.setdefault(boxed[j][0], set()).add(boxed[j][1])
-    # A node whose enclosed leaves meet another atom expands once more, for
-    # those leaves only; the other nodes are let go first.
-    nodes = [node if i in rebuild else None for i, node in enumerate(nodes)]
-    for i, letters in sorted(rebuild.items()):
-        node, nodes[i] = nodes[i], None
-        atoms += [_leaf_atom(kid) for kid in children(
-            system, node, limits, lambda *_: {j for j in range(1, k + 1) if j not in letters})
-            if kid is not None]
+    up, down = sum_up * tail_coeff, -sum_down * tail_coeff
     inv = Fraction(1, big_d ** depth)
-    mid = LogExpr((atom, 1) for atom in atoms) * inv
-    boxes = [box for i, letter, box in boxed if letter not in rebuild.get(i, ())]
-    logs: dict = {}   # lo and hi share every leaf's log box
-    lo_expr, hi_expr = mid - down, mid + up
-    boxed = [(box, inv) for box in boxes]
-    lo = interval_sum(lo_expr.const, in_atom_order(lo_expr.terms, boxed, prec), prec, logs)
-    hi = interval_sum(hi_expr.const, in_atom_order(hi_expr.terms, boxed, prec), prec, logs)
+    leaves = [(atom, inv) for atom in atoms]
+    lo_expr = LogExpr(leaves + list(down.terms), down.const)
+    hi_expr = LogExpr(leaves + list(up.terms), up.const)
+    logs: dict = {}   # lo and hi share every atom's log box
+    lo, hi = lo_expr.interval(prec, logs), hi_expr.interval(prec, logs)
     certified = all(b.certified for b in bounds)
     return HeightEstimate(LogExpr.constant(Fraction(*to_rational(lo._mpi_[0]))),
                           LogExpr.constant(Fraction(*to_rational(hi._mpi_[1]))),

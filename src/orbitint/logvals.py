@@ -14,20 +14,20 @@ An atom may be deferred (`Deferred`): an integer known by a certified
 enclosure and built only when the enclosure cannot stand in for it.  Its
 place among the sorted atoms, its box at each precision and its bit length
 come from the enclosure, so every stage decides as it would with the
-integer, from the same endpoints.  `rounded_box` is the one test that an
-enclosure rounds to the integer's box, and `_overlapping` the one test that
-boxes meet no other atom.
+integer, from the same endpoints.  Boxed atoms are this module's concern
+alone: `deferred_atom` is the one way to make one, `rounded_box` the one
+test that an enclosure rounds to the integer's box, and `_settle` the one
+test that enclosures meet no other atom.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Callable, Iterable, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Iterable, Iterator, Mapping, Optional, Tuple
 
 from mpmath import iv
-from mpmath.libmp import (from_int, from_man_exp, round_ceiling, round_floor,
-                          to_rational)
+from mpmath.libmp import from_man_exp, round_ceiling, round_floor, to_rational
 
 DEFAULT_PRECISION = 128
 
@@ -82,63 +82,47 @@ def rounded_box(lo: int, hi: int, exp: int, prec: int) -> Optional[tuple]:
     return None
 
 
-def _box_key(endpoint: tuple, prec: int) -> tuple[int, int]:
-    """Sort key of a positive raw mpf of at most prec bits: keys compare as
-    the values do."""
-    _sign, man, exp, bc = endpoint
-    return exp + bc, man << (prec - bc)
+def _key(man: int, exp: int, prec: int) -> int:
+    """Sort key of man * 2^exp (man > 0) rounded down to prec bits: its bit
+    length, then its prec-bit mantissa, as one integer, so that keys
+    compare as the rounded values do.  Integer shifts read it, with no mpf
+    built and normalized.  Key + 1 is above the unrounded value."""
+    bc = man.bit_length()
+    return (exp + bc << prec) + (man << prec >> bc)
 
 
-def _atom_key(atom: int, prec: int) -> tuple[int, int]:
-    """_box_key of the lower end of iv.mpf(atom) at prec."""
-    return _box_key(from_int(atom, prec, round_floor), prec)
-
-
-def _overlapping(boxes: Sequence[tuple], exact: Iterable[int], prec: int) -> set[int]:
-    """Indices of the boxes (raw mpf endpoint pairs of at most prec bits)
-    that meet another box or the prec-bit box of an exact atom.  The others
-    are disjoint from every atom, so their atoms neither merge nor change
-    places with any other atom in a sorted LogExpr."""
-    items = [(_atom_key(atom, prec), _box_key(from_int(atom, prec, round_ceiling), prec), None)
-             for atom in set(exact)]
-    items += [(_box_key(a, prec), _box_key(b, prec), i) for i, (a, b) in enumerate(boxes)]
+def _clusters(items: list) -> Iterator[list]:
+    """The terms of the items (lower key, upper key, term) in clusters:
+    sorted by lower key, the key intervals chain into runs that meet, and a
+    cluster is one run.  The items are sorted in place."""
     items.sort(key=lambda item: item[0])
-    # Boxes sorted by lower end chain into clusters of boxes that meet; a box
-    # meets another exactly when its cluster has more than one member.
-    clusters: list[list] = []
-    reach = None
-    for lo, hi, index in items:
-        if reach is None or lo > reach:
-            clusters.append([])
-            reach = hi
-        clusters[-1].append(index)
-        reach = max(reach, hi)
-    return {i for cluster in clusters if len(cluster) > 1 for i in cluster if i is not None}
+    cluster: list = []
+    for lo, hi, term in items:
+        if cluster and lo > reach:
+            yield cluster
+            cluster = []
+        reach = max(reach, hi) if cluster else hi
+        cluster.append(term)
+    yield cluster
 
 
-def in_atom_order(terms: Sequence[tuple], boxed: Sequence[tuple], prec: int) -> list:
-    """The sorted exact terms (atom, coeff) and the boxed terms (box, coeff)
-    as one list in atom order, each box being raw mpf endpoints of at most
-    prec bits that meet no other atom (see _overlapping)."""
-    if not boxed:
-        return list(terms)
-    # The sort is stable, so exact atoms with one key keep their exact order;
-    # a box's key is strictly between the keys of the atoms around it.
-    keyed = [(_atom_key(atom, prec), atom, c) for atom, c in terms]
-    keyed += [(_box_key(box[0], prec), box, c) for box, c in boxed]
-    keyed.sort(key=lambda item: item[0])
-    return [(atom, c) for _key, atom, c in keyed]
-
-
-def encloses_atom(lo: int, exp: int) -> bool:
-    """True when lo * 2^exp >= 2, so that an integer N >= lo * 2^exp is a
-    log atom."""
-    return lo > 0 and lo.bit_length() + exp >= 2
+def deferred_atom(enclosure: tuple[int, int, int],
+                  build: Callable[[], int]) -> Optional["Deferred"]:
+    """The Deferred of an integer N with enclosure (lo, hi, exp), that is
+    lo * 2^exp <= N <= hi * 2^exp, and its build; None when the enclosure
+    does not show N >= 2, so that N might not be a log atom."""
+    lo, hi, exp = enclosure
+    # Bits below the enclosure's width tell nothing: all but 8 are dropped,
+    # rounding outward, so that keys and boxes read short integers.
+    drop = (hi - lo).bit_length() - 8
+    if drop > 0:
+        lo, hi, exp = lo >> drop, -(-hi >> drop), exp + drop
+    return Deferred(lo, hi, exp, build) if lo > 0 and lo.bit_length() + exp >= 2 else None
 
 
 class Deferred:
     """A log atom N >= 2 held as a certified enclosure lo * 2^exp <= N <=
-    hi * 2^exp together with build, which returns N.
+    hi * 2^exp together with build, which returns N (see deferred_atom).
 
     N is built at most once, and only when the enclosure cannot stand in for
     it: the enclosure meets another atom of an expression (equal atoms merge
@@ -150,15 +134,13 @@ class Deferred:
     expression made from then on.
     """
 
-    __slots__ = ("lo", "hi", "exp", "_build", "_value", "_boxes")
+    __slots__ = ("lo", "hi", "exp", "_build", "_value", "_prec", "_box")
 
     def __init__(self, lo: int, hi: int, exp: int, build: Callable[[], int]):
-        if not encloses_atom(lo, exp):
-            raise ValueError("a deferred atom needs a certified N >= 2")
         self.lo, self.hi, self.exp = lo, hi, exp
         self._build: Optional[Callable[[], int]] = build
         self._value: Optional[int] = None
-        self._boxes: dict[int, tuple] = {}
+        self._prec = self._box = None
 
     def value(self) -> int:
         """N, built on first use."""
@@ -176,22 +158,17 @@ class Deferred:
         low, high = self.bit_range()
         return low if low == high else self.value().bit_length()
 
-    def enclosure(self) -> tuple:
-        """(lo * 2^exp, hi * 2^exp) as exact raw mpf endpoints."""
-        return from_man_exp(self.lo, self.exp), from_man_exp(self.hi, self.exp)
-
     def box(self, prec: int):
         """iv.mpf(N) at prec as raw mpf endpoints when the enclosure decides
-        them, else N itself (built)."""
+        them, else N itself (built).  The last box taken is kept."""
         if self._value is not None:
             return self._value
-        box = self._boxes.get(prec)
-        if box is None:
+        if prec != self._prec:
             box = rounded_box(self.lo, self.hi, self.exp, prec)
             if box is None:
                 return self.value()
-            self._boxes[prec] = box
-        return box
+            self._prec, self._box = prec, box
+        return self._box
 
     def __eq__(self, other) -> bool:
         if other is self:
@@ -219,26 +196,37 @@ class Deferred:
 
 def _settle(merged: dict, pending: dict) -> tuple:
     """The sorted terms of merged (int atom -> coeff) and pending (id ->
-    [Deferred, coeff]).  A deferred atom whose enclosure meets another atom
-    is built and merged; the others take their places by their enclosures."""
+    [Deferred, coeff]).  Each atom is placed by its key interval: exactly
+    its enclosure for a deferred atom, as keys are read at the bits of the
+    widest enclosure, and the rounding of an exact atom.  The atoms of a
+    cluster of meeting intervals are built, merged and sorted exactly; any
+    other atom takes its place by its interval.  An exact atom whose bit
+    length is outside the enclosures' range meets none of them, so its
+    bit length alone places it.
+    """
     deferred = [(atom, coeff) for atom, coeff in pending.values() if coeff]
     if not deferred:
         return tuple(sorted(merged.items()))
-    boxes = [atom.enclosure() for atom, _ in deferred]
-    prec = max(max(atom.lo.bit_length(), atom.hi.bit_length()) for atom, _ in deferred)
-    meeting = _overlapping(boxes, merged, prec)
-    for i in meeting:
-        atom, coeff = deferred[i]
-        n = atom.value()
-        acc = merged.get(n, 0) + coeff
-        if acc:
-            merged[n] = acc
-        else:
-            merged.pop(n, None)
-    # A boxed term carries its (Deferred, coeff) pair in place of a coeff.
-    boxed = [(boxes[i], term) for i, term in enumerate(deferred) if i not in meeting]
-    order = in_atom_order(sorted(merged.items()), boxed, prec)
-    return tuple(c if isinstance(a, tuple) else (a, c) for a, c in order)
+    prec = max(atom.hi.bit_length() for atom, _ in deferred)
+    items = [(_key(atom.lo, atom.exp, prec), _key(atom.hi, atom.exp, prec), (atom, coeff))
+             for atom, coeff in deferred]
+    low = (min(lo for lo, _, _ in items) >> prec) - 1
+    high = max(hi for _, hi, _ in items) >> prec
+    for atom, coeff in merged.items():
+        bits = atom.bit_length()
+        key = _key(atom, 0, prec) if low <= bits <= high else bits << prec
+        items.append((key, key + 1, (atom, coeff)))
+    terms: list = []
+    for cluster in _clusters(items):
+        if len(cluster) == 1:
+            terms += cluster
+            continue
+        exact: dict = {}
+        for atom, coeff in cluster:
+            n = atom.value() if type(atom) is Deferred else atom
+            exact[n] = exact.get(n, 0) + coeff
+        terms += sorted((n, coeff) for n, coeff in exact.items() if coeff)
+    return tuple(terms)
 
 
 class LogExpr:
@@ -256,8 +244,10 @@ class LogExpr:
             coeff = _as_fraction(coeff)
             if type(atom) is Deferred:
                 if atom._value is None:
-                    if coeff:
-                        entry = pending.setdefault(id(atom), [atom, 0])
+                    entry = pending.get(id(atom))
+                    if entry is None:   # no Fraction sum for an atom met once
+                        pending[id(atom)] = [atom, coeff]
+                    else:
                         entry[1] += coeff
                     continue
                 atom = atom._value
@@ -366,14 +356,15 @@ class LogExpr:
 
     # -- evaluation --------------------------------------------------------
 
-    def interval(self, prec: int = DEFAULT_PRECISION):
-        """Enclosing mpmath interval at the given binary precision.  A
-        deferred atom enters as its box at prec, which is iv.mpf of the atom,
-        so the endpoints are those of the same expression over integers."""
+    def interval(self, prec: int = DEFAULT_PRECISION, logs: Optional[dict] = None):
+        """Enclosing mpmath interval at the given binary precision (logs as
+        in interval_sum).  A deferred atom enters as its box at prec, which
+        is iv.mpf of the atom, so the endpoints are those of the same
+        expression over integers."""
         if not self._deferred:
-            return interval_sum(self.const, self.terms, prec)
+            return interval_sum(self.const, self.terms, prec, logs)
         return interval_sum(self.const, [(atom.box(prec) if type(atom) is Deferred else atom, c)
-                                         for atom, c in self.terms], prec)
+                                         for atom, c in self.terms], prec, logs)
 
     def upper_bound(self, prec: int = DEFAULT_PRECISION) -> Fraction:
         """The upper endpoint of interval(prec) as an exact rational, so a

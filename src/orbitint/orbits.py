@@ -156,14 +156,16 @@ def find_cycle(system: MapSystem, word: Word, memo: list, steps: int,
 
 
 def children(system: MapSystem, point: ProjPoint, limits: WorkLimits,
-             skip: Optional[LeafTest] = None) -> list[Optional[ProjPoint]]:
+             skip: Optional[LeafTest] = None,
+             table: Optional[polys.Monomials] = None) -> list[Optional[ProjPoint]]:
     """The k children of a tree node, in letter order, after its bits are
     checked.  skip, when given, names the letters whose child is not built
     (it stands as None in the list).  The maps read one lazily built
-    monomial table of the node's point."""
+    monomial table of the node's point: table, or else a new one."""
     limits.check_bits(point)
     skipped = skip(system, point) if skip is not None else ()
-    table = polys.Monomials(point.x, point.y)
+    if table is None:
+        table = polys.Monomials(point.x, point.y)
     return [None if letter in skipped else eval_point(phi, point, table)
             for letter, phi in enumerate(system.maps, start=1)]
 

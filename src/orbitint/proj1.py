@@ -20,7 +20,7 @@ from typing import Optional
 
 from . import polys
 from .logvals import (DEFERRED_BITS, LEAF_BITS, POS_INF, Deferred, LogExpr, _Infinite,
-                      encloses_atom)
+                      deferred_atom)
 from .places import Place, padic_valuation
 
 # X^2 + Y^2, ascending in X (see polys.form_bounds).
@@ -147,11 +147,11 @@ def log_chordal(p: ProjPoint, q: ProjPoint, v: Place) -> LogExpr | _Infinite:
 
 def _sum_of_squares(p: ProjPoint) -> int | Deferred:
     """x^2 + y^2, as a deferred atom for a point of at least LEAF_BITS bits."""
+    atom = None
     if max(p.x.bit_length(), p.y.bit_length()) >= LEAF_BITS:
-        lo, hi, e = polys.atom_enclosure(_SQUARES, (), 2, 1, p.x, p.y, DEFERRED_BITS)
-        if encloses_atom(lo, e):
-            return Deferred(lo, hi, e, lambda: p.x * p.x + p.y * p.y)
-    return p.x * p.x + p.y * p.y
+        atom = deferred_atom(polys.atom_enclosure(_SQUARES, (), 2, 1, p.x, p.y, DEFERRED_BITS),
+                             lambda: p.x * p.x + p.y * p.y)
+    return p.x * p.x + p.y * p.y if atom is None else atom
 
 
 def chordal_sum(p: ProjPoint, q: ProjPoint, places) -> LogExpr | _Infinite:

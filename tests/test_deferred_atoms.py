@@ -13,11 +13,12 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from mpmath.libmp import from_man_exp, mpf_cmp, round_floor
 
 from orbitint import cli, heights, orbits, proj1
 from orbitint.heights import canonical_height_word, hmin_estimate
 from orbitint.integrality import gamma_set
-from orbitint.logvals import Deferred, LogExpr
+from orbitint.logvals import Deferred, LogExpr, _key, deferred_atom
 from orbitint.orbits import WorkLimits
 from orbitint.places import INFINITE_PLACE, Place, PlaceSet
 from orbitint.proj1 import INFINITY, ProjPoint, log_chordal, normalize
@@ -133,6 +134,51 @@ def test_atoms_keep_their_order_among_exact_atoms():
     expr = LogExpr(terms)
     assert len(deferred_atoms(expr)) >= 6
     assert_agrees(expr)
+
+
+def test_keys_compare_as_the_rounded_values():
+    """logvals._key orders man * 2^exp rounded down to prec bits as mpmath
+    orders the rounded mpf values, and key + 1 is above every value that
+    rounds down to it, a mantissa of all ones included."""
+    rng = random.Random(17)
+    values = [(1, 0), (3, 0), (7, -1), ((1 << 200) - 1, 5), (1 << 200, 4)]
+    values += [(rng.getrandbits(rng.randint(1, 300)) | 1, rng.randint(-40, 40))
+               for _ in range(60)]
+    for prec in (2, 53, 64, 128, 301):
+        keyed = [(_key(man, exp, prec), from_man_exp(man, exp, prec, round_floor),
+                  from_man_exp(man, exp)) for man, exp in values]
+        for (k1, down1, exact1), (k2, down2, exact2) in zip(keyed, keyed[1:] + keyed[:1]):
+            assert (k1 > k2) - (k1 < k2) == mpf_cmp(down1, down2)
+            if k1 + 1 <= k2:
+                assert mpf_cmp(exact1, down2) < 0
+
+
+def test_enclosures_at_the_edges_of_their_bit_range():
+    """An enclosure whose lower end is a power of 2 stays clear of an exact
+    atom one bit shorter; an exact atom a unit above its upper end rounds
+    down onto it, so it is built; the atom inside an enclosure merges with
+    it; exact atoms far outside the enclosures' bit lengths keep their
+    places."""
+    k = 3000
+    for above, outcome in ((False, [False, True]), (True, [True, True])):
+        low = Deferred(1, 3, k, lambda: (1 << k) + 1)
+        inside = Deferred(5, 6, k + 7, lambda: 11 << k + 6)
+        terms = [(low, 1), ((1 << k) - 1, -1), (3, 1), (1 << 4000 | 1, 2),
+                 (inside, Fraction(1, 2)), (11 << k + 6, 3)]
+        expr = LogExpr(terms + [((3 << k) + 1, 1)] * above)
+        assert built([low, inside]) == outcome
+        assert_agrees(expr)
+
+
+def test_deferred_atom_needs_n_at_least_2_and_drops_idle_bits():
+    assert deferred_atom((1, 5, 0), lambda: 3) is None
+    assert deferred_atom((0, 9, 3), lambda: 3) is None
+    atom = deferred_atom((2, 3, 0), lambda: 3)
+    assert (atom.lo, atom.hi, atom.exp) == (2, 3, 0)
+    lo, hi = (1 << 1000) + 12345, (1 << 1000) + (1 << 300)
+    atom = deferred_atom((lo, hi, 7), lambda: lo << 7)
+    assert atom.lo << atom.exp <= lo << 7 and atom.hi << atom.exp >= hi << 7
+    assert (atom.hi - atom.lo).bit_length() <= 9 and atom.exp > 7
 
 
 def test_an_atom_that_meets_another_is_built():

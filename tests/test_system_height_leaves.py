@@ -1,8 +1,8 @@
-"""System-height leaves known by their boxes: canonical_height_system equals
-the exact-leaf formula (every leaf built, the two full log expressions
-summed term by term in atom order), endpoint for endpoint, on every path a
-leaf can take: enclosed, built because its rounding is not decided, built
-because its box meets another atom."""
+"""System-height leaves known by their enclosures: canonical_height_system
+equals the exact-leaf formula (every leaf built, the two full log
+expressions summed term by term in atom order), endpoint for endpoint, on
+every path a leaf can take: enclosed, built because its rounding is not
+decided, built because its enclosure meets another atom."""
 
 import json
 import math
@@ -89,11 +89,12 @@ def evaluations(monkeypatch):
 
 @pytest.fixture
 def overlaps(monkeypatch):
-    """The boxes each estimate found meeting another atom."""
+    """The enclosed leaves built since the last clear(): their Deferred
+    enclosure met another atom or did not decide the prec-bit box."""
     found = []
-    real = heights._overlapping
-    monkeypatch.setattr(heights, "_overlapping",
-                        lambda *args: found.append(real(*args)) or found[-1])
+    real = heights._Leaves.build
+    monkeypatch.setattr(heights._Leaves, "build",
+                        lambda *args: found.append(args) or real(*args))
     return found
 
 
@@ -122,16 +123,21 @@ def test_shipped_configs_at_depth_9(path, workers):
 
 
 def test_enclosed_boxes_are_the_leaf_boxes():
-    """Every box _leaf_boxes returns is iv.mpf of the built leaf's atom."""
+    """Every prec box of an atom _leaf_boxes returns is iv.mpf of the built
+    leaf's atom; an atom whose box is not decided is built as that atom."""
     rng = random.Random(613)
     kept = 0
     for trial in range(40):
         system = random_system(rng, k_max=3, max_degree=4)
         prec = (53, 128, 256)[trial % 3]
         for node in (random_point(rng, 1 << 3000), random_point(rng, 1 << 1100)):
-            for letter, box in _leaf_boxes(system, node, prec).items():
+            for letter, enclosed in _leaf_boxes(system, node, prec).items():
                 leaf = eval_point(system.map_for_letter(letter), node)
                 atom = max(abs(leaf.x), abs(leaf.y))
+                box = enclosed.box(prec)
+                if type(box) is int:
+                    assert box == atom
+                    continue
                 assert box == (from_int(atom, prec, round_floor),
                                from_int(atom, prec, round_ceiling))
                 kept += 1
@@ -145,13 +151,15 @@ def test_power_of_two_atoms_are_enclosed(evaluations, overlaps):
     doubling = MapSystem([parse_map("z^2"), make_map([0, 0, 2], [1])])  # no twins
     for system, exponents, built in ((PAIR, (6000, 9000), 2 ** 11 - 2),
                                      (doubling, (6000, 6001), 0)):
-        boxes = _leaf_boxes(system, ProjPoint(1 << 3000, 1), 128)
+        boxes = {letter: atom.box(128)
+                 for letter, atom in _leaf_boxes(system, ProjPoint(1 << 3000, 1), 128).items()}
         assert boxes == {letter: (from_int(1 << e, 128, round_floor),
                                   from_int(1 << e, 128, round_ceiling))
                          for letter, e in enumerate(exponents, start=1)}
         evaluations.clear()
+        overlaps.clear()
         assert_exact_leaf_formula(system, normalize(2), 11)
-        assert len(overlaps[-1]) == built
+        assert len(overlaps) == built
         assert len(evaluations) == orbits._tree_size(2, 10) - 1 + built
 
 
@@ -161,7 +169,7 @@ def test_twins_across_parents_are_built_once(evaluations, overlaps):
     node still evaluated at most once."""
     evaluations.clear()
     assert_exact_leaf_formula(PAIR, normalize(Fraction(5, 3)), 11)
-    assert len(overlaps[-1]) > 1_000
+    assert len(overlaps) > 1_000
     assert len(evaluations) <= orbits._tree_size(2, 11) - 1
 
 
@@ -176,7 +184,7 @@ def test_common_factor_of_the_resultant():
             u, v = phi.homogeneous(node.x, node.y)
             assert math.gcd(u, v) == 2
             leaf = eval_point(phi, node)
-            box = _leaf_boxes(config.system, node, 128)[1]
+            box = _leaf_boxes(config.system, node, 128)[1].box(128)
             atom = max(abs(leaf.x), abs(leaf.y))
             assert box == (from_int(atom, 128, round_floor), from_int(atom, 128, round_ceiling))
             seen += 1
@@ -192,8 +200,27 @@ def test_leaf_atom_equal_to_a_tail_atom(monkeypatch, overlaps):
     system = MapSystem([parse_map("z^2+1"), parse_map("z^2-2")])
     assert 2 in {atom for atom, _ in system_bounds(system)[0].upper.terms}
     for depth in (1, 2, 3):
+        overlaps.clear()
         assert_exact_leaf_formula(system, normalize(1), depth)
-        assert overlaps[-1]
+        assert overlaps
+
+
+@pytest.mark.parametrize("point, lo, hi", [
+    ("3", 0.9888479494173272, 0.9889117636302506),
+    ("3/2", 0.9985697803315452, 0.9986335945444685),
+])
+def test_the_settle_reads_the_exact_enclosures(evaluations, point, lo, hi):
+    """Whether a leaf meets another atom is tested on its exact enclosure,
+    finer than its 128-bit box: bounds_mixed at depth 11 builds 8 of its
+    2,048 enclosed leaves (a test on the boxes built 24 from 3 and 30 from
+    3/2), and lo and hi are those of every leaf built."""
+    config = load("bounds_mixed", point)
+    evaluations.clear()
+    est = canonical_height_system(config.system, config.point, 11,
+                                  bounds=system_bounds(config.system, config.c_mode),
+                                  prec=config.precision_bits)
+    assert len(evaluations) == orbits._tree_size(2, 10) - 1 + 8 == 2_054
+    assert (est.lo(config.precision_bits), est.hi(config.precision_bits)) == (lo, hi)
 
 
 @pytest.mark.parametrize("lifted", [False, True])
