@@ -3,14 +3,21 @@ numerator/denominator log-ratio series.
 
 Threshold decisions consume certified intervals and report "ambiguous" when
 an interval straddles the cut; nothing is ever silently rounded across it.
+The census builds only the tree nodes it may need: `NonUnitLeaves` rules
+out a leaf whose denominator cannot be an S-unit, from a box of its parent
+and residues of the parent modulo p^K (the archimedean and p-adic parts of
+the size), and one level higher rules out a last-level node, never built,
+whose own record and every leaf fail the same way, from the same two
+enclosures carried to it from its parent.
 """
 
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from typing import Callable, Optional
 
 from . import polys
 from .heights import HeightEstimate, canonical_height_word, system_bounds
@@ -163,6 +170,9 @@ class NonUnitLeaves:
       that residue is not 0; K doubles while it is, as long as p^K fits
       the bound;
     - R * prod p^v < 2^floor_bits, compared as bit lengths.
+
+    `twigs` applies the same test one level higher, to a child it does not
+    build (see _Node.child).
     """
 
     def __init__(self, s: PlaceSet):
@@ -171,24 +181,41 @@ class NonUnitLeaves:
     def __call__(self, system: MapSystem, node: ProjPoint) -> set[int]:
         if WorkLimits.bits_of(node) < SCREEN_BITS:
             return set()
-        shift, xs, ys = polys.top_bits_box(node.x, node.y, TOP_BITS, BOX_BITS)
-        residues: dict[int, tuple] = {}   # p^K -> (x mod p^K, y mod p^K, table)
-        return {letter for letter, phi in enumerate(system.maps, start=1)
-                if self._rules_out(phi, node, shift, xs, ys, residues)}
+        return self._non_units(system, _Node.exact(node))
 
-    def _rules_out(self, phi: RatMap, node: ProjPoint, shift: int, xs, ys,
-                   residues: dict) -> bool:
-        lo, hi = polys.form_bounds(phi.g, phi.degree, xs, ys)
+    def twigs(self, system: MapSystem, node: ProjPoint, limits: WorkLimits) -> set[int]:
+        """The letters a of a node two levels above the leaves whose child
+        C = phi_a(node) the census needs neither built nor expanded: the test
+        above rules out C at the node, rules out every leaf of C from C's
+        enclosure, and C's box shows that C is within the bit cap (the check
+        that expanding C would make)."""
+        if WorkLimits.bits_of(node) < SCREEN_BITS:
+            return set()
+        parent = _Node.exact(node)
+        out = set()
+        for letter in self._non_units(system, parent):
+            child = parent.child(system.map_for_letter(letter))
+            if limits.fits_bits(child.max_bits()) and all(
+                    self._rules_out(phi, child) for phi in system.maps):
+                out.add(letter)
+        return out
+
+    def _non_units(self, system: MapSystem, node: "_Node") -> set[int]:
+        return {letter for letter, phi in enumerate(system.maps, start=1)
+                if self._rules_out(phi, node)}
+
+    def _rules_out(self, phi: RatMap, node: "_Node") -> bool:
+        lo, hi = polys.form_bounds(phi.g, phi.degree, node.xs, node.ys)
         if lo <= 0 <= hi:
             return False
-        floor_bits = min(abs(lo), abs(hi)).bit_length() - 1 + shift * phi.degree
+        floor_bits = min(abs(lo), abs(hi)).bit_length() - 1 + node.shift * phi.degree
         # R * part < 2^floor_bits once part, the S-part of G(x, y), has at
         # most budget bits.
         budget = floor_bits - phi.resultant.bit_length()
         part = 1
         for p in self.primes:
             digits = RESIDUE_DIGITS
-            while not (value := _residue(phi, node, p ** digits, residues)):
+            while not (value := node.values(phi, p ** digits)[1]):
                 # p^digits divides G(x, y): more digits help only while it fits.
                 if (part * p ** digits).bit_length() > budget:
                     return False
@@ -197,13 +224,50 @@ class NonUnitLeaves:
         return part.bit_length() <= budget
 
 
-def _residue(phi: RatMap, node: ProjPoint, modulus: int, residues: dict) -> int:
-    """G(x, y) mod modulus from x and y mod modulus; the maps at one node
-    share one residue table per modulus."""
-    if modulus not in residues:
-        xm, ym = node.x % modulus, node.y % modulus
-        residues[modulus] = (xm, ym, polys.Monomials(xm, ym))
-    return polys.eval_homogeneous((), phi.g, phi.degree, *residues[modulus])[1] % modulus
+class _Node:
+    """What the screen reads of a node [x : y], built or not: a box, x in
+    xs * 2^shift and y in ys * 2^shift, and x, y modulo any m (reduce), with
+    one monomial table per modulus that the maps at the node share."""
+
+    def __init__(self, shift: int, xs: tuple, ys: tuple,
+                 reduce: Callable[[int], tuple[int, int]]):
+        self.shift, self.xs, self.ys, self.reduce = shift, xs, ys, reduce
+        self.tables: dict[int, tuple] = {}   # m -> (x mod m, y mod m, table)
+
+    @classmethod
+    def exact(cls, node: ProjPoint) -> "_Node":
+        return cls(*polys.top_bits_box(node.x, node.y, TOP_BITS, BOX_BITS),
+                   lambda m: (node.x % m, node.y % m))
+
+    def values(self, phi: RatMap, modulus: int) -> tuple[int, int]:
+        """(F(x, y), G(x, y)) mod modulus."""
+        if modulus not in self.tables:
+            xm, ym = self.reduce(modulus)
+            self.tables[modulus] = (xm, ym, polys.Monomials(xm, ym))
+        u, v = polys.eval_homogeneous(phi.f, phi.g, phi.degree, *self.tables[modulus])
+        return u % modulus, v % modulus
+
+    def child(self, phi: RatMap) -> "_Node":
+        """phi's child [F : G]/g, enclosed: g = gcd(R, F mod R, G mod R) is
+        read from this node mod R, the box is form_bounds of F and G over
+        this box divided by g, and the child mod m is (F, G) mod m * g
+        divided by g.  The child may be -1 times the canonical point, which
+        changes no |G| and no valuation that the screen reads."""
+        d, r = phi.degree, phi.resultant
+        g = math.gcd(r, *self.values(phi, r)) if r > 1 else 1
+        f_lo, f_hi = polys.form_bounds(phi.f, d, self.xs, self.ys)
+        g_lo, g_hi = polys.form_bounds(phi.g, d, self.xs, self.ys)
+
+        def reduce(m: int) -> tuple[int, int]:
+            u, v = self.values(phi, m * g)
+            return u // g, v // g
+        return _Node(*polys.trim_box(self.shift * d, (f_lo // g, -(-f_hi // g)),
+                                     (g_lo // g, -(-g_hi // g)), TOP_BITS, BOX_BITS),
+                     reduce)
+
+    def max_bits(self) -> int:
+        """An upper bound on bits_of the node."""
+        return max(t.bit_length() for t in self.xs + self.ys) + self.shift
 
 
 def s_integral_census(system: MapSystem, point: ProjPoint, s: PlaceSet,
@@ -213,9 +277,11 @@ def s_integral_census(system: MapSystem, point: ProjPoint, s: PlaceSet,
     coordinate; the point at infinity has none and is skipped.  Orbit points
     are canonical, so y is the reduced denominator of the affine coordinate.
 
-    Leaves that NonUnitLeaves rules out are never built.  Such a leaf is not
-    an S-unit point, and neither is any other record of its point, so
-    dropping it removes no hit and changes no hit's first record.
+    Leaves that NonUnitLeaves rules out are never built, nor are the
+    last-level nodes its twig test rules out together with their leaves.
+    Such a record is not an S-unit point, and neither is any other record
+    of its point, so dropping it removes no hit and changes no hit's first
+    record.
     """
     if not s.contains_infinite:
         raise ValueError("S must contain the archimedean place")

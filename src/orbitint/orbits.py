@@ -6,9 +6,11 @@ of the node's point, less the letters a consumer's test (`LeafTest`) rules
 out.  `walk_tree` yields (word, point) in preorder (prefixes first, letters
 ascending) on an explicit stack, and `fold_tree` fans the tree out by first
 letter for parallel workers and concatenates the parts.  Both apply a
-consumer's test at the last level only, so a consumer that needs only some
-leaves (the census needs the possible S-unit points) never builds the
-others; every other consumer gets all leaves.
+consumer's test at the last level, and its twig test, when it has one, one
+level higher, so a consumer that needs only some leaves (the census needs
+the possible S-unit points) never builds the others, nor a last-level node
+whose leaves and whose own record it does not need; every other consumer
+gets all nodes.
 `walk_word` applies one map per step along a word, sharing one lazily
 extended point list between passes over one orbit, and `find_cycle` scans
 that list for a repeat.  `WorkLimits` is the one way a cap reaches the
@@ -21,6 +23,7 @@ cycle budget.  Point equality is exact equality of normalized coordinates.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import partial
 from itertools import islice
 from typing import Callable, Container, Iterable, Iterator, Optional
 
@@ -100,7 +103,11 @@ class WorkLimits:
 DEFAULT_LIMITS = WorkLimits()
 
 # A consumer's test at the last level of a tree: given the system and a node
-# whose children are leaves, the letters whose leaf it does not need.
+# whose children are leaves, the letters whose leaf it does not need.  The
+# test may also have a twig test, twigs(system, node, limits), for a node
+# two levels above the leaves: the letters whose child it needs neither as
+# a record nor expanded.  Such a child is never bit-checked, so the twig
+# test names only children it shows to be within the bit cap.
 LeafTest = Callable[[MapSystem, ProjPoint], Container[int]]
 
 
@@ -176,18 +183,30 @@ def walk_tree(system: MapSystem, point: ProjPoint, depth: int,
     """Yield (word, point) for the subtree under prefix, in preorder, down to
     words of the given length.  Children wait on an explicit stack, last
     letter at the bottom, so the walk never recurses.  skip, when given, is
-    the consumer's test at the last level only: the leaves it names are
-    neither built nor yielded."""
+    the consumer's test at the last level, and its twig test one level
+    higher (see LeafTest): the nodes they name are neither built nor
+    yielded, and neither are the leaves of a node the twig test names."""
     stack = [(prefix, point)]
     while stack:
         word, node = stack.pop()
         yield word, node
         if len(word) < depth:
             kids = children(system, node, limits,
-                            skip if len(word) == depth - 1 else None)
+                            _test_at(skip, depth - len(word), limits))
             stack.extend(reversed([(word + (letter,), kid)
                                    for letter, kid in enumerate(kids, start=1)
                                    if kid is not None]))
+
+
+def _test_at(skip: Optional[LeafTest], levels: int,
+             limits: WorkLimits) -> Optional[LeafTest]:
+    """The part of skip that applies at a node levels above the leaves."""
+    if skip is None or levels > 2:
+        return None
+    if levels == 1:
+        return skip
+    twigs = getattr(skip, "twigs", None)
+    return None if twigs is None else partial(twigs, limits=limits)
 
 
 def _fold_subtree(args) -> list:
@@ -205,15 +224,15 @@ def fold_tree(system: MapSystem, point: ProjPoint, depth: int,
     folded in a worker process, and the parts are concatenated in letter
     order after the root's.  A fold that maps each node on its own (fold
     and skip must be picklable) therefore gives the same list for any worker
-    count.  skip is the last-level test of walk_tree.  The node cap is
-    checked here, before any evaluation.
+    count.  skip is the consumer's test of walk_tree, applied to the root
+    as well.  The node cap is checked here, before any evaluation.
     """
     limits.check_nodes(system.k, depth)
     if workers <= 1 or depth == 0:
         return fold(walk_tree(system, point, depth, limits, skip=skip))
     from concurrent.futures import ProcessPoolExecutor
 
-    kids = children(system, point, limits, skip if depth == 1 else None)
+    kids = children(system, point, limits, _test_at(skip, depth, limits))
     tasks = [(fold, system, child, (letter,), depth, limits, skip)
              for letter, child in enumerate(kids, start=1) if child is not None]
     out = fold([((), point)])
@@ -246,7 +265,7 @@ def enumerate_tree(system: MapSystem, point: ProjPoint, depth: int,
                    workers: int = 1,
                    skip: Optional[LeafTest] = None) -> list[OrbitRecord]:
     """All orbit records to the given depth, in preorder word order, less
-    the leaves that the last-level test skip rules out (see walk_tree).
+    the nodes that the consumer's test skip rules out (see walk_tree).
 
     With dedupe=True only the first record per distinct point is kept (the
     witness word is the lexicographically least, by traversal order).  Output

@@ -59,13 +59,29 @@ def strip_prime(n: int, p: int) -> tuple[int, int]:
 
     The one place that divides out a factor: valuations, S-unit tests, trial
     division and Miller-Rabin all go through it.  p may be any integer >= 2.
+    For p = 2, v is the count of trailing zero bits.  Otherwise the powers
+    p, p^2, p^4, ... are squared up while they divide n, and v is read off
+    from the largest down, one binary digit each: a few divisions by powers
+    of p in place of v divisions by p.  An n that p does not divide costs
+    one remainder by p (for p = 2, one bit test).
     """
     if n == 0:
         raise ValueError(f"cannot strip {p} from 0")
+    if p == 2:
+        if n & 1:
+            return 0, n
+        v = (n & -n).bit_length() - 1
+        return v, n >> v
+    if n % p:
+        return 0, n
+    powers = [p]   # p^(2^j) for every j with p^(2^j) dividing n
+    while n % (square := powers[-1] * powers[-1]) == 0:
+        powers.append(square)
     v = 0
-    while n % p == 0:
-        n //= p
-        v += 1
+    for j in reversed(range(len(powers))):
+        quotient, remainder = divmod(n, powers[j])
+        if not remainder:
+            n, v = quotient, v + (1 << j)
     return v, n
 
 

@@ -9,8 +9,9 @@ monomials x^i * y^j (`Monomials`) that several forms at one point can share,
 so binary forms cost one product per distinct monomial plus linear-time
 small-coefficient sums.  `form_bounds` encloses a form's values over a box
 with integer corners, and `top_bits_box` gives the box of a point's top
-bits, for tests that need only the size of a value; `atom_enclosure` puts
-the two together into an enclosure of an image point's height atom.
+bits (`trim_box` the same for a box already wider than a point), for tests
+that need only the size of a value; `atom_enclosure` puts the two together
+into an enclosure of an image point's height atom.
 """
 
 from __future__ import annotations
@@ -152,15 +153,21 @@ def top_bits_box(x: int, y: int, small_bits: int,
     [ys[0], ys[1]] * 2^shift, keeping at most small_bits of the smaller
     coordinate and at most large_bits of the larger.  A coordinate whose
     dropped bits are all 0 (every one when no bit is dropped) has width 0."""
-    low, high = sorted((x.bit_length(), y.bit_length()))
-    shift = max(0, low - small_bits, high - large_bits)
-    return shift, _top_bits(x, shift), _top_bits(y, shift)
+    return trim_box(0, (x, x), (y, y), small_bits, large_bits)
 
 
-def _top_bits(t: int, shift: int) -> tuple[int, int]:
-    """Integer bounds on t / 2^shift, equal when the dropped bits are 0."""
-    top = t >> shift
-    return top, top if top << shift == t else top + 1
+def trim_box(shift: int, xs: tuple[int, int], ys: tuple[int, int], small_bits: int,
+             large_bits: int) -> tuple[int, tuple[int, int], tuple[int, int]]:
+    """The box xs * 2^shift by ys * 2^shift, widened outward to a larger
+    shift that keeps at most small_bits of the smaller coordinate and at most
+    large_bits of the larger (sizes read from the corner of larger absolute
+    value)."""
+    (x_lo, x_hi), (y_lo, y_hi) = xs, ys
+    low, high = sorted((max(x_lo.bit_length(), x_hi.bit_length()),
+                        max(y_lo.bit_length(), y_hi.bit_length())))
+    drop = max(0, low - small_bits, high - large_bits)
+    return (shift + drop, (x_lo >> drop, -(-x_hi >> drop)),
+            (y_lo >> drop, -(-y_hi >> drop)))
 
 
 def _power_bounds(lo: int, hi: int, n: int) -> tuple[int, int]:

@@ -12,7 +12,7 @@ from orbitint import integrality, orbits
 from orbitint.cli import _record_json, main
 from orbitint.config import parse_config
 from orbitint.integrality import NonUnitLeaves, s_integral_census
-from orbitint.orbits import enumerate_tree
+from orbitint.orbits import WorkLimits, enumerate_tree
 from orbitint.places import PlaceSet, is_s_unit
 from orbitint.proj1 import INFINITY, ProjPoint, normalize
 from orbitint.ratmap import MapSystem, eval_point, make_map, parse_map
@@ -181,3 +181,156 @@ def test_census_at_depth_9_on_shipped_configs(path, workers, tmp_path):
     expected = definition(config.system, config.point, config.places, 9)
     assert report["hits"] == [_record_json(rec) for rec in expected]
     assert report["count"] == len(expected)
+
+
+def assert_twigs_sound(system, node, s, limits=WorkLimits()):
+    """Every letter the twig test rules out has a child within the cap that
+    is not an S-unit point and has no S-unit leaf; returns the letters."""
+    out = NonUnitLeaves(s).twigs(system, node, limits)
+    assert out <= NonUnitLeaves(s)(system, node)
+    for letter in out:
+        child = eval_point(system.map_for_letter(letter), node)
+        assert limits.fits(child) and not is_s_unit(child.y, s), (node, letter)
+        for phi in system.maps:
+            leaf = eval_point(phi, child)
+            assert not leaf.is_infinite and not is_s_unit(leaf.y, s), (node, letter)
+    return out
+
+
+def census_matches_at_depth_2(system, node, s, monkeypatch):
+    """From the node as root, the census equals its definition for both
+    worker counts, and with 2 workers the root's expansion, the one part
+    this process evaluates, builds only the children the twig test keeps."""
+    expected = tuple(definition(system, node, s, 2))
+    calls = []
+    monkeypatch.setattr(orbits, "eval_point",
+                        lambda *args: calls.append(1) or eval_point(*args))
+    for workers in (1, 2):
+        calls.clear()
+        assert s_integral_census(system, node, s, 2, workers=workers).hits == expected
+    assert len(calls) == system.k - len(NonUnitLeaves(s).twigs(system, node, WorkLimits()))
+    return expected
+
+
+def test_ruled_out_twigs_are_sound():
+    rng = random.Random(419)
+    ruled_out = 0
+    for _ in range(30):
+        system = random_system(rng, k_max=3, max_degree=3)
+        s = PlaceSet.parse(rng.choice(PLACE_SETS))
+        for node in (random_point(rng, 1 << 1500), random_point(rng, 1 << 1100)):
+            ruled_out += len(assert_twigs_sound(system, node, s))
+    assert ruled_out >= 20
+
+
+def test_twig_test_lifted_to_every_node_for_both_worker_counts(monkeypatch):
+    """With SCREEN_BITS 0 the twig test runs at every node two levels above
+    the leaves, and the census still equals its definition."""
+    monkeypatch.setattr(integrality, "SCREEN_BITS", 0)
+    calls = []
+    monkeypatch.setattr(orbits, "eval_point",
+                        lambda *args: calls.append(1) or eval_point(*args))
+    rng = random.Random(421)
+    twigged = 0
+    for trial in range(24):
+        system = random_system(rng, k_max=3, max_degree=3)
+        point = normalize(rng.randrange(-30, 31), rng.randrange(1, 8))
+        s = PlaceSet.parse(PLACE_SETS[trial % 4])
+        depth = {1: 8, 2: 6, 3: 4}[system.k]
+        expected = tuple(definition(system, point, s, depth))
+        for workers in (2, 1):
+            calls.clear()
+            assert s_integral_census(system, point, s, depth, workers=workers).hits == expected
+        built = len(calls)   # the serial run's: the counter sees no worker
+        calls.clear()
+        # A bound __call__ has no twig test: the leaf test alone.
+        enumerate_tree(system, point, depth, dedupe=True, skip=NonUnitLeaves(s).__call__)
+        twigged += built < len(calls)
+    assert twigged >= 8
+
+
+def test_child_that_is_a_hit_is_built(monkeypatch):
+    # z^3 - 2 (letter 2: maps are sorted by degree) maps an integer to an
+    # integer: the child is a hit, so the leaf test keeps it and the twig
+    # test never sees it.
+    system = MapSystem([parse_map("z^3-2"), parse_map("1/(z^2+1)")])
+    node = ProjPoint(3 ** 700 + 2, 1)
+    s = PlaceSet.parse(["inf", "p2"])
+    assert assert_twigs_sound(system, node, s) == {1}
+    assert ((2,), eval_point(system.maps[1], node)) in \
+        [(rec.word, rec.point) for rec in census_matches_at_depth_2(system, node, s, monkeypatch)]
+
+
+def test_child_whose_leaf_straddles_zero_is_built(monkeypatch):
+    # Newton's map (z^2 + 2)/(2z) takes a Pell point to the next one, whose
+    # leaf under (z^2 + 1)/(z^2 - 2) has G = +-1: over the child's box G
+    # straddles 0, so the child is built, and that leaf is a hit.
+    system = MapSystem([parse_map("(z^2+2)/(2z)"), parse_map("(z^2+1)/(z^2-2)")])
+    node = pell(1100)
+    s = PlaceSet.parse(["inf"])
+    assert 1 in NonUnitLeaves(s)(system, node)
+    assert 1 not in assert_twigs_sound(system, node, s)
+    assert (1, 2) in [rec.word for rec in census_matches_at_depth_2(system, node, s, monkeypatch)]
+
+
+def test_child_under_a_common_factor_divisible_by_p_is_built(monkeypatch):
+    # (z^2 + 2)/3 at [a : b] with a^2 + 2b^2 = 3^n has g = 3: the child is
+    # [3^(n-1) : b^2], read mod 3^K from the node mod 3^(K+1).  Its leaf
+    # under 1/z^2 is [b^4 : 3^(2n-2)], a hit for S = {inf, 3}.
+    a, b = 1, 1
+    for _ in range(1299):
+        a, b = a - 2 * b, a + b          # (a + b sqrt(-2)) (1 + sqrt(-2))
+    system = MapSystem([parse_map("(z^2+2)/3"), parse_map("1/z^2")])
+    node = normalize(a, b)
+    s = PlaceSet.parse(["inf", "p3"])
+    assert a * a + 2 * b * b == 3 ** 1300 and WorkLimits.bits_of(node) >= 1024
+    assert eval_point(system.maps[0], node) == ProjPoint(3 ** 1299, b * b)
+    assert 1 in NonUnitLeaves(s)(system, node)
+    assert 1 not in assert_twigs_sound(system, node, s)
+    assert (1, 2) in [rec.word for rec in census_matches_at_depth_2(system, node, s, monkeypatch)]
+
+
+def test_bounds_mixed_census_builds_few_nodes(monkeypatch):
+    config = parse_config(json.loads((CONFIGS / "bounds_mixed.json").read_text(encoding="utf-8")))
+    calls = []
+    monkeypatch.setattr(orbits, "eval_point",
+                        lambda *args: calls.append(1) or eval_point(*args))
+    census = s_integral_census(config.system, normalize(3), config.places, 11)
+    assert census.count == 11
+    assert len(calls) <= 1_100  # 2,049 with the leaf test alone
+
+
+# The first node over this cap in the preorder of bounds_mixed from 3 is the
+# depth-10 node below, of 4,348 bits.  Under the default cap, the twig test
+# rules it out with its leaves; under this one, its box does not show it
+# within the cap, so it is built, and its expansion exits 3.
+CAP_BITS = 4347
+CAP_WORD = (1, 1, 1, 1, 1, 1, 1, 2, 2, 2)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_bit_cap_exit_at_the_last_interior_level(workers, tmp_path, capsys, monkeypatch):
+    raw = json.loads((CONFIGS / "bounds_mixed.json").read_text(encoding="utf-8"))
+    raw.pop("boundParameters", None)
+    config = parse_config(raw)
+    path = [config.point]
+    for letter in CAP_WORD:
+        path.append(eval_point(config.system.map_for_letter(letter), path[-1]))
+    assert [WorkLimits.bits_of(p) for p in path[:-1]] == sorted(
+        WorkLimits.bits_of(p) for p in path[:-1]) and WorkLimits.bits_of(path[-1]) == CAP_BITS + 1
+    screen = NonUnitLeaves(config.places)
+    assert CAP_WORD[-1] in screen.twigs(config.system, path[-2], WorkLimits())
+    assert CAP_WORD[-1] not in screen.twigs(config.system, path[-2], WorkLimits(bit_cap=CAP_BITS))
+    cfg = tmp_path / "capped.json"
+    cfg.write_text(json.dumps({**raw, "workLimits": {"bitCap": CAP_BITS}}), encoding="utf-8")
+    argv = ["census", "--config", str(cfg), "--depth", "11", "--workers", str(workers),
+            "--out", str(tmp_path / "reports")]
+    errors = []
+    for _ in range(2):
+        assert main(argv) == 3
+        errors.append(json.loads(capsys.readouterr().err.strip().splitlines()[-1]))
+        # The exact walk of the last interior level: no twig test.
+        monkeypatch.setattr(NonUnitLeaves, "twigs", lambda *args, **kwargs: set())
+    assert errors[0] == errors[1] == {
+        "error": f"orbit coordinate of {CAP_BITS + 1} bits exceeded the cap {CAP_BITS}",
+        "kind": "work-limit"}

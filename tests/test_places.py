@@ -57,6 +57,26 @@ def test_strip_prime_matches_definition():
         strip_prime(0, 2)
 
 
+def _strip_one_at_a_time(n, p):
+    v = 0
+    while n % p == 0:
+        n //= p
+        v += 1
+    return v, n
+
+
+def test_strip_prime_at_valuations_in_the_thousands():
+    # Composite p (6, 10) and a power of 2 other than 2 (8) included.
+    rng = random.Random(11)
+    for p in (2, 3, 6, 8, 10, 65537):
+        for v in (rng.randrange(1000, 3000), rng.randrange(3000, 6000)):
+            rest = 1 << 100_000 | rng.getrandbits(100_000) | 1
+            while rest % p == 0:
+                rest += 2
+            n = -p ** v * rest if v % 2 else p ** v * rest
+            assert strip_prime(n, p) == _strip_one_at_a_time(n, p) == (v, n // p ** v)
+
+
 def test_is_s_unit_rejects_nonpositive():
     s = PlaceSet.parse(["inf", "p2"])
     assert is_s_unit(2 ** 500, s) and not is_s_unit(3 * 2 ** 500, s)
