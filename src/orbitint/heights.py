@@ -7,7 +7,8 @@ get zero-width intervals up to rounding.  A word estimate keeps its endpoints
 as exact log expressions, whose last point's atom may be deferred (see
 canonical_height_word).  A system estimate carries exact rational
 endpoints: the enclosures of its two log expressions at the precision it was
-computed at, in which the leaves under large nodes are deferred atoms (see
+computed at, in which the leaves under large nodes are deferred atoms,
+each bounded by an image of its node's one `polys.Enclosure` (see
 canonical_height_system).
 """
 
@@ -23,7 +24,7 @@ from typing import Iterable, Optional, Sequence
 from mpmath.libmp import to_rational
 
 from . import polys
-from .logvals import DEFAULT_PRECISION, DEFERRED_BITS, LEAF_BITS, Deferred, LogExpr, deferred_atom
+from .logvals import DEFAULT_PRECISION, Deferred, LogExpr, deferred_atom
 from .orbits import (DEFAULT_LIMITS, WorkLimits, children, find_cycle, fold_tree,
                      walk_word)
 from .proj1 import ProjPoint, normalize
@@ -207,9 +208,9 @@ def canonical_height_word(system: MapSystem, word: Word, point: ProjPoint,
     HeightEstimate).  memo is an orbit point list shared with other passes
     over the same orbit (see walk_word).
 
-    When the point before the last step has at least LEAF_BITS bits, the
-    last point is not built: its height atom enters the estimate as a
-    logvals.Deferred, and the cap test reads the atom's enclosure (see
+    When the point before the last step has at least polys.ENCLOSE_BITS
+    bits, the last point is not built: its height atom enters the estimate
+    as a logvals.Deferred, and the cap test reads the atom's enclosure (see
     _deferred_step).  The estimate's values are those of the built point.
     """
     for letter in word.letters:
@@ -227,7 +228,7 @@ def canonical_height_word(system: MapSystem, word: Word, point: ProjPoint,
         phi = system.map_for_letter(word.letter_at(n))
         last = n + 1 == depth or not word.supports_depth(n + 2)
         step = (_deferred_step(phi, current, steps, limits, last)
-                if limits.bits_of(current) >= LEAF_BITS else None)
+                if limits.bits_of(current) >= polys.ENCLOSE_BITS else None)
         d_n *= phi.degree
         n += 1
         if step is not None:
@@ -261,8 +262,9 @@ def _deferred_step(phi: RatMap, node: ProjPoint, steps, limits: WorkLimits,
         coeffs = max(sum(map(abs, phi.f)), sum(map(abs, phi.g)))
         if limits.fits_bits(limits.bits_of(node) * phi.degree + coeffs.bit_length()):
             return None
-    atom = deferred_atom(polys.atom_enclosure(phi.f, phi.g, phi.degree, phi.resultant,
-                                              node.x, node.y, DEFERRED_BITS),
+    bits = polys.BOX_BITS
+    box = polys.Enclosure.of(node.x, node.y, bits, bits)
+    atom = deferred_atom(box.image(phi.f, phi.g, phi.degree, phi.resultant, bits, bits).size(),
                          lambda: _leaf_atom(next(steps)))
     if atom is None:
         return None
@@ -275,9 +277,9 @@ def _deferred_step(phi: RatMap, node: ProjPoint, steps, limits: WorkLimits,
 
 
 # canonical_height_system encloses the leaves of a last-level node of at
-# least LEAF_BITS bits instead of building them: below that the k exact
-# children cost less than the enclosure.  The enclosure keeps BOX_PER_PREC
-# bits of the larger coordinate per bit of the estimate's precision.
+# least polys.ENCLOSE_BITS bits instead of building them.  The node's
+# enclosure keeps BOX_PER_PREC bits of the larger coordinate per bit of the
+# estimate's precision.
 BOX_PER_PREC = 4
 
 
@@ -286,14 +288,14 @@ def _leaf_boxes(system: MapSystem, node: ProjPoint, prec: int,
     """letter -> the atom N = max(|F(x, y)|, |G(x, y)|)/g of the node's leaf,
     as a Deferred, for each letter whose enclosure shows N >= 2.
 
-    polys.atom_enclosure bounds N from the top bits of the node and its
-    residues mod R.  The build expands the node for that letter only.
+    N is bounded by the size of an image of the node's one polys.Enclosure,
+    and the build expands the node for that letter only.
     """
-    leaves, atoms = _Leaves(system, node, limits), {}
+    leaves, atoms, bits = _Leaves(system, node, limits), {}, BOX_PER_PREC * prec
+    box = polys.Enclosure.of(node.x, node.y, bits, bits)
     for letter, phi in enumerate(system.maps, start=1):
-        atom = deferred_atom(polys.atom_enclosure(phi.f, phi.g, phi.degree, phi.resultant,
-                                                  node.x, node.y, BOX_PER_PREC * prec),
-                             partial(leaves.build, letter))
+        image = box.image(phi.f, phi.g, phi.degree, phi.resultant, bits, bits)
+        atom = deferred_atom(image.size(), partial(leaves.build, letter))
         if atom is not None:
             atoms[letter] = atom
     leaves.left = len(atoms)
@@ -340,7 +342,7 @@ def _last_level(system: MapSystem, depth: int, limits: WorkLimits, prec: int,
             continue
         limits.check_bits(node)   # before the enclosures, as children would
         atoms = (_leaf_boxes(system, node, prec, limits)
-                 if limits.bits_of(node) >= LEAF_BITS else {})
+                 if limits.bits_of(node) >= polys.ENCLOSE_BITS else {})
         out += [_leaf_atom(kid) for kid in children(system, node, limits, lambda *_: atoms)
                 if kid is not None]
         out += atoms.values()
@@ -360,11 +362,12 @@ def canonical_height_system(system: MapSystem, point: ProjPoint, depth: int = 6,
 
     prec is the binary precision of the result: the endpoints are the
     prec-bit enclosures of the two exact log expressions, carried as exact
-    rationals.  A leaf under a node of at least LEAF_BITS bits enters them
-    as a logvals.Deferred (_leaf_boxes), built only when its enclosure meets
-    another atom of its expression or does not decide its prec-bit box; each
-    other leaf is built once.  The sums then have the terms, the order and
-    the interval steps of the full expressions, so the endpoints are theirs.
+    rationals.  A leaf under a node of at least polys.ENCLOSE_BITS bits
+    enters them as a logvals.Deferred (_leaf_boxes), built only when its
+    enclosure meets another atom of its expression or does not decide its
+    prec-bit box; each other leaf is built once.  The sums then have the
+    terms, the order and the interval steps of the full expressions, so the
+    endpoints are theirs.
     """
     k, big_d = system.k, system.degree_sum
     if bounds is None:

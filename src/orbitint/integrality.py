@@ -4,20 +4,19 @@ numerator/denominator log-ratio series.
 Threshold decisions consume certified intervals and report "ambiguous" when
 an interval straddles the cut; nothing is ever silently rounded across it.
 The census builds only the tree nodes it may need: `NonUnitLeaves` rules
-out a leaf whose denominator cannot be an S-unit, from a box of its parent
-and residues of the parent modulo p^K (the archimedean and p-adic parts of
-the size), and one level higher rules out a last-level node, never built,
-whose own record and every leaf fail the same way, from the same two
-enclosures carried to it from its parent.
+out a leaf whose denominator cannot be an S-unit, from its parent's
+`polys.Enclosure` (a box of the top bits and residues modulo p^K: the
+archimedean and p-adic parts of the size), and one level higher rules out
+a last-level node, never built, whose own record and every leaf fail the
+same way, from the enclosure's image under the node's map.
 """
 
 from __future__ import annotations
 
 import enum
-import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Optional
+from typing import Optional
 
 from . import polys
 from .heights import HeightEstimate, canonical_height_word, system_bounds
@@ -144,13 +143,11 @@ class CensusReport:
         return [rec.point.affine() for rec in self.hits]
 
 
-# The census screens the leaves of a node of at least SCREEN_BITS bits: the
-# exact children of a smaller node cost less than the screen.  The screen's
-# box keeps TOP_BITS bits of the smaller coordinate, and at most BOX_BITS of
-# the larger; it reads v_p modulo p^RESIDUE_DIGITS first.
-SCREEN_BITS = 1024
+# The census screens the leaves of a node of at least polys.ENCLOSE_BITS
+# bits.  The screen's box keeps TOP_BITS bits of the smaller coordinate, and
+# at most polys.BOX_BITS of the larger; it reads v_p modulo p^RESIDUE_DIGITS
+# first.
 TOP_BITS = 64
-BOX_BITS = 2048
 RESIDUE_DIGITS = 64
 
 
@@ -172,16 +169,18 @@ class NonUnitLeaves:
     - R * prod p^v < 2^floor_bits, compared as bit lengths.
 
     `twigs` applies the same test one level higher, to a child it does not
-    build (see _Node.child).
+    build but encloses (polys.Enclosure.image): the enclosure may be of -1
+    times the child, which changes no |G| and no valuation the test reads.
     """
 
     def __init__(self, s: PlaceSet):
         self.primes = s.finite_primes
 
     def __call__(self, system: MapSystem, node: ProjPoint) -> set[int]:
-        if WorkLimits.bits_of(node) < SCREEN_BITS:
+        if WorkLimits.bits_of(node) < polys.ENCLOSE_BITS:
             return set()
-        return self._non_units(system, _Node.exact(node))
+        return self._non_units(system, polys.Enclosure.of(node.x, node.y, TOP_BITS,
+                                                          polys.BOX_BITS))
 
     def twigs(self, system: MapSystem, node: ProjPoint, limits: WorkLimits) -> set[int]:
         """The letters a of a node two levels above the leaves whose child
@@ -189,85 +188,42 @@ class NonUnitLeaves:
         above rules out C at the node, rules out every leaf of C from C's
         enclosure, and C's box shows that C is within the bit cap (the check
         that expanding C would make)."""
-        if WorkLimits.bits_of(node) < SCREEN_BITS:
+        if WorkLimits.bits_of(node) < polys.ENCLOSE_BITS:
             return set()
-        parent = _Node.exact(node)
+        parent = polys.Enclosure.of(node.x, node.y, TOP_BITS, polys.BOX_BITS)
         out = set()
         for letter in self._non_units(system, parent):
-            child = parent.child(system.map_for_letter(letter))
-            if limits.fits_bits(child.max_bits()) and all(
-                    self._rules_out(phi, child) for phi in system.maps):
+            phi = system.map_for_letter(letter)
+            child = parent.image(phi.f, phi.g, phi.degree, phi.resultant,
+                                 TOP_BITS, polys.BOX_BITS)
+            _, hi, e = child.size()
+            if limits.fits_bits(hi.bit_length() + e) and all(
+                    self._rules_out(psi, child) for psi in system.maps):
                 out.add(letter)
         return out
 
-    def _non_units(self, system: MapSystem, node: "_Node") -> set[int]:
+    def _non_units(self, system: MapSystem, node: polys.Enclosure) -> set[int]:
         return {letter for letter, phi in enumerate(system.maps, start=1)
                 if self._rules_out(phi, node)}
 
-    def _rules_out(self, phi: RatMap, node: "_Node") -> bool:
-        lo, hi = polys.form_bounds(phi.g, phi.degree, node.xs, node.ys)
+    def _rules_out(self, phi: RatMap, node: polys.Enclosure) -> bool:
+        lo, hi, e = node.bounds(phi.g, phi.degree)
         if lo <= 0 <= hi:
             return False
-        floor_bits = min(abs(lo), abs(hi)).bit_length() - 1 + node.shift * phi.degree
+        floor_bits = min(abs(lo), abs(hi)).bit_length() - 1 + e
         # R * part < 2^floor_bits once part, the S-part of G(x, y), has at
         # most budget bits.
         budget = floor_bits - phi.resultant.bit_length()
         part = 1
         for p in self.primes:
             digits = RESIDUE_DIGITS
-            while not (value := node.values(phi, p ** digits)[1]):
+            while not (value := node.values((), phi.g, phi.degree, p ** digits)[1]):
                 # p^digits divides G(x, y): more digits help only while it fits.
                 if (part * p ** digits).bit_length() > budget:
                     return False
                 digits *= 2
             part *= p ** strip_prime(value, p)[0]
         return part.bit_length() <= budget
-
-
-class _Node:
-    """What the screen reads of a node [x : y], built or not: a box, x in
-    xs * 2^shift and y in ys * 2^shift, and x, y modulo any m (reduce), with
-    one monomial table per modulus that the maps at the node share."""
-
-    def __init__(self, shift: int, xs: tuple, ys: tuple,
-                 reduce: Callable[[int], tuple[int, int]]):
-        self.shift, self.xs, self.ys, self.reduce = shift, xs, ys, reduce
-        self.tables: dict[int, tuple] = {}   # m -> (x mod m, y mod m, table)
-
-    @classmethod
-    def exact(cls, node: ProjPoint) -> "_Node":
-        return cls(*polys.top_bits_box(node.x, node.y, TOP_BITS, BOX_BITS),
-                   lambda m: (node.x % m, node.y % m))
-
-    def values(self, phi: RatMap, modulus: int) -> tuple[int, int]:
-        """(F(x, y), G(x, y)) mod modulus."""
-        if modulus not in self.tables:
-            xm, ym = self.reduce(modulus)
-            self.tables[modulus] = (xm, ym, polys.Monomials(xm, ym))
-        u, v = polys.eval_homogeneous(phi.f, phi.g, phi.degree, *self.tables[modulus])
-        return u % modulus, v % modulus
-
-    def child(self, phi: RatMap) -> "_Node":
-        """phi's child [F : G]/g, enclosed: g = gcd(R, F mod R, G mod R) is
-        read from this node mod R, the box is form_bounds of F and G over
-        this box divided by g, and the child mod m is (F, G) mod m * g
-        divided by g.  The child may be -1 times the canonical point, which
-        changes no |G| and no valuation that the screen reads."""
-        d, r = phi.degree, phi.resultant
-        g = math.gcd(r, *self.values(phi, r)) if r > 1 else 1
-        f_lo, f_hi = polys.form_bounds(phi.f, d, self.xs, self.ys)
-        g_lo, g_hi = polys.form_bounds(phi.g, d, self.xs, self.ys)
-
-        def reduce(m: int) -> tuple[int, int]:
-            u, v = self.values(phi, m * g)
-            return u // g, v // g
-        return _Node(*polys.trim_box(self.shift * d, (f_lo // g, -(-f_hi // g)),
-                                     (g_lo // g, -(-g_hi // g)), TOP_BITS, BOX_BITS),
-                     reduce)
-
-    def max_bits(self) -> int:
-        """An upper bound on bits_of the node."""
-        return max(t.bit_length() for t in self.xs + self.ys) + self.shift
 
 
 def s_integral_census(system: MapSystem, point: ProjPoint, s: PlaceSet,

@@ -11,7 +11,8 @@ precision, precision escalation, and (for pure-log expressions) an exact
 fallback that clears denominators and compares integer power products.
 
 An atom may be deferred (`Deferred`): an integer known by a certified
-enclosure and built only when the enclosure cannot stand in for it.  Its
+enclosure and built only when the enclosure cannot stand in for it; its
+maker (heights, proj1) reads the enclosure from a `polys.Enclosure`.  Its
 place among the sorted atoms, its box at each precision and its bit length
 come from the enclosure, so every stage decides as it would with the
 integer, from the same endpoints.  Boxed atoms are this module's concern
@@ -35,13 +36,6 @@ DEFAULT_PRECISION = 128
 EXACT_FALLBACK_BIT_CAP = 8_000_000
 
 _ESCALATIONS = (1, 2, 4)
-
-# An atom of a point of at least LEAF_BITS bits may be enclosed instead of
-# built: below that the exact integer costs less than its enclosure.  A
-# deferred atom's enclosure keeps DEFERRED_BITS top bits of the larger
-# coordinate, so it decides the boxes at every precision well below that.
-LEAF_BITS = 1024
-DEFERRED_BITS = 2048
 
 
 class _Infinite:

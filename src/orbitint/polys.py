@@ -7,18 +7,17 @@ give the cofactor identities behind certified height-difference constants,
 and one homogeneous evaluator.  The evaluator reads a per-point table of
 monomials x^i * y^j (`Monomials`) that several forms at one point can share,
 so binary forms cost one product per distinct monomial plus linear-time
-small-coefficient sums.  `form_bounds` encloses a form's values over a box
-with integer corners, and `top_bits_box` gives the box of a point's top
-bits (`trim_box` the same for a box already wider than a point), for tests
-that need only the size of a value; `atom_enclosure` puts the two together
-into an enclosure of an image point's height atom.
+small-coefficient sums.  `Enclosure` is what the screens and deferred
+atoms read of a point they do not build: a box of its top bits, its
+residues modulo any m (a monomial table per modulus), certified bounds on
+a form over the box, and the same for the point's image under a map.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 Coeffs = tuple
 
@@ -147,21 +146,12 @@ def eval_homogeneous(f: Sequence, g: Sequence, d: int, x: int, y: int,
     return u, v
 
 
-def top_bits_box(x: int, y: int, small_bits: int,
-                 large_bits: int) -> tuple[int, tuple[int, int], tuple[int, int]]:
-    """(shift, xs, ys): x lies in [xs[0], xs[1]] * 2^shift and y in
-    [ys[0], ys[1]] * 2^shift, keeping at most small_bits of the smaller
-    coordinate and at most large_bits of the larger.  A coordinate whose
-    dropped bits are all 0 (every one when no bit is dropped) has width 0."""
-    return trim_box(0, (x, x), (y, y), small_bits, large_bits)
-
-
-def trim_box(shift: int, xs: tuple[int, int], ys: tuple[int, int], small_bits: int,
-             large_bits: int) -> tuple[int, tuple[int, int], tuple[int, int]]:
+def _trim(shift: int, xs: tuple[int, int], ys: tuple[int, int], small_bits: int,
+          large_bits: int) -> tuple[int, tuple[int, int], tuple[int, int]]:
     """The box xs * 2^shift by ys * 2^shift, widened outward to a larger
     shift that keeps at most small_bits of the smaller coordinate and at most
     large_bits of the larger (sizes read from the corner of larger absolute
-    value)."""
+    value).  A coordinate whose dropped bits are all 0 keeps its width."""
     (x_lo, x_hi), (y_lo, y_hi) = xs, ys
     low, high = sorted((max(x_lo.bit_length(), x_hi.bit_length()),
                         max(y_lo.bit_length(), y_hi.bit_length())))
@@ -179,8 +169,8 @@ def _power_bounds(lo: int, hi: int, n: int) -> tuple[int, int]:
     return 0, max(lo ** n, hi ** n)
 
 
-def form_bounds(cs: Sequence, d: int, xs: tuple[int, int],
-                ys: tuple[int, int]) -> tuple[int, int]:
+def _form_bounds(cs: Sequence, d: int, xs: tuple[int, int],
+                 ys: tuple[int, int]) -> tuple[int, int]:
     """Integer bounds (lo, hi) on the degree-d form sum of cs[i] X^i Y^(d-i)
     over the box xs[0] <= X <= xs[1], ys[0] <= Y <= ys[1].
 
@@ -199,33 +189,65 @@ def form_bounds(cs: Sequence, d: int, xs: tuple[int, int],
     return lo, hi
 
 
-def _abs_bounds(lo: int, hi: int) -> tuple[int, int]:
-    """Bounds on |t| over lo <= t <= hi."""
-    if lo > 0:
-        return lo, hi
-    if hi < 0:
-        return -hi, -lo
-    return 0, max(-lo, hi)
+# A point of at least ENCLOSE_BITS bits is enclosed where only its size and
+# residues are read: below that, building its images costs less.  The
+# census's boxes and those of deferred steps and sums of squares keep at
+# most BOX_BITS bits of the larger coordinate, so an atom read from one
+# decides its interval at every precision well below that.
+ENCLOSE_BITS = 1024
+BOX_BITS = 2048
 
 
-def atom_enclosure(f: Sequence, g: Sequence, d: int, r: int, x: int, y: int,
-                   bits: int) -> tuple[int, int, int]:
-    """(lo, hi, e) with lo * 2^e <= max(|F(x, y)|, |G(x, y)|)/c <= hi * 2^e,
-    for the degree-d forms F and G of f and g and c = gcd(r, F(x, y) mod r,
-    G(x, y) mod r), without computing F(x, y) or G(x, y).
+class Enclosure:
+    """A point [x : y] known without being built: x in xs * 2^shift and y in
+    ys * 2^shift, and (x, y) mod any m, with one monomial table per modulus
+    that every form read at the point shares."""
 
-    For a map f/g at a coprime point with r = |Res(F, G)|, c is the common
-    factor of F(x, y) and G(x, y), so the middle is the height atom of the
-    image point (see ratmap.eval_point).  form_bounds over the box of the top
-    bits of (x, y) bounds the larger of |F| and |G|, and c is read exactly
-    from x and y mod r.
-    """
-    shift, xs, ys = top_bits_box(x, y, bits, bits)
-    f_lo, f_hi = _abs_bounds(*form_bounds(f, d, xs, ys))
-    g_lo, g_hi = _abs_bounds(*form_bounds(g, d, xs, ys))
-    u, v = eval_homogeneous(f, g, d, x % r, y % r)
-    c = math.gcd(r, u % r, v % r)
-    return max(f_lo, g_lo) // c, -(-max(f_hi, g_hi) // c), shift * d
+    __slots__ = ("shift", "xs", "ys", "_reduce", "_tables")
+
+    def __init__(self, shift: int, xs: tuple[int, int], ys: tuple[int, int],
+                 reduce: Callable[[int], tuple[int, int]]):
+        self.shift, self.xs, self.ys, self._reduce = shift, xs, ys, reduce
+        self._tables: dict[int, tuple] = {}   # m -> (x mod m, y mod m, table)
+
+    @classmethod
+    def of(cls, x: int, y: int, small_bits: int, large_bits: int) -> "Enclosure":
+        """The built point (x, y), in the box of its top bits (see _trim)."""
+        return cls(*_trim(0, (x, x), (y, y), small_bits, large_bits),
+                   lambda m: (x % m, y % m))
+
+    def bounds(self, cs: Sequence, d: int) -> tuple[int, int, int]:
+        """(lo, hi, e) with lo * 2^e <= sum of cs[i] x^i y^(d-i) <= hi * 2^e."""
+        return (*_form_bounds(cs, d, self.xs, self.ys), self.shift * d)
+
+    def values(self, f: Sequence, g: Sequence, d: int, m: int) -> tuple[int, int]:
+        """(F(x, y), G(x, y)) mod m for the degree-d forms of f and g (a form
+        given as () is not evaluated)."""
+        if m not in self._tables:
+            xm, ym = self._reduce(m)
+            self._tables[m] = (xm, ym, Monomials(xm, ym))
+        u, v = eval_homogeneous(f, g, d, *self._tables[m])
+        return u % m, v % m
+
+    def image(self, f: Sequence, g: Sequence, d: int, r: int, small_bits: int,
+              large_bits: int) -> "Enclosure":
+        """[F : G]/c for the degree-d forms F and G of f and g and c = gcd(r,
+        F mod r, G mod r): for a map at a coprime point and r = |Res(F, G)|,
+        its image point (see ratmap.eval_point), or -1 times it.  The box is
+        F's and G's bounds over this box divided by c, trimmed as `of` trims,
+        and the residues mod m are those mod m * c divided by c.
+        """
+        c = math.gcd(r, *self.values(f, g, d, r)) if r > 1 else 1
+        (f_lo, f_hi, shift), (g_lo, g_hi, _) = self.bounds(f, d), self.bounds(g, d)
+        return Enclosure(*_trim(shift, (f_lo // c, -(-f_hi // c)), (g_lo // c, -(-g_hi // c)),
+                                small_bits, large_bits),
+                         lambda m: tuple(t // c for t in self.values(f, g, d, m * c)))
+
+    def size(self) -> tuple[int, int, int]:
+        """(lo, hi, e) with lo * 2^e <= max(|x|, |y|) <= hi * 2^e."""
+        (x_lo, x_hi), (y_lo, y_hi) = self.xs, self.ys
+        return (max(x_lo, -x_hi, y_lo, -y_hi, 0), max(-x_lo, x_hi, -y_lo, y_hi),
+                self.shift)
 
 
 def content(a: Sequence[int]) -> int:

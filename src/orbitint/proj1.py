@@ -19,11 +19,10 @@ from fractions import Fraction
 from typing import Optional
 
 from . import polys
-from .logvals import (DEFERRED_BITS, LEAF_BITS, POS_INF, Deferred, LogExpr, _Infinite,
-                      deferred_atom)
+from .logvals import POS_INF, Deferred, LogExpr, _Infinite, deferred_atom
 from .places import Place, padic_valuation
 
-# X^2 + Y^2, ascending in X (see polys.form_bounds).
+# X^2 + Y^2, ascending in X (see polys.Enclosure.bounds).
 _SQUARES = (1, 0, 1)
 
 # Not a setting: every integer of at most this many bits has fewer than 2,470
@@ -132,7 +131,7 @@ def log_chordal(p: ProjPoint, q: ProjPoint, v: Place) -> LogExpr | _Infinite:
     archimedean place the value is
     -log|det| + (1/2) log(x^2 + y^2) + (1/2) log(x'^2 + y'^2), left unreduced:
     reducing it as a fraction would take a gcd of orbit-sized integers.  A
-    sum of squares of a point of at least LEAF_BITS bits is a deferred atom.
+    large point's sum of squares is a deferred atom (see _sum_of_squares).
     """
     det = p.x * q.y - q.x * p.y
     if det == 0:
@@ -146,11 +145,11 @@ def log_chordal(p: ProjPoint, q: ProjPoint, v: Place) -> LogExpr | _Infinite:
 
 
 def _sum_of_squares(p: ProjPoint) -> int | Deferred:
-    """x^2 + y^2, as a deferred atom for a point of at least LEAF_BITS bits."""
+    """x^2 + y^2, deferred for a point of at least polys.ENCLOSE_BITS bits."""
     atom = None
-    if max(p.x.bit_length(), p.y.bit_length()) >= LEAF_BITS:
-        atom = deferred_atom(polys.atom_enclosure(_SQUARES, (), 2, 1, p.x, p.y, DEFERRED_BITS),
-                             lambda: p.x * p.x + p.y * p.y)
+    if max(p.x.bit_length(), p.y.bit_length()) >= polys.ENCLOSE_BITS:
+        box = polys.Enclosure.of(p.x, p.y, polys.BOX_BITS, polys.BOX_BITS)
+        atom = deferred_atom(box.bounds(_SQUARES, 2), lambda: p.x * p.x + p.y * p.y)
     return p.x * p.x + p.y * p.y if atom is None else atom
 
 

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from orbitint import integrality, orbits
+from orbitint import orbits, polys
 from orbitint.cli import _record_json, main
 from orbitint.config import parse_config
 from orbitint.integrality import NonUnitLeaves, s_integral_census
@@ -78,9 +78,9 @@ def test_census_equals_definition_for_each_place_set(names):
 
 
 def test_every_node_is_screened_when_the_threshold_is_lifted(monkeypatch):
-    """With SCREEN_BITS 0 the test runs at small nodes too, where the box is
+    """With ENCLOSE_BITS 0 the test runs at small nodes too, where the box is
     the point itself: zeros of G, R = 1 and negative x all occur."""
-    monkeypatch.setattr(integrality, "SCREEN_BITS", 0)
+    monkeypatch.setattr(polys, "ENCLOSE_BITS", 0)
     rng = random.Random(401)
     for trial in range(12):
         system = random_system(rng, k_max=2, max_degree=3)
@@ -224,9 +224,9 @@ def test_ruled_out_twigs_are_sound():
 
 
 def test_twig_test_lifted_to_every_node_for_both_worker_counts(monkeypatch):
-    """With SCREEN_BITS 0 the twig test runs at every node two levels above
+    """With ENCLOSE_BITS 0 the twig test runs at every node two levels above
     the leaves, and the census still equals its definition."""
-    monkeypatch.setattr(integrality, "SCREEN_BITS", 0)
+    monkeypatch.setattr(polys, "ENCLOSE_BITS", 0)
     calls = []
     monkeypatch.setattr(orbits, "eval_point",
                         lambda *args: calls.append(1) or eval_point(*args))

@@ -438,6 +438,28 @@ def test_system_height_depth_11_on_bounds_mixed(tmp_path, point, lo, hi):
     assert (estimate["lo"], estimate["hi"]) == (lo, hi)
 
 
+# sha256 of the census report at --depth 11, by config, as written when every
+# node was built; at this depth the leaf screen and the twig test both run.
+CENSUS_DEPTH_11_DIGESTS = {
+    "bounds_mixed": "2af5c22292f0e45af242e5ee08ff8061e91671a59b3d6f21837c69834b52835a",
+    "census_hypothesis_pair": "813ab3afcbe4fed37528ab1409139b8f8aea8315d2a1e0eaf8a1d8962af78d40",
+}
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("name", sorted(CENSUS_DEPTH_11_DIGESTS))
+def test_census_depth_11_bytes(tmp_path, name, workers):
+    import hashlib
+    from pathlib import Path
+
+    cfg = Path(__file__).resolve().parents[1] / "configs" / f"{name}.json"
+    out = tmp_path / "reports"
+    assert main(["census", "--config", str(cfg), "--depth", "11",
+                 "--workers", str(workers), "--out", str(out)]) == 0
+    (report,) = out.glob("census_*.json")
+    assert hashlib.sha256(report.read_bytes()).hexdigest() == CENSUS_DEPTH_11_DIGESTS[name]
+
+
 def test_verify_deterministic_per_seed(tmp_path):
     out1, out2 = tmp_path / "a", tmp_path / "b"
     assert main(["verify", "--out", str(out1), "--seed", "7"]) == 0

@@ -15,7 +15,7 @@ from pathlib import Path
 import pytest
 from mpmath.libmp import from_man_exp, mpf_cmp, round_floor
 
-from orbitint import cli, heights, orbits, proj1
+from orbitint import cli, orbits, polys
 from orbitint.heights import canonical_height_word, hmin_estimate
 from orbitint.integrality import gamma_set
 from orbitint.logvals import Deferred, LogExpr, _key, deferred_atom
@@ -64,15 +64,13 @@ def assert_agrees(expr, oracle=None, prec=128):
 @pytest.fixture
 def deferring(monkeypatch):
     """Every step and sum of squares may be deferred, whatever its size."""
-    monkeypatch.setattr(heights, "LEAF_BITS", 0)
-    monkeypatch.setattr(proj1, "LEAF_BITS", 0)
+    monkeypatch.setattr(polys, "ENCLOSE_BITS", 0)
 
 
 def exactly(fn, *args, **kwargs):
     """fn with nothing deferred: the oracle's run."""
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(heights, "LEAF_BITS", 1 << 62)
-        mp.setattr(proj1, "LEAF_BITS", 1 << 62)
+        mp.setattr(polys, "ENCLOSE_BITS", 1 << 62)
         return fn(*args, **kwargs)
 
 
@@ -220,7 +218,7 @@ def test_an_undecided_rounding_builds_the_atom():
 
 
 def test_a_box_past_the_enclosure_builds_the_atom():
-    """DEFERRED_BITS top bits decide a 512-bit box, but not a 4,096-bit one."""
+    """BOX_BITS top bits decide a 512-bit box, but not a 4,096-bit one."""
     p = ProjPoint(random.Random(5).getrandbits(5000) | (1 << 4999), 3)
     dist = log_chordal(p, INFINITY, ARCH)
     atoms = deferred_atoms(dist)

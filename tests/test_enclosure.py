@@ -1,0 +1,152 @@
+"""polys.Enclosure against exact evaluation: at points of 1,000 to 5,000
+bits, the box of a point, of its image and of an image of its image holds
+the exact point or its negation, its residues are that same point's mod m,
+bounds encloses a form's value and size brackets max(|x|, |y|)."""
+
+import math
+import random
+
+import pytest
+
+from orbitint.integrality import TOP_BITS
+from orbitint.polys import BOX_BITS, Enclosure, eval_homogeneous
+from orbitint.proj1 import ProjPoint
+from orbitint.ratmap import eval_point, parse_map
+from orbitint.verify import random_system
+
+# Box sizes: the census's, a system-height leaf's at 128 bits, a deferred atom's.
+SIZES = [(TOP_BITS, BOX_BITS), (512, 512), (BOX_BITS, BOX_BITS)]
+MODULI = [2 ** 64, 3 ** 40, 5 ** 30, 7, 1000003, 2 ** 61 - 1]
+COORDINATE = ((0, 1), (1,), 1)   # the forms X and Y, for values of the point itself
+
+
+def point_of(rng, bits):
+    """A coprime point whose larger coordinate has exactly `bits` bits;
+    x is negative half the time."""
+    while True:
+        x = rng.getrandbits(bits) | (1 << (bits - 1))
+        y = rng.getrandbits(rng.randrange(bits // 2, bits + 1)) | 1
+        if math.gcd(x, y) == 1:
+            return ProjPoint(rng.choice((1, -1)) * x, y)
+
+
+def in_box(box, x, y):
+    (x_lo, x_hi), (y_lo, y_hi), s = box.xs, box.ys, box.shift
+    return x_lo << s <= x <= x_hi << s and y_lo << s <= y <= y_hi << s
+
+
+def assert_encloses(box, p):
+    """p or -p is in the box and has the box's residues; size brackets it."""
+    signs = [sign for sign in (1, -1) if in_box(box, sign * p.x, sign * p.y)
+             and all(box.values(*COORDINATE, m) == (sign * p.x % m, sign * p.y % m)
+                     for m in MODULI)]
+    assert signs, p
+    lo, hi, e = box.size()
+    assert lo << e <= max(abs(p.x), abs(p.y)) <= hi << e
+
+
+def assert_bounds(box, p, cs, d):
+    lo, hi, e = box.bounds(cs, d)
+    value = eval_homogeneous(cs, (), d, p.x, p.y)[0]
+    assert lo << e <= value <= hi << e
+
+
+def assert_images(box, phi, p, sizes):
+    """The image of the box under phi encloses phi(p), and its images under
+    phi enclose phi(phi(p)); returns the image."""
+    child = box.image(phi.f, phi.g, phi.degree, phi.resultant, *sizes)
+    q = eval_point(phi, p)
+    assert_encloses(child, q)
+    u, v = eval_homogeneous(phi.f, phi.g, phi.degree, p.x, p.y)
+    for m in MODULI:
+        assert box.values(phi.f, phi.g, phi.degree, m) == (u % m, v % m)
+        assert box.values((), phi.g, phi.degree, m) == (0, v % m)
+    grandchild = child.image(phi.f, phi.g, phi.degree, phi.resultant, *sizes)
+    assert_encloses(grandchild, eval_point(phi, q))
+    return child
+
+
+@pytest.mark.parametrize("box_sizes", SIZES)
+@pytest.mark.parametrize("sizes", SIZES)
+def test_random_systems_at_large_points(box_sizes, sizes):
+    rng = random.Random(f"enclosure:{box_sizes}:{sizes}")
+    negative = 0
+    for _ in range(24):
+        system = random_system(rng, k_max=2, max_degree=3)
+        p = point_of(rng, rng.randrange(1000, 5001))
+        negative += p.x < 0
+        box = Enclosure.of(p.x, p.y, *box_sizes)
+        assert_encloses(box, p)
+        for phi in system.maps:
+            assert_bounds(box, p, phi.f, phi.degree)
+            assert_bounds(box, p, phi.g, phi.degree)
+            assert_images(box, phi, p, sizes)
+    assert negative >= 6
+
+
+@pytest.mark.parametrize("text, r", [("(z^2-1)/(z^2+1)", 4), ("(z^2+1)/(z^2+z)", 2)])
+def test_a_common_factor_above_1(text, r):
+    """At an odd/odd point, F and G share c = 2, a proper factor of R = 4
+    or all of R = 2."""
+    phi = parse_map(text)
+    assert phi.resultant == r
+    rng = random.Random(3)
+    for bits in (1000, 3000, 5000):
+        p = point_of(rng, bits)
+        while p.x % 2 == 0:
+            p = point_of(rng, bits)
+        u, v = eval_homogeneous(phi.f, phi.g, 2, p.x, p.y)
+        assert math.gcd(phi.resultant, u % phi.resultant, v % phi.resultant) == 2
+        for sizes in SIZES:
+            assert_images(Enclosure.of(p.x, p.y, TOP_BITS, BOX_BITS), phi, p, sizes)
+
+
+def test_resultant_1():
+    phi = parse_map("z^2+1")
+    assert phi.resultant == 1
+    p = point_of(random.Random(5), 2000)
+    for sizes in SIZES:
+        assert_images(Enclosure.of(p.x, p.y, TOP_BITS, BOX_BITS), phi, p, sizes)
+
+
+def test_a_power_of_2_coordinate_has_width_0():
+    p = ProjPoint(-(1 << 3000), 3 ** 1000)
+    box = Enclosure.of(p.x, p.y, TOP_BITS, BOX_BITS)
+    assert box.shift > 0 and box.xs[0] == box.xs[1] and box.ys[0] < box.ys[1]
+    assert_encloses(box, p)
+    for sizes in SIZES:
+        assert_images(box, parse_map("(z^3-z)/(2*z^2+1)"), p, sizes)
+
+
+def test_the_image_rounds_outward():
+    """[4 : 2] in a box of 2 bits is exact at shift 1, so F = 12 and G = 20
+    are exact at shift 2; c = 4 puts F/c = 3 and G/c = 5 between the grid
+    points of that shift, and the image's box must round out to them."""
+    p, phi = ProjPoint(4, 2), parse_map("(z^2-1)/(z^2+1)")
+    box = Enclosure.of(p.x, p.y, 2, 2)
+    assert (box.shift, box.xs, box.ys) == (1, (2, 2), (1, 1))
+    assert box.bounds(phi.f, 2) == (3, 3, 2)
+    child = assert_images(box, phi, p, (64, 64))
+    assert (child.shift, child.xs, child.ys) == (2, (0, 1), (1, 2))
+
+
+def test_a_small_point_is_its_own_box():
+    box = Enclosure.of(-7, 5, TOP_BITS, BOX_BITS)
+    assert (box.shift, box.xs, box.ys) == (0, (-7, -7), (5, 5))
+    assert box.size() == (7, 7, 0)
+
+
+def test_g_straddling_0():
+    """Near x/y = sqrt 2, x^2 - 2y^2 is +-1 while the box's bounds on it
+    contain 0: the image's y-interval straddles 0, and size still holds."""
+    phi = parse_map("(z^2+z+1)/(z^2-2)")
+    x, y = 3, 2
+    while x.bit_length() <= 1500:
+        x, y = 3 * x + 4 * y, 2 * x + 3 * y
+    p = ProjPoint(x, y)
+    box = Enclosure.of(p.x, p.y, TOP_BITS, BOX_BITS)
+    lo, hi, _ = box.bounds(phi.g, 2)
+    assert lo < 0 < hi
+    for sizes in SIZES:
+        child = assert_images(box, phi, p, sizes)
+        assert child.ys[0] < 0 < child.ys[1]

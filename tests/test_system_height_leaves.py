@@ -14,7 +14,7 @@ import pytest
 from mpmath import iv
 from mpmath.libmp import from_int, round_ceiling, round_floor, to_rational
 
-from orbitint import heights, logvals, orbits
+from orbitint import heights, logvals, orbits, polys
 from orbitint.config import parse_config
 from orbitint.heights import _leaf_boxes, canonical_height_system, system_bounds
 from orbitint.logvals import LogExpr
@@ -99,9 +99,9 @@ def overlaps(monkeypatch):
 
 
 def test_random_trees_with_the_threshold_lifted(monkeypatch, evaluations):
-    """With LEAF_BITS 0 every leaf is enclosed first, at nodes small enough
+    """With ENCLOSE_BITS 0 every leaf is enclosed first, at nodes small enough
     that the box is the point itself and at nodes past 4 * prec bits."""
-    monkeypatch.setattr(heights, "LEAF_BITS", 0)
+    monkeypatch.setattr(polys, "ENCLOSE_BITS", 0)
     enclosed = 0
     for seed in range(8):
         rng = random.Random(f"system-leaves:{seed}")
@@ -196,7 +196,7 @@ def test_common_factor_of_the_resultant():
 def test_leaf_atom_equal_to_a_tail_atom(monkeypatch, overlaps):
     """z^2 + 1 puts log 2 in the tail (two terms of coefficient 1), and its
     leaf from 1 is [2 : 1]: the two atoms merge, so the leaf is built."""
-    monkeypatch.setattr(heights, "LEAF_BITS", 0)
+    monkeypatch.setattr(polys, "ENCLOSE_BITS", 0)
     system = MapSystem([parse_map("z^2+1"), parse_map("z^2-2")])
     assert 2 in {atom for atom, _ in system_bounds(system)[0].upper.terms}
     for depth in (1, 2, 3):
@@ -227,7 +227,7 @@ def test_the_settle_reads_the_exact_enclosures(evaluations, point, lo, hi):
 @pytest.mark.parametrize("depth", [0, 1])
 def test_depths_0_and_1(monkeypatch, lifted, depth):
     if lifted:
-        monkeypatch.setattr(heights, "LEAF_BITS", 0)
+        monkeypatch.setattr(polys, "ENCLOSE_BITS", 0)
     big = normalize((1 << 1500) + 7, (1 << 1499) + 3)
     for system, point in ((PAIR, normalize(Fraction(5, 3))),
                           (load("bounds_mixed").system, big),
@@ -240,7 +240,7 @@ def test_depths_0_and_1(monkeypatch, lifted, depth):
 def test_one_log_per_atom(monkeypatch):
     """lo and hi share every leaf's log box: iv.log runs once per distinct
     atom of the two expressions, leaf atoms and tail atoms together."""
-    monkeypatch.setattr(heights, "LEAF_BITS", 0)
+    monkeypatch.setattr(polys, "ENCLOSE_BITS", 0)
     config = load("bounds_mixed")
     bounds = system_bounds(config.system)
     lo_expr, hi_expr = exact_leaf_exprs(config.system, config.point, 6, bounds)
