@@ -35,7 +35,7 @@ from .integrality import (averaged_ratio, gamma_set, ratio_series,
                           s_integral_census)
 from .logvals import DEFAULT_PRECISION
 from .orbits import enumerate_tree, hypothesis_check
-from .proj1 import ProjPoint, _int_from_text, int_text, normalize
+from .proj1 import ProjPoint, int_text
 from .ratmap import system_height
 from .verify import run_all
 
@@ -80,11 +80,6 @@ def _write_csv(path: Path, header: tuple, rows) -> None:
 
 def _point_json(p: ProjPoint) -> dict:
     return {"x": int_text(p.x), "y": int_text(p.y)}
-
-
-def point_from_json(obj: dict) -> ProjPoint:
-    """Read _point_json output; coordinates may be decimal or hex."""
-    return normalize(_int_from_text(obj["x"]), _int_from_text(obj["y"]))
 
 
 def _word_json(word) -> dict:

@@ -100,6 +100,8 @@ def parse_config(obj: dict) -> ExperimentConfig:
             if isinstance(entry, str):
                 maps.append(parse_map(entry))
             elif isinstance(entry, dict):
+                _require(all(isinstance(entry.get(k), list) for k in ("f", "g")),
+                         f"map object {entry!r} needs 'f' and 'g' coefficient lists")
                 maps.append(map_from_json(entry))
             else:
                 raise ConfigError(f"map entries are strings or objects, got {entry!r}")
@@ -117,8 +119,12 @@ def parse_config(obj: dict) -> ExperimentConfig:
     except (ValueError, ZeroDivisionError) as exc:
         raise ConfigError(f"invalid point: {exc}") from exc
 
+    place_names = obj.get("places", ["inf"])
+    _require(isinstance(place_names, list)
+             and all(isinstance(name, str) for name in place_names),
+             "places must be a list of place names")
     try:
-        places = PlaceSet.parse(obj.get("places", ["inf"]))
+        places = PlaceSet.parse(place_names)
     except ValueError as exc:
         raise ConfigError(f"invalid places: {exc}") from exc
 
@@ -131,9 +137,14 @@ def parse_config(obj: dict) -> ExperimentConfig:
     word_obj = obj.get("word", {"letters": [1], "mode": "periodic"})
     if isinstance(word_obj, list):
         word_obj = {"letters": word_obj, "mode": "finite"}
+    _require(isinstance(word_obj, dict), "word must be a list of letters or an object")
+    letters = word_obj.get("letters")
+    # Word() would read 1.5, true or the string "12" as integer letters.
+    _require(isinstance(letters, list) and all(type(c) is int for c in letters),
+             "word letters must be a list of integers")
     try:
         word = Word.from_json(word_obj)
-    except (KeyError, ValueError) as exc:
+    except ValueError as exc:
         raise ConfigError(f"invalid word: {exc}") from exc
     _require(word.max_letter() <= system.k,
              f"word letters exceed the system size {system.k}")

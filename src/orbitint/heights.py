@@ -145,21 +145,6 @@ class HeightEstimate:
     def hi(self, prec: int = DEFAULT_PRECISION) -> float:
         return self.hi_expr.float_bounds(prec)[1]
 
-    def mid(self, prec: int = DEFAULT_PRECISION) -> float:
-        return (self.lo(prec) + self.hi(prec)) / 2
-
-    def width(self, prec: int = DEFAULT_PRECISION) -> float:
-        return self.hi(prec) - self.lo(prec)
-
-    def positive_lower(self, prec: int = DEFAULT_PRECISION) -> bool:
-        """True when the height is certified strictly positive."""
-        return self.lo_expr.sign(prec) == 1
-
-    def contains(self, value: LogExpr, prec: int = DEFAULT_PRECISION) -> bool:
-        lo_ok = (value - self.lo_expr).sign(prec)
-        hi_ok = (self.hi_expr - value).sign(prec)
-        return (lo_ok is None or lo_ok >= 0) and (hi_ok is None or hi_ok >= 0)
-
 
 def _upcoming_tails(system: MapSystem, bounds: Sequence[HeightDifferenceBound],
                     word: Word, n: int) -> tuple[LogExpr, LogExpr]:
@@ -452,44 +437,3 @@ def hmin_estimate(system: MapSystem, point: ProjPoint, period_bound: int = 2,
     merged = HeightEstimate(lo_min, best.hi_expr, reached, best.degree_product,
                             best.certified, all_met, best.word)
     return HminResult(merged, best.word, None, scanned)
-
-
-@dataclass(frozen=True)
-class PreperiodicityVerdict:
-    kind: str  # "preperiodic" | "wandering" | "unknown"
-    tail_length: Optional[int] = None
-    cycle_length: Optional[int] = None
-    cycle_points: Optional[tuple] = None
-    estimate: Optional[HeightEstimate] = None
-
-    @property
-    def is_preperiodic(self) -> bool:
-        return self.kind == "preperiodic"
-
-
-def preperiodicity_check(system: MapSystem, word: Word, point: ProjPoint,
-                         depth: int = 64, prec: int = DEFAULT_PRECISION,
-                         bounds=None,
-                         limits: WorkLimits = DEFAULT_LIMITS) -> PreperiodicityVerdict:
-    """Decide the orbit type along a periodic word, within a depth budget.
-
-    Exact repetition of (point, word phase) proves a finite orbit; a positive
-    certified lower bound on the canonical height proves wandering; otherwise
-    the verdict is unknown.
-    """
-    if not word.is_periodic:
-        raise ValueError("preperiodicity checks need a periodic word")
-    points = [point]
-    cycle = find_cycle(system, word, points, depth, limits)
-    if cycle is not None:
-        start, length = cycle
-        return PreperiodicityVerdict(kind="preperiodic", tail_length=start,
-                                     cycle_length=length,
-                                     cycle_points=tuple(points[start:start + length]))
-    if bounds is None:
-        bounds = system_bounds(system)
-    est = canonical_height_word(system, word, point, depth=min(depth, 16),
-                                bounds=bounds, limits=limits, memo=points)
-    if est.positive_lower(prec):
-        return PreperiodicityVerdict(kind="wandering", estimate=est)
-    return PreperiodicityVerdict(kind="unknown", estimate=est)

@@ -77,9 +77,6 @@ class GammaRecord:
     def in_set(self) -> list[int]:
         return [n for n, v in self.members if v is GammaVerdict.IN]
 
-    def ambiguous(self) -> list[int]:
-        return [n for n, v in self.members if v is GammaVerdict.AMBIGUOUS]
-
 
 def gamma_set(system: MapSystem, word: Word, s: PlaceSet, base: ProjPoint,
               point: ProjPoint, epsilon: Fraction, depth: int,
@@ -138,9 +135,6 @@ class CensusReport:
     @property
     def count(self) -> int:
         return len(self.hits)
-
-    def hit_values(self) -> list[Fraction]:
-        return [rec.point.affine() for rec in self.hits]
 
 
 # The census screens the leaves of a node of at least polys.ENCLOSE_BITS

@@ -321,9 +321,6 @@ class LogExpr:
 
     __rmul__ = __mul__
 
-    def __truediv__(self, scalar) -> "LogExpr":
-        return self * (Fraction(1) / _as_fraction(scalar))
-
     def __eq__(self, other) -> bool:
         return (isinstance(other, LogExpr) and self.terms == other.terms
                 and self.const == other.const)

@@ -14,23 +14,9 @@ from typing import Iterable, Iterator, Optional
 
 from .logvals import NEG_INF, LogExpr, _Infinite
 
-DEFAULT_TRIAL_BOUND = 100_000
-
 # Deterministic for n < 3.3e24; no composite below 2^81 is known to pass the
 # extended witness list.
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61)
-
-
-class FactorizationError(ValueError):
-    """Raised when a cofactor survives trial division and is not prime."""
-
-    def __init__(self, n: int, cofactor: int, trial_bound: int):
-        super().__init__(
-            f"cannot factor {n}: cofactor {cofactor} resists trial division "
-            f"up to {trial_bound} and is not prime")
-        self.n = n
-        self.cofactor = cofactor
-        self.trial_bound = trial_bound
 
 
 def is_probable_prime(n: int) -> bool:
@@ -57,8 +43,8 @@ def is_probable_prime(n: int) -> bool:
 def strip_prime(n: int, p: int) -> tuple[int, int]:
     """(v, rest) with n = p**v * rest and p not dividing rest, for n != 0.
 
-    The one place that divides out a factor: valuations, S-unit tests, trial
-    division and Miller-Rabin all go through it.  p may be any integer >= 2.
+    The one place that divides out a factor: valuations, S-unit tests and
+    Miller-Rabin all go through it.  p may be any integer >= 2.
     For p = 2, v is the count of trailing zero bits.  Otherwise the powers
     p, p^2, p^4, ... are squared up while they divide n, and v is read off
     from the largest down, one binary digit each: a few divisions by powers
@@ -83,32 +69,6 @@ def strip_prime(n: int, p: int) -> tuple[int, int]:
         if not remainder:
             n, v = quotient, v + (1 << j)
     return v, n
-
-
-def factorize(n: int, trial_bound: int = DEFAULT_TRIAL_BOUND) -> dict[int, int]:
-    """Factor |n| by trial division, Miller-Rabin deciding the cofactor.
-
-    Raises FactorizationError when the cofactor is composite; callers created
-    the integer (an orbit denominator) and can retry with a larger bound.
-    """
-    if n == 0:
-        raise ValueError("cannot factor 0")
-    n = abs(n)
-    factors: dict[int, int] = {}
-    divisors, q = (2, 3), 5
-    while divisors:
-        for p in divisors:
-            v, n = strip_prime(n, p)
-            if v:
-                factors[p] = v
-        divisors = (q, q + 2) if q <= trial_bound and q * q <= n else ()
-        q += 6
-    if n > 1:
-        if is_probable_prime(n):
-            factors[n] = factors.get(n, 0) + 1
-        else:
-            raise FactorizationError(n, n, trial_bound)
-    return factors
 
 
 @dataclass(frozen=True, order=True)
@@ -249,17 +209,3 @@ def is_s_unit(n: int, s: PlaceSet) -> bool:
     for p in s.finite_primes:
         n = strip_prime(n, p)[1]
     return n == 1
-
-
-def support_places(x: Fraction | int,
-                   trial_bound: int = DEFAULT_TRIAL_BOUND) -> PlaceSet:
-    """The archimedean place plus every prime dividing numerator or denominator."""
-    x = Fraction(x)
-    if x == 0:
-        raise ValueError("support of 0 is not defined")
-    primes: set[int] = set()
-    if abs(x.numerator) > 1:
-        primes.update(factorize(x.numerator, trial_bound))
-    if x.denominator > 1:
-        primes.update(factorize(x.denominator, trial_bound))
-    return PlaceSet([INFINITE_PLACE] + [Place(p) for p in sorted(primes)])

@@ -44,10 +44,6 @@ def neg(a: Sequence) -> tuple:
     return tuple(-c for c in a)
 
 
-def sub(a: Sequence, b: Sequence) -> tuple:
-    return add(a, neg(b))
-
-
 def mul(a: Sequence, b: Sequence) -> tuple:
     a, b = strip(a), strip(b)
     if not a or not b:
@@ -63,17 +59,6 @@ def mul(a: Sequence, b: Sequence) -> tuple:
 
 def scale(a: Sequence, s) -> tuple:
     return strip([c * s for c in a])
-
-
-def derivative(a: Sequence) -> tuple:
-    return strip([i * a[i] for i in range(1, len(a))])
-
-
-def eval_at(a: Sequence, x: Fraction) -> Fraction:
-    acc = Fraction(0)
-    for c in reversed(a):
-        acc = acc * x + c
-    return acc
 
 
 class Monomials:

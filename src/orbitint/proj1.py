@@ -44,14 +44,6 @@ def int_text(n: int) -> str:
     return ("-0x" if n < 0 else "0x") + digits
 
 
-def _int_from_text(text) -> int:
-    """Inverse of int_text; also accepts a JSON number."""
-    if isinstance(text, int):
-        return text
-    text = text.strip()
-    return int(text, 16) if text.lstrip("+-")[:2].lower() == "0x" else int(text)
-
-
 @dataclass(frozen=True)
 class ProjPoint:
     """Point [x : y] of P^1(Q) in canonical coprime form.
@@ -72,12 +64,6 @@ class ProjPoint:
     @property
     def is_infinite(self) -> bool:
         return self.y == 0
-
-    def affine(self) -> Optional[Fraction]:
-        """The affine coordinate x/y, or None at infinity."""
-        if self.y == 0:
-            return None
-        return Fraction(self.x, self.y)
 
     def height(self) -> LogExpr:
         """log max(|x|, |y|); finite places contribute nothing once gcd = 1."""

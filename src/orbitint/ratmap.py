@@ -241,12 +241,6 @@ def map_height(phi: RatMap) -> LogExpr:
     return LogExpr.log_int(phi.max_abs_coeff)
 
 
-def wronskian(phi: RatMap) -> tuple:
-    """f'g - fg'; nonzero for every nonconstant map in characteristic zero."""
-    return polys.sub(polys.mul(polys.derivative(phi.f), phi.g),
-                     polys.mul(phi.f, polys.derivative(phi.g)))
-
-
 @dataclass(frozen=True)
 class MapSystem:
     """Finite generating set, stored sorted by ascending degree."""
@@ -343,70 +337,3 @@ def ramification_index(phi: RatMap, p: ProjPoint) -> int:
 
 def is_totally_ramified(phi: RatMap, p: ProjPoint) -> bool:
     return ramification_index(phi, p) == phi.degree
-
-
-def mobius_inverse(l: RatMap) -> RatMap:
-    """Inverse of a degree-1 map (az+b)/(cz+d) -> (dz-b)/(-cz+a)."""
-    if l.degree != 1:
-        raise MapError(f"not a fractional linear map: {l}")
-    b = l.f[0] if len(l.f) > 0 else 0
-    a = l.f[1] if len(l.f) > 1 else 0
-    dd = l.g[0] if len(l.g) > 0 else 0
-    c = l.g[1] if len(l.g) > 1 else 0
-    return _raw_map((-b, dd), (a, -c))
-
-
-def ramification_index_chart(phi: RatMap, p: ProjPoint, chart: RatMap) -> int:
-    """Ramification index computed in an explicit chart L, as ord at L^-1(p)
-    of the conjugated map; must agree with ramification_index for any valid L.
-    """
-    l_inv = mobius_inverse(chart)
-    beta_pt = eval_point(l_inv, p)
-    if beta_pt.y == 0:
-        raise MapError(f"chart {chart} sends {p} to infinity; pick another")
-    conj = compose(l_inv, compose(phi, chart))
-    beta = Fraction(beta_pt.x, beta_pt.y)
-    g_at = polys.eval_at(conj.g, beta)
-    if g_at == 0:
-        raise MapError(f"chart {chart} leaves the image at infinity; pick another")
-    f_at = polys.eval_at(conj.f, beta)
-    # ord_beta of conj(z) - conj(beta); the denominator does not vanish there.
-    numerator = polys.sub(polys.scale(conj.f, g_at), polys.scale(conj.g, f_at))
-    return _order_at(numerator, beta)
-
-
-def rational_roots(coeffs: Sequence[int], trial_bound: int = 100_000):
-    """Rational roots with multiplicities, via the rational root theorem."""
-    from .places import factorize
-
-    poly = list(polys.strip(coeffs))
-    if not poly:
-        raise ValueError("zero polynomial has every root")
-    roots: list[tuple[Fraction, int]] = []
-    shift = 0
-    while poly[0] == 0:
-        shift += 1
-        poly.pop(0)
-    if shift:
-        roots.append((Fraction(0), shift))
-    if len(poly) <= 1:
-        return roots
-
-    def divisors(n: int) -> list[int]:
-        ds = [1]
-        for prime, exp in factorize(n, trial_bound).items():
-            ds = [d * prime ** e for d in ds for e in range(exp + 1)]
-        return ds
-
-    const, lead = abs(poly[0]), abs(poly[-1])
-    candidates = set()
-    for p in divisors(const):
-        for q in divisors(lead):
-            if math.gcd(p, q) == 1:
-                candidates.add(Fraction(p, q))
-                candidates.add(Fraction(-p, q))
-    for cand in sorted(candidates):
-        if polys.eval_at(poly, cand) == 0:
-            mult = _order_at(poly, cand)
-            roots.append((cand, mult))
-    return roots

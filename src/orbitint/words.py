@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import enum
 import itertools
-import random
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
@@ -81,13 +80,6 @@ class Word:
         return f"[{body}]" + ("~" if self.is_periodic else "")
 
 
-def enumerate_words(k: int, n: int) -> list[tuple]:
-    """All k^n words of length n, lexicographically."""
-    if k < 1 or n < 0:
-        raise ValueError("need k >= 1 and n >= 0")
-    return list(itertools.product(range(1, k + 1), repeat=n))
-
-
 def degree_products(degrees: Sequence[int], word: Word, n: int) -> list[int]:
     """D_0..D_n along the word."""
     out = [1]
@@ -103,21 +95,6 @@ def primitive_root(letters: tuple) -> tuple:
         if n % length == 0 and letters == letters[:length] * (n // length):
             return letters[:length]
     return letters
-
-
-def sample_word(degrees: Sequence[int], length: int, rng: random.Random) -> Word:
-    """Finite word with letters drawn with probability d_j / sum(d)."""
-    total = sum(degrees)
-    letters = []
-    for _ in range(length):
-        u = rng.randrange(total)
-        acc = 0
-        for j, d in enumerate(degrees, start=1):
-            acc += d
-            if u < acc:
-                letters.append(j)
-                break
-    return Word.finite(letters)
 
 
 def iter_periodic_words(k: int, max_period: int) -> Iterator[Word]:

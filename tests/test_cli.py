@@ -1,5 +1,6 @@
 import json
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -168,6 +169,29 @@ def test_exit_code_unknown_key(tmp_path, capsys):
         assert main(["census", "--config", cfg, "--out", str(tmp_path)]) == 2, bad
         payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
         assert payload["kind"] == "validation"
+
+
+SUBCOMMANDS = ("orbit", "canonical", "system-height", "gamma", "census",
+               "ratios", "bounds")
+SHIPPED = Path(__file__).resolve().parents[1] / "configs"
+
+
+@pytest.mark.parametrize("change", [
+    {"word": "12"}, {"word": 5}, {"word": [1.5]}, {"word": [True]},
+    {"word": {"letters": "12"}}, {"places": [2]}, {"places": None},
+    {"system": {"maps": ["(z^2-1)/(z^2+1)", {"f": ["-2", "0", "0", "1"]}]}},
+    {"system": {"maps": ["(z^2-1)/(z^2+1)", {"f": ["-2", "0", "0", "1"], "g": None}]}},
+], ids=["word-string", "word-int", "letter-float", "letter-bool",
+        "letters-string", "place-int", "places-null", "map-without-g", "map-g-null"])
+def test_malformed_config_values_are_validation_errors(tmp_path, capsys, change):
+    raw = json.loads((SHIPPED / "bounds_mixed.json").read_text(encoding="utf-8"))
+    cfg = write_config(tmp_path, {**raw, **change})
+    out = tmp_path / "out"
+    for sub in SUBCOMMANDS:
+        assert main([sub, "--config", cfg, "--out", str(out)]) == 2, sub
+        payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert payload["kind"] == "validation", sub
+    assert not out.exists()
 
 
 def test_exit_code_work_limit(tmp_path):

@@ -20,7 +20,7 @@ def test_log_fraction_splits():
 
 
 def test_scalar_algebra():
-    e = LogExpr.log_int(5) * Fraction(3, 2) - LogExpr.log_int(5) / 2
+    e = LogExpr.log_int(5) * Fraction(3, 2) - LogExpr.log_int(5) * Fraction(1, 2)
     assert e == LogExpr.log_int(5)
 
 

@@ -1,14 +1,16 @@
 import random
 import sys
+from fractions import Fraction
 
 import pytest
 
 from orbitint.errors import WorkLimitExceeded
-from orbitint.heights import (canonical_height_system, preperiodicity_check,
-                              system_bounds)
+from orbitint.heights import canonical_height_system, system_bounds
 from orbitint.cli import _orbit_rows
-from orbitint.orbits import (WorkLimits, enumerate_tree, hypothesis_check,
-                             iterate_word)
+from orbitint.integrality import gamma_set
+from orbitint.orbits import (WorkLimits, enumerate_tree, find_cycle,
+                             hypothesis_check, iterate_word)
+from orbitint.places import PlaceSet
 from orbitint import proj1
 from orbitint.logvals import DEFAULT_PRECISION
 from orbitint.proj1 import INFINITY, ZERO, ProjPoint, normalize
@@ -179,18 +181,23 @@ def test_hypothesis_witnesses_reverify(pair_system):
             assert is_totally_ramified(system.maps[idx - 1], pt)
 
 
+def _wanders(system, word, start):
+    # No repeat of (point, phase), and a certified positive canonical height.
+    record = gamma_set(system, word, PlaceSet.parse(["inf"]), INFINITY, start,
+                       Fraction(1, 2), 12)
+    return not record.preperiodic and record.height.lo_expr.sign() == 1
+
+
 def test_preperiodicity_examples(z2, z2_minus_1):
-    verdict = preperiodicity_check(MapSystem([z2_minus_1]), Word.periodic([1]), ZERO, 32)
-    assert verdict.is_preperiodic
-    assert verdict.tail_length == 0 and verdict.cycle_length == 2
-    assert set(verdict.cycle_points) == {ZERO, ProjPoint(-1, 1)}
+    once = Word.periodic([1])
+    points = [ZERO]  # z^2 - 1: 0 -> -1 -> 0
+    assert find_cycle(MapSystem([z2_minus_1]), once, points, 32) == (0, 2)
+    assert set(points[:2]) == {ZERO, ProjPoint(-1, 1)}
 
-    verdict = preperiodicity_check(MapSystem([z2]), Word.periodic([1]), normalize(2, 1), 32)
-    assert verdict.kind == "wandering"
-    assert verdict.estimate.positive_lower()
+    assert find_cycle(MapSystem([z2]), once, [normalize(2, 1)], 32) is None
+    assert _wanders(MapSystem([z2]), once, normalize(2, 1))
 
-    verdict = preperiodicity_check(MapSystem([z2]), Word.periodic([1]), ProjPoint(1, 1), 32)
-    assert verdict.is_preperiodic and verdict.cycle_length == 1
+    assert find_cycle(MapSystem([z2]), once, [ProjPoint(1, 1)], 32) == (0, 1)
 
 
 def test_phase_matters_for_cycles():
@@ -204,8 +211,7 @@ def test_phase_matters_for_cycles():
     points = iterate_word(system, word, ProjPoint(1, 1), 4)
     assert points[:3] == [ProjPoint(1, 1), ProjPoint(-1, 1), ProjPoint(-1, 1)]
     assert points[3] != ProjPoint(-1, 1)
-    verdict = preperiodicity_check(system, word, ProjPoint(1, 1), 16)
-    assert verdict.kind == "wandering"
+    assert _wanders(system, word, ProjPoint(1, 1))
 
 
 def test_height_growth_along_orbits():

@@ -6,10 +6,9 @@ from fractions import Fraction
 import pytest
 
 from orbitint.logvals import LogExpr, NEG_INF
-from orbitint.places import (FactorizationError, INFINITE_PLACE, Place,
-                             PlaceSet, abs_log, factorize, is_probable_prime,
-                             is_s_integer, is_s_unit, log_plus_abs,
-                             padic_valuation, strip_prime, support_places)
+from orbitint.places import (INFINITE_PLACE, Place, PlaceSet, abs_log,
+                             is_probable_prime, is_s_integer, is_s_unit,
+                             log_plus_abs, padic_valuation, strip_prime)
 from orbitint.orbits import WorkLimits
 from orbitint.verify import random_factored_int
 
@@ -164,20 +163,6 @@ def test_s_integer_height_identity():
             s_part = s_part + log_plus_abs(x, v) * v.local_degree
         h = LogExpr.log_int(max(abs(x.numerator), x.denominator))
         assert ((s_part - h).exact_sign() == 0) == is_s_integer(x, s)
-
-
-def test_factorize_and_support():
-    assert factorize(720) == {2: 4, 3: 2, 5: 1}
-    assert factorize(-720) == {2: 4, 3: 2, 5: 1}
-    big_prime = 2305843009213693951  # Mersenne prime 2^61 - 1
-    assert factorize(4 * big_prime) == {2: 2, big_prime: 1}
-    with pytest.raises(ValueError):
-        factorize(0)
-    semiprime = 1000003 * 1000033
-    with pytest.raises(FactorizationError):
-        factorize(semiprime, trial_bound=1000)
-    s = support_places(Fraction(8, 45))
-    assert [str(v) for v in s] == ["inf", "p2", "p3", "p5"]
 
 
 def test_miller_rabin():

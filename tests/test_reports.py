@@ -14,7 +14,7 @@ from pathlib import Path
 import pytest
 
 from orbitint.cli import (_cmd_ratios, _orbit_rows, _point_json, _record_json,
-                          _write_csv, main, point_from_json)
+                          _write_csv, main)
 from orbitint.config import load_config
 from orbitint.errors import WorkLimitExceeded
 from orbitint.integrality import s_integral_census
@@ -63,11 +63,10 @@ def test_point_json_round_trip_at_any_size():
     assert big.bit_length() == 100_000
     for p in (ProjPoint(big, 1), ProjPoint(-big, 7), ProjPoint(-5, big),
               ProjPoint(2, 3), ProjPoint(1, 0)):
-        payload = _point_json(p)
-        assert point_from_json(json.loads(json.dumps(payload))) == p
+        payload = json.loads(json.dumps(_point_json(p)))
+        assert ProjPoint(int(payload["x"], 0), int(payload["y"], 0)) == p
         assert str(p) == f"[{payload['x']}:{payload['y']}]"
     assert _point_json(ProjPoint(-big, 7))["x"].startswith("-0x")
-    assert point_from_json({"x": "14", "y": "21"}) == ProjPoint(2, 3)
 
 
 def test_census_of_huge_points_serializes():

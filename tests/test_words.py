@@ -4,8 +4,8 @@ import pytest
 
 from orbitint.cli import _word_json
 from orbitint.words import (Word, WordMode, degree_products,
-                            enumerate_words, iter_periodic_words,
-                            primitive_root, sample_word)
+                            iter_periodic_words, primitive_root)
+from oracles import sample_word
 
 
 def test_shift_examples():
@@ -16,14 +16,6 @@ def test_shift_examples():
         Word.finite([]).shift()
     with pytest.raises(ValueError):
         Word.periodic([])
-
-
-def test_enumerate_words_examples():
-    assert enumerate_words(2, 0) == [()]
-    assert enumerate_words(2, 2) == [(1, 1), (1, 2), (2, 1), (2, 2)]
-    assert enumerate_words(3, 1) == [(1,), (2,), (3,)]
-    with pytest.raises(ValueError):
-        enumerate_words(0, 1)
 
 
 def test_letter_access():
