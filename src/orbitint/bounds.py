@@ -10,7 +10,8 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+import sys
+from dataclasses import dataclass, fields
 from fractions import Fraction
 
 from .logvals import LogExpr
@@ -108,11 +109,13 @@ class BoundParameters:
     gamma: float = 8.0
 
     def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            # NaN fails; an int compares exactly, so one too large for a float fails.
+            if type(value) not in (int, float) or not 0 < value <= sys.float_info.max:
+                raise ValueError(f"{f.name} must be a positive finite number")
         if self.roth_mu <= 2:
             raise ValueError("the approximation exponent must exceed 2")
-        for name in ("roth_r1", "roth_r2", "c5", "c6", "c7", "c10", "gamma"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
 
 
 def log_plus_base(value: float, base: int) -> float:

@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
@@ -100,8 +101,13 @@ def parse_config(obj: dict) -> ExperimentConfig:
             if isinstance(entry, str):
                 maps.append(parse_map(entry))
             elif isinstance(entry, dict):
-                _require(all(isinstance(entry.get(k), list) for k in ("f", "g")),
-                         f"map object {entry!r} needs 'f' and 'g' coefficient lists")
+                # Fraction() would fail on null or infinity and read true as 1.
+                _require(all(isinstance(entry.get(k), list)
+                             and all(type(c) in (str, int)
+                                     or type(c) is float and math.isfinite(c)
+                                     for c in entry[k])
+                             for k in ("f", "g")),
+                         f"map object {entry!r} needs 'f' and 'g' lists of numbers or strings")
                 maps.append(map_from_json(entry))
             else:
                 raise ConfigError(f"map entries are strings or objects, got {entry!r}")
@@ -137,11 +143,8 @@ def parse_config(obj: dict) -> ExperimentConfig:
     word_obj = obj.get("word", {"letters": [1], "mode": "periodic"})
     if isinstance(word_obj, list):
         word_obj = {"letters": word_obj, "mode": "finite"}
-    _require(isinstance(word_obj, dict), "word must be a list of letters or an object")
-    letters = word_obj.get("letters")
-    # Word() would read 1.5, true or the string "12" as integer letters.
-    _require(isinstance(letters, list) and all(type(c) is int for c in letters),
-             "word letters must be a list of integers")
+    _require(isinstance(word_obj, dict) and isinstance(word_obj.get("letters"), list),
+             "word must be a list of letters or an object with a 'letters' list")
     try:
         word = Word.from_json(word_obj)
     except ValueError as exc:

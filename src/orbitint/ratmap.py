@@ -50,6 +50,18 @@ class RatMap:
         nonzero because f and g are coprime."""
         return abs(polys.homogeneous_resultant(self.f, self.g, self.degree))
 
+    @cached_property
+    def wronskian(self) -> tuple:
+        """f'g - fg' = sum (i - j) f_i g_j z^(i+j-1), computed once per map:
+        the 2d - 1 ascending coefficients of the binary form of degree 2d - 2
+        that is (F_X G_Y - F_Y G_X) / d for the degree-d homogenizations."""
+        w = [0] * (2 * self.degree - 1)
+        for i, fc in enumerate(self.f):
+            for j, gc in enumerate(self.g):
+                if i != j:
+                    w[i + j - 1] += (i - j) * fc * gc
+        return tuple(w)
+
     @property
     def max_abs_coeff(self) -> int:
         return max(abs(c) for c in self.f + self.g)
@@ -289,48 +301,29 @@ def system_height(system: MapSystem) -> LogExpr:
 
 # -- ramification ----------------------------------------------------------
 
-def _fiber_form(phi: RatMap, q: ProjPoint) -> list[int]:
-    """Ascending coefficients of y(Q)*F - x(Q)*G, whose roots are phi^-1(Q)."""
-    d = phi.degree
-    out = []
-    for i in range(d + 1):
-        fc = phi.f[i] if i < len(phi.f) else 0
-        gc = phi.g[i] if i < len(phi.g) else 0
-        out.append(q.y * fc - q.x * gc)
-    return out
-
-
-def _order_at(coeffs: Sequence, z0: Fraction) -> int:
-    """Multiplicity of z0 as a root, by repeated exact synthetic division."""
-    poly = list(polys.to_fractions(polys.strip(coeffs)))
-    order = 0
-    while poly:
-        acc = Fraction(0)
-        quotient = [Fraction(0)] * (len(poly) - 1)
-        for i in range(len(poly) - 1, 0, -1):
-            acc = acc * z0 + poly[i]
-            quotient[i - 1] = acc
-        if acc * z0 + poly[0] != 0:
-            break
-        order += 1
-        poly = quotient
-        while poly and poly[-1] == 0:
-            poly.pop()
-    return order
-
-
 def ramification_index(phi: RatMap, p: ProjPoint) -> int:
     """Multiplicity of p in the fiber of phi over phi(p).
 
-    Computed on the binary form y(Q)F - x(Q)G, which is chart-free: at a
-    finite point the multiplicity is the vanishing order after shifting, and
-    at infinity it is the degree drop of the dehomogenization.
+    By Riemann-Hurwitz, e_p(phi) = 1 + ord_p W for the map's Wronskian form
+    W: the number of times the linear form yX - xY of p = [x : y] divides it.
+    p is coprime, as `normalize` builds it, so that form is primitive, and by
+    Gauss's lemma the first inexact integer division ends the count.
     """
-    h = _fiber_form(phi, eval_point(phi, p))
-    if p.y == 0:
-        e = phi.degree - polys.degree(h)
-    else:
-        e = _order_at(h, Fraction(p.x, p.y))
+    w, x, y = phi.wronskian, p.x, p.y
+    if x == 0:  # swap X and Y, so that every division is by x != 0
+        w, x, y = w[::-1], y, x
+    e = 1
+    while True:
+        # W = (yX - xY) Q: w_k = y q_(k-1) - x q_k, ascending from q_(-1) = 0.
+        q, rem = [0], 0
+        for c in w[:-1]:
+            top, rem = divmod(y * q[-1] - c, x)
+            if rem:
+                break
+            q.append(top)
+        if rem or y * q[-1] != w[-1]:
+            break
+        w, e = q[1:], e + 1
     assert 1 <= e <= phi.degree, f"ramification index {e} out of range"
     return e
 

@@ -24,9 +24,9 @@ class Word:
     mode: WordMode = WordMode.FINITE
 
     def __init__(self, letters: Sequence[int], mode: WordMode = WordMode.FINITE):
-        letters = tuple(int(c) for c in letters)
-        if any(c < 1 for c in letters):
-            raise ValueError("letters are 1-based map indices")
+        letters = tuple(letters)
+        if any(type(c) is not int or c < 1 for c in letters):
+            raise ValueError("letters are 1-based integer map indices")
         if mode is WordMode.PERIODIC and not letters:
             raise ValueError("a periodic word needs at least one letter")
         object.__setattr__(self, "letters", letters)

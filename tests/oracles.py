@@ -1,7 +1,7 @@
 """Test oracles and utilities that the program itself does not need.
 
 A second ramification index, computed in an explicit chart by derivatives
-rather than by synthetic division; rational roots by the rational root
+rather than from the map's Wronskian form; rational roots by the rational root
 theorem; the Wronskian f'g - fg'; polynomial subtraction, derivative and
 evaluation at a rational; weighted random words; and readings of a
 `HeightEstimate` (midpoint, width, containment of a log expression).

@@ -1,4 +1,5 @@
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -176,13 +177,27 @@ SUBCOMMANDS = ("orbit", "canonical", "system-height", "gamma", "census",
 SHIPPED = Path(__file__).resolve().parents[1] / "configs"
 
 
+def _cubic(f, g=(1,)):
+    return {"system": {"maps": ["(z^2-1)/(z^2+1)", {"f": list(f), "g": list(g)}]}}
+
+
+# json.dumps writes inf and nan as Infinity and NaN, which json.load reads
+# back; 1e309 in a config reads as inf too.
 @pytest.mark.parametrize("change", [
     {"word": "12"}, {"word": 5}, {"word": [1.5]}, {"word": [True]},
     {"word": {"letters": "12"}}, {"places": [2]}, {"places": None},
     {"system": {"maps": ["(z^2-1)/(z^2+1)", {"f": ["-2", "0", "0", "1"]}]}},
     {"system": {"maps": ["(z^2-1)/(z^2+1)", {"f": ["-2", "0", "0", "1"], "g": None}]}},
+    _cubic([None, 0, 0, 1]), _cubic([[-2], 0, 0, 1]), _cubic([{}, 0, 0, 1]),
+    _cubic([math.inf, 0, 0, 1]), _cubic([-2, 0, 0, 1], [True]),
+    {"boundParameters": {"gamma": math.inf}}, {"boundParameters": {"gamma": math.nan}},
+    {"boundParameters": {"roth_mu": math.inf}}, {"boundParameters": {"roth_r1": math.inf}},
+    {"boundParameters": {"c10": math.nan}}, {"boundParameters": {"gamma": True}},
 ], ids=["word-string", "word-int", "letter-float", "letter-bool",
-        "letters-string", "place-int", "places-null", "map-without-g", "map-g-null"])
+        "letters-string", "place-int", "places-null", "map-without-g", "map-g-null",
+        "coeff-null", "coeff-list", "coeff-object", "coeff-infinite", "coeff-bool",
+        "gamma-infinite", "gamma-nan", "mu-infinite", "r1-infinite", "c10-nan",
+        "gamma-bool"])
 def test_malformed_config_values_are_validation_errors(tmp_path, capsys, change):
     raw = json.loads((SHIPPED / "bounds_mixed.json").read_text(encoding="utf-8"))
     cfg = write_config(tmp_path, {**raw, **change})
@@ -482,6 +497,31 @@ def test_census_depth_11_bytes(tmp_path, name, workers):
                  "--workers", str(workers), "--out", str(out)]) == 0
     (report,) = out.glob("census_*.json")
     assert hashlib.sha256(report.read_bytes()).hexdigest() == CENSUS_DEPTH_11_DIGESTS[name]
+
+
+# sha256 of the orbit report and CSV on bounds_mixed from pointA 3 at
+# --depth 10, as written when each ramification index came from synthetic
+# division of the fiber form over the image point.
+WANDERING_DIGESTS = {
+    "json": "ab92fe5606043f4a86685f18b1213c0efbc533880185ac716aa3dd08fe600390",
+    "csv": "9c3d9d01ceec850f651a698eaab773f63adc09e0fe666062717b30cbf8251e4e",
+}
+
+
+def test_orbit_scans_a_wandering_tree(tmp_path):
+    """From pointA 3 no node repeats and none is totally ramified, so the
+    hypothesis scan asks every map about all 2,047 nodes."""
+    import hashlib
+
+    raw = json.loads((SHIPPED / "bounds_mixed.json").read_text(encoding="utf-8"))
+    cfg = write_config(tmp_path, {**raw, "pointA": "3"})
+    out = tmp_path / "reports"
+    assert main(["orbit", "--config", cfg, "--depth", "10", "--out", str(out)]) == 0
+    assert read_report(out, "orbit")["hypotheses"] == {
+        "depthChecked": 10, "repeatedPointFree": True, "totallyRamifiedFree": True}
+    for suffix, digest in WANDERING_DIGESTS.items():
+        (path,) = out.glob(f"orbit_*.{suffix}")
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == digest, suffix
 
 
 def test_verify_deterministic_per_seed(tmp_path):

@@ -160,6 +160,15 @@ def test_hypothesis_check_examples(z2):
     report = hypothesis_check(MapSystem([make_map([1], [0, 0, 1])]), INFINITY, 3)
     assert not report.repeated_point_free and not report.totally_ramified_free
 
+    # From 1 the first totally ramified point is finite and deep; these are
+    # the witnesses the synthetic-division index found, in the same preorder.
+    for maps, ramified, repeat in (
+            (["4z^2-4z+1", "1/(z^2+1)"], (1, ProjPoint(1, 2), (1, 1, 1, 2)),
+             ((), (1,), ProjPoint(1, 1))),
+            (["z^2+1", "z^2-4"], (1, ZERO, (1, 2)), ((), (1, 2, 1), ProjPoint(1, 1)))):
+        report = hypothesis_check(MapSystem([parse_map(m) for m in maps]), normalize(1), 4)
+        assert (report.ramified_witness, report.repeat_witness) == (ramified, repeat)
+
 
 def test_hypothesis_witnesses_reverify(pair_system):
     rng = random.Random(97)

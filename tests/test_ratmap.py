@@ -178,6 +178,37 @@ def test_chart_agrees_at_finite_points():
         checked += 1
 
 
+def test_wronskian_index_matches_the_chart_oracle():
+    """ramification_index reads the map's Wronskian form; the chart oracle
+    differentiates a conjugate.  They agree at every rational critical point,
+    at infinity, at 0 and at a random point, and the draw holds many ramified
+    points."""
+    rng = random.Random(53)
+    maps = [random_map(rng, 2, 4) for _ in range(400)]
+    maps += [compose(random_map(rng, 2, 2), random_map(rng, 2, 2)) for _ in range(60)]
+    # Charts with L(inf) = inf, 0, 1, 2: at most two of them (those sending
+    # inf to p or to phi(p)) are refused.
+    charts = [make_map([0, 1], [1]), make_map([1], [0, 1]),
+              make_map([1, 1], [0, 1]), make_map([1, 2], [1, 1])]
+    checked = ramified = 0
+    for phi in maps:
+        assert polys.strip(phi.wronskian) == wronskian(phi)
+        points = [normalize(root) for root, _mult in rational_roots(wronskian(phi))]
+        for p in points + [INFINITY, ZERO, random_point(rng, 1000)]:
+            for chart in charts:
+                try:
+                    expected = ramification_index_chart(phi, p, chart)
+                    break
+                except MapError:
+                    continue
+            else:
+                pytest.fail(f"every chart refused {p} for {phi}")
+            e = ramification_index(phi, p)
+            assert e == expected, (str(phi), p)
+            checked, ramified = checked + 1, ramified + (e > 1)
+    assert checked >= 1500 and ramified >= 300
+
+
 def test_mobius_inverse_roundtrip():
     l = make_map([1, 2], [3, 1])
     li = mobius_inverse(l)

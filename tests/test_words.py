@@ -85,5 +85,6 @@ def test_sample_word_weights():
 
 
 def test_validation():
-    with pytest.raises(ValueError):
-        Word([0, 1])
+    for letters in ([0, 1], [1.5], [True], "12"):
+        with pytest.raises(ValueError):
+            Word(letters)
