@@ -67,6 +67,8 @@ def choose_m(epsilon: Fraction, kappa: RamificationConstants) -> ChosenThreshold
     if kappa.kappa1_exponent != 0 or kappa.kappa2 >= 1:
         raise ValueError("need kappa1 = 1 and kappa2 < 1 "
                          "(not-totally-ramified constants)")
+    if float(epsilon) * sys.float_info.max < 1:
+        raise ValueError("epsilon is too small: 1/epsilon exceeds the float range")
     target = epsilon / 5
     m = 1
     power = kappa.kappa2
@@ -192,5 +194,12 @@ def census_count_bounds(system: MapSystem, s_size: int, system_h: float,
     single = (4.0 ** s_size) * params.gamma + log_term
     m_cut = math.ceil(params.gamma + log_term) + 1
     k = system.k
-    count = float(m_cut) if k == 1 else (k ** m_cut - 1) / (k - 1)
+    try:
+        # k^(M-1) <= (k^M - 1)/(k - 1): no power past the float range is built.
+        if k > 1 and (m_cut - 1) * math.log2(k) > sys.float_info.max_exp:
+            raise OverflowError
+        count = float(m_cut) if k == 1 else (k ** m_cut - 1) / (k - 1)
+    except OverflowError:
+        raise ValueError("gamma is too large: the tree count bound exceeds "
+                         "the float range") from None
     return CensusBounds(single, m_cut, count)

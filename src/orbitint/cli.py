@@ -50,8 +50,11 @@ def _report_meta(sub: str, config: ExperimentConfig | None, seed: int, prec: int
 
 
 def _write_json(path: Path, payload: dict) -> None:
+    # RFC 8259 JSON has no inf or nan: a float report value out of range (an
+    # input too large or too small for it) is a ValueError, a validation
+    # exit, before anything is written.
+    blob = json.dumps(payload, sort_keys=True, indent=2, allow_nan=False) + "\n"
     path.parent.mkdir(parents=True, exist_ok=True)
-    blob = json.dumps(payload, sort_keys=True, indent=2) + "\n"
     path.write_text(blob, encoding="utf-8")
 
 

@@ -111,7 +111,7 @@ def parse_config(obj: dict) -> ExperimentConfig:
                 maps.append(map_from_json(entry))
             else:
                 raise ConfigError(f"map entries are strings or objects, got {entry!r}")
-        except MapError as exc:
+        except (MapError, ZeroDivisionError) as exc:   # "1/0" as a coefficient
             raise ConfigError(f"invalid map {entry!r}: {exc}") from exc
     try:
         system = MapSystem(maps)

@@ -268,14 +268,18 @@ def _deferred_step(phi: RatMap, node: ProjPoint, steps, limits: WorkLimits,
 BOX_PER_PREC = 4
 
 
-def _leaf_boxes(system: MapSystem, node: ProjPoint, prec: int,
-                limits: WorkLimits = DEFAULT_LIMITS) -> dict[int, Deferred]:
-    """letter -> the atom N = max(|F(x, y)|, |G(x, y)|)/g of the node's leaf,
-    as a Deferred, for each letter whose enclosure shows N >= 2.
+def _leaf_test(prec: int, system: MapSystem, node: ProjPoint, levels: int,
+               limits: WorkLimits) -> dict[int, Deferred]:
+    """The system height's test (orbits.NodeTest), with prec bound: at a
+    last-level node of at least polys.ENCLOSE_BITS bits, letter -> the atom
+    N = max(|F(x, y)|, |G(x, y)|)/g of the node's leaf, as a Deferred, for
+    each letter whose enclosure shows N >= 2.
 
     N is bounded by the size of an image of the node's one polys.Enclosure,
     and the build expands the node for that letter only.
     """
+    if levels > 1 or limits.bits_of(node) < polys.ENCLOSE_BITS:
+        return {}
     leaves, atoms, bits = _Leaves(system, node, limits), {}, BOX_PER_PREC * prec
     box = polys.Enclosure.of(node.x, node.y, bits, bits)
     for letter, phi in enumerate(system.maps, start=1):
@@ -304,7 +308,8 @@ class _Leaves:
         if self.table is None:
             self.table = polys.Monomials(node.x, node.y)
         kids = children(self.system, node, self.limits,
-                        lambda *_: {j for j in range(1, k + 1) if j != letter}, self.table)
+                        lambda *_: dict.fromkeys(j for j in range(1, k + 1) if j != letter),
+                        1, self.table)
         self.left -= 1
         if not self.left:
             self.node = self.table = None
@@ -316,22 +321,11 @@ def _leaf_atom(p: ProjPoint) -> int:
     return max(abs(p.x), abs(p.y))
 
 
-def _last_level(system: MapSystem, depth: int, limits: WorkLimits, prec: int,
-                nodes: Iterable[tuple[tuple, ProjPoint]]) -> list:
-    """The atoms of the leaves under the last-level nodes of a walk to
-    depth - 1: an int for each built leaf, and a Deferred for each leaf
-    _leaf_boxes encloses."""
-    out: list = []
-    for word, node in nodes:
-        if len(word) < depth - 1:
-            continue
-        limits.check_bits(node)   # before the enclosures, as children would
-        atoms = (_leaf_boxes(system, node, prec, limits)
-                 if limits.bits_of(node) >= polys.ENCLOSE_BITS else {})
-        out += [_leaf_atom(kid) for kid in children(system, node, limits, lambda *_: atoms)
-                if kid is not None]
-        out += atoms.values()
-    return out
+def _leaf_atoms(depth: int, nodes: Iterable[tuple[tuple, object]]) -> list:
+    """The atoms of a walk's leaves: an int for each built leaf, and the
+    Deferred that stands in for each leaf _leaf_test encloses."""
+    return [node if type(node) is Deferred else _leaf_atom(node)
+            for word, node in nodes if len(word) == depth]
 
 
 def canonical_height_system(system: MapSystem, point: ProjPoint, depth: int = 6,
@@ -348,7 +342,7 @@ def canonical_height_system(system: MapSystem, point: ProjPoint, depth: int = 6,
     prec is the binary precision of the result: the endpoints are the
     prec-bit enclosures of the two exact log expressions, carried as exact
     rationals.  A leaf under a node of at least polys.ENCLOSE_BITS bits
-    enters them as a logvals.Deferred (_leaf_boxes), built only when its
+    enters them as a logvals.Deferred (_leaf_test), built only when its
     enclosure meets another atom of its expression or does not decide its
     prec-bit box; each other leaf is built once.  The sums then have the
     terms, the order and the interval steps of the full expressions, so the
@@ -357,12 +351,10 @@ def canonical_height_system(system: MapSystem, point: ProjPoint, depth: int = 6,
     k, big_d = system.k, system.degree_sum
     if bounds is None:
         bounds = system_bounds(system)
-    limits.check_nodes(k, depth)
     # Summation commutes and term merging is canonical, so the sum does not
     # depend on how the worker count splits the tree.
-    atoms = ([_leaf_atom(point)] if depth == 0 else
-             fold_tree(system, point, depth - 1, partial(_last_level, system, depth, limits, prec),
-                       limits, workers))
+    atoms = fold_tree(system, point, depth, partial(_leaf_atoms, depth), limits, workers,
+                      partial(_leaf_test, prec))
     sum_up = LogExpr.zero()
     sum_down = LogExpr.zero()
     for b in bounds:

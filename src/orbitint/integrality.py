@@ -146,9 +146,10 @@ RESIDUE_DIGITS = 64
 
 
 class NonUnitLeaves:
-    """The census's leaf test: the letters of a last-level node [x : y]
-    whose leaf is certainly not an S-unit point, decided without building
-    the leaf.  Picklable, so census workers share it.
+    """The census's test (orbits.NodeTest): the letters of a node [x : y]
+    one or two levels above the leaves whose child the census needs
+    neither built nor expanded, decided without building it.  Picklable,
+    so census workers share it.
 
     The leaf of phi = F/G is [F(x, y) : G(x, y)] divided by a common factor
     g of R = |Res(F, G)|, so its denominator |G(x, y)|/g can be an S-unit
@@ -162,43 +163,35 @@ class NonUnitLeaves:
       the bound;
     - R * prod p^v < 2^floor_bits, compared as bit lengths.
 
-    `twigs` applies the same test one level higher, to a child it does not
-    build but encloses (polys.Enclosure.image): the enclosure may be of -1
-    times the child, which changes no |G| and no valuation the test reads.
+    Two levels above the leaves, a child C = phi(node) ruled out so is
+    dropped with its leaves only when the same test rules out every leaf of
+    C from C's enclosure (polys.Enclosure.image), and C's box shows that C
+    is within the bit cap (the check that expanding C would make).  The
+    enclosure may be of -1 times C, which changes no |G| and no valuation
+    the test reads.
     """
 
     def __init__(self, s: PlaceSet):
         self.primes = s.finite_primes
 
-    def __call__(self, system: MapSystem, node: ProjPoint) -> set[int]:
-        if WorkLimits.bits_of(node) < polys.ENCLOSE_BITS:
-            return set()
-        return self._non_units(system, polys.Enclosure.of(node.x, node.y, TOP_BITS,
-                                                          polys.BOX_BITS))
-
-    def twigs(self, system: MapSystem, node: ProjPoint, limits: WorkLimits) -> set[int]:
-        """The letters a of a node two levels above the leaves whose child
-        C = phi_a(node) the census needs neither built nor expanded: the test
-        above rules out C at the node, rules out every leaf of C from C's
-        enclosure, and C's box shows that C is within the bit cap (the check
-        that expanding C would make)."""
-        if WorkLimits.bits_of(node) < polys.ENCLOSE_BITS:
-            return set()
-        parent = polys.Enclosure.of(node.x, node.y, TOP_BITS, polys.BOX_BITS)
-        out = set()
-        for letter in self._non_units(system, parent):
-            phi = system.map_for_letter(letter)
-            child = parent.image(phi.f, phi.g, phi.degree, phi.resultant,
-                                 TOP_BITS, polys.BOX_BITS)
-            _, hi, e = child.size()
-            if limits.fits_bits(hi.bit_length() + e) and all(
-                    self._rules_out(psi, child) for psi in system.maps):
-                out.add(letter)
+    def __call__(self, system: MapSystem, node: ProjPoint, levels: int,
+                 limits: WorkLimits) -> dict[int, None]:
+        if levels > 2 or limits.bits_of(node) < polys.ENCLOSE_BITS:
+            return {}
+        box = polys.Enclosure.of(node.x, node.y, TOP_BITS, polys.BOX_BITS)
+        out = {}
+        for letter, phi in enumerate(system.maps, start=1):
+            if not self._rules_out(phi, box):
+                continue
+            if levels == 2:
+                child = box.image(phi.f, phi.g, phi.degree, phi.resultant,
+                                  TOP_BITS, polys.BOX_BITS)
+                _, hi, e = child.size()
+                if not (limits.fits_bits(hi.bit_length() + e) and all(
+                        self._rules_out(psi, child) for psi in system.maps)):
+                    continue
+            out[letter] = None
         return out
-
-    def _non_units(self, system: MapSystem, node: polys.Enclosure) -> set[int]:
-        return {letter for letter, phi in enumerate(system.maps, start=1)
-                if self._rules_out(phi, node)}
 
     def _rules_out(self, phi: RatMap, node: polys.Enclosure) -> bool:
         lo, hi, e = node.bounds(phi.g, phi.degree)
@@ -228,7 +221,7 @@ def s_integral_census(system: MapSystem, point: ProjPoint, s: PlaceSet,
     are canonical, so y is the reduced denominator of the affine coordinate.
 
     Leaves that NonUnitLeaves rules out are never built, nor are the
-    last-level nodes its twig test rules out together with their leaves.
+    last-level nodes it rules out together with their leaves.
     Such a record is not an S-unit point, and neither is any other record
     of its point, so dropping it removes no hit and changes no hit's first
     record.
@@ -236,7 +229,7 @@ def s_integral_census(system: MapSystem, point: ProjPoint, s: PlaceSet,
     if not s.contains_infinite:
         raise ValueError("S must contain the archimedean place")
     records = enumerate_tree(system, point, depth, dedupe=True, limits=limits,
-                             workers=workers, skip=NonUnitLeaves(s))
+                             workers=workers, test=NonUnitLeaves(s))
     hits = tuple(rec for rec in records
                  if rec.depth > 0 and not rec.point.is_infinite
                  and is_s_unit(rec.point.y, s))

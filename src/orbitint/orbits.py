@@ -2,15 +2,14 @@
 
 `children` is the one place a tree node expands: it checks the node's bits
 and evaluates its k children in letter order from one shared monomial table
-of the node's point, less the letters a consumer's test (`LeafTest`) rules
-out.  `walk_tree` yields (word, point) in preorder (prefixes first, letters
-ascending) on an explicit stack, and `fold_tree` fans the tree out by first
-letter for parallel workers and concatenates the parts.  Both apply a
-consumer's test at the last level, and its twig test, when it has one, one
-level higher, so a consumer that needs only some leaves (the census needs
-the possible S-unit points) never builds the others, nor a last-level node
-whose leaves and whose own record it does not need; every other consumer
-gets all nodes.
+of the node's point, less the children a consumer's test (`NodeTest`)
+settles without building them.  `walk_tree` yields (word, point) in
+preorder (prefixes first, letters ascending) on an explicit stack, and
+`fold_tree` fans the tree out by first letter for parallel workers and
+concatenates the parts.  Both call the consumer's one test at each node
+they expand, with its level above the leaves: the census drops nodes it
+does not need, system-height has a leaf's height atom stand in for the
+leaf, and a consumer with no test gets all nodes.
 `walk_word` applies one map per step along a word, sharing one lazily
 extended point list between passes over one orbit, and `find_cycle` scans
 that list for a repeat.  `WorkLimits` is the one way a cap reaches the
@@ -23,9 +22,8 @@ cycle budget.  Point equality is exact equality of normalized coordinates.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import partial
 from itertools import islice
-from typing import Callable, Container, Iterable, Iterator, Optional
+from typing import Callable, Iterable, Iterator, Mapping, Optional
 
 from . import polys
 from .errors import WorkLimitExceeded
@@ -102,13 +100,14 @@ class WorkLimits:
 
 DEFAULT_LIMITS = WorkLimits()
 
-# A consumer's test at the last level of a tree: given the system and a node
-# whose children are leaves, the letters whose leaf it does not need.  The
-# test may also have a twig test, twigs(system, node, limits), for a node
-# two levels above the leaves: the letters whose child it needs neither as
-# a record nor expanded.  Such a child is never bit-checked, so the twig
-# test names only children it shows to be within the bit cap.
-LeafTest = Callable[[MapSystem, ProjPoint], Container[int]]
+# A consumer's test of a tree node: test(system, node, levels, limits), for
+# a node levels above the leaves, maps each letter whose child the consumer
+# settles without building it to the child's stand-in.  A stand-in of None
+# drops the child: it is neither built nor yielded, nor is its subtree.
+# Only at levels == 1 may a stand-in be a value, which walk_tree yields in
+# the leaf's place.  A dropped child above the leaves is never bit-checked,
+# so the test drops only children it shows to be within the bit cap.
+NodeTest = Callable[[MapSystem, ProjPoint, int, WorkLimits], Mapping[int, object]]
 
 
 @dataclass(frozen=True)
@@ -163,77 +162,68 @@ def find_cycle(system: MapSystem, word: Word, memo: list, steps: int,
 
 
 def children(system: MapSystem, point: ProjPoint, limits: WorkLimits,
-             skip: Optional[LeafTest] = None,
-             table: Optional[polys.Monomials] = None) -> list[Optional[ProjPoint]]:
-    """The k children of a tree node, in letter order, after its bits are
-    checked.  skip, when given, names the letters whose child is not built
-    (it stands as None in the list).  The maps read one lazily built
-    monomial table of the node's point: table, or else a new one."""
+             test: Optional[NodeTest] = None, levels: int = 1,
+             table: Optional[polys.Monomials] = None) -> list:
+    """The k children of a tree node levels above the leaves, in letter
+    order, after its bits are checked.  test, when given, settles some
+    children without building them: the list holds each one's stand-in in
+    its place (see NodeTest).  The maps read one lazily built monomial
+    table of the node's point: table, or else a new one."""
     limits.check_bits(point)
-    skipped = skip(system, point) if skip is not None else ()
+    settled = test(system, point, levels, limits) if test is not None else {}
     if table is None:
         table = polys.Monomials(point.x, point.y)
-    return [None if letter in skipped else eval_point(phi, point, table)
+    return [settled[letter] if letter in settled else eval_point(phi, point, table)
             for letter, phi in enumerate(system.maps, start=1)]
 
 
 def walk_tree(system: MapSystem, point: ProjPoint, depth: int,
               limits: WorkLimits = DEFAULT_LIMITS, prefix: tuple = (),
-              skip: Optional[LeafTest] = None) -> Iterator[tuple[tuple, ProjPoint]]:
+              test: Optional[NodeTest] = None) -> Iterator[tuple[tuple, ProjPoint]]:
     """Yield (word, point) for the subtree under prefix, in preorder, down to
     words of the given length.  Children wait on an explicit stack, last
-    letter at the bottom, so the walk never recurses.  skip, when given, is
-    the consumer's test at the last level, and its twig test one level
-    higher (see LeafTest): the nodes they name are neither built nor
-    yielded, and neither are the leaves of a node the twig test names."""
+    letter at the bottom, so the walk never recurses.  test, when given, is
+    the consumer's test at every node expanded (see NodeTest): a child it
+    drops is neither built nor yielded, and a leaf's stand-in is yielded in
+    the leaf's place."""
     stack = [(prefix, point)]
     while stack:
         word, node = stack.pop()
         yield word, node
         if len(word) < depth:
-            kids = children(system, node, limits,
-                            _test_at(skip, depth - len(word), limits))
+            kids = children(system, node, limits, test, depth - len(word))
             stack.extend(reversed([(word + (letter,), kid)
                                    for letter, kid in enumerate(kids, start=1)
                                    if kid is not None]))
 
 
-def _test_at(skip: Optional[LeafTest], levels: int,
-             limits: WorkLimits) -> Optional[LeafTest]:
-    """The part of skip that applies at a node levels above the leaves."""
-    if skip is None or levels > 2:
-        return None
-    if levels == 1:
-        return skip
-    twigs = getattr(skip, "twigs", None)
-    return None if twigs is None else partial(twigs, limits=limits)
-
-
 def _fold_subtree(args) -> list:
-    fold, system, point, prefix, depth, limits, skip = args
-    return fold(walk_tree(system, point, depth, limits, prefix, skip))
+    fold, system, point, prefix, depth, limits, test = args
+    return fold(walk_tree(system, point, depth, limits, prefix, test))
 
 
 def fold_tree(system: MapSystem, point: ProjPoint, depth: int,
               fold: Callable[[Iterable], list],
               limits: WorkLimits = DEFAULT_LIMITS, workers: int = 1,
-              skip: Optional[LeafTest] = None) -> list:
+              test: Optional[NodeTest] = None) -> list:
     """fold applied to the preorder walk of the tree, as one list.
 
     With workers > 1 the root is expanded here, each first-letter subtree is
     folded in a worker process, and the parts are concatenated in letter
     order after the root's.  A fold that maps each node on its own (fold
-    and skip must be picklable) therefore gives the same list for any worker
-    count.  skip is the consumer's test of walk_tree, applied to the root
-    as well.  The node cap is checked here, before any evaluation.
+    and test must be picklable) therefore gives the same list for any worker
+    count.  test is the consumer's test of walk_tree, applied to the root
+    as well.  A tree of depth at most 1 is folded here, so no leaf's
+    stand-in goes to a worker.  The node cap is checked here, before any
+    evaluation.
     """
     limits.check_nodes(system.k, depth)
-    if workers <= 1 or depth == 0:
-        return fold(walk_tree(system, point, depth, limits, skip=skip))
+    if workers <= 1 or depth <= 1:
+        return fold(walk_tree(system, point, depth, limits, test=test))
     from concurrent.futures import ProcessPoolExecutor
 
-    kids = children(system, point, limits, _test_at(skip, depth, limits))
-    tasks = [(fold, system, child, (letter,), depth, limits, skip)
+    kids = children(system, point, limits, test, depth)
+    tasks = [(fold, system, child, (letter,), depth, limits, test)
              for letter, child in enumerate(kids, start=1) if child is not None]
     out = fold([((), point)])
     with ProcessPoolExecutor(max_workers=workers) as pool:
@@ -263,15 +253,15 @@ def _records(nodes: Iterable[tuple[tuple, ProjPoint]]) -> list[OrbitRecord]:
 def enumerate_tree(system: MapSystem, point: ProjPoint, depth: int,
                    dedupe: bool = False, limits: WorkLimits = DEFAULT_LIMITS,
                    workers: int = 1,
-                   skip: Optional[LeafTest] = None) -> list[OrbitRecord]:
+                   test: Optional[NodeTest] = None) -> list[OrbitRecord]:
     """All orbit records to the given depth, in preorder word order, less
-    the nodes that the consumer's test skip rules out (see walk_tree).
+    the nodes that the consumer's test drops (see walk_tree).
 
     With dedupe=True only the first record per distinct point is kept (the
     witness word is the lexicographically least, by traversal order).  Output
     is independent of the worker count.
     """
-    records = fold_tree(system, point, depth, _records, limits, workers, skip)
+    records = fold_tree(system, point, depth, _records, limits, workers, test)
     if not dedupe:
         return records
     first: dict[ProjPoint, OrbitRecord] = {}

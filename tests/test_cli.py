@@ -193,11 +193,12 @@ def _cubic(f, g=(1,)):
     {"boundParameters": {"gamma": math.inf}}, {"boundParameters": {"gamma": math.nan}},
     {"boundParameters": {"roth_mu": math.inf}}, {"boundParameters": {"roth_r1": math.inf}},
     {"boundParameters": {"c10": math.nan}}, {"boundParameters": {"gamma": True}},
+    {"system": {"maps": ["(z^2-1)/(z^2+1)", {"f": ["1/0"], "g": ["1"]}]}},
 ], ids=["word-string", "word-int", "letter-float", "letter-bool",
         "letters-string", "place-int", "places-null", "map-without-g", "map-g-null",
         "coeff-null", "coeff-list", "coeff-object", "coeff-infinite", "coeff-bool",
         "gamma-infinite", "gamma-nan", "mu-infinite", "r1-infinite", "c10-nan",
-        "gamma-bool"])
+        "gamma-bool", "coeff-zero-denominator"])
 def test_malformed_config_values_are_validation_errors(tmp_path, capsys, change):
     raw = json.loads((SHIPPED / "bounds_mixed.json").read_text(encoding="utf-8"))
     cfg = write_config(tmp_path, {**raw, **change})
@@ -206,6 +207,29 @@ def test_malformed_config_values_are_validation_errors(tmp_path, capsys, change)
         assert main([sub, "--config", cfg, "--out", str(out)]) == 2, sub
         payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
         assert payload["kind"] == "validation", sub
+    assert not out.exists()
+
+
+# Inputs whose float report values leave the float range: JSON has no inf,
+# so each is a validation error and no file is written.  A finite gamma on
+# a two-map system once built k^M for M near gamma (2^2001 here; near
+# 2^(10^308) at gamma = 1e308).
+@pytest.mark.parametrize("sub, name, change", [
+    ("bounds", "bounds_mixed", {"boundParameters": {"c10": 1e308}}),
+    ("census", "census_reciprocal_square", {"boundParameters": {"gamma": 1e308}}),
+    ("census", "bounds_mixed", {"boundParameters": {"gamma": 1e308}}),
+    ("census", "bounds_mixed", {"boundParameters": {"gamma": 2000.0}}),
+    ("bounds", "bounds_mixed", {"epsilon": "1e-310"}),
+    ("bounds", "bounds_mixed", {"epsilon": "1e-400"}),
+], ids=["c10-max-n", "gamma-single-orbit", "gamma-tree-count-huge", "gamma-tree-count",
+        "epsilon-subnormal", "epsilon-underflow"])
+def test_reports_out_of_float_range_are_validation_errors(tmp_path, capsys, sub, name, change):
+    raw = json.loads((SHIPPED / f"{name}.json").read_text(encoding="utf-8"))
+    cfg = write_config(tmp_path, {**raw, **change})
+    out = tmp_path / "out"
+    assert main([sub, "--config", cfg, "--out", str(out)]) == 2
+    payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert payload["kind"] == "validation"
     assert not out.exists()
 
 

@@ -6,8 +6,8 @@ A definition counts as called only when `__all__` names it or when code in
 src/orbitint refers to it outside the definition's own body.  Tests, the
 benchmark and import statements are not callers.  A top-level definition is
 referred to by its name, as an attribute (`polys.strip`) or as a string; a
-method only as an attribute (`self.lo()`) or a string
-(`getattr(skip, "twigs")`), never by a bare local name that happens to match.
+method only as an attribute (`self.lo()`) or a string (a name that
+`getattr` reads), never by a bare local name that happens to match.
 """
 
 import ast

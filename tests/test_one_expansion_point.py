@@ -1,7 +1,9 @@
 """Every tree node expands through orbits.children: no function in
 src/orbitint recurses by name (so tree depth is never bounded by the
-interpreter's recursion limit), and inside orbits only the word walk and
-children evaluate a map."""
+interpreter's recursion limit), inside orbits only the word walk and
+children evaluate a map, and a consumer settles nodes only through its one
+test, which the engine's walks pass to children: no consumer expands a
+last level on its own."""
 
 import ast
 from pathlib import Path
@@ -14,6 +16,29 @@ def _calls_to(node, name):
     return [call for call in ast.walk(node)
             if isinstance(call, ast.Call) and isinstance(call.func, ast.Name)
             and call.func.id == name]
+
+
+def _called_name(call):
+    func = call.func
+    return func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+
+
+def _functions():
+    """(qualified name, definition) of each top-level function and method."""
+    for path, tree in TREES.items():
+        for node in tree.body:
+            if isinstance(node, ast.FunctionDef):
+                yield f"{path.stem}.{node.name}", node
+            if isinstance(node, ast.ClassDef):
+                for member in node.body:
+                    if isinstance(member, ast.FunctionDef):
+                        yield f"{path.stem}.{node.name}.{member.name}", member
+
+
+def _callers(name):
+    return sorted(qualified for qualified, node in _functions()
+                  for call in ast.walk(node)
+                  if isinstance(call, ast.Call) and _called_name(call) == name)
 
 
 def test_no_function_calls_itself():
@@ -31,3 +56,30 @@ def test_eval_point_only_in_word_walk_and_children():
     others = [call.lineno for call in _calls_to(tree, "eval_point")
               if id(call) not in allowed]
     assert allowed and others == []
+
+
+def test_children_only_in_the_walks_and_the_leaf_build():
+    assert _callers("children") == ["heights._Leaves.build", "orbits.fold_tree",
+                                    "orbits.walk_tree"]
+
+
+def test_one_test_protocol():
+    """The engine finds no second test on a consumer's test by name."""
+    tree = next(tree for path, tree in TREES.items() if path.stem == "orbits")
+    assert [call.lineno for call in ast.walk(tree) if isinstance(call, ast.Call)
+            and _called_name(call) in ("getattr", "hasattr")] == []
+
+
+def test_no_consumer_expands_a_last_level():
+    """Only the engine checks a node's bits, and every tree walk in src goes
+    to the depth its caller was given, never a level short of it."""
+    assert _callers("check_bits") == ["orbits.children", "orbits.iterate_word"]
+    walks = [(qualified, call) for qualified, node in _functions()
+             for call in ast.walk(node) if isinstance(call, ast.Call)
+             and _called_name(call) in ("walk_tree", "fold_tree", "enumerate_tree")]
+    assert len(walks) >= 6
+    for qualified, call in walks:
+        depth = next((kw.value for kw in call.keywords if kw.arg == "depth"),
+                     call.args[2] if len(call.args) > 2 else None)
+        assert isinstance(depth, (ast.Name, ast.Attribute, ast.Constant)), \
+            (qualified, ast.unparse(call))

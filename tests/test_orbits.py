@@ -110,16 +110,16 @@ def test_node_cap_counts_every_node(pair_system):
 
 
 class SkipLetters:
-    """A picklable last-level test that rules out the same letters at every
-    node; it refuses to see a node over its bit limit."""
+    """A picklable test that drops the same letters at every last-level
+    node and nothing above it; it refuses to see a node over its bit limit."""
 
     def __init__(self, letters, max_bits=None):
         self.letters = frozenset(letters)
         self.max_bits = max_bits
 
-    def __call__(self, system, node):
+    def __call__(self, system, node, levels, limits):
         assert self.max_bits is None or WorkLimits.bits_of(node) <= self.max_bits
-        return self.letters
+        return dict.fromkeys(self.letters) if levels == 1 else {}
 
 
 def test_skip_applies_at_the_last_level_only(pair_system):
@@ -129,7 +129,7 @@ def test_skip_applies_at_the_last_level_only(pair_system):
         assert len(expected) == len(full) - 2 ** (depth - 1)
         for workers in (1, 2):
             assert enumerate_tree(pair_system, normalize(2, 1), depth, workers=workers,
-                                  skip=SkipLetters({1})) == expected
+                                  test=SkipLetters({1})) == expected
 
 
 def test_caps_count_and_check_skipped_leaves(pair_system):
@@ -139,11 +139,11 @@ def test_caps_count_and_check_skipped_leaves(pair_system):
     for workers in (1, 2):
         with pytest.raises(WorkLimitExceeded) as exc:
             enumerate_tree(pair_system, normalize(2, 1), 4, workers=workers,
-                           limits=WorkLimits(node_cap=20), skip=SkipLetters({1, 2}))
+                           limits=WorkLimits(node_cap=20), test=SkipLetters({1, 2}))
         assert exc.value.nodes == 31
         with pytest.raises(WorkLimitExceeded) as exc:
             enumerate_tree(pair_system, big, 1, workers=workers,
-                           limits=WorkLimits(bit_cap=64), skip=SkipLetters({1, 2}, 64))
+                           limits=WorkLimits(bit_cap=64), test=SkipLetters({1, 2}, 64))
         assert exc.value.bits == 101
 
 

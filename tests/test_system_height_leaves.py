@@ -16,9 +16,11 @@ from mpmath.libmp import from_int, round_ceiling, round_floor, to_rational
 
 from orbitint import heights, logvals, orbits, polys
 from orbitint.config import parse_config
-from orbitint.heights import _leaf_boxes, canonical_height_system, system_bounds
+from orbitint.heights import _leaf_test, canonical_height_system, system_bounds
 from orbitint.logvals import LogExpr
-from orbitint.orbits import walk_tree
+from orbitint.integrality import s_integral_census
+from orbitint.orbits import WorkLimits, enumerate_tree, walk_tree
+from orbitint.places import is_s_unit
 from orbitint.proj1 import ProjPoint, normalize
 from orbitint.ratmap import MapSystem, eval_point, make_map, parse_map
 from orbitint.verify import random_point, random_system
@@ -123,7 +125,7 @@ def test_shipped_configs_at_depth_9(path, workers):
 
 
 def test_enclosed_boxes_are_the_leaf_boxes():
-    """Every prec box of an atom _leaf_boxes returns is iv.mpf of the built
+    """Every prec box of an atom _leaf_test returns is iv.mpf of the built
     leaf's atom; an atom whose box is not decided is built as that atom."""
     rng = random.Random(613)
     kept = 0
@@ -131,7 +133,7 @@ def test_enclosed_boxes_are_the_leaf_boxes():
         system = random_system(rng, k_max=3, max_degree=4)
         prec = (53, 128, 256)[trial % 3]
         for node in (random_point(rng, 1 << 3000), random_point(rng, 1 << 1100)):
-            for letter, enclosed in _leaf_boxes(system, node, prec).items():
+            for letter, enclosed in _leaf_test(prec, system, node, 1, WorkLimits()).items():
                 leaf = eval_point(system.map_for_letter(letter), node)
                 atom = max(abs(leaf.x), abs(leaf.y))
                 box = enclosed.box(prec)
@@ -152,7 +154,7 @@ def test_power_of_two_atoms_are_enclosed(evaluations, overlaps):
     for system, exponents, built in ((PAIR, (6000, 9000), 2 ** 11 - 2),
                                      (doubling, (6000, 6001), 0)):
         boxes = {letter: atom.box(128)
-                 for letter, atom in _leaf_boxes(system, ProjPoint(1 << 3000, 1), 128).items()}
+                 for letter, atom in _leaf_test(128, system, ProjPoint(1 << 3000, 1), 1, WorkLimits()).items()}
         assert boxes == {letter: (from_int(1 << e, 128, round_floor),
                                   from_int(1 << e, 128, round_ceiling))
                          for letter, e in enumerate(exponents, start=1)}
@@ -180,11 +182,11 @@ def test_common_factor_of_the_resultant():
     phi = config.system.maps[0]
     seen = 0
     for word, node in walk_tree(config.system, config.point, 8):
-        if node.x % 2 and node.y % 2 and orbits.WorkLimits.bits_of(node) >= 1024:
+        if node.x % 2 and node.y % 2 and WorkLimits.bits_of(node) >= 1024:
             u, v = phi.homogeneous(node.x, node.y)
             assert math.gcd(u, v) == 2
             leaf = eval_point(phi, node)
-            box = _leaf_boxes(config.system, node, 128)[1].box(128)
+            box = _leaf_test(128, config.system, node, 1, WorkLimits())[1].box(128)
             atom = max(abs(leaf.x), abs(leaf.y))
             assert box == (from_int(atom, 128, round_floor), from_int(atom, 128, round_ceiling))
             seen += 1
@@ -235,6 +237,37 @@ def test_depths_0_and_1(monkeypatch, lifted, depth):
                           (PAIR, ProjPoint(1, 0))):
         for workers in (1, 2):
             assert_exact_leaf_formula(system, point, depth, workers=workers)
+
+
+# Roots of 1,110 bits on bounds_mixed: the consumers' tests run at the root
+# itself, at level 1 (depth 1) and level 2 (depth 2).  Evaluation counts are
+# pinned as the walks that expanded the last level themselves made them; a
+# 2-worker run counts only the root's expansion, made in this process.
+LARGE_ROOTS = {"fraction": normalize(Fraction(3 ** 700 + 2, 5 ** 400)),
+               "integer": normalize(3 ** 700 + 2)}
+ROOT_COUNTS = {   # (root, depth, workers): (height evaluations, census evaluations, hits)
+    ("fraction", 0, 1): (0, 0, 0), ("fraction", 1, 1): (0, 0, 0), ("fraction", 2, 1): (2, 0, 0),
+    ("integer", 0, 1): (0, 0, 0), ("integer", 1, 1): (0, 1, 1), ("integer", 2, 1): (2, 2, 2),
+    ("fraction", 0, 2): (0, 0, 0), ("fraction", 1, 2): (0, 0, 0), ("fraction", 2, 2): (2, 0, 0),
+    ("integer", 0, 2): (0, 0, 0), ("integer", 1, 2): (0, 1, 1), ("integer", 2, 2): (2, 1, 2),
+}
+
+
+@pytest.mark.parametrize("root, depth, workers", sorted(ROOT_COUNTS))
+def test_stand_ins_at_a_large_root(evaluations, root, depth, workers):
+    config, point = load("bounds_mixed"), LARGE_ROOTS[root]
+    assert WorkLimits.bits_of(point) == 1110
+    evaluations.clear()
+    assert_exact_leaf_formula(config.system, point, depth, config.precision_bits, workers,
+                              system_bounds(config.system, config.c_mode))
+    height_calls = len(evaluations)
+    expected = tuple(rec for rec in enumerate_tree(config.system, point, depth, dedupe=True)
+                     if rec.depth > 0 and not rec.point.is_infinite
+                     and is_s_unit(rec.point.y, config.places))
+    evaluations.clear()
+    hits = s_integral_census(config.system, point, config.places, depth, workers=workers).hits
+    assert hits == expected
+    assert (height_calls, len(evaluations), len(hits)) == ROOT_COUNTS[root, depth, workers]
 
 
 def test_one_log_per_atom(monkeypatch):
