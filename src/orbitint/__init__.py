@@ -15,7 +15,7 @@ from .words import Word, WordMode
 from .heights import (HeightEstimate, HeightDifferenceBound, c_bound,
                       canonical_height_word, canonical_height_system,
                       hmin_estimate)
-from .orbits import (OrbitRecord, WorkLimits, iterate_word, enumerate_tree,
+from .orbits import (Orbit, OrbitRecord, WorkLimits, iterate_word, enumerate_tree,
                      hypothesis_check)
 from .integrality import (quasi_integral_test, gamma_set, s_integral_census,
                           ratio_series, averaged_ratio, GammaVerdict)
@@ -35,7 +35,7 @@ __all__ = [
     "Word", "WordMode",
     "HeightEstimate", "HeightDifferenceBound", "c_bound",
     "canonical_height_word", "canonical_height_system", "hmin_estimate",
-    "OrbitRecord", "WorkLimits", "iterate_word", "enumerate_tree",
+    "Orbit", "OrbitRecord", "WorkLimits", "iterate_word", "enumerate_tree",
     "hypothesis_check",
     "quasi_integral_test", "gamma_set", "s_integral_census", "ratio_series",
     "averaged_ratio", "GammaVerdict",

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from dataclasses import asdict
@@ -34,7 +35,7 @@ from .heights import (canonical_height_system, canonical_height_word,
 from .integrality import (averaged_ratio, gamma_set, ratio_series,
                           s_integral_census)
 from .logvals import DEFAULT_PRECISION
-from .orbits import enumerate_tree, hypothesis_check
+from .orbits import Orbit, enumerate_tree, hypothesis_check
 from .proj1 import ProjPoint, int_text
 from .ratmap import system_height
 from .verify import run_all
@@ -49,11 +50,29 @@ def _report_meta(sub: str, config: ExperimentConfig | None, seed: int, prec: int
     return meta
 
 
+def _nonfinite_field(payload: dict) -> tuple:
+    """(dotted path, value) of the first inf or nan in the payload, in the
+    order the report writes its keys (list items by index)."""
+    stack = [("", payload)]
+    while stack:
+        path, value = stack.pop()
+        if isinstance(value, float) and not math.isfinite(value):
+            return path, value
+        items = (sorted(value.items()) if isinstance(value, dict)
+                 else enumerate(value) if isinstance(value, list) else ())
+        stack.extend(reversed([(f"{path}.{key}".lstrip("."), item) for key, item in items]))
+    raise AssertionError("no float out of range in the report")
+
+
 def _write_json(path: Path, payload: dict) -> None:
     # RFC 8259 JSON has no inf or nan: a float report value out of range (an
-    # input too large or too small for it) is a ValueError, a validation
-    # exit, before anything is written.
-    blob = json.dumps(payload, sort_keys=True, indent=2, allow_nan=False) + "\n"
+    # input too large or too small for it) is a ValueError naming the field,
+    # a validation exit, before anything is written.
+    try:
+        blob = json.dumps(payload, sort_keys=True, indent=2, allow_nan=False) + "\n"
+    except ValueError as exc:
+        raise ValueError("report field {} is {}, out of the range of JSON numbers"
+                         .format(*_nonfinite_field(payload))) from exc
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(blob, encoding="utf-8")
 
@@ -167,7 +186,7 @@ def _height_report(sub: str, config: ExperimentConfig, est, **extra):
 
 
 def _cmd_canonical(config: ExperimentConfig, workers: int):
-    est = canonical_height_word(config.system, config.word, config.point,
+    est = canonical_height_word(Orbit(config.system, config.word, config.point),
                                 depth=config.height_depth,
                                 bounds=system_bounds(config.system, config.c_mode),
                                 limits=config.limits)
@@ -277,7 +296,7 @@ def _cmd_bounds(config: ExperimentConfig, workers: int):
     bounds_list = system_bounds(system, config.c_mode)
     h_f = system_height(system).to_float(prec)
 
-    est_p = canonical_height_word(system, config.word, config.point,
+    est_p = canonical_height_word(Orbit(system, config.word, config.point),
                                   depth=config.height_depth, bounds=bounds_list,
                                   limits=config.limits)
     est_a = canonical_height_system(system, config.point_a,

@@ -25,11 +25,11 @@ from mpmath.libmp import to_rational
 
 from . import polys
 from .logvals import DEFAULT_PRECISION, Deferred, LogExpr, deferred_atom
-from .orbits import (DEFAULT_LIMITS, WorkLimits, children, find_cycle, fold_tree,
-                     walk_word)
+from .orbits import (DEFAULT_LIMITS, Orbit, WorkLimits, children, find_cycle,
+                     fold_tree)
 from .proj1 import ProjPoint, normalize
 from .ratmap import MapSystem, RatMap, eval_point
-from .words import Word, degree_products, iter_periodic_words
+from .words import Word, iter_periodic_words
 
 DEFAULT_DEPTH = 12
 
@@ -146,103 +146,90 @@ class HeightEstimate:
         return self.hi_expr.float_bounds(prec)[1]
 
 
-def _upcoming_tails(system: MapSystem, bounds: Sequence[HeightDifferenceBound],
-                    word: Word, n: int) -> tuple[LogExpr, LogExpr]:
+def _upcoming_tails(orbit: Orbit, bounds: Sequence[HeightDifferenceBound],
+                    n: int) -> tuple[LogExpr, LogExpr]:
     """Exact one-sided tail sums for the error after n steps, divided by D_n later.
 
     Periodic words get the exact per-period geometric sum; finite words get a
     bound valid for every infinite continuation (worst per-step constant with
     min-degree scaling), so the interval covers any extension of the prefix.
     """
-    degrees = system.degrees
+    word = orbit.word
     if word.is_periodic:
-        period = len(word.letters)
         block_up = LogExpr.zero()
         block_down = LogExpr.zero()
-        running = 1
-        for t in range(period):
-            letter = word.letter_at(n + t)
-            running *= degrees[letter - 1]
-            inv = Fraction(1, running)
-            block_up = block_up + bounds[letter - 1].upper * inv
-            block_down = block_down + bounds[letter - 1].lower * inv
-        geom = Fraction(running, running - 1)
+        for t in range(len(word)):
+            bound = bounds[word.letter_at(n + t) - 1]
+            inv = Fraction(orbit.degree(n), orbit.degree(n + t + 1))
+            block_up = block_up + bound.upper * inv
+            block_down = block_down + bound.lower * inv
+        turn = orbit.degree(len(word))   # one period's degree, from any phase
+        geom = Fraction(turn, turn - 1)
         return block_up * geom, block_down * geom
-    d1 = system.min_degree
+    d1 = orbit.system.min_degree
     worst_up = LogExpr.zero()
     worst_down = LogExpr.zero()
-    for j, b in enumerate(bounds):
-        inv = Fraction(1, degrees[j])
-        worst_up = _logexpr_max(worst_up, b.upper * inv)
-        worst_down = _logexpr_max(worst_down, b.lower * inv)
+    for b, d in zip(bounds, orbit.system.degrees):
+        worst_up = _logexpr_max(worst_up, b.upper * Fraction(1, d))
+        worst_down = _logexpr_max(worst_down, b.lower * Fraction(1, d))
     geom = Fraction(d1, d1 - 1)
     return worst_up * geom, worst_down * geom
 
 
-def canonical_height_word(system: MapSystem, word: Word, point: ProjPoint,
-                          depth: int = DEFAULT_DEPTH,
+def canonical_height_word(orbit: Orbit, depth: int = DEFAULT_DEPTH,
                           bounds: Optional[Sequence[HeightDifferenceBound]] = None,
-                          limits: WorkLimits = DEFAULT_LIMITS,
-                          memo: Optional[list] = None) -> HeightEstimate:
+                          limits: WorkLimits = DEFAULT_LIMITS) -> HeightEstimate:
     """Canonical height of a point along a word, as a certified interval.
 
-    Iterates h(Phi^n(P))/D_n pointwise (never composing maps); the intervals
-    at successive depths nest, so the deepest one is returned.  The walk stops
-    at depth, at the end of a finite word, or at the first point over the bit
-    cap; only the last sets target_met=False.  lo_expr is not floored (see
-    HeightEstimate).  memo is an orbit point list shared with other passes
-    over the same orbit (see walk_word).
+    Iterates h(Phi^n(P))/D_n pointwise along the orbit (never composing
+    maps); the intervals at successive depths nest, so the deepest one is
+    returned.  The walk stops at depth, at the end of a finite word, or at
+    the first point over the bit cap; only the last sets target_met=False.
+    lo_expr is not floored (see HeightEstimate).
 
     When the point before the last step has at least polys.ENCLOSE_BITS
     bits, the last point is not built: its height atom enters the estimate
     as a logvals.Deferred, and the cap test reads the atom's enclosure (see
     _deferred_step).  The estimate's values are those of the built point.
     """
-    for letter in word.letters:
-        if letter > system.k:
-            raise ValueError(f"letter {letter} outside system of size {system.k}")
+    system, word = orbit.system, orbit.word
     if bounds is None:
         bounds = system_bounds(system)
-    steps = walk_word(system, word, point, memo)
-    current = point
-    height: Optional[LogExpr] = None
-    d_n = 1
-    n = 0
-    truncated = False
+    height: Optional[LogExpr] = None   # the last step's deferred atom
+    n, truncated = 0, False
     while n < depth and word.supports_depth(n + 1):
-        phi = system.map_for_letter(word.letter_at(n))
         last = n + 1 == depth or not word.supports_depth(n + 2)
-        step = (_deferred_step(phi, current, steps, limits, last)
-                if limits.bits_of(current) >= polys.ENCLOSE_BITS else None)
-        d_n *= phi.degree
+        step = (_deferred_step(orbit, n, limits, last)
+                if limits.bits_of(orbit[n]) >= polys.ENCLOSE_BITS else None)
         n += 1
         if step is not None:
             atom, truncated = step
             height = LogExpr(((atom, 1),))
             break
-        current = next(steps)
-        if not limits.fits(current):
+        if not limits.fits(orbit[n]):
             truncated = True
             break
-    up, down = _upcoming_tails(system, bounds, word, n)
-    inv = Fraction(1, d_n)
-    mid = (current.height() if height is None else height) * inv
+    up, down = _upcoming_tails(orbit, bounds, n)
+    degree = orbit.degree(n)
+    inv = Fraction(1, degree)
+    mid = (orbit[n].height() if height is None else height) * inv
     certified = all(b.certified for b in bounds)
-    return HeightEstimate(mid - down * inv, mid + up * inv, n, d_n, certified,
+    return HeightEstimate(mid - down * inv, mid + up * inv, n, degree, certified,
                           not truncated, word)
 
 
-def _deferred_step(phi: RatMap, node: ProjPoint, steps, limits: WorkLimits,
+def _deferred_step(orbit: Orbit, n: int, limits: WorkLimits,
                    last: bool) -> Optional[tuple[Deferred, bool]]:
-    """(atom, over the cap) for the point phi(node) when the enclosure of its
-    atom shows the step is the walk's last: the point is certainly over the
-    bit cap, or it certainly fits and last says the walk ends there.  The
-    atom is built from steps, the walk's own generator, if ever.  None when
-    the step must be built: it may go on, or the enclosure does not decide
-    the cap test or that the atom is at least 2.  A step that is not the
-    last and whose point cannot reach the cap (|F(x, y)| is at most the
-    coefficient sum of F times max(|x|, |y|)^d) is not enclosed.
+    """(atom, over the cap) for the point Phi^(n+1)(P) when the enclosure of
+    its atom shows the step is the walk's last: the point is certainly over
+    the bit cap, or it certainly fits and last says the walk ends there.
+    The atom is built from orbit[n + 1], if ever.  None when the step must
+    be built: it may go on, or the enclosure does not decide the cap test
+    or that the atom is at least 2.  A step that is not the last and whose
+    point cannot reach the cap (|F(x, y)| is at most the coefficient sum of
+    F times max(|x|, |y|)^d) is not enclosed.
     """
+    phi, node = orbit.map(n), orbit[n]
     if not last:
         coeffs = max(sum(map(abs, phi.f)), sum(map(abs, phi.g)))
         if limits.fits_bits(limits.bits_of(node) * phi.degree + coeffs.bit_length()):
@@ -250,7 +237,7 @@ def _deferred_step(phi: RatMap, node: ProjPoint, steps, limits: WorkLimits,
     bits = polys.BOX_BITS
     box = polys.Enclosure.of(node.x, node.y, bits, bits)
     atom = deferred_atom(box.image(phi.f, phi.g, phi.degree, phi.resultant, bits, bits).size(),
-                         lambda: _leaf_atom(next(steps)))
+                         lambda: _leaf_atom(orbit[n + 1]))
     if atom is None:
         return None
     low, high = atom.bit_range()
@@ -408,18 +395,13 @@ def hmin_estimate(system: MapSystem, point: ProjPoint, period_bound: int = 2,
     best: Optional[HeightEstimate] = None
     lo_min: Optional[LogExpr] = None
     reached, all_met = depth, True
-    scanned = 0
-    for word in iter_periodic_words(system.k, period_bound):
-        scanned += 1
-        points = [point]
-        if find_cycle(system, word, points, depth, limits) is not None:
+    for scanned, word in enumerate(iter_periodic_words(system.k, period_bound), start=1):
+        orbit = Orbit(system, word, point)
+        if find_cycle(orbit, depth, limits) is not None:
             zero = LogExpr.zero()
-            est = HeightEstimate(zero, zero, depth,
-                                 degree_products(system.degrees, word, depth)[-1],
-                                 True, True, word)
+            est = HeightEstimate(zero, zero, depth, orbit.degree(depth), True, True, word)
             return HminResult(est, word, word, scanned)
-        est = canonical_height_word(system, word, point, depth=depth,
-                                    bounds=bounds, limits=limits, memo=points)
+        est = canonical_height_word(orbit, depth, bounds, limits)
         reached, all_met = min(reached, est.depth), all_met and est.target_met
         if best is None or est.hi(prec) < best.hi(prec):
             best = est

@@ -21,7 +21,7 @@ from typing import Optional
 from . import polys
 from .heights import HeightEstimate, canonical_height_word, system_bounds
 from .logvals import DEFAULT_PRECISION, LogExpr, _Infinite
-from .orbits import (DEFAULT_LIMITS, WorkLimits, enumerate_tree, find_cycle,
+from .orbits import (DEFAULT_LIMITS, Orbit, WorkLimits, enumerate_tree, find_cycle,
                      iterate_word)
 from .places import PlaceSet, is_s_unit, log_plus_abs, strip_prime
 from .proj1 import ProjPoint, chordal_sum
@@ -94,23 +94,17 @@ def gamma_set(system: MapSystem, word: Word, s: PlaceSet, base: ProjPoint,
     if bounds is None:
         bounds = system_bounds(system)
     # One walk: the cycle scan, the height lookahead and the membership scan
-    # all read one lazily extended point list.
-    points = [point]
-    preperiodic = word.is_periodic and find_cycle(
-        system, word, points, max(depth, 16), limits) is not None
-    est = canonical_height_word(system, word, point, depth=depth + 4,
-                                bounds=bounds, limits=limits, memo=points)
+    # all read one orbit.
+    orbit = Orbit(system, word, point)
+    preperiodic = word.is_periodic and find_cycle(orbit, max(depth, 16), limits) is not None
+    est = canonical_height_word(orbit, depth + 4, bounds, limits)
     members = []
-    d_n = 1  # D_n, kept running: the list D_0..D_n is quadratic in bits
-    for n, current in enumerate(iterate_word(system, word, point, depth,
-                                             limits=limits, memo=points)):
-        if n:
-            d_n *= system.degrees[word.letter_at(n - 1) - 1]
+    for n, current in enumerate(iterate_word(orbit, depth, limits)):
         lhs = chordal_sum(current, base, s)
         if isinstance(lhs, _Infinite):
             members.append((n, GammaVerdict.IN))
             continue
-        scale = epsilon * d_n
+        scale = epsilon * orbit.degree(n)
         in_sign = (lhs - est.hi_expr * scale).sign(prec)
         if in_sign is not None and in_sign >= 0:
             members.append((n, GammaVerdict.IN))
@@ -126,7 +120,9 @@ def gamma_set(system: MapSystem, word: Word, s: PlaceSet, base: ProjPoint,
 
 @dataclass(frozen=True)
 class CensusReport:
-    """S-integral points found in the deduplicated orbit tree (depth >= 1)."""
+    """S-integral points of the deduplicated orbit tree, each at its first
+    record in preorder; the starting point is never one (see
+    s_integral_census)."""
 
     hits: tuple
     depth: int
@@ -216,9 +212,12 @@ class NonUnitLeaves:
 def s_integral_census(system: MapSystem, point: ProjPoint, s: PlaceSet,
                       depth: int, limits: WorkLimits = DEFAULT_LIMITS,
                       workers: int = 1) -> CensusReport:
-    """Distinct orbit points (one or more steps deep) with S-integral affine
-    coordinate; the point at infinity has none and is skipped.  Orbit points
-    are canonical, so y is the reduced denominator of the affine coordinate.
+    """Distinct orbit points with S-integral affine coordinate, each at its
+    first record in preorder; the point at infinity has none and is
+    skipped.  Orbit points are canonical, so y is the reduced denominator of
+    the affine coordinate.  The tree is deduplicated before depth 0 is
+    dropped, so the starting point is never a hit, even where a word of
+    length >= 1 returns to it.
 
     Leaves that NonUnitLeaves rules out are never built, nor are the
     last-level nodes it rules out together with their leaves.
@@ -259,7 +258,7 @@ def ratio_series(system: MapSystem, word: Word, point: ProjPoint, depth: int,
     if point.is_infinite:
         raise ValueError("the starting point must be affine")
     terms = []
-    for n, p in enumerate(iterate_word(system, word, point, depth, limits=limits)):
+    for n, p in enumerate(iterate_word(Orbit(system, word, point), depth, limits)):
         terms.append(_ratio_term(n, p, prec))
         if p.is_infinite:
             break

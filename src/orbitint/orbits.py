@@ -10,25 +10,25 @@ concatenates the parts.  Both call the consumer's one test at each node
 they expand, with its level above the leaves: the census drops nodes it
 does not need, system-height has a leaf's height atom stand in for the
 leaf, and a consumer with no test gets all nodes.
-`walk_word` applies one map per step along a word, sharing one lazily
-extended point list between passes over one orbit, and `find_cycle` scans
-that list for a repeat.  `WorkLimits` is the one way a cap reaches the
-engine: `bits_of` is the one coordinate-size measure, `fits_bits` the one
-bit-cap test (`fits` applies it to a point), `check_nodes` and `check_scan`
-the node-cap tests (of a tree and of an hmin scan) and `cycle_scan` the one
-cycle budget.  Point equality is exact equality of normalized coordinates.
+`Orbit` is the one walk along a word: the orbit Phi^0(P), Phi^1(P), ...
+of a point, built one map per step on first use and shared by every pass
+over it (`find_cycle` scans it for a repeat, `iterate_word` yields it
+bit-checked), and the one source of the degree products D_n.
+`WorkLimits` is the one way a cap reaches the engine: `bits_of` is the one
+coordinate-size measure, `fits_bits` the one bit-cap test (`fits` applies
+it to a point), `check_nodes` and `check_scan` the node-cap tests (of a
+tree and of an hmin scan) and `cycle_scan` the one cycle budget.  Point equality is exact equality of normalized coordinates.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from itertools import islice
 from typing import Callable, Iterable, Iterator, Mapping, Optional
 
 from . import polys
 from .errors import WorkLimitExceeded
 from .proj1 import ProjPoint, int_text
-from .ratmap import MapSystem, is_totally_ramified, eval_point
+from .ratmap import MapSystem, RatMap, is_totally_ramified, eval_point
 from .words import Word
 
 
@@ -119,43 +119,55 @@ class OrbitRecord:
     point: ProjPoint
 
 
-def walk_word(system: MapSystem, word: Word, point: ProjPoint,
-              memo: Optional[list] = None) -> Iterator[ProjPoint]:
-    """Yield Phi^1(P), Phi^2(P), ... along the word until it runs out.
+class Orbit:
+    """The orbit of a point along a word: points is the list Phi^0(P), ...,
+    as far as built.  orbit[n] builds each missing point up to Phi^n(P),
+    one map per step, so every pass over one orbit evaluates each point
+    once.  A letter outside the system is a ValueError."""
 
-    memo, when given, is the list [P, Phi^1(P), ..., Phi^m(P)] of points
-    already known: they are replayed and new points are appended to it, so
-    every pass over one orbit evaluates each point once.
-    """
-    points = [point] if memo is None else memo
-    n = 1
-    while True:
-        if n == len(points):
-            if not word.supports_depth(n):
-                return
-            points.append(eval_point(system.map_for_letter(word.letter_at(n - 1)),
-                                     points[-1]))
-        yield points[n]
-        n += 1
+    __slots__ = ("system", "word", "points", "_products")
+
+    def __init__(self, system: MapSystem, word: Word, point: ProjPoint):
+        self.system, self.word, self.points = system, word, [point]
+        self._products = [1]   # D_0, ..., D_m over the word's m letters
+        for letter in word.letters:
+            if letter > system.k:
+                raise ValueError(f"letter {letter} outside system of size {system.k}")
+            self._products.append(self._products[-1] * system.degrees[letter - 1])
+
+    def __getitem__(self, n: int) -> ProjPoint:
+        points = self.points
+        while len(points) <= n:
+            points.append(eval_point(self.map(len(points) - 1), points[-1]))
+        return points[n]
+
+    def map(self, n: int) -> RatMap:
+        """The map of step n + 1, from Phi^n(P) to Phi^(n+1)(P)."""
+        return self.system.map_for_letter(self.word.letter_at(n))
+
+    def degree(self, n: int) -> int:
+        """D_n = d_{w_1} ... d_{w_n}, the degree of the first n steps: along a
+        periodic word, a power of one period's product times a cached
+        prefix's, so the cache grows with the word, not with the orbit."""
+        turns, rest = divmod(n, len(self.word)) if self.word.is_periodic else (0, n)
+        return self._products[-1] ** turns * self._products[rest]
 
 
-def find_cycle(system: MapSystem, word: Word, memo: list, steps: int,
+def find_cycle(orbit: Orbit, steps: int,
                limits: WorkLimits = DEFAULT_LIMITS) -> Optional[tuple[int, int]]:
     """(tail length, cycle length) of the first exact repeat of (point, word
-    phase) within steps steps along a periodic word, or None.
+    phase) within steps steps along the orbit, or None.
 
-    A repeat proves a finite orbit.  The scan gives up at the first point
-    over the cycle budget (limits.cycle_scan).  memo holds the orbit from
-    Phi^0 on (see walk_word).
+    A repeat proves a finite orbit.  The scan gives up at the end of a
+    finite word and at the first point over the cycle budget
+    (limits.cycle_scan).
     """
-    period = len(word.letters)
-    seen = {(memo[0], 0): 0}
+    seen = {(orbit[0], 0): 0}
     scan = limits.cycle_scan()
-    walk = walk_word(system, word, memo[0], memo)
-    for n, current in enumerate(islice(walk, steps), start=1):
-        if not scan.fits(current):
+    for n in range(1, steps + 1):
+        if not (orbit.word.supports_depth(n) and scan.fits(current := orbit[n])):
             return None
-        start = seen.setdefault((current, n % period), n)
+        start = seen.setdefault((current, n % len(orbit.word)), n)
         if start != n:
             return start, n - start
     return None
@@ -232,18 +244,18 @@ def fold_tree(system: MapSystem, point: ProjPoint, depth: int,
     return out
 
 
-def iterate_word(system: MapSystem, word: Word, point: ProjPoint, n: int,
-                 limits: WorkLimits = DEFAULT_LIMITS,
-                 memo: Optional[list] = None) -> list[ProjPoint]:
-    """Points Phi^0(P)..Phi^n(P) along a word, evaluated pointwise, each past
-    P checked against the bit cap (memo as in walk_word)."""
-    if not word.supports_depth(n):
-        raise ValueError(f"word {word} is too short for depth {n}")
-    points = [point]
-    for current in islice(walk_word(system, word, point, memo), n):
+def iterate_word(orbit: Orbit, n: int,
+                 limits: WorkLimits = DEFAULT_LIMITS) -> Iterator[ProjPoint]:
+    """Yield Phi^0(P)..Phi^n(P) along the orbit's word, one at a time, each
+    past P checked against the bit cap when it is reached, so a consumer
+    that stops early builds nothing further."""
+    if not orbit.word.supports_depth(n):
+        raise ValueError(f"word {orbit.word} is too short for depth {n}")
+    yield orbit[0]
+    for m in range(1, n + 1):
+        current = orbit[m]
         limits.check_bits(current)
-        points.append(current)
-    return points
+        yield current
 
 
 def _records(nodes: Iterable[tuple[tuple, ProjPoint]]) -> list[OrbitRecord]:

@@ -15,7 +15,7 @@ from .heights import (canonical_height_system, canonical_height_word,
                       system_bounds, system_c)
 from .integrality import GammaVerdict, gamma_set, quasi_integral_test, s_integral_census
 from .logvals import DEFAULT_PRECISION, LogExpr, _Infinite
-from .orbits import enumerate_tree, iterate_word
+from .orbits import Orbit, enumerate_tree, iterate_word
 from .places import INFINITE_PLACE, Place, PlaceSet, abs_log, is_s_integer, log_plus_abs
 from .proj1 import INFINITY, ProjPoint, log_chordal, normalize
 from .ratmap import (MapError, MapSystem, compose, eval_point, make_map,
@@ -271,11 +271,11 @@ def check_shift_identity(rng: random.Random, prec: int, n: int = 25) -> tuple[bo
         word = random_word(rng, system.k, rng.randrange(1, 4), periodic=True)
         p = random_point(rng, 50)
         bounds = system_bounds(system)
-        est = canonical_height_word(system, word, p, depth=5, bounds=bounds)
-        first = system.map_for_letter(word.letter_at(0))
-        shifted = canonical_height_word(system, word.shift(), eval_point(first, p),
+        orbit = Orbit(system, word, p)
+        est = canonical_height_word(orbit, depth=5, bounds=bounds)
+        shifted = canonical_height_word(Orbit(system, word.shift(), orbit[1]),
                                         depth=5, bounds=bounds)
-        d1 = first.degree
+        d1 = orbit.degree(1)
         lo = est.lo(prec) * d1 - shifted.hi(prec)
         hi = est.hi(prec) * d1 - shifted.lo(prec)
         if lo > 1e-12 or hi < -1e-12:
@@ -306,7 +306,7 @@ def check_canonical_nonnegative(rng: random.Random, prec: int, n: int = 25) -> t
         system = random_system(rng, 2, 3)
         word = random_word(rng, system.k, rng.randrange(1, 3), periodic=True)
         p = random_point(rng, 60)
-        est = canonical_height_word(system, word, p, depth=5)
+        est = canonical_height_word(Orbit(system, word, p), depth=5)
         if est.hi(prec) < 0:
             return False, f"upper endpoint negative at {p}"
     return True, f"{n} configurations"
@@ -321,23 +321,18 @@ def check_ramification_growth(rng: random.Random, prec: int, n: int = 25) -> tup
     for _ in range(n):
         system = random_system(rng, 2, 3)
         word = random_word(rng, system.k, 6, periodic=True)
-        p = random_point(rng, 20)
-        points = iterate_word(system, word, p, 6)
+        orbit = Orbit(system, word, random_point(rng, 20))
         product = 1
-        deg_product = 1
-        ok_orbit = True
         dmax = system.max_degree
-        for i in range(6):
-            phi = system.map_for_letter(word.letter_at(i))
-            if is_totally_ramified(phi, points[i]):
-                ok_orbit = False
+        for i, point in enumerate(iterate_word(orbit, 5)):
+            phi = orbit.map(i)
+            if is_totally_ramified(phi, point):
                 break
-            product *= ramification_index(phi, points[i])
-            deg_product *= phi.degree
-            bound = Fraction(dmax - 1, dmax) ** (i + 1) * deg_product
+            product *= ramification_index(phi, point)
+            bound = Fraction(dmax - 1, dmax) ** (i + 1) * orbit.degree(i + 1)
             if Fraction(product) > bound:
                 return False, f"growth bound fails for {word} at step {i + 1}"
-        if ok_orbit:
+        else:
             checked += 1
     return True, f"{checked} clean orbits of {n}"
 

@@ -80,14 +80,6 @@ class Word:
         return f"[{body}]" + ("~" if self.is_periodic else "")
 
 
-def degree_products(degrees: Sequence[int], word: Word, n: int) -> list[int]:
-    """D_0..D_n along the word."""
-    out = [1]
-    for i in range(n):
-        out.append(out[-1] * degrees[word.letter_at(i) - 1])
-    return out
-
-
 def primitive_root(letters: tuple) -> tuple:
     """Shortest pattern whose repetition gives the letters."""
     n = len(letters)

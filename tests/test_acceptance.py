@@ -18,6 +18,7 @@ from orbitint.heights import (canonical_height_system,
 from orbitint.integrality import (GammaVerdict, gamma_set, quasi_integral_test,
                                   ratio_series, s_integral_census)
 from orbitint.logvals import LogExpr
+from orbitint.orbits import Orbit
 from orbitint.places import INFINITE_PLACE, Place, PlaceSet, abs_log
 from orbitint.proj1 import (INFINITY, ZERO, ProjPoint, log_chordal, normalize)
 from orbitint.ratmap import (MapSystem, compose, eval_point,
@@ -164,14 +165,14 @@ def test_criterion_05_canonical_heights():
         system = MapSystem([make_map(coeffs, [1])])
         c = system_c(system_bounds(system)).to_float()
         for depth in range(1, 8):
-            est = canonical_height_word(system, Word.periodic([1]),
-                                        normalize(2, 1), depth=depth)
+            est = canonical_height_word(Orbit(system, Word.periodic([1]), normalize(2, 1)),
+                                        depth=depth)
             assert contains(est, log2)
             assert width(est) <= 2 * c / est.degree_product + FLOAT_SLACK
     for system, seed in ((MapSystem([make_map([-1, 0, 1], [1])]), ZERO),
                          (MapSystem([make_map([0, 0, 1], [1])]), ProjPoint(1, 1)),
                          (MapSystem([make_map([0, 0, 0, 1], [1])]), ProjPoint(-1, 1))):
-        est = canonical_height_word(system, Word.periodic([1]), seed, depth=8)
+        est = canonical_height_word(Orbit(system, Word.periodic([1]), seed), depth=8)
         assert contains(est, LogExpr.zero())
     rng = random.Random(20150)
     for _ in range(100):
@@ -179,13 +180,12 @@ def test_criterion_05_canonical_heights():
         word = random_word(rng, system.k, rng.randrange(1, 4), periodic=True)
         p = random_point(rng, 40)
         bounds = system_bounds(system)
-        est = canonical_height_word(system, word, p, depth=5, bounds=bounds)
-        first = system.map_for_letter(word.letter_at(0))
-        shifted = canonical_height_word(system, word.shift(),
-                                        eval_point(first, p), depth=5,
+        orbit = Orbit(system, word, p)
+        est = canonical_height_word(orbit, depth=5, bounds=bounds)
+        shifted = canonical_height_word(Orbit(system, word.shift(), orbit[1]), depth=5,
                                         bounds=bounds)
-        assert est.lo() * first.degree <= shifted.hi() + FLOAT_SLACK
-        assert est.hi() * first.degree >= shifted.lo() - FLOAT_SLACK
+        assert est.lo() * orbit.degree(1) <= shifted.hi() + FLOAT_SLACK
+        assert est.hi() * orbit.degree(1) >= shifted.lo() - FLOAT_SLACK
     report(5, "monomial intervals tight around log 2; preperiodic zeros; "
               "shift identity on 10^2 draws")
 
@@ -323,7 +323,7 @@ def test_criterion_10_bound_dominance_and_monotonicity():
     sq = MapSystem([make_map([0, 0, 1], [1])])
     record = gamma_set(sq, Word.periodic([1]), s_inf, INFINITY,
                        normalize(2, 1), Fraction(1, 2), 5)
-    est_p = canonical_height_word(sq, Word.periodic([1]), normalize(2, 1), depth=10)
+    est_p = canonical_height_word(Orbit(sq, Word.periodic([1]), normalize(2, 1)), depth=10)
     est_a = canonical_height_system(sq, INFINITY, depth=4)
     g_bound = gamma_count_bound(sq, 1, Fraction(1, 2), est_a.hi(), 0.0,
                                 est_p.lo(), params)

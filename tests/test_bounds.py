@@ -13,6 +13,7 @@ from orbitint.cli import _kappa_json
 from orbitint.heights import canonical_height_system, canonical_height_word, hmin_estimate
 from orbitint.integrality import gamma_set, s_integral_census
 from orbitint.logvals import LogExpr
+from orbitint.orbits import Orbit
 from orbitint.places import PlaceSet
 from orbitint.proj1 import INFINITY, normalize
 from orbitint.ratmap import (MapSystem, compose, make_map, map_height,
@@ -101,7 +102,7 @@ def test_ramification_growth_bounds():
         system = random_system(rng, 2, 3)
         word = random_word(rng, system.k, 6, periodic=True)
         p = random_point(rng, 20)
-        points = iterate_word(system, word, p, 6)
+        points = list(iterate_word(Orbit(system, word, p), 6))
         dmax = system.max_degree
         product = 1
         deg_product = 1
@@ -200,7 +201,7 @@ def test_bounds_dominate_empirical_counts(pair_system, recip_square, z2):
     system = MapSystem([z2])
     record = gamma_set(system, word, s, INFINITY, normalize(2, 1),
                        Fraction(1, 2), 5)
-    est_p = canonical_height_word(system, word, normalize(2, 1), depth=10)
+    est_p = canonical_height_word(Orbit(system, word, normalize(2, 1)), depth=10)
     est_a = canonical_height_system(system, INFINITY, depth=4)
     bound = gamma_count_bound(system, len(s), Fraction(1, 2), est_a.hi(),
                               0.0, est_p.lo(), params)

@@ -211,26 +211,55 @@ def test_malformed_config_values_are_validation_errors(tmp_path, capsys, change)
 
 
 # Inputs whose float report values leave the float range: JSON has no inf,
-# so each is a validation error and no file is written.  A finite gamma on
-# a two-map system once built k^M for M near gamma (2^2001 here; near
-# 2^(10^308) at gamma = 1e308).
-@pytest.mark.parametrize("sub, name, change", [
-    ("bounds", "bounds_mixed", {"boundParameters": {"c10": 1e308}}),
-    ("census", "census_reciprocal_square", {"boundParameters": {"gamma": 1e308}}),
-    ("census", "bounds_mixed", {"boundParameters": {"gamma": 1e308}}),
-    ("census", "bounds_mixed", {"boundParameters": {"gamma": 2000.0}}),
-    ("bounds", "bounds_mixed", {"epsilon": "1e-310"}),
-    ("bounds", "bounds_mixed", {"epsilon": "1e-400"}),
+# so each is a validation error that names its cause, and no file is
+# written.  A value that reaches the report names its field.  A finite
+# gamma on a two-map system once built k^M for M near gamma (2^2001 here;
+# near 2^(10^308) at gamma = 1e308).
+@pytest.mark.parametrize("sub, name, change, error", [
+    ("bounds", "bounds_mixed", {"boundParameters": {"c10": 1e308}},
+     "report field gammaBound.maxN is inf"),
+    ("census", "census_reciprocal_square", {"boundParameters": {"gamma": 1e308}},
+     "report field boundDetail.singleOrbit is inf"),
+    ("census", "bounds_mixed", {"boundParameters": {"gamma": 1e308}}, "gamma is too large"),
+    ("census", "bounds_mixed", {"boundParameters": {"gamma": 2000.0}}, "gamma is too large"),
+    ("bounds", "bounds_mixed", {"epsilon": "1e-310"}, "epsilon is too small"),
+    ("bounds", "bounds_mixed", {"epsilon": "1e-400"}, "epsilon is too small"),
 ], ids=["c10-max-n", "gamma-single-orbit", "gamma-tree-count-huge", "gamma-tree-count",
         "epsilon-subnormal", "epsilon-underflow"])
-def test_reports_out_of_float_range_are_validation_errors(tmp_path, capsys, sub, name, change):
+def test_reports_out_of_float_range_are_validation_errors(tmp_path, capsys, sub, name, change,
+                                                          error):
     raw = json.loads((SHIPPED / f"{name}.json").read_text(encoding="utf-8"))
     cfg = write_config(tmp_path, {**raw, **change})
     out = tmp_path / "out"
     assert main([sub, "--config", cfg, "--out", str(out)]) == 2
     payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
     assert payload["kind"] == "validation"
+    assert payload["error"].startswith(error)
     assert not out.exists()
+
+
+def test_nonfinite_field_follows_report_key_order():
+    from orbitint.cli import _nonfinite_field
+
+    inf = float("inf")
+    assert _nonfinite_field({"b": inf, "a": [1.0, {"d": inf, "c": -inf}]}) == ("a.1.c", -inf)
+    path, value = _nonfinite_field({"a": [0.5, "inf"], "b": {"c": 1, "d": float("nan")}})
+    assert path == "b.d" and value != value
+
+
+def test_ratios_stop_at_infinity_before_the_cap(tmp_path):
+    """1/(z^2 - 4) sends 2 to infinity, where the series stops: no point
+    past it is built, so the later points, which pass a 64-bit cap within
+    12 steps, never stop the run."""
+    cfg = write_config(tmp_path, {"system": {"maps": ["1/(z^2-4)"]}, "point": "2",
+                                  "depth": 12, "workLimits": {"bitCap": 64}})
+    out = tmp_path / "reports"
+    assert main(["ratios", "--config", cfg, "--out", str(out)]) == 0
+    report = read_report(out, "ratios")
+    assert report["terms"] == [{"n": 0, "ratio": None, "verdict": "small-denominator"},
+                               {"n": 1, "ratio": None, "verdict": "infinity"}]
+    assert (out / report["csv"]).read_text().splitlines() == [
+        "n,a_bits,b_bits,ratio,verdict", "0,2,1,,small-denominator", "1,0,0,,infinity"]
 
 
 def test_exit_code_work_limit(tmp_path):

@@ -19,7 +19,7 @@ from orbitint import cli, orbits, polys
 from orbitint.heights import canonical_height_word, hmin_estimate
 from orbitint.integrality import gamma_set
 from orbitint.logvals import Deferred, LogExpr, _key, deferred_atom
-from orbitint.orbits import WorkLimits
+from orbitint.orbits import Orbit, WorkLimits
 from orbitint.places import INFINITE_PLACE, Place, PlaceSet
 from orbitint.proj1 import INFINITY, ProjPoint, log_chordal, normalize
 from orbitint.ratmap import MapSystem, eval_point, parse_map
@@ -96,10 +96,10 @@ def test_random_words_with_the_threshold_lifted(deferring):
         point = random_point(rng, 50)
         limits = WorkLimits(bit_cap=(300, 10_000)[seed % 2])
         depth = 7 if word.is_periodic else len(word.letters)
-        est = canonical_height_word(system, word, point, depth, limits=limits)
+        est = canonical_height_word(Orbit(system, word, point), depth, limits=limits)
         deferred += bool(deferred_atoms(est.hi_expr))
-        assert_same_estimate(est, exactly(canonical_height_word, system, word, point,
-                                          depth, limits=limits))
+        assert_same_estimate(est, exactly(canonical_height_word,
+                                          Orbit(system, word, point), depth, limits=limits))
         base = random_point(rng, 20)
         if word.is_periodic:
             args = (system, word, places, base, point, Fraction(1, 3), 3)
@@ -184,12 +184,13 @@ def test_an_atom_that_meets_another_is_built():
     meet, so their difference builds and merges them."""
     word12, word21 = Word.periodic((1, 2)), Word.periodic((2, 1))
     point = normalize(Fraction(5, 3))
-    est12, est21 = (canonical_height_word(PAIR, word, point, 10) for word in (word12, word21))
+    est12, est21 = (canonical_height_word(Orbit(PAIR, word, point), 10)
+                    for word in (word12, word21))
     atoms = deferred_atoms(est12.lo_expr) + deferred_atoms(est21.lo_expr)
     assert len(atoms) == 2 and built(atoms) == [False, False]
     diff = est12.lo_expr - est21.lo_expr
     assert built(atoms) == [True, True] and not deferred_atoms(diff)
-    ref12, ref21 = (exactly(canonical_height_word, PAIR, word, point, 10)
+    ref12, ref21 = (exactly(canonical_height_word, Orbit(PAIR, word, point), 10)
                     for word in (word12, word21))
     assert_agrees(diff, ref12.lo_expr - ref21.lo_expr)
 
@@ -259,12 +260,23 @@ def test_a_step_that_straddles_the_cap_is_built():
     system = MapSystem([parse_map("z^2")])
     word, point = Word.periodic((1,)), ProjPoint((1 << 3000) - 1, 1)
     for cap, met in ((6000, True), (5999, False)):
-        memo = [point]
+        orbit = Orbit(system, word, point)
         limits = WorkLimits(bit_cap=cap)
-        est = canonical_height_word(system, word, point, 1, limits=limits, memo=memo)
-        assert len(memo) == 1 + met and est.target_met is met
-        assert_same_estimate(est, exactly(canonical_height_word, system, word, point, 1,
-                                          limits=limits))
+        est = canonical_height_word(orbit, 1, limits=limits)
+        assert len(orbit.points) == 1 + met and est.target_met is met
+        assert_same_estimate(est, exactly(canonical_height_word,
+                                          Orbit(system, word, point), 1, limits=limits))
+
+
+def test_a_deferred_step_builds_its_own_point(deferring):
+    """The atom of a deferred last step is built from its orbit's point of
+    that step, also after another pass has walked the orbit past it."""
+    orbit = Orbit(MapSystem([parse_map("z^2 + 1")]), Word.periodic((1,)), normalize(3, 2))
+    est = canonical_height_word(orbit, 3)
+    [atom] = deferred_atoms(est.hi_expr)
+    assert len(orbit.points) == 3 and built([atom]) == [False]
+    orbit[6]
+    assert atom.value() == max(abs(orbit[3].x), abs(orbit[3].y))
 
 
 def test_a_large_exact_stage_reads_the_enclosure():

@@ -11,7 +11,7 @@ from orbitint.heights import (c_bound, canonical_height_system,
                               canonical_height_word, hmin_estimate,
                               system_bounds, system_c)
 from orbitint.logvals import DEFAULT_PRECISION, LogExpr
-from orbitint.orbits import WorkLimits
+from orbitint.orbits import Orbit, WorkLimits
 from orbitint.proj1 import ZERO, ProjPoint, normalize
 from orbitint.ratmap import MapSystem, eval_point, make_map, parse_map
 from orbitint.verify import random_map, random_point, random_system, random_word
@@ -105,7 +105,7 @@ def test_canonical_word_squaring(z2):
     system = MapSystem([z2])
     word = Word.periodic([1])
     for depth in range(1, 7):
-        est = canonical_height_word(system, word, normalize(2, 1), depth=depth)
+        est = canonical_height_word(Orbit(system, word, normalize(2, 1)), depth=depth)
         assert contains(est, LOG2)
         assert est.degree_product == 2 ** depth
         # c = 0 for monomials: interval width is rounding slack only
@@ -114,21 +114,21 @@ def test_canonical_word_squaring(z2):
 
 def test_canonical_word_preperiodic(z2_minus_1):
     system = MapSystem([z2_minus_1])
-    est = canonical_height_word(system, Word.periodic([1]), ZERO, depth=8)
+    est = canonical_height_word(Orbit(system, Word.periodic([1]), ZERO), depth=8)
     assert contains(est, LogExpr.zero())
     assert est.lo() == 0.0 and est.lo_expr.sign() != 1  # floored in lo() only
 
 
 def test_canonical_word_mixed_system(pair_system):
-    est = canonical_height_word(pair_system, Word.periodic([1, 2]),
-                                normalize(2, 1), depth=6)
+    est = canonical_height_word(Orbit(pair_system, Word.periodic([1, 2]), normalize(2, 1)),
+                                depth=6)
     assert contains(est, LOG2)
     assert width(est) < 1e-12
 
 
 def test_canonical_word_finite_prefix(pair_system):
-    est = canonical_height_word(pair_system, Word.finite([1, 2]),
-                                normalize(2, 1), depth=6)
+    est = canonical_height_word(Orbit(pair_system, Word.finite([1, 2]), normalize(2, 1)),
+                                depth=6)
     assert est.depth == 2  # prefix exhausted
     assert contains(est, LOG2)
 
@@ -143,7 +143,7 @@ def test_one_sided_radius_bound():
         bounds = system_bounds(system)
         c = system_c(bounds).to_float()
         for depth in (1, 3, 5):
-            est = canonical_height_word(system, word, p, depth=depth, bounds=bounds)
+            est = canonical_height_word(Orbit(system, word, p), depth=depth, bounds=bounds)
             centre = _orbit_height_mid(system, word, p, depth)
             cap = 2 * c / est.degree_product + 1e-12
             assert est.hi() - centre <= cap
@@ -169,7 +169,7 @@ def test_bounded_difference_from_start():
         p = random_point(rng, 50)
         bounds = system_bounds(system)
         c = system_c(bounds).to_float()
-        est = canonical_height_word(system, word, p, depth=5, bounds=bounds)
+        est = canonical_height_word(Orbit(system, word, p), depth=5, bounds=bounds)
         h = p.height().to_float()
         assert est.hi() <= h + 2 * c + 1e-9
         assert est.lo() >= max(h - 2 * c, 0.0) - 1e-9
@@ -182,11 +182,10 @@ def test_shift_identity_random():
         word = random_word(rng, system.k, rng.randrange(1, 4), periodic=True)
         p = random_point(rng, 40)
         bounds = system_bounds(system)
-        est = canonical_height_word(system, word, p, depth=5, bounds=bounds)
+        est = canonical_height_word(Orbit(system, word, p), depth=5, bounds=bounds)
         first = system.map_for_letter(word.letter_at(0))
-        shifted = canonical_height_word(system, word.shift(),
-                                        eval_point(first, p), depth=5,
-                                        bounds=bounds)
+        shifted = canonical_height_word(Orbit(system, word.shift(), eval_point(first, p)),
+                                        depth=5, bounds=bounds)
         d1 = first.degree
         assert est.lo() * d1 <= shifted.hi() + 1e-9
         assert est.hi() * d1 >= shifted.lo() - 1e-9
@@ -212,8 +211,7 @@ def test_system_height_worker_partition_deterministic(pair_system):
 
 def test_word_letters_validated(pair_system):
     with pytest.raises(ValueError):
-        canonical_height_word(pair_system, Word.periodic([3]), normalize(2, 1),
-                              depth=3)
+        Orbit(pair_system, Word.periodic([3]), normalize(2, 1))
 
 
 def test_eigensystem_identity_random():
@@ -269,7 +267,7 @@ def test_monte_carlo_weighted_words(pair_system):
     widths = []
     for _ in range(200):
         w = sample_word(pair_system.degrees, 6, rng)
-        word_est = canonical_height_word(pair_system, w, x, depth=6,
+        word_est = canonical_height_word(Orbit(pair_system, w, x), depth=6,
                                          bounds=bounds)
         samples.append(mid(word_est))
         widths.append(width(word_est))
@@ -286,7 +284,7 @@ def test_nonnegativity_random():
         system = random_system(rng, 2, 3)
         word = random_word(rng, system.k, 2, periodic=True)
         p = random_point(rng, 60)
-        est = canonical_height_word(system, word, p, depth=5)
+        est = canonical_height_word(Orbit(system, word, p), depth=5)
         assert est.hi() >= 0
         assert est.lo() >= -1e-15
 
@@ -328,8 +326,7 @@ def test_hmin_honours_the_bit_cap():
 
 
 def test_estimate_serialization(pair_system):
-    est = canonical_height_word(pair_system, Word.periodic([1]), normalize(2, 1),
-                                depth=4)
+    est = canonical_height_word(Orbit(pair_system, Word.periodic([1]), normalize(2, 1)), depth=4)
     payload = _estimate_json(est, DEFAULT_PRECISION)
     assert set(payload) == {"lo", "hi", "depth", "certified", "targetMet"}
     assert payload["certified"] is True and payload["targetMet"] is True

@@ -13,7 +13,7 @@ from orbitint.integrality import (GammaVerdict, averaged_ratio, gamma_set,
                                   s_integral_census)
 from orbitint.logvals import LogExpr
 from orbitint.places import INFINITE_PLACE, Place, PlaceSet, is_s_integer
-from orbitint.orbits import WorkLimits, enumerate_tree
+from orbitint.orbits import Orbit, WorkLimits, enumerate_tree
 from orbitint.proj1 import INFINITY, ZERO, ProjPoint, normalize
 from orbitint.ratmap import MapSystem, eval_point, make_map, parse_map
 from orbitint.verify import random_factored_int
@@ -106,7 +106,7 @@ def test_gamma_bit_cap_in_scan_and_lookahead(z2):
                   limits=limits)
     record = gamma_set(system, word, S_INF, INFINITY, start, Fraction(1, 2), 5,
                        limits=limits)
-    direct = canonical_height_word(system, word, start, depth=9, limits=limits)
+    direct = canonical_height_word(Orbit(system, word, start), depth=9, limits=limits)
     assert record.height.target_met is False
     assert (record.height.lo_expr, record.height.hi_expr, record.height.depth) == \
         (direct.lo_expr, direct.hi_expr, direct.depth)
@@ -143,6 +143,17 @@ def test_census_excludes_start_and_dedupes(pair_system):
     assert Fraction(2) not in values
     assert len(values) == len(set(values))
     assert set(values) == {4, 8, 16, 64, 512}
+
+
+def test_census_never_counts_a_recurring_root(z2_minus_1):
+    """The tree is deduplicated before depth 0 is dropped, so the starting
+    point is no hit even where longer words return to it: z^2 - 1 and z^3
+    take 0 back to 0 by (2,) and (1, 1), and only [-1 : 1] counts."""
+    system = MapSystem([z2_minus_1, parse_map("z^3")])
+    reached = {rec.word: rec.point for rec in enumerate_tree(system, ZERO, 3)}
+    assert reached[(2,)] == reached[(1, 1)] == ZERO
+    report = s_integral_census(system, ZERO, S_INF, 3)
+    assert [(rec.word, rec.point) for rec in report.hits] == [((1,), ProjPoint(-1, 1))]
 
 
 def test_census_reads_denominators_without_fractions():
@@ -281,7 +292,6 @@ def test_local_decay_surrogate():
     # hypothesis (infinity fixed but not totally ramified for any member).
     from orbitint.orbits import hypothesis_check, iterate_word
     from orbitint.proj1 import chordal_sum
-    from orbitint.words import degree_products
 
     configs = [
         (MapSystem([parse_map("(z^2+1)/z")]), Word.periodic([1])),
@@ -293,12 +303,12 @@ def test_local_decay_surrogate():
         assert report.totally_ramified_free
         p = normalize(2, 1)
         depth = 8 if system.k == 1 else 6
-        points = iterate_word(system, word, p, depth)
-        d_series = degree_products(system.degrees, word, depth)
+        orbit = Orbit(system, word, p)
+        points = list(iterate_word(orbit, depth))
         for v in (INFINITE_PLACE, Place(2), Place(5)):
             values = []
-            for point, dn in zip(points, d_series):
+            for n, point in enumerate(points):
                 dist = chordal_sum(point, INFINITY, [v])
-                values.append(dist.to_float() / dn)
+                values.append(dist.to_float() / orbit.degree(n))
             assert values[-1] <= 0.05
             assert values[-1] <= max(values[0], 0.05)

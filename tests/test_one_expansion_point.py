@@ -1,9 +1,9 @@
 """Every tree node expands through orbits.children: no function in
 src/orbitint recurses by name (so tree depth is never bounded by the
-interpreter's recursion limit), inside orbits only the word walk and
-children evaluate a map, and a consumer settles nodes only through its one
-test, which the engine's walks pass to children: no consumer expands a
-last level on its own."""
+interpreter's recursion limit), inside orbits only the word walk
+(orbits.Orbit) and children evaluate a map, and a consumer settles nodes
+only through its one test, which the engine's walks pass to children: no
+consumer expands a last level on its own."""
 
 import ast
 from pathlib import Path
@@ -50,12 +50,26 @@ def test_no_function_calls_itself():
 
 def test_eval_point_only_in_word_walk_and_children():
     tree = next(tree for path, tree in TREES.items() if path.stem == "orbits")
-    allowed = {id(call) for node in tree.body
-               if isinstance(node, ast.FunctionDef) and node.name in ("walk_word", "children")
+    allowed = {id(call) for qualified, node in _functions()
+               if qualified in ("orbits.Orbit.__getitem__", "orbits.children")
                for call in _calls_to(node, "eval_point")}
     others = [call.lineno for call in _calls_to(tree, "eval_point")
               if id(call) not in allowed]
-    assert allowed and others == []
+    assert len(allowed) == 2 and others == []
+
+
+def test_one_word_walk():
+    """orbits.Orbit is the one walk along a word and the one source of D_n:
+    the retired word walk, the degree-product list and the running D_n are
+    gone, and no function takes a memo list of orbit points in place of an
+    Orbit."""
+    names = {node.name if isinstance(node, (ast.FunctionDef, ast.ClassDef)) else node.id
+             for tree in TREES.values() for node in ast.walk(tree)
+             if isinstance(node, (ast.FunctionDef, ast.ClassDef, ast.Name))}
+    memo = [node.name for tree in TREES.values() for node in ast.walk(tree)
+            if isinstance(node, ast.FunctionDef)
+            and "memo" in [a.arg for a in node.args.args + node.args.kwonlyargs]]
+    assert (names & {"walk_word", "degree_products", "d_n"}, memo) == (set(), [])
 
 
 def test_children_only_in_the_walks_and_the_leaf_build():

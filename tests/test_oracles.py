@@ -12,6 +12,7 @@ import pytest
 
 from orbitint.heights import (canonical_height_system, canonical_height_word,
                               system_bounds)
+from orbitint.orbits import Orbit
 from orbitint.proj1 import normalize
 from orbitint.ratmap import compose, eval_point, ramification_index
 from orbitint.verify import random_map, random_point, random_system, random_word
@@ -94,7 +95,7 @@ def test_deep_orbit_value_inside_shallow_interval():
         word = random_word(rng, system.k, rng.randrange(1, 4), periodic=True)
         p = random_point(rng, 30)
         bounds = system_bounds(system)
-        shallow = canonical_height_word(system, word, p, depth=4, bounds=bounds)
+        shallow = canonical_height_word(Orbit(system, word, p), depth=4, bounds=bounds)
         current = p
         d_n = 1
         for i in range(12):

@@ -8,7 +8,7 @@ from orbitint.errors import WorkLimitExceeded
 from orbitint.heights import canonical_height_system, system_bounds
 from orbitint.cli import _orbit_rows
 from orbitint.integrality import gamma_set
-from orbitint.orbits import (WorkLimits, enumerate_tree, find_cycle,
+from orbitint.orbits import (Orbit, WorkLimits, enumerate_tree, find_cycle,
                              hypothesis_check, iterate_word)
 from orbitint.places import PlaceSet
 from orbitint import proj1
@@ -23,14 +23,14 @@ def test_iterate_word_examples(pair_system, z2):
     plus = make_map([1, 0, 1], [1])
     minus = make_map([-1, 0, 1], [1])
     system = MapSystem([plus, minus])
-    points = iterate_word(system, Word.finite([1, 2]), ZERO, 2)
+    points = list(iterate_word(Orbit(system, Word.finite([1, 2]), ZERO), 2))
     assert points == [ZERO, ProjPoint(1, 1), ZERO]
 
-    assert iterate_word(pair_system, Word.finite([]), normalize(2, 1), 0) \
+    assert list(iterate_word(Orbit(pair_system, Word.finite([]), normalize(2, 1)), 0)) \
         == [normalize(2, 1)]
 
     sq = MapSystem([z2])
-    points = iterate_word(sq, Word.finite([1, 1, 1]), normalize(2, 1), 3)
+    points = list(iterate_word(Orbit(sq, Word.finite([1, 1, 1]), normalize(2, 1)), 3))
     assert [p.x for p in points] == [2, 4, 16, 256]
 
 
@@ -78,8 +78,8 @@ def test_work_limits():
     with pytest.raises(WorkLimitExceeded):
         enumerate_tree(system, normalize(2, 1), 5, limits=WorkLimits(node_cap=10))
     with pytest.raises(WorkLimitExceeded):
-        iterate_word(system, Word.periodic([2]), normalize(2, 1), 10,
-                     limits=WorkLimits(bit_cap=64))
+        list(iterate_word(Orbit(system, Word.periodic([2]), normalize(2, 1)), 10,
+                          limits=WorkLimits(bit_cap=64)))
     # A 101-bit root is checked before its children, for every worker count.
     big = normalize(2 ** 100 + 1, 1)
     for workers in (1, 2):
@@ -199,14 +199,14 @@ def _wanders(system, word, start):
 
 def test_preperiodicity_examples(z2, z2_minus_1):
     once = Word.periodic([1])
-    points = [ZERO]  # z^2 - 1: 0 -> -1 -> 0
-    assert find_cycle(MapSystem([z2_minus_1]), once, points, 32) == (0, 2)
-    assert set(points[:2]) == {ZERO, ProjPoint(-1, 1)}
+    orbit = Orbit(MapSystem([z2_minus_1]), once, ZERO)  # z^2 - 1: 0 -> -1 -> 0
+    assert find_cycle(orbit, 32) == (0, 2)
+    assert orbit.points == [ZERO, ProjPoint(-1, 1), ZERO]
 
-    assert find_cycle(MapSystem([z2]), once, [normalize(2, 1)], 32) is None
+    assert find_cycle(Orbit(MapSystem([z2]), once, normalize(2, 1)), 32) is None
     assert _wanders(MapSystem([z2]), once, normalize(2, 1))
 
-    assert find_cycle(MapSystem([z2]), once, [ProjPoint(1, 1)], 32) == (0, 1)
+    assert find_cycle(Orbit(MapSystem([z2]), once, ProjPoint(1, 1)), 32) == (0, 1)
 
 
 def test_phase_matters_for_cycles():
@@ -217,7 +217,7 @@ def test_phase_matters_for_cycles():
     cube = make_map([0, 0, 0, 1], [1])
     system = MapSystem([quad, cube])
     word = Word.periodic([1, 2])
-    points = iterate_word(system, word, ProjPoint(1, 1), 4)
+    points = list(iterate_word(Orbit(system, word, ProjPoint(1, 1)), 4))
     assert points[:3] == [ProjPoint(1, 1), ProjPoint(-1, 1), ProjPoint(-1, 1)]
     assert points[3] != ProjPoint(-1, 1)
     assert _wanders(system, word, ProjPoint(1, 1))
@@ -230,7 +230,7 @@ def test_height_growth_along_orbits():
         word = random_word(rng, system.k, 3, periodic=True)
         p = random_point(rng, 30)
         bounds = system_bounds(system)
-        points = iterate_word(system, word, p, 5)
+        points = list(iterate_word(Orbit(system, word, p), 5))
         for i in range(5):
             phi = system.map_for_letter(word.letter_at(i))
             b = bounds[word.letter_at(i) - 1]

@@ -3,8 +3,10 @@ import random
 import pytest
 
 from orbitint.cli import _word_json
-from orbitint.words import (Word, WordMode, degree_products,
-                            iter_periodic_words, primitive_root)
+from orbitint.orbits import Orbit
+from orbitint.proj1 import ZERO
+from orbitint.ratmap import MapSystem, parse_map
+from orbitint.words import Word, WordMode, iter_periodic_words, primitive_root
 from oracles import sample_word
 
 
@@ -44,16 +46,18 @@ def test_shift_periodicity():
 
 
 def test_degree_products():
-    degrees = (2, 3)
-    w = Word.periodic([1, 2])
-    assert degree_products(degrees, w, 4) == [1, 2, 6, 12, 36]
-    assert degree_products(degrees, w, 3)[-1] == 12
+    system = MapSystem([parse_map("z^2"), parse_map("z^3")])   # degrees (2, 3)
+    orbit = Orbit(system, Word.periodic([1, 2]), ZERO)
+    assert [orbit.degree(n) for n in range(5)] == [1, 2, 6, 12, 36]
+    assert orbit.degree(3) == 12
+    assert orbit.degree(41) == 6 ** 20 * 2
     # multiplicative under concatenation
-    u = Word.finite([1, 1])
-    v = Word.finite([2])
-    uv = Word.finite([1, 1, 2])
-    assert (degree_products(degrees, u, 2)[-1] * degree_products(degrees, v, 1)[-1]
-            == degree_products(degrees, uv, 3)[-1])
+    u, v, uv = (Orbit(system, Word.finite(letters), ZERO)
+                for letters in ([1, 1], [2], [1, 1, 2]))
+    assert u.degree(2) * v.degree(1) == uv.degree(3)
+    with pytest.raises(IndexError):
+        uv.degree(4)
+    assert orbit.points == [ZERO]   # degrees build no point
 
 
 def test_json_roundtrip():
