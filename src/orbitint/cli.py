@@ -227,14 +227,15 @@ def _cmd_gamma(config: ExperimentConfig, workers: int):
 
 def _census_bound(config: ExperimentConfig, params: BoundParameters, bounds):
     """(hmin scan, census count bounds) under the run's cMode constants
-    `bounds`; the count bounds are None when the scan finds a preperiodic word
-    or a lower endpoint that is not positive."""
+    `bounds`; the count bounds are None when S lacks the archimedean place
+    (a census the program refuses to run), or when the scan finds a
+    preperiodic word or a lower endpoint that is not positive."""
     prec = config.precision_bits
     hmin = hmin_estimate(config.system, config.point, config.hmin_period_bound,
                          config.height_depth, bounds=bounds, prec=prec,
                          limits=config.limits)
     lo = hmin.estimate.lo(prec)
-    if hmin.preperiodic or lo <= 0:
+    if not config.places.contains_infinite or hmin.preperiodic or lo <= 0:
         return hmin, None
     h_f = system_height(config.system).to_float(prec)
     return hmin, census_count_bounds(config.system, len(config.places), h_f, lo,
@@ -369,7 +370,9 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name)
         if name != "verify":
             p.add_argument("--config", required=True, help="JSON experiment config")
-            p.add_argument("--depth", type=int, default=None, help="override config depth")
+            if name != "canonical":   # it walks heightDepth steps
+                p.add_argument("--depth", type=int, default=None,
+                               help="override config depth")
             p.add_argument("--workers", type=int, default=1)
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--precision", type=int, default=None,
@@ -398,7 +401,8 @@ def main(argv=None) -> int:
                 raise ConfigError("--workers must be an integer >= 1")
             config = load_config(args.config)
             overrides = {key: value for key, value in
-                         (("depth", args.depth), ("precisionBits", args.precision))
+                         (("depth", getattr(args, "depth", None)),
+                          ("precisionBits", args.precision))
                          if value is not None}
             if overrides:
                 config = parse_config({**config.raw, **overrides})

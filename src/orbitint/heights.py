@@ -25,8 +25,7 @@ from mpmath.libmp import to_rational
 
 from . import polys
 from .logvals import DEFAULT_PRECISION, Deferred, LogExpr, deferred_atom
-from .orbits import (DEFAULT_LIMITS, Orbit, WorkLimits, children, find_cycle,
-                     fold_tree)
+from .orbits import DEFAULT_LIMITS, Orbit, WorkLimits, find_cycle, fold_tree
 from .proj1 import ProjPoint, normalize
 from .ratmap import MapSystem, RatMap, eval_point
 from .words import Word, iter_periodic_words
@@ -99,7 +98,7 @@ def c_bound(phi: RatMap, mode: str = "certified",
     for p in pts:
         q = eval_point(phi, p)
         defect = q.height() - p.height() * d
-        if defect.sign() is not None and defect.sign() < 0:
+        if defect.sign() == -1:
             defect = -defect
         worst = _logexpr_max(worst, defect)
     padded = worst * Fraction(5, 4)
@@ -236,7 +235,7 @@ def _deferred_step(orbit: Orbit, n: int, limits: WorkLimits,
             return None
     bits = polys.BOX_BITS
     box = polys.Enclosure.of(node.x, node.y, bits, bits)
-    atom = deferred_atom(box.image(phi.f, phi.g, phi.degree, phi.resultant, bits, bits).size(),
+    atom = deferred_atom(box.image(phi, bits, bits).size(),
                          lambda: _leaf_atom(orbit[n + 1]))
     if atom is None:
         return None
@@ -263,44 +262,36 @@ def _leaf_test(prec: int, system: MapSystem, node: ProjPoint, levels: int,
     each letter whose enclosure shows N >= 2.
 
     N is bounded by the size of an image of the node's one polys.Enclosure,
-    and the build expands the node for that letter only.
+    and the build evaluates that letter's map at the node (_Leaves.build);
+    the node is never expanded again.
     """
     if levels > 1 or limits.bits_of(node) < polys.ENCLOSE_BITS:
         return {}
-    leaves, atoms, bits = _Leaves(system, node, limits), {}, BOX_PER_PREC * prec
+    leaves, atoms, bits = _Leaves(node), {}, BOX_PER_PREC * prec
     box = polys.Enclosure.of(node.x, node.y, bits, bits)
     for letter, phi in enumerate(system.maps, start=1):
-        image = box.image(phi.f, phi.g, phi.degree, phi.resultant, bits, bits)
-        atom = deferred_atom(image.size(), partial(leaves.build, letter))
+        atom = deferred_atom(box.image(phi, bits, bits).size(), partial(leaves.build, phi))
         if atom is not None:
             atoms[letter] = atom
-    leaves.left = len(atoms)
     return atoms
 
 
 class _Leaves:
-    """The enclosed leaves of one last-level node, built a letter at a time.
-    The builds share the node's monomial table, which is let go with the
-    node once every enclosed leaf is built."""
+    """The enclosed leaves of one last-level node.  Their builds share the
+    node's monomial table, made on the first build; each Deferred drops its
+    build once run, so the node and table go once no unbuilt leaf holds
+    them."""
 
-    __slots__ = ("system", "node", "limits", "left", "table")
+    __slots__ = ("node", "table")
 
-    def __init__(self, system: MapSystem, node: ProjPoint, limits: WorkLimits):
-        self.system, self.node, self.limits = system, node, limits
-        self.left, self.table = 0, None
+    def __init__(self, node: ProjPoint):
+        self.node, self.table = node, None
 
-    def build(self, letter: int) -> int:
-        """The atom of the leaf for letter; no other leaf is built."""
-        node, k = self.node, self.system.k
+    def build(self, phi: RatMap) -> int:
+        """The atom of the leaf phi(node)."""
         if self.table is None:
-            self.table = polys.Monomials(node.x, node.y)
-        kids = children(self.system, node, self.limits,
-                        lambda *_: dict.fromkeys(j for j in range(1, k + 1) if j != letter),
-                        1, self.table)
-        self.left -= 1
-        if not self.left:
-            self.node = self.table = None
-        return _leaf_atom(kids[letter - 1])
+            self.table = polys.Monomials(self.node.x, self.node.y)
+        return _leaf_atom(eval_point(phi, self.node, self.table))
 
 
 def _leaf_atom(p: ProjPoint) -> int:

@@ -180,8 +180,7 @@ class NonUnitLeaves:
             if not self._rules_out(phi, box):
                 continue
             if levels == 2:
-                child = box.image(phi.f, phi.g, phi.degree, phi.resultant,
-                                  TOP_BITS, polys.BOX_BITS)
+                child = box.image(phi, TOP_BITS, polys.BOX_BITS)
                 _, hi, e = child.size()
                 if not (limits.fits_bits(hi.bit_length() + e) and all(
                         self._rules_out(psi, child) for psi in system.maps)):

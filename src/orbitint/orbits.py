@@ -1,9 +1,11 @@
 """The orbit engine: every walk along a word or over the semigroup tree.
 
-`children` is the one place a tree node expands: it checks the node's bits
-and evaluates its k children in letter order from one shared monomial table
-of the node's point, less the children a consumer's test (`NodeTest`)
-settles without building them.  `walk_tree` yields (word, point) in
+`children` is the one place a tree node expands, and only the walks call
+it: it checks the node's bits and evaluates its k children in letter order
+from one shared monomial table of the node's point, less the children a
+consumer's test (`NodeTest`) settles without building them.  A settled
+leaf that is built later is built by its stand-in, never by expanding its
+node again.  `walk_tree` yields (word, point) in
 preorder (prefixes first, letters ascending) on an explicit stack, and
 `fold_tree` fans the tree out by first letter for parallel workers and
 concatenates the parts.  Both call the consumer's one test at each node
@@ -174,17 +176,15 @@ def find_cycle(orbit: Orbit, steps: int,
 
 
 def children(system: MapSystem, point: ProjPoint, limits: WorkLimits,
-             test: Optional[NodeTest] = None, levels: int = 1,
-             table: Optional[polys.Monomials] = None) -> list:
+             test: Optional[NodeTest] = None, levels: int = 1) -> list:
     """The k children of a tree node levels above the leaves, in letter
     order, after its bits are checked.  test, when given, settles some
     children without building them: the list holds each one's stand-in in
     its place (see NodeTest).  The maps read one lazily built monomial
-    table of the node's point: table, or else a new one."""
+    table of the node's point.  Only walk_tree and fold_tree call it."""
     limits.check_bits(point)
     settled = test(system, point, levels, limits) if test is not None else {}
-    if table is None:
-        table = polys.Monomials(point.x, point.y)
+    table = polys.Monomials(point.x, point.y)
     return [settled[letter] if letter in settled else eval_point(phi, point, table)
             for letter, phi in enumerate(system.maps, start=1)]
 

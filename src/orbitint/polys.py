@@ -17,7 +17,10 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Callable, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, Optional, Sequence
+
+if TYPE_CHECKING:
+    from .ratmap import RatMap
 
 Coeffs = tuple
 
@@ -214,14 +217,14 @@ class Enclosure:
         u, v = eval_homogeneous(f, g, d, *self._tables[m])
         return u % m, v % m
 
-    def image(self, f: Sequence, g: Sequence, d: int, r: int, small_bits: int,
-              large_bits: int) -> "Enclosure":
-        """[F : G]/c for the degree-d forms F and G of f and g and c = gcd(r,
-        F mod r, G mod r): for a map at a coprime point and r = |Res(F, G)|,
+    def image(self, phi: "RatMap", small_bits: int, large_bits: int) -> "Enclosure":
+        """[F : G]/c for the degree-d forms F and G of the map phi and c =
+        gcd(R, F mod R, G mod R) with R = |Res(F, G)|: at a coprime point,
         its image point (see ratmap.eval_point), or -1 times it.  The box is
         F's and G's bounds over this box divided by c, trimmed as `of` trims,
         and the residues mod m are those mod m * c divided by c.
         """
+        f, g, d, r = phi.f, phi.g, phi.degree, phi.resultant
         c = math.gcd(r, *self.values(f, g, d, r)) if r > 1 else 1
         (f_lo, f_hi, shift), (g_lo, g_hi, _) = self.bounds(f, d), self.bounds(g, d)
         return Enclosure(*_trim(shift, (f_lo // c, -(-f_hi // c)), (g_lo // c, -(-g_hi // c)),

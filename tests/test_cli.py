@@ -441,6 +441,32 @@ def test_verify_has_no_config_options(tmp_path):
         assert exc.value.code == 2
 
 
+def test_canonical_has_no_depth_option(tmp_path):
+    """canonical walks heightDepth steps, so it takes no --depth."""
+    cfg = write_config(tmp_path, GAMMA_CONFIG)
+    with pytest.raises(SystemExit) as exc:
+        main(["canonical", "--config", cfg, "--out", str(tmp_path), "--depth", "2"])
+    assert exc.value.code == 2
+
+
+def test_no_census_bound_without_the_archimedean_place(tmp_path, capsys):
+    """census refuses an S without inf, so bounds reports no census bound
+    for it; its hmin block is that of S with inf."""
+    config = json.loads((Path(__file__).resolve().parents[1] / "configs"
+                         / "bounds_mixed.json").read_text(encoding="utf-8"))
+    out = {places: tmp_path / places for places in ("p2", "inf-p2")}
+    cfg = write_config(tmp_path, {**config, "places": ["p2"]}, "p2.json")
+    assert main(["census", "--config", cfg, "--out", str(out["p2"])]) == 2
+    assert "S must contain the archimedean place" in capsys.readouterr().err
+    assert main(["bounds", "--config", cfg, "--out", str(out["p2"])]) == 0
+    cfg = write_config(tmp_path, config, "inf-p2.json")
+    assert main(["bounds", "--config", cfg, "--out", str(out["inf-p2"])]) == 0
+    without, with_inf = read_report(out["p2"], "bounds"), read_report(out["inf-p2"], "bounds")
+    assert "censusBounds" not in without and "censusBounds" in with_inf
+    assert without["hmin"] == with_inf["hmin"]
+    assert "gammaBound" in without
+
+
 def test_census_bound_follows_cmode(tmp_path):
     """census and bounds derive the census bound from one hmin scan, under
     the run's cMode constants."""

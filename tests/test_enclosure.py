@@ -54,14 +54,14 @@ def assert_bounds(box, p, cs, d):
 def assert_images(box, phi, p, sizes):
     """The image of the box under phi encloses phi(p), and its images under
     phi enclose phi(phi(p)); returns the image."""
-    child = box.image(phi.f, phi.g, phi.degree, phi.resultant, *sizes)
+    child = box.image(phi, *sizes)
     q = eval_point(phi, p)
     assert_encloses(child, q)
     u, v = eval_homogeneous(phi.f, phi.g, phi.degree, p.x, p.y)
     for m in MODULI:
         assert box.values(phi.f, phi.g, phi.degree, m) == (u % m, v % m)
         assert box.values((), phi.g, phi.degree, m) == (0, v % m)
-    grandchild = child.image(phi.f, phi.g, phi.degree, phi.resultant, *sizes)
+    grandchild = child.image(phi, *sizes)
     assert_encloses(grandchild, eval_point(phi, q))
     return child
 

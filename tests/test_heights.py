@@ -101,6 +101,15 @@ def test_c_bound_empirical_flagged(z2_minus_1):
         c_bound(z2_minus_1, mode="bogus")
 
 
+def test_c_bound_empirical_signs_each_sample_once(monkeypatch):
+    """Each sample's defect takes one sign, and the running maximum one more."""
+    calls = []
+    real = LogExpr.sign
+    monkeypatch.setattr(LogExpr, "sign", lambda self, *args: calls.append(1) or real(self, *args))
+    b = c_bound(make_map([-1, 0, 1], [1, 0, 1]), mode="empirical")
+    assert b.sample_size == 400 and len(calls) == 2 * b.sample_size
+
+
 def test_canonical_word_squaring(z2):
     system = MapSystem([z2])
     word = Word.periodic([1])

@@ -1,9 +1,11 @@
-"""Every tree node expands through orbits.children: no function in
-src/orbitint recurses by name (so tree depth is never bounded by the
-interpreter's recursion limit), inside orbits only the word walk
-(orbits.Orbit) and children evaluate a map, and a consumer settles nodes
-only through its one test, which the engine's walks pass to children: no
-consumer expands a last level on its own."""
+"""Every tree node expands through orbits.children, which only the walks
+call: no function in src/orbitint recurses by name (so tree depth is never
+bounded by the interpreter's recursion limit), inside orbits only the word
+walk (orbits.Orbit) and children evaluate a map, and a consumer settles
+nodes only through its one test, which the engine's walks pass to
+children: no consumer expands a last level on its own.  A settled leaf
+that is built later is built by its stand-in, never by re-expanding its
+node."""
 
 import ast
 from pathlib import Path
@@ -72,9 +74,8 @@ def test_one_word_walk():
     assert (names & {"walk_word", "degree_products", "d_n"}, memo) == (set(), [])
 
 
-def test_children_only_in_the_walks_and_the_leaf_build():
-    assert _callers("children") == ["heights._Leaves.build", "orbits.fold_tree",
-                                    "orbits.walk_tree"]
+def test_children_only_in_the_walks():
+    assert _callers("children") == ["orbits.fold_tree", "orbits.walk_tree"]
 
 
 def test_one_test_protocol():

@@ -83,9 +83,12 @@ def assert_exact_leaf_formula(system, point, depth, prec=128, workers=1, bounds=
 
 @pytest.fixture
 def evaluations(monkeypatch):
+    """The map evaluations since the last clear(), of the tree walks
+    (orbits) and of the enclosed leaves built (heights)."""
     calls = []
-    monkeypatch.setattr(orbits, "eval_point",
-                        lambda *args: calls.append(1) or eval_point(*args))
+    for module in (orbits, heights):
+        monkeypatch.setattr(module, "eval_point",
+                            lambda *args: calls.append(1) or eval_point(*args))
     return calls
 
 
@@ -96,7 +99,7 @@ def overlaps(monkeypatch):
     found = []
     real = heights._Leaves.build
     monkeypatch.setattr(heights._Leaves, "build",
-                        lambda *args: found.append(args) or real(*args))
+                        lambda self, phi: found.append((self, phi)) or real(self, phi))
     return found
 
 
@@ -223,6 +226,38 @@ def test_the_settle_reads_the_exact_enclosures(evaluations, point, lo, hi):
                                   prec=config.precision_bits)
     assert len(evaluations) == orbits._tree_size(2, 10) - 1 + 8 == 2_054
     assert (est.lo(config.precision_bits), est.hi(config.precision_bits)) == (lo, hi)
+
+
+def test_sibling_leaves_share_one_table(monkeypatch):
+    """The enclosed leaves of one node are built from one polys.Monomials
+    of the node, made on the first build: a node with no leaf built makes
+    none, and both leaves of a node make one between them.  bounds_mixed at
+    depth 11 from 3 builds 8 leaves under 7 nodes, so 7 tables."""
+    made = []
+    real_table = polys.Monomials
+    monkeypatch.setattr(polys, "Monomials",
+                        lambda x, y: made.append((x, y)) or real_table(x, y))
+    node = ProjPoint(3 ** 2000, 2 ** 1500)
+    atoms = _leaf_test(128, PAIR, node, 1, WorkLimits())
+    assert sorted(atoms) == [1, 2] and made == []
+    assert (atoms[1].value(), atoms[2].value()) == (3 ** 4000, 3 ** 6000)
+    assert made == [(node.x, node.y)]
+
+    tables, real_build = [], heights._Leaves.build
+
+    def build(self, phi):
+        node, before = self.node, len(made)
+        atom = real_build(self, phi)
+        tables.append((node, len(made) - before))
+        return atom
+
+    monkeypatch.setattr(heights._Leaves, "build", build)
+    config = load("bounds_mixed", "3")
+    canonical_height_system(config.system, config.point, 11,
+                            bounds=system_bounds(config.system, config.c_mode),
+                            prec=config.precision_bits)
+    assert len(tables) == 8 and len({node for node, _ in tables}) == 7
+    assert sum(count for _, count in tables) == 7
 
 
 @pytest.mark.parametrize("lifted", [False, True])
