@@ -361,8 +361,18 @@ _SUBCOMMANDS = {
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse's parser, whose usage errors also end stderr with the JSON
+    line of a validation error; they still exit 2."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(2, f"{self.prog}: error: {message}\n"
+                     f"{_error_json('validation', message)}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="orbitint",
         description="Exact heights, semigroup orbits, and integral-point censuses over Q")
     sub = parser.add_subparsers(dest="subcommand", required=True)
@@ -381,7 +391,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _error_json(kind: str, exc: Exception) -> str:
+def _error_json(kind: str, exc: Exception | str) -> str:
     return json.dumps({"error": str(exc), "kind": kind}, sort_keys=True)
 
 

@@ -7,8 +7,9 @@ get zero-width intervals up to rounding.  A word estimate keeps its endpoints
 as exact log expressions, whose last point's atom may be deferred (see
 canonical_height_word).  A system estimate carries exact rational
 endpoints: the enclosures of its two log expressions at the precision it was
-computed at, in which the leaves under large nodes are deferred atoms,
-each bounded by an image of its node's one `polys.Enclosure` (see
+computed at, in which the leaves one or two levels under large nodes are
+deferred atoms, each bounded by an image of that node's one
+`polys.Enclosure`, or by an image of one of its images (see
 canonical_height_system).
 """
 
@@ -247,51 +248,79 @@ def _deferred_step(orbit: Orbit, n: int, limits: WorkLimits,
     return None
 
 
-# canonical_height_system encloses the leaves of a last-level node of at
-# least polys.ENCLOSE_BITS bits instead of building them.  The node's
-# enclosure keeps BOX_PER_PREC bits of the larger coordinate per bit of the
-# estimate's precision.
+# canonical_height_system encloses the leaves of a node of at least
+# polys.ENCLOSE_BITS bits one or two levels above them instead of building
+# them.  The node's enclosure, and each one chained from it, keeps
+# BOX_PER_PREC bits of the larger coordinate per bit of the estimate's
+# precision.
 BOX_PER_PREC = 4
 
 
 def _leaf_test(prec: int, system: MapSystem, node: ProjPoint, levels: int,
-               limits: WorkLimits) -> dict[int, Deferred]:
-    """The system height's test (orbits.NodeTest), with prec bound: at a
-    last-level node of at least polys.ENCLOSE_BITS bits, letter -> the atom
-    N = max(|F(x, y)|, |G(x, y)|)/g of the node's leaf, as a Deferred, for
-    each letter whose enclosure shows N >= 2.
+               limits: WorkLimits) -> dict:
+    """The system height's test (orbits.NodeTest), with prec bound, at a
+    node of at least polys.ENCLOSE_BITS bits.
 
-    N is bounded by the size of an image of the node's one polys.Enclosure,
-    and the build evaluates that letter's map at the node (_Leaves.build);
-    the node is never expanded again.
+    At level 1: letter -> the atom N = max(|F(x, y)|, |G(x, y)|)/g of the
+    node's leaf, as a Deferred, for each letter whose enclosure shows N >= 2.
+    N is bounded by the size of an image of the node's one polys.Enclosure.
+    At level 2: letter -> the tuple of the k leaf atoms of the child C, each
+    bounded by an image of C's enclosure (itself an image of the node's),
+    for each letter whose C is shown within the bit cap and whose every
+    leaf atom is shown to be at least 2.  Any other child is built.
+
+    Each atom is built along its word from the node (_Settled.build); the
+    node is never expanded again.
     """
-    if levels > 1 or limits.bits_of(node) < polys.ENCLOSE_BITS:
+    if levels > 2 or limits.bits_of(node) < polys.ENCLOSE_BITS:
         return {}
-    leaves, atoms, bits = _Leaves(node), {}, BOX_PER_PREC * prec
+    settled, out, bits = _Settled(system, node), {}, BOX_PER_PREC * prec
     box = polys.Enclosure.of(node.x, node.y, bits, bits)
-    for letter, phi in enumerate(system.maps, start=1):
-        atom = deferred_atom(box.image(phi, bits, bits).size(), partial(leaves.build, phi))
-        if atom is not None:
-            atoms[letter] = atom
-    return atoms
+
+    def atom(enclosure: polys.Enclosure, path: tuple) -> Optional[Deferred]:
+        return deferred_atom(enclosure.size(), partial(settled.build, path))
+
+    for a, phi in enumerate(system.maps, start=1):
+        child = box.image(phi, bits, bits)
+        if levels == 1:
+            leaves = (atom(child, (a,)),)
+        else:
+            _, hi, e = child.size()
+            if not limits.fits_bits(hi.bit_length() + e):
+                continue
+            leaves = tuple(atom(child.image(psi, bits, bits), (a, b))
+                           for b, psi in enumerate(system.maps, start=1))
+        if all(leaf is not None for leaf in leaves):
+            out[a] = leaves if levels == 2 else leaves[0]
+    return out
 
 
-class _Leaves:
-    """The enclosed leaves of one last-level node.  Their builds share the
-    node's monomial table, made on the first build; each Deferred drops its
-    build once run, so the node and table go once no unbuilt leaf holds
+class _Settled:
+    """The points under one node that its test settled.  A leaf is built
+    along its word of one or two letters from the node: the point between
+    is built once, and the maps at one point read its one monomial table,
+    made on the first build there.  Each Deferred drops its build once run,
+    so the node, the points and the tables go once no unbuilt leaf holds
     them."""
 
-    __slots__ = ("node", "table")
+    __slots__ = ("system", "points", "tables")
 
-    def __init__(self, node: ProjPoint):
-        self.node, self.table = node, None
+    def __init__(self, system: MapSystem, node: ProjPoint):
+        self.system, self.points, self.tables = system, {(): node}, {}
 
-    def build(self, phi: RatMap) -> int:
-        """The atom of the leaf phi(node)."""
-        if self.table is None:
-            self.table = polys.Monomials(self.node.x, self.node.y)
-        return _leaf_atom(eval_point(phi, self.node, self.table))
+    def _image(self, path: tuple) -> ProjPoint:
+        """The point at path, from the built point at path[:-1]."""
+        parent = path[:-1]
+        point, table = self.points[parent], self.tables.get(parent)
+        if table is None:
+            table = self.tables[parent] = polys.Monomials(point.x, point.y)
+        return eval_point(self.system.map_for_letter(path[-1]), point, table)
+
+    def build(self, path: tuple) -> int:
+        """The atom of the leaf at path."""
+        if len(path) == 2 and path[:1] not in self.points:
+            self.points[path[:1]] = self._image(path[:1])
+        return _leaf_atom(self._image(path))
 
 
 def _leaf_atom(p: ProjPoint) -> int:
@@ -300,10 +329,16 @@ def _leaf_atom(p: ProjPoint) -> int:
 
 
 def _leaf_atoms(depth: int, nodes: Iterable[tuple[tuple, object]]) -> list:
-    """The atoms of a walk's leaves: an int for each built leaf, and the
-    Deferred that stands in for each leaf _leaf_test encloses."""
-    return [node if type(node) is Deferred else _leaf_atom(node)
-            for word, node in nodes if len(word) == depth]
+    """The atoms of a walk's leaves: an int for each built leaf, the
+    Deferred that stands in for each leaf _leaf_test encloses, and the k
+    Deferreds of each last-level node it settles, in preorder."""
+    atoms = []
+    for word, node in nodes:
+        if type(node) is tuple:
+            atoms.extend(node)
+        elif len(word) == depth:
+            atoms.append(node if type(node) is Deferred else _leaf_atom(node))
+    return atoms
 
 
 def canonical_height_system(system: MapSystem, point: ProjPoint, depth: int = 6,
@@ -319,8 +354,9 @@ def canonical_height_system(system: MapSystem, point: ProjPoint, depth: int = 6,
 
     prec is the binary precision of the result: the endpoints are the
     prec-bit enclosures of the two exact log expressions, carried as exact
-    rationals.  A leaf under a node of at least polys.ENCLOSE_BITS bits
-    enters them as a logvals.Deferred (_leaf_test), built only when its
+    rationals.  A leaf one or two levels under a node of at least
+    polys.ENCLOSE_BITS bits enters them as a logvals.Deferred (_leaf_test),
+    so its parent may not be built either; it is built only when its
     enclosure meets another atom of its expression or does not decide its
     prec-bit box; each other leaf is built once.  The sums then have the
     terms, the order and the interval steps of the full expressions, so the

@@ -4,14 +4,16 @@
 it: it checks the node's bits and evaluates its k children in letter order
 from one shared monomial table of the node's point, less the children a
 consumer's test (`NodeTest`) settles without building them.  A settled
-leaf that is built later is built by its stand-in, never by expanding its
-node again.  `walk_tree` yields (word, point) in
+point that is built later is built by its stand-in, never by expanding its
+parent again.  `walk_tree` yields (word, point) in
 preorder (prefixes first, letters ascending) on an explicit stack, and
 `fold_tree` fans the tree out by first letter for parallel workers and
 concatenates the parts.  Both call the consumer's one test at each node
 they expand, with its level above the leaves: the census drops nodes it
 does not need, system-height has a leaf's height atom stand in for the
-leaf, and a consumer with no test gets all nodes.
+leaf, and the tuple of its leaves' atoms for a last-level node, and a
+consumer with no test gets all nodes.  A stand-in is yielded in its
+child's place and never expanded.
 `Orbit` is the one walk along a word: the orbit Phi^0(P), Phi^1(P), ...
 of a point, built one map per step on first use and shared by every pass
 over it (`find_cycle` scans it for a repeat, `iterate_word` yields it
@@ -105,10 +107,11 @@ DEFAULT_LIMITS = WorkLimits()
 # A consumer's test of a tree node: test(system, node, levels, limits), for
 # a node levels above the leaves, maps each letter whose child the consumer
 # settles without building it to the child's stand-in.  A stand-in of None
-# drops the child: it is neither built nor yielded, nor is its subtree.
-# Only at levels == 1 may a stand-in be a value, which walk_tree yields in
-# the leaf's place.  A dropped child above the leaves is never bit-checked,
-# so the test drops only children it shows to be within the bit cap.
+# drops the child: it is neither built nor yielded, nor is its subtree.  Any
+# other stand-in, at any level, is yielded in the child's place and never
+# expanded, so it stands for the child's whole subtree.  A settled child
+# above the leaves is never bit-checked, so the test settles only children
+# it shows to be within the bit cap.
 NodeTest = Callable[[MapSystem, ProjPoint, int, WorkLimits], Mapping[int, object]]
 
 
@@ -196,13 +199,13 @@ def walk_tree(system: MapSystem, point: ProjPoint, depth: int,
     words of the given length.  Children wait on an explicit stack, last
     letter at the bottom, so the walk never recurses.  test, when given, is
     the consumer's test at every node expanded (see NodeTest): a child it
-    drops is neither built nor yielded, and a leaf's stand-in is yielded in
-    the leaf's place."""
+    drops is neither built nor yielded, and a child's stand-in is yielded in
+    the child's place and not expanded."""
     stack = [(prefix, point)]
     while stack:
         word, node = stack.pop()
         yield word, node
-        if len(word) < depth:
+        if len(word) < depth and isinstance(node, ProjPoint):
             kids = children(system, node, limits, test, depth - len(word))
             stack.extend(reversed([(word + (letter,), kid)
                                    for letter, kid in enumerate(kids, start=1)
@@ -225,9 +228,9 @@ def fold_tree(system: MapSystem, point: ProjPoint, depth: int,
     order after the root's.  A fold that maps each node on its own (fold
     and test must be picklable) therefore gives the same list for any worker
     count.  test is the consumer's test of walk_tree, applied to the root
-    as well.  A tree of depth at most 1 is folded here, so no leaf's
-    stand-in goes to a worker.  The node cap is checked here, before any
-    evaluation.
+    as well.  A tree of depth at most 1 is folded here, and so is each
+    stand-in the test gives for a child of the root: no stand-in goes to a
+    worker.  The node cap is checked here, before any evaluation.
     """
     limits.check_nodes(system.k, depth)
     if workers <= 1 or depth <= 1:
@@ -239,8 +242,9 @@ def fold_tree(system: MapSystem, point: ProjPoint, depth: int,
              for letter, child in enumerate(kids, start=1) if child is not None]
     out = fold([((), point)])
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        for part in pool.map(_fold_subtree, tasks):
-            out.extend(part)
+        parts = pool.map(_fold_subtree, [task for task in tasks if isinstance(task[2], ProjPoint)])
+        for task in tasks:
+            out.extend(next(parts) if isinstance(task[2], ProjPoint) else _fold_subtree(task))
     return out
 
 

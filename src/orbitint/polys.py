@@ -164,15 +164,27 @@ def _form_bounds(cs: Sequence, d: int, xs: tuple[int, int],
 
     Each monomial is bounded exactly and the bounds are added, so the
     enclosure is certified; it is as wide as the box makes the terms, and
-    only as tight as their sum does not cancel.
+    only as tight as their sum does not cancel.  In a box off both axes a
+    monomial's bounds are those of |X|^i |Y|^(d-i), with its sign.
     """
+    (x_lo, x_hi), (y_lo, y_hi) = xs, ys
+    off_axes = (x_lo > 0 or x_hi < 0) and (y_lo > 0 or y_hi < 0)
+    if off_axes:
+        ax, bx = (x_lo, x_hi) if x_lo > 0 else (-x_hi, -x_lo)
+        ay, by = (y_lo, y_hi) if y_lo > 0 else (-y_hi, -y_lo)
     lo = hi = 0
     for i, c in enumerate(cs):
         if c:
-            xlo, xhi = _power_bounds(*xs, i)
-            ylo, yhi = _power_bounds(*ys, d - i)
-            ends = (xlo * ylo, xlo * yhi, xhi * ylo, xhi * yhi)
-            a, b = c * min(ends), c * max(ends)
+            if off_axes:
+                a, b = ax ** i * ay ** (d - i), bx ** i * by ** (d - i)
+                if (x_hi < 0 and i % 2 == 1) != (y_hi < 0 and (d - i) % 2 == 1):
+                    a, b = -b, -a
+            else:
+                xlo, xhi = _power_bounds(*xs, i)
+                ylo, yhi = _power_bounds(*ys, d - i)
+                ends = (xlo * ylo, xlo * yhi, xhi * ylo, xhi * yhi)
+                a, b = min(ends), max(ends)
+            a, b = c * a, c * b
             lo, hi = (lo + a, hi + b) if c > 0 else (lo + b, hi + a)
     return lo, hi
 

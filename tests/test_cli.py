@@ -441,6 +441,31 @@ def test_verify_has_no_config_options(tmp_path):
         assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["verify", "--depth", "2"], "unrecognized arguments: --depth 2"),
+    (["census", "--config", "c.json", "--workers", "abc"],
+     "argument --workers: invalid int value: 'abc'"),
+    ([], "the following arguments are required: subcommand"),
+])
+def test_usage_errors_end_with_the_json_line(capsys, argv, message):
+    """argparse's usage errors exit 2 and end stderr with the JSON line of
+    a validation error."""
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: orbitint")
+    assert json.loads(err.splitlines()[-1]) == {"error": message, "kind": "validation"}
+
+
+def test_help_exits_0_without_a_json_line(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    captured = capsys.readouterr()
+    assert captured.out.startswith("usage: orbitint") and captured.err == ""
+
+
 def test_canonical_has_no_depth_option(tmp_path):
     """canonical walks heightDepth steps, so it takes no --depth."""
     cfg = write_config(tmp_path, GAMMA_CONFIG)
@@ -528,16 +553,30 @@ DEPTH_11_DIGESTS = {
 @pytest.mark.parametrize("prec", sorted(DEPTH_11_DIGESTS))
 def test_system_height_depth_11_bytes_at_each_precision(tmp_path, prec):
     """--precision is the precision of the leaf boxes and of the endpoints;
-    at each one the report keeps its bytes."""
+    at each one the report keeps its bytes, under one worker and two."""
     import hashlib
     from pathlib import Path
 
     cfg = Path(__file__).resolve().parents[1] / "configs" / "bounds_mixed.json"
+    for workers in (1, 2):
+        out = tmp_path / f"reports{workers}"
+        assert main(["system-height", "--config", str(cfg), "--depth", "11", "--precision",
+                     str(prec), "--workers", str(workers), "--out", str(out)]) == 0
+        (report,) = out.glob("system-height_*.json")
+        assert hashlib.sha256(report.read_bytes()).hexdigest() == DEPTH_11_DIGESTS[prec]
+
+
+def test_system_height_depth_12_bytes(tmp_path):
+    """bounds_mixed at --depth 12 keeps the bytes it had when every node
+    above the leaves was built."""
+    import hashlib
+
     out = tmp_path / "reports"
-    assert main(["system-height", "--config", str(cfg), "--depth", "11",
-                 "--precision", str(prec), "--out", str(out)]) == 0
+    assert main(["system-height", "--config", str(SHIPPED / "bounds_mixed.json"),
+                 "--depth", "12", "--out", str(out)]) == 0
     (report,) = out.glob("system-height_*.json")
-    assert hashlib.sha256(report.read_bytes()).hexdigest() == DEPTH_11_DIGESTS[prec]
+    assert hashlib.sha256(report.read_bytes()).hexdigest() == (
+        "3eae20d55af5bed12f1bbd0ffc45ba6e01b4eddc321ee833ee1174555898bab8")
 
 
 @pytest.mark.parametrize("point, lo, hi", [

@@ -150,3 +150,27 @@ def test_g_straddling_0():
     for sizes in SIZES:
         child = assert_images(box, phi, p, sizes)
         assert child.ys[0] < 0 < child.ys[1]
+
+
+def test_form_bounds_are_the_corner_bounds_in_every_quadrant():
+    """A box off both axes bounds each monomial by |X|^i |Y|^j with its
+    sign; the bounds are those that the four corner products of each
+    monomial's power bounds give, in every quadrant and across the axes."""
+    rng = random.Random(29)
+    for _ in range(3000):
+        d = rng.randint(0, 5)
+        cs = [rng.choice((0, 1, -1, rng.randint(-40, 40))) for _ in range(rng.randint(0, d + 1))]
+        xs, ys = (tuple(sorted(rng.randint(-(1 << 40), 1 << 40) for _ in range(2)))
+                  for _ in range(2))
+        box = Enclosure(0, xs, ys, None)
+        lo = hi = 0
+        for i, c in enumerate(cs):
+            xb = [t ** i for t in range(xs[0], xs[1] + 1, max(1, xs[1] - xs[0]))]
+            yb = [t ** (d - i) for t in range(ys[0], ys[1] + 1, max(1, ys[1] - ys[0]))]
+            if xs[0] < 0 < xs[1] and i % 2 == 0 and i:
+                xb.append(0)
+            if ys[0] < 0 < ys[1] and (d - i) % 2 == 0 and d - i:
+                yb.append(0)
+            ends = [c * u * v for u in xb for v in yb]
+            lo, hi = lo + min(ends), hi + max(ends)
+        assert box.bounds(cs, d) == (lo, hi, 0)

@@ -132,6 +132,34 @@ def test_skip_applies_at_the_last_level_only(pair_system):
                                   test=SkipLetters({1})) == expected
 
 
+class SettleLetter:
+    """A picklable test that settles the child of letter 1 at every node
+    `level` levels above the leaves, with a stand-in for its subtree."""
+
+    def __init__(self, level):
+        self.level = level
+
+    def __call__(self, system, node, levels, limits):
+        return {1: "settled"} if levels == self.level else {}
+
+
+def test_a_stand_in_is_yielded_and_never_expanded(pair_system):
+    """At any level a stand-in takes its child's place in the walk and its
+    subtree is not walked; one settled at the root's children is folded in
+    this process, in letter order, under any worker count."""
+    from orbitint.orbits import OrbitRecord
+
+    for depth in (2, 3, 4):
+        full = enumerate_tree(pair_system, normalize(2, 1), depth)
+        for level in sorted({1, 2, depth}):
+            at = depth - level + 1   # the length of a settled child's word
+            expected = [OrbitRecord(r.word, r.depth, "settled") if r.depth == at and r.word[-1] == 1
+                        else r for r in full if not (r.depth > at and r.word[at - 1] == 1)]
+            for workers in (1, 2):
+                assert enumerate_tree(pair_system, normalize(2, 1), depth, workers=workers,
+                                      test=SettleLetter(level)) == expected
+
+
 def test_caps_count_and_check_skipped_leaves(pair_system):
     # The node cap counts leaves that are never built, and a last-level node
     # is bit-checked before the consumer's test sees it.

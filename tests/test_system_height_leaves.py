@@ -97,9 +97,9 @@ def overlaps(monkeypatch):
     """The enclosed leaves built since the last clear(): their Deferred
     enclosure met another atom or did not decide the prec-bit box."""
     found = []
-    real = heights._Leaves.build
-    monkeypatch.setattr(heights._Leaves, "build",
-                        lambda self, phi: found.append((self, phi)) or real(self, phi))
+    real = heights._Settled.build
+    monkeypatch.setattr(heights._Settled, "build",
+                        lambda self, path: found.append((self, path)) or real(self, path))
     return found
 
 
@@ -117,6 +117,73 @@ def test_random_trees_with_the_threshold_lifted(monkeypatch, evaluations):
         assert_exact_leaf_formula(system, point, depth)
         enclosed += len(evaluations) < orbits._tree_size(system.k, depth) - 1
     assert enclosed >= 6
+
+
+@pytest.mark.parametrize("prec", [53, 128])
+@pytest.mark.parametrize("workers", [1, 2])
+def test_settled_subtrees_on_random_trees(monkeypatch, workers, prec):
+    """With ENCLOSE_BITS 0 every node two levels above the leaves settles
+    the children whose leaves its chained enclosures bound.  Half the roots
+    are near 2^300, so at precision 53 the leaf atoms sit near a 53-bit
+    float, below what their 212-bit boxes resolve: those boxes are not
+    decided, and the leaves are built along their two-letter paths.  Two
+    workers make the same builds, since every build runs in this process,
+    also for an atom that a worker settled."""
+    monkeypatch.setattr(polys, "ENCLOSE_BITS", 0)
+    built = []
+    monkeypatch.setattr(heights, "eval_point", lambda *args: built.append(1) or eval_point(*args))
+    for seed in range(16):
+        rng = random.Random(f"settled-subtrees:{seed}")
+        system = random_system(rng, k_max=2, max_degree=3)
+        point = (random_point(rng, 1 << 300) if seed % 2 else
+                 normalize((1 << 300) + rng.randrange(1, 256), rng.randrange(1, 256)))
+        assert_exact_leaf_formula(system, point, 2 + seed % 4, prec, workers)
+    assert len(built) == {53: 63, 128: 4}[prec]
+
+
+def test_bit_cap_under_settled_parents(tmp_path, capsys, evaluations):
+    """A last-level node is settled only when its box shows it within the
+    bit cap.  With the cap one bit under bounds_mixed's largest level-10
+    node at depth 11, that node is built and the run exits 3 naming it, as
+    a walk that builds every node does.  With the cap at the largest bit
+    length those boxes allow, the walk builds no enclosed level-10 node:
+    the run makes the evaluations it makes under the default cap, where
+    only the 7 level-10 nodes on the paths of built leaves are built."""
+    from orbitint.cli import main
+
+    config = load("bounds_mixed")
+    largest = max(WorkLimits.bits_of(node)
+                  for word, node in walk_tree(config.system, config.point, 10) if len(word) == 10)
+    raw = json.loads((CONFIGS / "bounds_mixed.json").read_text(encoding="utf-8"))
+    cfg = tmp_path / "capped.json"
+    cfg.write_text(json.dumps({**raw, "workLimits": {"bitCap": largest - 1}}), encoding="utf-8")
+    capsys.readouterr()
+    assert main(["system-height", "--config", str(cfg), "--depth", "11",
+                 "--out", str(tmp_path / "reports")]) == 3
+    assert json.loads(capsys.readouterr().err.splitlines()[-1]) == {
+        "error": f"orbit coordinate of {largest} bits exceeded the cap {largest - 1}",
+        "kind": "work-limit"}
+
+    bits, boxes, small = heights.BOX_PER_PREC * config.precision_bits, [], 0
+    for word, node in walk_tree(config.system, config.point, 9):
+        if len(word) < 9:
+            continue
+        if WorkLimits.bits_of(node) < polys.ENCLOSE_BITS:
+            small += 1
+            continue
+        box = polys.Enclosure.of(node.x, node.y, bits, bits)
+        for phi in config.system.maps:
+            _, hi, e = box.image(phi, bits, bits).size()
+            boxes.append(hi.bit_length() + e)
+    assert max(boxes) >= largest and small == 8
+    evaluations.clear()
+    est = canonical_height_system(config.system, config.point, 11,
+                                  bounds=system_bounds(config.system, config.c_mode),
+                                  limits=WorkLimits(bit_cap=max(boxes)),
+                                  prec=config.precision_bits)
+    assert len(evaluations) == orbits._tree_size(2, 9) - 1 + 2 * small + 7 + 8
+    assert (est.lo(config.precision_bits), est.hi(config.precision_bits)) == (
+        0.9888479494173272, 0.9889117636302506)
 
 
 @pytest.mark.parametrize("workers", [1, 2])
@@ -152,10 +219,14 @@ def test_enclosed_boxes_are_the_leaf_boxes():
 def test_power_of_two_atoms_are_enclosed(evaluations, overlaps):
     """A coordinate whose dropped bits are all 0 keeps a box of width 0, so a
     power of 2 is enclosed exactly: its leaf is built only when it has a
-    twin.  From 2, every node past depth 9 has more than 1,024 bits."""
+    twin.  From 2, every node past depth 9 has more than 1,024 bits, and so
+    do some at depth 9, whose children are settled.  Under PAIR every leaf
+    but the two pure powers has a twin, so every other node is built once;
+    under doubling only 2^1023, of 1,024 bits, settles its two children."""
     doubling = MapSystem([parse_map("z^2"), make_map([0, 0, 2], [1])])  # no twins
-    for system, exponents, built in ((PAIR, (6000, 9000), 2 ** 11 - 2),
-                                     (doubling, (6000, 6001), 0)):
+    for system, exponents, built, evaluated in (
+            (PAIR, (6000, 9000), 2 ** 11 - 2, orbits._tree_size(2, 11) - 1 - 2),
+            (doubling, (6000, 6001), 0, orbits._tree_size(2, 10) - 1 - 2)):
         boxes = {letter: atom.box(128)
                  for letter, atom in _leaf_test(128, system, ProjPoint(1 << 3000, 1), 1, WorkLimits()).items()}
         assert boxes == {letter: (from_int(1 << e, 128, round_floor),
@@ -165,7 +236,7 @@ def test_power_of_two_atoms_are_enclosed(evaluations, overlaps):
         overlaps.clear()
         assert_exact_leaf_formula(system, normalize(2), 11)
         assert len(overlaps) == built
-        assert len(evaluations) == orbits._tree_size(2, 10) - 1 + built
+        assert len(evaluations) == evaluated
 
 
 def test_twins_across_parents_are_built_once(evaluations, overlaps):
@@ -214,25 +285,34 @@ def test_leaf_atom_equal_to_a_tail_atom(monkeypatch, overlaps):
     ("3", 0.9888479494173272, 0.9889117636302506),
     ("3/2", 0.9985697803315452, 0.9986335945444685),
 ])
-def test_the_settle_reads_the_exact_enclosures(evaluations, point, lo, hi):
+def test_the_settle_reads_the_exact_enclosures(evaluations, overlaps, point, lo, hi):
     """Whether a leaf meets another atom is tested on its exact enclosure,
     finer than its 128-bit box: bounds_mixed at depth 11 builds 8 of its
     2,048 enclosed leaves (a test on the boxes built 24 from 3 and 30 from
-    3/2), and lo and hi are those of every leaf built."""
+    3/2), and lo and hi are those of every leaf built.  Levels 1-9 are
+    built; a level-10 node is built by the walk only under one of the small
+    level-9 nodes (under 1,024 bits), and otherwise only on the path of a
+    built leaf: the 8 leaves lie under 7 level-10 nodes."""
     config = load("bounds_mixed", point)
+    small = sum(len(word) == 9 and WorkLimits.bits_of(node) < polys.ENCLOSE_BITS
+                for word, node in walk_tree(config.system, config.point, 9))
     evaluations.clear()
     est = canonical_height_system(config.system, config.point, 11,
                                   bounds=system_bounds(config.system, config.c_mode),
                                   prec=config.precision_bits)
-    assert len(evaluations) == orbits._tree_size(2, 10) - 1 + 8 == 2_054
+    assert len(overlaps) == 8 and len({(id(held), path[:-1]) for held, path in overlaps}) == 7
+    assert len(evaluations) == orbits._tree_size(2, 9) - 1 + 2 * small + 7 + 8 == {
+        "3": 1_053, "3/2": 1_041}[point]
     assert (est.lo(config.precision_bits), est.hi(config.precision_bits)) == (lo, hi)
 
 
 def test_sibling_leaves_share_one_table(monkeypatch):
-    """The enclosed leaves of one node are built from one polys.Monomials
-    of the node, made on the first build: a node with no leaf built makes
-    none, and both leaves of a node make one between them.  bounds_mixed at
-    depth 11 from 3 builds 8 leaves under 7 nodes, so 7 tables."""
+    """The settled leaves under one node are built from one polys.Monomials
+    per point on their paths, made on the first build there: a node with no
+    leaf built makes none, both leaves of a node make one between them, and
+    a settled child is built once for both its leaves.  bounds_mixed at
+    depth 11 from 3 builds 8 leaves under 7 level-10 nodes under 4 level-9
+    nodes, so 11 tables."""
     made = []
     real_table = polys.Monomials
     monkeypatch.setattr(polys, "Monomials",
@@ -243,21 +323,31 @@ def test_sibling_leaves_share_one_table(monkeypatch):
     assert (atoms[1].value(), atoms[2].value()) == (3 ** 4000, 3 ** 6000)
     assert made == [(node.x, node.y)]
 
-    tables, real_build = [], heights._Leaves.build
+    made.clear()
+    subtrees = _leaf_test(128, PAIR, node, 2, WorkLimits())
+    assert sorted(subtrees) == [1, 2] and made == []
+    assert [atom.value() for atom in subtrees[1]] == [3 ** 8000, 3 ** 12000]
+    assert made == [(node.x, node.y), (3 ** 4000, 2 ** 3000)]
+    assert subtrees[2][1].value() == 3 ** 18000
+    assert made[2:] == [(3 ** 6000, 2 ** 4500)]
 
-    def build(self, phi):
-        node, before = self.node, len(made)
-        atom = real_build(self, phi)
-        tables.append((node, len(made) - before))
+    builds, real_build = [], heights._Settled.build
+
+    def build(self, path):
+        before = len(made)
+        atom = real_build(self, path)
+        builds.append((id(self), path, len(made) - before))
         return atom
 
-    monkeypatch.setattr(heights._Leaves, "build", build)
+    monkeypatch.setattr(heights._Settled, "build", build)
     config = load("bounds_mixed", "3")
     canonical_height_system(config.system, config.point, 11,
                             bounds=system_bounds(config.system, config.c_mode),
                             prec=config.precision_bits)
-    assert len(tables) == 8 and len({node for node, _ in tables}) == 7
-    assert sum(count for _, count in tables) == 7
+    assert len(builds) == 8 and {len(path) for _, path, _ in builds} == {2}
+    assert len({held for held, _, _ in builds}) == 4
+    assert len({(held, path[0]) for held, path, _ in builds}) == 7
+    assert sum(count for _, _, count in builds) == 4 + 7
 
 
 @pytest.mark.parametrize("lifted", [False, True])
@@ -277,14 +367,16 @@ def test_depths_0_and_1(monkeypatch, lifted, depth):
 # Roots of 1,110 bits on bounds_mixed: the consumers' tests run at the root
 # itself, at level 1 (depth 1) and level 2 (depth 2).  Evaluation counts are
 # pinned as the walks that expanded the last level themselves made them; a
-# 2-worker run counts only the root's expansion, made in this process.
+# 2-worker run counts only the root's expansion, made in this process, and
+# the settled children the root's test gives, folded here.  At depth 2 the
+# system height settles both children, so it builds no node.
 LARGE_ROOTS = {"fraction": normalize(Fraction(3 ** 700 + 2, 5 ** 400)),
                "integer": normalize(3 ** 700 + 2)}
 ROOT_COUNTS = {   # (root, depth, workers): (height evaluations, census evaluations, hits)
-    ("fraction", 0, 1): (0, 0, 0), ("fraction", 1, 1): (0, 0, 0), ("fraction", 2, 1): (2, 0, 0),
-    ("integer", 0, 1): (0, 0, 0), ("integer", 1, 1): (0, 1, 1), ("integer", 2, 1): (2, 2, 2),
-    ("fraction", 0, 2): (0, 0, 0), ("fraction", 1, 2): (0, 0, 0), ("fraction", 2, 2): (2, 0, 0),
-    ("integer", 0, 2): (0, 0, 0), ("integer", 1, 2): (0, 1, 1), ("integer", 2, 2): (2, 1, 2),
+    ("fraction", 0, 1): (0, 0, 0), ("fraction", 1, 1): (0, 0, 0), ("fraction", 2, 1): (0, 0, 0),
+    ("integer", 0, 1): (0, 0, 0), ("integer", 1, 1): (0, 1, 1), ("integer", 2, 1): (0, 2, 2),
+    ("fraction", 0, 2): (0, 0, 0), ("fraction", 1, 2): (0, 0, 0), ("fraction", 2, 2): (0, 0, 0),
+    ("integer", 0, 2): (0, 0, 0), ("integer", 1, 2): (0, 1, 1), ("integer", 2, 2): (0, 1, 2),
 }
 
 
