@@ -7,10 +7,8 @@ get zero-width intervals up to rounding.  A word estimate keeps its endpoints
 as exact log expressions, whose last point's atom may be deferred (see
 canonical_height_word).  A system estimate carries exact rational
 endpoints: the enclosures of its two log expressions at the precision it was
-computed at, in which the leaves one or two levels under large nodes are
-deferred atoms, each bounded by an image of that node's one
-`polys.Enclosure`, or by an image of one of its images (see
-canonical_height_system).
+computed at, in which the leaves `orbits.settle` settles are deferred
+atoms (see canonical_height_system).
 """
 
 from __future__ import annotations
@@ -20,13 +18,13 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
-from typing import Iterable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 from mpmath.libmp import to_rational
 
 from . import polys
 from .logvals import DEFAULT_PRECISION, Deferred, LogExpr, deferred_atom
-from .orbits import DEFAULT_LIMITS, Orbit, WorkLimits, find_cycle, fold_tree
+from .orbits import DEFAULT_LIMITS, REFUSE, Orbit, WorkLimits, find_cycle, fold_tree, settle
 from .proj1 import ProjPoint, normalize
 from .ratmap import MapSystem, RatMap, eval_point
 from .words import Word, iter_periodic_words
@@ -248,79 +246,32 @@ def _deferred_step(orbit: Orbit, n: int, limits: WorkLimits,
     return None
 
 
-# canonical_height_system encloses the leaves of a node of at least
-# polys.ENCLOSE_BITS bits one or two levels above them instead of building
-# them.  The node's enclosure, and each one chained from it, keeps
-# BOX_PER_PREC bits of the larger coordinate per bit of the estimate's
-# precision.
+# The enclosures of canonical_height_system's settle keep BOX_PER_PREC bits
+# of the larger coordinate per bit of the estimate's precision.
 BOX_PER_PREC = 4
 
 
 def _leaf_test(prec: int, system: MapSystem, node: ProjPoint, levels: int,
                limits: WorkLimits) -> dict:
-    """The system height's test (orbits.NodeTest), with prec bound, at a
-    node of at least polys.ENCLOSE_BITS bits.
-
-    At level 1: letter -> the atom N = max(|F(x, y)|, |G(x, y)|)/g of the
-    node's leaf, as a Deferred, for each letter whose enclosure shows N >= 2.
-    N is bounded by the size of an image of the node's one polys.Enclosure.
-    At level 2: letter -> the tuple of the k leaf atoms of the child C, each
-    bounded by an image of C's enclosure (itself an image of the node's),
-    for each letter whose C is shown within the bit cap and whose every
-    leaf atom is shown to be at least 2.  Any other child is built.
-
-    Each atom is built along its word from the node (_Settled.build); the
-    node is never expanded again.
-    """
-    if levels > 2 or limits.bits_of(node) < polys.ENCLOSE_BITS:
-        return {}
-    settled, out, bits = _Settled(system, node), {}, BOX_PER_PREC * prec
-    box = polys.Enclosure.of(node.x, node.y, bits, bits)
-
-    def atom(enclosure: polys.Enclosure, path: tuple) -> Optional[Deferred]:
-        return deferred_atom(enclosure.size(), partial(settled.build, path))
-
-    for a, phi in enumerate(system.maps, start=1):
-        child = box.image(phi, bits, bits)
-        if levels == 1:
-            leaves = (atom(child, (a,)),)
-        else:
-            _, hi, e = child.size()
-            if not limits.fits_bits(hi.bit_length() + e):
-                continue
-            leaves = tuple(atom(child.image(psi, bits, bits), (a, b))
-                           for b, psi in enumerate(system.maps, start=1))
-        if all(leaf is not None for leaf in leaves):
-            out[a] = leaves if levels == 2 else leaves[0]
-    return out
+    """The system height's test (orbits.NodeTest), with prec bound: a
+    settled child stands in as the tuple of its leaves' atoms."""
+    bits = BOX_PER_PREC * prec
+    return settle(system, node, levels, limits, (bits, bits), partial(_leaf_verdict, bits))
 
 
-class _Settled:
-    """The points under one node that its test settled.  A leaf is built
-    along its word of one or two letters from the node: the point between
-    is built once, and the maps at one point read its one monomial table,
-    made on the first build there.  Each Deferred drops its build once run,
-    so the node, the points and the tables go once no unbuilt leaf holds
-    them."""
+def _leaf_verdict(bits: int, parent: polys.Enclosure, phi: RatMap, leaf: bool,
+                  build: Callable[[], ProjPoint]) -> object:
+    """The system height's verdict (orbits.settle), bits bound: nothing kept
+    above the leaves; a leaf's atom max(|F|, |G|)/g as a Deferred bounded by
+    the image of parent's enclosure, or REFUSE unless that shows it >= 2."""
+    if not leaf:
+        return None
+    atom = deferred_atom(parent.image(phi, bits, bits).size(), partial(_built_atom, build))
+    return REFUSE if atom is None else atom
 
-    __slots__ = ("system", "points", "tables")
 
-    def __init__(self, system: MapSystem, node: ProjPoint):
-        self.system, self.points, self.tables = system, {(): node}, {}
-
-    def _image(self, path: tuple) -> ProjPoint:
-        """The point at path, from the built point at path[:-1]."""
-        parent = path[:-1]
-        point, table = self.points[parent], self.tables.get(parent)
-        if table is None:
-            table = self.tables[parent] = polys.Monomials(point.x, point.y)
-        return eval_point(self.system.map_for_letter(path[-1]), point, table)
-
-    def build(self, path: tuple) -> int:
-        """The atom of the leaf at path."""
-        if len(path) == 2 and path[:1] not in self.points:
-            self.points[path[:1]] = self._image(path[:1])
-        return _leaf_atom(self._image(path))
+def _built_atom(build: Callable[[], ProjPoint]) -> int:
+    return _leaf_atom(build())
 
 
 def _leaf_atom(p: ProjPoint) -> int:
@@ -329,15 +280,14 @@ def _leaf_atom(p: ProjPoint) -> int:
 
 
 def _leaf_atoms(depth: int, nodes: Iterable[tuple[tuple, object]]) -> list:
-    """The atoms of a walk's leaves: an int for each built leaf, the
-    Deferred that stands in for each leaf _leaf_test encloses, and the k
-    Deferreds of each last-level node it settles, in preorder."""
+    """The atoms of a walk's leaves, in preorder: an int for each built leaf
+    and the Deferreds of the leaves under each child _leaf_test settles."""
     atoms = []
     for word, node in nodes:
         if type(node) is tuple:
             atoms.extend(node)
         elif len(word) == depth:
-            atoms.append(node if type(node) is Deferred else _leaf_atom(node))
+            atoms.append(_leaf_atom(node))
     return atoms
 
 

@@ -3,12 +3,10 @@ numerator/denominator log-ratio series.
 
 Threshold decisions consume certified intervals and report "ambiguous" when
 an interval straddles the cut; nothing is ever silently rounded across it.
-The census builds only the tree nodes it may need: `NonUnitLeaves` rules
-out a leaf whose denominator cannot be an S-unit, from its parent's
-`polys.Enclosure` (a box of the top bits and residues modulo p^K: the
-archimedean and p-adic parts of the size), and one level higher rules out
-a last-level node, never built, whose own record and every leaf fail the
-same way, from the enclosure's image under the node's map.
+The census builds only the tree nodes it may need: its verdict in
+`orbits.settle` (`NonUnitLeaves`) drops, unbuilt, a node whose denominator
+cannot be an S-unit, from its parent's `polys.Enclosure` (a box of the top
+bits and residues modulo p^K: the archimedean and p-adic parts of the size).
 """
 
 from __future__ import annotations
@@ -21,8 +19,8 @@ from typing import Optional
 from . import polys
 from .heights import HeightEstimate, canonical_height_word, system_bounds
 from .logvals import DEFAULT_PRECISION, LogExpr, _Infinite
-from .orbits import (DEFAULT_LIMITS, Orbit, WorkLimits, enumerate_tree, find_cycle,
-                     iterate_word)
+from .orbits import (DEFAULT_LIMITS, REFUSE, Orbit, WorkLimits, enumerate_tree,
+                     find_cycle, iterate_word, settle)
 from .places import PlaceSet, is_s_unit, log_plus_abs, strip_prime
 from .proj1 import ProjPoint, chordal_sum
 from .ratmap import MapSystem, RatMap
@@ -142,10 +140,10 @@ RESIDUE_DIGITS = 64
 
 
 class NonUnitLeaves:
-    """The census's test (orbits.NodeTest): the letters of a node [x : y]
-    one or two levels above the leaves whose child the census needs
-    neither built nor expanded, decided without building it.  Picklable,
-    so census workers share it.
+    """The census's test (orbits.NodeTest): settle with a verdict that keeps
+    nothing for a node it rules out and refuses any other, so the children
+    the census needs neither built nor expanded are dropped unbuilt.
+    Picklable, so census workers share it.
 
     The leaf of phi = F/G is [F(x, y) : G(x, y)] divided by a common factor
     g of R = |Res(F, G)|, so its denominator |G(x, y)|/g can be an S-unit
@@ -159,34 +157,19 @@ class NonUnitLeaves:
       the bound;
     - R * prod p^v < 2^floor_bits, compared as bit lengths.
 
-    Two levels above the leaves, a child C = phi(node) ruled out so is
-    dropped with its leaves only when the same test rules out every leaf of
-    C from C's enclosure (polys.Enclosure.image), and C's box shows that C
-    is within the bit cap (the check that expanding C would make).  The
-    enclosure may be of -1 times C, which changes no |G| and no valuation
-    the test reads.
+    A last-level node is dropped with its leaves only when it and every
+    leaf are ruled out, each from its parent's enclosure, which may be of -1
+    times the node: that changes no |G| and no valuation the test reads.
     """
 
     def __init__(self, s: PlaceSet):
         self.primes = s.finite_primes
 
-    def __call__(self, system: MapSystem, node: ProjPoint, levels: int,
-                 limits: WorkLimits) -> dict[int, None]:
-        if levels > 2 or limits.bits_of(node) < polys.ENCLOSE_BITS:
-            return {}
-        box = polys.Enclosure.of(node.x, node.y, TOP_BITS, polys.BOX_BITS)
-        out = {}
-        for letter, phi in enumerate(system.maps, start=1):
-            if not self._rules_out(phi, box):
-                continue
-            if levels == 2:
-                child = box.image(phi, TOP_BITS, polys.BOX_BITS)
-                _, hi, e = child.size()
-                if not (limits.fits_bits(hi.bit_length() + e) and all(
-                        self._rules_out(psi, child) for psi in system.maps)):
-                    continue
-            out[letter] = None
-        return out
+    def __call__(self, system: MapSystem, node: ProjPoint, levels: int, limits: WorkLimits):
+        return settle(system, node, levels, limits, (TOP_BITS, polys.BOX_BITS), self._verdict)
+
+    def _verdict(self, parent: polys.Enclosure, phi: RatMap, leaf: bool, build) -> object:
+        return None if self._rules_out(phi, parent) else REFUSE
 
     def _rules_out(self, phi: RatMap, node: polys.Enclosure) -> bool:
         lo, hi, e = node.bounds(phi.g, phi.degree)

@@ -3,17 +3,13 @@
 `children` is the one place a tree node expands, and only the walks call
 it: it checks the node's bits and evaluates its k children in letter order
 from one shared monomial table of the node's point, less the children a
-consumer's test (`NodeTest`) settles without building them.  A settled
-point that is built later is built by its stand-in, never by expanding its
-parent again.  `walk_tree` yields (word, point) in
-preorder (prefixes first, letters ascending) on an explicit stack, and
-`fold_tree` fans the tree out by first letter for parallel workers and
-concatenates the parts.  Both call the consumer's one test at each node
-they expand, with its level above the leaves: the census drops nodes it
-does not need, system-height has a leaf's height atom stand in for the
-leaf, and the tuple of its leaves' atoms for a last-level node, and a
-consumer with no test gets all nodes.  A stand-in is yielded in its
-child's place and never expanded.
+consumer's test (`NodeTest`) settles without building them.  `walk_tree`
+yields (word, point) in preorder (prefixes first, letters ascending) on an
+explicit stack, and `fold_tree` fans the tree out by first letter for
+parallel workers and concatenates the parts.  Both call the consumer's one
+test, `settle` with its verdict, at each node they expand, and a consumer
+with no test gets all nodes.  A settled point is built later only along
+its path from its node (`_Settled`), never by expanding its parent again.
 `Orbit` is the one walk along a word: the orbit Phi^0(P), Phi^1(P), ...
 of a point, built one map per step on first use and shared by every pass
 over it (`find_cycle` scans it for a repeat, `iterate_word` yields it
@@ -27,6 +23,7 @@ tree and of an hmin scan) and `cycle_scan` the one cycle budget.  Point equality
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import partial
 from typing import Callable, Iterable, Iterator, Mapping, Optional
 
 from . import polys
@@ -84,12 +81,21 @@ class WorkLimits:
         test rules out without building them included."""
         if depth < 0:
             raise ValueError("depth must be nonnegative")
+        self._check_power("tree", k, depth)
         self._check_count("tree", _tree_size(k, depth))
 
     def check_scan(self, k: int, period_bound: int, depth: int):
         """Reject an hmin scan before it starts: the cap counts depth steps for
         each of the k + ... + k^period_bound candidate words."""
+        self._check_power("hmin scan", k, period_bound if depth else 0)
         self._check_count("hmin scan", (_tree_size(k, period_bound) - 1) * depth)
+
+    def _check_power(self, what: str, k: int, exponent: int):
+        """Reject a count of at least k^exponent nodes, unbuilt, when that
+        bound is over the cap by more than 64 bits: the message names it."""
+        if exponent * (k.bit_length() - 1) > self.node_cap.bit_length() + 64:
+            raise WorkLimitExceeded(
+                f"{what} of at least {k}^{exponent} nodes exceeds the node cap {self.node_cap}")
 
     def _check_count(self, what: str, nodes: int):
         if nodes > self.node_cap:
@@ -106,13 +112,76 @@ DEFAULT_LIMITS = WorkLimits()
 
 # A consumer's test of a tree node: test(system, node, levels, limits), for
 # a node levels above the leaves, maps each letter whose child the consumer
-# settles without building it to the child's stand-in.  A stand-in of None
-# drops the child: it is neither built nor yielded, nor is its subtree.  Any
-# other stand-in, at any level, is yielded in the child's place and never
-# expanded, so it stands for the child's whole subtree.  A settled child
-# above the leaves is never bit-checked, so the test settles only children
-# it shows to be within the bit cap.
+# settles without building it to the child's stand-in (see settle).  A
+# stand-in of None drops the child with its subtree; any other is yielded in
+# the child's place and never expanded, so it stands for the whole subtree.
 NodeTest = Callable[[MapSystem, ProjPoint, int, WorkLimits], Mapping[int, object]]
+
+# A verdict's refusal to settle a node (see settle), compared by identity.
+REFUSE = object()
+
+
+def settle(system: MapSystem, node: ProjPoint, levels: int, limits: WorkLimits,
+           bits: tuple[int, int], judge: Callable) -> dict:
+    """A consumer's test (NodeTest) from its verdict judge.  A node of at
+    least polys.ENCLOSE_BITS bits, at most 2 levels above the leaves, is
+    enclosed once (polys.Enclosure.of at bits), and each node under it by
+    the image of its parent's enclosure.  judge(parent, phi, leaf, build)
+    gives REFUSE or the value kept for the node phi(parent), which build()
+    builds.  A child is settled when no node under it is refused and each
+    one above the leaves is shown within the bit cap, as its expansion would
+    check; its stand-in is the tuple of the values kept, in preorder, or
+    None when none is."""
+    if levels > 2 or limits.bits_of(node) < polys.ENCLOSE_BITS:
+        return {}
+    settled, out = _Settled(system, node), {}
+    box = polys.Enclosure.of(node.x, node.y, *bits)
+    maps = list(enumerate(system.maps, start=1))
+    for letter, child_map in maps:
+        kept, stack = [], [(box, child_map, (letter,))]
+        while stack:
+            parent, phi, path = stack.pop()
+            leaf = len(path) == levels
+            value = judge(parent, phi, leaf, partial(settled.build, path))
+            if value is REFUSE:
+                break
+            if value is not None:
+                kept.append(value)
+            if not leaf:
+                image = parent.image(phi, *bits)
+                _, hi, e = image.size()
+                if not limits.fits_bits(hi.bit_length() + e):
+                    break
+                stack.extend((image, psi, path + (b,)) for b, psi in reversed(maps))
+        else:
+            out[letter] = tuple(kept) if kept else None
+    return out
+
+
+class _Settled:
+    """The points under one node that settle settled, each built along its
+    path from the node: each point between is built once, and the maps at
+    one point read its one monomial table, made on the first build there."""
+
+    __slots__ = ("system", "points", "tables")
+
+    def __init__(self, system: MapSystem, node: ProjPoint):
+        self.system, self.points, self.tables = system, {(): node}, {}
+
+    def _image(self, path: tuple) -> ProjPoint:
+        """The point at path, from the built point at path[:-1]."""
+        parent = path[:-1]
+        point, table = self.points[parent], self.tables.get(parent)
+        if table is None:
+            table = self.tables[parent] = polys.Monomials(point.x, point.y)
+        return eval_point(self.system.map_for_letter(path[-1]), point, table)
+
+    def build(self, path: tuple) -> ProjPoint:
+        """The point at path."""
+        for n in range(1, len(path)):
+            if path[:n] not in self.points:
+                self.points[path[:n]] = self._image(path[:n])
+        return self._image(path)
 
 
 @dataclass(frozen=True)
@@ -198,9 +267,7 @@ def walk_tree(system: MapSystem, point: ProjPoint, depth: int,
     """Yield (word, point) for the subtree under prefix, in preorder, down to
     words of the given length.  Children wait on an explicit stack, last
     letter at the bottom, so the walk never recurses.  test, when given, is
-    the consumer's test at every node expanded (see NodeTest): a child it
-    drops is neither built nor yielded, and a child's stand-in is yielded in
-    the child's place and not expanded."""
+    the consumer's test at every node expanded (see NodeTest)."""
     stack = [(prefix, point)]
     while stack:
         word, node = stack.pop()

@@ -1,7 +1,9 @@
 """A point is enclosed in one place, polys.Enclosure: only its methods bound
 a form over a box or trim a box, each enclosure constant is assigned in one
 module, and a test that lifts the size threshold patches that one constant,
-so the census screen and the deferred atoms cannot fork again."""
+so the census screen and the deferred atoms cannot fork again.  A tree node
+is settled in one place, orbits.settle: the consumers pass it a verdict
+and gate on neither the node's level nor its size."""
 
 import ast
 from pathlib import Path
@@ -79,3 +81,29 @@ def test_a_lifted_threshold_patches_the_one_constant():
                     and node.args[1].value in CONSTANTS | RETIRED):
                 patched.append((ast.unparse(node.args[0]), node.args[1].value))
     assert patched and set(patched) == {("polys", "ENCLOSE_BITS")}
+
+
+def _reads(func, name):
+    """True when func reads name, as a bare name or as an attribute."""
+    return any(isinstance(node, ast.Name) and node.id == name
+               or isinstance(node, ast.Attribute) and node.attr == name
+               for node in ast.walk(func))
+
+
+def test_one_settle_site():
+    """Only orbits.settle encloses a tree node; the other two points enclosed
+    are the word walk's last step and a chordal sum of squares.  The size
+    gate ENCLOSE_BITS is read at those three sites only, and no function
+    outside orbits compares a node's level."""
+    functions = [(f"{path.stem}.{name}", func) for path in SOURCES
+                 for name, func in _functions(ast.parse(path.read_text(encoding="utf-8")))]
+    enclosers = sorted(name for name, func in functions for node in ast.walk(func)
+                       if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                       and node.func.attr == "of" and ast.unparse(node.func.value).endswith("Enclosure"))
+    assert enclosers == ["heights._deferred_step", "orbits.settle", "proj1._sum_of_squares"]
+    assert sorted(name for name, func in functions if _reads(func, "ENCLOSE_BITS")) == [
+        "heights.canonical_height_word", "orbits.settle", "proj1._sum_of_squares"]
+    gates = [name for name, func in functions if not name.startswith("orbits.")
+             for node in ast.walk(func) if isinstance(node, ast.Compare)
+             and any(isinstance(n, ast.Name) and n.id == "levels" for n in ast.walk(node))]
+    assert gates == []

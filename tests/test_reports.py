@@ -79,10 +79,21 @@ def test_census_of_huge_points_serializes():
 
 
 def test_node_cap_message_fits_any_tree():
+    """A count over the cap by more than 64 bits is never built: the message
+    names its bound k^exponent, whatever the depth.  Nearer the cap it names
+    the exact count."""
+    for depth in (10 ** 5, 10 ** 8):
+        with pytest.raises(WorkLimitExceeded) as info:
+            WorkLimits().check_nodes(2, depth)
+        assert str(info.value) == f"tree of at least 2^{depth} nodes exceeds the node cap 1000000"
+        assert info.value.nodes is None
     with pytest.raises(WorkLimitExceeded) as info:
-        WorkLimits().check_nodes(2, 10 ** 5)
-    assert info.value.nodes == 2 ** (10 ** 5 + 1) - 1
-    assert "0x" in str(info.value)
+        WorkLimits().check_scan(2, 3 * 10 ** 7, 8)
+    assert str(info.value) == "hmin scan of at least 2^30000000 nodes exceeds the node cap 1000000"
+    with pytest.raises(WorkLimitExceeded) as info:
+        WorkLimits().check_nodes(2, 84)
+    assert info.value.nodes == 2 ** 85 - 1
+    assert str(info.value) == f"tree of {2 ** 85 - 1} nodes exceeds the node cap 1000000"
 
 
 def test_cli_orbit_with_huge_coordinates(tmp_path, default_int_digits):

@@ -83,12 +83,11 @@ def assert_exact_leaf_formula(system, point, depth, prec=128, workers=1, bounds=
 
 @pytest.fixture
 def evaluations(monkeypatch):
-    """The map evaluations since the last clear(), of the tree walks
-    (orbits) and of the enclosed leaves built (heights)."""
+    """The map evaluations since the last clear(), of the tree walks and of
+    the enclosed leaves built (both in orbits)."""
     calls = []
-    for module in (orbits, heights):
-        monkeypatch.setattr(module, "eval_point",
-                            lambda *args: calls.append(1) or eval_point(*args))
+    monkeypatch.setattr(orbits, "eval_point",
+                        lambda *args: calls.append(1) or eval_point(*args))
     return calls
 
 
@@ -97,8 +96,8 @@ def overlaps(monkeypatch):
     """The enclosed leaves built since the last clear(): their Deferred
     enclosure met another atom or did not decide the prec-bit box."""
     found = []
-    real = heights._Settled.build
-    monkeypatch.setattr(heights._Settled, "build",
+    real = orbits._Settled.build
+    monkeypatch.setattr(orbits._Settled, "build",
                         lambda self, path: found.append((self, path)) or real(self, path))
     return found
 
@@ -130,8 +129,9 @@ def test_settled_subtrees_on_random_trees(monkeypatch, workers, prec):
     workers make the same builds, since every build runs in this process,
     also for an atom that a worker settled."""
     monkeypatch.setattr(polys, "ENCLOSE_BITS", 0)
-    built = []
-    monkeypatch.setattr(heights, "eval_point", lambda *args: built.append(1) or eval_point(*args))
+    built, real = [], orbits._Settled._image
+    monkeypatch.setattr(orbits._Settled, "_image",
+                        lambda self, path: built.append(1) or real(self, path))
     for seed in range(16):
         rng = random.Random(f"settled-subtrees:{seed}")
         system = random_system(rng, k_max=2, max_degree=3)
@@ -203,7 +203,7 @@ def test_enclosed_boxes_are_the_leaf_boxes():
         system = random_system(rng, k_max=3, max_degree=4)
         prec = (53, 128, 256)[trial % 3]
         for node in (random_point(rng, 1 << 3000), random_point(rng, 1 << 1100)):
-            for letter, enclosed in _leaf_test(prec, system, node, 1, WorkLimits()).items():
+            for letter, (enclosed,) in _leaf_test(prec, system, node, 1, WorkLimits()).items():
                 leaf = eval_point(system.map_for_letter(letter), node)
                 atom = max(abs(leaf.x), abs(leaf.y))
                 box = enclosed.box(prec)
@@ -228,7 +228,7 @@ def test_power_of_two_atoms_are_enclosed(evaluations, overlaps):
             (PAIR, (6000, 9000), 2 ** 11 - 2, orbits._tree_size(2, 11) - 1 - 2),
             (doubling, (6000, 6001), 0, orbits._tree_size(2, 10) - 1 - 2)):
         boxes = {letter: atom.box(128)
-                 for letter, atom in _leaf_test(128, system, ProjPoint(1 << 3000, 1), 1, WorkLimits()).items()}
+                 for letter, (atom,) in _leaf_test(128, system, ProjPoint(1 << 3000, 1), 1, WorkLimits()).items()}
         assert boxes == {letter: (from_int(1 << e, 128, round_floor),
                                   from_int(1 << e, 128, round_ceiling))
                          for letter, e in enumerate(exponents, start=1)}
@@ -260,7 +260,7 @@ def test_common_factor_of_the_resultant():
             u, v = phi.homogeneous(node.x, node.y)
             assert math.gcd(u, v) == 2
             leaf = eval_point(phi, node)
-            box = _leaf_test(128, config.system, node, 1, WorkLimits())[1].box(128)
+            box = _leaf_test(128, config.system, node, 1, WorkLimits())[1][0].box(128)
             atom = max(abs(leaf.x), abs(leaf.y))
             assert box == (from_int(atom, 128, round_floor), from_int(atom, 128, round_ceiling))
             seen += 1
@@ -320,7 +320,7 @@ def test_sibling_leaves_share_one_table(monkeypatch):
     node = ProjPoint(3 ** 2000, 2 ** 1500)
     atoms = _leaf_test(128, PAIR, node, 1, WorkLimits())
     assert sorted(atoms) == [1, 2] and made == []
-    assert (atoms[1].value(), atoms[2].value()) == (3 ** 4000, 3 ** 6000)
+    assert (atoms[1][0].value(), atoms[2][0].value()) == (3 ** 4000, 3 ** 6000)
     assert made == [(node.x, node.y)]
 
     made.clear()
@@ -331,15 +331,15 @@ def test_sibling_leaves_share_one_table(monkeypatch):
     assert subtrees[2][1].value() == 3 ** 18000
     assert made[2:] == [(3 ** 6000, 2 ** 4500)]
 
-    builds, real_build = [], heights._Settled.build
+    builds, real_build = [], orbits._Settled.build
 
     def build(self, path):
         before = len(made)
-        atom = real_build(self, path)
+        point = real_build(self, path)
         builds.append((id(self), path, len(made) - before))
-        return atom
+        return point
 
-    monkeypatch.setattr(heights._Settled, "build", build)
+    monkeypatch.setattr(orbits._Settled, "build", build)
     config = load("bounds_mixed", "3")
     canonical_height_system(config.system, config.point, 11,
                             bounds=system_bounds(config.system, config.c_mode),
