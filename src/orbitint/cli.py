@@ -22,6 +22,7 @@ import math
 import os
 import sys
 from dataclasses import asdict
+from functools import partial
 from pathlib import Path
 
 from . import __version__
@@ -91,13 +92,15 @@ def _csv_line(row, width: int) -> str:
     return line + "\n"
 
 
-def _write_csv(path: Path, header: tuple, rows) -> None:
+def _write_csv(path: Path, header: tuple, rows) -> int:
+    """Write the table to path; the number of rows written."""
     path.parent.mkdir(parents=True, exist_ok=True)
-    width = len(header)
+    width, count = len(header), 0
     with open(path, "w", newline="", encoding="utf-8") as fh:
         fh.write(_csv_line(header, width))
-        for row in rows:
+        for count, row in enumerate(rows, start=1):
             fh.write(_csv_line(row, width))
+    return count
 
 
 def _point_json(p: ProjPoint) -> dict:
@@ -143,6 +146,14 @@ def _orbit_rows(records, prec: int):
                repr(rec.point.height().to_float(prec)))
 
 
+def _orbit_csv(path: Path, prec: int, records) -> range:
+    """The orbit dump's fold (see orbits.enumerate_tree): each record is
+    written to the CSV at path as it streams from the walk.  The range over
+    the rows written stands for the records, which are not held."""
+    return range(_write_csv(path, ("word", "n", "x", "y", "height_nats"),
+                            _orbit_rows(records, prec)))
+
+
 def _kappa_json(kappa) -> dict:
     return {"mode": kappa.mode.value, "kappa1": kappa.kappa1,
             "kappa2": float(kappa.kappa2)}
@@ -156,25 +167,36 @@ def _census_bounds_json(cors, parameters: dict) -> dict:
 
 # Each handler returns (report payload, CSV as (header, rows) or None, summary
 # line); main adds the metadata, writes the files and prints the summary.
+# orbit is the exception: its CSV streams from the walk, so main gives it the
+# CSV's path and it writes the file itself.
 
 
-def _cmd_orbit(config: ExperimentConfig, workers: int):
-    records = enumerate_tree(config.system, config.point, config.depth,
-                             dedupe=config.dedupe, limits=config.limits,
-                             workers=workers)
-    table = (("word", "n", "x", "y", "height_nats"),
-             _orbit_rows(records, config.precision_bits))
-    hypotheses = hypothesis_check(config.system, config.point_a, config.depth,
-                                  limits=config.limits)
+def _cmd_orbit(config: ExperimentConfig, workers: int, csv: Path):
+    """The orbit report, whose CSV it writes itself: the rows stream from the
+    walk into a partial file beside csv, which replaces csv only once the
+    hypothesis scan is done, so an abort in the walk or in the scan leaves
+    no CSV.  The partial file is removed on any error."""
+    part = csv.with_name(f"{csv.name}.{os.getpid()}.part")
+    try:
+        records = enumerate_tree(config.system, config.point, config.depth,
+                                 dedupe=config.dedupe, limits=config.limits,
+                                 workers=workers,
+                                 fold=partial(_orbit_csv, part, config.precision_bits))
+        hypotheses = hypothesis_check(config.system, config.point_a, config.depth,
+                                      limits=config.limits)
+        os.replace(part, csv)
+    finally:
+        part.unlink(missing_ok=True)
     payload = {
         "recordCount": len(records),
         "dedupe": config.dedupe,
         "depth": config.depth,
         "hypotheses": _hypotheses_json(hypotheses),
+        "csv": csv.name,
     }
-    return payload, table, (f"orbit: {len(records)} records to depth {config.depth} "
-                            f"(hypotheses verified to depth {hypotheses.depth_checked}, "
-                            f"not a proof)")
+    return payload, None, (f"orbit: {len(records)} records to depth {config.depth} "
+                           f"(hypotheses verified to depth {hypotheses.depth_checked}, "
+                           f"not a proof)")
 
 
 def _height_report(sub: str, config: ExperimentConfig, est, **extra):
@@ -391,6 +413,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _check_out(out: Path) -> None:
+    """--out must name a directory, or a path whose nearest existing part is
+    one: a ConfigError before any work."""
+    existing = next(path for path in (out, *out.parents) if path.exists())
+    if not existing.is_dir():
+        raise ConfigError(f"--out {out}: {existing} is not a directory")
+
+
 def _error_json(kind: str, exc: Exception | str) -> str:
     return json.dumps({"error": str(exc), "kind": kind}, sort_keys=True)
 
@@ -399,6 +429,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     out = Path(args.out)
     try:
+        _check_out(out)
         if args.subcommand == "verify":
             config = None
             prec = DEFAULT_PRECISION if args.precision is None else args.precision
@@ -418,9 +449,12 @@ def main(argv=None) -> int:
                 config = parse_config({**config.raw, **overrides})
             # The tree fans out by first letter, so more than k workers sit idle.
             workers = min(args.workers, config.system.k, os.cpu_count() or 1)
-            payload, table, summary = _SUBCOMMANDS[args.subcommand](config, workers)
-            prec = config.precision_bits
             stem = f"{args.subcommand}_{config.canonical_hash()}"
+            if args.subcommand == "orbit":
+                payload, table, summary = _cmd_orbit(config, workers, out / f"{stem}.csv")
+            else:
+                payload, table, summary = _SUBCOMMANDS[args.subcommand](config, workers)
+            prec = config.precision_bits
         if table is not None:
             _write_csv(out / f"{stem}.csv", *table)
             payload["csv"] = f"{stem}.csv"

@@ -14,6 +14,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from typing import Optional
 
 from . import polys
@@ -209,12 +210,17 @@ def s_integral_census(system: MapSystem, point: ProjPoint, s: PlaceSet,
     """
     if not s.contains_infinite:
         raise ValueError("S must contain the archimedean place")
-    records = enumerate_tree(system, point, depth, dedupe=True, limits=limits,
-                             workers=workers, test=NonUnitLeaves(s))
-    hits = tuple(rec for rec in records
+    hits = enumerate_tree(system, point, depth, dedupe=True, limits=limits,
+                          workers=workers, test=NonUnitLeaves(s), fold=partial(_hits, s))
+    return CensusReport(hits, depth, s)
+
+
+def _hits(s: PlaceSet, records) -> tuple:
+    """The census's fold: the records past the root with S-integral affine
+    coordinate."""
+    return tuple(rec for rec in records
                  if rec.depth > 0 and not rec.point.is_infinite
                  and is_s_unit(rec.point.y, s))
-    return CensusReport(hits, depth, s)
 
 
 @dataclass(frozen=True)
@@ -277,17 +283,16 @@ def averaged_ratio(system: MapSystem, point: ProjPoint, level: int,
     all words of the given length (words, not distinct maps)."""
     if point.is_infinite:
         raise ValueError("the starting point must be affine")
-    ratios = []
-    excluded = 0
     # Leaves of the preorder tree arrive in lexicographic word order, and the
     # shared-prefix walk costs one evaluation per node.
-    for rec in enumerate_tree(system, point, level, dedupe=False, limits=limits):
-        if rec.depth != level:
-            continue
-        ratio = _ratio_term(level, rec.point, prec).ratio
-        if ratio is None:
-            excluded += 1
-        else:
-            ratios.append(ratio)
+    leaves = enumerate_tree(system, point, level, limits=limits,
+                            fold=partial(_leaf_ratios, level, prec))
+    ratios = [ratio for ratio in leaves if ratio is not None]
     mean = sum(ratios) / len(ratios) if ratios else None
-    return AveragedRatio(level, mean, system.k ** level, excluded)
+    return AveragedRatio(level, mean, system.k ** level, len(leaves) - len(ratios))
+
+
+def _leaf_ratios(level: int, prec: int, records) -> list[Optional[float]]:
+    """averaged_ratio's fold: the ratio of each record at the level, None
+    where it has none."""
+    return [_ratio_term(level, rec.point, prec).ratio for rec in records if rec.depth == level]

@@ -17,14 +17,20 @@ bit-checked), and the one source of the degree products D_n.
 `WorkLimits` is the one way a cap reaches the engine: `bits_of` is the one
 coordinate-size measure, `fits_bits` the one bit-cap test (`fits` applies
 it to a point), `check_nodes` and `check_scan` the node-cap tests (of a
-tree and of an hmin scan) and `cycle_scan` the one cycle budget.  Point equality is exact equality of normalized coordinates.
+tree and of an hmin scan) and `cycle_scan` the one cycle budget.
+`enumerate_tree` streams the tree's records into a consumer's fold, so no
+record is held that the consumer does not keep.  Point equality is exact
+equality of normalized coordinates: the one dedupe index,
+`_earlier_words`, keeps each distinct point's first word under a cheap key
+and confirms a key match by rebuilding the earlier point along its word
+(`_Settled`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from functools import partial
-from typing import Callable, Iterable, Iterator, Mapping, Optional
+from typing import Callable, Iterable, Iterator, Mapping, Optional, Sized
 
 from . import polys
 from .errors import WorkLimitExceeded
@@ -159,9 +165,11 @@ def settle(system: MapSystem, node: ProjPoint, levels: int, limits: WorkLimits,
 
 
 class _Settled:
-    """The points under one node that settle settled, each built along its
-    path from the node: each point between is built once, and the maps at
-    one point read its one monomial table, made on the first build there."""
+    """Points under one node, each built along its path from the node: the
+    points settle settled, and the first points that the dedupe index
+    (_earlier_words) compares.  Each point between is built once, and the
+    maps at one point read its one monomial table, made on the first build
+    there."""
 
     __slots__ = ("system", "points", "tables")
 
@@ -182,6 +190,12 @@ class _Settled:
             if path[:n] not in self.points:
                 self.points[path[:n]] = self._image(path[:n])
         return self._image(path)
+
+    def kept(self, path: tuple) -> ProjPoint:
+        """The point at path, built on first need and kept."""
+        if path not in self.points:
+            self.points[path] = self.build(path)
+        return self.points[path]
 
 
 @dataclass(frozen=True)
@@ -329,28 +343,62 @@ def iterate_word(orbit: Orbit, n: int,
         yield current
 
 
-def _records(nodes: Iterable[tuple[tuple, ProjPoint]]) -> list[OrbitRecord]:
-    return [OrbitRecord(word, len(word), point) for word, point in nodes]
+def _point_key(point: ProjPoint) -> tuple:
+    """The dedupe index's key of a point.  hash alone is too weak: int hashes
+    are taken mod 2^61 - 1, so 2^m and 2^(m + 61) collide; the coordinates'
+    bit lengths part them.  Any key is exact, since _earlier_words confirms
+    a match by rebuilding the earlier point."""
+    return hash(point), point.x.bit_length(), point.y.bit_length()
+
+
+def _earlier_words(system: MapSystem, root: ProjPoint,
+                   records: Iterable[OrbitRecord]) -> Iterator[tuple]:
+    """Each record of the tree under root with the first word of an earlier
+    record of its point, or None when it is the first (a stand-in always
+    is).  This is the one dedupe index: it lists each first word under its
+    point's _point_key, and compares a point whose key matches with each
+    earlier point of that key, rebuilt exactly along its word from the root
+    (_Settled) on first need and kept.  So equality stays exact equality of
+    normalized coordinates, and the index holds words, not points."""
+    index: dict[tuple, list] = {}
+    rebuilt = _Settled(system, root)
+    for rec in records:
+        earlier = None
+        if isinstance(rec.point, ProjPoint):
+            words = index.setdefault(_point_key(rec.point), [])
+            earlier = next((word for word in words if rebuilt.kept(word) == rec.point), None)
+            if earlier is None:
+                words.append(rec.word)
+        yield rec, earlier
 
 
 def enumerate_tree(system: MapSystem, point: ProjPoint, depth: int,
                    dedupe: bool = False, limits: WorkLimits = DEFAULT_LIMITS,
-                   workers: int = 1,
-                   test: Optional[NodeTest] = None) -> list[OrbitRecord]:
-    """All orbit records to the given depth, in preorder word order, less
-    the nodes that the consumer's test drops (see walk_tree).
+                   workers: int = 1, test: Optional[NodeTest] = None,
+                   fold: Callable[[Iterator[OrbitRecord]], Sized] = list) -> Sized:
+    """fold applied to the orbit records to the given depth, streamed in
+    preorder word order, less the nodes that the consumer's test drops (see
+    walk_tree): by default the list of them.  The node cap is checked before
+    fold is called, and no record is held but those fold keeps.  The tree is
+    walked within this call and fold's result is sized (a fold that writes
+    the records out returns a range over them): perfbench's tracer counts
+    the walk's nodes inside this call and reads the length as the records
+    kept.
 
-    With dedupe=True only the first record per distinct point is kept (the
-    witness word is the lexicographically least, by traversal order).  Output
-    is independent of the worker count.
+    With dedupe=True only the first record per distinct point is streamed
+    (the witness word is the lexicographically least, by traversal order),
+    through the one dedupe index, _earlier_words.  Output is independent of
+    the worker count: with workers > 1 the parts come back whole from
+    fold_tree and stream from there.
     """
-    records = fold_tree(system, point, depth, _records, limits, workers, test)
-    if not dedupe:
-        return records
-    first: dict[ProjPoint, OrbitRecord] = {}
-    for rec in records:
-        first.setdefault(rec.point, rec)
-    return list(first.values())
+    limits.check_nodes(system.k, depth)
+    nodes = (walk_tree(system, point, depth, limits, test=test) if workers <= 1
+             else fold_tree(system, point, depth, list, limits, workers, test))
+    records = (OrbitRecord(word, len(word), node) for word, node in nodes)
+    if dedupe:
+        records = (rec for rec, earlier in _earlier_words(system, point, records)
+                   if earlier is None)
+    return fold(records)
 
 
 @dataclass(frozen=True)
@@ -372,25 +420,29 @@ def hypothesis_check(system: MapSystem, base: ProjPoint, depth: int,
                      limits: WorkLimits = DEFAULT_LIMITS) -> HypothesisReport:
     """Scan the full word tree of the base point for repeated points and for
     points where some system map is totally ramified."""
-    records = enumerate_tree(system, base, depth, dedupe=False, limits=limits)
-    first_word: dict[ProjPoint, tuple] = {}
-    repeat_witness = None
-    ramified_witness = None
-    for rec in records:
-        prior = first_word.get(rec.point)
-        if prior is not None:
-            if repeat_witness is None:
-                repeat_witness = (prior, rec.word, rec.point)
-            continue  # ramification depends only on the point
-        first_word[rec.point] = rec.word
-        if ramified_witness is None:
-            for idx, phi in enumerate(system.maps, start=1):
-                if is_totally_ramified(phi, rec.point):
-                    ramified_witness = (idx, rec.point, rec.word)
-                    break
+    repeat, ramified = enumerate_tree(system, base, depth, limits=limits,
+                                      fold=partial(_hypothesis_witnesses, system, base))
     return HypothesisReport(
-        repeated_point_free=repeat_witness is None,
-        repeat_witness=repeat_witness,
-        totally_ramified_free=ramified_witness is None,
-        ramified_witness=ramified_witness,
+        repeated_point_free=repeat is None,
+        repeat_witness=repeat,
+        totally_ramified_free=ramified is None,
+        ramified_witness=ramified,
         depth_checked=depth)
+
+
+def _hypothesis_witnesses(system: MapSystem, base: ProjPoint,
+                          records: Iterable[OrbitRecord]) -> list:
+    """[repeat witness, ramified witness] of the tree's records, each None
+    when there is none: the first record whose point an earlier record had,
+    and the first map totally ramified at the point of a first record
+    (ramification depends only on the point)."""
+    repeat = ramified = None
+    for rec, earlier in _earlier_words(system, base, records):
+        if earlier is not None:
+            if repeat is None:
+                repeat = (earlier, rec.word, rec.point)
+        elif ramified is None:
+            ramified = next(((idx, rec.point, rec.word)
+                             for idx, phi in enumerate(system.maps, start=1)
+                             if is_totally_ramified(phi, rec.point)), None)
+    return [repeat, ramified]

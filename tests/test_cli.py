@@ -160,6 +160,8 @@ def test_exit_code_internal_fault(tmp_path, capsys, monkeypatch):
     payload = json.loads(err[-1])
     assert payload["kind"] == "internal" and "csv" in payload["error"].lower()
     assert err[0].startswith("Traceback") and "RuntimeError" in err[-2]
+    # Neither the CSV nor its partial file is left behind.
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
 
 
 def test_exit_code_unknown_key(tmp_path, capsys):
