@@ -15,8 +15,7 @@ from .words import Word, WordMode
 from .heights import (HeightEstimate, HeightDifferenceBound, c_bound,
                       canonical_height_word, canonical_height_system,
                       hmin_estimate)
-from .orbits import (Orbit, OrbitRecord, WorkLimits, iterate_word, enumerate_tree,
-                     hypothesis_check)
+from .orbits import Orbit, WorkLimits, iterate_word, enumerate_tree, hypothesis_check
 from .integrality import (quasi_integral_test, gamma_set, s_integral_census,
                           ratio_series, averaged_ratio, GammaVerdict)
 from .bounds import (BoundParameters, RamificationMode, kappa_constants,
@@ -35,8 +34,7 @@ __all__ = [
     "Word", "WordMode",
     "HeightEstimate", "HeightDifferenceBound", "c_bound",
     "canonical_height_word", "canonical_height_system", "hmin_estimate",
-    "Orbit", "OrbitRecord", "WorkLimits", "iterate_word", "enumerate_tree",
-    "hypothesis_check",
+    "Orbit", "WorkLimits", "iterate_word", "enumerate_tree", "hypothesis_check",
     "quasi_integral_test", "gamma_set", "s_integral_census", "ratio_series",
     "averaged_ratio", "GammaVerdict",
     "BoundParameters", "RamificationMode", "kappa_constants", "choose_m",

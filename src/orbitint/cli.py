@@ -111,8 +111,8 @@ def _word_json(word) -> dict:
     return {"letters": list(word.letters), "mode": word.mode.value}
 
 
-def _record_json(rec) -> dict:
-    return {"word": list(rec.word), "n": rec.depth, **_point_json(rec.point)}
+def _record_json(word: tuple, point: ProjPoint) -> dict:
+    return {"word": list(word), "n": len(word), **_point_json(point)}
 
 
 def _interval_json(est, prec: int) -> dict:
@@ -137,21 +137,20 @@ def _hypotheses_json(report) -> dict:
     return out
 
 
-def _orbit_rows(records, prec: int):
-    """Rows (word, n, x, y, height_nats), one at a time, so the writer never
-    holds the formatted dump."""
-    for rec in records:
-        yield ("".join(str(c) for c in rec.word), rec.depth,
-               *_point_json(rec.point).values(),
-               repr(rec.point.height().to_float(prec)))
+def _orbit_rows(nodes, prec: int):
+    """Rows (word, n, x, y, height_nats) of the (word, point) pairs, one at a
+    time, so the writer never holds the formatted dump."""
+    for word, point in nodes:
+        yield ("".join(str(c) for c in word), len(word), *_point_json(point).values(),
+               repr(point.height().to_float(prec)))
 
 
-def _orbit_csv(path: Path, prec: int, records) -> range:
-    """The orbit dump's fold (see orbits.enumerate_tree): each record is
-    written to the CSV at path as it streams from the walk.  The range over
-    the rows written stands for the records, which are not held."""
+def _orbit_csv(path: Path, prec: int, nodes) -> range:
+    """The orbit dump's fold (see orbits.enumerate_tree): each (word, point)
+    pair is written to the CSV at path as it streams from the walk.  The
+    range over the rows written stands for the pairs, which are not held."""
     return range(_write_csv(path, ("word", "n", "x", "y", "height_nats"),
-                            _orbit_rows(records, prec)))
+                            _orbit_rows(nodes, prec)))
 
 
 def _kappa_json(kappa) -> dict:
@@ -165,10 +164,10 @@ def _census_bounds_json(cors, parameters: dict) -> dict:
             "treeCount": cors.tree_count, "parameters": parameters}
 
 
-# Each handler returns (report payload, CSV as (header, rows) or None, summary
-# line); main adds the metadata, writes the files and prints the summary.
-# orbit is the exception: its CSV streams from the walk, so main gives it the
-# CSV's path and it writes the file itself.
+# Each handler takes (config, workers, csv) and returns (report payload,
+# summary line).  csv is the path of the report's CSV, which a handler with a
+# table writes itself; main adds the metadata, writes the JSON report and
+# prints the summary.
 
 
 def _cmd_orbit(config: ExperimentConfig, workers: int, csv: Path):
@@ -194,20 +193,20 @@ def _cmd_orbit(config: ExperimentConfig, workers: int, csv: Path):
         "hypotheses": _hypotheses_json(hypotheses),
         "csv": csv.name,
     }
-    return payload, None, (f"orbit: {len(records)} records to depth {config.depth} "
-                           f"(hypotheses verified to depth {hypotheses.depth_checked}, "
-                           f"not a proof)")
+    return payload, (f"orbit: {len(records)} records to depth {config.depth} "
+                     f"(hypotheses verified to depth {hypotheses.depth_checked}, "
+                     f"not a proof)")
 
 
 def _height_report(sub: str, config: ExperimentConfig, est, **extra):
     estimate = _estimate_json(est, config.precision_bits)
     payload = {"point": _point_json(config.point), "cMode": config.c_mode,
                "estimate": estimate, **extra}
-    return payload, None, (f"{sub}: [{estimate['lo']:.12g}, {estimate['hi']:.12g}] "
-                           f"at depth {est.depth}")
+    return payload, (f"{sub}: [{estimate['lo']:.12g}, {estimate['hi']:.12g}] "
+                     f"at depth {est.depth}")
 
 
-def _cmd_canonical(config: ExperimentConfig, workers: int):
+def _cmd_canonical(config: ExperimentConfig, workers: int, csv: Path):
     est = canonical_height_word(Orbit(config.system, config.word, config.point),
                                 depth=config.height_depth,
                                 bounds=system_bounds(config.system, config.c_mode),
@@ -216,7 +215,7 @@ def _cmd_canonical(config: ExperimentConfig, workers: int):
                           degreeProduct=int_text(est.degree_product))
 
 
-def _cmd_system_height(config: ExperimentConfig, workers: int):
+def _cmd_system_height(config: ExperimentConfig, workers: int, csv: Path):
     est = canonical_height_system(config.system, config.point, config.depth,
                                   bounds=system_bounds(config.system, config.c_mode),
                                   limits=config.limits,
@@ -224,7 +223,7 @@ def _cmd_system_height(config: ExperimentConfig, workers: int):
     return _height_report("system-height", config, est)
 
 
-def _cmd_gamma(config: ExperimentConfig, workers: int):
+def _cmd_gamma(config: ExperimentConfig, workers: int, csv: Path):
     prec = config.precision_bits
     bounds = system_bounds(config.system, config.c_mode)
     record = gamma_set(config.system, config.word, config.places,
@@ -244,7 +243,7 @@ def _cmd_gamma(config: ExperimentConfig, workers: int):
     }
     verdicts = "".join({"in": "I", "out": "O", "ambiguous": "?"}[v.value]
                        for _, v in record.members)
-    return payload, None, f"gamma: verdicts {verdicts} (n=0..{record.depth})"
+    return payload, f"gamma: verdicts {verdicts} (n=0..{record.depth})"
 
 
 def _census_bound(config: ExperimentConfig, params: BoundParameters, bounds):
@@ -264,7 +263,7 @@ def _census_bound(config: ExperimentConfig, params: BoundParameters, bounds):
                                      params)
 
 
-def _cmd_census(config: ExperimentConfig, workers: int):
+def _cmd_census(config: ExperimentConfig, workers: int, csv: Path):
     params = config.bound_parameters
     if params is not None:
         # The tree cap and then the hmin scan's cap, both before the walk, so
@@ -272,14 +271,13 @@ def _cmd_census(config: ExperimentConfig, workers: int):
         config.limits.check_nodes(config.system.k, config.depth)
         config.limits.check_scan(config.system.k, config.hmin_period_bound,
                                  config.height_depth)
-    census = s_integral_census(config.system, config.point, config.places,
-                               config.depth, limits=config.limits,
-                               workers=workers)
+    hits = s_integral_census(config.system, config.point, config.places,
+                             config.depth, limits=config.limits, workers=workers)
     payload = {
-        "S": [str(v) for v in census.places],
-        "depth": census.depth,
-        "count": census.count,
-        "hits": [_record_json(rec) for rec in census.hits],
+        "S": [str(v) for v in config.places],
+        "depth": config.depth,
+        "count": len(hits),
+        "hits": [_record_json(word, point) for word, point in hits],
     }
     if params is not None:
         _, cors = _census_bound(config, params,
@@ -287,17 +285,13 @@ def _cmd_census(config: ExperimentConfig, workers: int):
         if cors is not None:
             payload.update(bound=cors.tree_count,
                            boundDetail=_census_bounds_json(cors, asdict(params)))
-    return (payload, None,
-            f"census: {census.count} S-integral points to depth {config.depth}")
+    return payload, f"census: {len(hits)} S-integral points to depth {config.depth}"
 
 
-def _cmd_ratios(config: ExperimentConfig, workers: int):
+def _cmd_ratios(config: ExperimentConfig, workers: int, csv: Path):
     prec = config.precision_bits
     terms = ratio_series(config.system, config.word, config.point,
                          config.depth, prec=prec, limits=config.limits)
-    table = (("n", "a_bits", "b_bits", "ratio", "verdict"),
-             [(t.n, t.num_bits, t.den_bits, "" if t.ratio is None else repr(t.ratio),
-               t.verdict) for t in terms])
     payload = {
         "terms": [{"n": t.n, "ratio": t.ratio, "verdict": t.verdict} for t in terms],
     }
@@ -306,12 +300,16 @@ def _cmd_ratios(config: ExperimentConfig, workers: int):
                              prec=prec, limits=config.limits)
         payload["averaged"] = {"level": avg.level, "mean": avg.mean,
                                "totalWords": avg.total_words, "excluded": avg.excluded}
+    _write_csv(csv, ("n", "a_bits", "b_bits", "ratio", "verdict"),
+               ((t.n, t.num_bits, t.den_bits, "" if t.ratio is None else repr(t.ratio),
+                 t.verdict) for t in terms))
+    payload["csv"] = csv.name
     defined = [t.ratio for t in terms if t.ratio is not None]
     last = f"{defined[-1]:.6g}" if defined else "none"
-    return payload, table, f"ratios: {len(terms)} terms, last defined ratio {last}"
+    return payload, f"ratios: {len(terms)} terms, last defined ratio {last}"
 
 
-def _cmd_bounds(config: ExperimentConfig, workers: int):
+def _cmd_bounds(config: ExperimentConfig, workers: int, csv: Path):
     prec = config.precision_bits
     params = config.bound_parameters or BoundParameters()
     parameters = asdict(params)
@@ -357,7 +355,7 @@ def _cmd_bounds(config: ExperimentConfig, workers: int):
                                  "parameters": parameters}
     if cors is not None:
         payload["censusBounds"] = _census_bounds_json(cors, parameters)
-    return payload, None, f"bounds: m={chosen.m}, hmin lo={payload['hmin']['lo']:.6g}"
+    return payload, f"bounds: m={chosen.m}, hmin lo={payload['hmin']['lo']:.6g}"
 
 
 def _cmd_verify(seed: int, prec: int):
@@ -369,7 +367,7 @@ def _cmd_verify(seed: int, prec: int):
     payload = {"results": [{"suite": name, "passed": ok, "detail": detail}
                            for name, ok, detail in results]}
     lines.append(f"verify: {passed}/{len(results)} suites passed")
-    return payload, None, "\n".join(lines)
+    return payload, "\n".join(lines)
 
 
 _SUBCOMMANDS = {
@@ -435,7 +433,7 @@ def main(argv=None) -> int:
             prec = DEFAULT_PRECISION if args.precision is None else args.precision
             if prec < MIN_PRECISION:
                 raise ConfigError(f"--precision must be an integer >= {MIN_PRECISION}")
-            payload, table, summary = _cmd_verify(args.seed, prec)
+            payload, summary = _cmd_verify(args.seed, prec)
             stem = f"verify_seed{args.seed}"
         else:
             if args.workers < 1:
@@ -450,14 +448,9 @@ def main(argv=None) -> int:
             # The tree fans out by first letter, so more than k workers sit idle.
             workers = min(args.workers, config.system.k, os.cpu_count() or 1)
             stem = f"{args.subcommand}_{config.canonical_hash()}"
-            if args.subcommand == "orbit":
-                payload, table, summary = _cmd_orbit(config, workers, out / f"{stem}.csv")
-            else:
-                payload, table, summary = _SUBCOMMANDS[args.subcommand](config, workers)
+            payload, summary = _SUBCOMMANDS[args.subcommand](config, workers,
+                                                             out / f"{stem}.csv")
             prec = config.precision_bits
-        if table is not None:
-            _write_csv(out / f"{stem}.csv", *table)
-            payload["csv"] = f"{stem}.csv"
         payload["meta"] = _report_meta(args.subcommand, config, args.seed, prec)
         _write_json(out / f"{stem}.json", payload)
         print(f"{summary} -> {out / (stem + '.json')}")

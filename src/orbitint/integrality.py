@@ -117,21 +117,6 @@ def gamma_set(system: MapSystem, word: Word, s: PlaceSet, base: ProjPoint,
                        est, preperiodic)
 
 
-@dataclass(frozen=True)
-class CensusReport:
-    """S-integral points of the deduplicated orbit tree, each at its first
-    record in preorder; the starting point is never one (see
-    s_integral_census)."""
-
-    hits: tuple
-    depth: int
-    places: PlaceSet
-
-    @property
-    def count(self) -> int:
-        return len(self.hits)
-
-
 # The census screens the leaves of a node of at least polys.ENCLOSE_BITS
 # bits.  The screen's box keeps TOP_BITS bits of the smaller coordinate, and
 # at most polys.BOX_BITS of the larger; it reads v_p modulo p^RESIDUE_DIGITS
@@ -194,33 +179,31 @@ class NonUnitLeaves:
 
 def s_integral_census(system: MapSystem, point: ProjPoint, s: PlaceSet,
                       depth: int, limits: WorkLimits = DEFAULT_LIMITS,
-                      workers: int = 1) -> CensusReport:
-    """Distinct orbit points with S-integral affine coordinate, each at its
-    first record in preorder; the point at infinity has none and is
-    skipped.  Orbit points are canonical, so y is the reduced denominator of
-    the affine coordinate.  The tree is deduplicated before depth 0 is
-    dropped, so the starting point is never a hit, even where a word of
-    length >= 1 returns to it.
+                      workers: int = 1) -> tuple:
+    """The (word, point) pairs of the distinct orbit points with S-integral
+    affine coordinate, each at its first word in preorder; the point at
+    infinity has none and is skipped.  Orbit points are canonical, so y is
+    the reduced denominator of the affine coordinate.  The tree is
+    deduplicated before the root is dropped, so the starting point is never
+    a hit, even where a word of length >= 1 returns to it.
 
     Leaves that NonUnitLeaves rules out are never built, nor are the
     last-level nodes it rules out together with their leaves.
-    Such a record is not an S-unit point, and neither is any other record
-    of its point, so dropping it removes no hit and changes no hit's first
-    record.
+    Such a node is not an S-unit point, and neither is any other node of
+    its point, so dropping it removes no hit and changes no hit's first
+    word.
     """
     if not s.contains_infinite:
         raise ValueError("S must contain the archimedean place")
-    hits = enumerate_tree(system, point, depth, dedupe=True, limits=limits,
+    return enumerate_tree(system, point, depth, dedupe=True, limits=limits,
                           workers=workers, test=NonUnitLeaves(s), fold=partial(_hits, s))
-    return CensusReport(hits, depth, s)
 
 
-def _hits(s: PlaceSet, records) -> tuple:
-    """The census's fold: the records past the root with S-integral affine
-    coordinate."""
-    return tuple(rec for rec in records
-                 if rec.depth > 0 and not rec.point.is_infinite
-                 and is_s_unit(rec.point.y, s))
+def _hits(s: PlaceSet, nodes) -> tuple:
+    """The census's fold: the (word, point) pairs past the root with
+    S-integral affine coordinate."""
+    return tuple((word, point) for word, point in nodes
+                 if word and not point.is_infinite and is_s_unit(point.y, s))
 
 
 @dataclass(frozen=True)
@@ -292,7 +275,7 @@ def averaged_ratio(system: MapSystem, point: ProjPoint, level: int,
     return AveragedRatio(level, mean, system.k ** level, len(leaves) - len(ratios))
 
 
-def _leaf_ratios(level: int, prec: int, records) -> list[Optional[float]]:
-    """averaged_ratio's fold: the ratio of each record at the level, None
+def _leaf_ratios(level: int, prec: int, nodes) -> list[Optional[float]]:
+    """averaged_ratio's fold: the ratio of each point at the level, None
     where it has none."""
-    return [_ratio_term(level, rec.point, prec).ratio for rec in records if rec.depth == level]
+    return [_ratio_term(level, point, prec).ratio for word, point in nodes if len(word) == level]

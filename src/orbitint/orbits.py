@@ -18,9 +18,9 @@ bit-checked), and the one source of the degree products D_n.
 coordinate-size measure, `fits_bits` the one bit-cap test (`fits` applies
 it to a point), `check_nodes` and `check_scan` the node-cap tests (of a
 tree and of an hmin scan) and `cycle_scan` the one cycle budget.
-`enumerate_tree` streams the tree's records into a consumer's fold, so no
-record is held that the consumer does not keep.  Point equality is exact
-equality of normalized coordinates: the one dedupe index,
+`enumerate_tree` streams the walk's (word, point) pairs into a consumer's
+fold, so no node is held that the consumer does not keep.  Point equality
+is exact equality of normalized coordinates: the one dedupe index,
 `_earlier_words`, keeps each distinct point's first word under a cheap key
 and confirms a key match by rebuilding the earlier point along its word
 (`_Settled`).
@@ -198,15 +198,6 @@ class _Settled:
         return self.points[path]
 
 
-@dataclass(frozen=True)
-class OrbitRecord:
-    """A reached point and the word prefix that reached it."""
-
-    word: tuple
-    depth: int
-    point: ProjPoint
-
-
 class Orbit:
     """The orbit of a point along a word: points is the list Phi^0(P), ...,
     as far as built.  orbit[n] builds each missing point up to Phi^n(P),
@@ -352,40 +343,41 @@ def _point_key(point: ProjPoint) -> tuple:
 
 
 def _earlier_words(system: MapSystem, root: ProjPoint,
-                   records: Iterable[OrbitRecord]) -> Iterator[tuple]:
-    """Each record of the tree under root with the first word of an earlier
-    record of its point, or None when it is the first (a stand-in always
-    is).  This is the one dedupe index: it lists each first word under its
-    point's _point_key, and compares a point whose key matches with each
-    earlier point of that key, rebuilt exactly along its word from the root
-    (_Settled) on first need and kept.  So equality stays exact equality of
-    normalized coordinates, and the index holds words, not points."""
+                   nodes: Iterable[tuple[tuple, object]]) -> Iterator[tuple]:
+    """(word, node, earlier) for each (word, node) pair of the tree under
+    root: earlier is the first word of an earlier pair of its point, or None
+    when it is the first (a stand-in always is).  This is the one dedupe
+    index: it lists each first word under its point's _point_key, and
+    compares a point whose key matches with each earlier point of that key,
+    rebuilt exactly along its word from the root (_Settled) on first need
+    and kept.  So equality stays exact equality of normalized coordinates,
+    and the index holds words, not points."""
     index: dict[tuple, list] = {}
     rebuilt = _Settled(system, root)
-    for rec in records:
+    for word, node in nodes:
         earlier = None
-        if isinstance(rec.point, ProjPoint):
-            words = index.setdefault(_point_key(rec.point), [])
-            earlier = next((word for word in words if rebuilt.kept(word) == rec.point), None)
+        if isinstance(node, ProjPoint):
+            words = index.setdefault(_point_key(node), [])
+            earlier = next((first for first in words if rebuilt.kept(first) == node), None)
             if earlier is None:
-                words.append(rec.word)
-        yield rec, earlier
+                words.append(word)
+        yield word, node, earlier
 
 
 def enumerate_tree(system: MapSystem, point: ProjPoint, depth: int,
                    dedupe: bool = False, limits: WorkLimits = DEFAULT_LIMITS,
                    workers: int = 1, test: Optional[NodeTest] = None,
-                   fold: Callable[[Iterator[OrbitRecord]], Sized] = list) -> Sized:
-    """fold applied to the orbit records to the given depth, streamed in
-    preorder word order, less the nodes that the consumer's test drops (see
-    walk_tree): by default the list of them.  The node cap is checked before
-    fold is called, and no record is held but those fold keeps.  The tree is
-    walked within this call and fold's result is sized (a fold that writes
-    the records out returns a range over them): perfbench's tracer counts
-    the walk's nodes inside this call and reads the length as the records
-    kept.
+                   fold: Callable[[Iterator[tuple[tuple, object]]], Sized] = list) -> Sized:
+    """fold applied to the walk's (word, point) pairs to the given depth,
+    streamed in preorder word order, less the nodes that the consumer's test
+    drops (see walk_tree): by default the list of them.  The node cap is
+    checked before fold is called, and no pair is held but those fold keeps.
+    The tree is walked within this call and fold's result is sized (a fold
+    that writes the pairs out returns a range over them): perfbench's tracer
+    counts the walk's nodes inside this call and reads the length as the
+    pairs kept.
 
-    With dedupe=True only the first record per distinct point is streamed
+    With dedupe=True only the first pair per distinct point is streamed
     (the witness word is the lexicographically least, by traversal order),
     through the one dedupe index, _earlier_words.  Output is independent of
     the worker count: with workers > 1 the parts come back whole from
@@ -394,11 +386,10 @@ def enumerate_tree(system: MapSystem, point: ProjPoint, depth: int,
     limits.check_nodes(system.k, depth)
     nodes = (walk_tree(system, point, depth, limits, test=test) if workers <= 1
              else fold_tree(system, point, depth, list, limits, workers, test))
-    records = (OrbitRecord(word, len(word), node) for word, node in nodes)
     if dedupe:
-        records = (rec for rec, earlier in _earlier_words(system, point, records)
-                   if earlier is None)
-    return fold(records)
+        nodes = ((word, node) for word, node, earlier in _earlier_words(system, point, nodes)
+                 if earlier is None)
+    return fold(nodes)
 
 
 @dataclass(frozen=True)
@@ -431,18 +422,18 @@ def hypothesis_check(system: MapSystem, base: ProjPoint, depth: int,
 
 
 def _hypothesis_witnesses(system: MapSystem, base: ProjPoint,
-                          records: Iterable[OrbitRecord]) -> list:
-    """[repeat witness, ramified witness] of the tree's records, each None
-    when there is none: the first record whose point an earlier record had,
-    and the first map totally ramified at the point of a first record
+                          nodes: Iterable[tuple[tuple, ProjPoint]]) -> list:
+    """[repeat witness, ramified witness] of the tree's (word, point) pairs,
+    each None when there is none: the first pair whose point an earlier pair
+    had, and the first map totally ramified at the point of a first pair
     (ramification depends only on the point)."""
     repeat = ramified = None
-    for rec, earlier in _earlier_words(system, base, records):
+    for word, point, earlier in _earlier_words(system, base, nodes):
         if earlier is not None:
             if repeat is None:
-                repeat = (earlier, rec.word, rec.point)
+                repeat = (earlier, word, point)
         elif ramified is None:
-            ramified = next(((idx, rec.point, rec.word)
+            ramified = next(((idx, point, word)
                              for idx, phi in enumerate(system.maps, start=1)
-                             if is_totally_ramified(phi, rec.point)), None)
+                             if is_totally_ramified(phi, point)), None)
     return [repeat, ramified]

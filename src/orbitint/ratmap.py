@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 import re
+import sys
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
@@ -145,6 +146,17 @@ def make_map(f_coeffs: Sequence, g_coeffs: Sequence) -> RatMap:
 _TERM_RE = re.compile(r"^([+-]?\d*)\*?(z(?:\^(\d+))?)?$")
 
 
+def _exponent(digits: str) -> int:
+    """The exponent written as digits.  It indexes the dense coefficient
+    list, so one of sys.maxsize or more is a MapError, raised before anything
+    is allocated, and so is one too long for int() to read."""
+    digits = digits.lstrip("0") or "0"
+    if len(digits) > len(str(sys.maxsize)) or int(digits) >= sys.maxsize:
+        shown = digits if len(digits) <= 32 else f"of {len(digits)} digits"
+        raise MapError(f"exponent {shown} is too large to index a coefficient list")
+    return int(digits)
+
+
 def _parse_poly(text: str) -> list[int]:
     text = text.strip()
     if text.startswith("(") and text.endswith(")"):
@@ -172,7 +184,7 @@ def _parse_poly(text: str) -> list[int]:
         if z_part is None:
             exp = 0
         else:
-            exp = int(exp_text) if exp_text else 1
+            exp = _exponent(exp_text) if exp_text else 1
         coeffs[exp] = coeffs.get(exp, 0) + coeff
     out = [0] * (max(coeffs) + 1)
     for e, c in coeffs.items():

@@ -360,16 +360,16 @@ def check_census_gamma_consistency(rng: random.Random, prec: int) -> tuple[bool,
     word = Word.periodic([1])
     s = PlaceSet([INFINITE_PLACE])
     p = normalize(2)
-    census = s_integral_census(system, p, s, depth=4)
+    hits = s_integral_census(system, p, s, depth=4)
     record = gamma_set(system, word, s, INFINITY, p, Fraction(1, 2), depth=4, prec=prec)
     verdicts = record.verdicts()
     bounds = system_bounds(system)
     gap = (system_c(bounds) * 4).to_float(prec)
-    for rec in census.hits:
-        if rec.point.height().to_float(prec) >= gap:
-            if verdicts[rec.depth] is not GammaVerdict.IN:
-                return False, f"hit at depth {rec.depth} missing from the proximity set"
-    return True, f"{census.count} hits checked"
+    for hit_word, point in hits:
+        if point.height().to_float(prec) >= gap:
+            if verdicts[len(hit_word)] is not GammaVerdict.IN:
+                return False, f"hit at depth {len(hit_word)} missing from the proximity set"
+    return True, f"{len(hits)} hits checked"
 
 
 def check_quasi_integral_boundary(rng: random.Random, prec: int) -> tuple[bool, str]:

@@ -1,6 +1,6 @@
 """The census's leaf test: a leaf it rules out is never an S-unit point, and
 the census with the test equals its definition, the deduplicated tree
-filtered by is_s_unit, record for record."""
+filtered by is_s_unit, pair for pair."""
 
 import json
 import random
@@ -23,10 +23,9 @@ PLACE_SETS = [["inf"], ["inf", "p2"], ["inf", "p2", "p3"], ["inf", "p2", "p5"]]
 
 
 def definition(system, point, s, depth):
-    """The census as defined: every record built, deduplicated, filtered."""
-    return [rec for rec in enumerate_tree(system, point, depth, dedupe=True)
-            if rec.depth > 0 and not rec.point.is_infinite
-            and is_s_unit(rec.point.y, s)]
+    """The census as defined: every node built, deduplicated, filtered."""
+    return [(word, node) for word, node in enumerate_tree(system, point, depth, dedupe=True)
+            if word and not node.is_infinite and is_s_unit(node.y, s)]
 
 
 def assert_sound(system, node, s):
@@ -60,7 +59,7 @@ def test_census_equals_definition_on_random_systems(monkeypatch):
         s = PlaceSet.parse(PLACE_SETS[seed % 4])
         expected = definition(system, point, s, depth)
         calls.clear()
-        assert s_integral_census(system, point, s, depth).hits == tuple(expected)
+        assert s_integral_census(system, point, s, depth) == tuple(expected)
         screened += len(calls) < orbits._tree_size(system.k, depth) - 1
     # Most trees have leaves the test rules out (an orbit of integers has
     # none: every leaf is a hit).
@@ -73,7 +72,7 @@ def test_census_equals_definition_for_each_place_set(names):
     for text, point in (("bounds_mixed", normalize(-3)),
                         ("census_hypothesis_pair", normalize(1, 2))):
         config = parse_config(json.loads((CONFIGS / f"{text}.json").read_text(encoding="utf-8")))
-        assert s_integral_census(config.system, point, s, 8).hits \
+        assert s_integral_census(config.system, point, s, 8) \
             == tuple(definition(config.system, point, s, 8))
 
 
@@ -87,7 +86,7 @@ def test_every_node_is_screened_when_the_threshold_is_lifted(monkeypatch):
         point = normalize(rng.randrange(-30, 31), rng.randrange(1, 8))
         s = PlaceSet.parse(PLACE_SETS[trial % 4])
         depth = 6 if system.k == 2 else 8
-        assert s_integral_census(system, point, s, depth).hits \
+        assert s_integral_census(system, point, s, depth) \
             == tuple(definition(system, point, s, depth))
 
 
@@ -161,8 +160,8 @@ def test_bounds_mixed_census_builds_few_leaves(monkeypatch):
     calls = []
     monkeypatch.setattr(orbits, "eval_point",
                         lambda *args: calls.append(1) or eval_point(*args))
-    census = s_integral_census(config.system, normalize(3), config.places, 11)
-    assert census.count == 11 and census.hits == tuple(expected)
+    hits = s_integral_census(config.system, normalize(3), config.places, 11)
+    assert len(hits) == 11 and hits == tuple(expected)
     assert len(calls) <= 2_100  # 4,094 with every leaf built
 
 
@@ -179,7 +178,7 @@ def test_census_at_depth_9_on_shipped_configs(path, workers, tmp_path):
                  "--workers", str(workers)]) == 0
     report = json.loads(next(out.glob("census_*.json")).read_text(encoding="utf-8"))
     expected = definition(config.system, config.point, config.places, 9)
-    assert report["hits"] == [_record_json(rec) for rec in expected]
+    assert report["hits"] == [_record_json(word, point) for word, point in expected]
     assert report["count"] == len(expected)
 
 
@@ -208,7 +207,7 @@ def census_matches_at_depth_2(system, node, s, monkeypatch):
                         lambda *args: calls.append(1) or eval_point(*args))
     for workers in (1, 2):
         calls.clear()
-        assert s_integral_census(system, node, s, 2, workers=workers).hits == expected
+        assert s_integral_census(system, node, s, 2, workers=workers) == expected
     assert len(calls) == system.k - len(NonUnitLeaves(s)(system, node, 2, WorkLimits()))
     return expected
 
@@ -241,7 +240,7 @@ def test_twig_test_lifted_to_every_node_for_both_worker_counts(monkeypatch):
         expected = tuple(definition(system, point, s, depth))
         for workers in (2, 1):
             calls.clear()
-            assert s_integral_census(system, point, s, depth, workers=workers).hits == expected
+            assert s_integral_census(system, point, s, depth, workers=workers) == expected
         built = len(calls)   # the serial run's: the counter sees no worker
         calls.clear()
         # The leaf test alone: the census's test at the last level only.
@@ -261,7 +260,7 @@ def test_child_that_is_a_hit_is_built(monkeypatch):
     s = PlaceSet.parse(["inf", "p2"])
     assert assert_twigs_sound(system, node, s) == {1}
     assert ((2,), eval_point(system.maps[1], node)) in \
-        [(rec.word, rec.point) for rec in census_matches_at_depth_2(system, node, s, monkeypatch)]
+        census_matches_at_depth_2(system, node, s, monkeypatch)
 
 
 def test_child_whose_leaf_straddles_zero_is_built(monkeypatch):
@@ -273,7 +272,7 @@ def test_child_whose_leaf_straddles_zero_is_built(monkeypatch):
     s = PlaceSet.parse(["inf"])
     assert 1 in NonUnitLeaves(s)(system, node, 1, WorkLimits())
     assert 1 not in assert_twigs_sound(system, node, s)
-    assert (1, 2) in [rec.word for rec in census_matches_at_depth_2(system, node, s, monkeypatch)]
+    assert (1, 2) in [word for word, _ in census_matches_at_depth_2(system, node, s, monkeypatch)]
 
 
 def test_child_under_a_common_factor_divisible_by_p_is_built(monkeypatch):
@@ -290,7 +289,7 @@ def test_child_under_a_common_factor_divisible_by_p_is_built(monkeypatch):
     assert eval_point(system.maps[0], node) == ProjPoint(3 ** 1299, b * b)
     assert 1 in NonUnitLeaves(s)(system, node, 1, WorkLimits())
     assert 1 not in assert_twigs_sound(system, node, s)
-    assert (1, 2) in [rec.word for rec in census_matches_at_depth_2(system, node, s, monkeypatch)]
+    assert (1, 2) in [word for word, _ in census_matches_at_depth_2(system, node, s, monkeypatch)]
 
 
 def test_bounds_mixed_census_builds_few_nodes(monkeypatch):
@@ -298,8 +297,7 @@ def test_bounds_mixed_census_builds_few_nodes(monkeypatch):
     calls = []
     monkeypatch.setattr(orbits, "eval_point",
                         lambda *args: calls.append(1) or eval_point(*args))
-    census = s_integral_census(config.system, normalize(3), config.places, 11)
-    assert census.count == 11
+    assert len(s_integral_census(config.system, normalize(3), config.places, 11)) == 11
     assert len(calls) <= 1_100  # 2,049 with the leaf test alone
 
 

@@ -147,6 +147,26 @@ def test_exit_code_validation_error(tmp_path, capsys):
     assert payload["kind"] == "validation"
 
 
+# An exponent too large to index the dense coefficient list, or too long for
+# int() to read under the interpreter's digit limit, is a validation error
+# that names the map, raised before anything is allocated.
+@pytest.mark.parametrize("exponent, shown", [
+    ("9223372036854775807", "exponent 9223372036854775807"),
+    ("9" * 5000, "exponent of 5000 digits"),
+], ids=["past-an-index", "past-the-digit-limit"])
+def test_huge_exponent_is_a_validation_error(tmp_path, capsys, exponent, shown):
+    cfg = write_config(tmp_path, {"system": {"maps": ["z^2", f"z^{exponent}+1"]},
+                                  "point": "2"})
+    out = tmp_path / "out"
+    assert main(["census", "--config", cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    payload = json.loads(err[-1])
+    assert payload["kind"] == "validation" and len(err) == 1
+    assert payload["error"].startswith(f"invalid map 'z^{exponent}+1': {shown} is too large")
+    assert "set_int_max_str_digits" not in payload["error"]
+    assert not out.exists()
+
+
 def test_exit_code_internal_fault(tmp_path, capsys, monkeypatch):
     # A fault of the program, here a CSV row the writer refuses, is neither a
     # validation error (2) nor a failed verify suite (1).

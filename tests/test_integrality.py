@@ -125,21 +125,19 @@ def test_gamma_epsilon_monotonicity(pair_system):
 
 
 def test_census_examples(z2, recip_square):
-    report = s_integral_census(MapSystem([recip_square]), normalize(2, 1), S_INF, 4)
-    assert [rec.point for rec in report.hits] == [ProjPoint(16, 1), ProjPoint(65536, 1)]
-    assert report.count == 2
+    hits = s_integral_census(MapSystem([recip_square]), normalize(2, 1), S_INF, 4)
+    assert hits == (((1, 1), ProjPoint(16, 1)), ((1, 1, 1, 1), ProjPoint(65536, 1)))
 
-    report = s_integral_census(MapSystem([z2]), normalize(2, 1), S_INF, 4)
-    assert [rec.point for rec in report.hits] == [ProjPoint(v, 1)
-                                                  for v in (4, 16, 256, 65536)]
+    hits = s_integral_census(MapSystem([z2]), normalize(2, 1), S_INF, 4)
+    assert [point for _, point in hits] == [ProjPoint(v, 1) for v in (4, 16, 256, 65536)]
 
-    report = s_integral_census(MapSystem([z2]), INFINITY, S_INF, 3)
-    assert report.count == 0  # no affine coordinate anywhere
+    hits = s_integral_census(MapSystem([z2]), INFINITY, S_INF, 3)
+    assert hits == ()  # no affine coordinate anywhere
 
 
 def test_census_excludes_start_and_dedupes(pair_system):
-    report = s_integral_census(pair_system, normalize(2, 1), S_INF, 2)
-    values = [Fraction(rec.point.x, rec.point.y) for rec in report.hits]
+    hits = s_integral_census(pair_system, normalize(2, 1), S_INF, 2)
+    values = [Fraction(point.x, point.y) for _, point in hits]
     assert Fraction(2) not in values
     assert len(values) == len(set(values))
     assert set(values) == {4, 8, 16, 64, 512}
@@ -150,19 +148,18 @@ def test_census_never_counts_a_recurring_root(z2_minus_1):
     point is no hit even where longer words return to it: z^2 - 1 and z^3
     take 0 back to 0 by (2,) and (1, 1), and only [-1 : 1] counts."""
     system = MapSystem([z2_minus_1, parse_map("z^3")])
-    reached = {rec.word: rec.point for rec in enumerate_tree(system, ZERO, 3)}
+    reached = dict(enumerate_tree(system, ZERO, 3))
     assert reached[(2,)] == reached[(1, 1)] == ZERO
-    report = s_integral_census(system, ZERO, S_INF, 3)
-    assert [(rec.word, rec.point) for rec in report.hits] == [((1,), ProjPoint(-1, 1))]
+    assert s_integral_census(system, ZERO, S_INF, 3) == (((1,), ProjPoint(-1, 1)),)
 
 
 def test_census_reads_denominators_without_fractions():
     system = MapSystem([parse_map("(z^2-1)/(z^2+1)"), parse_map("z^3-2")])
     s = PlaceSet.parse(["inf", "p2"])
     start = ProjPoint(3, 1)
-    expected = [rec for rec in enumerate_tree(system, start, 5, dedupe=True)
-                if rec.depth > 0 and not rec.point.is_infinite
-                and is_s_integer(Fraction(rec.point.x, rec.point.y), s)]
+    expected = [(word, point) for word, point in enumerate_tree(system, start, 5, dedupe=True)
+                if word and not point.is_infinite
+                and is_s_integer(Fraction(point.x, point.y), s)]
     built = []
 
     def count_fractions(frame, event, arg):
@@ -172,11 +169,11 @@ def test_census_reads_denominators_without_fractions():
     previous = sys.getprofile()
     sys.setprofile(count_fractions)
     try:
-        report = s_integral_census(system, start, s, 5)
+        hits = s_integral_census(system, start, s, 5)
     finally:
         sys.setprofile(previous)
     assert built == []
-    assert expected and list(report.hits) == expected
+    assert expected and list(hits) == expected
 
 
 def test_census_requires_infinite_place(z2):
@@ -191,14 +188,14 @@ def test_census_gamma_consistency(recip_square):
     from orbitint.heights import system_bounds, system_c
 
     system = MapSystem([recip_square])
-    census = s_integral_census(system, normalize(2, 1), S_INF, 4)
+    hits = s_integral_census(system, normalize(2, 1), S_INF, 4)
     record = gamma_set(system, Word.periodic([1]), S_INF, INFINITY,
                        normalize(2, 1), Fraction(1, 2), 4)
     verdicts = record.verdicts()
     gap = (system_c(system_bounds(system)) * 4).to_float()
-    for rec in census.hits:
-        if rec.point.height().to_float() >= gap:
-            assert verdicts[rec.depth] is GammaVerdict.IN
+    for word, point in hits:
+        if point.height().to_float() >= gap:
+            assert verdicts[len(word)] is GammaVerdict.IN
 
 
 def test_ratio_series_example():

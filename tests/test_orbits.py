@@ -36,23 +36,23 @@ def test_iterate_word_examples(pair_system, z2):
 
 def test_enumerate_tree_examples(pair_system):
     records = enumerate_tree(pair_system, normalize(2, 1), 2, dedupe=True)
-    assert sorted(r.point.x for r in records) == [2, 4, 8, 16, 64, 512]
-    by_x = {r.point.x: r.word for r in records}
+    assert sorted(point.x for _, point in records) == [2, 4, 8, 16, 64, 512]
+    by_x = {point.x: word for word, point in records}
     assert by_x[64] == (1, 2)  # first witness in preorder
 
     assert len(enumerate_tree(pair_system, normalize(2, 1), 0)) == 1
 
     ones = enumerate_tree(pair_system, ProjPoint(1, 1), 3, dedupe=True)
-    assert [r.point for r in ones] == [ProjPoint(1, 1)]
+    assert ones == [((), ProjPoint(1, 1))]
 
 
 def test_enumerate_tree_order_and_monotonicity(pair_system):
     full = enumerate_tree(pair_system, normalize(2, 1), 3)
-    words = [r.word for r in full]
+    words = [word for word, _ in full]
     assert words == sorted(words)  # preorder = lexicographic with prefixes first
     assert len(full) == 1 + 2 + 4 + 8
     shallow = enumerate_tree(pair_system, normalize(2, 1), 2)
-    assert [r.word for r in shallow] == [w for w in words if len(w) <= 2]
+    assert [word for word, _ in shallow] == [w for w in words if len(w) <= 2]
 
 
 def test_dedupe_is_set_image(pair_system):
@@ -62,8 +62,8 @@ def test_dedupe_is_set_image(pair_system):
         p = random_point(rng, 20)
         full = enumerate_tree(system, p, 3)
         deduped = enumerate_tree(system, p, 3, dedupe=True)
-        assert {r.point for r in full} == {r.point for r in deduped}
-        assert len({r.point for r in deduped}) == len(deduped)
+        assert {point for _, point in full} == {point for _, point in deduped}
+        assert len({point for _, point in deduped}) == len(deduped)
 
 
 def test_workers_match_serial(pair_system):
@@ -125,7 +125,7 @@ class SkipLetters:
 def test_skip_applies_at_the_last_level_only(pair_system):
     for depth in (1, 2, 4):
         full = enumerate_tree(pair_system, normalize(2, 1), depth)
-        expected = [r for r in full if not (r.depth == depth and r.word[-1] == 1)]
+        expected = [(w, p) for w, p in full if not (len(w) == depth and w[-1] == 1)]
         assert len(expected) == len(full) - 2 ** (depth - 1)
         for workers in (1, 2):
             assert enumerate_tree(pair_system, normalize(2, 1), depth, workers=workers,
@@ -147,14 +147,12 @@ def test_a_stand_in_is_yielded_and_never_expanded(pair_system):
     """At any level a stand-in takes its child's place in the walk and its
     subtree is not walked; one settled at the root's children is folded in
     this process, in letter order, under any worker count."""
-    from orbitint.orbits import OrbitRecord
-
     for depth in (2, 3, 4):
         full = enumerate_tree(pair_system, normalize(2, 1), depth)
         for level in sorted({1, 2, depth}):
             at = depth - level + 1   # the length of a settled child's word
-            expected = [OrbitRecord(r.word, r.depth, "settled") if r.depth == at and r.word[-1] == 1
-                        else r for r in full if not (r.depth > at and r.word[at - 1] == 1)]
+            expected = [(w, "settled") if len(w) == at and w[-1] == 1
+                        else (w, p) for w, p in full if not (len(w) > at and w[at - 1] == 1)]
             for workers in (1, 2):
                 assert enumerate_tree(pair_system, normalize(2, 1), depth, workers=workers,
                                       test=SettleLetter(level)) == expected

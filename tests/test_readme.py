@@ -20,8 +20,8 @@ def test_library_tour_runs():
     namespace: dict = {}
     exec(compile(tour, "README.md", "exec"), namespace)
     assert contains(namespace["est"], LogExpr.log_int(2))
-    assert [rec.point for rec in namespace["census"].hits] == [ProjPoint(16, 1),
-                                                               ProjPoint(65536, 1)]
+    assert [point for _, point in namespace["census"]] == [ProjPoint(16, 1),
+                                                           ProjPoint(65536, 1)]
 
 
 def test_public_api_list_is_all():

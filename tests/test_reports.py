@@ -13,6 +13,7 @@ from pathlib import Path
 
 import pytest
 
+import orbitint.cli as cli
 from orbitint.cli import (_cmd_ratios, _orbit_rows, _point_json, _record_json,
                           _write_csv, main)
 from orbitint.config import load_config
@@ -73,7 +74,7 @@ def test_census_of_huge_points_serializes():
     # 3^(2^14) has 7,818 decimal digits, past the default limit.
     z2 = MapSystem([make_map([0, 0, 1], [1])])
     census = s_integral_census(z2, ProjPoint(3, 1), PlaceSet.parse(["inf"]), 14)
-    hits = json.loads(json.dumps([_record_json(rec) for rec in census.hits]))
+    hits = json.loads(json.dumps([_record_json(word, point) for word, point in census]))
     last = hits[-1]
     assert last["n"] == 14 and int(last["x"], 16) == 3 ** (1 << 14)
 
@@ -164,11 +165,22 @@ def test_orbit_csv_bytes_match_the_csv_module(tmp_path):
             == _csv_module_bytes(tmp_path / "ref.csv", header, rows))
 
 
-def test_ratios_csv_bytes_match_the_csv_module(tmp_path):
-    # The orbit of 2 starts at 2/1, whose ratio field is empty.
-    _, (header, rows), _ = _cmd_ratios(load_config(CONFIGS / "ratios_quadratic.json"), 1)
+def test_ratios_csv_bytes_match_the_csv_module(tmp_path, monkeypatch):
+    # The orbit of 2 starts at 2/1, whose ratio field is empty.  The handler
+    # writes its table; the rows it hands the writer are kept for the
+    # reference.
+    tables = []
+
+    def keep_rows(path, header, rows):
+        tables.append((header, list(rows)))
+        return _write_csv(path, header, tables[-1][1])
+
+    monkeypatch.setattr(cli, "_write_csv", keep_rows)
+    payload, _ = _cmd_ratios(load_config(CONFIGS / "ratios_quadratic.json"), 1,
+                             tmp_path / "fast.csv")
+    [(header, rows)] = tables
+    assert payload["csv"] == "fast.csv"
     assert any(row[3] == "" for row in rows) and any(row[3] != "" for row in rows)
-    _write_csv(tmp_path / "fast.csv", header, rows)
     assert ((tmp_path / "fast.csv").read_bytes()
             == _csv_module_bytes(tmp_path / "ref.csv", header, rows))
 

@@ -113,4 +113,4 @@ def test_a_walk_with_no_test_does_no_settle_work(monkeypatch):
     for workers in (1, 2):
         records = enumerate_tree(PAIR, BIG, 3, workers=workers)
         assert len(records) == 15
-        assert all(type(rec.point) is ProjPoint for rec in records)
+        assert all(type(point) is ProjPoint for _, point in records)

@@ -1,5 +1,5 @@
-"""The orbit tree streams: enumerate_tree folds its records as the walk makes
-them, through one exact dedupe index (orbits._earlier_words), and the orbit
+"""The orbit tree streams: enumerate_tree folds its (word, point) pairs as the
+walk makes them, through one exact dedupe index (orbits._earlier_words), and the orbit
 CSV is written row by row to a file that replaces the report only once the
 run has succeeded."""
 
@@ -71,7 +71,7 @@ def test_point_key_parts_what_hash_alone_does_not():
     from 2 the powers 2^m and 2^(m + 61) collide; the bit lengths part
     them, so this tree's distinct points have distinct keys."""
     config = load_config(CONFIGS / "orbit_pair.json")
-    points = {rec.point for rec in enumerate_tree(config.system, config.point, 11)}
+    points = {point for _, point in enumerate_tree(config.system, config.point, 11)}
     assert len({hash(p) for p in points}) < len(points) == 78
     assert len({orbits._point_key(p) for p in points}) == len(points)
 
@@ -88,14 +88,14 @@ def _runs(tmp_path, raw, depth, tag):
                          "--workers", workers, "--out", str(path)]) == 0
             out[sub, workers] = _digests(path)
     config = parse_config({**raw, "depth": depth})
-    census = s_integral_census(config.system, config.point, config.places, depth)
+    hits = s_integral_census(config.system, config.point, config.places, depth)
     report = hypothesis_check(config.system, config.point, depth)
-    return out, census.hits, report
+    return out, hits, report
 
 
 @pytest.mark.parametrize("name, depth", [("orbit_pair", 8), ("bounds_mixed", 6)])
 def test_dedupe_is_exact_whatever_the_key(tmp_path, monkeypatch, name, depth):
-    """With every point under one key, each record is compared with every
+    """With every point under one key, each node is compared with every
     earlier first point, rebuilt from the root: the reports, the census hits
     and the hypothesis witnesses do not change."""
     raw = _raw(name)
@@ -191,9 +191,11 @@ def _functions(tree):
 
 
 def _keys_by_point(func):
-    """Expressions in func that key a dict or set by a record's point."""
+    """Expressions in func that key a dict or set by a tree node's point: an
+    attribute .point, or a name point or node, as a walk's pairs unpack."""
     def is_point(node):
-        return isinstance(node, ast.Attribute) and node.attr == "point"
+        return (isinstance(node, ast.Attribute) and node.attr == "point"
+                or isinstance(node, ast.Name) and node.id in ("point", "node"))
 
     found = []
     for node in ast.walk(func):
@@ -211,7 +213,7 @@ def _keys_by_point(func):
 
 
 def test_one_dedupe_site():
-    """No src function keys a dict or set by record points: the one dedupe
+    """No src function keys a dict or set by tree points: the one dedupe
     is orbits._earlier_words, which holds words, and both enumerate_tree and
     hypothesis_check read it."""
     keyed = {f"{path.stem}.{func.name}": _keys_by_point(func)

@@ -388,11 +388,11 @@ def test_stand_ins_at_a_large_root(evaluations, root, depth, workers):
     assert_exact_leaf_formula(config.system, point, depth, config.precision_bits, workers,
                               system_bounds(config.system, config.c_mode))
     height_calls = len(evaluations)
-    expected = tuple(rec for rec in enumerate_tree(config.system, point, depth, dedupe=True)
-                     if rec.depth > 0 and not rec.point.is_infinite
-                     and is_s_unit(rec.point.y, config.places))
+    expected = tuple((word, node) for word, node in enumerate_tree(config.system, point, depth,
+                                                                   dedupe=True)
+                     if word and not node.is_infinite and is_s_unit(node.y, config.places))
     evaluations.clear()
-    hits = s_integral_census(config.system, point, config.places, depth, workers=workers).hits
+    hits = s_integral_census(config.system, point, config.places, depth, workers=workers)
     assert hits == expected
     assert (height_calls, len(evaluations), len(hits)) == ROOT_COUNTS[root, depth, workers]
 
