@@ -466,7 +466,8 @@ def main(argv=None) -> int:
         import traceback  # only here: the import would add to every start-up
 
         traceback.print_exc(file=sys.stderr)
-        print(_error_json("internal", exc), file=sys.stderr)
+        # An exception with no text (a MemoryError, say) is named by its type.
+        print(_error_json("internal", exc if str(exc) else type(exc).__name__), file=sys.stderr)
         return 4
 
 

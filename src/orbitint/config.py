@@ -17,7 +17,7 @@ from .errors import ConfigError
 from .logvals import DEFAULT_PRECISION
 from .orbits import WorkLimits
 from .places import PlaceSet
-from .proj1 import ProjPoint, parse_point
+from .proj1 import ProjPoint, parse_point, read_fraction
 from .ratmap import MapError, MapSystem, map_from_json, parse_map
 from .words import Word
 
@@ -135,7 +135,7 @@ def parse_config(obj: dict) -> ExperimentConfig:
         raise ConfigError(f"invalid places: {exc}") from exc
 
     try:
-        epsilon = Fraction(str(obj.get("epsilon", DEFAULTS["epsilon"])))
+        epsilon = read_fraction(str(obj.get("epsilon", DEFAULTS["epsilon"])))
     except (ValueError, ZeroDivisionError) as exc:
         raise ConfigError(f"invalid epsilon: {exc}") from exc
     _require(0 < epsilon <= 1, "epsilon must lie in (0, 1]")

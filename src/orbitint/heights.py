@@ -4,11 +4,13 @@ Every estimate is a certified interval; the radius comes from per-map
 height-difference constants summed along the word.  One-sided constants are
 tracked separately, so monomial-like maps (whose height transforms exactly)
 get zero-width intervals up to rounding.  A word estimate keeps its endpoints
-as exact log expressions, whose last point's atom may be deferred (see
-canonical_height_word).  A system estimate carries exact rational
-endpoints: the enclosures of its two log expressions at the precision it was
-computed at, in which the leaves `orbits.settle` settles are deferred
-atoms (see canonical_height_system).
+as exact log expressions.  Its walk reads each cap test past
+polys.ENCLOSE_BITS from the orbit's chained enclosures (orbits.Orbit.step),
+so a step is built only where its box straddles the cap, and the atom of a
+last point left unbuilt is deferred (see canonical_height_word).  A system
+estimate carries exact rational endpoints: the enclosures of its two log
+expressions at the precision it was computed at, in which the leaves
+`orbits.settle` settles are deferred atoms (see canonical_height_system).
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from typing import Callable, Iterable, Optional, Sequence
 from mpmath.libmp import to_rational
 
 from . import polys
-from .logvals import DEFAULT_PRECISION, Deferred, LogExpr, deferred_atom
+from .logvals import DEFAULT_PRECISION, LogExpr, deferred_atom
 from .orbits import DEFAULT_LIMITS, REFUSE, Orbit, WorkLimits, find_cycle, fold_tree, settle
 from .proj1 import ProjPoint, normalize
 from .ratmap import MapSystem, RatMap, eval_point
@@ -185,65 +187,35 @@ def canonical_height_word(orbit: Orbit, depth: int = DEFAULT_DEPTH,
     the first point over the bit cap; only the last sets target_met=False.
     lo_expr is not floored (see HeightEstimate).
 
-    When the point before the last step has at least polys.ENCLOSE_BITS
-    bits, the last point is not built: its height atom enters the estimate
-    as a logvals.Deferred, and the cap test reads the atom's enclosure (see
-    _deferred_step).  The estimate's values are those of the built point.
+    Past polys.ENCLOSE_BITS the orbit advances by enclosures (Orbit.step):
+    each cap test reads the step's bit range (Orbit.bit_range), and a step
+    is built only when that range straddles the cap.  When the last step is
+    not built, its height atom enters the estimate as a logvals.Deferred
+    over its enclosure, built from the orbit's point if ever.  The
+    estimate's values are those of the built points.
     """
     system, word = orbit.system, orbit.word
     if bounds is None:
         bounds = system_bounds(system)
-    height: Optional[LogExpr] = None   # the last step's deferred atom
     n, truncated = 0, False
     while n < depth and word.supports_depth(n + 1):
-        last = n + 1 == depth or not word.supports_depth(n + 2)
-        step = (_deferred_step(orbit, n, limits, last)
-                if limits.bits_of(orbit[n]) >= polys.ENCLOSE_BITS else None)
         n += 1
-        if step is not None:
-            atom, truncated = step
-            height = LogExpr(((atom, 1),))
-            break
-        if not limits.fits(orbit[n]):
+        low, high = orbit.bit_range(n)
+        if limits.fits_bits(low) != limits.fits_bits(high):
+            low = limits.bits_of(orbit[n])
+        if not limits.fits_bits(low):
             truncated = True
             break
     up, down = _upcoming_tails(orbit, bounds, n)
     degree = orbit.degree(n)
     inv = Fraction(1, degree)
-    mid = (orbit[n].height() if height is None else height) * inv
+    step = orbit.step(n)
+    atom = None if isinstance(step, ProjPoint) else deferred_atom(
+        step.size(), lambda: _leaf_atom(orbit[n]))
+    mid = (orbit[n].height() if atom is None else LogExpr(((atom, 1),))) * inv
     certified = all(b.certified for b in bounds)
     return HeightEstimate(mid - down * inv, mid + up * inv, n, degree, certified,
                           not truncated, word)
-
-
-def _deferred_step(orbit: Orbit, n: int, limits: WorkLimits,
-                   last: bool) -> Optional[tuple[Deferred, bool]]:
-    """(atom, over the cap) for the point Phi^(n+1)(P) when the enclosure of
-    its atom shows the step is the walk's last: the point is certainly over
-    the bit cap, or it certainly fits and last says the walk ends there.
-    The atom is built from orbit[n + 1], if ever.  None when the step must
-    be built: it may go on, or the enclosure does not decide the cap test
-    or that the atom is at least 2.  A step that is not the last and whose
-    point cannot reach the cap (|F(x, y)| is at most the coefficient sum of
-    F times max(|x|, |y|)^d) is not enclosed.
-    """
-    phi, node = orbit.map(n), orbit[n]
-    if not last:
-        coeffs = max(sum(map(abs, phi.f)), sum(map(abs, phi.g)))
-        if limits.fits_bits(limits.bits_of(node) * phi.degree + coeffs.bit_length()):
-            return None
-    bits = polys.BOX_BITS
-    box = polys.Enclosure.of(node.x, node.y, bits, bits)
-    atom = deferred_atom(box.image(phi, bits, bits).size(),
-                         lambda: _leaf_atom(orbit[n + 1]))
-    if atom is None:
-        return None
-    low, high = atom.bit_range()
-    if not limits.fits_bits(low):
-        return atom, True
-    if last and limits.fits_bits(high):
-        return atom, False
-    return None
 
 
 # The enclosures of canonical_height_system's settle keep BOX_PER_PREC bits

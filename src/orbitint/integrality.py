@@ -85,7 +85,10 @@ def gamma_set(system: MapSystem, word: Word, s: PlaceSet, base: ProjPoint,
 
     The right side at step n is epsilon * D_n * (canonical height of the
     starting point), via the shift functional equation; the height interval
-    makes each verdict in, out, or ambiguous.
+    makes each verdict in, out, or ambiguous.  A step past
+    polys.ENCLOSE_BITS that the walk has not built enters its chordal sum
+    by its enclosure (see proj1.log_chordal), and is built only where that
+    does not decide, so every verdict is the one the built point gives.
     """
     epsilon = Fraction(epsilon)
     if not 0 < epsilon <= 1:
@@ -93,13 +96,14 @@ def gamma_set(system: MapSystem, word: Word, s: PlaceSet, base: ProjPoint,
     if bounds is None:
         bounds = system_bounds(system)
     # One walk: the cycle scan, the height lookahead and the membership scan
-    # all read one orbit.
+    # all read one orbit.  A step it has not built is read from its
+    # enclosure, and built only where that does not decide.
     orbit = Orbit(system, word, point)
     preperiodic = word.is_periodic and find_cycle(orbit, max(depth, 16), limits) is not None
     est = canonical_height_word(orbit, depth + 4, bounds, limits)
     members = []
     for n, current in enumerate(iterate_word(orbit, depth, limits)):
-        lhs = chordal_sum(current, base, s)
+        lhs = chordal_sum(current, base, s, partial(orbit.__getitem__, n))
         if isinstance(lhs, _Infinite):
             members.append((n, GammaVerdict.IN))
             continue
@@ -119,10 +123,9 @@ def gamma_set(system: MapSystem, word: Word, s: PlaceSet, base: ProjPoint,
 
 # The census screens the leaves of a node of at least polys.ENCLOSE_BITS
 # bits.  The screen's box keeps TOP_BITS bits of the smaller coordinate, and
-# at most polys.BOX_BITS of the larger; it reads v_p modulo p^RESIDUE_DIGITS
-# first.
+# at most polys.BOX_BITS of the larger; it reads v_p modulo
+# p^polys.RESIDUE_DIGITS first.
 TOP_BITS = 64
-RESIDUE_DIGITS = 64
 
 
 class NonUnitLeaves:
@@ -167,7 +170,7 @@ class NonUnitLeaves:
         budget = floor_bits - phi.resultant.bit_length()
         part = 1
         for p in self.primes:
-            digits = RESIDUE_DIGITS
+            digits = polys.RESIDUE_DIGITS
             while not (value := node.values((), phi.g, phi.degree, p ** digits)[1]):
                 # p^digits divides G(x, y): more digits help only while it fits.
                 if (part * p ** digits).bit_length() > budget:
@@ -228,8 +231,9 @@ def ratio_series(system: MapSystem, word: Word, point: ProjPoint, depth: int,
     """
     if point.is_infinite:
         raise ValueError("the starting point must be affine")
-    terms = []
-    for n, p in enumerate(iterate_word(Orbit(system, word, point), depth, limits)):
+    terms, orbit = [], Orbit(system, word, point)
+    for n, _ in enumerate(iterate_word(orbit, depth, limits)):
+        p = orbit[n]
         terms.append(_ratio_term(n, p, prec))
         if p.is_infinite:
             break

@@ -13,7 +13,12 @@ its path from its node (`_Settled`), never by expanding its parent again.
 `Orbit` is the one walk along a word: the orbit Phi^0(P), Phi^1(P), ...
 of a point, built one map per step on first use and shared by every pass
 over it (`find_cycle` scans it for a repeat, `iterate_word` yields it
-bit-checked), and the one source of the degree products D_n.
+bit-checked), and the one source of the degree products D_n.  Past
+`polys.ENCLOSE_BITS` it advances by chained enclosures: each step that is
+not built is known by the `polys.Enclosure.image` of the step before, so
+the height walk and gamma's membership scan read the cap test, the height
+atom and the chordal sum of a large step from its box, and build the point
+only where a box does not decide.
 `WorkLimits` is the one way a cap reaches the engine: `bits_of` is the one
 coordinate-size measure, `fits_bits` the one bit-cap test (`fits` applies
 it to a point), `check_nodes` and `check_scan` the node-cap tests (of a
@@ -54,10 +59,10 @@ def _tree_size(k: int, depth: int) -> int:
 class WorkLimits:
     """The work caps of one run.  node_cap bounds the nodes of a word tree;
     bit_cap bounds orbit coordinate sizes (a hard stop in walks, a soft one
-    in height estimates and cycle scans).  A height estimate never builds a
-    point past the cap: once the point before it is large, it reads only the
-    enclosure of that point's height atom (see
-    heights.canonical_height_word)."""
+    in height estimates and cycle scans).  Past polys.ENCLOSE_BITS a word
+    walk reads the cap test from a step's enclosure (Orbit.bit_range), so a
+    height estimate never builds a point past the cap, and iterate_word
+    builds one only when the enclosure leaves its exact bits open."""
 
     node_cap: int = 1_000_000
     bit_cap: int = 1_000_000
@@ -74,9 +79,9 @@ class WorkLimits:
         """True when a point of the given bits_of is within the bit cap."""
         return bits <= self.bit_cap
 
-    def check_bits(self, p: ProjPoint):
-        if not self.fits(p):
-            bits = self.bits_of(p)
+    def check_bits(self, bits: int):
+        """Reject a point of the given bits_of over the bit cap."""
+        if not self.fits_bits(bits):
             raise WorkLimitExceeded(
                 f"orbit coordinate of {bits} bits exceeded the cap {self.bit_cap}",
                 bits=bits)
@@ -202,12 +207,15 @@ class Orbit:
     """The orbit of a point along a word: points is the list Phi^0(P), ...,
     as far as built.  orbit[n] builds each missing point up to Phi^n(P),
     one map per step, so every pass over one orbit evaluates each point
-    once.  A letter outside the system is a ValueError."""
+    once.  Past polys.ENCLOSE_BITS the orbit advances by enclosures (see
+    step), so a step is built only when a reader needs its exact value.  A
+    letter outside the system is a ValueError."""
 
-    __slots__ = ("system", "word", "points", "_products")
+    __slots__ = ("system", "word", "points", "_boxes", "_products")
 
     def __init__(self, system: MapSystem, word: Word, point: ProjPoint):
         self.system, self.word, self.points = system, word, [point]
+        self._boxes: dict[int, polys.Enclosure] = {}   # step -> its enclosure
         self._products = [1]   # D_0, ..., D_m over the word's m letters
         for letter in word.letters:
             if letter > system.k:
@@ -218,7 +226,49 @@ class Orbit:
         points = self.points
         while len(points) <= n:
             points.append(eval_point(self.map(len(points) - 1), points[-1]))
+            # A built point is enclosed anew, from its own top bits.
+            self._boxes.pop(len(points) - 1, None)
         return points[n]
+
+    def step(self, n: int) -> ProjPoint | polys.Enclosure:
+        """Phi^n(P) when it is built, else its enclosure once the orbit is
+        past polys.ENCLOSE_BITS: the image of step n - 1's enclosure, which
+        is polys.Enclosure.of that point at polys.BOX_BITS when it is built,
+        or else its own image.  A step after a built point of fewer than
+        ENCLOSE_BITS bits is built, which costs less than its box."""
+        if n < len(self.points):
+            return self.points[n]
+        boxes, k = self._boxes, n
+        while k not in boxes and k >= len(self.points):
+            k -= 1
+        box = boxes[k] if k in boxes else self._enclose(k)
+        for m in range(k + 1, n + 1):
+            if box is None:   # m follows a built point under ENCLOSE_BITS
+                box = self._enclose(m)
+            else:
+                box = boxes[m] = box.image(self.map(m - 1), polys.BOX_BITS, polys.BOX_BITS)
+        return self.points[n] if n < len(self.points) else box
+
+    def _enclose(self, n: int) -> Optional[polys.Enclosure]:
+        """The enclosure of the point Phi^n(P), built now if it is not yet,
+        or None when it has fewer than polys.ENCLOSE_BITS bits.  The one
+        place a word walk encloses a point."""
+        point = self[n]
+        if WorkLimits.bits_of(point) < polys.ENCLOSE_BITS:
+            return None
+        if n not in self._boxes:
+            self._boxes[n] = polys.Enclosure.of(point.x, point.y, polys.BOX_BITS, polys.BOX_BITS)
+        return self._boxes[n]
+
+    def bit_range(self, n: int) -> tuple[int, int]:
+        """Bounds on WorkLimits.bits_of(Phi^n(P)): its bits when the step is
+        built, else those its enclosure allows (see step)."""
+        step = self.step(n)
+        if isinstance(step, ProjPoint):
+            bits = WorkLimits.bits_of(step)
+            return bits, bits
+        lo, hi, e = step.size()
+        return (lo.bit_length() + e if lo else 0), hi.bit_length() + e
 
     def map(self, n: int) -> RatMap:
         """The map of step n + 1, from Phi^n(P) to Phi^(n+1)(P)."""
@@ -259,7 +309,7 @@ def children(system: MapSystem, point: ProjPoint, limits: WorkLimits,
     children without building them: the list holds each one's stand-in in
     its place (see NodeTest).  The maps read one lazily built monomial
     table of the node's point.  Only walk_tree and fold_tree call it."""
-    limits.check_bits(point)
+    limits.check_bits(limits.bits_of(point))
     settled = test(system, point, levels, limits) if test is not None else {}
     table = polys.Monomials(point.x, point.y)
     return [settled[letter] if letter in settled else eval_point(phi, point, table)
@@ -321,17 +371,23 @@ def fold_tree(system: MapSystem, point: ProjPoint, depth: int,
 
 
 def iterate_word(orbit: Orbit, n: int,
-                 limits: WorkLimits = DEFAULT_LIMITS) -> Iterator[ProjPoint]:
-    """Yield Phi^0(P)..Phi^n(P) along the orbit's word, one at a time, each
-    past P checked against the bit cap when it is reached, so a consumer
-    that stops early builds nothing further."""
+                 limits: WorkLimits = DEFAULT_LIMITS) -> Iterator[ProjPoint | polys.Enclosure]:
+    """Yield the steps Phi^0(P)..Phi^n(P) along the orbit's word, one at a
+    time, as orbit.step gives them: each point, or the enclosure of a point
+    not built past polys.ENCLOSE_BITS (orbit[m] builds it).  Each step past
+    P is checked against the bit cap when it is reached, from its
+    enclosure's bit range where that decides: a step over the cap is built
+    only when its enclosure leaves its exact bits open.  A consumer that
+    stops early builds nothing further."""
     if not orbit.word.supports_depth(n):
         raise ValueError(f"word {orbit.word} is too short for depth {n}")
     yield orbit[0]
     for m in range(1, n + 1):
-        current = orbit[m]
-        limits.check_bits(current)
-        yield current
+        low, high = orbit.bit_range(m)
+        if low != high and not limits.fits_bits(high):
+            high = limits.bits_of(orbit[m])   # the box leaves the test or the bits open
+        limits.check_bits(high)
+        yield orbit.step(m)
 
 
 def _point_key(point: ProjPoint) -> tuple:

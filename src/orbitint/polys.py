@@ -191,11 +191,13 @@ def _form_bounds(cs: Sequence, d: int, xs: tuple[int, int],
 
 # A point of at least ENCLOSE_BITS bits is enclosed where only its size and
 # residues are read: below that, building its images costs less.  The
-# census's boxes and those of deferred steps and sums of squares keep at
-# most BOX_BITS bits of the larger coordinate, so an atom read from one
-# decides its interval at every precision well below that.
+# census's boxes and those of word walks and sums of squares keep at most
+# BOX_BITS bits of the larger coordinate, so an atom read from one decides
+# its interval at every precision well below that.  A valuation v_p is
+# read from residues modulo p^RESIDUE_DIGITS first.
 ENCLOSE_BITS = 1024
 BOX_BITS = 2048
+RESIDUE_DIGITS = 64
 
 
 class Enclosure:

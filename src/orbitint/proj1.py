@@ -8,19 +8,22 @@ logs of the determinant and of the two sums of squares.
 
 Report integers are written by `int_text`: decimal up to HEX_BITS bits, hex
 above, so writing a coordinate of any size takes linear time and never meets
-the interpreter's limit on int-to-decimal conversion.
+the interpreter's limit on int-to-decimal conversion.  Config integers are
+read by `read_int` (and `read_fraction`), which meets the limit on
+decimal-to-int conversion just as rarely.
 """
 
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from typing import Callable, Optional
 
 from . import polys
 from .logvals import POS_INF, Deferred, LogExpr, _Infinite, deferred_atom
-from .places import Place, padic_valuation
+from .places import Place, padic_valuation, strip_prime
 
 # X^2 + Y^2, ascending in X (see polys.Enclosure.bounds).
 _SQUARES = (1, 0, 1)
@@ -42,6 +45,44 @@ def int_text(n: int) -> str:
         return str(n)
     digits = abs(n).to_bytes((bits + 7) // 8, "big").hex().lstrip("0")
     return ("-0x" if n < 0 else "0x") + digits
+
+
+# Not a setting either: a decimal text longer than this is read in chunks
+# of this many digits, well under CPython's default limit of 4,300.
+READ_DIGITS = 4000
+_RATIO = re.compile(r"\s*([+-]?[0-9]+)(?:/([0-9]+))?\s*")
+
+
+def read_int(text: str) -> int:
+    """int(text) for a decimal integer of any length.
+
+    A text of more than READ_DIGITS digits (ASCII, with an optional sign) is
+    read in chunks of READ_DIGITS digits, merged pairwise up to the whole, so
+    the interpreter's limit on decimal conversion never applies and its
+    setting is left alone; any other text goes to int() as it is.
+    """
+    m = _RATIO.fullmatch(text)
+    if m is None or m.group(2) is not None or len(m.group(1)) <= READ_DIGITS:
+        return int(text)
+    digits = m.group(1).lstrip("+-")
+    digits = digits.zfill(-(-len(digits) // READ_DIGITS) * READ_DIGITS)
+    values = [int(digits[i:i + READ_DIGITS]) for i in range(0, len(digits), READ_DIGITS)]
+    scale = 10 ** READ_DIGITS
+    while len(values) > 1:
+        if len(values) % 2:
+            values.insert(0, 0)
+        values = [high * scale + low for high, low in zip(values[::2], values[1::2])]
+        scale *= scale
+    return -values[0] if m.group(1).startswith("-") else values[0]
+
+
+def read_fraction(text: str) -> Fraction:
+    """Fraction(text), with an integer 'a' or a ratio 'a/b' of any length
+    read by read_int."""
+    m = _RATIO.fullmatch(text)
+    if m is None:
+        return Fraction(text)
+    return Fraction(read_int(m.group(1)), read_int(m.group(2) or "1"))
 
 
 @dataclass(frozen=True)
@@ -106,11 +147,12 @@ def parse_point(text: str) -> ProjPoint:
         return INFINITY
     if text.startswith("[") and text.endswith("]"):
         a, b = text[1:-1].split(":")
-        return normalize(int(a.strip()), int(b.strip()))
-    return normalize(Fraction(text))
+        return normalize(read_int(a.strip()), read_int(b.strip()))
+    return normalize(read_fraction(text))
 
 
-def log_chordal(p: ProjPoint, q: ProjPoint, v: Place) -> LogExpr | _Infinite:
+def log_chordal(p: ProjPoint | polys.Enclosure, q: ProjPoint, v: Place,
+                build: Optional[Callable[[], ProjPoint]] = None) -> LogExpr | _Infinite:
     """-log of the chordal distance between normalized points at a place.
 
     Equal points give POS_INF (distance zero), never an error.  At the
@@ -118,16 +160,58 @@ def log_chordal(p: ProjPoint, q: ProjPoint, v: Place) -> LogExpr | _Infinite:
     -log|det| + (1/2) log(x^2 + y^2) + (1/2) log(x'^2 + y'^2), left unreduced:
     reducing it as a fraction would take a gcd of orbit-sized integers.  A
     large point's sum of squares is a deferred atom (see _sum_of_squares).
+
+    p may instead be a polys.Enclosure of the point that build() builds, as
+    of an orbit step that is not built: the value is then read from the box
+    where it decides (see _enclosed), and taken at build() where it does not.
     """
-    det = p.x * q.y - q.x * p.y
+    if isinstance(p, polys.Enclosure):
+        dist = _enclosed(p, q, v, build)
+        if dist is not None:
+            return dist
+        p = build()
+    det = _det(p, q)
     if det == 0:
         return POS_INF
     if v.is_archimedean:
-        half = Fraction(1, 2)
-        return LogExpr(((abs(det), -1), (_sum_of_squares(p), half),
-                        (_sum_of_squares(q), half)))
+        return _archimedean(abs(det), _sum_of_squares(p), q)
     # gcd(x, y) = 1 makes both max-terms p-adic units.
     return LogExpr.log_int(v.prime, padic_valuation(det, v.prime))
+
+
+def _det(p: ProjPoint, q: ProjPoint) -> int:
+    return p.x * q.y - q.x * p.y
+
+
+def _squares(p: ProjPoint) -> int:
+    return p.x * p.x + p.y * p.y
+
+
+def _archimedean(det: int | Deferred, squares: int | Deferred, q: ProjPoint) -> LogExpr:
+    """The archimedean chordal log, from |det| and x^2 + y^2 of the moving point."""
+    half = Fraction(1, 2)
+    return LogExpr(((det, -1), (squares, half), (_sum_of_squares(q), half)))
+
+
+def _enclosed(box: polys.Enclosure, q: ProjPoint, v: Place,
+              build: Callable[[], ProjPoint]) -> Optional[LogExpr]:
+    """log_chordal of the point build() builds, from its enclosure box (of
+    the point or of -1 times it, which changes no term), or None where the
+    box does not decide it.  |det| and x^2 + y^2 are deferred atoms over the
+    box's bounds on the forms x q_y - q_x y and x^2 + y^2; v_p(det) is read
+    from det mod p^polys.RESIDUE_DIGITS, which decides it unless det is 0
+    there."""
+    det = (-q.x, q.y)   # x q_y - q_x y, ascending in X
+    if not v.is_archimedean:
+        residue = box.values(det, (), 1, v.prime ** polys.RESIDUE_DIGITS)[0]
+        return LogExpr.log_int(v.prime, strip_prime(residue, v.prime)[0]) if residue else None
+    lo, hi, e = box.bounds(det, 1)
+    if lo <= 0 <= hi:
+        return None
+    size = deferred_atom((min(abs(lo), abs(hi)), max(abs(lo), abs(hi)), e),
+                         lambda: abs(_det(build(), q)))
+    squares = deferred_atom(box.bounds(_SQUARES, 2), lambda: _squares(build()))
+    return None if size is None or squares is None else _archimedean(size, squares, q)
 
 
 def _sum_of_squares(p: ProjPoint) -> int | Deferred:
@@ -135,15 +219,17 @@ def _sum_of_squares(p: ProjPoint) -> int | Deferred:
     atom = None
     if max(p.x.bit_length(), p.y.bit_length()) >= polys.ENCLOSE_BITS:
         box = polys.Enclosure.of(p.x, p.y, polys.BOX_BITS, polys.BOX_BITS)
-        atom = deferred_atom(box.bounds(_SQUARES, 2), lambda: p.x * p.x + p.y * p.y)
-    return p.x * p.x + p.y * p.y if atom is None else atom
+        atom = deferred_atom(box.bounds(_SQUARES, 2), lambda: _squares(p))
+    return _squares(p) if atom is None else atom
 
 
-def chordal_sum(p: ProjPoint, q: ProjPoint, places) -> LogExpr | _Infinite:
-    """Sum of local-degree-weighted chordal logs over a set of places."""
+def chordal_sum(p: ProjPoint | polys.Enclosure, q: ProjPoint, places,
+                build: Optional[Callable[[], ProjPoint]] = None) -> LogExpr | _Infinite:
+    """Sum of local-degree-weighted chordal logs over a set of places; p may
+    be an enclosure of the point build() builds (see log_chordal)."""
     total = LogExpr.zero()
     for v in places:
-        dist = log_chordal(p, q, v)
+        dist = log_chordal(p, q, v, build)
         if isinstance(dist, _Infinite):
             return POS_INF
         total = total + dist * v.local_degree

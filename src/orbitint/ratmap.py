@@ -20,7 +20,7 @@ from typing import Optional, Sequence
 
 from . import polys
 from .logvals import LogExpr
-from .proj1 import ProjPoint, from_coprime
+from .proj1 import ProjPoint, from_coprime, read_fraction, read_int
 
 
 class MapError(ValueError):
@@ -125,8 +125,8 @@ def make_map(f_coeffs: Sequence, g_coeffs: Sequence) -> RatMap:
     Accepts ints, Fractions, or strings.  Rejects zero denominators, constant
     maps, and pairs with a common polynomial factor (witness attached).
     """
-    f = [Fraction(c) for c in f_coeffs]
-    g = [Fraction(c) for c in g_coeffs]
+    f = [_coefficient(c) for c in f_coeffs]
+    g = [_coefficient(c) for c in g_coeffs]
     if not polys.strip(g):
         raise MapError("denominator polynomial is zero")
     fi, gi = _normalize_pair(f, g)
@@ -141,6 +141,12 @@ def make_map(f_coeffs: Sequence, g_coeffs: Sequence) -> RatMap:
             f"numerator and denominator share the factor {_poly_str(common)}",
             witness=common)
     return RatMap(fi, gi, d)
+
+
+def _coefficient(c) -> Fraction:
+    """A coefficient as a Fraction; a string is read by proj1.read_fraction,
+    so a coefficient of any length is read."""
+    return read_fraction(c) if isinstance(c, str) else Fraction(c)
 
 
 _TERM_RE = re.compile(r"^([+-]?\d*)\*?(z(?:\^(\d+))?)?$")
@@ -180,13 +186,18 @@ def _parse_poly(text: str) -> list[int]:
         elif coeff_text == "-":
             coeff = -1
         else:
-            coeff = int(coeff_text)
+            coeff = read_int(coeff_text)
         if z_part is None:
             exp = 0
         else:
             exp = _exponent(exp_text) if exp_text else 1
         coeffs[exp] = coeffs.get(exp, 0) + coeff
-    out = [0] * (max(coeffs) + 1)
+    degree = max(coeffs)
+    try:
+        out = [0] * (degree + 1)
+    except MemoryError:   # past about 2^60 entries, refused before any allocation
+        raise MapError(f"polynomial {text!r} of degree {degree} is too large "
+                       "to hold its coefficient list") from None
     for e, c in coeffs.items():
         out[e] = c
     return out

@@ -324,8 +324,8 @@ def check_ramification_growth(rng: random.Random, prec: int, n: int = 25) -> tup
         orbit = Orbit(system, word, random_point(rng, 20))
         product = 1
         dmax = system.max_degree
-        for i, point in enumerate(iterate_word(orbit, 5)):
-            phi = orbit.map(i)
+        for i, _ in enumerate(iterate_word(orbit, 5)):
+            phi, point = orbit.map(i), orbit[i]
             if is_totally_ramified(phi, point):
                 break
             product *= ramification_index(phi, point)

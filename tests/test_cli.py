@@ -1,6 +1,7 @@
 import json
 import math
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -165,6 +166,103 @@ def test_huge_exponent_is_a_validation_error(tmp_path, capsys, exponent, shown):
     assert payload["error"].startswith(f"invalid map 'z^{exponent}+1': {shown} is too large")
     assert "set_int_max_str_digits" not in payload["error"]
     assert not out.exists()
+
+
+def test_a_degree_past_any_list_is_a_validation_error(tmp_path, capsys):
+    """z^(2^62) has a coefficient list longer than any list can be: the
+    allocation is refused before anything is allocated, and the run exits 2
+    with a message that names the map and its degree."""
+    from orbitint.ratmap import MapError, parse_map
+
+    exponent = 2 ** 62
+    with pytest.raises(MapError, match=f"degree {exponent} is too large"):
+        parse_map(f"z^{exponent}")
+    cfg = write_config(tmp_path, {"system": {"maps": [f"z^{exponent}"]}, "point": "2"})
+    assert main(["census", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    payload = json.loads(err[-1])
+    assert payload["kind"] == "validation" and len(err) == 1
+    assert payload["error"].startswith(f"invalid map 'z^{exponent}': polynomial 'z^{exponent}' "
+                                       f"of degree {exponent} is too large")
+
+
+def test_an_internal_fault_without_text_names_its_type(tmp_path, capsys, monkeypatch):
+    """A MemoryError carries no text, so the internal line names its type."""
+    import orbitint.cli as cli
+
+    def refuse(path):
+        return [0] * (2 ** 62 + 1)   # refused before anything is allocated
+
+    monkeypatch.setattr(cli, "load_config", refuse)
+    cfg = write_config(tmp_path, GAMMA_CONFIG)
+    assert main(["gamma", "--config", cfg, "--out", str(tmp_path / "out")]) == 4
+    err = capsys.readouterr().err.strip().splitlines()
+    assert json.loads(err[-1]) == {"error": "MemoryError", "kind": "internal"}
+    assert err[0].startswith("Traceback")
+
+
+def _digits_int(digits: str) -> int:
+    """The oracle: digits read 100 at a time by Horner's rule."""
+    value = 0
+    for i in range(0, len(digits), 100):
+        chunk = digits[i:i + 100]
+        value = value * 10 ** len(chunk) + int(chunk)
+    return value
+
+
+def test_config_integers_of_any_length(tmp_path, capsys):
+    """Map coefficients (string and object form), point and pointA of 5,000
+    digits are read, with the interpreter's digit limit left alone."""
+    from orbitint.config import load_config
+
+    limit = sys.get_int_max_str_digits()
+    big = "9" * 5000
+    value = 10 ** 5000 - 1
+    configs = {
+        "string": ({"system": {"maps": [f"z^2+{big}"]}, "point": "2"}, "map"),
+        "object": ({"system": {"maps": [{"f": [big, "0", "1"], "g": ["1"]}]}, "point": "2"},
+                   "map"),
+        "point": ({"system": {"maps": ["z^2"]}, "point": f"-{big}/7"}, "point"),
+        "pointA": ({"system": {"maps": ["z^2"]}, "point": "2", "pointA": f"[{big}:7]"},
+                   "pointA"),
+    }
+    for name, (raw, field) in configs.items():
+        cfg = write_config(tmp_path, {**raw, "heightDepth": 2}, f"{name}.json")
+        config = load_config(cfg)
+        got = {"map": lambda: config.system.maps[0].f[0],
+               "point": lambda: (config.point.x, config.point.y),
+               "pointA": lambda: (config.point_a.x, config.point_a.y)}[field]()
+        # Compared as a bool: a failure's repr would meet the digit limit.
+        assert bool(got == {"map": value, "point": (-value, 7), "pointA": (value, 7)}[field]), name
+        assert main(["canonical", "--config", cfg, "--out", str(tmp_path / "out")]) == 0, name
+    assert "set_int_max_str_digits" not in capsys.readouterr().err
+    assert sys.get_int_max_str_digits() == limit
+
+
+def test_read_int_agrees_with_horner():
+    import random
+
+    from orbitint.proj1 import read_fraction, read_int
+
+    rng = random.Random(4300)
+    for length in (1, 3999, 4000, 4001, 8000, 12345, 40001):
+        digits = "".join(rng.choice("0123456789") for _ in range(length))
+        for sign, factor in (("", 1), ("+", 1), ("-", -1)):
+            assert read_int(sign + digits) == factor * _digits_int(digits)
+        assert read_fraction(f" {digits}/{digits[::-1].lstrip('0') or '1'} ") == \
+            Fraction(_digits_int(digits), _digits_int(digits[::-1].lstrip("0") or "1"))
+    for text in ("12", " -7 ", "1_000", "0x10"):
+        try:
+            expected = int(text)
+        except ValueError:
+            with pytest.raises(ValueError):
+                read_int(text)
+        else:
+            assert read_int(text) == expected
+    with pytest.raises(ValueError):
+        read_int("9" * 5000 + "a")
+    with pytest.raises(ZeroDivisionError):
+        read_fraction("3/0")
 
 
 def test_exit_code_internal_fault(tmp_path, capsys, monkeypatch):

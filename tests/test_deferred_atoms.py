@@ -270,11 +270,12 @@ def test_a_step_that_straddles_the_cap_is_built():
 
 def test_a_deferred_step_builds_its_own_point(deferring):
     """The atom of a deferred last step is built from its orbit's point of
-    that step, also after another pass has walked the orbit past it."""
+    that step, also after another pass has walked the orbit past it.  Every
+    step past the start advances by enclosures, so the walk builds none."""
     orbit = Orbit(MapSystem([parse_map("z^2 + 1")]), Word.periodic((1,)), normalize(3, 2))
     est = canonical_height_word(orbit, 3)
     [atom] = deferred_atoms(est.hi_expr)
-    assert len(orbit.points) == 3 and built([atom]) == [False]
+    assert len(orbit.points) == 1 and built([atom]) == [False]
     orbit[6]
     assert atom.value() == max(abs(orbit[3].x), abs(orbit[3].y))
 
@@ -292,8 +293,11 @@ def test_a_large_exact_stage_reads_the_enclosure():
     ("1/2", 0.9165439318922844, 0.9165449706096197),
 ])
 def test_gamma_at_depth_15_builds_nothing_past_the_cap(tmp_path, monkeypatch, point, lo, hi):
-    """gamma --depth 15 on bounds_mixed: the height walk stops at step 16,
-    over the 10^6-bit cap, which is read from its atom's enclosure alone."""
+    """gamma --depth 15 on bounds_mixed: the cycle scan builds steps 1-13,
+    up to the first over its 2^16-bit budget.  Steps 14-16 advance by
+    enclosures: the height walk stops at step 16, over the 10^6-bit cap,
+    read from its enclosure alone, and the membership verdicts of steps 14
+    and 15 are read from theirs."""
     sizes = []
     monkeypatch.setattr(orbits, "eval_point", lambda *args: sizes.append(
         orbits.WorkLimits.bits_of(result := eval_point(*args))) or result)
@@ -307,4 +311,4 @@ def test_gamma_at_depth_15_builds_nothing_past_the_cap(tmp_path, monkeypatch, po
     assert report["height"] == {"lo": lo, "hi": hi, "depth": 16, "targetMet": False,
                                 "certified": True}
     assert "".join(m["verdict"][0].upper() for m in report["members"]) == "IOOOOOOOOOOOOOOO"
-    assert len(sizes) == 15 and max(sizes) <= 1_000_000
+    assert len(sizes) == 13 and max(sizes) <= 1 << 17

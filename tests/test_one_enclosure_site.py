@@ -14,7 +14,7 @@ TESTS = sorted((ROOT / "tests").glob("*.py"))
 
 BOX_HELPERS = {"_form_bounds", "_trim"}
 # The sizes of an enclosure: when a point is large enough to enclose, how
-# many bits its box keeps, and how many residue digits the census reads first.
+# many bits its box keeps, and how many residue digits a valuation reads first.
 CONSTANTS = {"ENCLOSE_BITS", "BOX_BITS", "TOP_BITS", "RESIDUE_DIGITS", "BOX_PER_PREC"}
 RETIRED = {"SCREEN_BITS", "LEAF_BITS", "DEFERRED_BITS", "_Node", "atom_enclosure",
            "_abs_bounds", "top_bits_box", "trim_box", "form_bounds"}
@@ -67,7 +67,7 @@ def test_each_enclosure_constant_is_assigned_in_one_module():
                 assert not {a.name for a in node.names} & CONSTANTS, path.name
     assert {name: owners[name] for name in CONSTANTS} == {
         "ENCLOSE_BITS": ["polys"], "BOX_BITS": ["polys"], "TOP_BITS": ["integrality"],
-        "RESIDUE_DIGITS": ["integrality"], "BOX_PER_PREC": ["heights"]}
+        "RESIDUE_DIGITS": ["polys"], "BOX_PER_PREC": ["heights"]}
     assert all(not owners[name] for name in RETIRED)
 
 
@@ -91,18 +91,18 @@ def _reads(func, name):
 
 
 def test_one_settle_site():
-    """Only orbits.settle encloses a tree node; the other two points enclosed
-    are the word walk's last step and a chordal sum of squares.  The size
-    gate ENCLOSE_BITS is read at those three sites only, and no function
-    outside orbits compares a node's level."""
+    """Only orbits.settle encloses a tree node, and only orbits.Orbit a step
+    of a word walk; the one other point enclosed is a built point's chordal
+    sum of squares.  The size gate ENCLOSE_BITS is read at those three sites
+    only, and no function outside orbits compares a node's level."""
     functions = [(f"{path.stem}.{name}", func) for path in SOURCES
                  for name, func in _functions(ast.parse(path.read_text(encoding="utf-8")))]
     enclosers = sorted(name for name, func in functions for node in ast.walk(func)
                        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
                        and node.func.attr == "of" and ast.unparse(node.func.value).endswith("Enclosure"))
-    assert enclosers == ["heights._deferred_step", "orbits.settle", "proj1._sum_of_squares"]
+    assert enclosers == ["orbits.Orbit._enclose", "orbits.settle", "proj1._sum_of_squares"]
     assert sorted(name for name, func in functions if _reads(func, "ENCLOSE_BITS")) == [
-        "heights.canonical_height_word", "orbits.settle", "proj1._sum_of_squares"]
+        "orbits.Orbit._enclose", "orbits.settle", "proj1._sum_of_squares"]
     gates = [name for name, func in functions if not name.startswith("orbits.")
              for node in ast.walk(func) if isinstance(node, ast.Compare)
              and any(isinstance(n, ast.Name) and n.id == "levels" for n in ast.walk(node))]
