@@ -196,10 +196,21 @@ def parse_config(obj: dict) -> ExperimentConfig:
         height_depth=height_depth, c_mode=c_mode, raw=obj)
 
 
+def _json_int(text: str) -> int | str:
+    """A JSON integer literal as an int, or as its text when it has more
+    digits than the interpreter converts: point, pointA, epsilon and map
+    coefficients read such a text as they read a quoted one (proj1.read_int,
+    in chunks), and an integer field rejects it by name."""
+    try:
+        return int(text)
+    except ValueError:   # over the interpreter's digit limit, left as set
+        return text
+
+
 def load_config(path: str) -> ExperimentConfig:
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            obj = json.load(fh)
+            obj = json.load(fh, parse_int=_json_int)
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     except json.JSONDecodeError as exc:

@@ -4,13 +4,14 @@ Every estimate is a certified interval; the radius comes from per-map
 height-difference constants summed along the word.  One-sided constants are
 tracked separately, so monomial-like maps (whose height transforms exactly)
 get zero-width intervals up to rounding.  A word estimate keeps its endpoints
-as exact log expressions.  Its walk reads each cap test past
-polys.ENCLOSE_BITS from the orbit's chained enclosures (orbits.Orbit.step),
-so a step is built only where its box straddles the cap, and the atom of a
-last point left unbuilt is deferred (see canonical_height_word).  A system
-estimate carries exact rational endpoints: the enclosures of its two log
-expressions at the precision it was computed at, in which the leaves
-`orbits.settle` settles are deferred atoms (see canonical_height_system).
+as exact log expressions.  Its walk takes each cap test from
+orbits.Orbit.fits, which reads a step past polys.ENCLOSE_BITS from the
+orbit's chained enclosures, so a step is built only where its box straddles
+the cap, and the atom of a last point left unbuilt is deferred (see
+canonical_height_word).  A system estimate carries exact rational
+endpoints: the enclosures of its two log expressions at the precision it
+was computed at, in which the leaves `orbits.settle` settles are deferred
+atoms (see canonical_height_system).
 """
 
 from __future__ import annotations
@@ -187,12 +188,12 @@ def canonical_height_word(orbit: Orbit, depth: int = DEFAULT_DEPTH,
     the first point over the bit cap; only the last sets target_met=False.
     lo_expr is not floored (see HeightEstimate).
 
-    Past polys.ENCLOSE_BITS the orbit advances by enclosures (Orbit.step):
-    each cap test reads the step's bit range (Orbit.bit_range), and a step
-    is built only when that range straddles the cap.  When the last step is
-    not built, its height atom enters the estimate as a logvals.Deferred
-    over its enclosure, built from the orbit's point if ever.  The
-    estimate's values are those of the built points.
+    Past polys.ENCLOSE_BITS the orbit advances by enclosures (Orbit.step),
+    and each cap test is Orbit.fits, which builds a step only when its box
+    straddles the cap.  When the last step is not built, its height atom
+    enters the estimate as a logvals.Deferred over its enclosure, built
+    from the orbit's point if ever.  The estimate's values are those of the
+    built points.
     """
     system, word = orbit.system, orbit.word
     if bounds is None:
@@ -200,10 +201,7 @@ def canonical_height_word(orbit: Orbit, depth: int = DEFAULT_DEPTH,
     n, truncated = 0, False
     while n < depth and word.supports_depth(n + 1):
         n += 1
-        low, high = orbit.bit_range(n)
-        if limits.fits_bits(low) != limits.fits_bits(high):
-            low = limits.bits_of(orbit[n])
-        if not limits.fits_bits(low):
+        if not orbit.fits(n, limits):
             truncated = True
             break
     up, down = _upcoming_tails(orbit, bounds, n)
@@ -338,6 +336,8 @@ def hmin_estimate(system: MapSystem, point: ProjPoint, period_bound: int = 2,
                   prec: int = DEFAULT_PRECISION,
                   limits: WorkLimits = DEFAULT_LIMITS) -> HminResult:
     """Scan periodic words of bounded period for the least canonical height."""
+    if period_bound < 1:
+        raise ValueError("period_bound must be at least 1")
     limits.check_scan(system.k, period_bound, depth)
     if bounds is None:
         bounds = system_bounds(system)

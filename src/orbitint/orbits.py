@@ -16,13 +16,16 @@ over it (`find_cycle` scans it for a repeat, `iterate_word` yields it
 bit-checked), and the one source of the degree products D_n.  Past
 `polys.ENCLOSE_BITS` it advances by chained enclosures: each step that is
 not built is known by the `polys.Enclosure.image` of the step before, so
-the height walk and gamma's membership scan read the cap test, the height
-atom and the chordal sum of a large step from its box, and build the point
-only where a box does not decide.
+the height walk and gamma's membership scan read the height atom and the
+chordal sum of a large step from its box, and build the point only where a
+box does not decide.  `Orbit.fits` is the one cap test of a word step, for
+the cycle scan, the height walk and `iterate_word` alike: it reads the
+step's bit range (`polys.Enclosure.bit_range` of its box) and builds the
+step only when that range straddles the cap.
 `WorkLimits` is the one way a cap reaches the engine: `bits_of` is the one
-coordinate-size measure, `fits_bits` the one bit-cap test (`fits` applies
-it to a point), `check_nodes` and `check_scan` the node-cap tests (of a
-tree and of an hmin scan) and `cycle_scan` the one cycle budget.
+coordinate-size measure, `fits_bits` the one bit-cap test, `check_nodes`
+and `check_scan` the node-cap tests (of a tree and of an hmin scan) and
+`cycle_scan` the one cycle budget.
 `enumerate_tree` streams the walk's (word, point) pairs into a consumer's
 fold, so no node is held that the consumer does not keep.  Point equality
 is exact equality of normalized coordinates: the one dedupe index,
@@ -59,10 +62,11 @@ def _tree_size(k: int, depth: int) -> int:
 class WorkLimits:
     """The work caps of one run.  node_cap bounds the nodes of a word tree;
     bit_cap bounds orbit coordinate sizes (a hard stop in walks, a soft one
-    in height estimates and cycle scans).  Past polys.ENCLOSE_BITS a word
-    walk reads the cap test from a step's enclosure (Orbit.bit_range), so a
-    height estimate never builds a point past the cap, and iterate_word
-    builds one only when the enclosure leaves its exact bits open."""
+    in height estimates and cycle scans).  A word step is tested by
+    Orbit.fits, which reads fits_bits from the step's bit range, so past
+    polys.ENCLOSE_BITS neither a height estimate nor a cycle scan builds a
+    point past its cap, and iterate_word builds one only to name its exact
+    bits when the enclosure leaves them open."""
 
     node_cap: int = 1_000_000
     bit_cap: int = 1_000_000
@@ -70,10 +74,6 @@ class WorkLimits:
     @staticmethod
     def bits_of(p: ProjPoint) -> int:
         return max(p.x.bit_length(), p.y.bit_length())
-
-    def fits(self, p: ProjPoint) -> bool:
-        """True when p is within the bit cap."""
-        return self.fits_bits(self.bits_of(p))
 
     def fits_bits(self, bits: int) -> bool:
         """True when a point of the given bits_of is within the bit cap."""
@@ -160,8 +160,7 @@ def settle(system: MapSystem, node: ProjPoint, levels: int, limits: WorkLimits,
                 kept.append(value)
             if not leaf:
                 image = parent.image(phi, *bits)
-                _, hi, e = image.size()
-                if not limits.fits_bits(hi.bit_length() + e):
+                if not limits.fits_bits(image.bit_range()[1]):
                     break
                 stack.extend((image, psi, path + (b,)) for b, psi in reversed(maps))
         else:
@@ -267,8 +266,16 @@ class Orbit:
         if isinstance(step, ProjPoint):
             bits = WorkLimits.bits_of(step)
             return bits, bits
-        lo, hi, e = step.size()
-        return (lo.bit_length() + e if lo else 0), hi.bit_length() + e
+        return step.bit_range()
+
+    def fits(self, n: int, limits: WorkLimits) -> bool:
+        """True when Phi^n(P) is within limits' bit cap: the one cap test of
+        a word step.  It reads the step's bit range and builds the step only
+        when that range straddles the cap."""
+        low, high = self.bit_range(n)
+        if limits.fits_bits(low) != limits.fits_bits(high):
+            low = limits.bits_of(self[n])
+        return limits.fits_bits(low)
 
     def map(self, n: int) -> RatMap:
         """The map of step n + 1, from Phi^n(P) to Phi^(n+1)(P)."""
@@ -289,14 +296,14 @@ def find_cycle(orbit: Orbit, steps: int,
 
     A repeat proves a finite orbit.  The scan gives up at the end of a
     finite word and at the first point over the cycle budget
-    (limits.cycle_scan).
+    (limits.cycle_scan), which Orbit.fits tests before the point is built.
     """
     seen = {(orbit[0], 0): 0}
     scan = limits.cycle_scan()
     for n in range(1, steps + 1):
-        if not (orbit.word.supports_depth(n) and scan.fits(current := orbit[n])):
+        if not (orbit.word.supports_depth(n) and orbit.fits(n, scan)):
             return None
-        start = seen.setdefault((current, n % len(orbit.word)), n)
+        start = seen.setdefault((orbit[n], n % len(orbit.word)), n)
         if start != n:
             return start, n - start
     return None
@@ -375,18 +382,17 @@ def iterate_word(orbit: Orbit, n: int,
     """Yield the steps Phi^0(P)..Phi^n(P) along the orbit's word, one at a
     time, as orbit.step gives them: each point, or the enclosure of a point
     not built past polys.ENCLOSE_BITS (orbit[m] builds it).  Each step past
-    P is checked against the bit cap when it is reached, from its
-    enclosure's bit range where that decides: a step over the cap is built
-    only when its enclosure leaves its exact bits open.  A consumer that
-    stops early builds nothing further."""
+    P is checked against the bit cap when it is reached (Orbit.fits): a step
+    over the cap is built only when its enclosure leaves open the exact bits
+    that the error names.  A consumer that stops early builds nothing
+    further."""
     if not orbit.word.supports_depth(n):
         raise ValueError(f"word {orbit.word} is too short for depth {n}")
     yield orbit[0]
     for m in range(1, n + 1):
-        low, high = orbit.bit_range(m)
-        if low != high and not limits.fits_bits(high):
-            high = limits.bits_of(orbit[m])   # the box leaves the test or the bits open
-        limits.check_bits(high)
+        if not orbit.fits(m, limits):
+            low, high = orbit.bit_range(m)
+            limits.check_bits(high if low == high else limits.bits_of(orbit[m]))
         yield orbit.step(m)
 
 

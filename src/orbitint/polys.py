@@ -251,6 +251,12 @@ class Enclosure:
         return (max(x_lo, -x_hi, y_lo, -y_hi, 0), max(-x_lo, x_hi, -y_lo, y_hi),
                 self.shift)
 
+    def bit_range(self) -> tuple[int, int]:
+        """Bounds on max(|x|, |y|).bit_length() from the box: the one read
+        of an enclosed point's bits."""
+        lo, hi, e = self.size()
+        return (lo.bit_length() + e if lo else 0), hi.bit_length() + e
+
 
 def content(a: Sequence[int]) -> int:
     return math.gcd(*a)

@@ -190,7 +190,8 @@ def assert_twigs_sound(system, node, s, limits=WorkLimits()):
     assert out <= set(screen(system, node, 1, limits))
     for letter in out:
         child = eval_point(system.map_for_letter(letter), node)
-        assert limits.fits(child) and not is_s_unit(child.y, s), (node, letter)
+        assert limits.fits_bits(limits.bits_of(child)), (node, letter)
+        assert not is_s_unit(child.y, s), (node, letter)
         for phi in system.maps:
             leaf = eval_point(phi, child)
             assert not leaf.is_infinite and not is_s_unit(leaf.y, s), (node, letter)

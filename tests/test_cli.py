@@ -239,6 +239,27 @@ def test_config_integers_of_any_length(tmp_path, capsys):
     assert sys.get_int_max_str_digits() == limit
 
 
+def test_config_numbers_of_any_length(tmp_path, capsys):
+    """A JSON number of 5,000 digits reads as its quoted text: written
+    unquoted, a point gives the quoted point's canonical report, and a
+    depth is a validation error that names the field."""
+    big = "9" * 5000
+    text = json.dumps({"system": {"maps": ["z^2"]}, "point": "BIG", "depth": "DEPTH",
+                       "heightDepth": 2})
+    reports = []
+    for name, point in (("quoted", f'"{big}"'), ("number", big)):
+        path = tmp_path / f"{name}.json"
+        path.write_text(text.replace('"BIG"', point).replace('"DEPTH"', "3"), encoding="utf-8")
+        assert main(["canonical", "--config", str(path), "--out", str(tmp_path / name)]) == 0
+        reports.append(read_report(tmp_path / name, "canonical"))
+    assert reports[0] == reports[1]
+    path = tmp_path / "depth.json"
+    path.write_text(text.replace('"BIG"', "2").replace('"DEPTH"', big), encoding="utf-8")
+    assert main(["census", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert json.loads(capsys.readouterr().err.splitlines()[-1]) == {
+        "error": "depth must be a nonnegative integer", "kind": "validation"}
+
+
 def test_read_int_agrees_with_horner():
     import random
 

@@ -288,27 +288,50 @@ def test_a_large_exact_stage_reads_the_enclosure():
     assert LogExpr([(atom, 1), (3, -1)]).exact_sign() is None
 
 
-@pytest.mark.parametrize("point, lo, hi", [
-    ("3", 0.9178995310898016, 0.9179005698071369),
-    ("1/2", 0.9165439318922844, 0.9165449706096197),
-])
-def test_gamma_at_depth_15_builds_nothing_past_the_cap(tmp_path, monkeypatch, point, lo, hi):
-    """gamma --depth 15 on bounds_mixed: the cycle scan builds steps 1-13,
-    up to the first over its 2^16-bit budget.  Steps 14-16 advance by
-    enclosures: the height walk stops at step 16, over the 10^6-bit cap,
-    read from its enclosure alone, and the membership verdicts of steps 14
-    and 15 are read from theirs."""
+def run_gamma(tmp_path, monkeypatch, point, depth):
+    """(exit code, last stderr line, report or None, bits of each point
+    built) of gamma --depth depth on bounds_mixed from point."""
     sizes = []
     monkeypatch.setattr(orbits, "eval_point", lambda *args: sizes.append(
         orbits.WorkLimits.bits_of(result := eval_point(*args))) or result)
     raw = json.loads((CONFIGS / "bounds_mixed.json").read_text(encoding="utf-8"))
     config = tmp_path / "config.json"
     config.write_text(json.dumps({**raw, "point": point}), encoding="utf-8")
-    with contextlib.redirect_stdout(io.StringIO()):
-        assert cli.main(["gamma", "--config", str(config), "--depth", "15",
-                         "--out", str(tmp_path / "out")]) == 0
-    report = json.loads(next((tmp_path / "out").glob("gamma_*.json")).read_text())
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = cli.main(["gamma", "--config", str(config), "--depth", str(depth),
+                         "--out", str(tmp_path / "out")])
+    reports = list((tmp_path / "out").glob("gamma_*.json"))
+    report = json.loads(reports[0].read_text()) if reports else None
+    return code, (err.getvalue().splitlines() or [""])[-1], report, sizes
+
+
+@pytest.mark.parametrize("point, lo, hi", [
+    ("3", 0.9178995310898016, 0.9179005698071369),
+    ("1/2", 0.9165439318922844, 0.9165449706096197),
+])
+def test_gamma_at_depth_15_builds_nothing_past_the_cap(tmp_path, monkeypatch, point, lo, hi):
+    """gamma --depth 15 on bounds_mixed: the cycle scan builds steps 1-12
+    and stops at step 13, which its enclosure alone puts over the 2^16-bit
+    budget (Orbit.fits).  Steps 13-16 advance by enclosures: the height
+    walk stops at step 16, over the 10^6-bit cap, read from its enclosure
+    alone, and the membership verdicts of steps 13-15 are read from theirs."""
+    code, _, report, sizes = run_gamma(tmp_path, monkeypatch, point, 15)
+    assert code == 0
     assert report["height"] == {"lo": lo, "hi": hi, "depth": 16, "targetMet": False,
                                 "certified": True}
     assert "".join(m["verdict"][0].upper() for m in report["members"]) == "IOOOOOOOOOOOOOOO"
-    assert len(sizes) == 13 and max(sizes) <= 1 << 17
+    assert len(sizes) == 12 and max(sizes) <= 1 << 17
+
+
+@pytest.mark.parametrize("point, bits", [("3", 2224232), ("1/2", 2220947)])
+def test_gamma_at_depth_16_names_its_step_unbuilt(tmp_path, monkeypatch, point, bits):
+    """gamma --depth 16 on bounds_mixed: membership step 16 is over the
+    10^6-bit cap, and its enclosure gives its exact bits, so the run exits
+    3 naming them without building any point over 2^17 bits."""
+    code, last, report, sizes = run_gamma(tmp_path, monkeypatch, point, 16)
+    assert (code, report) == (3, None)
+    assert json.loads(last) == {
+        "error": f"orbit coordinate of {bits} bits exceeded the cap 1000000",
+        "kind": "work-limit"}
+    assert len(sizes) == 12 and max(sizes) <= 1 << 17

@@ -133,6 +133,18 @@ def test_a_cap_error_names_the_step_its_box_sizes(monkeypatch):
     assert sizes == [] and len(orbit.points) == 1
 
 
+def test_a_cycle_scan_stops_at_a_step_its_box_puts_over_the_budget(monkeypatch):
+    """find_cycle gives up at the first step over orbits.CYCLE_BITS without
+    building it: step 1 of z^2 from 2^40000 - 1 has 80,000 bits, and its
+    enclosure shows that unbuilt."""
+    system = MapSystem([parse_map("z^2")])
+    sizes = []
+    monkeypatch.setattr(orbits, "eval_point", lambda *args: sizes.append(1) or eval_point(*args))
+    orbit = Orbit(system, Word.periodic((1,)), normalize((1 << 40000) - 1))
+    assert orbit.bit_range(1)[0] > orbits.CYCLE_BITS
+    assert orbits.find_cycle(orbit, 8) is None
+    assert sizes == [] and len(orbit.points) == 1
+
 
 def test_a_step_whose_box_leaves_its_bits_open_is_built():
     """(2^3000 - 1)^2 has 6,000 bits and its enclosure reaches 2^6000, so

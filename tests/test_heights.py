@@ -313,6 +313,12 @@ def test_hmin_examples(pair_system, z2, z2_minus_1):
     assert hm1.preperiodic and hm1.preperiodic_witness == Word.periodic([1])
 
 
+@pytest.mark.parametrize("period_bound", [0, -2])
+def test_hmin_needs_a_positive_period_bound(pair_system, period_bound):
+    with pytest.raises(ValueError, match="period_bound must be at least 1"):
+        hmin_estimate(pair_system, normalize(2, 1), period_bound, 8)
+
+
 def test_hmin_scan_obeys_the_node_cap(pair_system):
     # 2 + 4 + ... + 64 = 126 candidate words, 8 steps each.
     with pytest.raises(WorkLimitExceeded, match="hmin scan") as info:

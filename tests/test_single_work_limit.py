@@ -1,6 +1,7 @@
 """Every work cap reaches the orbit engine as one orbits.WorkLimits: no
-function in src/orbitint takes a loose bit_cap or node_cap, and only
-WorkLimits' own checks raise WorkLimitExceeded."""
+function in src/orbitint takes a loose bit_cap or node_cap, only
+WorkLimits' own checks raise WorkLimitExceeded, and a word step meets a cap
+through one test, orbits.Orbit.fits."""
 
 import ast
 from pathlib import Path
@@ -41,3 +42,40 @@ def test_work_limit_exceeded_raised_only_by_work_limits():
                    for node in ast.walk(tree)
                    if _raises_limit(node) and id(node) not in allowed]
     assert allowed and constructed == []
+
+
+def _calls(name):
+    """Qualified names of the functions in src/orbitint (methods under their
+    class) that call a function or method of the given name."""
+    def functions(body, prefix):
+        for node in body:
+            if isinstance(node, ast.ClassDef):
+                yield from functions(node.body, f"{prefix}{node.name}.")
+            elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                yield prefix + node.name, node
+
+    return sorted(qualified for path, tree in TREES.items()
+                  for qualified, func in functions(tree.body, f"{path.stem}.")
+                  if any(isinstance(node, ast.Call) and name in (
+                      getattr(node.func, "attr", None), getattr(node.func, "id", None))
+                         for node in ast.walk(func)))
+
+
+def test_one_cap_test_along_a_word():
+    """A word step is tested against a cap by Orbit.fits alone, and only the
+    engine reads a bit count against a cap: fits_bits, bits_of and the bit
+    range of a step or a box are called in orbits only (a Deferred atom
+    reads its own bit range), and Enclosure.bit_range is the one function
+    that takes bit lengths of a box's size."""
+    assert _calls("fits") == ["heights.canonical_height_word", "orbits.find_cycle",
+                              "orbits.iterate_word"]
+    for name in ("fits_bits", "bits_of", "bit_range"):
+        outside = [caller for caller in _calls(name) if not caller.startswith("orbits.")
+                   and not (name == "bit_range" and caller.startswith("logvals.Deferred."))]
+        assert outside == [], name
+    assert sorted(set(_calls("size")) & set(_calls("bit_length"))) == [
+        "polys.Enclosure.bit_range"]
+    owners = [f"{path.stem}.{cls.name}" for path, tree in TREES.items()
+              for cls in tree.body if isinstance(cls, ast.ClassDef)
+              for node in cls.body if isinstance(node, ast.FunctionDef) and node.name == "fits"]
+    assert owners == ["orbits.Orbit"]
