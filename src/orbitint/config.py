@@ -74,6 +74,7 @@ def _require(cond: bool, message: str):
 def _integer(obj: dict, key: str, default, minimum: Optional[int] = None) -> int:
     """obj[key], or the default, checked to be an int (not a bool) >= minimum."""
     value = obj.get(key, default)
+    _require(not isinstance(value, _LongInt), f"{key} is {value!r}, too long to read")
     rule = {None: "an integer", 0: "a nonnegative integer",
             1: "a positive integer"}.get(minimum, f"an integer >= {minimum}")
     _require(type(value) is int and (minimum is None or value >= minimum),
@@ -98,12 +99,12 @@ def parse_config(obj: dict) -> ExperimentConfig:
     maps = []
     for entry in entries:
         try:
-            if isinstance(entry, str):
+            if type(entry) is str:
                 maps.append(parse_map(entry))
             elif isinstance(entry, dict):
                 # Fraction() would fail on null or infinity and read true as 1.
                 _require(all(isinstance(entry.get(k), list)
-                             and all(type(c) in (str, int)
+                             and all(isinstance(c, str) or type(c) is int
                                      or type(c) is float and math.isfinite(c)
                                      for c in entry[k])
                              for k in ("f", "g")),
@@ -127,7 +128,7 @@ def parse_config(obj: dict) -> ExperimentConfig:
 
     place_names = obj.get("places", ["inf"])
     _require(isinstance(place_names, list)
-             and all(isinstance(name, str) for name in place_names),
+             and all(type(name) is str for name in place_names),
              "places must be a list of place names")
     try:
         places = PlaceSet.parse(place_names)
@@ -145,6 +146,8 @@ def parse_config(obj: dict) -> ExperimentConfig:
         word_obj = {"letters": word_obj, "mode": "finite"}
     _require(isinstance(word_obj, dict) and isinstance(word_obj.get("letters"), list),
              "word must be a list of letters or an object with a 'letters' list")
+    for c in word_obj["letters"]:
+        _require(not isinstance(c, _LongInt), f"a word letter is {c!r}, too long to read")
     try:
         word = Word.from_json(word_obj)
     except ValueError as exc:
@@ -196,15 +199,22 @@ def parse_config(obj: dict) -> ExperimentConfig:
         height_depth=height_depth, c_mode=c_mode, raw=obj)
 
 
+class _LongInt(str):
+    """A JSON integer literal too long for int(), as its text: read as a
+    quoted number where one is read (proj1.read_int), refused elsewhere, and
+    echoed by its repr, its length."""
+
+    def __repr__(self) -> str:
+        return f"an integer of {len(self.lstrip('-'))} digits"
+
+
 def _json_int(text: str) -> int | str:
-    """A JSON integer literal as an int, or as its text when it has more
-    digits than the interpreter converts: point, pointA, epsilon and map
-    coefficients read such a text as they read a quoted one (proj1.read_int,
-    in chunks), and an integer field rejects it by name."""
+    """A JSON integer literal as an int, or as a _LongInt when it is too
+    long for int()."""
     try:
         return int(text)
     except ValueError:   # over the interpreter's digit limit, left as set
-        return text
+        return _LongInt(text)
 
 
 def load_config(path: str) -> ExperimentConfig:

@@ -70,9 +70,9 @@ def c_bound(phi: RatMap, mode: str = "certified",
 
     Certified mode: the upper side multiplies the largest coefficient by the
     term count; the lower side comes from the resultant cofactor identities
-    (u*F + v*G = Res*X^(2d-1) and the Y twin), whose coefficient sums bound
-    the worst cancellation.  Empirical mode reports a sampled maximum times a
-    safety factor and is flagged as such.
+    (u*F + v*G = Res*X^(2d-1) and the Y twin, read from phi.cofactors),
+    whose coefficient sums bound the worst cancellation.  Empirical mode
+    reports a sampled maximum times a safety factor and is flagged as such.
     """
     d = phi.degree
     if d < 2:
@@ -83,7 +83,7 @@ def c_bound(phi: RatMap, mode: str = "certified",
         maxf = max((abs(c) for c in phi.f if c), default=1)
         maxg = max((abs(c) for c in phi.g if c), default=1)
         upper = LogExpr.log_int(max(tf * maxf, tg * maxg))
-        lower = LogExpr.log_int(polys.resultant_cofactor_sum(phi.f, phi.g, d))
+        lower = LogExpr.log_int(max(sum(map(abs, u + v)) for u, v, _ in phi.cofactors[1]))
         c = _logexpr_max(upper, lower) * Fraction(1, d)
         return HeightDifferenceBound(c, upper, lower, "certified")
     if mode != "empirical":

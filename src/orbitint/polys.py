@@ -2,9 +2,9 @@
 
 Just enough machinery for normalized rational maps: content and primitive
 parts, gcd over Q with an integer witness, one fraction-free (Bareiss)
-determinant for both the homogeneous resultant and the signed minors that
-give the cofactor identities behind certified height-difference constants,
-and one homogeneous evaluator.  The evaluator reads a per-point table of
+elimination per map that gives both the homogeneous resultant and the
+cofactor identities behind certified height-difference constants, and one
+homogeneous evaluator.  The evaluator reads a per-point table of
 monomials x^i * y^j (`Monomials`) that several forms at one point can share,
 so binary forms cost one product per distinct monomial plus linear-time
 small-coefficient sums.  `Enclosure` is what the screens and deferred
@@ -305,80 +305,52 @@ def gcd_q(a: Sequence, b: Sequence) -> tuple:
     return ints
 
 
-def _homogeneous_vector(a: Sequence, d: int) -> list:
-    """Coefficients of the degree-d homogenization, descending in X."""
-    return [(a[i] if i < len(a) else 0) for i in range(d, -1, -1)]
-
-
 def sylvester_matrix(f: Sequence, g: Sequence, d: int) -> list[list[int]]:
-    """Sylvester matrix of the degree-d homogenizations of f and g (2d x 2d)."""
-    fv = _homogeneous_vector(f, d)
-    gv = _homogeneous_vector(g, d)
-    n = 2 * d
+    """Sylvester matrix of the degree-d homogenizations F, G of f and g
+    (2d x 2d): rows X^(d-1-s) Y^s F, then G, columns X^(2d-1), ..., Y^(2d-1)."""
     rows = []
-    for shift in range(d):
-        rows.append([0] * shift + fv + [0] * (n - d - 1 - shift))
-    for shift in range(d):
-        rows.append([0] * shift + gv + [0] * (n - d - 1 - shift))
+    for cs in (f, g):
+        desc = [(cs[i] if i < len(cs) else 0) for i in range(d, -1, -1)]
+        rows += [[0] * s + desc + [0] * (d - 1 - s) for s in range(d)]
     return rows
 
 
-def det_bareiss(matrix: Sequence[Sequence[int]]) -> int:
-    """Fraction-free determinant of an integer matrix."""
-    m = [list(row) for row in matrix]
-    n = len(m)
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            for i in range(k + 1, n):
-                if m[i][k] != 0:
-                    m[k], m[i] = m[i], m[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-            m[i][k] = 0
-        prev = m[k][k]
-    return sign * m[n - 1][n - 1]
+def cofactor_identities(f: Sequence, g: Sequence, d: int) -> tuple[int, tuple]:
+    """Res(F, G) and the integer cofactor forms of the degree-d
+    homogenizations F, G, from one fraction-free elimination.
 
-
-def homogeneous_resultant(f: Sequence, g: Sequence, d: int) -> int:
-    """Resultant of the degree-d homogenizations; zero iff a common root exists."""
-    return det_bareiss(sylvester_matrix(f, g, d))
-
-
-def cofactor_identities(f: Sequence, g: Sequence, d: int):
-    """Integer cofactor forms for the degree-d homogenizations F, G.
-
-    Returns (res, identities) where each identity is (u, v, target) with u, v
-    the descending coefficient vectors of degree-(d-1) forms satisfying
-    u*F + v*G = res * X^target * Y^(2d-1-target), for target 2d-1 and 0.
-    Exists exactly when the resultant is nonzero.
+    Returns (res, identities), res = det S for the Sylvester matrix S and
+    each identity (u, v, target) the descending coefficient tuples of
+    degree-(d-1) forms with u*F + v*G = res * X^target * Y^(2d-1-target),
+    for target 2d-1 and 0.  (u, v) * S = res * e_c for the column c of that
+    monomial, so (u, v) is row c of adj(S), the solution of S^T x = res * e_c:
+    one Bareiss pass over S^T beside e_0 and e_(2d-1) leaves +-res as its
+    last pivot, and an exact back substitution gives each x.  Raises
+    ValueError when res is 0: then no identity exists.
     """
-    syl = sylvester_matrix(f, g, d)
-    res = det_bareiss(syl)
-    if res == 0:
-        raise ValueError("maps with vanishing resultant have no cofactor identity")
     n = 2 * d
+    m = [list(column) + [int(j == 0), int(j == n - 1)]
+         for j, column in enumerate(zip(*sylvester_matrix(f, g, d)))]
+    sign = prev = 1
+    for k in range(n):
+        pivot = next((i for i in range(k, n) if m[i][k]), None)
+        if pivot is None:
+            raise ValueError("maps with vanishing resultant have no cofactor identity")
+        if pivot != k:
+            m[k], m[pivot] = m[pivot], m[k]
+            sign = -sign
+        top, p = m[k], m[k][k]
+        for row in m[k + 1:]:
+            a = row[k]
+            for j in range(k + 1, n + 2):
+                row[j] = (row[j] * p - a * top[j]) // prev   # column k is not read again
+        prev = p
+    res = sign * prev
     identities = []
-    for column in (0, n - 1):  # X^(2d-1) and Y^(2d-1)
-        # Row vector (u, v) times Sylvester is res * e_column, so (u, v) is
-        # row `column` of the adjugate: the signed minors striking that column.
-        struck = [row[:column] + row[column + 1:] for row in syl]
-        minors = [(-1) ** (i + column) * det_bareiss(struck[:i] + struck[i + 1:])
-                  for i in range(n)]
-        identities.append((minors[:d], minors[d:], n - 1 - column))
-    return res, identities
-
-
-def resultant_cofactor_sum(f: Sequence, g: Sequence, d: int) -> int:
-    """Larger total absolute coefficient sum |u| + |v| over the two cofactor
-    identities; controls how much height evaluation can lose to cancellation.
-    """
-    _res, identities = cofactor_identities(f, g, d)
-    return max(sum(abs(c) for c in u) + sum(abs(c) for c in v)
-               for u, v, _ in identities)
+    for rhs, target in ((n, n - 1), (n + 1, 0)):   # e_0 is X^(2d-1), e_(n-1) Y^(2d-1)
+        x = [0] * n
+        for i in range(n - 1, -1, -1):
+            row = m[i]
+            x[i] = (res * row[rhs] - sum(row[j] * x[j] for j in range(i + 1, n))) // row[i]
+        identities.append((tuple(x[:d]), tuple(x[d:]), target))
+    return res, tuple(identities)

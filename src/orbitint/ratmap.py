@@ -46,10 +46,15 @@ class RatMap:
         return polys.eval_homogeneous(self.f, self.g, self.degree, x, y, table)
 
     @cached_property
+    def cofactors(self) -> tuple[int, tuple]:
+        """(Res(F, G), cofactor identities) of the degree-d homogenizations,
+        from the map's one elimination (see polys.cofactor_identities)."""
+        return polys.cofactor_identities(self.f, self.g, self.degree)
+
+    @cached_property
     def resultant(self) -> int:
-        """|Res(F, G)| of the degree-d homogenizations, computed once per map;
-        nonzero because f and g are coprime."""
-        return abs(polys.homogeneous_resultant(self.f, self.g, self.degree))
+        """|Res(F, G)|, nonzero because f and g are coprime."""
+        return abs(self.cofactors[0])
 
     @cached_property
     def wronskian(self) -> tuple:
@@ -135,12 +140,14 @@ def make_map(f_coeffs: Sequence, g_coeffs: Sequence) -> RatMap:
     d = max(polys.degree(fi), polys.degree(gi))
     if d < 1:
         raise MapError("constant maps are not rational self-map data")
-    common = polys.gcd_q(fi, gi)
-    if polys.degree(common) >= 1:
-        raise MapError(
-            f"numerator and denominator share the factor {_poly_str(common)}",
-            witness=common)
-    return RatMap(fi, gi, d)
+    phi = RatMap(fi, gi, d)
+    try:   # Res(F, G) != 0 exactly when f and g are coprime
+        phi.cofactors
+    except ValueError:
+        common = polys.gcd_q(fi, gi)
+        raise MapError(f"numerator and denominator share the factor {_poly_str(common)}",
+                       witness=common) from None
+    return phi
 
 
 def _coefficient(c) -> Fraction:

@@ -1,9 +1,10 @@
 """Test oracles and utilities that the program itself does not need.
 
 A second ramification index, computed in an explicit chart by derivatives
-rather than from the map's Wronskian form; rational roots by the rational root
-theorem; the Wronskian f'g - fg'; polynomial subtraction, derivative and
-evaluation at a rational; weighted random words; and readings of a
+rather than from the map's Wronskian form; the resultant and cofactor
+identities as signed minors of the Sylvester matrix over Fraction
+determinants; rational roots by the rational root theorem; the Wronskian
+f'g - fg'; polynomial subtraction, derivative and evaluation at a rational; weighted random words; and readings of a
 `HeightEstimate` (midpoint, width, containment of a log expression).
 """
 
@@ -77,6 +78,49 @@ def ramification_index_chart(phi: RatMap, p: ProjPoint, chart: RatMap) -> int:
     f_at = eval_at(conj.f, beta)
     # ord_beta of conj(z) - conj(beta); the denominator does not vanish there.
     return order_at(sub(polys.scale(conj.f, g_at), polys.scale(conj.g, f_at)), beta)
+
+
+def det_fraction(matrix: Sequence[Sequence[int]]) -> int:
+    """Determinant of an integer matrix by Gaussian elimination over Q."""
+    n = len(matrix)
+    m = [[Fraction(v) for v in row] for row in matrix]
+    det = Fraction(1)
+    for k in range(n):
+        pivot = next((i for i in range(k, n) if m[i][k]), None)
+        if pivot is None:
+            return 0
+        if pivot != k:
+            m[k], m[pivot] = m[pivot], m[k]
+            det = -det
+        det *= m[k][k]
+        for i in range(k + 1, n):
+            if m[i][k]:
+                factor = m[i][k] / m[k][k]
+                for j in range(k, n):
+                    m[i][j] -= factor * m[k][j]
+    return int(det)
+
+
+def cofactor_identities_by_minors(f: Sequence, g: Sequence, d: int) -> tuple[int, tuple]:
+    """(res, identities) as polys.cofactor_identities gives them, from the
+    adjugate: res = det S for the Sylvester matrix S of the degree-d forms
+    (rows X^(d-1-s) Y^s F then G, columns X^(2d-1), ..., Y^(2d-1)), and the
+    cofactor vector of X^(2d-1) (Y^(2d-1)) is row 0 (row 2d-1) of adj(S),
+    the signed minors that strike that column.  ValueError when res is 0."""
+    rows = []
+    for cs in (f, g):
+        desc = [cs[i] if i < len(cs) else 0 for i in range(d, -1, -1)]
+        rows += [[0] * s + desc + [0] * (d - 1 - s) for s in range(d)]
+    res = det_fraction(rows)
+    if res == 0:
+        raise ValueError("vanishing resultant")
+    n, identities = 2 * d, []
+    for column in (0, n - 1):
+        struck = [row[:column] + row[column + 1:] for row in rows]
+        minors = [(-1) ** (i + column) * det_fraction(struck[:i] + struck[i + 1:])
+                  for i in range(n)]
+        identities.append((tuple(minors[:d]), tuple(minors[d:]), n - 1 - column))
+    return res, tuple(identities)
 
 
 def _divisors(n: int) -> set[int]:

@@ -242,7 +242,7 @@ def test_config_integers_of_any_length(tmp_path, capsys):
 def test_config_numbers_of_any_length(tmp_path, capsys):
     """A JSON number of 5,000 digits reads as its quoted text: written
     unquoted, a point gives the quoted point's canonical report, and a
-    depth is a validation error that names the field."""
+    depth is a validation error that names the field and the cause."""
     big = "9" * 5000
     text = json.dumps({"system": {"maps": ["z^2"]}, "point": "BIG", "depth": "DEPTH",
                        "heightDepth": 2})
@@ -257,7 +257,45 @@ def test_config_numbers_of_any_length(tmp_path, capsys):
     path.write_text(text.replace('"BIG"', "2").replace('"DEPTH"', big), encoding="utf-8")
     assert main(["census", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
     assert json.loads(capsys.readouterr().err.splitlines()[-1]) == {
-        "error": "depth must be a nonnegative integer", "kind": "validation"}
+        "error": "depth is an integer of 5000 digits, too long to read", "kind": "validation"}
+
+
+# An unquoted number too long for int() names its length, never its digits:
+# an integer field refuses it as too long to read, and a field of names or
+# map strings refuses it as it refuses a short number.
+@pytest.mark.parametrize("edit, error", [
+    ({"depth": "LITERAL"}, "depth is {}, too long to read"),
+    ({"workLimits": {"bitCap": "LITERAL"}}, "bitCap is {}, too long to read"),
+    ({"workLimits": {"nodeCap": "LITERAL"}}, "nodeCap is {}, too long to read"),
+    ({"precisionBits": "LITERAL"}, "precisionBits is {}, too long to read"),
+    ({"hminPeriodBound": "LITERAL"}, "hminPeriodBound is {}, too long to read"),
+    ({"averagedLevel": "LITERAL"}, "averagedLevel is {}, too long to read"),
+    ({"heightDepth": "LITERAL"}, "heightDepth is {}, too long to read"),
+    ({"word": [1, "LITERAL"]}, "a word letter is {}, too long to read"),
+    ({"word": {"letters": [1], "mode": "LITERAL"}}, "invalid word: {} is not a valid WordMode"),
+    ({"places": ["inf", "LITERAL"]}, "places must be a list of place names"),
+    ({"system": ["z^2", "LITERAL"]}, "map entries are strings or objects, got {}"),
+], ids=["depth", "bitCap", "nodeCap", "precisionBits", "hminPeriodBound", "averagedLevel",
+        "heightDepth", "letter", "mode", "places", "map"])
+def test_long_json_literals_name_the_cause(tmp_path, capsys, edit, error):
+    text = json.dumps({"system": ["z^2", "z^3"], "point": "2", "depth": 2, **edit})
+    path = tmp_path / "config.json"
+    for literal in ("7" * 5000, "-" + "7" * 5000):
+        path.write_text(text.replace('"LITERAL"', literal), encoding="utf-8")
+        assert main(["bounds", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and json.loads(err[0]) == {
+            "error": error.format("an integer of 5000 digits"), "kind": "validation"}
+
+
+@pytest.mark.parametrize("edit, error", [
+    ({"places": ["inf", 7]}, "places must be a list of place names"),
+    ({"system": ["z^2", 7]}, "map entries are strings or objects, got 7"),
+], ids=["places", "map"])
+def test_short_numbers_meet_the_same_rule(tmp_path, capsys, edit, error):
+    cfg = write_config(tmp_path, {"system": ["z^2", "z^3"], "point": "2", **edit})
+    assert main(["bounds", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+    assert json.loads(capsys.readouterr().err.splitlines()[-1])["error"] == error
 
 
 def test_read_int_agrees_with_horner():

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from orbitint import polys
-from oracles import derivative, eval_at, sub
+from oracles import cofactor_identities_by_minors, derivative, eval_at, sub
 
 
 def test_basic_ops():
@@ -40,41 +40,36 @@ def test_divmod_and_gcd():
         polys.divmod_q((1,), ())
 
 
-def test_determinant_against_fraction_elimination():
-    def det_fraction(matrix):
-        n = len(matrix)
-        m = [[Fraction(v) for v in row] for row in matrix]
-        det = Fraction(1)
-        for k in range(n):
-            pivot = next((i for i in range(k, n) if m[i][k]), None)
-            if pivot is None:
-                return 0
-            if pivot != k:
-                m[k], m[pivot] = m[pivot], m[k]
-                det = -det
-            det *= m[k][k]
-            for i in range(k + 1, n):
-                factor = m[i][k] / m[k][k]
-                for j in range(k, n):
-                    m[i][j] -= factor * m[k][j]
-        return int(det)
-
-    rng = random.Random(211)
-    for _ in range(60):
-        n = rng.randrange(1, 7)
-        matrix = [[rng.randrange(-9, 10) for _ in range(n)] for _ in range(n)]
-        assert polys.det_bareiss(matrix) == det_fraction(matrix)
-
-
 def test_resultant_detects_common_roots():
     # (z-1)(z-2) and (z-1)(z-3) share a root
     f = polys.mul((-1, 1), (-2, 1))
     g = polys.mul((-1, 1), (-3, 1))
-    assert polys.homogeneous_resultant(f, g, 2) == 0
+    with pytest.raises(ValueError):
+        polys.cofactor_identities(f, g, 2)
     h = polys.mul((-4, 1), (-3, 1))
-    assert polys.homogeneous_resultant(f, h, 2) != 0
+    assert polys.cofactor_identities(f, h, 2)[0] != 0
     # infinity as a shared root: both homogenizations drop degree
-    assert polys.homogeneous_resultant((1, 1), (2, 1), 2) == 0
+    with pytest.raises(ValueError):
+        polys.cofactor_identities((1, 1), (2, 1), 2)
+
+
+def _assert_multiply_out(f, g, d, res, identities):
+    """u*F + v*G is res times the identity's monomial, for each identity."""
+    fv = [(f[i] if i < len(f) else 0) for i in range(d, -1, -1)]
+    gv = [(g[i] if i < len(g) else 0) for i in range(d, -1, -1)]
+    assert [target for _u, _v, target in identities] == [2 * d - 1, 0]
+    for u, v, target in identities:
+        # multiply descending binary-form coefficient vectors
+        product = [0] * (2 * d)
+        for i, cu in enumerate(u):
+            for j, cf in enumerate(fv):
+                product[i + j] += cu * cf
+        for i, cv in enumerate(v):
+            for j, cg in enumerate(gv):
+                product[i + j] += cv * cg
+        expected = [0] * (2 * d)
+        expected[2 * d - 1 - target] = res
+        assert product == expected
 
 
 def test_cofactor_identities_multiply_out():
@@ -88,18 +83,45 @@ def test_cofactor_identities_multiply_out():
             res, identities = polys.cofactor_identities(f, g, d)
         except (ValueError, ZeroDivisionError):
             continue
-        fv = [(f[i] if i < len(f) else 0) for i in range(d, -1, -1)]
-        gv = [(g[i] if i < len(g) else 0) for i in range(d, -1, -1)]
-        for u, v, target in identities:
-            # multiply descending binary-form coefficient vectors
-            product = [0] * (2 * d)
-            for i, cu in enumerate(u):
-                for j, cf in enumerate(fv):
-                    product[i + j] += cu * cf
-            for i, cv in enumerate(v):
-                for j, cg in enumerate(gv):
-                    product[i + j] += cv * cg
-            expected = [0] * (2 * d)
-            expected[2 * d - 1 - target] = res
-            assert product == expected
+        _assert_multiply_out(f, g, d, res, identities)
         checked += 1
+
+
+def test_cofactor_identities_multiply_out_at_degree_40():
+    """One elimination keeps degree 40 cheap; 2d + 1 determinants did not."""
+    rng = random.Random(229)
+    d = 40
+    f = [rng.randrange(-3, 4) for _ in range(d)] + [1]
+    g = [rng.randrange(-3, 4) for _ in range(d + 1)]
+    res, identities = polys.cofactor_identities(f, g, d)
+    assert res != 0
+    _assert_multiply_out(f, g, d, res, identities)
+
+
+def test_cofactor_identities_match_adjugate_minors():
+    """The same res and cofactor tuples as the signed minors, exactly, on
+    random maps of degree 2-8 and on families whose elimination swaps rows;
+    a zero resultant is a ValueError for both."""
+    rng = random.Random(233)
+    cases = []
+    for _ in range(300):
+        d = rng.randrange(2, 9)
+        f = [rng.randrange(-5, 6) for _ in range(rng.randrange(1, d + 2))]
+        g = [rng.randrange(-5, 6) for _ in range(d + 1)]
+        if rng.random() < 0.3:   # sparse forms need row swaps
+            g[rng.randrange(d + 1)] = 0
+        cases.append((f, g, d))
+    for d in range(1, 9):
+        cases += [([1] + [0] * (d - 1) + [1], [1], d),   # z^d + 1
+                  ([1], [0] * d + [1], d)]               # 1/z^d
+    singular = 0
+    for f, g, d in cases:
+        try:
+            expected = cofactor_identities_by_minors(f, g, d)
+        except ValueError:
+            singular += 1
+            with pytest.raises(ValueError):
+                polys.cofactor_identities(f, g, d)
+            continue
+        assert polys.cofactor_identities(f, g, d) == expected
+    assert 0 < singular < len(cases) // 4
