@@ -20,6 +20,7 @@ import argparse
 import json
 import math
 import os
+import re
 import sys
 from dataclasses import asdict
 from functools import partial
@@ -391,6 +392,25 @@ class _Parser(argparse.ArgumentParser):
                      f"{_error_json('validation', message)}\n")
 
 
+_DIGITS = re.compile(r"\s*[+-]?([0-9]+)\s*")
+
+
+def _int_option(text: str) -> int:
+    """An integer option's value, read as argparse's type=int reads it.  A
+    number too long for int() is named by its length, as a config field
+    names one, and so is any other text over 100 characters: neither is
+    echoed."""
+    try:
+        return int(text)
+    except ValueError:
+        digits = _DIGITS.fullmatch(text)
+        if digits:   # over the interpreter's digit limit, left as set
+            raise argparse.ArgumentTypeError(
+                f"an integer of {len(digits.group(1))} digits, too long to read") from None
+        shown = repr(text) if len(text) <= 100 else f"a text of {len(text)} characters"
+        raise argparse.ArgumentTypeError(f"invalid int value: {shown}") from None
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="orbitint",
@@ -401,11 +421,11 @@ def build_parser() -> argparse.ArgumentParser:
         if name != "verify":
             p.add_argument("--config", required=True, help="JSON experiment config")
             if name != "canonical":   # it walks heightDepth steps
-                p.add_argument("--depth", type=int, default=None,
+                p.add_argument("--depth", type=_int_option, default=None,
                                help="override config depth")
-            p.add_argument("--workers", type=int, default=1)
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--precision", type=int, default=None,
+            p.add_argument("--workers", type=_int_option, default=1)
+        p.add_argument("--seed", type=_int_option, default=0)
+        p.add_argument("--precision", type=_int_option, default=None,
                        help="override precision bits")
         p.add_argument("--out", default="reports", help="report directory")
     return parser

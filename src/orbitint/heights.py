@@ -64,6 +64,15 @@ def _logexpr_max(a: LogExpr, b: LogExpr, prec: int = DEFAULT_PRECISION) -> LogEx
     return a if s >= 0 else b
 
 
+def _logexpr_min(a: LogExpr, b: LogExpr, prec: int = DEFAULT_PRECISION) -> LogExpr:
+    """min(a, b) when the comparison is decided, else the certified lower
+    bound a - max(q, 0), with q an exact upper bound on a - b."""
+    s = (a - b).sign(prec)
+    if s is None:
+        return a - LogExpr.constant(max((a - b).upper_bound(prec), Fraction(0)))
+    return a if s <= 0 else b
+
+
 def c_bound(phi: RatMap, mode: str = "certified",
             samples: int = 400) -> HeightDifferenceBound:
     """Height-difference constant for a single map of degree >= 2.
@@ -224,7 +233,9 @@ BOX_PER_PREC = 4
 def _leaf_test(prec: int, system: MapSystem, node: ProjPoint, levels: int,
                limits: WorkLimits) -> dict:
     """The system height's test (orbits.NodeTest), with prec bound: a
-    settled child stands in as the tuple of its leaves' atoms."""
+    settled child stands in as the tuple of its leaves' atoms, up to k^2 of
+    them under a node orbits.SETTLE_LEVELS levels up.  Its boxes keep bits
+    bits of each coordinate, at an exponent of its own."""
     bits = BOX_PER_PREC * prec
     return settle(system, node, levels, limits, (bits, bits), partial(_leaf_verdict, bits))
 
@@ -274,9 +285,9 @@ def canonical_height_system(system: MapSystem, point: ProjPoint, depth: int = 6,
 
     prec is the binary precision of the result: the endpoints are the
     prec-bit enclosures of the two exact log expressions, carried as exact
-    rationals.  A leaf one or two levels under a node of at least
+    rationals.  A leaf one to three levels under a node of at least
     polys.ENCLOSE_BITS bits enters them as a logvals.Deferred (_leaf_test),
-    so its parent may not be built either; it is built only when its
+    so the nodes between may not be built either; it is built only when its
     enclosure meets another atom of its expression or does not decide its
     prec-bit box; each other leaf is built once.  The sums then have the
     terms, the order and the interval steps of the full expressions, so the
@@ -354,8 +365,7 @@ def hmin_estimate(system: MapSystem, point: ProjPoint, period_bound: int = 2,
         reached, all_met = min(reached, est.depth), all_met and est.target_met
         if best is None or est.hi(prec) < best.hi(prec):
             best = est
-        if lo_min is None or (est.lo_expr - lo_min).sign(prec) == -1:
-            lo_min = est.lo_expr
+        lo_min = est.lo_expr if lo_min is None else _logexpr_min(lo_min, est.lo_expr, prec)
     assert best is not None and lo_min is not None
     merged = HeightEstimate(lo_min, best.hi_expr, reached, best.degree_product,
                             best.certified, all_met, best.word)

@@ -5,8 +5,9 @@ Threshold decisions consume certified intervals and report "ambiguous" when
 an interval straddles the cut; nothing is ever silently rounded across it.
 The census builds only the tree nodes it may need: its verdict in
 `orbits.settle` (`NonUnitLeaves`) drops, unbuilt, a node whose denominator
-cannot be an S-unit, from its parent's `polys.Enclosure` (a box of the top
-bits and residues modulo p^K: the archimedean and p-adic parts of the size).
+cannot be an S-unit, from its parent's `polys.Enclosure` (a box of each
+coordinate's top bits at an exponent of its own, and residues modulo p^K:
+the archimedean and p-adic parts of the size).
 """
 
 from __future__ import annotations
@@ -121,10 +122,11 @@ def gamma_set(system: MapSystem, word: Word, s: PlaceSet, base: ProjPoint,
                        est, preperiodic)
 
 
-# The census screens the leaves of a node of at least polys.ENCLOSE_BITS
-# bits.  The screen's box keeps TOP_BITS bits of the smaller coordinate, and
-# at most polys.BOX_BITS of the larger; it reads v_p modulo
-# p^polys.RESIDUE_DIGITS first.
+# The census screens the nodes under a node of at least polys.ENCLOSE_BITS
+# bits.  The screen's box keeps TOP_BITS bits of the smaller coordinate and
+# at most polys.BOX_BITS of the larger, each at its own exponent, so the
+# smaller keeps its TOP_BITS however much longer the larger is; it reads
+# v_p modulo p^polys.RESIDUE_DIGITS first.
 TOP_BITS = 64
 
 
@@ -139,16 +141,17 @@ class NonUnitLeaves:
     only if G(x, y) != 0 and |G(x, y)| <= R * prod_{p in S} p^v_p(G(x, y)).
     A letter is ruled out when both sides are bounded and this fails:
     - |G(x, y)| >= 2^floor_bits, from exact integer bounds on G over the box
-      of the top bits of x and y at one shared exponent 2^shift (an
-      enclosure that contains 0 rules out nothing);
+      of the top bits of x and y, each at its own exponent (an enclosure
+      that contains 0 rules out nothing);
     - v_p(G(x, y)) exactly, as v_p of G(x mod p^K, y mod p^K) mod p^K once
       that residue is not 0; K doubles while it is, as long as p^K fits
       the bound;
     - R * prod p^v < 2^floor_bits, compared as bit lengths.
 
-    A last-level node is dropped with its leaves only when it and every
-    leaf are ruled out, each from its parent's enclosure, which may be of -1
-    times the node: that changes no |G| and no valuation the test reads.
+    A node up to two levels above the leaves is dropped with its subtree
+    only when it and every node under it are ruled out, each from its
+    parent's enclosure, which may be of -1 times the node: that changes no
+    |G| and no valuation the test reads.
     """
 
     def __init__(self, s: PlaceSet):
@@ -190,8 +193,8 @@ def s_integral_census(system: MapSystem, point: ProjPoint, s: PlaceSet,
     deduplicated before the root is dropped, so the starting point is never
     a hit, even where a word of length >= 1 returns to it.
 
-    Leaves that NonUnitLeaves rules out are never built, nor are the
-    last-level nodes it rules out together with their leaves.
+    Leaves that NonUnitLeaves rules out are never built, nor are the nodes
+    of the two levels above that it rules out together with their subtrees.
     Such a node is not an S-unit point, and neither is any other node of
     its point, so dropping it removes no hit and changes no hit's first
     word.

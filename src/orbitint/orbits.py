@@ -8,8 +8,11 @@ yields (word, point) in preorder (prefixes first, letters ascending) on an
 explicit stack, and `fold_tree` fans the tree out by first letter for
 parallel workers and concatenates the parts.  Both call the consumer's one
 test, `settle` with its verdict, at each node they expand, and a consumer
-with no test gets all nodes.  A settled point is built later only along
-its path from its node (`_Settled`), never by expanding its parent again.
+with no test gets all nodes.  `settle` decides the nodes under a large
+node at most `SETTLE_LEVELS` (3) levels above the leaves from chained
+`polys.Enclosure`s, which keep each coordinate's top bits at an exponent
+of its own.  A settled point is built later only along its path from its
+node (`_Settled`), never by expanding its parent again.
 `Orbit` is the one walk along a word: the orbit Phi^0(P), Phi^1(P), ...
 of a point, built one map per step on first use and shared by every pass
 over it (`find_cycle` scans it for a repeat, `iterate_word` yields it
@@ -131,19 +134,25 @@ NodeTest = Callable[[MapSystem, ProjPoint, int, WorkLimits], Mapping[int, object
 # A verdict's refusal to settle a node (see settle), compared by identity.
 REFUSE = object()
 
+# settle runs at nodes at most this many levels above the leaves: the one
+# level bound of every consumer.  Each level more chains one more image,
+# whose box loses bits to cancellation, so fewer nodes are decided.
+SETTLE_LEVELS = 3
+
 
 def settle(system: MapSystem, node: ProjPoint, levels: int, limits: WorkLimits,
            bits: tuple[int, int], judge: Callable) -> dict:
     """A consumer's test (NodeTest) from its verdict judge.  A node of at
-    least polys.ENCLOSE_BITS bits, at most 2 levels above the leaves, is
-    enclosed once (polys.Enclosure.of at bits), and each node under it by
-    the image of its parent's enclosure.  judge(parent, phi, leaf, build)
+    least polys.ENCLOSE_BITS bits, at most SETTLE_LEVELS levels above the
+    leaves, is enclosed once (polys.Enclosure.of at bits, each coordinate's
+    top bits at its own exponent), and each node under it by the image of
+    its parent's enclosure.  judge(parent, phi, leaf, build)
     gives REFUSE or the value kept for the node phi(parent), which build()
     builds.  A child is settled when no node under it is refused and each
     one above the leaves is shown within the bit cap, as its expansion would
     check; its stand-in is the tuple of the values kept, in preorder, or
     None when none is."""
-    if levels > 2 or limits.bits_of(node) < polys.ENCLOSE_BITS:
+    if levels > SETTLE_LEVELS or limits.bits_of(node) < polys.ENCLOSE_BITS:
         return {}
     settled, out = _Settled(system, node), {}
     box = polys.Enclosure.of(node.x, node.y, *bits)

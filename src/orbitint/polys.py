@@ -8,9 +8,10 @@ homogeneous evaluator.  The evaluator reads a per-point table of
 monomials x^i * y^j (`Monomials`) that several forms at one point can share,
 so binary forms cost one product per distinct monomial plus linear-time
 small-coefficient sums.  `Enclosure` is what the screens and deferred
-atoms read of a point they do not build: a box of its top bits, its
-residues modulo any m (a monomial table per modulus), certified bounds on
-a form over the box, and the same for the point's image under a map.
+atoms read of a point they do not build: a box of each coordinate's top
+bits at an exponent of its own, its residues modulo any m (a monomial
+table per modulus), certified bounds on a form over the box, and the same
+for the point's image under a map.
 """
 
 from __future__ import annotations
@@ -134,18 +135,58 @@ def eval_homogeneous(f: Sequence, g: Sequence, d: int, x: int, y: int,
     return u, v
 
 
-def _trim(shift: int, xs: tuple[int, int], ys: tuple[int, int], small_bits: int,
-          large_bits: int) -> tuple[int, tuple[int, int], tuple[int, int]]:
-    """The box xs * 2^shift by ys * 2^shift, widened outward to a larger
-    shift that keeps at most small_bits of the smaller coordinate and at most
-    large_bits of the larger (sizes read from the corner of larger absolute
-    value).  A coordinate whose dropped bits are all 0 keeps its width."""
-    (x_lo, x_hi), (y_lo, y_hi) = xs, ys
-    low, high = sorted((max(x_lo.bit_length(), x_hi.bit_length()),
-                        max(y_lo.bit_length(), y_hi.bit_length())))
-    drop = max(0, low - small_bits, high - large_bits)
-    return (shift + drop, (x_lo >> drop, -(-x_hi >> drop)),
-            (y_lo >> drop, -(-y_hi >> drop)))
+def _trim(xs: tuple[int, int, int], ys: tuple[int, int, int], small_bits: int,
+          large_bits: int) -> tuple[tuple[int, int, int], tuple[int, int, int]]:
+    """The box x_lo * 2^ex <= x <= x_hi * 2^ex by y_lo * 2^ey <= y <= y_hi *
+    2^ey, given as xs = (x_lo, x_hi, ex) and ys = (y_lo, y_hi, ey), each
+    coordinate widened outward to an exponent of its own, no smaller than
+    its given one, that keeps at most large_bits of its bits and at most
+    small_bits + gap, where gap is how many bits longer it is than the
+    smaller coordinate (sizes read from the corner of larger absolute
+    value).  So the smaller coordinate keeps small_bits; while the gap is
+    at most large_bits - small_bits the two share one exponent, and past it
+    the larger keeps large_bits at its own.  A coordinate whose dropped bits
+    are all 0 keeps its width."""
+    (x_lo, x_hi, ex), (y_lo, y_hi, ey) = xs, ys
+    x_bits = max(-x_lo, x_hi).bit_length() + ex
+    y_bits = max(-y_lo, y_hi).bit_length() + ey
+    floor = min(x_bits, y_bits) - small_bits
+    x_drop = max(0, floor - ex, x_bits - large_bits - ex)
+    y_drop = max(0, floor - ey, y_bits - large_bits - ey)
+    return ((x_lo >> x_drop, -(-x_hi >> x_drop), ex + x_drop),
+            (y_lo >> y_drop, -(-y_hi >> y_drop), ey + y_drop))
+
+
+def _one_exponent(xs: tuple[int, int, int],
+                  ys: tuple[int, int, int]) -> Optional[tuple[tuple, tuple]]:
+    """xs and ys on one exponent, exactly: the coordinate of the larger
+    exponent shifted down to the other's, or None where that would more
+    than double the length of its mantissa."""
+    (x_lo, x_hi, ex), (y_lo, y_hi, ey) = xs, ys
+    if ex == ey:
+        return xs, ys
+    if ex > ey:
+        if ex - ey > max(-x_lo, x_hi).bit_length():
+            return None
+        return (x_lo << ex - ey, x_hi << ex - ey, ey), ys
+    if ey - ex > max(-y_lo, y_hi).bit_length():
+        return None
+    return xs, (y_lo << ey - ex, y_hi << ey - ex, ex)
+
+
+def _align(ranges: Sequence[tuple[int, int, int]]) -> tuple[int, list[tuple[int, int]]]:
+    """(e, [(lo', hi'), ...]): each range lo * 2^f <= t <= hi * 2^f, given as
+    (lo, hi, f), widened outward to lo' * 2^e <= t <= hi' * 2^e on one
+    exponent e.  e is the least f, raised so that the largest range keeps
+    as many bits as the longest of them has: no shift builds a longer
+    integer, and a range under 2^e is rounded out to the grid of 2^e."""
+    least, width, top = ranges[0][2], 0, 0
+    for lo, hi, f in ranges:
+        bits = max(-lo, hi).bit_length()
+        width, top, least = max(width, bits), max(top, bits + f), min(least, f)
+    e = max(least, top - width)
+    return e, [(lo << f - e, hi << f - e) if f >= e else (lo >> e - f, -(-hi >> e - f))
+               for lo, hi, f in ranges]
 
 
 def _power_bounds(lo: int, hi: int, n: int) -> tuple[int, int]:
@@ -157,22 +198,27 @@ def _power_bounds(lo: int, hi: int, n: int) -> tuple[int, int]:
     return 0, max(lo ** n, hi ** n)
 
 
-def _form_bounds(cs: Sequence, d: int, xs: tuple[int, int],
-                 ys: tuple[int, int]) -> tuple[int, int]:
-    """Integer bounds (lo, hi) on the degree-d form sum of cs[i] X^i Y^(d-i)
-    over the box xs[0] <= X <= xs[1], ys[0] <= Y <= ys[1].
+def _form_bounds(cs: Sequence, d: int, xs: tuple[int, int, int],
+                 ys: tuple[int, int, int]) -> tuple[int, int, int]:
+    """(lo, hi, e) with lo * 2^e <= sum of cs[i] X^i Y^(d-i) <= hi * 2^e over
+    the box x_lo * 2^ex <= X <= x_hi * 2^ex, y_lo * 2^ey <= Y <= y_hi * 2^ey
+    of xs = (x_lo, x_hi, ex) and ys = (y_lo, y_hi, ey).
 
     Each monomial is bounded exactly and the bounds are added, so the
     enclosure is certified; it is as wide as the box makes the terms, and
     only as tight as their sum does not cancel.  In a box off both axes a
-    monomial's bounds are those of |X|^i |Y|^(d-i), with its sign.
+    monomial's bounds are those of |X|^i |Y|^(d-i), with its sign.  On one
+    exponent e (_one_exponent) the sum is exact at d * e; else the terms
+    are put on one exponent first (_align), rounded outward.
     """
-    (x_lo, x_hi), (y_lo, y_hi) = xs, ys
+    shared = _one_exponent(xs, ys)
+    (x_lo, x_hi, ex), (y_lo, y_hi, ey) = shared or (xs, ys)
     off_axes = (x_lo > 0 or x_hi < 0) and (y_lo > 0 or y_hi < 0)
     if off_axes:
         ax, bx = (x_lo, x_hi) if x_lo > 0 else (-x_hi, -x_lo)
         ay, by = (y_lo, y_hi) if y_lo > 0 else (-y_hi, -y_lo)
     lo = hi = 0
+    terms = []   # (lo, hi, exponent) of each term, off one exponent
     for i, c in enumerate(cs):
         if c:
             if off_axes:
@@ -180,13 +226,19 @@ def _form_bounds(cs: Sequence, d: int, xs: tuple[int, int],
                 if (x_hi < 0 and i % 2 == 1) != (y_hi < 0 and (d - i) % 2 == 1):
                     a, b = -b, -a
             else:
-                xlo, xhi = _power_bounds(*xs, i)
-                ylo, yhi = _power_bounds(*ys, d - i)
+                xlo, xhi = _power_bounds(x_lo, x_hi, i)
+                ylo, yhi = _power_bounds(y_lo, y_hi, d - i)
                 ends = (xlo * ylo, xlo * yhi, xhi * ylo, xhi * yhi)
                 a, b = min(ends), max(ends)
-            a, b = c * a, c * b
-            lo, hi = (lo + a, hi + b) if c > 0 else (lo + b, hi + a)
-    return lo, hi
+            a, b = (c * a, c * b) if c > 0 else (c * b, c * a)
+            if shared:
+                lo, hi = lo + a, hi + b
+            else:
+                terms.append((a, b, i * ex + (d - i) * ey))
+    if not terms:
+        return lo, hi, d * ex
+    e, aligned = _align(terms)
+    return sum(a for a, _ in aligned), sum(b for _, b in aligned), e
 
 
 # A point of at least ENCLOSE_BITS bits is enclosed where only its size and
@@ -201,26 +253,28 @@ RESIDUE_DIGITS = 64
 
 
 class Enclosure:
-    """A point [x : y] known without being built: x in xs * 2^shift and y in
-    ys * 2^shift, and (x, y) mod any m, with one monomial table per modulus
-    that every form read at the point shares."""
+    """A point [x : y] known without being built: x_lo * 2^ex <= x <= x_hi *
+    2^ex and y_lo * 2^ey <= y <= y_hi * 2^ey, each coordinate its top bits at
+    an exponent of its own (xs = (x_lo, x_hi, ex), ys likewise; see _trim),
+    and (x, y) mod any m, with one monomial table per modulus that every
+    form read at the point shares."""
 
-    __slots__ = ("shift", "xs", "ys", "_reduce", "_tables")
+    __slots__ = ("xs", "ys", "_reduce", "_tables")
 
-    def __init__(self, shift: int, xs: tuple[int, int], ys: tuple[int, int],
+    def __init__(self, xs: tuple[int, int, int], ys: tuple[int, int, int],
                  reduce: Callable[[int], tuple[int, int]]):
-        self.shift, self.xs, self.ys, self._reduce = shift, xs, ys, reduce
+        self.xs, self.ys, self._reduce = xs, ys, reduce
         self._tables: dict[int, tuple] = {}   # m -> (x mod m, y mod m, table)
 
     @classmethod
     def of(cls, x: int, y: int, small_bits: int, large_bits: int) -> "Enclosure":
         """The built point (x, y), in the box of its top bits (see _trim)."""
-        return cls(*_trim(0, (x, x), (y, y), small_bits, large_bits),
+        return cls(*_trim((x, x, 0), (y, y, 0), small_bits, large_bits),
                    lambda m: (x % m, y % m))
 
     def bounds(self, cs: Sequence, d: int) -> tuple[int, int, int]:
         """(lo, hi, e) with lo * 2^e <= sum of cs[i] x^i y^(d-i) <= hi * 2^e."""
-        return (*_form_bounds(cs, d, self.xs, self.ys), self.shift * d)
+        return _form_bounds(cs, d, self.xs, self.ys)
 
     def values(self, f: Sequence, g: Sequence, d: int, m: int) -> tuple[int, int]:
         """(F(x, y), G(x, y)) mod m for the degree-d forms of f and g (a form
@@ -240,16 +294,21 @@ class Enclosure:
         """
         f, g, d, r = phi.f, phi.g, phi.degree, phi.resultant
         c = math.gcd(r, *self.values(f, g, d, r)) if r > 1 else 1
-        (f_lo, f_hi, shift), (g_lo, g_hi, _) = self.bounds(f, d), self.bounds(g, d)
-        return Enclosure(*_trim(shift, (f_lo // c, -(-f_hi // c)), (g_lo // c, -(-g_hi // c)),
+        (f_lo, f_hi, f_e), (g_lo, g_hi, g_e) = self.bounds(f, d), self.bounds(g, d)
+        return Enclosure(*_trim((f_lo // c, -(-f_hi // c), f_e), (g_lo // c, -(-g_hi // c), g_e),
                                 small_bits, large_bits),
                          lambda m: tuple(t // c for t in self.values(f, g, d, m * c)))
 
     def size(self) -> tuple[int, int, int]:
-        """(lo, hi, e) with lo * 2^e <= max(|x|, |y|) <= hi * 2^e."""
-        (x_lo, x_hi), (y_lo, y_hi) = self.xs, self.ys
-        return (max(x_lo, -x_hi, y_lo, -y_hi, 0), max(-x_lo, x_hi, -y_lo, y_hi),
-                self.shift)
+        """(lo, hi, e) with lo * 2^e <= max(|x|, |y|) <= hi * 2^e: on the
+        coordinates' one exponent (_one_exponent), or else on the one
+        _align gives."""
+        shared = _one_exponent(self.xs, self.ys)
+        if shared:
+            (x_lo, x_hi, e), (y_lo, y_hi, _) = shared
+        else:
+            e, ((x_lo, x_hi), (y_lo, y_hi)) = _align((self.xs, self.ys))
+        return max(x_lo, -x_hi, y_lo, -y_hi, 0), max(-x_lo, x_hi, -y_lo, y_hi), e
 
     def bit_range(self) -> tuple[int, int]:
         """Bounds on max(|x|, |y|).bit_length() from the box: the one read

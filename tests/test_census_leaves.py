@@ -154,6 +154,26 @@ def test_enclosure_straddling_zero_keeps_the_leaf():
     assert is_s_unit(eval_point(system.maps[0], node).y, s)
 
 
+@pytest.mark.parametrize("swap", [False, True])
+def test_leaves_past_a_coordinate_gap_of_2048_bits_are_ruled_out_unbuilt(monkeypatch, swap):
+    """At a node whose coordinates differ by over 2,048 bits, the census box
+    keeps TOP_BITS bits of the smaller coordinate at its own exponent, so
+    the bounds of G = XY and G = XY^2 exclude 0 and both leaves are ruled
+    out unbuilt.  A box of one shared exponent kept no bit of the smaller
+    coordinate, its bounds on G contained 0, and both leaves were built."""
+    config = parse_config(json.loads((CONFIGS / "census_hypothesis_pair.json").read_text(
+        encoding="utf-8")))
+    x, y = 3 ** 3200 + 2, 7 ** 700
+    assert x.bit_length() - y.bit_length() > 3000
+    node = ProjPoint(y, x) if swap else ProjPoint(x, y)
+    assert assert_sound(config.system, node, config.places) == {1, 2}
+    calls = []
+    monkeypatch.setattr(orbits, "eval_point",
+                        lambda *args: calls.append(1) or eval_point(*args))
+    assert s_integral_census(config.system, node, config.places, 1) == ()
+    assert calls == []
+
+
 def test_bounds_mixed_census_builds_few_leaves(monkeypatch):
     config = parse_config(json.loads((CONFIGS / "bounds_mixed.json").read_text(encoding="utf-8")))
     expected = definition(config.system, normalize(3), config.places, 11)

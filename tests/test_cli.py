@@ -637,6 +637,32 @@ def test_usage_errors_end_with_the_json_line(capsys, argv, message):
     assert json.loads(err.splitlines()[-1]) == {"error": message, "kind": "validation"}
 
 
+@pytest.mark.parametrize("argv", [["census", "--config", "c.json", "--depth"],
+                                  ["census", "--config", "c.json", "--workers"],
+                                  ["verify", "--seed"], ["verify", "--precision"]])
+@pytest.mark.parametrize("sign", ["", "-"])
+def test_a_long_integer_option_names_its_length(capsys, argv, sign):
+    """An integer option too long for int() exits 2 with a short message
+    that names its length, as a config field does, and never its digits."""
+    with pytest.raises(SystemExit) as exc:
+        main(argv + [sign + "7" * 5000])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert len(err) < 600 and "7777" not in err
+    assert json.loads(err.splitlines()[-1]) == {
+        "error": f"argument {argv[-1]}: an integer of 5000 digits, too long to read",
+        "kind": "validation"}
+
+
+def test_a_long_text_for_an_integer_option_is_not_echoed(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--seed", "x" * 5000])
+    assert exc.value.code == 2
+    assert json.loads(capsys.readouterr().err.splitlines()[-1]) == {
+        "error": "argument --seed: invalid int value: a text of 5000 characters",
+        "kind": "validation"}
+
+
 def test_help_exits_0_without_a_json_line(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["--help"])
@@ -794,6 +820,26 @@ def test_census_depth_11_bytes(tmp_path, name, workers):
                  "--workers", str(workers), "--out", str(out)]) == 0
     (report,) = out.glob("census_*.json")
     assert hashlib.sha256(report.read_bytes()).hexdigest() == CENSUS_DEPTH_11_DIGESTS[name]
+
+
+# sha256 of the census report at --depth 13, by config, as written by a census
+# that built every node more than two levels above the leaves.
+CENSUS_DEPTH_13_DIGESTS = {
+    "bounds_mixed": "f5423a40ddded49f87e6c05ea1a4d685d96658ca47e4f7c4b135f591e46f6d5f",
+    "census_hypothesis_pair": "446f9291608854a98bf21ae07f5598c93a7bd72eac04c7a3d1e48a097fabe2e9",
+}
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("name", sorted(CENSUS_DEPTH_13_DIGESTS))
+def test_census_depth_13_bytes(tmp_path, name, workers):
+    import hashlib
+
+    out = tmp_path / "reports"
+    assert main(["census", "--config", str(SHIPPED / f"{name}.json"), "--depth", "13",
+                 "--workers", str(workers), "--out", str(out)]) == 0
+    (report,) = out.glob("census_*.json")
+    assert hashlib.sha256(report.read_bytes()).hexdigest() == CENSUS_DEPTH_13_DIGESTS[name]
 
 
 # sha256 of the orbit report and CSV on bounds_mixed from pointA 3 at

@@ -1,7 +1,10 @@
 """polys.Enclosure against exact evaluation: at points of 1,000 to 5,000
 bits, the box of a point, of its image and of an image of its image holds
 the exact point or its negation, its residues are that same point's mod m,
-bounds encloses a form's value and size brackets max(|x|, |y|)."""
+bounds encloses a form's value and size brackets max(|x|, |y|).  Each
+coordinate keeps its top bits at an exponent of its own; the two share one
+exactly while the gap between their sizes is at most large_bits -
+small_bits."""
 
 import math
 import random
@@ -9,7 +12,7 @@ import random
 import pytest
 
 from orbitint.integrality import TOP_BITS
-from orbitint.polys import BOX_BITS, Enclosure, eval_homogeneous
+from orbitint.polys import BOX_BITS, Enclosure, _trim, eval_homogeneous
 from orbitint.proj1 import ProjPoint
 from orbitint.ratmap import eval_point, parse_map
 from orbitint.verify import random_system
@@ -31,8 +34,8 @@ def point_of(rng, bits):
 
 
 def in_box(box, x, y):
-    (x_lo, x_hi), (y_lo, y_hi), s = box.xs, box.ys, box.shift
-    return x_lo << s <= x <= x_hi << s and y_lo << s <= y <= y_hi << s
+    (x_lo, x_hi, ex), (y_lo, y_hi, ey) = box.xs, box.ys
+    return x_lo << ex <= x <= x_hi << ex and y_lo << ey <= y <= y_hi << ey
 
 
 def assert_encloses(box, p):
@@ -112,27 +115,28 @@ def test_resultant_1():
 def test_a_power_of_2_coordinate_has_width_0():
     p = ProjPoint(-(1 << 3000), 3 ** 1000)
     box = Enclosure.of(p.x, p.y, TOP_BITS, BOX_BITS)
-    assert box.shift > 0 and box.xs[0] == box.xs[1] and box.ys[0] < box.ys[1]
+    assert box.xs[2] == box.ys[2] > 0 and box.xs[0] == box.xs[1] and box.ys[0] < box.ys[1]
     assert_encloses(box, p)
     for sizes in SIZES:
         assert_images(box, parse_map("(z^3-z)/(2*z^2+1)"), p, sizes)
 
 
 def test_the_image_rounds_outward():
-    """[4 : 2] in a box of 2 bits is exact at shift 1, so F = 12 and G = 20
-    are exact at shift 2; c = 4 puts F/c = 3 and G/c = 5 between the grid
-    points of that shift, and the image's box must round out to them."""
-    p, phi = ProjPoint(4, 2), parse_map("(z^2-1)/(z^2+1)")
+    """[4 : 6] in a box of 2 bits is exact at exponent 1, so F = -20 and
+    G = 52 are exact at exponent 2; c = 4 puts F/c = -5 and G/c = 13
+    between the grid points of that exponent, and the image's box must
+    round out to them."""
+    p, phi = ProjPoint(4, 6), parse_map("(z^2-1)/(z^2+1)")
     box = Enclosure.of(p.x, p.y, 2, 2)
-    assert (box.shift, box.xs, box.ys) == (1, (2, 2), (1, 1))
-    assert box.bounds(phi.f, 2) == (3, 3, 2)
+    assert (box.xs, box.ys) == ((2, 2, 1), (3, 3, 1))
+    assert box.bounds(phi.f, 2) == (-5, -5, 2)
     child = assert_images(box, phi, p, (64, 64))
-    assert (child.shift, child.xs, child.ys) == (2, (0, 1), (1, 2))
+    assert (child.xs, child.ys) == ((-2, -1, 2), (3, 4, 2))
 
 
 def test_a_small_point_is_its_own_box():
     box = Enclosure.of(-7, 5, TOP_BITS, BOX_BITS)
-    assert (box.shift, box.xs, box.ys) == (0, (-7, -7), (5, 5))
+    assert (box.xs, box.ys) == ((-7, -7, 0), (5, 5, 0))
     assert box.size() == (7, 7, 0)
 
 
@@ -162,7 +166,7 @@ def test_form_bounds_are_the_corner_bounds_in_every_quadrant():
         cs = [rng.choice((0, 1, -1, rng.randint(-40, 40))) for _ in range(rng.randint(0, d + 1))]
         xs, ys = (tuple(sorted(rng.randint(-(1 << 40), 1 << 40) for _ in range(2)))
                   for _ in range(2))
-        box = Enclosure(0, xs, ys, None)
+        box = Enclosure((*xs, 0), (*ys, 0), None)
         lo = hi = 0
         for i, c in enumerate(cs):
             xb = [t ** i for t in range(xs[0], xs[1] + 1, max(1, xs[1] - xs[0]))]
@@ -174,3 +178,84 @@ def test_form_bounds_are_the_corner_bounds_in_every_quadrant():
             ends = [c * u * v for u in xb for v in yb]
             lo, hi = lo + min(ends), hi + max(ends)
         assert box.bounds(cs, d) == (lo, hi, 0)
+
+
+def shared_trim(shift, xs, ys, small_bits, large_bits):
+    """The box of one shared exponent: the larger coordinate keeps at most
+    large_bits and the smaller at most small_bits, both at one shift."""
+    (x_lo, x_hi), (y_lo, y_hi) = xs, ys
+    low, high = sorted((max(x_lo.bit_length(), x_hi.bit_length()),
+                        max(y_lo.bit_length(), y_hi.bit_length())))
+    drop = max(0, low - small_bits, high - large_bits)
+    return ((x_lo >> drop, -(-x_hi >> drop), shift + drop),
+            (y_lo >> drop, -(-y_hi >> drop), shift + drop))
+
+
+@pytest.mark.parametrize("sizes", SIZES + [(2, 2), (64, 70)])
+def test_one_exponent_up_to_the_gap(sizes):
+    """While the larger coordinate is at most large_bits - small_bits bits
+    longer, the trim is the box of one shared exponent; past that gap the
+    smaller coordinate keeps small_bits of its own, at an exponent no higher
+    than the larger's, which keeps large_bits (an end rounded outward may carry into
+    one bit more)."""
+    small_bits, large_bits = sizes
+    rng = random.Random(f"trim:{sizes}")
+    past = 0
+    for _ in range(400):
+        shift = rng.randrange(0, 50)
+        ranges = []
+        for _ in range(2):
+            bits = rng.randrange(1, 7000)
+            lo = rng.choice((1, -1)) * rng.getrandbits(bits)
+            ranges.append(tuple(sorted((lo, lo + rng.randrange(0, 3)))))
+        trimmed = _trim(*((lo, hi, shift) for lo, hi in ranges), small_bits, large_bits)
+        bits = [max(lo.bit_length(), hi.bit_length()) for lo, hi in ranges]
+        for (lo, hi), (t_lo, t_hi, e) in zip(ranges, trimmed):
+            assert t_lo << e <= lo << shift and hi << shift <= t_hi << e
+        if abs(bits[0] - bits[1]) <= large_bits - small_bits:
+            assert trimmed == shared_trim(shift, *ranges, small_bits, large_bits)
+            continue
+        past += 1
+        small, large = sorted(range(2), key=bits.__getitem__)
+        assert trimmed[small][2] <= trimmed[large][2]
+        if bits[small] > small_bits:
+            kept = max(abs(t) for t in trimmed[small][:2]).bit_length()
+            assert kept - small_bits in (0, 1)
+        if bits[large] > large_bits:
+            kept = max(abs(t) for t in trimmed[large][:2]).bit_length()
+            assert kept - large_bits in (0, 1)
+    assert past >= 40
+
+
+def test_a_gap_of_2048_bits_keeps_the_top_bits_of_both():
+    """x of 5,073 bits and y of 1,966: the smaller keeps TOP_BITS bits at
+    its own exponent where one shared exponent kept none, so bounds on the
+    form XY exclude 0 and are the product's to TOP_BITS bits."""
+    p = ProjPoint(3 ** 3200 + 2, 7 ** 700)
+    box = Enclosure.of(p.x, p.y, TOP_BITS, BOX_BITS)
+    assert box.xs[1].bit_length() == BOX_BITS and box.ys[1].bit_length() == TOP_BITS
+    assert box.ys[2] < box.xs[2]
+    assert_encloses(box, p)
+    lo, hi, e = box.bounds((0, 1), 2)
+    assert 0 < lo << e <= p.x * p.y <= hi << e and hi - lo <= hi >> (TOP_BITS - 2)
+    for sizes in SIZES:
+        assert_images(box, parse_map("(z^3+1)/z"), p, sizes)
+
+
+def test_bounds_and_size_on_two_exponents():
+    """Random boxes whose coordinates have exponents of their own: bounds
+    and size enclose a form and max(|x|, |y|) at random points of the box."""
+    rng = random.Random(31)
+    for _ in range(500):
+        ranges = []
+        for _ in range(2):
+            lo = rng.randint(-(1 << 70), 1 << 70)
+            ranges.append((lo, lo + rng.randrange(0, 1 << 40), rng.randrange(0, 3000)))
+        box = Enclosure(*ranges, None)
+        x, y = ((rng.randint(lo, hi) << e) for lo, hi, e in ranges)
+        d = rng.randint(0, 5)
+        cs = [rng.choice((0, 1, -1, rng.randint(-40, 40))) for _ in range(d + 1)]
+        lo, hi, e = box.bounds(cs, d)
+        assert lo << e <= eval_homogeneous(cs, (), d, x, y)[0] <= hi << e
+        lo, hi, e = box.size()
+        assert lo << e <= max(abs(x), abs(y)) <= hi << e

@@ -355,3 +355,34 @@ def test_logexpr_max_undecided_is_an_upper_bound():
     for top in (_logexpr_max(a, b, prec=2), _logexpr_max(b, a, prec=2)):
         assert (top - a).sign() >= 0 and (top - b).sign() >= 0
     assert _logexpr_max(a, b) == b  # decided at the default precision
+
+
+def test_logexpr_min_undecided_is_a_lower_bound():
+    from orbitint.heights import _logexpr_min
+
+    a = LogExpr.log_int(3) - LogExpr.constant(1)          # 0.0986122...
+    b = LogExpr.constant(Fraction(987, 10_000))           # a + 8.8e-5
+    assert (a - b).sign(2) is None and (a - b).sign() < 0
+    for bottom in (_logexpr_min(a, b, prec=2), _logexpr_min(b, a, prec=2)):
+        assert (a - bottom).sign() >= 0 and (b - bottom).sign() >= 0
+    assert _logexpr_min(a, b) == a and _logexpr_min(b, a) == a  # decided
+    assert _logexpr_min(b, b) == b
+
+
+def test_hmin_lower_end_is_certified_when_comparisons_are_undecided(monkeypatch):
+    """With every sign undecided at precision 2, the scan's lower end is
+    still at most every scanned word's: keeping the first word's lower end
+    would not be, since a later word's is lower."""
+    from orbitint import heights
+    from orbitint.words import iter_periodic_words
+
+    real = LogExpr.sign
+    monkeypatch.setattr(heights.LogExpr, "sign",
+                        lambda self, prec=DEFAULT_PRECISION: None if prec == 2 else real(self, prec))
+    system, point = MapSystem([parse_map("(z^2+1)/z"), parse_map("(z^3+1)/z")]), normalize(2)
+    merged = hmin_estimate(system, point, period_bound=2, depth=6, prec=2).estimate
+    los = [canonical_height_word(Orbit(system, word, point), 6).lo_expr
+           for word in iter_periodic_words(system.k, 2)]
+    assert len(los) >= 3
+    assert all((merged.lo_expr - lo).sign() <= 0 for lo in los)
+    assert any((los[0] - lo).sign() > 0 for lo in los[1:])

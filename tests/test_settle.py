@@ -10,10 +10,13 @@ import pytest
 
 from orbitint import orbits, polys
 from orbitint.errors import WorkLimitExceeded
+from orbitint.heights import _leaf_test
+from orbitint.integrality import NonUnitLeaves
 from orbitint.logvals import Deferred, deferred_atom
 from orbitint.orbits import REFUSE, WorkLimits, enumerate_tree, settle, walk_tree
+from orbitint.places import PlaceSet, is_s_unit
 from orbitint.proj1 import ProjPoint, normalize
-from orbitint.ratmap import MapSystem, parse_map
+from orbitint.ratmap import MapSystem, eval_point, parse_map
 from orbitint.verify import random_point, random_system
 
 PAIR = MapSystem([parse_map("z^2"), parse_map("z^3")])
@@ -114,3 +117,38 @@ def test_a_walk_with_no_test_does_no_settle_work(monkeypatch):
         records = enumerate_tree(PAIR, BIG, 3, workers=workers)
         assert len(records) == 15
         assert all(type(point) is ProjPoint for _, point in records)
+
+
+def exact_subtree(system, node, letter, levels):
+    """(level under node, point) of the child at letter and every node under
+    it down to the given level, each built exactly, in preorder."""
+    child = eval_point(system.map_for_letter(letter), node)
+    return [(len(word) + 1, point) for word, point in walk_tree(system, child, levels - 1)]
+
+
+def test_settled_and_exact_decisions_agree_three_levels_up(monkeypatch):
+    """With ENCLOSE_BITS 0 a node SETTLE_LEVELS = 3 levels above the leaves
+    settles the children its chained boxes decide.  Each child the census
+    settles has no S-unit point among its three levels, built exactly, and
+    each child the system height settles stands for the exact atoms of its
+    leaves, in preorder."""
+    monkeypatch.setattr(polys, "ENCLOSE_BITS", 0)
+    assert orbits.SETTLE_LEVELS == 3
+    rng = random.Random(733)
+    places = [["inf"], ["inf", "p2"], ["inf", "p2", "p3"], ["inf", "p2", "p5"]]
+    census = height = 0
+    for trial in range(24):
+        system = random_system(rng, k_max=2, max_degree=3)
+        point = random_point(rng, 1 << rng.choice((8, 40, 300)))
+        s = PlaceSet.parse(places[trial % 4])
+        exact = {letter: exact_subtree(system, point, letter, 3)
+                 for letter in range(1, system.k + 1)}
+        for letter, stand_in in NonUnitLeaves(s)(system, point, 3, WorkLimits()).items():
+            assert stand_in is None
+            assert not any(not p.is_infinite and is_s_unit(p.y, s) for _, p in exact[letter])
+            census += 1
+        for letter, atoms in _leaf_test(128, system, point, 3, WorkLimits()).items():
+            leaves = [max(abs(p.x), abs(p.y)) for level, p in exact[letter] if level == 3]
+            assert [atom.value() for atom in atoms] == leaves
+            height += 1
+    assert census >= 25 and height >= 25

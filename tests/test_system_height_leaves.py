@@ -121,13 +121,15 @@ def test_random_trees_with_the_threshold_lifted(monkeypatch, evaluations):
 @pytest.mark.parametrize("prec", [53, 128])
 @pytest.mark.parametrize("workers", [1, 2])
 def test_settled_subtrees_on_random_trees(monkeypatch, workers, prec):
-    """With ENCLOSE_BITS 0 every node two levels above the leaves settles
-    the children whose leaves its chained enclosures bound.  Half the roots
-    are near 2^300, so at precision 53 the leaf atoms sit near a 53-bit
-    float, below what their 212-bit boxes resolve: those boxes are not
-    decided, and the leaves are built along their two-letter paths.  Two
-    workers make the same builds, since every build runs in this process,
-    also for an atom that a worker settled."""
+    """With ENCLOSE_BITS 0 every node up to three levels above the leaves
+    settles the children whose leaves its chained enclosures bound.  Half
+    the roots are near 2^300, so at precision 53 the leaf atoms sit near a
+    53-bit float, below what their 212-bit boxes resolve: those boxes are
+    not decided, and the leaves are built along their paths.  Two workers
+    make the same builds, since every build runs in this process, also for
+    an atom that a worker settled.  Three levels of chained boxes lose more
+    bits than two, so more boxes are undecided than at two levels (63 and 4
+    builds)."""
     monkeypatch.setattr(polys, "ENCLOSE_BITS", 0)
     built, real = [], orbits._Settled._image
     monkeypatch.setattr(orbits._Settled, "_image",
@@ -138,17 +140,20 @@ def test_settled_subtrees_on_random_trees(monkeypatch, workers, prec):
         point = (random_point(rng, 1 << 300) if seed % 2 else
                  normalize((1 << 300) + rng.randrange(1, 256), rng.randrange(1, 256)))
         assert_exact_leaf_formula(system, point, 2 + seed % 4, prec, workers)
-    assert len(built) == {53: 63, 128: 4}[prec]
+    assert len(built) == {53: 74, 128: 5}[prec]
 
 
 def test_bit_cap_under_settled_parents(tmp_path, capsys, evaluations):
-    """A last-level node is settled only when its box shows it within the
-    bit cap.  With the cap one bit under bounds_mixed's largest level-10
+    """A node above the leaves is settled only when its box shows it within
+    the bit cap.  With the cap one bit under bounds_mixed's largest level-10
     node at depth 11, that node is built and the run exits 3 naming it, as
     a walk that builds every node does.  With the cap at the largest bit
-    length those boxes allow, the walk builds no enclosed level-10 node:
-    the run makes the evaluations it makes under the default cap, where
-    only the 7 level-10 nodes on the paths of built leaves are built."""
+    length the settles' boxes allow (of levels 9 and 10 under a level-8
+    node of at least 1,024 bits, and of level 10 under a built level-9
+    node), the walk builds no enclosed node: the run makes the evaluations
+    it makes under the default cap, where levels 9 and 10 are built only
+    under the small nodes of the level above and on the paths of the 8
+    built leaves (4 level-9 and 7 level-10 nodes)."""
     from orbitint.cli import main
 
     config = load("bounds_mixed")
@@ -164,24 +169,37 @@ def test_bit_cap_under_settled_parents(tmp_path, capsys, evaluations):
         "error": f"orbit coordinate of {largest} bits exceeded the cap {largest - 1}",
         "kind": "work-limit"}
 
-    bits, boxes, small = heights.BOX_PER_PREC * config.precision_bits, [], 0
-    for word, node in walk_tree(config.system, config.point, 9):
-        if len(word) < 9:
-            continue
-        if WorkLimits.bits_of(node) < polys.ENCLOSE_BITS:
-            small += 1
-            continue
-        box = polys.Enclosure.of(node.x, node.y, bits, bits)
+    bits, boxes, small = heights.BOX_PER_PREC * config.precision_bits, [], {8: 0, 9: 0}
+
+    def chain(box, levels):
+        """The bits settle reads of the nodes above the leaves under box."""
         for phi in config.system.maps:
-            _, hi, e = box.image(phi, bits, bits).size()
+            image = box.image(phi, bits, bits)
+            _, hi, e = image.size()
             boxes.append(hi.bit_length() + e)
-    assert max(boxes) >= largest and small == 8
+            if levels > 2:
+                chain(image, levels - 1)
+
+    for word, node in walk_tree(config.system, config.point, 8):
+        if len(word) < 8:
+            continue
+        if WorkLimits.bits_of(node) >= polys.ENCLOSE_BITS:
+            chain(polys.Enclosure.of(node.x, node.y, bits, bits), 3)
+            continue
+        small[8] += 1
+        for phi in config.system.maps:
+            child = eval_point(phi, node)
+            if WorkLimits.bits_of(child) >= polys.ENCLOSE_BITS:
+                chain(polys.Enclosure.of(child.x, child.y, bits, bits), 2)
+            else:
+                small[9] += 1
+    assert max(boxes) >= largest and small == {8: 37, 9: 8}
     evaluations.clear()
     est = canonical_height_system(config.system, config.point, 11,
                                   bounds=system_bounds(config.system, config.c_mode),
                                   limits=WorkLimits(bit_cap=max(boxes)),
                                   prec=config.precision_bits)
-    assert len(evaluations) == orbits._tree_size(2, 9) - 1 + 2 * small + 7 + 8
+    assert len(evaluations) == orbits._tree_size(2, 8) - 1 + 2 * small[8] + 2 * small[9] + 4 + 7 + 8
     assert (est.lo(config.precision_bits), est.hi(config.precision_bits)) == (
         0.9888479494173272, 0.9889117636302506)
 
@@ -289,20 +307,23 @@ def test_the_settle_reads_the_exact_enclosures(evaluations, overlaps, point, lo,
     """Whether a leaf meets another atom is tested on its exact enclosure,
     finer than its 128-bit box: bounds_mixed at depth 11 builds 8 of its
     2,048 enclosed leaves (a test on the boxes built 24 from 3 and 30 from
-    3/2), and lo and hi are those of every leaf built.  Levels 1-9 are
-    built; a level-10 node is built by the walk only under one of the small
-    level-9 nodes (under 1,024 bits), and otherwise only on the path of a
-    built leaf: the 8 leaves lie under 7 level-10 nodes."""
+    3/2), and lo and hi are those of every leaf built.  Levels 1-8 are
+    built; a level-9 node is built by the walk only under one of the small
+    level-8 nodes (under 1,024 bits), a level-10 node only under a small
+    level-9 node, and otherwise each only on the path of a built leaf: the
+    8 leaves lie under 7 level-10 nodes, under 4 level-9 nodes."""
     config = load("bounds_mixed", point)
-    small = sum(len(word) == 9 and WorkLimits.bits_of(node) < polys.ENCLOSE_BITS
-                for word, node in walk_tree(config.system, config.point, 9))
+    small = {level: sum(len(word) == level and WorkLimits.bits_of(node) < polys.ENCLOSE_BITS
+                        for word, node in walk_tree(config.system, config.point, 9))
+             for level in (8, 9)}
     evaluations.clear()
     est = canonical_height_system(config.system, config.point, 11,
                                   bounds=system_bounds(config.system, config.c_mode),
                                   prec=config.precision_bits)
     assert len(overlaps) == 8 and len({(id(held), path[:-1]) for held, path in overlaps}) == 7
-    assert len(evaluations) == orbits._tree_size(2, 9) - 1 + 2 * small + 7 + 8 == {
-        "3": 1_053, "3/2": 1_041}[point]
+    assert len({(id(held), path[:1]) for held, path in overlaps}) == 4
+    assert len(evaluations) == (orbits._tree_size(2, 8) - 1 + 2 * small[8] + 2 * small[9]
+                                + 4 + 7 + 8) == {"3": 619, "3/2": 607}[point]
     assert (est.lo(config.precision_bits), est.hi(config.precision_bits)) == (lo, hi)
 
 
@@ -312,7 +333,7 @@ def test_sibling_leaves_share_one_table(monkeypatch):
     leaf built makes none, both leaves of a node make one between them, and
     a settled child is built once for both its leaves.  bounds_mixed at
     depth 11 from 3 builds 8 leaves under 7 level-10 nodes under 4 level-9
-    nodes, so 11 tables."""
+    nodes under 3 level-8 nodes, so 14 tables."""
     made = []
     real_table = polys.Monomials
     monkeypatch.setattr(polys, "Monomials",
@@ -344,10 +365,11 @@ def test_sibling_leaves_share_one_table(monkeypatch):
     canonical_height_system(config.system, config.point, 11,
                             bounds=system_bounds(config.system, config.c_mode),
                             prec=config.precision_bits)
-    assert len(builds) == 8 and {len(path) for _, path, _ in builds} == {2}
-    assert len({held for held, _, _ in builds}) == 4
-    assert len({(held, path[0]) for held, path, _ in builds}) == 7
-    assert sum(count for _, _, count in builds) == 4 + 7
+    assert len(builds) == 8 and {len(path) for _, path, _ in builds} == {3}
+    assert len({held for held, _, _ in builds}) == 3
+    assert len({(held, path[0]) for held, path, _ in builds}) == 4
+    assert len({(held, path[:2]) for held, path, _ in builds}) == 7
+    assert sum(count for _, _, count in builds) == 3 + 4 + 7
 
 
 @pytest.mark.parametrize("lifted", [False, True])
