@@ -9,8 +9,8 @@ monomials x^i * y^j (`Monomials`) that several forms at one point can share,
 so binary forms cost one product per distinct monomial plus linear-time
 small-coefficient sums.  `Enclosure` is what the screens and deferred
 atoms read of a point they do not build: a box of each coordinate's top
-bits at an exponent of its own, its residues modulo any m (a monomial
-table per modulus), certified bounds on a form over the box, and the same
+bits at an exponent of its own, its residues modulo any m (forms at them
+by Horner's rule), certified bounds on a form over the box, and the same
 for the point's image under a map.
 """
 
@@ -256,15 +256,14 @@ class Enclosure:
     """A point [x : y] known without being built: x_lo * 2^ex <= x <= x_hi *
     2^ex and y_lo * 2^ey <= y <= y_hi * 2^ey, each coordinate its top bits at
     an exponent of its own (xs = (x_lo, x_hi, ex), ys likewise; see _trim),
-    and (x, y) mod any m, with one monomial table per modulus that every
-    form read at the point shares."""
+    and (x, y) mod any m, each modulus reduced once."""
 
-    __slots__ = ("xs", "ys", "_reduce", "_tables")
+    __slots__ = ("xs", "ys", "_reduce", "_residues")
 
     def __init__(self, xs: tuple[int, int, int], ys: tuple[int, int, int],
                  reduce: Callable[[int], tuple[int, int]]):
         self.xs, self.ys, self._reduce = xs, ys, reduce
-        self._tables: dict[int, tuple] = {}   # m -> (x mod m, y mod m, table)
+        self._residues: dict[int, tuple[int, int]] = {}   # m -> (x mod m, y mod m)
 
     @classmethod
     def of(cls, x: int, y: int, small_bits: int, large_bits: int) -> "Enclosure":
@@ -278,11 +277,20 @@ class Enclosure:
 
     def values(self, f: Sequence, g: Sequence, d: int, m: int) -> tuple[int, int]:
         """(F(x, y), G(x, y)) mod m for the degree-d forms of f and g (a form
-        given as () is not evaluated)."""
-        if m not in self._tables:
-            xm, ym = self._reduce(m)
-            self._tables[m] = (xm, ym, Monomials(xm, ym))
-        u, v = eval_homogeneous(f, g, d, *self._tables[m])
+        given as () is not evaluated), by Horner's rule in x on the residues:
+        at their size a product costs less than the table that would share
+        it."""
+        residues = self._residues.get(m)
+        if residues is None:
+            residues = self._residues[m] = self._reduce(m)
+        x, y = residues
+        u = v = 0
+        y_power = 1   # y^(d-i)
+        for i in range(d, -1, -1):
+            if f:
+                u = u * x + (f[i] * y_power if i < len(f) else 0)
+            v = v * x + (g[i] * y_power if i < len(g) else 0)
+            y_power *= y
         return u % m, v % m
 
     def image(self, phi: "RatMap", small_bits: int, large_bits: int) -> "Enclosure":
