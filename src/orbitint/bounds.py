@@ -11,9 +11,10 @@ from __future__ import annotations
 import enum
 import math
 import sys
-from dataclasses import dataclass, fields
 from fractions import Fraction
+from typing import NamedTuple
 
+from .errors import Record
 from .logvals import LogExpr
 from .ratmap import MapSystem
 
@@ -23,8 +24,7 @@ class RamificationMode(enum.Enum):
     NOT_TOTALLY_RAMIFIED = "not-totally-ramified"
 
 
-@dataclass(frozen=True)
-class RamificationConstants:
+class RamificationConstants(NamedTuple):
     """Constants (kappa1, kappa2) controlling ramification growth along words.
 
     distinct-orbit mode: kappa1 = exp(sum(2*d_i - 2)) with kappa2*d1 = 1, so
@@ -50,8 +50,7 @@ def kappa_constants(system: MapSystem, mode: RamificationMode) -> RamificationCo
         mode, 0, 1 - Fraction(1, max(degrees)))
 
 
-@dataclass(frozen=True)
-class ChosenThreshold:
+class ChosenThreshold(NamedTuple):
     """Minimal m with kappa2^m <= epsilon/5 under not-totally-ramified
     constants (kappa1 = 1), plus the closed form bound used when every member
     of the scan set is below m."""
@@ -90,8 +89,7 @@ def prop_composition_height_bound(n: int, d: int, system_h: LogExpr) -> LogExpr:
     return system_h * lead + LogExpr.log_int(8, tail)
 
 
-@dataclass(frozen=True)
-class BoundParameters:
+class BoundParameters(Record):
     """Pluggable constants for the count bounds.
 
     The defaults are one valid instantiation, generous enough for desk-scale
@@ -101,21 +99,16 @@ class BoundParameters:
     census count bounds.
     """
 
-    roth_r1: float = 6.0
-    roth_r2: float = 2.0
-    roth_mu: float = 2.5
-    c5: float = 1.0
-    c6: float = 1.0
-    c7: float = 1.0
-    c10: float = 1.0
-    gamma: float = 8.0
+    __slots__ = _fields = ("roth_r1", "roth_r2", "roth_mu", "c5", "c6", "c7", "c10", "gamma")
 
-    def __post_init__(self):
-        for f in fields(self):
-            value = getattr(self, f.name)
+    def __init__(self, roth_r1: float = 6.0, roth_r2: float = 2.0, roth_mu: float = 2.5,
+                 c5: float = 1.0, c6: float = 1.0, c7: float = 1.0, c10: float = 1.0,
+                 gamma: float = 8.0):
+        super().__init__(roth_r1, roth_r2, roth_mu, c5, c6, c7, c10, gamma)
+        for name, value in self._asdict().items():
             # NaN fails; an int compares exactly, so one too large for a float fails.
             if type(value) not in (int, float) or not 0 < value <= sys.float_info.max:
-                raise ValueError(f"{f.name} must be a positive finite number")
+                raise ValueError(f"{name} must be a positive finite number")
         if self.roth_mu <= 2:
             raise ValueError("the approximation exponent must exceed 2")
 
@@ -127,8 +120,7 @@ def log_plus_base(value: float, base: int) -> float:
     return math.log(value) / math.log(base)
 
 
-@dataclass(frozen=True)
-class GammaCountBound:
+class GammaCountBound(NamedTuple):
     """Bound pieces for the size of a proximity set.
 
     max_n bounds every member outside an exceptional set of size tail_count;
@@ -168,8 +160,7 @@ def gamma_count_bound(system: MapSystem, s_size: int, epsilon: Fraction,
     return GammaCountBound(tail, max_n, max_n + 1 + tail, chosen.m)
 
 
-@dataclass(frozen=True)
-class CensusBounds:
+class CensusBounds(NamedTuple):
     """S-integer count bounds for a single word orbit and for the whole tree."""
 
     single_orbit: float        # bound on #{n >= 1 : orbit point is S-integral}

@@ -22,7 +22,6 @@ import math
 import os
 import re
 import sys
-from dataclasses import asdict
 from functools import partial
 from pathlib import Path
 
@@ -285,7 +284,7 @@ def _cmd_census(config: ExperimentConfig, workers: int, csv: Path):
                                 system_bounds(config.system, config.c_mode))
         if cors is not None:
             payload.update(bound=cors.tree_count,
-                           boundDetail=_census_bounds_json(cors, asdict(params)))
+                           boundDetail=_census_bounds_json(cors, params._asdict()))
     return payload, f"census: {len(hits)} S-integral points to depth {config.depth}"
 
 
@@ -313,7 +312,7 @@ def _cmd_ratios(config: ExperimentConfig, workers: int, csv: Path):
 def _cmd_bounds(config: ExperimentConfig, workers: int, csv: Path):
     prec = config.precision_bits
     params = config.bound_parameters or BoundParameters()
-    parameters = asdict(params)
+    parameters = params._asdict()
     system = config.system
     bounds_list = system_bounds(system, config.c_mode)
     h_f = system_height(system).to_float(prec)
@@ -448,6 +447,8 @@ def main(argv=None) -> int:
     out = Path(args.out)
     try:
         _check_out(out)
+        if args.seed < 0:   # random.Random(-s) is random.Random(s)
+            raise ConfigError("--seed must be a nonnegative integer")
         if args.subcommand == "verify":
             config = None
             prec = DEFAULT_PRECISION if args.precision is None else args.precision

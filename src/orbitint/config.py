@@ -1,4 +1,4 @@
-"""Experiment configuration: JSON in, validated dataclass out.
+"""Experiment configuration: JSON in, validated record out.
 
 Configs are hashed canonically so report filenames identify their inputs.
 """
@@ -8,14 +8,13 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
 
 from .bounds import BoundParameters
-from .errors import ConfigError
+from .errors import ConfigError, Record
 from .logvals import DEFAULT_PRECISION
-from .orbits import WorkLimits
+from .orbits import DEFAULT_LIMITS, WorkLimits
 from .places import PlaceSet
 from .proj1 import ProjPoint, parse_point, read_fraction
 from .ratmap import MapError, MapSystem, map_from_json, parse_map
@@ -26,8 +25,8 @@ DEFAULTS = {
     "epsilon": "1/2",
     "depth": 6,
     "precisionBits": DEFAULT_PRECISION,
-    "nodeCap": WorkLimits.node_cap,
-    "bitCap": WorkLimits.bit_cap,
+    "nodeCap": DEFAULT_LIMITS.node_cap,
+    "bitCap": DEFAULT_LIMITS.bit_cap,
     "dedupe": True,
     "hminPeriodBound": 2,
     "heightDepth": 12,
@@ -42,24 +41,18 @@ _WORK_LIMIT_KEYS = {"nodeCap", "bitCap"}
 MIN_PRECISION = 16
 
 
-@dataclass(frozen=True)
-class ExperimentConfig:
-    system: MapSystem
-    point: ProjPoint
-    point_a: ProjPoint
-    places: PlaceSet
-    epsilon: Fraction
-    word: Word
-    depth: int
-    limits: WorkLimits
-    bound_parameters: Optional[BoundParameters]
-    precision_bits: int
-    dedupe: bool
-    hmin_period_bound: int
-    averaged_level: Optional[int]
-    height_depth: int
-    c_mode: str
-    raw: dict = field(compare=False, repr=False)
+class ExperimentConfig(Record):
+    """A validated config; averaged_level and bound_parameters may be None,
+    and raw is the JSON object it was parsed from."""
+
+    __slots__ = _fields = ("system", "point", "point_a", "places", "epsilon", "word",
+                           "depth", "limits", "bound_parameters", "precision_bits",
+                           "dedupe", "hmin_period_bound", "averaged_level",
+                           "height_depth", "c_mode", "raw")
+
+    def _key(self) -> tuple:
+        """Every field but raw: configs that parse alike are equal."""
+        return self._values()[:-1]
 
     def canonical_hash(self) -> str:
         blob = json.dumps(self.raw, sort_keys=True, separators=(",", ":"))

@@ -18,10 +18,9 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
 from mpmath.libmp import to_rational
 
@@ -35,8 +34,7 @@ from .words import Word, iter_periodic_words
 DEFAULT_DEPTH = 12
 
 
-@dataclass(frozen=True)
-class HeightDifferenceBound:
+class HeightDifferenceBound(NamedTuple):
     """Bounds on how far h(phi(x)) can sit from d*h(x), for all x.
 
     upper and lower are unnormalized one-sided constants:
@@ -128,8 +126,7 @@ def system_c(bounds: Sequence[HeightDifferenceBound]) -> LogExpr:
     return out
 
 
-@dataclass(frozen=True)
-class HeightEstimate:
+class HeightEstimate(NamedTuple):
     """Certified interval for a canonical height.
 
     lo_expr and hi_expr are exact: log expressions for a word estimate, and
@@ -320,8 +317,7 @@ def canonical_height_system(system: MapSystem, point: ProjPoint, depth: int = 6,
                           depth, big_d ** depth, certified, True, None)
 
 
-@dataclass(frozen=True)
-class HminResult:
+class HminResult(NamedTuple):
     """Minimum of word canonical heights over the sampled periodic family.
 
     Upper-estimates the infimum over all infinite words; the lower endpoint is

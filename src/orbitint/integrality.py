@@ -13,10 +13,9 @@ the archimedean and p-adic parts of the size).
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from . import polys
 from .heights import HeightEstimate, canonical_height_word, system_bounds
@@ -57,8 +56,7 @@ class GammaVerdict(enum.Enum):
     AMBIGUOUS = "ambiguous"
 
 
-@dataclass(frozen=True)
-class GammaRecord:
+class GammaRecord(NamedTuple):
     """Membership scan of the proximity set at one configuration."""
 
     word: Word
@@ -102,18 +100,18 @@ def gamma_set(system: MapSystem, word: Word, s: PlaceSet, base: ProjPoint,
     orbit = Orbit(system, word, point)
     preperiodic = word.is_periodic and find_cycle(orbit, max(depth, 16), limits) is not None
     est = canonical_height_word(orbit, depth + 4, bounds, limits)
-    members = []
+    members, logs = [], {}   # the signs share the estimate's log boxes
     for n, current in enumerate(iterate_word(orbit, depth, limits)):
         lhs = chordal_sum(current, base, s, partial(orbit.__getitem__, n))
         if isinstance(lhs, _Infinite):
             members.append((n, GammaVerdict.IN))
             continue
         scale = epsilon * orbit.degree(n)
-        in_sign = (lhs - est.hi_expr * scale).sign(prec)
+        in_sign = (lhs - est.hi_expr * scale).sign(prec, logs)
         if in_sign is not None and in_sign >= 0:
             members.append((n, GammaVerdict.IN))
             continue
-        out_sign = (lhs - est.lo_expr * scale).sign(prec)
+        out_sign = (lhs - est.lo_expr * scale).sign(prec, logs)
         if out_sign is not None and out_sign < 0:
             members.append((n, GammaVerdict.OUT))
             continue
@@ -212,8 +210,7 @@ def _hits(s: PlaceSet, nodes) -> tuple:
                  if word and not point.is_infinite and is_s_unit(point.y, s))
 
 
-@dataclass(frozen=True)
-class RatioTerm:
+class RatioTerm(NamedTuple):
     """One term of the log|numerator| / log|denominator| series."""
 
     n: int
@@ -256,8 +253,7 @@ def _ratio_term(n: int, p: ProjPoint, prec: int) -> RatioTerm:
                      (float(box.a) + float(box.b)) / 2, "defined")
 
 
-@dataclass(frozen=True)
-class AveragedRatio:
+class AveragedRatio(NamedTuple):
     """Mean of the level-n ratios over all words, with exclusions counted."""
 
     level: int

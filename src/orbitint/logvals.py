@@ -264,6 +264,9 @@ class LogExpr:
     def __setattr__(self, name, value):
         raise AttributeError("LogExpr is immutable")
 
+    def __reduce__(self):   # rebuilt by __init__: __setattr__ refuses slot state
+        return LogExpr, (self.terms, self.const)
+
     # -- constructors ------------------------------------------------------
 
     @classmethod
@@ -379,15 +382,19 @@ class LogExpr:
 
     # -- exact sign --------------------------------------------------------
 
-    def sign(self, prec: int = DEFAULT_PRECISION) -> Optional[int]:
+    def sign(self, prec: int = DEFAULT_PRECISION,
+             logs: Optional[dict] = None) -> Optional[int]:
         """Certified sign: -1, 0, +1, or None when undecidable at budget.
 
-        0 is returned only when the value is proven zero exactly.
+        0 is returned only when the value is proven zero exactly.  logs,
+        when given, maps each precision to the log table of interval at
+        that precision, so signs that share atoms take each log once.
         """
         if self.is_structural_zero:
             return 0
         for factor in _ESCALATIONS:
-            box = self.interval(prec * factor)
+            box = self.interval(prec * factor,
+                                None if logs is None else logs.setdefault(prec * factor, {}))
             if box.a > 0:
                 return 1
             if box.b < 0:

@@ -39,9 +39,8 @@ and confirms a key match by rebuilding the earlier point along its word
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from functools import partial
-from typing import Callable, Iterable, Iterator, Mapping, Optional, Sized
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Optional, Sized
 
 from . import polys
 from .errors import WorkLimitExceeded
@@ -61,8 +60,7 @@ def _tree_size(k: int, depth: int) -> int:
     return depth + 1 if k == 1 else (k ** (depth + 1) - 1) // (k - 1)
 
 
-@dataclass(frozen=True)
-class WorkLimits:
+class WorkLimits(NamedTuple):
     """The work caps of one run.  node_cap bounds the nodes of a word tree;
     bit_cap bounds orbit coordinate sizes (a hard stop in walks, a soft one
     in height estimates and cycle scans).  A word step is tested by
@@ -119,7 +117,7 @@ class WorkLimits:
 
     def cycle_scan(self) -> "WorkLimits":
         """These limits with the bit cap lowered to CYCLE_BITS."""
-        return replace(self, bit_cap=min(self.bit_cap, CYCLE_BITS))
+        return self._replace(bit_cap=min(self.bit_cap, CYCLE_BITS))
 
 
 DEFAULT_LIMITS = WorkLimits()
@@ -463,8 +461,7 @@ def enumerate_tree(system: MapSystem, point: ProjPoint, depth: int,
     return fold(nodes)
 
 
-@dataclass(frozen=True)
-class HypothesisReport:
+class HypothesisReport(NamedTuple):
     """Depth-bounded evidence for the orbit hypotheses.
 
     A True flag means no counterexample up to the checked depth, never a

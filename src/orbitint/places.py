@@ -8,10 +8,11 @@ as (valuation, prime) pairs inside LogExpr; nothing is rounded.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from functools import total_ordering
 from typing import Iterable, Iterator, Optional
 
+from .errors import Record
 from .logvals import NEG_INF, LogExpr, _Infinite
 
 # Deterministic for n < 3.3e24; no composite below 2^81 is known to pass the
@@ -71,18 +72,24 @@ def strip_prime(n: int, p: int) -> tuple[int, int]:
     return v, n
 
 
-@dataclass(frozen=True, order=True)
-class Place:
-    """A place of Q: prime=None is the archimedean place."""
+@total_ordering
+class Place(Record):
+    """A place of Q: prime=None is the archimedean place.  Places are
+    ordered by sort_key, inf first."""
 
-    sort_key: int
-    prime: Optional[int]
+    __slots__ = _fields = ("sort_key", "prime")
 
     def __init__(self, prime: Optional[int] = None):
         if prime is not None and not is_probable_prime(prime):
             raise ValueError(f"{prime} is not prime")
         object.__setattr__(self, "prime", prime)
         object.__setattr__(self, "sort_key", 0 if prime is None else prime)
+
+    def __reduce__(self):
+        return Place, (self.prime,)
+
+    def __lt__(self, other):
+        return self._key() < other._key() if type(other) is Place else NotImplemented
 
     @property
     def is_archimedean(self) -> bool:

@@ -256,14 +256,16 @@ class Enclosure:
     """A point [x : y] known without being built: x_lo * 2^ex <= x <= x_hi *
     2^ex and y_lo * 2^ey <= y <= y_hi * 2^ey, each coordinate its top bits at
     an exponent of its own (xs = (x_lo, x_hi, ex), ys likewise; see _trim),
-    and (x, y) mod any m, each modulus reduced once."""
+    and (x, y) mod any m, each modulus reduced once; each form is bounded
+    over the box once."""
 
-    __slots__ = ("xs", "ys", "_reduce", "_residues")
+    __slots__ = ("xs", "ys", "_reduce", "_residues", "_bounds")
 
     def __init__(self, xs: tuple[int, int, int], ys: tuple[int, int, int],
                  reduce: Callable[[int], tuple[int, int]]):
         self.xs, self.ys, self._reduce = xs, ys, reduce
         self._residues: dict[int, tuple[int, int]] = {}   # m -> (x mod m, y mod m)
+        self._bounds: dict[tuple, tuple[int, int, int]] = {}   # (cs, d) -> bounds
 
     @classmethod
     def of(cls, x: int, y: int, small_bits: int, large_bits: int) -> "Enclosure":
@@ -273,7 +275,11 @@ class Enclosure:
 
     def bounds(self, cs: Sequence, d: int) -> tuple[int, int, int]:
         """(lo, hi, e) with lo * 2^e <= sum of cs[i] x^i y^(d-i) <= hi * 2^e."""
-        return _form_bounds(cs, d, self.xs, self.ys)
+        key = (tuple(cs), d)
+        bounds = self._bounds.get(key)
+        if bounds is None:
+            bounds = self._bounds[key] = _form_bounds(cs, d, self.xs, self.ys)
+        return bounds
 
     def values(self, f: Sequence, g: Sequence, d: int, m: int) -> tuple[int, int]:
         """(F(x, y), G(x, y)) mod m for the degree-d forms of f and g (a form

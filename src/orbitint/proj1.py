@@ -17,11 +17,11 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional
 
 from . import polys
+from .errors import Record
 from .logvals import POS_INF, Deferred, LogExpr, _Infinite, deferred_atom
 from .places import Place, padic_valuation, strip_prime
 
@@ -85,8 +85,7 @@ def read_fraction(text: str) -> Fraction:
     return Fraction(read_int(m.group(1)), read_int(m.group(2) or "1"))
 
 
-@dataclass(frozen=True)
-class ProjPoint:
+class ProjPoint(Record):
     """Point [x : y] of P^1(Q) in canonical coprime form.
 
     The constructor does not check the form: build points from user data with
@@ -95,12 +94,23 @@ class ProjPoint:
     denominator) needs gcd(x, y) = 1 and y > 0, or [1 : 0].
     """
 
-    x: int
-    y: int
+    __slots__ = _fields = ("x", "y")
 
-    def __post_init__(self):
-        if self.x == 0 and self.y == 0:
+    # One is built per tree node: the fields are set through their slots,
+    # and compared and hashed with no generic _key.
+    def __init__(self, x: int, y: int):
+        if x == 0 and y == 0:
             raise ValueError("[0 : 0] is not a projective point")
+        _set_x(self, x)
+        _set_y(self, y)
+
+    def __eq__(self, other):
+        if type(other) is not ProjPoint:
+            return NotImplemented
+        return self.x == other.x and self.y == other.y
+
+    def __hash__(self):
+        return hash((self.x, self.y))
 
     @property
     def is_infinite(self) -> bool:
@@ -112,6 +122,9 @@ class ProjPoint:
 
     def __str__(self) -> str:
         return f"[{int_text(self.x)}:{int_text(self.y)}]"
+
+
+_set_x, _set_y = ProjPoint.x.__set__, ProjPoint.y.__set__
 
 
 def normalize(x: int | Fraction, y: Optional[int] = None) -> ProjPoint:

@@ -13,12 +13,12 @@ from __future__ import annotations
 import math
 import re
 import sys
-from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
 from typing import Optional, Sequence
 
 from . import polys
+from .errors import Record
 from .logvals import LogExpr
 from .proj1 import ProjPoint, from_coprime, read_fraction, read_int
 
@@ -31,13 +31,12 @@ class MapError(ValueError):
         self.witness = witness
 
 
-@dataclass(frozen=True)
-class RatMap:
+class RatMap(Record):
     """Normalized rational map f/g with degree max(deg f, deg g)."""
 
-    f: tuple
-    g: tuple
-    degree: int
+    # An instance dict holds the cached properties.
+    __slots__ = ("f", "g", "degree", "__dict__")
+    _fields = ("f", "g", "degree")
 
     def homogeneous(self, x: int, y: int,
                     table: Optional[polys.Monomials] = None) -> tuple[int, int]:
@@ -283,11 +282,10 @@ def map_height(phi: RatMap) -> LogExpr:
     return LogExpr.log_int(phi.max_abs_coeff)
 
 
-@dataclass(frozen=True)
-class MapSystem:
+class MapSystem(Record):
     """Finite generating set, stored sorted by ascending degree."""
 
-    maps: tuple
+    __slots__ = _fields = ("maps",)
 
     def __init__(self, maps: Sequence[RatMap]):
         maps = tuple(sorted(maps, key=lambda m: m.degree))

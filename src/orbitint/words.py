@@ -9,8 +9,9 @@ from __future__ import annotations
 
 import enum
 import itertools
-from dataclasses import dataclass
 from typing import Iterator, Sequence
+
+from .errors import Record
 
 
 class WordMode(enum.Enum):
@@ -18,10 +19,8 @@ class WordMode(enum.Enum):
     PERIODIC = "periodic"
 
 
-@dataclass(frozen=True)
-class Word:
-    letters: tuple
-    mode: WordMode = WordMode.FINITE
+class Word(Record):
+    __slots__ = _fields = ("letters", "mode")
 
     def __init__(self, letters: Sequence[int], mode: WordMode = WordMode.FINITE):
         letters = tuple(letters)

@@ -1,6 +1,5 @@
 import math
 import random
-from dataclasses import asdict
 from fractions import Fraction
 
 import pytest
@@ -214,7 +213,7 @@ def test_parameter_validation():
     with pytest.raises(ValueError):
         BoundParameters(gamma=-1.0)
     params = BoundParameters()
-    assert asdict(params)["roth_mu"] == 2.5
+    assert params._asdict()["roth_mu"] == 2.5
 
 
 def test_kappa_serialization(pair_system):

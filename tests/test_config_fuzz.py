@@ -1,6 +1,8 @@
 """A seeded fuzzer of the exit contract: mutated shipped configs, run in
 process through `cli.main` with one worker, exit 0, 2 or 3, and an error
-exit ends stderr with its JSON line.
+exit ends stderr with its JSON line.  Mutated argv (a bad integer option,
+an unknown flag, a missing --config) exits 2 with the JSON line of a
+validation error.
 
 Each case takes a shipped config and mutates some of its maps (degree up to
 30, coefficients up to 40 digits, poles at rational points, shared factors,
@@ -19,6 +21,14 @@ from orbitint.cli import main
 CONFIGS = sorted((Path(__file__).resolve().parents[1] / "configs").glob("*.json"))
 SUBCOMMANDS = ("orbit", "canonical", "system-height", "gamma", "census", "ratios", "bounds")
 CASES = 210
+ARGV_CASES = 150
+# Options each subcommand takes: canonical walks heightDepth steps and has
+# no --depth; verify reads no config.
+INT_OPTIONS = {sub: ("--depth", "--workers", "--seed", "--precision") for sub in SUBCOMMANDS}
+INT_OPTIONS["canonical"] = ("--workers", "--seed", "--precision")
+INT_OPTIONS["verify"] = ("--seed", "--precision")
+# Neither a flag of the parser nor a prefix of one, which argparse would take.
+UNKNOWN_FLAGS = ("--bogus", "--nodeCap", "--outdir", "--config-file", "--depth2", "-q", "-")
 
 
 def _coefficient(rng):
@@ -111,3 +121,54 @@ def test_mutated_configs_keep_the_exit_contract(tmp_path, capsys):
     assert main(["verify", "--seed", str(rng.randrange(1000)),
                  "--out", str(tmp_path / "out")]) == 0
     assert all(seen.values()), seen   # each exit taken at least once
+
+
+def _bad_integer(rng):
+    """An integer option's value that no run accepts: over the interpreter's
+    digit limit (4,300 digits by default), negative, non-numeric or empty."""
+    kind = rng.randrange(4)
+    if kind == 0:
+        digits = "".join(rng.choices("0123456789", k=rng.randrange(4400, 6000)))
+        return rng.choice(("", "-", "+")) + str(rng.randrange(1, 10)) + digits
+    if kind == 1:
+        return str(-rng.randrange(1, 10 ** rng.randrange(1, 40)))
+    if kind == 2:
+        return rng.choice(("abc", "1e3", "0x10", "3.5", "--5", "12a", "1/2", "inf"))
+    return rng.choice(("", " "))
+
+
+def _mutate_argv(rng, config, out):
+    """A subcommand's argv with one fault: a bad integer option, an unknown
+    flag (with or without a value, anywhere after the subcommand) or a
+    missing --config (the flag, or only its value)."""
+    sub = rng.choice(SUBCOMMANDS + ("verify",))
+    argv = [sub] + ([] if sub == "verify" else ["--config", config]) + ["--out", out]
+    kind = rng.randrange(2 if sub == "verify" else 3)
+    if kind == 0:
+        argv += [rng.choice(INT_OPTIONS[sub]), _bad_integer(rng)]
+    elif kind == 1:
+        at = rng.randrange(1, len(argv) + 1)
+        argv[at:at] = [rng.choice(UNKNOWN_FLAGS)] + [str(rng.randrange(10))] * rng.randrange(2)
+    else:
+        argv.remove(config)
+        if rng.random() < 0.5:
+            argv.remove("--config")
+    return argv
+
+
+def _exit_code(argv):
+    try:
+        return main(argv)
+    except SystemExit as exc:   # argparse's usage errors
+        return exc.code
+
+
+def test_mutated_argv_exits_2_with_the_json_line(tmp_path, capsys):
+    rng = random.Random(20192)
+    for _ in range(ARGV_CASES):
+        argv = _mutate_argv(rng, str(rng.choice(CONFIGS)), str(tmp_path / "out"))
+        code = _exit_code(argv)
+        err = capsys.readouterr().err
+        shown = [arg if len(arg) < 50 else f"<{len(arg)} characters>" for arg in argv]
+        assert code == 2, (shown, err[-500:])
+        assert json.loads(err.strip().splitlines()[-1])["kind"] == "validation", shown
