@@ -20,13 +20,14 @@ import math
 import random
 from fractions import Fraction
 from functools import partial
-from typing import Callable, Iterable, NamedTuple, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 from mpmath.libmp import to_rational
 
 from . import polys
 from .logvals import DEFAULT_PRECISION, LogExpr, deferred_atom
-from .orbits import DEFAULT_LIMITS, REFUSE, Orbit, WorkLimits, find_cycle, fold_tree, settle
+from .orbits import (DEFAULT_LIMITS, REFUSE, Lineage, Orbit, WorkLimits, find_cycle, fold_tree,
+                     settle)
 from .proj1 import ProjPoint, normalize
 from .ratmap import MapSystem, RatMap, eval_point
 from .words import Word, iter_periodic_words
@@ -197,8 +198,8 @@ def canonical_height_word(orbit: Orbit, depth: int = DEFAULT_DEPTH,
     Past polys.ENCLOSE_BITS the orbit advances by enclosures (Orbit.step),
     and each cap test is Orbit.fits, which builds a step only when its box
     straddles the cap.  When the last step is not built, its height atom
-    enters the estimate as a logvals.Deferred over its enclosure, built
-    from the orbit's point if ever.  The estimate's values are those of the
+    enters the estimate as a logvals.Deferred over its enclosure, built by
+    the step's lineage if ever.  The estimate's values are those of the
     built points.
     """
     system, word = orbit.system, orbit.word
@@ -215,7 +216,7 @@ def canonical_height_word(orbit: Orbit, depth: int = DEFAULT_DEPTH,
     inv = Fraction(1, degree)
     step = orbit.step(n)
     atom = None if isinstance(step, ProjPoint) else deferred_atom(
-        step.size(), lambda: _leaf_atom(orbit[n]))
+        step.size(), partial(_built_atom, step.lineage))
     mid = (orbit[n].height() if atom is None else LogExpr(((atom, 1),))) * inv
     certified = all(b.certified for b in bounds)
     return HeightEstimate(mid - down * inv, mid + up * inv, n, degree, certified,
@@ -237,19 +238,19 @@ def _leaf_test(prec: int, system: MapSystem, node: ProjPoint, levels: int,
     return settle(system, node, levels, limits, (bits, bits), partial(_leaf_verdict, bits))
 
 
-def _leaf_verdict(bits: int, parent: polys.Enclosure, phi: RatMap, leaf: bool,
-                  build: Callable[[], ProjPoint]) -> object:
+def _leaf_verdict(bits: int, parent: polys.Enclosure, phi: RatMap, leaf: bool) -> object:
     """The system height's verdict (orbits.settle), bits bound: nothing kept
     above the leaves; a leaf's atom max(|F|, |G|)/g as a Deferred bounded by
     the image of parent's enclosure, or REFUSE unless that shows it >= 2."""
     if not leaf:
         return None
-    atom = deferred_atom(parent.image(phi, bits, bits).size(), partial(_built_atom, build))
+    image = parent.image(phi, bits, bits)
+    atom = deferred_atom(image.size(), partial(_built_atom, image.lineage))
     return REFUSE if atom is None else atom
 
 
-def _built_atom(build: Callable[[], ProjPoint]) -> int:
-    return _leaf_atom(build())
+def _built_atom(lineage: Lineage) -> int:
+    return _leaf_atom(lineage.build())
 
 
 def _leaf_atom(p: ProjPoint) -> int:

@@ -86,8 +86,8 @@ def gamma_set(system: MapSystem, word: Word, s: PlaceSet, base: ProjPoint,
     starting point), via the shift functional equation; the height interval
     makes each verdict in, out, or ambiguous.  A step past
     polys.ENCLOSE_BITS that the walk has not built enters its chordal sum
-    by its enclosure (see proj1.log_chordal), and is built only where that
-    does not decide, so every verdict is the one the built point gives.
+    by its enclosure (see proj1.log_chordal), and is built (by its lineage)
+    only where that does not decide: each verdict is the built point's.
     """
     epsilon = Fraction(epsilon)
     if not 0 < epsilon <= 1:
@@ -102,7 +102,7 @@ def gamma_set(system: MapSystem, word: Word, s: PlaceSet, base: ProjPoint,
     est = canonical_height_word(orbit, depth + 4, bounds, limits)
     members, logs = [], {}   # the signs share the estimate's log boxes
     for n, current in enumerate(iterate_word(orbit, depth, limits)):
-        lhs = chordal_sum(current, base, s, partial(orbit.__getitem__, n))
+        lhs = chordal_sum(current, base, s)
         if isinstance(lhs, _Infinite):
             members.append((n, GammaVerdict.IN))
             continue
@@ -158,7 +158,7 @@ class NonUnitLeaves:
     def __call__(self, system: MapSystem, node: ProjPoint, levels: int, limits: WorkLimits):
         return settle(system, node, levels, limits, (TOP_BITS, polys.BOX_BITS), self._verdict)
 
-    def _verdict(self, parent: polys.Enclosure, phi: RatMap, leaf: bool, build) -> object:
+    def _verdict(self, parent: polys.Enclosure, phi: RatMap, leaf: bool) -> object:
         return None if self._rules_out(phi, parent) else REFUSE
 
     def _rules_out(self, phi: RatMap, node: polys.Enclosure) -> bool:

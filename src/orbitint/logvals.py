@@ -100,12 +100,12 @@ def _clusters(items: list) -> Iterator[list]:
     yield cluster
 
 
-def deferred_atom(enclosure: tuple[int, int, int],
+def deferred_atom(bounds: tuple[int, int, int],
                   build: Callable[[], int]) -> Optional["Deferred"]:
-    """The Deferred of an integer N with enclosure (lo, hi, exp), that is
-    lo * 2^exp <= N <= hi * 2^exp, and its build; None when the enclosure
-    does not show N >= 2, so that N might not be a log atom."""
-    lo, hi, exp = enclosure
+    """The Deferred of an integer N with bounds (lo, hi, exp), lo * 2^exp
+    <= N <= hi * 2^exp as polys.Enclosure.bounds gives them, and its build;
+    None when they do not show N >= 2, so that N might not be a log atom."""
+    lo, hi, exp = bounds
     # Bits below the enclosure's width tell nothing: all but 8 are dropped,
     # rounding outward, so that keys and boxes read short integers.
     drop = (hi - lo).bit_length() - 8

@@ -11,8 +11,9 @@ test, `settle` with its verdict, at each node they expand, and a consumer
 with no test gets all nodes.  `settle` decides the nodes under a large
 node at most `SETTLE_LEVELS` (3) levels above the leaves from chained
 `polys.Enclosure`s, which keep each coordinate's top bits at an exponent
-of its own.  A settled point is built later only along its path from its
-node (`_Settled`), never by expanding its parent again.
+of its own.  Each enclosure carries its point's `Lineage`, the one build
+of a point read unbuilt, so a settled point is built later only down its
+path from its node, never by expanding its parent again.
 `Orbit` is the one walk along a word: the orbit Phi^0(P), Phi^1(P), ...
 of a point, built one map per step on first use and shared by every pass
 over it (`find_cycle` scans it for a repeat, `iterate_word` yields it
@@ -20,11 +21,11 @@ bit-checked), and the one source of the degree products D_n.  Past
 `polys.ENCLOSE_BITS` it advances by chained enclosures: each step that is
 not built is known by the `polys.Enclosure.image` of the step before, so
 the height walk and gamma's membership scan read the height atom and the
-chordal sum of a large step from its box, and build the point only where a
-box does not decide.  `Orbit.fits` is the one cap test of a word step, for
-the cycle scan, the height walk and `iterate_word` alike: it reads the
-step's bit range (`polys.Enclosure.bit_range` of its box) and builds the
-step only when that range straddles the cap.
+chordal sum of a large step from its box, and build the point (by its
+lineage) only where a box does not decide.  `Orbit.fits` is the one cap
+test of a word step: it reads the step's bit range
+(`polys.Enclosure.bit_range` of its box) and builds the step only when
+that range straddles the cap.
 `WorkLimits` is the one way a cap reaches the engine: `bits_of` is the one
 coordinate-size measure, `fits_bits` the one bit-cap test, `check_nodes`
 and `check_scan` the node-cap tests (of a tree and of an hmin scan) and
@@ -33,8 +34,7 @@ and `check_scan` the node-cap tests (of a tree and of an hmin scan) and
 fold, so no node is held that the consumer does not keep.  Point equality
 is exact equality of normalized coordinates: the one dedupe index,
 `_earlier_words`, keeps each distinct point's first word under a cheap key
-and confirms a key match by rebuilding the earlier point along its word
-(`_Settled`).
+and confirms a key match by rebuilding the earlier point (its `Lineage`).
 """
 
 from __future__ import annotations
@@ -144,69 +144,62 @@ def settle(system: MapSystem, node: ProjPoint, levels: int, limits: WorkLimits,
     least polys.ENCLOSE_BITS bits, at most SETTLE_LEVELS levels above the
     leaves, is enclosed once (polys.Enclosure.of at bits, each coordinate's
     top bits at its own exponent), and each node under it by the image of
-    its parent's enclosure.  judge(parent, phi, leaf, build)
-    gives REFUSE or the value kept for the node phi(parent), which build()
-    builds.  A child is settled when no node under it is refused and each
-    one above the leaves is shown within the bit cap, as its expansion would
-    check; its stand-in is the tuple of the values kept, in preorder, or
-    None when none is."""
+    its parent's enclosure, whose Lineage builds it.  judge(parent, phi,
+    leaf) gives REFUSE or the value kept for the node phi(parent).  A child
+    is settled when no node under it is refused and each one above the
+    leaves is shown within the bit cap, as its expansion would check; its
+    stand-in is the tuple of the values kept, in preorder, or None when
+    none is."""
     if levels > SETTLE_LEVELS or limits.bits_of(node) < polys.ENCLOSE_BITS:
         return {}
-    settled, out = _Settled(system, node), {}
-    box = polys.Enclosure.of(node.x, node.y, *bits)
-    maps = list(enumerate(system.maps, start=1))
-    for letter, child_map in maps:
-        kept, stack = [], [(box, child_map, (letter,))]
+    out, box = {}, polys.Enclosure.of(node.x, node.y, *bits, Lineage(node))
+    for letter, child_map in enumerate(system.maps, start=1):
+        kept, stack = [], [(box, child_map, 1)]
         while stack:
-            parent, phi, path = stack.pop()
-            leaf = len(path) == levels
-            value = judge(parent, phi, leaf, partial(settled.build, path))
+            parent, phi, level = stack.pop()
+            value = judge(parent, phi, level == levels)
             if value is REFUSE:
                 break
             if value is not None:
                 kept.append(value)
-            if not leaf:
+            if level < levels:
                 image = parent.image(phi, *bits)
                 if not limits.fits_bits(image.bit_range()[1]):
                     break
-                stack.extend((image, psi, path + (b,)) for b, psi in reversed(maps))
+                stack.extend((image, psi, level + 1) for psi in reversed(system.maps))
         else:
             out[letter] = tuple(kept) if kept else None
     return out
 
 
-class _Settled:
-    """Points under one node, each built along its path from the node: the
-    points settle settled, and the first points that the dedupe index
-    (_earlier_words) compares.  Each point between is built once, and the
-    maps at one point read its one monomial table, made on the first build
-    there."""
+class Lineage:
+    """How one point is built: it is the built point, or the image under
+    phi of its parent lineage's point.  Every point read unbuilt (a settled
+    node, an orbit step, a first point of the dedupe index) is built by its
+    lineage alone, and a later build holds the lineage, never a box."""
 
-    __slots__ = ("system", "points", "tables")
+    __slots__ = ("point", "parent", "phi", "_table")
 
-    def __init__(self, system: MapSystem, node: ProjPoint):
-        self.system, self.points, self.tables = system, {(): node}, {}
+    def __init__(self, point: Optional[ProjPoint], parent: Optional[Lineage] = None, phi=None):
+        self.point, self.parent, self.phi, self._table = point, parent, phi, None
 
-    def _image(self, path: tuple) -> ProjPoint:
-        """The point at path, from the built point at path[:-1]."""
-        parent = path[:-1]
-        point, table = self.points[parent], self.tables.get(parent)
-        if table is None:
-            table = self.tables[parent] = polys.Monomials(point.x, point.y)
-        return eval_point(self.system.map_for_letter(path[-1]), point, table)
+    def child(self, phi: RatMap) -> "Lineage":
+        return Lineage(None, self, phi)
 
-    def build(self, path: tuple) -> ProjPoint:
-        """The point at path."""
-        for n in range(1, len(path)):
-            if path[:n] not in self.points:
-                self.points[path[:n]] = self._image(path[:n])
-        return self._image(path)
-
-    def kept(self, path: tuple) -> ProjPoint:
-        """The point at path, built on first need and kept."""
-        if path not in self.points:
-            self.points[path] = self.build(path)
-        return self.points[path]
+    def build(self) -> ProjPoint:
+        """The point, evaluated once down from the nearest built ancestor
+        and kept, as is each point between; the maps at one built point read
+        its one monomial table, made on the first build there."""
+        chain, source = [], self
+        while source.point is None:
+            chain.append(source)
+            source = source.parent
+        for lineage in reversed(chain):
+            if source._table is None:
+                source._table = polys.Monomials(source.point.x, source.point.y)
+            lineage.point = eval_point(lineage.phi, source.point, source._table)
+            source = lineage
+        return self.point
 
 
 class Orbit:
@@ -231,9 +224,9 @@ class Orbit:
     def __getitem__(self, n: int) -> ProjPoint:
         points = self.points
         while len(points) <= n:
-            points.append(eval_point(self.map(len(points) - 1), points[-1]))
-            # A built point is enclosed anew, from its own top bits.
-            self._boxes.pop(len(points) - 1, None)
+            box = self._boxes.pop(len(points), None)   # a built step is enclosed anew
+            points.append(eval_point(self.map(len(points) - 1), points[-1]) if box is None
+                          else box.lineage.build())
         return points[n]
 
     def step(self, n: int) -> ProjPoint | polys.Enclosure:
@@ -263,7 +256,8 @@ class Orbit:
         if WorkLimits.bits_of(point) < polys.ENCLOSE_BITS:
             return None
         if n not in self._boxes:
-            self._boxes[n] = polys.Enclosure.of(point.x, point.y, polys.BOX_BITS, polys.BOX_BITS)
+            self._boxes[n] = polys.Enclosure.of(point.x, point.y, polys.BOX_BITS,
+                                                polys.BOX_BITS, Lineage(point))
         return self._boxes[n]
 
     def bit_range(self, n: int) -> tuple[int, int]:
@@ -418,16 +412,22 @@ def _earlier_words(system: MapSystem, root: ProjPoint,
     when it is the first (a stand-in always is).  This is the one dedupe
     index: it lists each first word under its point's _point_key, and
     compares a point whose key matches with each earlier point of that key,
-    rebuilt exactly along its word from the root (_Settled) on first need
-    and kept.  So equality stays exact equality of normalized coordinates,
-    and the index holds words, not points."""
+    rebuilt by its Lineage from the root on first need and kept.  So
+    equality is exact, and the index holds words, not points."""
     index: dict[tuple, list] = {}
-    rebuilt = _Settled(system, root)
+    lineages = {(): Lineage(root)}   # word -> the lineage of its point
+
+    def rebuilt(word: tuple) -> ProjPoint:
+        for n, letter in enumerate(word):
+            if word[:n + 1] not in lineages:
+                lineages[word[:n + 1]] = lineages[word[:n]].child(system.map_for_letter(letter))
+        return lineages[word].build()
+
     for word, node in nodes:
         earlier = None
         if isinstance(node, ProjPoint):
             words = index.setdefault(_point_key(node), [])
-            earlier = next((first for first in words if rebuilt.kept(first) == node), None)
+            earlier = next((first for first in words if rebuilt(first) == node), None)
             if earlier is None:
                 words.append(word)
         yield word, node, earlier

@@ -257,21 +257,21 @@ class Enclosure:
     2^ex and y_lo * 2^ey <= y <= y_hi * 2^ey, each coordinate its top bits at
     an exponent of its own (xs = (x_lo, x_hi, ex), ys likewise; see _trim),
     and (x, y) mod any m, each modulus reduced once; each form is bounded
-    over the box once."""
+    over the box once.  Its lineage (an orbits.Lineage), if any, builds it."""
 
-    __slots__ = ("xs", "ys", "_reduce", "_residues", "_bounds")
+    __slots__ = ("xs", "ys", "lineage", "_reduce", "_residues", "_bounds")
 
     def __init__(self, xs: tuple[int, int, int], ys: tuple[int, int, int],
-                 reduce: Callable[[int], tuple[int, int]]):
-        self.xs, self.ys, self._reduce = xs, ys, reduce
+                 reduce: Callable[[int], tuple[int, int]], lineage=None):
+        self.xs, self.ys, self.lineage, self._reduce = xs, ys, lineage, reduce
         self._residues: dict[int, tuple[int, int]] = {}   # m -> (x mod m, y mod m)
         self._bounds: dict[tuple, tuple[int, int, int]] = {}   # (cs, d) -> bounds
 
     @classmethod
-    def of(cls, x: int, y: int, small_bits: int, large_bits: int) -> "Enclosure":
-        """The built point (x, y), in the box of its top bits (see _trim)."""
+    def of(cls, x: int, y: int, small_bits: int, large_bits: int, lineage=None) -> "Enclosure":
+        """The built point (x, y) of lineage, in the box of its top bits."""
         return cls(*_trim((x, x, 0), (y, y, 0), small_bits, large_bits),
-                   lambda m: (x % m, y % m))
+                   lambda m: (x % m, y % m), lineage)
 
     def bounds(self, cs: Sequence, d: int) -> tuple[int, int, int]:
         """(lo, hi, e) with lo * 2^e <= sum of cs[i] x^i y^(d-i) <= hi * 2^e."""
@@ -304,14 +304,15 @@ class Enclosure:
         gcd(R, F mod R, G mod R) with R = |Res(F, G)|: at a coprime point,
         its image point (see ratmap.eval_point), or -1 times it.  The box is
         F's and G's bounds over this box divided by c, trimmed as `of` trims,
-        and the residues mod m are those mod m * c divided by c.
-        """
+        the residues mod m are those mod m * c divided by c, and the lineage
+        is this one's child under phi."""
         f, g, d, r = phi.f, phi.g, phi.degree, phi.resultant
         c = math.gcd(r, *self.values(f, g, d, r)) if r > 1 else 1
         (f_lo, f_hi, f_e), (g_lo, g_hi, g_e) = self.bounds(f, d), self.bounds(g, d)
         return Enclosure(*_trim((f_lo // c, -(-f_hi // c), f_e), (g_lo // c, -(-g_hi // c), g_e),
                                 small_bits, large_bits),
-                         lambda m: tuple(t // c for t in self.values(f, g, d, m * c)))
+                         lambda m: tuple(t // c for t in self.values(f, g, d, m * c)),
+                         None if self.lineage is None else self.lineage.child(phi))
 
     def size(self) -> tuple[int, int, int]:
         """(lo, hi, e) with lo * 2^e <= max(|x|, |y|) <= hi * 2^e: on the

@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 import re
 from fractions import Fraction
-from typing import Callable, Optional
+from typing import Optional
 
 from . import polys
 from .errors import Record
@@ -164,8 +164,7 @@ def parse_point(text: str) -> ProjPoint:
     return normalize(read_fraction(text))
 
 
-def log_chordal(p: ProjPoint | polys.Enclosure, q: ProjPoint, v: Place,
-                build: Optional[Callable[[], ProjPoint]] = None) -> LogExpr | _Infinite:
+def log_chordal(p: ProjPoint | polys.Enclosure, q: ProjPoint, v: Place) -> LogExpr | _Infinite:
     """-log of the chordal distance between normalized points at a place.
 
     Equal points give POS_INF (distance zero), never an error.  At the
@@ -174,15 +173,15 @@ def log_chordal(p: ProjPoint | polys.Enclosure, q: ProjPoint, v: Place,
     reducing it as a fraction would take a gcd of orbit-sized integers.  A
     large point's sum of squares is a deferred atom (see _sum_of_squares).
 
-    p may instead be a polys.Enclosure of the point that build() builds, as
-    of an orbit step that is not built: the value is then read from the box
-    where it decides (see _enclosed), and taken at build() where it does not.
+    p may instead be the polys.Enclosure of a point not built, as of an
+    orbit step: the value is then read from the box where it decides (see
+    _enclosed), and taken at the point its lineage builds where it does not.
     """
     if isinstance(p, polys.Enclosure):
-        dist = _enclosed(p, q, v, build)
+        dist = _enclosed(p, q, v)
         if dist is not None:
             return dist
-        p = build()
+        p = p.lineage.build()
     det = _det(p, q)
     if det == 0:
         return POS_INF
@@ -206,14 +205,13 @@ def _archimedean(det: int | Deferred, squares: int | Deferred, q: ProjPoint) -> 
     return LogExpr(((det, -1), (squares, half), (_sum_of_squares(q), half)))
 
 
-def _enclosed(box: polys.Enclosure, q: ProjPoint, v: Place,
-              build: Callable[[], ProjPoint]) -> Optional[LogExpr]:
-    """log_chordal of the point build() builds, from its enclosure box (of
-    the point or of -1 times it, which changes no term), or None where the
-    box does not decide it.  |det| and x^2 + y^2 are deferred atoms over the
-    box's bounds on the forms x q_y - q_x y and x^2 + y^2; v_p(det) is read
-    from det mod p^polys.RESIDUE_DIGITS, which decides it unless det is 0
-    there."""
+def _enclosed(box: polys.Enclosure, q: ProjPoint, v: Place) -> Optional[LogExpr]:
+    """log_chordal of a point from its enclosure box (of the point or of -1
+    times it, which changes no term), or None where the box does not decide
+    it.  |det| and x^2 + y^2 are deferred atoms over the box's bounds on the
+    forms x q_y - q_x y and x^2 + y^2, built (if ever) by the box's lineage;
+    v_p(det) is read from det mod p^polys.RESIDUE_DIGITS, which decides it
+    unless det is 0 there."""
     det = (-q.x, q.y)   # x q_y - q_x y, ascending in X
     if not v.is_archimedean:
         residue = box.values(det, (), 1, v.prime ** polys.RESIDUE_DIGITS)[0]
@@ -221,6 +219,7 @@ def _enclosed(box: polys.Enclosure, q: ProjPoint, v: Place,
     lo, hi, e = box.bounds(det, 1)
     if lo <= 0 <= hi:
         return None
+    build = box.lineage.build   # the atoms hold the lineage, never the box
     size = deferred_atom((min(abs(lo), abs(hi)), max(abs(lo), abs(hi)), e),
                          lambda: abs(_det(build(), q)))
     squares = deferred_atom(box.bounds(_SQUARES, 2), lambda: _squares(build()))
@@ -236,13 +235,12 @@ def _sum_of_squares(p: ProjPoint) -> int | Deferred:
     return _squares(p) if atom is None else atom
 
 
-def chordal_sum(p: ProjPoint | polys.Enclosure, q: ProjPoint, places,
-                build: Optional[Callable[[], ProjPoint]] = None) -> LogExpr | _Infinite:
+def chordal_sum(p: ProjPoint | polys.Enclosure, q: ProjPoint, places) -> LogExpr | _Infinite:
     """Sum of local-degree-weighted chordal logs over a set of places; p may
-    be an enclosure of the point build() builds (see log_chordal)."""
+    be the enclosure of a point not built (see log_chordal)."""
     total = LogExpr.zero()
     for v in places:
-        dist = log_chordal(p, q, v, build)
+        dist = log_chordal(p, q, v)
         if isinstance(dist, _Infinite):
             return POS_INF
         total = total + dist * v.local_degree

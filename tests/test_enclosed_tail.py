@@ -7,7 +7,6 @@ every cap, so nothing is enclosed there."""
 
 import random
 from fractions import Fraction
-from functools import partial
 
 import pytest
 
@@ -101,7 +100,7 @@ def test_enclosed_chordal_sums_are_the_built_ones(monkeypatch):
         base = exact[rng.randint(0, 3)] if rng.random() < 0.3 else random_point(rng, 50)
         monkeypatch.setattr(polys, "ENCLOSE_BITS", rng.choice((0, 64, 256)))
         orbit = Orbit(system, word, point)
-        sums = [(n, chordal_sum(step, base, places, partial(orbit.__getitem__, n)))
+        sums = [(n, chordal_sum(step, base, places))
                 for n, step in enumerate(orbits.iterate_word(orbit, depth))
                 if isinstance(step, polys.Enclosure)]
         monkeypatch.setattr(polys, "ENCLOSE_BITS", 1 << 62)

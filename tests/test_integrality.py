@@ -85,9 +85,9 @@ def test_gamma_walks_its_orbit_once(pair_system, monkeypatch):
 
     calls = []
 
-    def counting_eval_point(phi, p):
+    def counting_eval_point(phi, p, table=None):
         calls.append(p)
-        return eval_point(phi, p)
+        return eval_point(phi, p, table)
 
     monkeypatch.setattr(orbits, "eval_point", counting_eval_point)
     depth = 8

@@ -1,8 +1,8 @@
 """Every tree node expands through orbits.children, which only the walks
 call: no function in src/orbitint recurses by name (so tree depth is never
 bounded by the interpreter's recursion limit), inside orbits only the word
-walk (orbits.Orbit), children and the path rebuild of a settled point
-(orbits._Settled) evaluate a map, and a consumer settles
+walk (orbits.Orbit), children and the one build of a point read unbuilt
+(orbits.Lineage) evaluate a map, and a consumer settles
 nodes only through its one test, which the engine's walks pass to
 children: no consumer expands a last level on its own.  A settled leaf
 that is built later is built by its stand-in, never by re-expanding its
@@ -55,7 +55,7 @@ def test_eval_point_only_in_word_walk_and_children():
     tree = next(tree for path, tree in TREES.items() if path.stem == "orbits")
     allowed = {id(call) for qualified, node in _functions()
                if qualified in ("orbits.Orbit.__getitem__", "orbits.children",
-                                "orbits._Settled._image")
+                                "orbits.Lineage.build")
                for call in _calls_to(node, "eval_point")}
     others = [call.lineno for call in _calls_to(tree, "eval_point")
               if id(call) not in allowed]

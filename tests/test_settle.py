@@ -23,7 +23,7 @@ PAIR = MapSystem([parse_map("z^2"), parse_map("z^3")])
 BIG = normalize((1 << 1100) + 1)   # children of 2,201 and 3,301 bits under PAIR
 
 
-def settles_everything(parent, phi, leaf, build):
+def settles_everything(parent, phi, leaf):
     """A verdict that refuses no node and keeps nothing."""
     return None
 
@@ -82,7 +82,7 @@ def test_settle_all_stops_where_a_walk_with_no_test_stops(monkeypatch):
     assert stops >= 10 and dropped >= 10
 
 
-def keeps_unbuilt_atoms(parent, phi, leaf, build):
+def keeps_unbuilt_atoms(parent, phi, leaf):
     """A verdict that keeps, at every node, an atom that fails when built."""
     atom = deferred_atom(parent.image(phi, 64, 64).size(), partial(pytest.fail, "built"))
     return REFUSE if atom is None else atom
@@ -111,7 +111,7 @@ def test_a_walk_with_no_test_does_no_settle_work(monkeypatch):
     monkeypatch.setattr(polys, "ENCLOSE_BITS", 0)
     fail = lambda *args, **kwargs: pytest.fail("settle work")   # noqa: E731
     monkeypatch.setattr(orbits, "settle", fail)
-    monkeypatch.setattr(orbits._Settled, "__init__", fail)
+    monkeypatch.setattr(orbits.Lineage, "__init__", fail)
     monkeypatch.setattr(polys.Enclosure, "of", fail)
     for workers in (1, 2):
         records = enumerate_tree(PAIR, BIG, 3, workers=workers)

@@ -101,14 +101,14 @@ def test_dedupe_is_exact_whatever_the_key(tmp_path, monkeypatch, name, depth):
     raw = _raw(name)
     expected = _runs(tmp_path, raw, depth, "key")
     rebuilt = []
-    original = orbits._Settled.build
+    original = orbits.Lineage.build
 
-    def build(self, path):
-        rebuilt.append(path)
-        return original(self, path)
+    def build(self):
+        rebuilt.append(self)
+        return original(self)
 
     monkeypatch.setattr(orbits, "_point_key", lambda point: 0)
-    monkeypatch.setattr(orbits._Settled, "build", build)
+    monkeypatch.setattr(orbits.Lineage, "build", build)
     assert _runs(tmp_path, raw, depth, "constant") == expected
     assert rebuilt
 
@@ -139,7 +139,7 @@ def test_the_orbit_dump_tree_rebuilds_nothing(monkeypatch):
     """census_hypothesis_pair from 2 has no repeated point and no two points
     with one key, so its dedupe builds no point twice."""
     config = load_config(CONFIGS / "census_hypothesis_pair.json")
-    monkeypatch.setattr(orbits._Settled, "build", None)
+    monkeypatch.setattr(orbits.Lineage, "build", None)
     records = enumerate_tree(config.system, config.point, 9, dedupe=True)
     assert len(records) == 2 ** 10 - 1
 

@@ -91,15 +91,48 @@ def evaluations(monkeypatch):
     return calls
 
 
+def lineage_chain(lineage):
+    """The lineage and its ancestors, up to the built point it starts from."""
+    chain = [lineage]
+    while chain[-1].parent is not None:
+        chain.append(chain[-1].parent)
+    return chain
+
+
 @pytest.fixture
 def overlaps(monkeypatch):
-    """The enclosed leaves built since the last clear(): their Deferred
-    enclosure met another atom or did not decide the prec-bit box."""
+    """The lineage chains of the enclosed leaves built since the last
+    clear(): their Deferred enclosure met another atom or did not decide
+    the prec-bit box."""
     found = []
-    real = orbits._Settled.build
-    monkeypatch.setattr(orbits._Settled, "build",
-                        lambda self, path: found.append((self, path)) or real(self, path))
+    real = orbits.Lineage.build
+    monkeypatch.setattr(orbits.Lineage, "build",
+                        lambda self: found.append(lineage_chain(self)) or real(self))
     return found
+
+
+@pytest.fixture
+def lineage_evaluations(monkeypatch):
+    """The map evaluations made by orbits.Lineage.build, one per point it
+    builds along a settled leaf's path."""
+    calls, building = [], []
+    real_build = orbits.Lineage.build
+
+    def build(self):
+        building.append(self)
+        try:
+            return real_build(self)
+        finally:
+            building.pop()
+
+    def evaluate(*args):
+        if building:
+            calls.append(1)
+        return eval_point(*args)
+
+    monkeypatch.setattr(orbits.Lineage, "build", build)
+    monkeypatch.setattr(orbits, "eval_point", evaluate)
+    return calls
 
 
 def test_random_trees_with_the_threshold_lifted(monkeypatch, evaluations):
@@ -120,7 +153,7 @@ def test_random_trees_with_the_threshold_lifted(monkeypatch, evaluations):
 
 @pytest.mark.parametrize("prec", [53, 128])
 @pytest.mark.parametrize("workers", [1, 2])
-def test_settled_subtrees_on_random_trees(monkeypatch, workers, prec):
+def test_settled_subtrees_on_random_trees(monkeypatch, lineage_evaluations, workers, prec):
     """With ENCLOSE_BITS 0 every node up to three levels above the leaves
     settles the children whose leaves its chained enclosures bound.  Half
     the roots are near 2^300, so at precision 53 the leaf atoms sit near a
@@ -131,16 +164,13 @@ def test_settled_subtrees_on_random_trees(monkeypatch, workers, prec):
     bits than two, so more boxes are undecided than at two levels (63 and 4
     builds)."""
     monkeypatch.setattr(polys, "ENCLOSE_BITS", 0)
-    built, real = [], orbits._Settled._image
-    monkeypatch.setattr(orbits._Settled, "_image",
-                        lambda self, path: built.append(1) or real(self, path))
     for seed in range(16):
         rng = random.Random(f"settled-subtrees:{seed}")
         system = random_system(rng, k_max=2, max_degree=3)
         point = (random_point(rng, 1 << 300) if seed % 2 else
                  normalize((1 << 300) + rng.randrange(1, 256), rng.randrange(1, 256)))
         assert_exact_leaf_formula(system, point, 2 + seed % 4, prec, workers)
-    assert len(built) == {53: 74, 128: 5}[prec]
+    assert len(lineage_evaluations) == {53: 74, 128: 5}[prec]
 
 
 def test_bit_cap_under_settled_parents(tmp_path, capsys, evaluations):
@@ -320,8 +350,9 @@ def test_the_settle_reads_the_exact_enclosures(evaluations, overlaps, point, lo,
     est = canonical_height_system(config.system, config.point, 11,
                                   bounds=system_bounds(config.system, config.c_mode),
                                   prec=config.precision_bits)
-    assert len(overlaps) == 8 and len({(id(held), path[:-1]) for held, path in overlaps}) == 7
-    assert len({(id(held), path[:1]) for held, path in overlaps}) == 4
+    assert len(overlaps) == 8 and {len(chain) for chain in overlaps} == {4}
+    assert len({id(chain[1]) for chain in overlaps}) == 7
+    assert len({id(chain[2]) for chain in overlaps}) == 4
     assert len(evaluations) == (orbits._tree_size(2, 8) - 1 + 2 * small[8] + 2 * small[9]
                                 + 4 + 7 + 8) == {"3": 619, "3/2": 607}[point]
     assert (est.lo(config.precision_bits), est.hi(config.precision_bits)) == (lo, hi)
@@ -352,24 +383,24 @@ def test_sibling_leaves_share_one_table(monkeypatch):
     assert subtrees[2][1].value() == 3 ** 18000
     assert made[2:] == [(3 ** 6000, 2 ** 4500)]
 
-    builds, real_build = [], orbits._Settled.build
+    builds, real_build = [], orbits.Lineage.build
 
-    def build(self, path):
-        before = len(made)
-        point = real_build(self, path)
-        builds.append((id(self), path, len(made) - before))
+    def build(self):
+        before, chain = len(made), lineage_chain(self)
+        point = real_build(self)
+        builds.append((chain, len(made) - before))
         return point
 
-    monkeypatch.setattr(orbits._Settled, "build", build)
+    monkeypatch.setattr(orbits.Lineage, "build", build)
     config = load("bounds_mixed", "3")
     canonical_height_system(config.system, config.point, 11,
                             bounds=system_bounds(config.system, config.c_mode),
                             prec=config.precision_bits)
-    assert len(builds) == 8 and {len(path) for _, path, _ in builds} == {3}
-    assert len({held for held, _, _ in builds}) == 3
-    assert len({(held, path[0]) for held, path, _ in builds}) == 4
-    assert len({(held, path[:2]) for held, path, _ in builds}) == 7
-    assert sum(count for _, _, count in builds) == 3 + 4 + 7
+    assert len(builds) == 8 and {len(chain) for chain, _ in builds} == {4}
+    assert len({id(chain[3]) for chain, _ in builds}) == 3
+    assert len({id(chain[2]) for chain, _ in builds}) == 4
+    assert len({id(chain[1]) for chain, _ in builds}) == 7
+    assert sum(count for _, count in builds) == 3 + 4 + 7
 
 
 @pytest.mark.parametrize("lifted", [False, True])
