@@ -10,8 +10,8 @@ orbit's chained enclosures, so a step is built only where its box straddles
 the cap, and the atom of a last point left unbuilt is deferred (see
 canonical_height_word).  A system estimate carries exact rational
 endpoints: the enclosures of its two log expressions at the precision it
-was computed at, in which the leaves `orbits.settle` settles are deferred
-atoms (see canonical_height_system).
+was computed at, in which the leaves its verdict (`LeafAtoms`) settles are
+deferred atoms (see canonical_height_system).
 """
 
 from __future__ import annotations
@@ -25,9 +25,8 @@ from typing import Iterable, NamedTuple, Optional, Sequence
 from mpmath.libmp import to_rational
 
 from . import polys
-from .logvals import DEFAULT_PRECISION, LogExpr, deferred_atom
-from .orbits import (DEFAULT_LIMITS, REFUSE, Lineage, Orbit, WorkLimits, find_cycle, fold_tree,
-                     settle)
+from .logvals import DEFAULT_PRECISION, Deferred, LogExpr, deferred_atom
+from .orbits import DEFAULT_LIMITS, REFUSE, Lineage, Orbit, WorkLimits, find_cycle, fold_tree
 from .proj1 import ProjPoint, normalize
 from .ratmap import MapSystem, RatMap, eval_point
 from .words import Word, iter_periodic_words
@@ -215,8 +214,7 @@ def canonical_height_word(orbit: Orbit, depth: int = DEFAULT_DEPTH,
     degree = orbit.degree(n)
     inv = Fraction(1, degree)
     step = orbit.step(n)
-    atom = None if isinstance(step, ProjPoint) else deferred_atom(
-        step.size(), partial(_built_atom, step.lineage))
+    atom = None if isinstance(step, ProjPoint) else _enclosed_atom(step)
     mid = (orbit[n].height() if atom is None else LogExpr(((atom, 1),))) * inv
     certified = all(b.certified for b in bounds)
     return HeightEstimate(mid - down * inv, mid + up * inv, n, degree, certified,
@@ -228,25 +226,26 @@ def canonical_height_word(orbit: Orbit, depth: int = DEFAULT_DEPTH,
 BOX_PER_PREC = 4
 
 
-def _leaf_test(prec: int, system: MapSystem, node: ProjPoint, levels: int,
-               limits: WorkLimits) -> dict:
-    """The system height's test (orbits.NodeTest), with prec bound: a
-    settled child stands in as the tuple of its leaves' atoms, up to k^2 of
-    them under a node orbits.SETTLE_LEVELS levels up.  Its boxes keep bits
-    bits of each coordinate, at an exponent of its own."""
-    bits = BOX_PER_PREC * prec
-    return settle(system, node, levels, limits, (bits, bits), partial(_leaf_verdict, bits))
+class LeafAtoms:
+    """The system height's verdict (see orbits.settle) at precision prec:
+    nothing kept above the leaves, and a leaf's atom max(|F|, |G|)/g read
+    from the image of parent's enclosure (_enclosed_atom), or REFUSE unless
+    that shows it >= 2.  Its boxes keep BOX_PER_PREC * prec bits of each
+    coordinate.  Picklable, so workers share it."""
+
+    def __init__(self, prec: int):
+        self.bits = (BOX_PER_PREC * prec, BOX_PER_PREC * prec)
+
+    def __call__(self, parent: polys.Enclosure, phi: RatMap, leaf: bool) -> object:
+        if not leaf:
+            return None
+        return _enclosed_atom(parent.image(phi)) or REFUSE
 
 
-def _leaf_verdict(bits: int, parent: polys.Enclosure, phi: RatMap, leaf: bool) -> object:
-    """The system height's verdict (orbits.settle), bits bound: nothing kept
-    above the leaves; a leaf's atom max(|F|, |G|)/g as a Deferred bounded by
-    the image of parent's enclosure, or REFUSE unless that shows it >= 2."""
-    if not leaf:
-        return None
-    image = parent.image(phi, bits, bits)
-    atom = deferred_atom(image.size(), partial(_built_atom, image.lineage))
-    return REFUSE if atom is None else atom
+def _enclosed_atom(box: polys.Enclosure) -> Optional[Deferred]:
+    """The atom of h at box's point, a Deferred over its size that the
+    point's lineage builds if ever, or None unless the box shows it >= 2."""
+    return deferred_atom(box.size(), partial(_built_atom, box.lineage))
 
 
 def _built_atom(lineage: Lineage) -> int:
@@ -260,7 +259,7 @@ def _leaf_atom(p: ProjPoint) -> int:
 
 def _leaf_atoms(depth: int, nodes: Iterable[tuple[tuple, object]]) -> list:
     """The atoms of a walk's leaves, in preorder: an int for each built leaf
-    and the Deferreds of the leaves under each child _leaf_test settles."""
+    and the Deferreds of the leaves under each child LeafAtoms settles."""
     atoms = []
     for word, node in nodes:
         if type(node) is tuple:
@@ -284,7 +283,7 @@ def canonical_height_system(system: MapSystem, point: ProjPoint, depth: int = 6,
     prec is the binary precision of the result: the endpoints are the
     prec-bit enclosures of the two exact log expressions, carried as exact
     rationals.  A leaf one to three levels under a node of at least
-    polys.ENCLOSE_BITS bits enters them as a logvals.Deferred (_leaf_test),
+    polys.ENCLOSE_BITS bits enters them as a logvals.Deferred (LeafAtoms),
     so the nodes between may not be built either; it is built only when its
     enclosure meets another atom of its expression or does not decide its
     prec-bit box; each other leaf is built once.  The sums then have the
@@ -297,7 +296,7 @@ def canonical_height_system(system: MapSystem, point: ProjPoint, depth: int = 6,
     # Summation commutes and term merging is canonical, so the sum does not
     # depend on how the worker count splits the tree.
     atoms = fold_tree(system, point, depth, partial(_leaf_atoms, depth), limits, workers,
-                      partial(_leaf_test, prec))
+                      LeafAtoms(prec))
     sum_up = LogExpr.zero()
     sum_down = LogExpr.zero()
     for b in bounds:

@@ -3,8 +3,8 @@ numerator/denominator log-ratio series.
 
 Threshold decisions consume certified intervals and report "ambiguous" when
 an interval straddles the cut; nothing is ever silently rounded across it.
-The census builds only the tree nodes it may need: its verdict in
-`orbits.settle` (`NonUnitLeaves`) drops, unbuilt, a node whose denominator
+The census builds only the tree nodes it may need: the walk settles with
+its verdict, `NonUnitLeaves`, which drops, unbuilt, a node whose denominator
 cannot be an S-unit, from its parent's `polys.Enclosure` (a box of each
 coordinate's top bits at an exponent of its own, and residues modulo p^K:
 the archimedean and p-adic parts of the size).
@@ -21,7 +21,7 @@ from . import polys
 from .heights import HeightEstimate, canonical_height_word, system_bounds
 from .logvals import DEFAULT_PRECISION, LogExpr, _Infinite
 from .orbits import (DEFAULT_LIMITS, REFUSE, Orbit, WorkLimits, enumerate_tree,
-                     find_cycle, iterate_word, settle)
+                     find_cycle, iterate_word)
 from .places import PlaceSet, is_s_unit, log_plus_abs, strip_prime
 from .proj1 import ProjPoint, chordal_sum
 from .ratmap import MapSystem, RatMap
@@ -129,10 +129,10 @@ TOP_BITS = 64
 
 
 class NonUnitLeaves:
-    """The census's test (orbits.NodeTest): settle with a verdict that keeps
-    nothing for a node it rules out and refuses any other, so the children
-    the census needs neither built nor expanded are dropped unbuilt.
-    Picklable, so census workers share it.
+    """The census's verdict (see orbits.settle): it keeps nothing for a node
+    it rules out and refuses any other, so the children the census needs
+    neither built nor expanded are dropped unbuilt.  Picklable, so census
+    workers share it.
 
     The leaf of phi = F/G is [F(x, y) : G(x, y)] divided by a common factor
     g of R = |Res(F, G)|, so its denominator |G(x, y)|/g can be an S-unit
@@ -153,12 +153,9 @@ class NonUnitLeaves:
     """
 
     def __init__(self, s: PlaceSet):
-        self.primes = s.finite_primes
+        self.primes, self.bits = s.finite_primes, (TOP_BITS, polys.BOX_BITS)
 
-    def __call__(self, system: MapSystem, node: ProjPoint, levels: int, limits: WorkLimits):
-        return settle(system, node, levels, limits, (TOP_BITS, polys.BOX_BITS), self._verdict)
-
-    def _verdict(self, parent: polys.Enclosure, phi: RatMap, leaf: bool) -> object:
+    def __call__(self, parent: polys.Enclosure, phi: RatMap, leaf: bool) -> object:
         return None if self._rules_out(phi, parent) else REFUSE
 
     def _rules_out(self, phi: RatMap, node: polys.Enclosure) -> bool:
@@ -200,7 +197,7 @@ def s_integral_census(system: MapSystem, point: ProjPoint, s: PlaceSet,
     if not s.contains_infinite:
         raise ValueError("S must contain the archimedean place")
     return enumerate_tree(system, point, depth, dedupe=True, limits=limits,
-                          workers=workers, test=NonUnitLeaves(s), fold=partial(_hits, s))
+                          workers=workers, verdict=NonUnitLeaves(s), fold=partial(_hits, s))
 
 
 def _hits(s: PlaceSet, nodes) -> tuple:

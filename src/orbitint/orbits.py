@@ -1,14 +1,14 @@
 """The orbit engine: every walk along a word or over the semigroup tree.
 
 `children` is the one place a tree node expands, and only the walks call
-it: it checks the node's bits and evaluates its k children in letter order
-from one shared monomial table of the node's point, less the children a
-consumer's test (`NodeTest`) settles without building them.  `walk_tree`
-yields (word, point) in preorder (prefixes first, letters ascending) on an
-explicit stack, and `fold_tree` fans the tree out by first letter for
-parallel workers and concatenates the parts.  Both call the consumer's one
-test, `settle` with its verdict, at each node they expand, and a consumer
-with no test gets all nodes.  `settle` decides the nodes under a large
+it: it checks the node's bits, `settle`s the children that the consumer's
+verdict decides unbuilt, and evaluates the others in letter order from one
+shared monomial table of the node's point.  `walk_tree` yields (word,
+point) in preorder (prefixes first, letters ascending) on an explicit
+stack, and `fold_tree` fans the tree out by first letter for parallel
+workers and concatenates the parts.  Both take the consumer's one verdict,
+`verdict(parent, phi, leaf)` with the `bits` its boxes keep; a consumer
+with no verdict gets all nodes.  `settle` decides the nodes under a large
 node at most `SETTLE_LEVELS` (3) levels above the leaves from chained
 `polys.Enclosure`s, which keep each coordinate's top bits at an exponent
 of its own.  Each enclosure carries its point's `Lineage`, the one build
@@ -40,7 +40,7 @@ and confirms a key match by rebuilding the earlier point (its `Lineage`).
 from __future__ import annotations
 
 from functools import partial
-from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Optional, Sized
+from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sized
 
 from . import polys
 from .errors import WorkLimitExceeded
@@ -90,7 +90,7 @@ class WorkLimits(NamedTuple):
     def check_nodes(self, k: int, depth: int):
         """Reject a k-ary tree of the given depth before it is walked.  The
         cap counts all 1 + k + ... + k^depth nodes, leaves that a consumer's
-        test rules out without building them included."""
+        verdict rules out without building them included."""
         if depth < 0:
             raise ValueError("depth must be nonnegative")
         self._check_power("tree", k, depth)
@@ -122,13 +122,6 @@ class WorkLimits(NamedTuple):
 
 DEFAULT_LIMITS = WorkLimits()
 
-# A consumer's test of a tree node: test(system, node, levels, limits), for
-# a node levels above the leaves, maps each letter whose child the consumer
-# settles without building it to the child's stand-in (see settle).  A
-# stand-in of None drops the child with its subtree; any other is yielded in
-# the child's place and never expanded, so it stands for the whole subtree.
-NodeTest = Callable[[MapSystem, ProjPoint, int, WorkLimits], Mapping[int, object]]
-
 # A verdict's refusal to settle a node (see settle), compared by identity.
 REFUSE = object()
 
@@ -139,31 +132,33 @@ SETTLE_LEVELS = 3
 
 
 def settle(system: MapSystem, node: ProjPoint, levels: int, limits: WorkLimits,
-           bits: tuple[int, int], judge: Callable) -> dict:
-    """A consumer's test (NodeTest) from its verdict judge.  A node of at
-    least polys.ENCLOSE_BITS bits, at most SETTLE_LEVELS levels above the
-    leaves, is enclosed once (polys.Enclosure.of at bits, each coordinate's
-    top bits at its own exponent), and each node under it by the image of
-    its parent's enclosure, whose Lineage builds it.  judge(parent, phi,
-    leaf) gives REFUSE or the value kept for the node phi(parent).  A child
-    is settled when no node under it is refused and each one above the
-    leaves is shown within the bit cap, as its expansion would check; its
-    stand-in is the tuple of the values kept, in preorder, or None when
-    none is."""
-    if levels > SETTLE_LEVELS or limits.bits_of(node) < polys.ENCLOSE_BITS:
+           verdict: Callable) -> dict:
+    """The stand-ins, by letter, of the children of a node levels above the
+    leaves that verdict settles unbuilt.  A node at most SETTLE_LEVELS
+    levels above the leaves is enclosed once (polys.Enclosure.of at
+    verdict.bits), and each node under it by the image of its parent's
+    enclosure, whose Lineage builds it.  verdict(parent, phi, leaf) gives
+    REFUSE or the value kept for the node phi(parent).  A child is settled
+    when no node under it is refused and each one above the leaves is shown
+    within the bit cap, as its expansion would check.  Its stand-in, the
+    tuple of the values kept in preorder, is yielded in its place and never
+    expanded; None, when none is kept, drops it with its subtree."""
+    box = (polys.Enclosure.of(node.x, node.y, verdict.bits, Lineage(node))
+           if levels <= SETTLE_LEVELS else None)
+    if box is None:
         return {}
-    out, box = {}, polys.Enclosure.of(node.x, node.y, *bits, Lineage(node))
+    out = {}
     for letter, child_map in enumerate(system.maps, start=1):
         kept, stack = [], [(box, child_map, 1)]
         while stack:
             parent, phi, level = stack.pop()
-            value = judge(parent, phi, level == levels)
+            value = verdict(parent, phi, level == levels)
             if value is REFUSE:
                 break
             if value is not None:
                 kept.append(value)
             if level < levels:
-                image = parent.image(phi, *bits)
+                image = parent.image(phi)
                 if not limits.fits_bits(image.bit_range()[1]):
                     break
                 stack.extend((image, psi, level + 1) for psi in reversed(system.maps))
@@ -214,7 +209,7 @@ class Orbit:
 
     def __init__(self, system: MapSystem, word: Word, point: ProjPoint):
         self.system, self.word, self.points = system, word, [point]
-        self._boxes: dict[int, polys.Enclosure] = {}   # step -> its enclosure
+        self._boxes: dict[int, Optional[polys.Enclosure]] = {}   # step -> its enclosure or None
         self._products = [1]   # D_0, ..., D_m over the word's m letters
         for letter in word.letters:
             if letter > system.k:
@@ -233,8 +228,8 @@ class Orbit:
         """Phi^n(P) when it is built, else its enclosure once the orbit is
         past polys.ENCLOSE_BITS: the image of step n - 1's enclosure, which
         is polys.Enclosure.of that point at polys.BOX_BITS when it is built,
-        or else its own image.  A step after a built point of fewer than
-        ENCLOSE_BITS bits is built, which costs less than its box."""
+        or else its own image.  A step after a built point with no box is
+        built, which costs less than its box."""
         if n < len(self.points):
             return self.points[n]
         boxes, k = self._boxes, n
@@ -242,22 +237,20 @@ class Orbit:
             k -= 1
         box = boxes[k] if k in boxes else self._enclose(k)
         for m in range(k + 1, n + 1):
-            if box is None:   # m follows a built point under ENCLOSE_BITS
+            if box is None:   # m follows a built point with no box
                 box = self._enclose(m)
             else:
-                box = boxes[m] = box.image(self.map(m - 1), polys.BOX_BITS, polys.BOX_BITS)
+                box = boxes[m] = box.image(self.map(m - 1))
         return self.points[n] if n < len(self.points) else box
 
     def _enclose(self, n: int) -> Optional[polys.Enclosure]:
         """The enclosure of the point Phi^n(P), built now if it is not yet,
-        or None when it has fewer than polys.ENCLOSE_BITS bits.  The one
-        place a word walk encloses a point."""
+        at polys.BOX_BITS, or None when polys.Enclosure.of gives none.  The
+        one place a word walk encloses a point."""
         point = self[n]
-        if WorkLimits.bits_of(point) < polys.ENCLOSE_BITS:
-            return None
         if n not in self._boxes:
-            self._boxes[n] = polys.Enclosure.of(point.x, point.y, polys.BOX_BITS,
-                                                polys.BOX_BITS, Lineage(point))
+            self._boxes[n] = polys.Enclosure.of(point.x, point.y, (polys.BOX_BITS, polys.BOX_BITS),
+                                                Lineage(point))
         return self._boxes[n]
 
     def bit_range(self, n: int) -> tuple[int, int]:
@@ -311,14 +304,14 @@ def find_cycle(orbit: Orbit, steps: int,
 
 
 def children(system: MapSystem, point: ProjPoint, limits: WorkLimits,
-             test: Optional[NodeTest] = None, levels: int = 1) -> list:
+             verdict: Optional[Callable] = None, levels: int = 1) -> list:
     """The k children of a tree node levels above the leaves, in letter
-    order, after its bits are checked.  test, when given, settles some
-    children without building them: the list holds each one's stand-in in
-    its place (see NodeTest).  The maps read one lazily built monomial
-    table of the node's point.  Only walk_tree and fold_tree call it."""
+    order, after its bits are checked.  A child that verdict, when given,
+    settles (the one call of settle) is its stand-in, never built.  The maps
+    read one lazily built monomial table of the node's point.  Only
+    walk_tree and fold_tree call it."""
     limits.check_bits(limits.bits_of(point))
-    settled = test(system, point, levels, limits) if test is not None else {}
+    settled = settle(system, point, levels, limits, verdict) if verdict is not None else {}
     table = polys.Monomials(point.x, point.y)
     return [settled[letter] if letter in settled else eval_point(phi, point, table)
             for letter, phi in enumerate(system.maps, start=1)]
@@ -326,49 +319,49 @@ def children(system: MapSystem, point: ProjPoint, limits: WorkLimits,
 
 def walk_tree(system: MapSystem, point: ProjPoint, depth: int,
               limits: WorkLimits = DEFAULT_LIMITS, prefix: tuple = (),
-              test: Optional[NodeTest] = None) -> Iterator[tuple[tuple, ProjPoint]]:
+              verdict: Optional[Callable] = None) -> Iterator[tuple[tuple, ProjPoint]]:
     """Yield (word, point) for the subtree under prefix, in preorder, down to
     words of the given length.  Children wait on an explicit stack, last
-    letter at the bottom, so the walk never recurses.  test, when given, is
-    the consumer's test at every node expanded (see NodeTest)."""
+    letter at the bottom, so the walk never recurses.  verdict, when given,
+    settles each node expanded (see children)."""
     stack = [(prefix, point)]
     while stack:
         word, node = stack.pop()
         yield word, node
         if len(word) < depth and isinstance(node, ProjPoint):
-            kids = children(system, node, limits, test, depth - len(word))
+            kids = children(system, node, limits, verdict, depth - len(word))
             stack.extend(reversed([(word + (letter,), kid)
                                    for letter, kid in enumerate(kids, start=1)
                                    if kid is not None]))
 
 
 def _fold_subtree(args) -> list:
-    fold, system, point, prefix, depth, limits, test = args
-    return fold(walk_tree(system, point, depth, limits, prefix, test))
+    fold, system, point, prefix, depth, limits, verdict = args
+    return fold(walk_tree(system, point, depth, limits, prefix, verdict))
 
 
 def fold_tree(system: MapSystem, point: ProjPoint, depth: int,
               fold: Callable[[Iterable], list],
               limits: WorkLimits = DEFAULT_LIMITS, workers: int = 1,
-              test: Optional[NodeTest] = None) -> list:
+              verdict: Optional[Callable] = None) -> list:
     """fold applied to the preorder walk of the tree, as one list.
 
     With workers > 1 the root is expanded here, each first-letter subtree is
     folded in a worker process, and the parts are concatenated in letter
     order after the root's.  A fold that maps each node on its own (fold
-    and test must be picklable) therefore gives the same list for any worker
-    count.  test is the consumer's test of walk_tree, applied to the root
-    as well.  A tree of depth at most 1 is folded here, and so is each
-    stand-in the test gives for a child of the root: no stand-in goes to a
-    worker.  The node cap is checked here, before any evaluation.
+    and verdict must be picklable) therefore gives the same list for any
+    worker count.  verdict is the consumer's verdict of walk_tree, applied
+    to the root as well.  A tree of depth at most 1 is folded here, and so
+    is each stand-in settled for a child of the root: no stand-in goes to
+    a worker.  The node cap is checked here, before any evaluation.
     """
     limits.check_nodes(system.k, depth)
     if workers <= 1 or depth <= 1:
-        return fold(walk_tree(system, point, depth, limits, test=test))
+        return fold(walk_tree(system, point, depth, limits, verdict=verdict))
     from concurrent.futures import ProcessPoolExecutor
 
-    kids = children(system, point, limits, test, depth)
-    tasks = [(fold, system, child, (letter,), depth, limits, test)
+    kids = children(system, point, limits, verdict, depth)
+    tasks = [(fold, system, child, (letter,), depth, limits, verdict)
              for letter, child in enumerate(kids, start=1) if child is not None]
     out = fold([((), point)])
     with ProcessPoolExecutor(max_workers=workers) as pool:
@@ -435,11 +428,11 @@ def _earlier_words(system: MapSystem, root: ProjPoint,
 
 def enumerate_tree(system: MapSystem, point: ProjPoint, depth: int,
                    dedupe: bool = False, limits: WorkLimits = DEFAULT_LIMITS,
-                   workers: int = 1, test: Optional[NodeTest] = None,
+                   workers: int = 1, verdict: Optional[Callable] = None,
                    fold: Callable[[Iterator[tuple[tuple, object]]], Sized] = list) -> Sized:
     """fold applied to the walk's (word, point) pairs to the given depth,
-    streamed in preorder word order, less the nodes that the consumer's test
-    drops (see walk_tree): by default the list of them.  The node cap is
+    streamed in preorder word order, less the nodes that the consumer's
+    verdict drops (see walk_tree): by default the list of them.  The node cap is
     checked before fold is called, and no pair is held but those fold keeps.
     The tree is walked within this call and fold's result is sized (a fold
     that writes the pairs out returns a range over them): perfbench's tracer
@@ -453,8 +446,8 @@ def enumerate_tree(system: MapSystem, point: ProjPoint, depth: int,
     fold_tree and stream from there.
     """
     limits.check_nodes(system.k, depth)
-    nodes = (walk_tree(system, point, depth, limits, test=test) if workers <= 1
-             else fold_tree(system, point, depth, list, limits, workers, test))
+    nodes = (walk_tree(system, point, depth, limits, verdict=verdict) if workers <= 1
+             else fold_tree(system, point, depth, list, limits, workers, verdict))
     if dedupe:
         nodes = ((word, node) for word, node, earlier in _earlier_words(system, point, nodes)
                  if earlier is None)

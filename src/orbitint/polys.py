@@ -11,7 +11,7 @@ small-coefficient sums.  `Enclosure` is what the screens and deferred
 atoms read of a point they do not build: a box of each coordinate's top
 bits at an exponent of its own, its residues modulo any m (forms at them
 by Horner's rule), certified bounds on a form over the box, and the same
-for the point's image under a map.
+for the point's image under a map, whose box keeps the trim of this one.
 """
 
 from __future__ import annotations
@@ -242,11 +242,11 @@ def _form_bounds(cs: Sequence, d: int, xs: tuple[int, int, int],
 
 
 # A point of at least ENCLOSE_BITS bits is enclosed where only its size and
-# residues are read: below that, building its images costs less.  The
-# census's boxes and those of word walks and sums of squares keep at most
-# BOX_BITS bits of the larger coordinate, so an atom read from one decides
-# its interval at every precision well below that.  A valuation v_p is
-# read from residues modulo p^RESIDUE_DIGITS first.
+# residues are read (Enclosure.of is the one gate): below that, building its
+# images costs less.  The census's boxes and those of word walks and sums of
+# squares keep at most BOX_BITS bits of the larger coordinate, so an atom
+# read from one decides its interval at every precision well below that.  A
+# valuation v_p is read from residues modulo p^RESIDUE_DIGITS first.
 ENCLOSE_BITS = 1024
 BOX_BITS = 2048
 RESIDUE_DIGITS = 64
@@ -254,24 +254,26 @@ RESIDUE_DIGITS = 64
 
 class Enclosure:
     """A point [x : y] known without being built: x_lo * 2^ex <= x <= x_hi *
-    2^ex and y_lo * 2^ey <= y <= y_hi * 2^ey, each coordinate its top bits at
-    an exponent of its own (xs = (x_lo, x_hi, ex), ys likewise; see _trim),
-    and (x, y) mod any m, each modulus reduced once; each form is bounded
-    over the box once.  Its lineage (an orbits.Lineage), if any, builds it."""
+    2^ex and y_lo * 2^ey <= y <= y_hi * 2^ey, each coordinate its top bits
+    at an exponent of its own, trimmed at bits (xs = (x_lo, x_hi, ex), ys
+    likewise; see _trim) as its images are, and (x, y) mod any m; each form
+    is bounded over the box once.  Its lineage (an orbits.Lineage) builds it."""
 
-    __slots__ = ("xs", "ys", "lineage", "_reduce", "_residues", "_bounds")
+    __slots__ = ("xs", "ys", "lineage", "_bits", "_reduce", "_residues", "_bounds")
 
-    def __init__(self, xs: tuple[int, int, int], ys: tuple[int, int, int],
+    def __init__(self, xs: tuple[int, int, int], ys: tuple[int, int, int], bits: tuple[int, int],
                  reduce: Callable[[int], tuple[int, int]], lineage=None):
-        self.xs, self.ys, self.lineage, self._reduce = xs, ys, lineage, reduce
+        self.xs, self.ys, self.lineage, self._bits, self._reduce = xs, ys, lineage, bits, reduce
         self._residues: dict[int, tuple[int, int]] = {}   # m -> (x mod m, y mod m)
         self._bounds: dict[tuple, tuple[int, int, int]] = {}   # (cs, d) -> bounds
 
     @classmethod
-    def of(cls, x: int, y: int, small_bits: int, large_bits: int, lineage=None) -> "Enclosure":
-        """The built point (x, y) of lineage, in the box of its top bits."""
-        return cls(*_trim((x, x, 0), (y, y, 0), small_bits, large_bits),
-                   lambda m: (x % m, y % m), lineage)
+    def of(cls, x: int, y: int, bits: tuple[int, int], lineage=None) -> Optional["Enclosure"]:
+        """The built point (x, y) of lineage, in the box of its top bits at
+        bits = (small_bits, large_bits); None under ENCLOSE_BITS bits."""
+        if max(x.bit_length(), y.bit_length()) < ENCLOSE_BITS:
+            return None
+        return cls(*_trim((x, x, 0), (y, y, 0), *bits), bits, lambda m: (x % m, y % m), lineage)
 
     def bounds(self, cs: Sequence, d: int) -> tuple[int, int, int]:
         """(lo, hi, e) with lo * 2^e <= sum of cs[i] x^i y^(d-i) <= hi * 2^e."""
@@ -299,19 +301,19 @@ class Enclosure:
             y_power *= y
         return u % m, v % m
 
-    def image(self, phi: "RatMap", small_bits: int, large_bits: int) -> "Enclosure":
+    def image(self, phi: "RatMap") -> "Enclosure":
         """[F : G]/c for the degree-d forms F and G of the map phi and c =
         gcd(R, F mod R, G mod R) with R = |Res(F, G)|: at a coprime point,
         its image point (see ratmap.eval_point), or -1 times it.  The box is
-        F's and G's bounds over this box divided by c, trimmed as `of` trims,
-        the residues mod m are those mod m * c divided by c, and the lineage
-        is this one's child under phi."""
+        F's and G's bounds over this box divided by c, trimmed at this box's
+        bits, the residues mod m are those mod m * c divided by c, and the
+        lineage is this one's child under phi."""
         f, g, d, r = phi.f, phi.g, phi.degree, phi.resultant
         c = math.gcd(r, *self.values(f, g, d, r)) if r > 1 else 1
         (f_lo, f_hi, f_e), (g_lo, g_hi, g_e) = self.bounds(f, d), self.bounds(g, d)
         return Enclosure(*_trim((f_lo // c, -(-f_hi // c), f_e), (g_lo // c, -(-g_hi // c), g_e),
-                                small_bits, large_bits),
-                         lambda m: tuple(t // c for t in self.values(f, g, d, m * c)),
+                                *self._bits),
+                         self._bits, lambda m: tuple(t // c for t in self.values(f, g, d, m * c)),
                          None if self.lineage is None else self.lineage.child(phi))
 
     def size(self) -> tuple[int, int, int]:

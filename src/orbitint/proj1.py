@@ -227,11 +227,9 @@ def _enclosed(box: polys.Enclosure, q: ProjPoint, v: Place) -> Optional[LogExpr]
 
 
 def _sum_of_squares(p: ProjPoint) -> int | Deferred:
-    """x^2 + y^2, deferred for a point of at least polys.ENCLOSE_BITS bits."""
-    atom = None
-    if max(p.x.bit_length(), p.y.bit_length()) >= polys.ENCLOSE_BITS:
-        box = polys.Enclosure.of(p.x, p.y, polys.BOX_BITS, polys.BOX_BITS)
-        atom = deferred_atom(box.bounds(_SQUARES, 2), lambda: _squares(p))
+    """x^2 + y^2, deferred for a point that polys.Enclosure.of encloses."""
+    box = polys.Enclosure.of(p.x, p.y, (polys.BOX_BITS, polys.BOX_BITS))
+    atom = None if box is None else deferred_atom(box.bounds(_SQUARES, 2), lambda: _squares(p))
     return _squares(p) if atom is None else atom
 
 

@@ -12,7 +12,7 @@ from orbitint import orbits, polys
 from orbitint.cli import _record_json, main
 from orbitint.config import parse_config
 from orbitint.integrality import NonUnitLeaves, s_integral_census
-from orbitint.orbits import WorkLimits, enumerate_tree
+from orbitint.orbits import WorkLimits, enumerate_tree, settle
 from orbitint.places import PlaceSet, is_s_unit
 from orbitint.proj1 import INFINITY, ProjPoint, normalize
 from orbitint.ratmap import MapSystem, eval_point, make_map, parse_map
@@ -31,7 +31,7 @@ def definition(system, point, s, depth):
 def assert_sound(system, node, s):
     """Every letter the test rules out has a leaf that is not an S-unit
     point; returns the ruled-out letters."""
-    out = set(NonUnitLeaves(s)(system, node, 1, WorkLimits()))
+    out = set(settle(system, node, 1, WorkLimits(), NonUnitLeaves(s)))
     for letter in out:
         leaf = eval_point(system.map_for_letter(letter), node)
         assert not leaf.is_infinite and not is_s_unit(leaf.y, s), (node, letter)
@@ -206,8 +206,8 @@ def assert_twigs_sound(system, node, s, limits=WorkLimits()):
     """Every letter the twig test rules out has a child within the cap that
     is not an S-unit point and has no S-unit leaf; returns the letters."""
     screen = NonUnitLeaves(s)
-    out = set(screen(system, node, 2, limits))
-    assert out <= set(screen(system, node, 1, limits))
+    out = set(settle(system, node, 2, limits, screen))
+    assert out <= set(settle(system, node, 1, limits, screen))
     for letter in out:
         child = eval_point(system.map_for_letter(letter), node)
         assert limits.fits_bits(limits.bits_of(child)), (node, letter)
@@ -229,7 +229,7 @@ def census_matches_at_depth_2(system, node, s, monkeypatch):
     for workers in (1, 2):
         calls.clear()
         assert s_integral_census(system, node, s, 2, workers=workers) == expected
-    assert len(calls) == system.k - len(NonUnitLeaves(s)(system, node, 2, WorkLimits()))
+    assert len(calls) == system.k - len(settle(system, node, 2, WorkLimits(), NonUnitLeaves(s)))
     return expected
 
 
@@ -264,10 +264,10 @@ def test_twig_test_lifted_to_every_node_for_both_worker_counts(monkeypatch):
             assert s_integral_census(system, point, s, depth, workers=workers) == expected
         built = len(calls)   # the serial run's: the counter sees no worker
         calls.clear()
-        # The leaf test alone: the census's test at the last level only.
-        screen = NonUnitLeaves(s)
-        enumerate_tree(system, point, depth, dedupe=True,
-                       test=lambda *args: screen(*args) if args[2] == 1 else {})
+        # The leaf test alone: the census's verdict settles at the last level only.
+        with monkeypatch.context() as leaves_only:
+            leaves_only.setattr(orbits, "SETTLE_LEVELS", 1)
+            enumerate_tree(system, point, depth, dedupe=True, verdict=NonUnitLeaves(s))
         twigged += built < len(calls)
     assert twigged >= 8
 
@@ -291,7 +291,7 @@ def test_child_whose_leaf_straddles_zero_is_built(monkeypatch):
     system = MapSystem([parse_map("(z^2+2)/(2z)"), parse_map("(z^2+1)/(z^2-2)")])
     node = pell(1100)
     s = PlaceSet.parse(["inf"])
-    assert 1 in NonUnitLeaves(s)(system, node, 1, WorkLimits())
+    assert 1 in settle(system, node, 1, WorkLimits(), NonUnitLeaves(s))
     assert 1 not in assert_twigs_sound(system, node, s)
     assert (1, 2) in [word for word, _ in census_matches_at_depth_2(system, node, s, monkeypatch)]
 
@@ -308,7 +308,7 @@ def test_child_under_a_common_factor_divisible_by_p_is_built(monkeypatch):
     s = PlaceSet.parse(["inf", "p3"])
     assert a * a + 2 * b * b == 3 ** 1300 and WorkLimits.bits_of(node) >= 1024
     assert eval_point(system.maps[0], node) == ProjPoint(3 ** 1299, b * b)
-    assert 1 in NonUnitLeaves(s)(system, node, 1, WorkLimits())
+    assert 1 in settle(system, node, 1, WorkLimits(), NonUnitLeaves(s))
     assert 1 not in assert_twigs_sound(system, node, s)
     assert (1, 2) in [word for word, _ in census_matches_at_depth_2(system, node, s, monkeypatch)]
 
@@ -341,8 +341,9 @@ def test_bit_cap_exit_at_the_last_interior_level(workers, tmp_path, capsys, monk
     assert [WorkLimits.bits_of(p) for p in path[:-1]] == sorted(
         WorkLimits.bits_of(p) for p in path[:-1]) and WorkLimits.bits_of(path[-1]) == CAP_BITS + 1
     screen = NonUnitLeaves(config.places)
-    assert CAP_WORD[-1] in screen(config.system, path[-2], 2, WorkLimits())
-    assert CAP_WORD[-1] not in screen(config.system, path[-2], 2, WorkLimits(bit_cap=CAP_BITS))
+    assert CAP_WORD[-1] in settle(config.system, path[-2], 2, WorkLimits(), screen)
+    assert CAP_WORD[-1] not in settle(config.system, path[-2], 2, WorkLimits(bit_cap=CAP_BITS),
+                                      screen)
     cfg = tmp_path / "capped.json"
     cfg.write_text(json.dumps({**raw, "workLimits": {"bitCap": CAP_BITS}}), encoding="utf-8")
     argv = ["census", "--config", str(cfg), "--depth", "11", "--workers", str(workers),
@@ -351,11 +352,8 @@ def test_bit_cap_exit_at_the_last_interior_level(workers, tmp_path, capsys, monk
     for _ in range(2):
         assert main(argv) == 3
         errors.append(json.loads(capsys.readouterr().err.strip().splitlines()[-1]))
-        # The exact walk of the last interior level: no test above the leaves.
-        real = NonUnitLeaves.__call__
-        monkeypatch.setattr(NonUnitLeaves, "__call__",
-                            lambda self, system, node, levels, limits:
-                            real(self, system, node, levels, limits) if levels == 1 else {})
+        # The exact walk of the last interior level: no settle above the leaves.
+        monkeypatch.setattr(orbits, "SETTLE_LEVELS", 1)
     assert errors[0] == errors[1] == {
         "error": f"orbit coordinate of {CAP_BITS + 1} bits exceeded the cap {CAP_BITS}",
         "kind": "work-limit"}

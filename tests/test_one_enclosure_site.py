@@ -2,8 +2,9 @@
 a form over a box or trim a box, each enclosure constant is assigned in one
 module, and a test that lifts the size threshold patches that one constant,
 so the census screen and the deferred atoms cannot fork again.  A tree node
-is settled in one place, orbits.settle: the consumers pass it a verdict
-and gate on neither the node's level nor its size."""
+is settled in one place, orbits.settle, which the walk calls with the
+consumer's verdict; a consumer gates on neither the node's level nor its
+size, and a box keeps the trim it was made at."""
 
 import ast
 from pathlib import Path
@@ -93,7 +94,7 @@ def _reads(func, name):
 def test_one_settle_site():
     """Only orbits.settle encloses a tree node, and only orbits.Orbit a step
     of a word walk; the one other point enclosed is a built point's chordal
-    sum of squares.  The size gate ENCLOSE_BITS is read at those three sites
+    sum of squares.  The size gate ENCLOSE_BITS is read by Enclosure.of
     only, and no function outside orbits compares a node's level."""
     functions = [(f"{path.stem}.{name}", func) for path in SOURCES
                  for name, func in _functions(ast.parse(path.read_text(encoding="utf-8")))]
@@ -102,8 +103,26 @@ def test_one_settle_site():
                        and node.func.attr == "of" and ast.unparse(node.func.value).endswith("Enclosure"))
     assert enclosers == ["orbits.Orbit._enclose", "orbits.settle", "proj1._sum_of_squares"]
     assert sorted(name for name, func in functions if _reads(func, "ENCLOSE_BITS")) == [
-        "orbits.Orbit._enclose", "orbits.settle", "proj1._sum_of_squares"]
+        "polys.Enclosure.of"]
     gates = [name for name, func in functions if not name.startswith("orbits.")
              for node in ast.walk(func) if isinstance(node, ast.Compare)
              and any(isinstance(n, ast.Name) and n.id == "levels" for n in ast.walk(node))]
     assert gates == []
+
+
+def test_the_walk_settles_with_the_consumers_verdict():
+    """The walk takes the consumer's verdict and settles with it: only
+    orbits.children calls orbits.settle, no generic hook (NodeTest) is
+    left, an image takes only its map, since a box keeps its own trim, and
+    no module but polys reads the size gate ENCLOSE_BITS."""
+    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8")) for path in SOURCES}
+    functions = dict((f"{stem}.{name}", func) for stem, tree in trees.items()
+                     for name, func in _functions(tree))
+    assert sorted(name for name, func in functions.items() if "settle" in _called(func)) == [
+        "orbits.children"]
+    assert [path.name for path in SOURCES if "NodeTest" in path.read_text(encoding="utf-8")] == []
+    image = functions["polys.Enclosure.image"].args
+    assert [a.arg for a in image.posonlyargs + image.args + image.kwonlyargs] == ["self", "phi"]
+    assert not (image.vararg or image.kwarg)
+    assert sorted(stem for stem, tree in trees.items() if _reads(tree, "ENCLOSE_BITS")) == [
+        "polys"]

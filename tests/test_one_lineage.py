@@ -11,8 +11,8 @@ import types
 from pathlib import Path
 
 from orbitint import polys
-from orbitint.heights import _leaf_test, canonical_height_word
-from orbitint.orbits import Lineage, Orbit, WorkLimits, iterate_word
+from orbitint.heights import LeafAtoms, canonical_height_word
+from orbitint.orbits import Lineage, Orbit, WorkLimits, iterate_word, settle
 from orbitint.places import INFINITE_PLACE, Place, PlaceSet
 from orbitint.proj1 import ProjPoint, chordal_sum, normalize
 from orbitint.ratmap import MapSystem, parse_map
@@ -99,16 +99,17 @@ def _kinds(*roots) -> set:
 
 
 def test_the_walk_finds_a_box_held_by_a_closure():
-    box = polys.Enclosure.of(NODE.x, NODE.y, 64, 64, Lineage(NODE))
+    box = polys.Enclosure.of(NODE.x, NODE.y, (64, 64), Lineage(NODE))
     assert _kinds(lambda: box.size()) == {polys.Enclosure, Lineage}
     assert _kinds(box.lineage.build) == {Lineage}
 
 
 def test_stand_ins_hold_lineages_and_no_enclosure():
-    """After the system height's test returns, its stand-ins reach the
-    lineages of their leaves and no box, at each level of the settle."""
+    """After a settle with the system height's verdict returns, its
+    stand-ins reach the lineages of their leaves and no box, at each level
+    of the settle."""
     for levels in (1, 2, 3):
-        stand_ins = _leaf_test(128, PAIR, NODE, levels, WorkLimits())
+        stand_ins = settle(PAIR, NODE, levels, WorkLimits(), LeafAtoms(128))
         assert sorted(stand_ins) == [1, 2]
         assert _kinds(stand_ins) == {Lineage}, levels
 

@@ -8,10 +8,10 @@ from orbitint.errors import WorkLimitExceeded
 from orbitint.heights import canonical_height_system, system_bounds
 from orbitint.cli import _orbit_rows
 from orbitint.integrality import gamma_set
-from orbitint.orbits import (Orbit, WorkLimits, enumerate_tree, find_cycle,
-                             hypothesis_check, iterate_word)
+from orbitint.orbits import (REFUSE, SETTLE_LEVELS, Orbit, WorkLimits, enumerate_tree,
+                             find_cycle, hypothesis_check, iterate_word)
 from orbitint.places import PlaceSet
-from orbitint import proj1
+from orbitint import polys, proj1
 from orbitint.logvals import DEFAULT_PRECISION
 from orbitint.proj1 import INFINITY, ZERO, ProjPoint, normalize
 from orbitint.ratmap import MapSystem, make_map, parse_map
@@ -110,66 +110,83 @@ def test_node_cap_counts_every_node(pair_system):
 
 
 class SkipLetters:
-    """A picklable test that drops the same letters at every last-level
-    node and nothing above it; it refuses to see a node over its bit limit."""
+    """A picklable verdict that drops the leaves of the given letters under
+    every last-level node and refuses every other node, so nothing above
+    the last level settles; it refuses to see a node over its bit limit."""
 
-    def __init__(self, letters, max_bits=None):
-        self.letters = frozenset(letters)
+    bits = (64, 64)
+
+    def __init__(self, system, letters, max_bits=None):
+        self.maps = [system.map_for_letter(letter) for letter in letters]
         self.max_bits = max_bits
 
-    def __call__(self, system, node, levels, limits):
-        assert self.max_bits is None or WorkLimits.bits_of(node) <= self.max_bits
-        return dict.fromkeys(self.letters) if levels == 1 else {}
+    def __call__(self, parent, phi, leaf):
+        assert self.max_bits is None or parent.bit_range()[0] <= self.max_bits
+        return None if leaf and phi in self.maps else REFUSE
 
 
-def test_skip_applies_at_the_last_level_only(pair_system):
+def test_skip_applies_at_the_last_level_only(pair_system, monkeypatch):
+    monkeypatch.setattr(polys, "ENCLOSE_BITS", 0)
     for depth in (1, 2, 4):
         full = enumerate_tree(pair_system, normalize(2, 1), depth)
         expected = [(w, p) for w, p in full if not (len(w) == depth and w[-1] == 1)]
         assert len(expected) == len(full) - 2 ** (depth - 1)
         for workers in (1, 2):
             assert enumerate_tree(pair_system, normalize(2, 1), depth, workers=workers,
-                                  test=SkipLetters({1})) == expected
+                                  verdict=SkipLetters(pair_system, {1})) == expected
 
 
 class SettleLetter:
-    """A picklable test that settles the child of letter 1 at every node
-    `level` levels above the leaves, with a stand-in for its subtree."""
+    """A picklable verdict that settles the child of letter 1 at every node
+    `level` levels above the leaves, with the stand-in ("settled",) for its
+    subtree: it reads how far under the settled node a box is from the
+    box's lineage, and refuses a first node of another letter and a leaf
+    at another level."""
 
-    def __init__(self, level):
-        self.level = level
+    bits = (64, 64)
 
-    def __call__(self, system, node, levels, limits):
-        return {1: "settled"} if levels == self.level else {}
+    def __init__(self, system, level):
+        self.first, self.level = system.map_for_letter(1), level
+
+    def __call__(self, parent, phi, leaf):
+        under, lineage = 0, parent.lineage   # parent's levels under the settled node
+        while lineage.point is None:
+            under, lineage = under + 1, lineage.parent
+        if (under == 0 and phi != self.first) or (leaf and under + 1 != self.level):
+            return REFUSE
+        return "settled" if under == 0 else None
 
 
-def test_a_stand_in_is_yielded_and_never_expanded(pair_system):
-    """At any level a stand-in takes its child's place in the walk and its
-    subtree is not walked; one settled at the root's children is folded in
-    this process, in letter order, under any worker count."""
+def test_a_stand_in_is_yielded_and_never_expanded(pair_system, monkeypatch):
+    """At every level up to SETTLE_LEVELS a stand-in takes its child's
+    place in the walk and its subtree is not walked; one settled at the
+    root's children is folded in this process, in letter order, under any
+    worker count."""
+    monkeypatch.setattr(polys, "ENCLOSE_BITS", 0)
     for depth in (2, 3, 4):
         full = enumerate_tree(pair_system, normalize(2, 1), depth)
-        for level in sorted({1, 2, depth}):
+        for level in [level for level in sorted({1, 2, depth}) if level <= SETTLE_LEVELS]:
             at = depth - level + 1   # the length of a settled child's word
-            expected = [(w, "settled") if len(w) == at and w[-1] == 1
+            expected = [(w, ("settled",)) if len(w) == at and w[-1] == 1
                         else (w, p) for w, p in full if not (len(w) > at and w[at - 1] == 1)]
             for workers in (1, 2):
                 assert enumerate_tree(pair_system, normalize(2, 1), depth, workers=workers,
-                                      test=SettleLetter(level)) == expected
+                                      verdict=SettleLetter(pair_system, level)) == expected
 
 
-def test_caps_count_and_check_skipped_leaves(pair_system):
+def test_caps_count_and_check_skipped_leaves(pair_system, monkeypatch):
     # The node cap counts leaves that are never built, and a last-level node
-    # is bit-checked before the consumer's test sees it.
+    # is bit-checked before the consumer's verdict sees it.
+    monkeypatch.setattr(polys, "ENCLOSE_BITS", 0)
     big = normalize(2 ** 100 + 1, 1)
     for workers in (1, 2):
         with pytest.raises(WorkLimitExceeded) as exc:
             enumerate_tree(pair_system, normalize(2, 1), 4, workers=workers,
-                           limits=WorkLimits(node_cap=20), test=SkipLetters({1, 2}))
+                           limits=WorkLimits(node_cap=20), verdict=SkipLetters(pair_system, {1, 2}))
         assert exc.value.nodes == 31
         with pytest.raises(WorkLimitExceeded) as exc:
-            enumerate_tree(pair_system, big, 1, workers=workers,
-                           limits=WorkLimits(bit_cap=64), test=SkipLetters({1, 2}, 64))
+            enumerate_tree(pair_system, big, 1, workers=workers, limits=WorkLimits(bit_cap=64),
+                           verdict=SkipLetters(pair_system, {1, 2}, 64))
         assert exc.value.bits == 101
 
 

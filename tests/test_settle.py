@@ -1,7 +1,7 @@
 """orbits.settle for any verdict: a child whose enclosure does not show it
-within the bit cap is built and bit-checked as a walk with no test checks
-it, the engine builds no value a verdict keeps, and a walk with no test
-does no settle work."""
+within the bit cap is built and bit-checked as a walk with no verdict
+checks it, the engine builds no value a verdict keeps, and a walk with no
+verdict does no settle work."""
 
 import random
 from functools import partial
@@ -10,7 +10,7 @@ import pytest
 
 from orbitint import orbits, polys
 from orbitint.errors import WorkLimitExceeded
-from orbitint.heights import _leaf_test
+from orbitint.heights import LeafAtoms
 from orbitint.integrality import NonUnitLeaves
 from orbitint.logvals import Deferred, deferred_atom
 from orbitint.orbits import REFUSE, WorkLimits, enumerate_tree, settle, walk_tree
@@ -23,23 +23,21 @@ PAIR = MapSystem([parse_map("z^2"), parse_map("z^3")])
 BIG = normalize((1 << 1100) + 1)   # children of 2,201 and 3,301 bits under PAIR
 
 
-def settles_everything(parent, phi, leaf):
-    """A verdict that refuses no node and keeps nothing."""
-    return None
-
-
 class SettleAll:
-    """A picklable test: the engine's settle with a verdict that refuses
-    nothing, so each child it drops is one its boxes show within the cap."""
+    """A picklable verdict that refuses no node and keeps nothing, so each
+    child the walk drops is one its boxes show within the cap."""
 
-    def __call__(self, system, node, levels, limits):
-        return settle(system, node, levels, limits, (64, polys.BOX_BITS), settles_everything)
+    bits = (64, polys.BOX_BITS)
+
+    def __call__(self, parent, phi, leaf):
+        return None
 
 
-def outcome(system, point, depth, limits, workers, test=None):
+def outcome(system, point, depth, limits, workers, verdict=None):
     """The walk's records, or the message and bit count it stopped with."""
     try:
-        return enumerate_tree(system, point, depth, limits=limits, workers=workers, test=test)
+        return enumerate_tree(system, point, depth, limits=limits, workers=workers,
+                              verdict=verdict)
     except WorkLimitExceeded as exc:
         return str(exc), exc.bits
 
@@ -48,9 +46,9 @@ def outcome(system, point, depth, limits, workers, test=None):
 def test_an_over_cap_child_is_built_under_a_verdict_that_settles_all(workers):
     """Under a cap of 3,000 bits the root's first child is settled, and its
     second, of 3,301 bits, is built and stops the walk as it stops a walk
-    with no test."""
+    with no verdict."""
     limits = WorkLimits(bit_cap=3000)
-    assert SettleAll()(PAIR, BIG, 2, limits) == {1: None}
+    assert settle(PAIR, BIG, 2, limits, SettleAll()) == {1: None}
     stopped = outcome(PAIR, BIG, 2, limits, workers)
     assert stopped == ("orbit coordinate of 3301 bits exceeded the cap 3000", 3301)
     assert outcome(PAIR, BIG, 2, limits, workers, SettleAll()) == stopped
@@ -59,7 +57,7 @@ def test_an_over_cap_child_is_built_under_a_verdict_that_settles_all(workers):
 def test_settle_all_stops_where_a_walk_with_no_test_stops(monkeypatch):
     """With ENCLOSE_BITS 0 every node two levels above the leaves settles;
     under a cap one bit below a node of the last two levels, the walk with
-    the test stops with the message and bits of the walk without, or, as
+    the verdict stops with the message and bits of the walk without, or, as
     it does, goes to the end (a leaf is not bit-checked)."""
     monkeypatch.setattr(polys, "ENCLOSE_BITS", 0)
     rng = random.Random(719)
@@ -84,8 +82,11 @@ def test_settle_all_stops_where_a_walk_with_no_test_stops(monkeypatch):
 
 def keeps_unbuilt_atoms(parent, phi, leaf):
     """A verdict that keeps, at every node, an atom that fails when built."""
-    atom = deferred_atom(parent.image(phi, 64, 64).size(), partial(pytest.fail, "built"))
+    atom = deferred_atom(parent.image(phi).size(), partial(pytest.fail, "built"))
     return REFUSE if atom is None else atom
+
+
+keeps_unbuilt_atoms.bits = (64, 64)
 
 
 def test_no_kept_value_is_built_in_the_engine(monkeypatch):
@@ -98,9 +99,8 @@ def test_no_kept_value_is_built_in_the_engine(monkeypatch):
     for _ in range(12):
         system = random_system(rng, k_max=2, max_degree=3)
         point = random_point(rng, 1 << 60)
-        test = lambda *args: settle(*args, (64, 64), keeps_unbuilt_atoms)   # noqa: E731
         for depth in (1, 2, 4):
-            for word, node in walk_tree(system, point, depth, test=test):
+            for word, node in walk_tree(system, point, depth, verdict=keeps_unbuilt_atoms):
                 if type(node) is tuple:
                     assert all(type(atom) is Deferred for atom in node)
                     kept += len(node)
@@ -143,11 +143,11 @@ def test_settled_and_exact_decisions_agree_three_levels_up(monkeypatch):
         s = PlaceSet.parse(places[trial % 4])
         exact = {letter: exact_subtree(system, point, letter, 3)
                  for letter in range(1, system.k + 1)}
-        for letter, stand_in in NonUnitLeaves(s)(system, point, 3, WorkLimits()).items():
+        for letter, stand_in in settle(system, point, 3, WorkLimits(), NonUnitLeaves(s)).items():
             assert stand_in is None
             assert not any(not p.is_infinite and is_s_unit(p.y, s) for _, p in exact[letter])
             census += 1
-        for letter, atoms in _leaf_test(128, system, point, 3, WorkLimits()).items():
+        for letter, atoms in settle(system, point, 3, WorkLimits(), LeafAtoms(128)).items():
             leaves = [max(abs(p.x), abs(p.y)) for level, p in exact[letter] if level == 3]
             assert [atom.value() for atom in atoms] == leaves
             height += 1

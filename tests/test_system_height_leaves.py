@@ -16,10 +16,10 @@ from mpmath.libmp import from_int, round_ceiling, round_floor, to_rational
 
 from orbitint import heights, logvals, orbits, polys
 from orbitint.config import parse_config
-from orbitint.heights import _leaf_test, canonical_height_system, system_bounds
+from orbitint.heights import LeafAtoms, canonical_height_system, system_bounds
 from orbitint.logvals import LogExpr
 from orbitint.integrality import s_integral_census
-from orbitint.orbits import WorkLimits, enumerate_tree, walk_tree
+from orbitint.orbits import WorkLimits, enumerate_tree, settle, walk_tree
 from orbitint.places import is_s_unit
 from orbitint.proj1 import ProjPoint, normalize
 from orbitint.ratmap import MapSystem, eval_point, make_map, parse_map
@@ -204,7 +204,7 @@ def test_bit_cap_under_settled_parents(tmp_path, capsys, evaluations):
     def chain(box, levels):
         """The bits settle reads of the nodes above the leaves under box."""
         for phi in config.system.maps:
-            image = box.image(phi, bits, bits)
+            image = box.image(phi)
             _, hi, e = image.size()
             boxes.append(hi.bit_length() + e)
             if levels > 2:
@@ -213,14 +213,16 @@ def test_bit_cap_under_settled_parents(tmp_path, capsys, evaluations):
     for word, node in walk_tree(config.system, config.point, 8):
         if len(word) < 8:
             continue
-        if WorkLimits.bits_of(node) >= polys.ENCLOSE_BITS:
-            chain(polys.Enclosure.of(node.x, node.y, bits, bits), 3)
+        box = polys.Enclosure.of(node.x, node.y, (bits, bits))
+        if box is not None:
+            chain(box, 3)
             continue
         small[8] += 1
         for phi in config.system.maps:
             child = eval_point(phi, node)
-            if WorkLimits.bits_of(child) >= polys.ENCLOSE_BITS:
-                chain(polys.Enclosure.of(child.x, child.y, bits, bits), 2)
+            box = polys.Enclosure.of(child.x, child.y, (bits, bits))
+            if box is not None:
+                chain(box, 2)
             else:
                 small[9] += 1
     assert max(boxes) >= largest and small == {8: 37, 9: 8}
@@ -243,7 +245,7 @@ def test_shipped_configs_at_depth_9(path, workers):
 
 
 def test_enclosed_boxes_are_the_leaf_boxes():
-    """Every prec box of an atom _leaf_test returns is iv.mpf of the built
+    """Every prec box of an atom LeafAtoms settles is iv.mpf of the built
     leaf's atom; an atom whose box is not decided is built as that atom."""
     rng = random.Random(613)
     kept = 0
@@ -251,7 +253,8 @@ def test_enclosed_boxes_are_the_leaf_boxes():
         system = random_system(rng, k_max=3, max_degree=4)
         prec = (53, 128, 256)[trial % 3]
         for node in (random_point(rng, 1 << 3000), random_point(rng, 1 << 1100)):
-            for letter, (enclosed,) in _leaf_test(prec, system, node, 1, WorkLimits()).items():
+            for letter, (enclosed,) in settle(system, node, 1, WorkLimits(),
+                                              LeafAtoms(prec)).items():
                 leaf = eval_point(system.map_for_letter(letter), node)
                 atom = max(abs(leaf.x), abs(leaf.y))
                 box = enclosed.box(prec)
@@ -276,7 +279,8 @@ def test_power_of_two_atoms_are_enclosed(evaluations, overlaps):
             (PAIR, (6000, 9000), 2 ** 11 - 2, orbits._tree_size(2, 11) - 1 - 2),
             (doubling, (6000, 6001), 0, orbits._tree_size(2, 10) - 1 - 2)):
         boxes = {letter: atom.box(128)
-                 for letter, (atom,) in _leaf_test(128, system, ProjPoint(1 << 3000, 1), 1, WorkLimits()).items()}
+                 for letter, (atom,) in settle(system, ProjPoint(1 << 3000, 1), 1, WorkLimits(),
+                                               LeafAtoms(128)).items()}
         assert boxes == {letter: (from_int(1 << e, 128, round_floor),
                                   from_int(1 << e, 128, round_ceiling))
                          for letter, e in enumerate(exponents, start=1)}
@@ -308,7 +312,7 @@ def test_common_factor_of_the_resultant():
             u, v = phi.homogeneous(node.x, node.y)
             assert math.gcd(u, v) == 2
             leaf = eval_point(phi, node)
-            box = _leaf_test(128, config.system, node, 1, WorkLimits())[1][0].box(128)
+            box = settle(config.system, node, 1, WorkLimits(), LeafAtoms(128))[1][0].box(128)
             atom = max(abs(leaf.x), abs(leaf.y))
             assert box == (from_int(atom, 128, round_floor), from_int(atom, 128, round_ceiling))
             seen += 1
@@ -370,13 +374,13 @@ def test_sibling_leaves_share_one_table(monkeypatch):
     monkeypatch.setattr(polys, "Monomials",
                         lambda x, y: made.append((x, y)) or real_table(x, y))
     node = ProjPoint(3 ** 2000, 2 ** 1500)
-    atoms = _leaf_test(128, PAIR, node, 1, WorkLimits())
+    atoms = settle(PAIR, node, 1, WorkLimits(), LeafAtoms(128))
     assert sorted(atoms) == [1, 2] and made == []
     assert (atoms[1][0].value(), atoms[2][0].value()) == (3 ** 4000, 3 ** 6000)
     assert made == [(node.x, node.y)]
 
     made.clear()
-    subtrees = _leaf_test(128, PAIR, node, 2, WorkLimits())
+    subtrees = settle(PAIR, node, 2, WorkLimits(), LeafAtoms(128))
     assert sorted(subtrees) == [1, 2] and made == []
     assert [atom.value() for atom in subtrees[1]] == [3 ** 8000, 3 ** 12000]
     assert made == [(node.x, node.y), (3 ** 4000, 2 ** 3000)]
@@ -417,11 +421,11 @@ def test_depths_0_and_1(monkeypatch, lifted, depth):
             assert_exact_leaf_formula(system, point, depth, workers=workers)
 
 
-# Roots of 1,110 bits on bounds_mixed: the consumers' tests run at the root
-# itself, at level 1 (depth 1) and level 2 (depth 2).  Evaluation counts are
-# pinned as the walks that expanded the last level themselves made them; a
-# 2-worker run counts only the root's expansion, made in this process, and
-# the settled children the root's test gives, folded here.  At depth 2 the
+# Roots of 1,110 bits on bounds_mixed: the consumers' verdicts settle at the
+# root itself, at level 1 (depth 1) and level 2 (depth 2).  Evaluation counts
+# are pinned as the walks that expanded the last level themselves made them;
+# a 2-worker run counts only the root's expansion, made in this process, and
+# the children settled at the root, folded here.  At depth 2 the
 # system height settles both children, so it builds no node.
 LARGE_ROOTS = {"fraction": normalize(Fraction(3 ** 700 + 2, 5 ** 400)),
                "integer": normalize(3 ** 700 + 2)}
