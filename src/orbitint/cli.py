@@ -42,12 +42,12 @@ from .ratmap import system_height
 from .verify import run_all
 
 
-def _report_meta(sub: str, config: ExperimentConfig | None, seed: int, prec: int) -> dict:
+def _report_meta(sub: str, config_hash: str | None, seed: int, prec: int) -> dict:
     # Schema 2: integers above proj1.HEX_BITS bits are written as "0x..." hex.
     meta = {"version": __version__, "subcommand": sub, "seed": seed,
             "precisionBits": prec, "reportSchema": 2}
-    if config is not None:
-        meta["configHash"] = config.canonical_hash()
+    if config_hash is not None:
+        meta["configHash"] = config_hash
     return meta
 
 
@@ -450,7 +450,7 @@ def main(argv=None) -> int:
         if args.seed < 0:   # random.Random(-s) is random.Random(s)
             raise ConfigError("--seed must be a nonnegative integer")
         if args.subcommand == "verify":
-            config = None
+            config_hash = None
             prec = DEFAULT_PRECISION if args.precision is None else args.precision
             if prec < MIN_PRECISION:
                 raise ConfigError(f"--precision must be an integer >= {MIN_PRECISION}")
@@ -468,11 +468,12 @@ def main(argv=None) -> int:
                 config = parse_config({**config.raw, **overrides})
             # The tree fans out by first letter, so more than k workers sit idle.
             workers = min(args.workers, config.system.k, os.cpu_count() or 1)
-            stem = f"{args.subcommand}_{config.canonical_hash()}"
+            config_hash = config.canonical_hash()
+            stem = f"{args.subcommand}_{config_hash}"
             payload, summary = _SUBCOMMANDS[args.subcommand](config, workers,
                                                              out / f"{stem}.csv")
             prec = config.precision_bits
-        payload["meta"] = _report_meta(args.subcommand, config, args.seed, prec)
+        payload["meta"] = _report_meta(args.subcommand, config_hash, args.seed, prec)
         _write_json(out / f"{stem}.json", payload)
         print(f"{summary} -> {out / (stem + '.json')}")
         # Only verify reports carry suite results; a failed suite exits 1.

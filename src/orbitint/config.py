@@ -5,11 +5,20 @@ Configs are hashed canonically so report filenames identify their inputs.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import math
 from fractions import Fraction
 from typing import Optional
+
+# hashlib loads OpenSSL's libcrypto, several MB of resident memory that a
+# 240-byte digest does not need: take the interpreter's own SHA-256 first.
+try:
+    from _sha2 import sha256    # CPython 3.12 and later
+except ImportError:
+    try:
+        from _sha256 import sha256    # CPython 3.10 and 3.11
+    except ImportError:    # a build without built-in hashes
+        from hashlib import sha256
 
 from .bounds import BoundParameters
 from .errors import ConfigError, Record
@@ -55,8 +64,10 @@ class ExperimentConfig(Record):
         return self._values()[:-1]
 
     def canonical_hash(self) -> str:
+        """The first 12 hex digits of the SHA-256 of raw as sorted, compact
+        JSON: the report filename's hash and meta.configHash."""
         blob = json.dumps(self.raw, sort_keys=True, separators=(",", ":"))
-        return hashlib.sha256(blob.encode("utf-8")).hexdigest()[:12]
+        return sha256(blob.encode("utf-8")).hexdigest()[:12]
 
 
 def _require(cond: bool, message: str):
