@@ -22,8 +22,6 @@ from fractions import Fraction
 from functools import partial
 from typing import Iterable, NamedTuple, Optional, Sequence
 
-from mpmath.libmp import to_rational
-
 from . import polys
 from .logvals import DEFAULT_PRECISION, Deferred, LogExpr, deferred_atom
 from .orbits import DEFAULT_LIMITS, REFUSE, Lineage, Orbit, WorkLimits, find_cycle, fold_tree
@@ -58,7 +56,7 @@ def _logexpr_max(a: LogExpr, b: LogExpr, prec: int = DEFAULT_PRECISION) -> LogEx
     bound a + max(q, 0), with q an exact upper bound on b - a."""
     s = (a - b).sign(prec)
     if s is None:
-        return a + LogExpr.constant(max((b - a).upper_bound(prec), Fraction(0)))
+        return a + LogExpr.constant(max((b - a).bounds(prec)[1], Fraction(0)))
     return a if s >= 0 else b
 
 
@@ -67,7 +65,7 @@ def _logexpr_min(a: LogExpr, b: LogExpr, prec: int = DEFAULT_PRECISION) -> LogEx
     bound a - max(q, 0), with q an exact upper bound on a - b."""
     s = (a - b).sign(prec)
     if s is None:
-        return a - LogExpr.constant(max((a - b).upper_bound(prec), Fraction(0)))
+        return a - LogExpr.constant(max((a - b).bounds(prec)[1], Fraction(0)))
     return a if s <= 0 else b
 
 
@@ -310,10 +308,9 @@ def canonical_height_system(system: MapSystem, point: ProjPoint, depth: int = 6,
     lo_expr = LogExpr(leaves + list(down.terms), down.const)
     hi_expr = LogExpr(leaves + list(up.terms), up.const)
     logs: dict = {}   # lo and hi share every atom's log box
-    lo, hi = lo_expr.interval(prec, logs), hi_expr.interval(prec, logs)
+    lo, hi = lo_expr.bounds(prec, logs)[0], hi_expr.bounds(prec, logs)[1]
     certified = all(b.certified for b in bounds)
-    return HeightEstimate(LogExpr.constant(Fraction(*to_rational(lo._mpi_[0]))),
-                          LogExpr.constant(Fraction(*to_rational(hi._mpi_[1]))),
+    return HeightEstimate(LogExpr.constant(lo), LogExpr.constant(hi),
                           depth, big_d ** depth, certified, True, None)
 
 

@@ -19,7 +19,7 @@ from typing import NamedTuple, Optional
 
 from . import polys
 from .heights import HeightEstimate, canonical_height_word, system_bounds
-from .logvals import DEFAULT_PRECISION, LogExpr, _Infinite
+from .logvals import DEFAULT_PRECISION, LogExpr, _Infinite, log_ratio
 from .orbits import (DEFAULT_LIMITS, REFUSE, Orbit, WorkLimits, enumerate_tree,
                      find_cycle, iterate_word)
 from .places import PlaceSet, is_s_unit, log_plus_abs, strip_prime
@@ -245,9 +245,7 @@ def _ratio_term(n: int, p: ProjPoint, prec: int) -> RatioTerm:
     if a <= 1 or b <= 1:
         return RatioTerm(n, a.bit_length(), b.bit_length(), None,
                          "small-numerator" if a <= 1 else "small-denominator")
-    box = LogExpr.log_int(a).interval(prec) / LogExpr.log_int(b).interval(prec)
-    return RatioTerm(n, a.bit_length(), b.bit_length(),
-                     (float(box.a) + float(box.b)) / 2, "defined")
+    return RatioTerm(n, a.bit_length(), b.bit_length(), log_ratio(a, b, prec), "defined")
 
 
 class AveragedRatio(NamedTuple):

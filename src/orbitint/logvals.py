@@ -27,10 +27,13 @@ import math
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator, Mapping, Optional, Tuple
 
-from mpmath import iv
-from mpmath.libmp import from_man_exp, round_ceiling, round_floor, to_rational
+from mpmath.libmp import (fzero, from_man_exp, mpf_sign, mpi_add, mpi_div, mpi_log, mpi_mul,
+                          round_ceiling, round_floor, to_float, to_rational)
 
 DEFAULT_PRECISION = 128
+
+# The precision of log_ratio's quotient: that of the float it reports.
+RATIO_BITS = 53
 
 # Exact-fallback guard: refuse integer power products beyond this many bits.
 EXACT_FALLBACK_BIT_CAP = 8_000_000
@@ -63,15 +66,16 @@ def _as_fraction(value) -> Fraction:
 
 
 def rounded_box(lo: int, hi: int, exp: int, prec: int) -> Optional[tuple]:
-    """iv.mpf(N) at prec, as raw mpf endpoints, for an integer N with
-    lo * 2^exp <= N <= hi * 2^exp, when the enclosure decides it; else None.
+    """The box of an integer N at prec, N rounded down and up to raw mpf
+    endpoints, for lo * 2^exp <= N <= hi * 2^exp, when the enclosure
+    decides it; else None.  An exact integer is lo = hi, exponent 0.
 
     Directed rounding is monotone, so when both ends round down alike and
     up alike, N rounds to those same endpoints.
     """
     box = (from_man_exp(lo, exp, prec, round_floor), from_man_exp(lo, exp, prec, round_ceiling))
-    if box == (from_man_exp(hi, exp, prec, round_floor),
-               from_man_exp(hi, exp, prec, round_ceiling)):
+    if lo == hi or box == (from_man_exp(hi, exp, prec, round_floor),
+                           from_man_exp(hi, exp, prec, round_ceiling)):
         return box
     return None
 
@@ -153,8 +157,8 @@ class Deferred:
         return low if low == high else self.value().bit_length()
 
     def box(self, prec: int):
-        """iv.mpf(N) at prec as raw mpf endpoints when the enclosure decides
-        them, else N itself (built).  The last box taken is kept."""
+        """The box of N at prec (see rounded_box) when the enclosure decides
+        it, else N itself (built).  The last box taken is kept."""
         if self._value is not None:
             return self._value
         if prec != self._prec:
@@ -350,20 +354,22 @@ class LogExpr:
 
     # -- evaluation --------------------------------------------------------
 
-    def interval(self, prec: int = DEFAULT_PRECISION, logs: Optional[dict] = None):
-        """Enclosing mpmath interval at the given binary precision (logs as
-        in interval_sum).  A deferred atom enters as its box at prec, which
-        is iv.mpf of the atom, so the endpoints are those of the same
-        expression over integers."""
+    def interval(self, prec: int = DEFAULT_PRECISION, logs: Optional[dict] = None) -> tuple:
+        """The enclosure at the given binary precision as a (lo, hi) pair of
+        raw mpf endpoints (logs as in interval_sum).  A deferred atom enters
+        as its box at prec, the box of the atom, so the endpoints are those
+        of the same expression over integers."""
         if not self._deferred:
             return interval_sum(self.const, self.terms, prec, logs)
         return interval_sum(self.const, [(atom.box(prec) if type(atom) is Deferred else atom, c)
                                          for atom, c in self.terms], prec, logs)
 
-    def upper_bound(self, prec: int = DEFAULT_PRECISION) -> Fraction:
-        """The upper endpoint of interval(prec) as an exact rational, so a
-        certified upper bound on the value."""
-        return Fraction(*to_rational(self.interval(prec)._mpi_[1]))
+    def bounds(self, prec: int = DEFAULT_PRECISION,
+               logs: Optional[dict] = None) -> Tuple[Fraction, Fraction]:
+        """The endpoints of interval(prec, logs) as exact rationals, so
+        certified lower and upper bounds on the value."""
+        lo, hi = self.interval(prec, logs)
+        return Fraction(*to_rational(lo)), Fraction(*to_rational(hi))
 
     def float_bounds(self, prec: int = DEFAULT_PRECISION) -> Tuple[float, float]:
         """Outward-rounded float enclosure (safe for reporting, not decisions).
@@ -371,14 +377,13 @@ class LogExpr:
         The float cast may err by under one ulp in either direction, so two
         nextafter steps guarantee strict enclosure.
         """
-        box = self.interval(prec)
-        lo = math.nextafter(math.nextafter(float(box.a), -math.inf), -math.inf)
-        hi = math.nextafter(math.nextafter(float(box.b), math.inf), math.inf)
-        return lo, hi
+        lo, hi = self.interval(prec)
+        return (math.nextafter(math.nextafter(to_float(lo), -math.inf), -math.inf),
+                math.nextafter(math.nextafter(to_float(hi), math.inf), math.inf))
 
     def to_float(self, prec: int = DEFAULT_PRECISION) -> float:
-        box = self.interval(prec)
-        return (float(box.a) + float(box.b)) / 2
+        lo, hi = self.interval(prec)
+        return (to_float(lo) + to_float(hi)) / 2
 
     # -- exact sign --------------------------------------------------------
 
@@ -393,11 +398,11 @@ class LogExpr:
         if self.is_structural_zero:
             return 0
         for factor in _ESCALATIONS:
-            box = self.interval(prec * factor,
-                                None if logs is None else logs.setdefault(prec * factor, {}))
-            if box.a > 0:
+            lo, hi = self.interval(prec * factor,
+                                   None if logs is None else logs.setdefault(prec * factor, {}))
+            if mpf_sign(lo) > 0:
                 return 1
-            if box.b < 0:
+            if mpf_sign(hi) < 0:
                 return -1
         if self.const == 0:
             return self._sign_exact()
@@ -443,38 +448,51 @@ class LogExpr:
 
 
 def interval_sum(const: Fraction, terms: Iterable[tuple], prec: int = DEFAULT_PRECISION,
-                 logs: Optional[dict] = None):
-    """const + sum of coeff*log(atom) over (atom, coeff) terms, as an mpmath
-    interval at prec bits, the terms added in the order given.
+                 logs: Optional[dict] = None) -> tuple:
+    """const + sum of coeff*log(atom) over (atom, coeff) terms, as a (lo, hi)
+    pair of raw mpf endpoints at prec bits, the terms added in the order
+    given.
 
-    An atom is an integer >= 2, or an (a, b) pair of raw mpf endpoints equal
-    to iv.mpf of such an integer at prec (an atom known only by its box).
-    logs, when given, maps each atom to its log box at prec and is extended,
-    so sums that share atoms take each log once.  A zero constant is not
-    added and a unit coefficient not multiplied: both steps are exact, so
-    the endpoints are those of the full sum.  This is the one place a log
-    is taken.
+    An atom is an integer >= 2, or the box of such an integer at prec (see
+    rounded_box; an atom known only by its box).  logs, when given, maps
+    each atom to its log box at prec and is extended, so sums that share
+    atoms take each log once.  A zero constant is not added and a unit
+    coefficient not multiplied: both steps are exact, so the endpoints are
+    those of the full sum.  Every step rounds outward at prec, which is
+    passed to each call and read from no global setting.  This is the one
+    place a log is taken.
     """
-    old = iv.prec
-    iv.prec = prec
-    try:
-        total = iv.mpf(const.numerator) / iv.mpf(const.denominator) if const else None
-        scales: dict[Fraction, object] = {}
-        for atom, coeff in terms:
-            term = None if logs is None else logs.get(atom)
-            if term is None:
-                term = iv.log(iv.mpf(atom) if isinstance(atom, int) else iv.make_mpf(atom))
-                if logs is not None:
-                    logs[atom] = term
-            if coeff != 1:
-                scale = scales.get(coeff)
-                if scale is None:
-                    scale = scales[coeff] = iv.mpf(coeff.numerator) / iv.mpf(coeff.denominator)
-                term = scale * term
-            total = term if total is None else total + term
-        return iv.mpf(0) if total is None else total
-    finally:
-        iv.prec = old
+    total = _quotient(const, prec) if const else None
+    scales: dict[Fraction, tuple] = {}
+    for atom, coeff in terms:
+        term = None if logs is None else logs.get(atom)
+        if term is None:
+            term = mpi_log(rounded_box(atom, atom, 0, prec) if isinstance(atom, int) else atom,
+                           prec)
+            if logs is not None:
+                logs[atom] = term
+        if coeff != 1:
+            scale = scales.get(coeff)
+            if scale is None:
+                scale = scales[coeff] = _quotient(coeff, prec)
+            term = mpi_mul(scale, term, prec)
+        total = term if total is None else mpi_add(total, term, prec)
+    return (fzero, fzero) if total is None else total
+
+
+def _quotient(q: Fraction, prec: int) -> tuple:
+    """The box of the rational q at prec: its numerator's box over its
+    denominator's."""
+    return mpi_div(rounded_box(q.numerator, q.numerator, 0, prec),
+                   rounded_box(q.denominator, q.denominator, 0, prec), prec)
+
+
+def log_ratio(a: int, b: int, prec: int = DEFAULT_PRECISION) -> float:
+    """log a / log b for integers a, b >= 2, as the midpoint of the quotient
+    of their log boxes at prec, divided at RATIO_BITS."""
+    lo, hi = mpi_div(LogExpr.log_int(a).interval(prec), LogExpr.log_int(b).interval(prec),
+                     RATIO_BITS)
+    return (to_float(lo) + to_float(hi)) / 2
 
 
 _ZERO = LogExpr()

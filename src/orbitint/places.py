@@ -118,21 +118,13 @@ class Place(Record):
 INFINITE_PLACE = Place(None)
 
 
-class PlaceSet:
+class PlaceSet(Record):
     """Finite set of places; iteration order is inf first, then primes ascending."""
 
-    __slots__ = ("places",)
+    __slots__ = _fields = ("places",)
 
     def __init__(self, places: Iterable[Place]):
         object.__setattr__(self, "places", frozenset(places))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("PlaceSet is immutable")
-
-    def __reduce__(self):
-        # Rebuilt through __init__: the unpickler's slot state would go
-        # through __setattr__, which refuses it.
-        return PlaceSet, (tuple(self),)
 
     @classmethod
     def parse(cls, names: Iterable[str]) -> "PlaceSet":
@@ -154,12 +146,6 @@ class PlaceSet:
 
     def __contains__(self, place: Place) -> bool:
         return place in self.places
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, PlaceSet) and self.places == other.places
-
-    def __hash__(self):
-        return hash(self.places)
 
     def __repr__(self):
         return "PlaceSet({" + ", ".join(str(v) for v in self) + "})"

@@ -14,6 +14,7 @@ from pathlib import Path
 
 import pytest
 from mpmath.libmp import from_man_exp, mpf_cmp, round_floor
+from test_logvals import _interval_full_sum
 
 from orbitint import cli, orbits, polys
 from orbitint.heights import canonical_height_word, hmin_estimate
@@ -45,9 +46,10 @@ def built(atoms):
 
 
 def assert_agrees(expr, oracle=None, prec=128):
-    """expr decides as oracle, by default expr over its atoms' integers.
-    Everything is read from expr before any atom is built for the oracle."""
-    boxes = {p: expr.interval(p)._mpi_ for p in PRECS}
+    """expr decides as oracle, by default expr over its atoms' integers, and
+    its boxes are those mpmath.iv sums for oracle.  Everything is read from
+    expr before any atom is built for the oracle."""
+    boxes = {p: expr.interval(p) for p in PRECS}
     floats = expr.float_bounds(prec)
     sign = expr.sign(prec)
     order = list(expr.terms)
@@ -56,7 +58,8 @@ def assert_agrees(expr, oracle=None, prec=128):
     assert not deferred_atoms(oracle)
     assert [(value(atom), c) for atom, c in order] == list(oracle.terms)
     assert expr.const == oracle.const
-    assert boxes == {p: oracle.interval(p)._mpi_ for p in PRECS}
+    assert boxes == {p: oracle.interval(p) for p in PRECS}
+    assert boxes == {p: _interval_full_sum(oracle, p)._mpi_ for p in PRECS}
     assert floats == oracle.float_bounds(prec)
     assert sign == oracle.sign(prec)
 

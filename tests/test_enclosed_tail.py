@@ -111,8 +111,8 @@ def test_enclosed_chordal_sums_are_the_built_ones(monkeypatch):
                 infinite += 1
                 assert lhs is POS_INF, (seed, n)
             else:
-                assert {p: lhs.interval(p)._mpi_ for p in (53, 128, 512)} == \
-                    {p: ref.interval(p)._mpi_ for p in (53, 128, 512)}, (seed, n)
+                assert {p: lhs.interval(p) for p in (53, 128, 512)} == \
+                    {p: ref.interval(p) for p in (53, 128, 512)}, (seed, n)
     assert enclosed >= 60 and infinite >= 3, (enclosed, infinite)
 
 

@@ -6,7 +6,8 @@ resident memory in every run.  A fresh interpreter that imports
 `orbitint.cli`, loads a shipped config, runs every config subcommand at the
 config's depth and a census and a system height on two workers has
 imported none of `dataclasses`, `inspect`, `hashlib`, `_hashlib` or
-`ssl`."""
+`ssl`.  No subcommand changes mpmath's process-wide precisions either:
+`mpmath.iv.prec` and `mpmath.mp.prec` read their defaults after each."""
 
 import ast
 import json
@@ -42,17 +43,20 @@ def test_every_subcommand_runs_without_dataclasses_or_hashlib(tmp_path):
     config = ROOT / "configs" / "bounds_mixed.json"
     script = (
         "import json, sys\n"
+        "import mpmath\n"
         "import orbitint.cli\n"
         "from orbitint.config import load_config\n"
         f"load_config({str(config)!r})\n"
         f"banned = {NEVER_LOADED!r}\n"
         "loaded = [name for name in banned if name in sys.modules]\n"
-        "codes = [orbitint.cli.main([argv[0], '--config', sys.argv[1], *argv[1:],\n"
-        "                            '--out', sys.argv[2]])\n"
-        f"         for argv in {RUNS!r}]\n"
+        "def run(argv):\n"
+        "    code = orbitint.cli.main([argv[0], '--config', sys.argv[1], *argv[1:],\n"
+        "                              '--out', sys.argv[2]])\n"
+        "    return [code, mpmath.iv.prec, mpmath.mp.prec]\n"
+        f"codes = [run(argv) for argv in {RUNS!r}]\n"
         "print(json.dumps([loaded, codes, [name for name in banned if name in sys.modules]]))\n")
     path = os.pathsep.join(filter(None, (str(ROOT / "src"), os.environ.get("PYTHONPATH"))))
     run = subprocess.run([sys.executable, "-c", script, str(config), str(tmp_path)],
                          env={**os.environ, "PYTHONPATH": path}, capture_output=True,
                          text=True, timeout=120, check=True)
-    assert json.loads(run.stdout.splitlines()[-1]) == [[], [0] * len(RUNS), []]
+    assert json.loads(run.stdout.splitlines()[-1]) == [[], [[0, 53, 53]] * len(RUNS), []]

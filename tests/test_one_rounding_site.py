@@ -1,7 +1,7 @@
-"""An enclosure is certified to round to an integer's box in one place,
+"""An enclosure or an exact integer is rounded to its box in one place,
 logvals.rounded_box: no other function in src/orbitint calls from_man_exp
-with both round_floor and round_ceiling, so system-height leaf boxes and
-deferred atoms cannot fork."""
+or from_int with both round_floor and round_ceiling, so system-height leaf
+boxes, deferred atoms and exact atoms cannot fork."""
 
 import ast
 from pathlib import Path
@@ -10,11 +10,12 @@ SOURCES = sorted((Path(__file__).resolve().parents[1] / "src" / "orbitint").glob
 
 
 def _rounding_modes(func):
-    """The rounding-mode names passed to from_man_exp calls inside func."""
+    """The rounding-mode names passed to from_man_exp and from_int calls
+    inside func."""
     modes = set()
     for node in ast.walk(func):
         if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
-                and node.func.id == "from_man_exp"):
+                and node.func.id in ("from_man_exp", "from_int")):
             modes |= {arg.id for arg in node.args + [k.value for k in node.keywords]
                       if isinstance(arg, ast.Name) and arg.id.startswith("round_")}
     return modes

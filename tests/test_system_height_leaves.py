@@ -455,7 +455,7 @@ def test_stand_ins_at_a_large_root(evaluations, root, depth, workers):
 
 
 def test_one_log_per_atom(monkeypatch):
-    """lo and hi share every leaf's log box: iv.log runs once per distinct
+    """lo and hi share every leaf's log box: mpi_log runs once per distinct
     atom of the two expressions, leaf atoms and tail atoms together."""
     monkeypatch.setattr(polys, "ENCLOSE_BITS", 0)
     config = load("bounds_mixed")
@@ -463,7 +463,7 @@ def test_one_log_per_atom(monkeypatch):
     lo_expr, hi_expr = exact_leaf_exprs(config.system, config.point, 6, bounds)
     atoms = {atom for atom, _ in lo_expr.terms + hi_expr.terms}
     calls = []
-    real = iv.log
-    monkeypatch.setattr(logvals.iv, "log", lambda box: calls.append(1) or real(box))
+    real = logvals.mpi_log
+    monkeypatch.setattr(logvals, "mpi_log", lambda box, prec: calls.append(1) or real(box, prec))
     canonical_height_system(config.system, config.point, 6, bounds=bounds)
     assert len(calls) == len(atoms) < len(lo_expr.terms) + len(hi_expr.terms)
