@@ -1,8 +1,9 @@
 """Explicit constants and count bounds for quasi-integral orbit points.
 
-The diophantine-approximation constants (the Roth-type r1, r2 and the c-chain)
-are not pinned by theory to explicit values here; they are pluggable
-parameters with documented defaults, and every report echoes the set used.
+The diophantine-approximation constants (the Roth-type r1, r2, mu and the
+c-chain) are not pinned by theory to explicit values here; they are
+pluggable parameters with documented defaults (BoundParameters names the
+bound that reads each), and every report echoes the set used.
 The ramification constants and the threshold step m are exact.
 """
 
@@ -93,10 +94,11 @@ class BoundParameters(Record):
     """Pluggable constants for the count bounds.
 
     The defaults are one valid instantiation, generous enough for desk-scale
-    experiments; they are not canonical values.  mu > 2 is the approximation
-    exponent; r1, r2 are the counting constants attached to it; the c-chain
-    feeds the threshold assembly; gamma is the generic constant in the
-    census count bounds.
+    experiments; they are not canonical values.  Each bound reads only some:
+    gamma_count_bound's tail reads roth_r1, and its head the c-chain (c10
+    the proximity window, c5, c6, c7 the small-height window);
+    census_count_bounds reads gamma.  roth_mu is only checked to exceed 2,
+    and roth_r2 enters no bound.  Reports echo every parameter.
     """
 
     __slots__ = _fields = ("roth_r1", "roth_r2", "roth_mu", "c5", "c6", "c7", "c10", "gamma")

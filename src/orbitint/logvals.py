@@ -30,6 +30,8 @@ from typing import Callable, Iterable, Iterator, Mapping, Optional, Tuple
 from mpmath.libmp import (fzero, from_man_exp, mpf_sign, mpi_add, mpi_div, mpi_log, mpi_mul,
                           round_ceiling, round_floor, to_float, to_rational)
 
+from .errors import Record
+
 DEFAULT_PRECISION = 128
 
 # The precision of log_ratio's quotient: that of the float it reports.
@@ -227,11 +229,12 @@ def _settle(merged: dict, pending: dict) -> tuple:
     return tuple(terms)
 
 
-class LogExpr:
+class LogExpr(Record):
     """const + sum of coeff*log(atom) with Fraction coeffs and atoms that are
-    ints >= 2 or Deferred, sorted by value."""
+    ints >= 2 or Deferred, sorted by value: a record of (terms, const)."""
 
-    __slots__ = ("const", "terms", "_hash", "_deferred")
+    __slots__ = ("terms", "const", "_deferred")
+    _fields = ("terms", "const")
 
     def __init__(self, terms: Mapping[int, Fraction] | Iterable[Tuple[int, Fraction]] = (),
                  const: Fraction | int = 0):
@@ -261,15 +264,8 @@ class LogExpr:
         sorted_terms = _settle(merged, pending)
         object.__setattr__(self, "terms", sorted_terms)
         object.__setattr__(self, "const", _as_fraction(const))
-        object.__setattr__(self, "_hash", None)
         object.__setattr__(self, "_deferred", bool(pending) and any(
             type(atom) is Deferred for atom, _ in sorted_terms))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("LogExpr is immutable")
-
-    def __reduce__(self):   # rebuilt by __init__: __setattr__ refuses slot state
-        return LogExpr, (self.terms, self.const)
 
     # -- constructors ------------------------------------------------------
 
@@ -322,22 +318,10 @@ class LogExpr:
         out = object.__new__(LogExpr)
         object.__setattr__(out, "terms", tuple((a, c * s) for a, c in self.terms))
         object.__setattr__(out, "const", self.const * s)
-        object.__setattr__(out, "_hash", None)
         object.__setattr__(out, "_deferred", self._deferred)
         return out
 
     __rmul__ = __mul__
-
-    def __eq__(self, other) -> bool:
-        return (isinstance(other, LogExpr) and self.terms == other.terms
-                and self.const == other.const)
-
-    def __hash__(self):
-        h = object.__getattribute__(self, "_hash")
-        if h is None:
-            h = hash((self.terms, self.const))
-            object.__setattr__(self, "_hash", h)
-        return h
 
     def __repr__(self):
         if not self.terms and not self.const:

@@ -15,14 +15,15 @@ of its own.  Each enclosure carries its point's `Lineage`, the one build
 of a point read unbuilt, so a settled point is built later only down its
 path from its node, never by expanding its parent again.
 `Orbit` is the one walk along a word: the orbit Phi^0(P), Phi^1(P), ...
-of a point, built one map per step on first use and shared by every pass
-over it (`find_cycle` scans it for a repeat, `iterate_word` yields it
-bit-checked), and the one source of the degree products D_n.  Past
-`polys.ENCLOSE_BITS` it advances by chained enclosures: each step that is
-not built is known by the `polys.Enclosure.image` of the step before, so
-the height walk and gamma's membership scan read the height atom and the
-chordal sum of a large step from its box, and build the point (by its
-lineage) only where a box does not decide.  `Orbit.fits` is the one cap
+of a point, one `Lineage` per step, so each step is built by its lineage
+once, on first use, and shared by every pass over it (`find_cycle` scans
+it for a repeat, `iterate_word` yields it bit-checked); it is the one
+source of the degree products D_n.  Past `polys.ENCLOSE_BITS` it advances
+by chained enclosures: each step that is not built is known by the
+`polys.Enclosure.image` of the step before, which carries the step's
+lineage, so the height walk and gamma's membership scan read the height
+atom and the chordal sum of a large step from its box, and build the
+point only where a box does not decide.  `Orbit.fits` is the one cap
 test of a word step: it reads the step's bit range
 (`polys.Enclosure.bit_range` of its box) and builds the step only when
 that range straddles the cap.
@@ -198,18 +199,20 @@ class Lineage:
 
 
 class Orbit:
-    """The orbit of a point along a word: points is the list Phi^0(P), ...,
-    as far as built.  orbit[n] builds each missing point up to Phi^n(P),
-    one map per step, so every pass over one orbit evaluates each point
-    once.  Past polys.ENCLOSE_BITS the orbit advances by enclosures (see
-    step), so a step is built only when a reader needs its exact value.  A
-    letter outside the system is a ValueError."""
+    """The orbit of a point along a word, one entry per step reached: the
+    step's Lineage, or the polys.Enclosure that carries it for a step past
+    polys.ENCLOSE_BITS that was read unbuilt (see step); orbit[n] builds
+    each step it appends, so a step that is not built is a box.  The
+    lineages of the steps form one chain, so orbit[n] builds each point up
+    to Phi^n(P) once, one map per step, for every pass over the orbit; a
+    step is built only when a reader needs its exact value.  A letter
+    outside the system is a ValueError."""
 
-    __slots__ = ("system", "word", "points", "_boxes", "_products")
+    __slots__ = ("system", "word", "_steps", "_products")
 
     def __init__(self, system: MapSystem, word: Word, point: ProjPoint):
-        self.system, self.word, self.points = system, word, [point]
-        self._boxes: dict[int, Optional[polys.Enclosure]] = {}   # step -> its enclosure or None
+        self.system, self.word = system, word
+        self._steps: list[Lineage | polys.Enclosure] = [Lineage(point)]
         self._products = [1]   # D_0, ..., D_m over the word's m letters
         for letter in word.letters:
             if letter > system.k:
@@ -217,41 +220,32 @@ class Orbit:
             self._products.append(self._products[-1] * system.degrees[letter - 1])
 
     def __getitem__(self, n: int) -> ProjPoint:
-        points = self.points
-        while len(points) <= n:
-            box = self._boxes.pop(len(points), None)   # a built step is enclosed anew
-            points.append(eval_point(self.map(len(points) - 1), points[-1]) if box is None
-                          else box.lineage.build())
-        return points[n]
+        steps = self._steps
+        while len(steps) <= n:
+            steps.append(self._lineage(-1).child(self.map(len(steps) - 1)))
+        return self._lineage(n).build()
+
+    def _lineage(self, n: int) -> Lineage:
+        step = self._steps[n]
+        return step.lineage if isinstance(step, polys.Enclosure) else step
 
     def step(self, n: int) -> ProjPoint | polys.Enclosure:
         """Phi^n(P) when it is built, else its enclosure once the orbit is
         past polys.ENCLOSE_BITS: the image of step n - 1's enclosure, which
-        is polys.Enclosure.of that point at polys.BOX_BITS when it is built,
-        or else its own image.  A step after a built point with no box is
-        built, which costs less than its box."""
-        if n < len(self.points):
-            return self.points[n]
-        boxes, k = self._boxes, n
-        while k not in boxes and k >= len(self.points):
-            k -= 1
-        box = boxes[k] if k in boxes else self._enclose(k)
-        for m in range(k + 1, n + 1):
-            if box is None:   # m follows a built point with no box
-                box = self._enclose(m)
-            else:
-                box = boxes[m] = box.image(self.map(m - 1))
-        return self.points[n] if n < len(self.points) else box
-
-    def _enclose(self, n: int) -> Optional[polys.Enclosure]:
-        """The enclosure of the point Phi^n(P), built now if it is not yet,
-        at polys.BOX_BITS, or None when polys.Enclosure.of gives none.  The
-        one place a word walk encloses a point."""
-        point = self[n]
-        if n not in self._boxes:
-            self._boxes[n] = polys.Enclosure.of(point.x, point.y, (polys.BOX_BITS, polys.BOX_BITS),
-                                                Lineage(point))
-        return self._boxes[n]
+        is polys.Enclosure.of that point at polys.BOX_BITS when it is built
+        (the one place a word walk encloses a point), or else its own box.
+        A step after a built point with no box is built, which costs less
+        than its box."""
+        steps = self._steps
+        while len(steps) <= n:
+            last, phi = self._lineage(-1), self.map(len(steps) - 1)
+            box = steps[-1] if last.point is None else polys.Enclosure.of(
+                last.point.x, last.point.y, (polys.BOX_BITS, polys.BOX_BITS), last)
+            steps.append(last.child(phi) if box is None else box.image(phi))
+            if box is None:
+                steps[-1].build()
+        lineage = self._lineage(n)
+        return steps[n] if lineage.point is None else lineage.point
 
     def bit_range(self, n: int) -> tuple[int, int]:
         """Bounds on WorkLimits.bits_of(Phi^n(P)): its bits when the step is

@@ -4,8 +4,9 @@ A second ramification index, computed in an explicit chart by derivatives
 rather than from the map's Wronskian form; the resultant and cofactor
 identities as signed minors of the Sylvester matrix over Fraction
 determinants; rational roots by the rational root theorem; the Wronskian
-f'g - fg'; polynomial subtraction, derivative and evaluation at a rational; weighted random words; and readings of a
-`HeightEstimate` (midpoint, width, containment of a log expression).
+f'g - fg'; polynomial subtraction, derivative and evaluation at a rational; weighted random words; readings of a
+`HeightEstimate` (midpoint, width, containment of a log expression); and
+the built prefix of an `Orbit`.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from typing import Sequence
 from orbitint import polys
 from orbitint.heights import HeightEstimate
 from orbitint.logvals import DEFAULT_PRECISION, LogExpr
+from orbitint.orbits import Orbit
 from orbitint.proj1 import ProjPoint
 from orbitint.ratmap import MapError, RatMap, compose, eval_point, make_map
 from orbitint.words import Word
@@ -180,3 +182,17 @@ def contains(est: HeightEstimate, value: LogExpr, prec: int = DEFAULT_PRECISION)
     lo_ok = (value - est.lo_expr).sign(prec)
     hi_ok = (est.hi_expr - value).sign(prec)
     return (lo_ok is None or lo_ok >= 0) and (hi_ok is None or hi_ok >= 0)
+
+
+def built_prefix(orbit: Orbit) -> list[ProjPoint]:
+    """The points Phi^0(P), ... of the orbit's steps that are built, up to
+    the first that is not, read from the steps' lineages without building
+    any.  The built steps are a prefix: a step's lineage builds those before
+    it."""
+    points = []
+    for n in range(len(orbit._steps)):
+        point = orbit._lineage(n).point
+        if point is None:
+            break
+        points.append(point)
+    return points

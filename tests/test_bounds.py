@@ -165,6 +165,22 @@ def test_gamma_count_bound_monotonicity(pair_system):
     assert sizes == sorted(sizes)
 
 
+def test_roth_r2_and_mu_enter_no_bound(pair_system):
+    """Other valid roth_r2 and roth_mu leave both count bounds as they are;
+    roth_r1 moves the gamma bound's tail and gamma the census bounds."""
+    def bounds(**named):
+        params = BoundParameters(**named)
+        return (gamma_count_bound(pair_system, 2, Fraction(1, 3), 1.5, 2.0, 0.25, params),
+                census_count_bounds(pair_system, 2, 2.0, 0.25, params))
+
+    default = bounds()
+    for named in ({"roth_r2": 0.5}, {"roth_r2": 40}, {"roth_mu": 2.01}, {"roth_mu": 7},
+                  {"roth_r2": 9.0, "roth_mu": 3.5}):
+        assert bounds(**named) == default, named
+    assert bounds(roth_r1=7.0)[0].tail_count != default[0].tail_count
+    assert bounds(gamma=9.0)[1] != default[1]
+
+
 def test_census_count_bounds_structure(pair_system):
     params = BoundParameters()
     with pytest.raises(ValueError):

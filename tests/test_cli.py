@@ -94,7 +94,8 @@ def test_orbit_and_canonical_and_bounds(tmp_path):
     bounds = read_report(out, "bounds")
     assert bounds["thresholdM"]["m"] >= 1
     assert bounds["censusBounds"]["treeCount"] >= 1
-    assert bounds["parameters"]["gamma"] == 8.0
+    assert bounds["parameters"] == {"roth_r1": 6.0, "roth_r2": 2.0, "roth_mu": 2.5, "c5": 1.0,
+                                    "c6": 1.0, "c7": 1.0, "c10": 1.0, "gamma": 8.0}
 
 
 def test_ratios_subcommand(tmp_path):

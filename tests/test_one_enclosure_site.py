@@ -92,8 +92,8 @@ def _reads(func, name):
 
 
 def test_one_settle_site():
-    """Only orbits.settle encloses a tree node, and only orbits.Orbit a step
-    of a word walk; the one other point enclosed is a built point's chordal
+    """Only orbits.settle encloses a tree node, and only orbits.Orbit.step a
+    step of a word walk; the one other point enclosed is a built point's chordal
     sum of squares.  The size gate ENCLOSE_BITS is read by Enclosure.of
     only, and no function outside orbits compares a node's level."""
     functions = [(f"{path.stem}.{name}", func) for path in SOURCES
@@ -101,7 +101,7 @@ def test_one_settle_site():
     enclosers = sorted(name for name, func in functions for node in ast.walk(func)
                        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
                        and node.func.attr == "of" and ast.unparse(node.func.value).endswith("Enclosure"))
-    assert enclosers == ["orbits.Orbit._enclose", "orbits.settle", "proj1._sum_of_squares"]
+    assert enclosers == ["orbits.Orbit.step", "orbits.settle", "proj1._sum_of_squares"]
     assert sorted(name for name, func in functions if _reads(func, "ENCLOSE_BITS")) == [
         "polys.Enclosure.of"]
     gates = [name for name, func in functions if not name.startswith("orbits.")

@@ -1,9 +1,9 @@
 """Every tree node expands through orbits.children, which only the walks
 call: no function in src/orbitint recurses by name (so tree depth is never
-bounded by the interpreter's recursion limit), inside orbits only the word
-walk (orbits.Orbit), children and the one build of a point read unbuilt
-(orbits.Lineage) evaluate a map, and a consumer settles
-nodes only through its one test, which the engine's walks pass to
+bounded by the interpreter's recursion limit), inside orbits only
+children and the one build of a point read unbuilt (orbits.Lineage, which
+builds every step of a word walk as well) evaluate a map, and a consumer
+settles nodes only through its one test, which the engine's walks pass to
 children: no consumer expands a last level on its own.  A settled leaf
 that is built later is built by its stand-in, never by re-expanding its
 node."""
@@ -54,12 +54,11 @@ def test_no_function_calls_itself():
 def test_eval_point_only_in_word_walk_and_children():
     tree = next(tree for path, tree in TREES.items() if path.stem == "orbits")
     allowed = {id(call) for qualified, node in _functions()
-               if qualified in ("orbits.Orbit.__getitem__", "orbits.children",
-                                "orbits.Lineage.build")
+               if qualified in ("orbits.children", "orbits.Lineage.build")
                for call in _calls_to(node, "eval_point")}
     others = [call.lineno for call in _calls_to(tree, "eval_point")
               if id(call) not in allowed]
-    assert len(allowed) == 3 and others == []
+    assert len(allowed) == 2 and others == []
 
 
 def test_one_word_walk():

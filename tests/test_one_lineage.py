@@ -3,20 +3,25 @@ src/orbitint takes both an enclosure and a build callable, the path rebuild
 _Settled is gone, no build is made of an orbit's __getitem__ or of a lambda
 that indexes an orbit, and what waits to be built later (a settle's
 stand-ins, a chordal sum or a height atom read from a box) holds the point's
-orbits.Lineage and no polys.Enclosure."""
+orbits.Lineage and no polys.Enclosure.  An orbit along a word keeps one
+lineage or box per step and nothing else, so its steps are built by their
+lineages alone, each once, in whatever order they are read."""
 
 import ast
 import gc
+import random
 import types
 from pathlib import Path
 
-from orbitint import polys
+from orbitint import orbits, polys
 from orbitint.heights import LeafAtoms, canonical_height_word
 from orbitint.orbits import Lineage, Orbit, WorkLimits, iterate_word, settle
 from orbitint.places import INFINITE_PLACE, Place, PlaceSet
 from orbitint.proj1 import ProjPoint, chordal_sum, normalize
-from orbitint.ratmap import MapSystem, parse_map
+from orbitint.ratmap import MapSystem, eval_point, parse_map
+from orbitint.verify import random_point, random_system, random_word
 from orbitint.words import Word
+from oracles import built_prefix
 
 SOURCES = sorted((Path(__file__).resolve().parents[1] / "src" / "orbitint").glob("*.py"))
 TREES = {path: ast.parse(path.read_text(encoding="utf-8")) for path in SOURCES}
@@ -123,5 +128,52 @@ def test_deferred_word_steps_hold_lineages_and_no_enclosure():
     places = PlaceSet([INFINITE_PLACE, Place(2), Place(3)])
     total = chordal_sum(steps[3], normalize(5), places)
     height = canonical_height_word(orbit, 3)
-    assert len(orbit.points) < 4
+    assert len(built_prefix(orbit)) < 4
     assert _kinds(total) == _kinds(height) == {Lineage}
+
+
+def test_an_orbit_keeps_no_store_of_its_own():
+    """The steps' lineages and boxes are an orbit's one store: no list of
+    built points, no box cache and no enclosing helper beside them."""
+    orbit = Orbit(PAIR, Word.periodic((1,)), NODE)
+    assert [name for name in ("points", "_boxes", "_enclose")
+            if hasattr(Orbit, name) or hasattr(orbit, name)] == []
+
+
+def test_interleaved_reads_build_each_step_once(monkeypatch):
+    """step, fits, bit_range and orbit[n] read in random order along orbits
+    from points of 1,000 to 3,000 bits, so that steps are boxed: each built
+    point is the one plain iteration gives, no step is evaluated twice, and
+    each step's bits lie in its bit range."""
+    evaluations = []
+    monkeypatch.setattr(orbits, "eval_point",
+                        lambda *args: evaluations.append(1) or eval_point(*args))
+    boxed = built_from_box = 0
+    for seed in range(60):
+        rng = random.Random(f"interleaved-reads:{seed}")
+        system = random_system(rng, k_max=2, max_degree=3)
+        word = random_word(rng, system.k, rng.randint(1, 3), True)
+        plain = [random_point(rng, 1 << rng.randint(1000, 3000))]
+        depth = 4 if max(system.degrees) == 3 else 5
+        for n in range(depth):
+            plain.append(eval_point(system.map_for_letter(word.letter_at(n)), plain[-1]))
+        bits = [WorkLimits.bits_of(p) for p in plain]
+        orbit, evaluations[:] = Orbit(system, word, plain[0]), []
+        for _ in range(3 * depth):
+            n, read = rng.randint(0, depth), rng.choice(("step", "fits", "bit_range", "item"))
+            if read == "step":
+                step = orbit.step(n)
+                boxed += isinstance(step, polys.Enclosure)
+                assert isinstance(step, polys.Enclosure) or step == plain[n], (seed, n)
+            elif read == "fits":
+                limits = WorkLimits(bit_cap=bits[n] + rng.randint(-2, 1))
+                assert orbit.fits(n, limits) is limits.fits_bits(bits[n]), (seed, n)
+            elif read == "bit_range":
+                low, high = orbit.bit_range(n)
+                assert low <= bits[n] <= high, (seed, n)
+            else:
+                built_from_box += any(isinstance(step, polys.Enclosure)
+                                      for step in orbit._steps[n:n + 1])
+                assert orbit[n] == plain[n], (seed, n)
+            assert len(evaluations) == len(built_prefix(orbit)) - 1, (seed, n, read)
+    assert boxed >= 60 and built_from_box >= 60, (boxed, built_from_box)

@@ -124,6 +124,22 @@ def test_placeset_is_a_value():
         PLACES.places = frozenset()
 
 
+def test_logexpr_is_a_value():
+    """A LogExpr is the record of its (terms, const): equal, hashed and
+    pickled as that pair, scaled copies included, and never changed."""
+    expr = LogExpr([(3, Fraction(1, 2)), (2, 1)], Fraction(1, 3))
+    same = LogExpr.log_int(2) + LogExpr.log_int(3, Fraction(1, 2)) + LogExpr.constant(Fraction(1, 3))
+    assert same == expr == -(-expr) and expr != LogExpr.log_int(2)
+    assert hash(same) == hash(-(-expr)) == hash(expr) == hash((expr.terms, expr.const))
+    assert expr != (expr.terms, expr.const)
+    assert pickle.loads(pickle.dumps(expr)) == expr
+    for change in (lambda: setattr(expr, "const", 0), lambda: delattr(expr, "terms"),
+                   lambda: setattr(expr, "_deferred", True)):
+        with pytest.raises(AttributeError):
+            change()
+    assert (expr.terms, expr.const) == (((2, 1), (3, Fraction(1, 2))), Fraction(1, 3))
+
+
 def test_places_order_by_sort_key():
     assert sorted([Place(7), Place(2), INFINITE_PLACE, Place(3)]) == [
         INFINITE_PLACE, Place(2), Place(3), Place(7)]
